@@ -1,19 +1,19 @@
 //! The fleet dispatcher: a batch of opaque jobs scheduled over a pool of
 //! worker endpoints.
 //!
-//! Scheduling keeps the work-stealing semantics of the in-process shard
-//! queue: one thread per endpoint claims the next unassigned job from a
-//! shared queue, so whichever worker is free takes the next job.  On top
-//! of that, the dispatcher handles the failure modes a pool of real
-//! processes and sockets adds:
+//! A batch runs on one readiness event loop on the dispatching thread
+//! (see [`crate::event_loop`]): every endpoint is a non-blocking source,
+//! queued jobs go to whichever connection has spare capacity, and the
+//! dispatcher handles the failure modes a pool of real processes and
+//! sockets adds:
 //!
 //! * **Dead workers** — a connect failure, a closed stream, or a
 //!   malformed answer makes the job go back on the queue for another
 //!   worker; the connection is dropped and re-established (local workers
-//!   are respawned) up to a per-thread limit before the thread gives up.
-//! * **Wedged workers** — every connection (TCP natively, local pipes
-//!   via a timed-read adapter) polls, so one that goes silent with work
-//!   in flight is pinged; a ping that stays unanswered makes the
+//!   are respawned) up to a per-endpoint limit before the endpoint is
+//!   given up.
+//! * **Wedged workers** — a connection that goes silent with work in
+//!   flight is pinged; a ping that stays unanswered makes the
 //!   connection [`FleetError::Unresponsive`] and its jobs are
 //!   re-dispatched immediately instead of waiting for the batch tail's
 //!   straggler machinery (or forever, on a single-worker pool).
@@ -21,9 +21,8 @@
 //!   the jobs still outstanding on other workers (preferring the least
 //!   duplicated job, and only after a short grace period so an ordinary
 //!   batch tail is not duplicated pointlessly).  Whichever copy answers
-//!   first wins.  A worker blocked on an already-settled job is
-//!   abandoned at the next read-timeout poll, so a wedged worker can
-//!   delay but never hang the final return of [`Dispatcher::dispatch`].
+//!   first wins, and the batch returns as soon as every job settled, so
+//!   a wedged worker can delay but never hang [`Dispatcher::dispatch`].
 //! * **Poisoned answers** — [`Dispatcher::dispatch_validated`] checks
 //!   every answer before its job settles; a well-framed reply whose body
 //!   fails validation is retried elsewhere like any transport failure.
@@ -32,25 +31,22 @@
 //!   racing its replacement) are dropped and the per-job completion
 //!   callback fires exactly once.
 //!
-//! Two protocol-v2 capabilities are layered over that core:
+//! Two capabilities are layered over that core:
 //!
 //! * **Pipelining** — the worker's `hello` advertises a capacity, and
-//!   the dispatcher keeps up to that many jobs in flight on the
-//!   connection (writes run ahead of reads; answers are matched by job
-//!   id, in whatever order they come back).
-//! * **Content-addressed blobs** — a [`JobPayload`] may carry a compact
-//!   encoding referencing blobs from a [`BlobSet`] by hash.  On a v2
-//!   connection the dispatcher ships each blob at most once
-//!   (`scenario-put`, after an optional `scenario-have` query) and sends
-//!   the compact payload; a v1 worker transparently gets the equivalent
-//!   fully inline payload instead.
+//!   the dispatcher keeps up to that many jobs (times the endpoint's
+//!   weight) in flight on the connection; answers are matched by job id,
+//!   in whatever order they come back.
+//! * **Content-addressed blobs** — a [`JobPayload`] may reference blobs
+//!   from a [`BlobSet`] by hash; the dispatcher ships each blob to a
+//!   connection once (`scenario-put`) before the first job that needs
+//!   it.
 //!
 //! Connections are *warm*: a [`Dispatcher`] keeps each endpoint's
 //! connection (and therefore its spawned local worker process) alive
-//! between `dispatch` calls, health-checking it with a ping before
-//! reuse.  This is what lets a long-running sweep service answer
-//! back-to-back submissions without re-paying process spawn or blob
-//! shipping.
+//! between `dispatch` calls.  This is what lets a long-running sweep
+//! service answer back-to-back submissions without re-paying process
+//! spawn or blob shipping.
 //!
 //! Because a job's answer is required to be a deterministic function of
 //! its payload (shard answers are — that is the whole bit-identical
@@ -59,90 +55,15 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
-use crate::endpoint::{Answer, Connection, DispatchTuning, WorkerEndpoint};
+use crate::endpoint::{DispatchTuning, WorkerEndpoint};
 use crate::event_loop::{self, WarmPool};
 use crate::hash::content_hash;
 use crate::obs::{FleetMetrics, FleetObs, FleetSnapshot, WorkerMetrics};
 use crate::protocol::JobSpan;
 use crate::FleetError;
-
-/// Per-endpoint cap on transport failures (failed connects, dropped
-/// connections) before the dispatcher stops retrying that endpoint.
-pub(crate) const RECONNECT_LIMIT: usize = 3;
-
-/// How the dispatcher drives its pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// One readiness event loop on the dispatching thread multiplexes
-    /// every endpoint over non-blocking I/O — no per-endpoint threads,
-    /// so fleets of hundreds of workers cost one poll loop.  Supports
-    /// elastic membership via [`Dispatcher::listen_for_workers`].
-    #[default]
-    EventLoop,
-    /// The legacy thread-per-endpoint scheduler: each endpoint gets a
-    /// worker thread with timed-poll blocking reads.  Kept as the
-    /// reference implementation and for the `fleet_scale` bench's
-    /// baseline.
-    Threaded,
-}
-
-impl DispatchMode {
-    /// The canonical mode names, in the order the strict parser's
-    /// error message lists them.
-    pub const NAMES: [&'static str; 2] = ["event-loop", "threaded"];
-
-    /// The environment variable selecting the dispatch mode.
-    pub const ENV: &'static str = "CRP_FLEET_DISPATCH";
-
-    /// Strictly reads [`DispatchMode::ENV`]: `Ok(None)` when unset, a
-    /// typed [`FleetError::Env`] listing the valid names on a value
-    /// that parses as neither mode.  The CLI calls this so a mistyped
-    /// override fails loudly; the lenient [`Dispatcher::new`] default
-    /// warns once and falls back instead.
-    pub fn try_from_env() -> Result<Option<Self>, FleetError> {
-        let Ok(value) = std::env::var(Self::ENV) else {
-            return Ok(None);
-        };
-        match value.trim().parse() {
-            Ok(mode) => Ok(Some(mode)),
-            Err(reason) => Err(FleetError::Env {
-                var: Self::ENV.to_string(),
-                value,
-                reason,
-            }),
-        }
-    }
-
-    /// Reads [`DispatchMode::ENV`] leniently: unset keeps the default,
-    /// an unknown value warns once and keeps the default.
-    fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(mode) => mode.unwrap_or_default(),
-            Err(error) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(move || {
-                    eprintln!("warning: {error}; using the default dispatch mode");
-                });
-                Self::default()
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for DispatchMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "event-loop" | "event_loop" | "eventloop" => Ok(Self::EventLoop),
-            "threaded" | "threads" => Ok(Self::Threaded),
-            _ => Err(format!("expected one of: {}", Self::NAMES.join(", "))),
-        }
-    }
-}
 
 /// Validates a worker's answer *before* the job settles: return `Err`
 /// and the answer is treated exactly like a transport failure — the
@@ -151,45 +72,28 @@ impl std::str::FromStr for DispatchMode {
 /// `done` whose accumulator body is corrupt.
 pub type AnswerValidator<'a> = &'a (dyn Fn(u64, &str) -> Result<(), String> + Sync);
 
-/// One dispatchable job: the canonical fully inline payload every worker
-/// understands, plus an optional compact payload that references
-/// [`BlobSet`] entries by content hash (sent to protocol-v2 workers
-/// after the blobs have been shipped once).
+/// One dispatchable job: the payload a worker executes, the [`BlobSet`]
+/// entries it references by content hash (shipped to a worker before
+/// the first job that needs them), and an optional trace span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPayload {
-    /// The canonical self-contained payload (protocol v1 compatible).
-    pub inline: String,
-    /// A smaller payload referencing blobs by hash, if the job has one.
-    pub compact: Option<String>,
-    /// The content hashes `compact` references.
+    /// The payload the worker's handler receives.
+    pub payload: String,
+    /// The content hashes `payload` references (empty for a
+    /// self-contained payload).
     pub refs: Vec<String>,
-    /// The job's trace span, carried in the job frame on protocol-v3
-    /// connections so the worker's trace events correlate with the
-    /// dispatcher's.  Never affects scheduling or answers.
+    /// The job's trace span, carried in the job frame so the worker's
+    /// trace events correlate with the dispatcher's.  Never affects
+    /// scheduling or answers.
     pub span: Option<JobSpan>,
 }
 
 impl JobPayload {
-    /// A job with only an inline payload.
-    pub fn inline(payload: impl Into<String>) -> Self {
-        Self {
-            inline: payload.into(),
-            compact: None,
-            refs: Vec::new(),
-            span: None,
-        }
-    }
-
-    /// A job with a compact encoding referencing `refs` from the batch's
+    /// A job whose payload references `refs` from the batch's
     /// [`BlobSet`].
-    pub fn with_compact(
-        inline: impl Into<String>,
-        compact: impl Into<String>,
-        refs: Vec<String>,
-    ) -> Self {
+    pub fn new(payload: impl Into<String>, refs: Vec<String>) -> Self {
         Self {
-            inline: inline.into(),
-            compact: Some(compact.into()),
+            payload: payload.into(),
             refs,
             span: None,
         }
@@ -204,13 +108,13 @@ impl JobPayload {
 
 impl From<String> for JobPayload {
     fn from(payload: String) -> Self {
-        Self::inline(payload)
+        Self::new(payload, Vec::new())
     }
 }
 
 impl From<&str> for JobPayload {
     fn from(payload: &str) -> Self {
-        Self::inline(payload.to_string())
+        Self::new(payload, Vec::new())
     }
 }
 
@@ -265,20 +169,15 @@ pub struct Dispatcher {
     pub(crate) weights: Vec<usize>,
     pub(crate) max_attempts: usize,
     pub(crate) tuning: DispatchTuning,
-    mode: DispatchMode,
-    /// One warm-connection slot per endpoint, reused across `dispatch`
-    /// calls (and health-checked before reuse).  Threaded mode only.
-    slots: Vec<Mutex<Option<Connection>>>,
     /// The event loop's warm connections, registration listener, and
     /// elastically joined workers, carried across `dispatch` calls.
     pub(crate) warm: Mutex<WarmPool>,
     /// Per-worker health counters behind [`Dispatcher::snapshot`],
-    /// accumulated across batches by both dispatch modes.
+    /// accumulated across batches.
     pub(crate) obs: FleetObs,
 }
 
-/// Shared scheduling state.  The threaded dispatcher keeps it under one
-/// lock; the event loop owns it outright on a single thread.
+/// One batch's scheduling state, owned outright by the event loop.
 pub(crate) struct State {
     /// Jobs waiting for a (first or retry) dispatch.
     pub(crate) queue: VecDeque<usize>,
@@ -320,10 +219,9 @@ impl State {
         self.claimed_at[job] = Some(Instant::now());
     }
 
-    /// The single-threaded equivalent of the scheduler's
-    /// `requeue_or_fail`: a transport failure mid-job re-dispatches it
-    /// while attempts remain, otherwise (and only once no copy is still
-    /// in flight) declares the job failed.
+    /// Records a transport failure mid-job: re-dispatches it while
+    /// attempts remain, otherwise (and only once no copy is still in
+    /// flight) declares the job failed.
     pub(crate) fn requeue_or_fail(&mut self, job: usize, error: &FleetError, max_attempts: usize) {
         self.in_flight[job] -= 1;
         self.last_transport_error = Some(error.to_string());
@@ -341,30 +239,12 @@ impl State {
     }
 }
 
-/// The shared state plus the condition variable idle workers sleep on —
-/// any event that could unblock a claim (a settle, a requeue) notifies
-/// it, so batch tails end the instant the last job settles instead of on
-/// a poll tick.
-struct Scheduler {
-    state: Mutex<State>,
-    wake: Condvar,
-}
-
-impl Scheduler {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("no dispatcher panics")
-    }
-}
-
 impl Dispatcher {
     /// A dispatcher over the given pool (every endpoint at weight 1).
     /// Each job is attempted at most `max(3, 2 × pool size)` times
     /// before it is declared failed.
     ///
-    /// The dispatch mode defaults to [`DispatchMode::EventLoop`];
-    /// `CRP_FLEET_DISPATCH=threaded` (read leniently) selects the
-    /// legacy thread-per-endpoint scheduler, and timing knobs come from
-    /// [`DispatchTuning::from_env`].  Use [`Dispatcher::with_mode`] /
+    /// Timing knobs come from [`DispatchTuning::from_env`]; use
     /// [`Dispatcher::with_tuning`] for explicit control.
     pub fn new(endpoints: Vec<WorkerEndpoint>) -> Self {
         let weights = vec![1; endpoints.len()];
@@ -382,15 +262,12 @@ impl Dispatcher {
             .map(|(endpoint, weight)| (endpoint, weight.max(1)))
             .unzip();
         let max_attempts = (2 * endpoints.len()).max(3);
-        let slots = endpoints.iter().map(|_| Mutex::new(None)).collect();
         let warm = Mutex::new(WarmPool::with_fixed(endpoints.len()));
         Self {
             endpoints,
             weights,
             max_attempts,
             tuning: DispatchTuning::from_env(),
-            mode: DispatchMode::from_env(),
-            slots,
             warm,
             obs: FleetObs::default(),
         }
@@ -406,18 +283,6 @@ impl Dispatcher {
     pub fn with_tuning(mut self, tuning: DispatchTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// Selects the dispatch mode explicitly, overriding the
-    /// environment.
-    pub fn with_mode(mut self, mode: DispatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The dispatch mode in effect.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
     }
 
     /// The timing knobs in effect.
@@ -447,65 +312,45 @@ impl Dispatcher {
     /// Pulls every warm worker's shipped [`crp_obs::MetricsSnapshot`]
     /// with a `metrics`/`metrics-report` round trip and returns the
     /// per-worker results plus the merged fleet-wide rollup.  Workers
-    /// that are not connected, speak a pre-v3 protocol, or fail the
-    /// pull are reported with `snapshot: None` (rendered as
-    /// `metrics: unavailable`) — a metrics pull never tears a healthy
-    /// batch down, and the failed connection is simply dropped to be
-    /// re-established on the next dispatch.
+    /// that are not connected or fail the pull are reported with
+    /// `snapshot: None` (rendered as `metrics: unavailable`) — a metrics
+    /// pull never tears a healthy batch down, and the failed connection
+    /// is simply dropped to be re-established on the next dispatch.
     ///
-    /// Call between batches only (the serve daemon does): a pull
-    /// interleaved with outstanding jobs on the threaded path would
-    /// race the worker thread for the connection.
+    /// A running batch holds its connections outside the warm pool, so
+    /// a pull concurrent with `dispatch` reports those workers
+    /// unavailable instead of racing the batch for them.
     pub fn worker_metrics(&self) -> FleetMetrics {
         let decode = |endpoint: String, body: Option<String>| WorkerMetrics {
             snapshot: body.and_then(|body| crp_obs::MetricsSnapshot::decode(&body).ok()),
             endpoint,
         };
         let mut workers: Vec<WorkerMetrics> = Vec::new();
-        match self.mode {
-            DispatchMode::Threaded => {
-                for (index, slot) in self.slots.iter().enumerate() {
-                    let endpoint = self.endpoints[index].describe();
-                    let mut guard = slot.lock().expect("no dispatcher panics");
-                    match guard.as_mut().map(Connection::fetch_metrics) {
-                        Some(Ok(body)) => workers.push(decode(endpoint, body)),
-                        Some(Err(_)) => {
-                            // The connection broke mid-pull; drop it.
-                            *guard = None;
-                            workers.push(decode(endpoint, None));
-                        }
-                        None => workers.push(decode(endpoint, None)),
-                    }
+        let mut warm = self.warm.lock().expect("no dispatcher panics");
+        for (index, slot) in warm.fixed.iter_mut().enumerate() {
+            let endpoint = self.endpoints[index].describe();
+            match slot.as_mut().map(|conn| conn.fetch_metrics(&self.tuning)) {
+                Some(Ok(body)) => workers.push(decode(endpoint, body)),
+                Some(Err(_)) => {
+                    *slot = None;
+                    workers.push(decode(endpoint, None));
+                }
+                None => workers.push(decode(endpoint, None)),
+            }
+        }
+        let mut dead: Vec<usize> = Vec::new();
+        for (index, conn) in warm.joined.iter_mut().enumerate() {
+            let endpoint = conn.peer().to_string();
+            match conn.fetch_metrics(&self.tuning) {
+                Ok(body) => workers.push(decode(endpoint, body)),
+                Err(_) => {
+                    dead.push(index);
+                    workers.push(decode(endpoint, None));
                 }
             }
-            DispatchMode::EventLoop => {
-                let mut warm = self.warm.lock().expect("no dispatcher panics");
-                for (index, slot) in warm.fixed.iter_mut().enumerate() {
-                    let endpoint = self.endpoints[index].describe();
-                    match slot.as_mut().map(|conn| conn.fetch_metrics(&self.tuning)) {
-                        Some(Ok(body)) => workers.push(decode(endpoint, body)),
-                        Some(Err(_)) => {
-                            *slot = None;
-                            workers.push(decode(endpoint, None));
-                        }
-                        None => workers.push(decode(endpoint, None)),
-                    }
-                }
-                let mut dead: Vec<usize> = Vec::new();
-                for (index, conn) in warm.joined.iter_mut().enumerate() {
-                    let endpoint = conn.peer().to_string();
-                    match conn.fetch_metrics(&self.tuning) {
-                        Ok(body) => workers.push(decode(endpoint, body)),
-                        Err(_) => {
-                            dead.push(index);
-                            workers.push(decode(endpoint, None));
-                        }
-                    }
-                }
-                for index in dead.into_iter().rev() {
-                    warm.joined.remove(index);
-                }
-            }
+        }
+        for index in dead.into_iter().rev() {
+            warm.joined.remove(index);
         }
         workers.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
         FleetMetrics { workers }
@@ -518,9 +363,6 @@ impl Dispatcher {
     /// weight-1 endpoints.  A joined worker that disconnects mid-batch
     /// has its in-flight jobs requeued exactly like a dead fixed
     /// worker.  Returns the bound address (useful with port 0).
-    ///
-    /// Joined workers are only consumed by [`DispatchMode::EventLoop`];
-    /// the threaded scheduler ignores the listener.
     ///
     /// # Errors
     ///
@@ -548,18 +390,12 @@ impl Dispatcher {
     /// workers down.  Called automatically on drop; call it explicitly
     /// to cold-stop a fleet without dropping the dispatcher.
     pub fn shutdown_workers(&self) {
-        for slot in &self.slots {
-            if let Some(mut live) = slot.lock().expect("no dispatcher panics").take() {
-                live.shutdown();
-            }
-        }
         self.warm.lock().expect("no dispatcher panics").shutdown();
     }
 
     /// Runs every payload to completion on the pool and returns the
     /// answers in job order.  `done(job)` is invoked exactly once per
-    /// completed job, in completion order, possibly from a worker
-    /// thread.
+    /// completed job, in completion order, from the dispatching thread.
     ///
     /// # Errors
     ///
@@ -590,15 +426,14 @@ impl Dispatcher {
     ) -> Result<Vec<String>, FleetError> {
         let jobs: Vec<JobPayload> = payloads
             .iter()
-            .map(|payload| JobPayload::inline(payload.clone()))
+            .map(|payload| JobPayload::from(payload.as_str()))
             .collect();
         self.dispatch_jobs(&jobs, &BlobSet::new(), done, validate)
     }
 
-    /// The full-featured entry point: [`JobPayload`]s whose compact
-    /// encodings may reference `blobs`, answer validation, and per-job
-    /// completion callbacks.  See [`Dispatcher::dispatch`] for the
-    /// scheduling contract.
+    /// The full-featured entry point: [`JobPayload`]s that may reference
+    /// `blobs`, answer validation, and per-job completion callbacks.
+    /// See [`Dispatcher::dispatch`] for the scheduling contract.
     ///
     /// # Errors
     ///
@@ -619,16 +454,13 @@ impl Dispatcher {
                 reason: "no worker endpoints configured".to_string(),
             });
         }
-        let state = match self.mode {
-            DispatchMode::EventLoop => event_loop::run(self, jobs, blobs, done, validate),
-            DispatchMode::Threaded => self.dispatch_threaded(jobs, blobs, done, validate),
-        };
+        let state = event_loop::run(self, jobs, blobs, done, validate);
         for job in 0..jobs.len() {
             if let Some(error) = &state.failures[job] {
                 return Err(error.clone());
             }
             if state.results[job].is_none() {
-                // Every worker thread gave up before this job ran.
+                // Every endpoint was given up before this job ran.
                 return Err(FleetError::Exhausted {
                     id: job as u64,
                     attempts: state.attempts[job],
@@ -650,405 +482,8 @@ impl Dispatcher {
     /// registration listener is open, or joined workers are parked warm
     /// from a previous batch.
     fn has_elastic_sources(&self) -> bool {
-        if self.mode != DispatchMode::EventLoop {
-            return false;
-        }
         let warm = self.warm.lock().expect("no dispatcher panics");
         warm.listener.is_some() || !warm.joined.is_empty()
-    }
-
-    /// The legacy thread-per-endpoint scheduler: one blocking
-    /// `worker_loop` thread per endpoint over a shared locked queue.
-    fn dispatch_threaded(
-        &self,
-        jobs: &[JobPayload],
-        blobs: &BlobSet,
-        done: &(dyn Fn(usize) + Sync),
-        validate: AnswerValidator<'_>,
-    ) -> State {
-        let scheduler = Scheduler {
-            state: Mutex::new(State::new(jobs.len())),
-            wake: Condvar::new(),
-        };
-
-        std::thread::scope(|scope| {
-            for index in 0..self.endpoints.len() {
-                let scheduler = &scheduler;
-                scope
-                    .spawn(move || self.worker_loop(index, scheduler, jobs, blobs, done, validate));
-            }
-        });
-
-        scheduler.state.into_inner().expect("no dispatcher panics")
-    }
-
-    /// Sends one claimed job down a live connection: on a v2 connection
-    /// with a compact payload, ships any missing blobs first and sends
-    /// the compact form; otherwise sends the inline form.
-    fn send_claim(
-        connection: &mut Connection,
-        job: usize,
-        jobs: &[JobPayload],
-        blobs: &BlobSet,
-        may_query: bool,
-    ) -> Result<(), FleetError> {
-        let payload = &jobs[job];
-        if connection.version() >= 2 {
-            if let Some(compact) = &payload.compact {
-                for hash in &payload.refs {
-                    let blob = blobs.get(hash).ok_or_else(|| {
-                        FleetError::Malformed(format!(
-                            "job {job} references blob {hash} missing from the batch blob set"
-                        ))
-                    })?;
-                    connection.ensure_blob(hash, blob, may_query)?;
-                }
-                return connection.send_job(job as u64, compact, payload.span.as_ref());
-            }
-        }
-        connection.send_job(job as u64, &payload.inline, payload.span.as_ref())
-    }
-
-    /// One endpoint's thread: claim (up to the connection's capacity),
-    /// send, read, record — retrying transport failures until the batch
-    /// settles or the reconnect budget is spent, and returning the warm
-    /// connection to its slot at the end.
-    fn worker_loop(
-        &self,
-        index: usize,
-        scheduler: &Scheduler,
-        jobs: &[JobPayload],
-        blobs: &BlobSet,
-        done: &(dyn Fn(usize) + Sync),
-        validate: AnswerValidator<'_>,
-    ) {
-        let endpoint = &self.endpoints[index];
-        let peer = endpoint.describe();
-        let slot = &self.slots[index];
-        // Reuse the warm connection from the previous batch — but only
-        // after it proves it is still alive (ping/pong), so a worker
-        // that died while idle costs a reconnect, not a batch failure.
-        let mut connection: Option<Connection> = slot
-            .lock()
-            .expect("no dispatcher panics")
-            .take()
-            .and_then(|mut live| live.health_check().is_ok().then_some(live));
-        let mut transport_failures = 0usize;
-        // Jobs written to the connection and awaiting answers.
-        let mut outstanding: Vec<usize> = Vec::new();
-
-        'batch: loop {
-            // Fill phase: top the pipeline up to the worker's capacity
-            // times the endpoint's configured weight.  The first claim
-            // of an empty pipeline may block (waiting on the queue /
-            // straggler machinery); extra claims never do.  Capacity is
-            // re-read every iteration: before the first connect it is
-            // unknown (treat as 1), and the moment the hello arrives
-            // the advertised value takes effect.
-            let weight = self.weights[index].max(1);
-            while outstanding.len()
-                < connection
-                    .as_ref()
-                    .map_or(1, |c| c.capacity().max(1) * weight)
-            {
-                let job = if outstanding.is_empty() {
-                    match self.claim_next(scheduler) {
-                        Some(job) => job,
-                        None => break 'batch,
-                    }
-                } else {
-                    match self.try_claim(scheduler, &outstanding) {
-                        Some(job) => job,
-                        None => break,
-                    }
-                };
-                if connection.is_none() {
-                    match endpoint.connect_with(&self.tuning) {
-                        Ok(live) => connection = Some(live),
-                        Err(error) => {
-                            self.release_unattempted(scheduler, job, &error);
-                            transport_failures += 1;
-                            if transport_failures >= RECONNECT_LIMIT {
-                                return;
-                            }
-                            // Back off briefly so a dead endpoint is not
-                            // hammered in a tight loop.
-                            std::thread::sleep(Duration::from_millis(
-                                20 * transport_failures as u64,
-                            ));
-                            continue 'batch;
-                        }
-                    }
-                }
-                let live = connection.as_mut().expect("connected above");
-                // Blob queries need a predictable next frame, so only
-                // query when nothing is in flight.
-                match Self::send_claim(live, job, jobs, blobs, outstanding.is_empty()) {
-                    Ok(()) => {
-                        self.obs
-                            .dispatched(&peer, job as u64, jobs[job].span.as_ref());
-                        outstanding.push(job);
-                    }
-                    Err(error) => {
-                        // The connection broke mid-send: everything on it
-                        // (including this claim) goes back for another
-                        // worker.  (The failed claim was never recorded
-                        // as dispatched, so only the in-flight jobs are
-                        // counted as requeued off this worker.)
-                        self.requeue_or_fail(scheduler, job, &error);
-                        for &lost in &outstanding {
-                            self.requeue_or_fail(scheduler, lost, &error);
-                            self.obs.requeued(&peer, lost as u64, &error.to_string());
-                        }
-                        outstanding.clear();
-                        connection = None;
-                        transport_failures += 1;
-                        if transport_failures >= RECONNECT_LIMIT {
-                            return;
-                        }
-                        continue 'batch;
-                    }
-                }
-            }
-            debug_assert!(!outstanding.is_empty(), "the fill phase claimed a job");
-
-            // Read phase: pull one answer off the connection.
-            let live = connection.as_mut().expect("pipeline holds jobs");
-            let pipeline = &outstanding;
-            let answer = live.read_answer(&|id| pipeline.contains(&(id as usize)), &|| {
-                let state = scheduler.lock();
-                pipeline.iter().all(|&job| state.is_settled(job))
-            });
-            match answer {
-                Ok(Answer::Done { id, payload }) => {
-                    let job = id as usize;
-                    outstanding.retain(|&j| j != job);
-                    // A well-framed answer whose body fails validation is
-                    // as untrustworthy as garbage bytes: drop the
-                    // connection and re-dispatch elsewhere instead of
-                    // settling the job with a poisoned answer.
-                    if let Err(reason) = validate(id, &payload) {
-                        let error = FleetError::Malformed(format!(
-                            "answer to job {job} failed validation: {reason}"
-                        ));
-                        self.obs.requeued(&peer, job as u64, &error.to_string());
-                        self.requeue_or_fail(scheduler, job, &error);
-                        for &lost in &outstanding {
-                            self.requeue_or_fail(scheduler, lost, &error);
-                            self.obs.requeued(&peer, lost as u64, &error.to_string());
-                        }
-                        outstanding.clear();
-                        connection = None;
-                        transport_failures += 1;
-                        if transport_failures >= RECONNECT_LIMIT {
-                            return;
-                        }
-                        continue;
-                    }
-                    let micros = {
-                        let mut state = scheduler.lock();
-                        let micros = state.claimed_at[job]
-                            .map_or(0, |claimed| claimed.elapsed().as_micros() as u64);
-                        state.in_flight[job] -= 1;
-                        if !state.is_settled(job) {
-                            state.results[job] = Some(payload);
-                            // Deliver while holding the lock so
-                            // completions are serialised, exactly like
-                            // the in-process progress callbacks.
-                            done(job);
-                        }
-                        micros
-                    };
-                    self.obs.completed(&peer, micros);
-                    scheduler.wake.notify_all();
-                }
-                Ok(Answer::Failed { id, message }) => {
-                    let job = id as usize;
-                    outstanding.retain(|&j| j != job);
-                    {
-                        let mut state = scheduler.lock();
-                        state.in_flight[job] -= 1;
-                        if !state.is_settled(job) {
-                            state.failures[job] = Some(FleetError::Job { id, message });
-                        }
-                    }
-                    self.obs.failed(&peer);
-                    scheduler.wake.notify_all();
-                }
-                Ok(Answer::Abandoned) => {
-                    // Every outstanding job settled elsewhere while this
-                    // worker was still chewing.  The connection has stale
-                    // answers in flight, so drop it and start fresh.
-                    {
-                        let mut state = scheduler.lock();
-                        for &job in &outstanding {
-                            state.in_flight[job] -= 1;
-                        }
-                    }
-                    self.obs.abandoned(&peer, outstanding.len() as u64);
-                    outstanding.clear();
-                    scheduler.wake.notify_all();
-                    connection = None;
-                }
-                Err(error) => {
-                    connection = None;
-                    for &job in &outstanding {
-                        self.requeue_or_fail(scheduler, job, &error);
-                        self.obs.requeued(&peer, job as u64, &error.to_string());
-                    }
-                    outstanding.clear();
-                    transport_failures += 1;
-                    if transport_failures >= RECONNECT_LIMIT {
-                        return;
-                    }
-                }
-            }
-        }
-        // Keep the connection warm for the next batch.
-        if let Some(live) = connection {
-            *slot.lock().expect("no dispatcher panics") = Some(live);
-        }
-    }
-
-    /// Claims the next job: first from the retry/fresh queue, then — once
-    /// the queue is dry — the least-duplicated job still outstanding on
-    /// another worker for longer than the tuning's straggler grace
-    /// (straggler re-dispatch; the grace period keeps an ordinary batch
-    /// tail from being duplicated onto every idle worker the moment the
-    /// queue drains).  Sleeps on the scheduler's condition variable while
-    /// in-flight jobs exist that may yet become re-dispatchable; returns
-    /// `None` once this worker can never contribute again.
-    fn claim_next(&self, scheduler: &Scheduler) -> Option<usize> {
-        let mut state = scheduler.lock();
-        loop {
-            while let Some(job) = state.queue.pop_front() {
-                // A queued retry may have settled via a duplicate in the
-                // meantime; skip it.
-                if !state.is_settled(job) {
-                    state.attempts[job] += 1;
-                    state.in_flight[job] += 1;
-                    state.claimed_at[job] = Some(Instant::now());
-                    return Some(job);
-                }
-            }
-            // The queue is dry: look for a straggler whose grace period
-            // has expired, and otherwise note when the earliest one will
-            // become claimable.
-            let now = Instant::now();
-            let mut eligible: Option<usize> = None;
-            let mut next_ready: Option<Instant> = None;
-            for job in 0..state.results.len() {
-                if state.is_settled(job)
-                    || state.in_flight[job] == 0
-                    || state.attempts[job] >= self.max_attempts
-                {
-                    continue;
-                }
-                let ready_at = state.claimed_at[job]
-                    .map_or(now, |claimed| claimed + self.tuning.straggler_grace);
-                if ready_at <= now {
-                    let better = eligible.is_none_or(|best| {
-                        (state.in_flight[job], state.attempts[job], job)
-                            < (state.in_flight[best], state.attempts[best], best)
-                    });
-                    if better {
-                        eligible = Some(job);
-                    }
-                } else {
-                    next_ready = Some(next_ready.map_or(ready_at, |t: Instant| t.min(ready_at)));
-                }
-            }
-            if let Some(job) = eligible {
-                state.attempts[job] += 1;
-                state.in_flight[job] += 1;
-                state.claimed_at[job] = Some(now);
-                return Some(job);
-            }
-            // Nothing left this worker could ever run: the batch is
-            // settled, or the stragglers are out of attempts and their
-            // fate rests with the copies in flight.
-            let deadline = next_ready?;
-            // In-grace stragglers exist: sleep until the earliest grace
-            // expiry or the next settle/requeue notification, whichever
-            // comes first.
-            let (guard, _) = scheduler
-                .wake
-                .wait_timeout(state, deadline.saturating_duration_since(now))
-                .expect("no dispatcher panics");
-            state = guard;
-        }
-    }
-
-    /// The non-blocking claim used to top a pipeline up: pops fresh or
-    /// retried jobs off the queue, but never waits and never duplicates
-    /// stragglers (those go to fully idle workers via [`claim_next`]).
-    /// Jobs in `exclude` — the caller's own pipeline — are skipped and
-    /// left queued for other workers: a requeued copy of a job this
-    /// connection still has outstanding must not produce a duplicate id
-    /// on the same stream (its second answer would read as a protocol
-    /// violation and tear the healthy connection down).
-    fn try_claim(&self, scheduler: &Scheduler, exclude: &[usize]) -> Option<usize> {
-        let mut state = scheduler.lock();
-        let mut skipped: Vec<usize> = Vec::new();
-        let mut picked = None;
-        while let Some(job) = state.queue.pop_front() {
-            if state.is_settled(job) {
-                continue;
-            }
-            if exclude.contains(&job) {
-                skipped.push(job);
-                continue;
-            }
-            state.attempts[job] += 1;
-            state.in_flight[job] += 1;
-            state.claimed_at[job] = Some(Instant::now());
-            picked = Some(job);
-            break;
-        }
-        // Return the skipped jobs to the front, preserving their order.
-        for job in skipped.into_iter().rev() {
-            state.queue.push_front(job);
-        }
-        picked
-    }
-
-    /// Returns a job whose worker could not even be reached: the claim is
-    /// undone (connect failures do not count as attempts) and the job
-    /// goes back to the front of the queue.
-    fn release_unattempted(&self, scheduler: &Scheduler, job: usize, error: &FleetError) {
-        {
-            let mut state = scheduler.lock();
-            state.attempts[job] -= 1;
-            state.in_flight[job] -= 1;
-            state.last_transport_error = Some(error.to_string());
-            if !state.is_settled(job) {
-                state.queue.push_front(job);
-            }
-        }
-        scheduler.wake.notify_all();
-    }
-
-    /// Records a transport failure mid-job: re-dispatch on another worker
-    /// while attempts remain, otherwise (and only once no copy is still
-    /// in flight) declare the job failed.
-    fn requeue_or_fail(&self, scheduler: &Scheduler, job: usize, error: &FleetError) {
-        {
-            let mut state = scheduler.lock();
-            state.in_flight[job] -= 1;
-            state.last_transport_error = Some(error.to_string());
-            if !state.is_settled(job) {
-                if state.attempts[job] < self.max_attempts {
-                    state.queue.push_back(job);
-                } else if state.in_flight[job] == 0 {
-                    state.failures[job] = Some(FleetError::Exhausted {
-                        id: job as u64,
-                        attempts: state.attempts[job],
-                        last: error.to_string(),
-                    });
-                }
-            }
-        }
-        scheduler.wake.notify_all();
     }
 }
 
@@ -1066,6 +501,7 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// An echo worker whose handler can also reject (`fail:<message>`),
     /// sleep every time (`sleep:<ms>:<text>`) or straggle
@@ -1212,67 +648,36 @@ mod tests {
     }
 
     #[test]
-    fn compact_payloads_ship_blobs_once_and_v1_workers_get_inline() {
+    fn referenced_blobs_ship_once_per_worker() {
         // A worker whose handler resolves `resolve:<hash>` out of its
         // scenario store — the fleet-level shape of scenario-by-hash
         // shipping.
-        fn spawn_resolving_worker(options: ServeOptions) -> (String, Arc<ScenarioStore>) {
-            let store = Arc::new(ScenarioStore::new());
-            let handler_store = Arc::clone(&store);
-            let serve_store = Arc::clone(&store);
-            let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
-            let addr = worker.local_addr().unwrap().to_string();
-            std::thread::spawn(move || {
-                let handler = move |payload: &str| -> Result<String, String> {
-                    match payload.strip_prefix("resolve:") {
-                        Some(hash) => handler_store
-                            .get(hash)
-                            .map(|blob| format!("resolved:{blob}"))
-                            .ok_or_else(|| format!("unknown blob {hash}")),
-                        None => Ok(format!("inline:{payload}")),
-                    }
-                };
-                worker.serve_forever_with_store(&handler, &options, &serve_store)
-            });
-            (addr, store)
-        }
+        let store = Arc::new(ScenarioStore::new());
+        let handler_store = Arc::clone(&store);
+        let serve_store = Arc::clone(&store);
+        let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
+        let addr = worker.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let handler = move |payload: &str| -> Result<String, String> {
+                let hash = payload.strip_prefix("resolve:").expect("resolve:<hash>");
+                handler_store
+                    .get(hash)
+                    .map(|blob| format!("resolved:{blob}"))
+                    .ok_or_else(|| format!("unknown blob {hash}"))
+            };
+            worker.serve_forever_with_store(&handler, &ServeOptions::default(), &serve_store)
+        });
 
         let mut blobs = BlobSet::new();
         let hash = blobs.insert("the-masses");
         let jobs: Vec<JobPayload> = (0..3)
-            .map(|i| {
-                JobPayload::with_compact(
-                    format!("inline-{i}:the-masses"),
-                    format!("resolve:{hash}"),
-                    vec![hash.clone()],
-                )
-            })
+            .map(|_| JobPayload::new(format!("resolve:{hash}"), vec![hash.clone()]))
             .collect();
-
-        // A v2 worker resolves the reference; the blob travels once.
-        let (addr, store) = spawn_resolving_worker(ServeOptions::default());
         let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
             .dispatch_jobs(&jobs, &blobs, &|_| {}, &|_, _| Ok(()))
             .unwrap();
         assert_eq!(answers, vec!["resolved:the-masses".to_string(); 3]);
         assert_eq!(store.len(), 1, "one scenario-put for three jobs");
-
-        // A legacy v1 worker never sees scenario messages or compact
-        // payloads — it gets the inline encodings and still answers.
-        let (addr, store) = spawn_resolving_worker(ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        });
-        let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
-            .dispatch_jobs(&jobs, &blobs, &|_| {}, &|_, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            answers,
-            (0..3)
-                .map(|i| format!("inline:inline-{i}:the-masses"))
-                .collect::<Vec<_>>()
-        );
-        assert!(store.is_empty(), "no blob ever shipped to a v1 worker");
     }
 
     #[test]
@@ -1386,29 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn the_threaded_mode_still_answers_batches() {
-        // The legacy scheduler stays available behind an explicit mode
-        // switch (and the CRP_FLEET_DISPATCH env override).
-        let endpoints = (0..3)
-            .map(|_| WorkerEndpoint::tcp(spawn_worker()))
-            .collect();
-        let payloads: Vec<String> = (0..12).map(|i| format!("t{i}")).collect();
-        let completions = AtomicUsize::new(0);
-        let dispatcher = Dispatcher::new(endpoints).with_mode(DispatchMode::Threaded);
-        assert_eq!(dispatcher.mode(), DispatchMode::Threaded);
-        let answers = dispatcher
-            .dispatch(&payloads, &|_| {
-                completions.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        assert_eq!(
-            answers,
-            (0..12).map(|i| format!("echo:t{i}")).collect::<Vec<_>>()
-        );
-        assert_eq!(completions.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
     fn a_weighted_endpoint_holds_capacity_times_weight_in_flight() {
         // One capacity-1 worker at weight 4: the event loop may keep
         // 1 × 4 jobs in flight, and the worker executes them
@@ -1506,11 +888,10 @@ mod tests {
         assert_eq!(completions.load(Ordering::Relaxed), 8);
     }
 
-    /// A hand-rolled worker whose hello advertises capacity 0 — the
-    /// clamp-vs-error policy split lives on the dispatcher side, so the
-    /// stock [`ServeOptions`] worker (which clamps at write time) cannot
-    /// produce it.
-    fn spawn_capacity_zero_worker() -> String {
+    /// A hand-rolled echo worker whose hello advertises `version` and
+    /// `capacity` verbatim — greetings the stock [`ServeOptions`] worker
+    /// (current version, capacity clamped at write time) cannot produce.
+    fn spawn_hello_worker(version: u32, capacity: usize) -> String {
         use crate::frame::{read_frame, write_frame};
         use crate::protocol::Message;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1521,16 +902,8 @@ mod tests {
                     let mut reader =
                         std::io::BufReader::new(stream.try_clone().expect("sockets clone"));
                     let mut writer = stream;
-                    if write_frame(
-                        &mut writer,
-                        &Message::Hello {
-                            version: crate::protocol::PROTOCOL_VERSION,
-                            capacity: 0,
-                        }
-                        .encode(),
-                    )
-                    .is_err()
-                    {
+                    let hello = Message::Hello { version, capacity };
+                    if write_frame(&mut writer, &hello.encode()).is_err() {
                         return;
                     }
                     while let Ok(Some(frame)) = read_frame(&mut reader) {
@@ -1559,17 +932,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_metrics_merge_a_rollup_and_flag_v1_workers_unavailable() {
-        // Two v3 workers plus one legacy v1 worker.  After a batch, a
-        // metrics pull must report the two v3 snapshots (merged into
-        // the rollup) and flag the v1 worker unavailable — without
-        // disturbing the warm connections.
-        let v3a = spawn_worker();
-        let v3b = spawn_worker();
-        let v1 = spawn_worker_with(ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        });
+    fn worker_metrics_merge_a_rollup_and_flag_unconnected_workers_unavailable() {
+        // Two live workers plus an endpoint nothing listens on.  After a
+        // batch, a metrics pull must report the two live snapshots
+        // (merged into the rollup) and flag the unconnected endpoint
+        // unavailable — without disturbing the warm connections.
+        let a = spawn_worker();
+        let b = spawn_worker();
         // A generous pull timeout: under a fully loaded test host a
         // worker thread can legitimately stall past the 2s default,
         // and this test asserts on *protocol* availability, not
@@ -1579,9 +948,9 @@ mod tests {
             ..Default::default()
         };
         let dispatcher = Dispatcher::new(vec![
-            WorkerEndpoint::tcp(v3a),
-            WorkerEndpoint::tcp(v3b),
-            WorkerEndpoint::tcp(v1),
+            WorkerEndpoint::tcp(a),
+            WorkerEndpoint::tcp(b),
+            dead_endpoint(),
         ])
         .with_tuning(tuning);
         let payloads: Vec<String> = (0..9).map(|i| format!("m{i}")).collect();
@@ -1589,8 +958,9 @@ mod tests {
         // A pull reports whichever connections are warm right now; on a
         // loaded host a batch can finish before every handshake does,
         // leaving a worker legitimately unavailable.  Re-dispatch until
-        // both v3 workers are warm — what stays pinned is that the v1
-        // worker NEVER reports and the v3 workers eventually both do.
+        // both live workers are warm — what stays pinned is that the
+        // unconnected endpoint NEVER reports and the live workers
+        // eventually both do.
         let mut metrics = dispatcher.worker_metrics();
         for round in 0..50 {
             if metrics.reporting() >= 2 {
@@ -1601,7 +971,7 @@ mod tests {
             metrics = dispatcher.worker_metrics();
         }
         assert_eq!(metrics.workers.len(), 3, "every endpoint is listed");
-        assert_eq!(metrics.reporting(), 2, "both v3 workers ship snapshots");
+        assert_eq!(metrics.reporting(), 2, "both live workers ship snapshots");
         let rendered = metrics.render();
         assert!(
             rendered.starts_with("fleet metrics: 2 reporting, 1 unavailable\n"),
@@ -1609,7 +979,7 @@ mod tests {
         );
         assert!(
             rendered.contains("metrics: unavailable"),
-            "the v1 worker renders as unavailable: {rendered}"
+            "the unconnected endpoint renders as unavailable: {rendered}"
         );
         // The pull is repeatable and the pool still answers afterwards.
         assert_eq!(dispatcher.worker_metrics().reporting(), 2);
@@ -1620,30 +990,34 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_hellos_clamp_leniently_and_exhaust_strictly() {
-        let addr = spawn_capacity_zero_worker();
-        // Lenient (the default): warn once, clamp to capacity 1, and
+    fn capacity_zero_hellos_are_clamped_to_one() {
+        // A capacity-0 hello warns once, is treated as capacity 1, and
         // the batch completes.
-        let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())])
+        let addr = spawn_hello_worker(crate::protocol::PROTOCOL_VERSION, 0);
+        let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
             .dispatch(&["a".to_string()], &|_| {})
             .unwrap();
         assert_eq!(answers, vec!["echo:a".to_string()]);
-        // Strict: the hello is a typed handshake failure, the endpoint
-        // never becomes usable, and the batch exhausts with the
-        // capacity-0 diagnosis as its last error.
-        let strict = DispatchTuning {
-            strict_hello_capacity: true,
-            ..Default::default()
-        };
-        let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
-            .with_tuning(strict)
-            .dispatch(&["a".to_string()], &|_| {})
-            .unwrap_err();
-        match err {
-            FleetError::Exhausted { last, .. } => {
-                assert!(last.contains("capacity 0"), "last error: {last}");
+    }
+
+    #[test]
+    fn older_protocol_hellos_are_a_typed_handshake_error() {
+        // Dispatcher and worker are one binary, so a peer greeting with
+        // any other protocol version is refused, never negotiated down:
+        // the endpoint never becomes usable and the batch exhausts with
+        // a handshake error naming the version.
+        for version in [1, 2] {
+            let addr = spawn_hello_worker(version, 1);
+            let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
+                .dispatch(&["a".to_string()], &|_| {})
+                .unwrap_err();
+            match err {
+                FleetError::Exhausted { last, .. } => {
+                    assert!(last.contains("handshake"), "v{version}: {last}");
+                    assert!(last.contains(&format!("v{version},")), "v{version}: {last}");
+                }
+                other => panic!("v{version}: expected a handshake exhaustion, got {other}"),
             }
-            other => panic!("expected exhaustion via the strict hello policy, got {other}"),
         }
     }
 }

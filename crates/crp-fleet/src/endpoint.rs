@@ -1,4 +1,4 @@
-//! Worker endpoints, connections, and the fleet manifest.
+//! Worker endpoints, dispatch timing, and the fleet manifest.
 //!
 //! A [`WorkerEndpoint`] says where one worker lives: a local subprocess
 //! the dispatcher spawns and talks to over piped stdio, or a `host:port`
@@ -10,19 +10,19 @@
 //! worker).
 
 use std::collections::HashSet;
-use std::io::{BufReader, Read, Write};
+use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::frame::{read_frame, wait_readable, write_frame};
-use crate::protocol::{JobSpan, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::FleetError;
 
-/// Default poll interval for straggler checks on timed-read connections
-/// (TCP sockets natively; subprocess pipes via [`TimedPipeReader`]).
+/// Default base poll interval: it caps the event loop's idle sleep, and
+/// the other timing defaults keep fixed ratios to it (see
+/// [`DispatchTuning::with_poll_ms`]).
 const TCP_POLL: Duration = Duration::from_millis(100);
 /// Default deadline for a fresh connection to deliver its hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -60,9 +60,6 @@ pub struct DispatchTuning {
     /// How long a job must be in flight before an idle worker may
     /// speculatively re-dispatch it.
     pub straggler_grace: Duration,
-    /// Treat a capacity-0 hello as a typed handshake error instead of
-    /// warning once and clamping to 1.
-    pub strict_hello_capacity: bool,
 }
 
 impl Default for DispatchTuning {
@@ -73,7 +70,6 @@ impl Default for DispatchTuning {
             ping_after: PING_AFTER,
             ping_timeout: PING_TIMEOUT,
             straggler_grace: STRAGGLER_GRACE,
-            strict_hello_capacity: false,
         }
     }
 }
@@ -90,7 +86,6 @@ impl DispatchTuning {
             ping_after: Duration::from_millis(poll_ms * 10),
             ping_timeout: Duration::from_millis(poll_ms * 20),
             straggler_grace: Duration::from_millis(poll_ms * 5 / 2),
-            strict_hello_capacity: false,
         }
     }
 
@@ -134,20 +129,11 @@ impl DispatchTuning {
 }
 
 /// Applies the capacity-0 hello policy: a worker advertising `capacity 0`
-/// is either a typed handshake error (strict paths) or a once-per-endpoint
-/// warning with the capacity clamped to 1 — never a silent promotion.
-pub(crate) fn accept_hello_capacity(
-    endpoint: &str,
-    capacity: usize,
-    strict: bool,
-) -> Result<usize, FleetError> {
+/// gets a once-per-endpoint warning and is clamped to capacity 1 — never
+/// a silent promotion.
+pub(crate) fn accept_hello_capacity(endpoint: &str, capacity: usize) -> usize {
     if capacity > 0 {
-        return Ok(capacity);
-    }
-    if strict {
-        return Err(FleetError::Handshake(format!(
-            "{endpoint} advertised hello capacity 0 (a worker must accept at least one job)"
-        )));
+        return capacity;
     }
     static WARNED: Mutex<Option<HashSet<String>>> = Mutex::new(None);
     let mut warned = WARNED.lock().expect("no hello-capacity panics");
@@ -157,7 +143,7 @@ pub(crate) fn accept_hello_capacity(
     {
         eprintln!("warning: {endpoint} advertised hello capacity 0; treating it as capacity 1");
     }
-    Ok(1)
+    1
 }
 
 /// Where one fleet worker lives and how to reach it.
@@ -220,81 +206,8 @@ impl WorkerEndpoint {
         }
     }
 
-    /// Connects and completes the hello handshake under the default
-    /// [`DispatchTuning`] (transport tests; the dispatcher threads its
-    /// own tuning through [`WorkerEndpoint::connect_with`]).
-    #[cfg(test)]
-    pub(crate) fn connect(&self) -> Result<Connection, FleetError> {
-        self.connect_with(&DispatchTuning::default())
-    }
-
-    /// Connects and completes the hello handshake, timing every poll and
-    /// deadline from `tuning`.
-    pub(crate) fn connect_with(&self, tuning: &DispatchTuning) -> Result<Connection, FleetError> {
-        let connect_error = |reason: String| FleetError::Connect {
-            endpoint: self.describe(),
-            reason,
-        };
-        match self {
-            WorkerEndpoint::Local { .. } => {
-                let mut child = self
-                    .spawn_local()
-                    .map_err(|e| connect_error(e.to_string()))?;
-                let stdout = child.stdout.take().expect("stdout was piped");
-                let stdin = child.stdin.take().expect("stdin was piped");
-                // A raw pipe read has no timeout, so a worker that goes
-                // silent while staying alive (a wedge) would pin its
-                // dispatcher thread in the kernel forever.  Routing the
-                // pipe through [`TimedPipeReader`] gives the connection
-                // the same timed-read semantics as a TCP socket, which
-                // enables the straggler poll, the abandon check, and the
-                // ping health check — and lets the handshake deadline be
-                // enforced by the ordinary polling `expect_hello` path.
-                let mut connection = Connection::new(
-                    BufReader::new(Box::new(TimedPipeReader::new(stdout, tuning.poll))),
-                    Box::new(stdin),
-                    Some(child),
-                    true,
-                    PROTOCOL_VERSION,
-                    1,
-                    *tuning,
-                );
-                // On failure dropping the connection kills the child.
-                connection
-                    .expect_hello(&self.describe())
-                    .map_err(|e| connect_error(e.to_string()))?;
-                Ok(connection)
-            }
-            WorkerEndpoint::Tcp { .. } => {
-                let stream = self
-                    .dial_tcp(tuning)
-                    .map_err(|e| connect_error(e.to_string()))?;
-                stream
-                    .set_read_timeout(Some(tuning.poll))
-                    .map_err(|e| connect_error(e.to_string()))?;
-                let writer = stream
-                    .try_clone()
-                    .map_err(|e| connect_error(e.to_string()))?;
-                let mut connection = Connection::new(
-                    BufReader::new(Box::new(stream)),
-                    Box::new(writer),
-                    None,
-                    true,
-                    PROTOCOL_VERSION,
-                    1,
-                    *tuning,
-                );
-                connection
-                    .expect_hello(&self.describe())
-                    .map_err(|e| connect_error(e.to_string()))?;
-                Ok(connection)
-            }
-        }
-    }
-
     /// Spawns the subprocess of a [`WorkerEndpoint::Local`] with piped
-    /// stdio (shared by the threaded connector above and the event-loop
-    /// transport).
+    /// stdio (the event loop's pipe transport).
     ///
     /// When the dispatcher itself is tracing (`CRP_TRACE`), each spawned
     /// worker gets its *own* derived trace path
@@ -336,8 +249,7 @@ impl WorkerEndpoint {
     }
 
     /// Resolves and dials the socket of a [`WorkerEndpoint::Tcp`] with
-    /// nodelay set (shared by the threaded connector above and the
-    /// event-loop transport).
+    /// nodelay set (the event loop's TCP transport).
     pub(crate) fn dial_tcp(&self, tuning: &DispatchTuning) -> std::io::Result<TcpStream> {
         let WorkerEndpoint::Tcp { addr } = self else {
             return Err(std::io::Error::other("not a TCP endpoint"));
@@ -353,23 +265,17 @@ impl WorkerEndpoint {
     }
 }
 
-/// Validates a decoded hello message, returning the negotiated
-/// `(version, capacity)` exactly as advertised (capacity 0 included —
-/// the caller applies [`accept_hello_capacity`]).  Every version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] is accepted; the
-/// dispatcher then restricts the conversation to what that version
-/// understands (v1 workers get fully inline payloads and no scenario
-/// messages).
-pub(crate) fn negotiate_hello(message: Message) -> Result<(u32, usize), FleetError> {
+/// Validates a decoded hello message, returning the advertised capacity
+/// exactly as sent (0 included — the caller applies
+/// [`accept_hello_capacity`]).  Dispatcher and worker are one binary, so
+/// exactly [`PROTOCOL_VERSION`] is accepted; any other version is a
+/// typed handshake error naming it, never a negotiated-down
+/// conversation.
+pub(crate) fn negotiate_hello(message: Message) -> Result<usize, FleetError> {
     match message {
-        Message::Hello { version, capacity }
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-        {
-            Ok((version, capacity))
-        }
+        Message::Hello { version, capacity } if version == PROTOCOL_VERSION => Ok(capacity),
         Message::Hello { version, .. } => Err(FleetError::Handshake(format!(
-            "worker speaks protocol v{version}, dispatcher supports \
-             v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}"
+            "worker speaks protocol v{version}, dispatcher speaks only v{PROTOCOL_VERSION}"
         ))),
         other => Err(FleetError::Handshake(format!(
             "expected hello, worker sent {other:?}"
@@ -377,86 +283,12 @@ pub(crate) fn negotiate_hello(message: Message) -> Result<(u32, usize), FleetErr
     }
 }
 
-/// Reads and negotiates a worker hello off a blocking stream.
-fn read_hello(reader: &mut BufReader<Box<dyn Read + Send>>) -> Result<(u32, usize), FleetError> {
-    let frame = read_frame(reader)?.ok_or(FleetError::Closed)?;
-    negotiate_hello(Message::decode(&frame)?)
-}
-
-/// What one [`Connection::call`] produced.  (The dispatcher pipelines
-/// via [`Connection::send_job`] / [`Connection::read_answer`]; the
-/// one-shot `call` survives for transport tests.)
-#[cfg(test)]
-#[allow(dead_code)]
-pub(crate) enum CallOutcome {
-    /// The worker answered the job.
-    Done(String),
-    /// The worker reported a deterministic job failure.
-    Failed(String),
-    /// The caller abandoned the straggling call because the job was
-    /// completed elsewhere (TCP transports only).
-    Abandoned,
-}
-
-/// One answer pulled off a pipelined connection by
-/// [`Connection::read_answer`].
-pub(crate) enum Answer {
-    /// The worker answered an outstanding job.
-    Done {
-        /// The answered job id.
-        id: u64,
-        /// The answer payload.
-        payload: String,
-    },
-    /// The worker reported a deterministic failure for an outstanding
-    /// job.
-    Failed {
-        /// The failed job id.
-        id: u64,
-        /// The worker's failure message.
-        message: String,
-    },
-    /// Every outstanding job settled elsewhere, so the caller gave the
-    /// connection up (polling transports only).
-    Abandoned,
-}
-
-/// A subprocess stdout pipe with TCP-like timed reads: a feeder thread
-/// performs the blocking pipe reads and hands chunks over a channel, so
-/// [`Read::read`] can report [`std::io::ErrorKind::TimedOut`] after
-/// [`TCP_POLL`] of silence exactly like a socket with a read timeout.
-/// That is what lets pipe connections run the between-frames straggler
-/// poll, the abandon check, and the ping health check — without it, a
-/// worker that wedges (process alive, pipe open, nothing ever written)
-/// would pin its dispatcher thread in an untimed kernel read forever and
-/// hang the whole batch at join.
-///
-/// The feeder thread exits when the pipe closes (worker death or the
-/// connection's [`Drop`] killing the child) or when the reader itself is
-/// dropped mid-stream.
-struct TimedPipeReader {
-    chunks: std::sync::mpsc::Receiver<std::io::Result<Vec<u8>>>,
-    pending: Vec<u8>,
-    offset: usize,
-    poll: Duration,
-}
-
-impl TimedPipeReader {
-    fn new(pipe: impl Read + Send + 'static, poll: Duration) -> Self {
-        Self {
-            chunks: spawn_pipe_feeder(pipe),
-            pending: Vec::new(),
-            offset: 0,
-            poll,
-        }
-    }
-}
-
 /// Spawns the feeder thread performing the blocking pipe reads, handing
-/// chunks back over a channel.  The channel is what gives pipe endpoints
-/// timed reads ([`TimedPipeReader`]) *and* what lets the event-loop
+/// chunks back over a channel.  The channel is what lets the event-loop
 /// dispatcher drain a pipe non-blockingly (`try_recv`) — stdio endpoints
-/// register as readable sources exactly like sockets.
+/// register as readable sources exactly like sockets, so a worker that
+/// wedges with its pipe open is caught by the ping health check instead
+/// of pinning a blocking read.
 pub(crate) fn spawn_pipe_feeder(
     mut pipe: impl Read + Send + 'static,
 ) -> std::sync::mpsc::Receiver<std::io::Result<Vec<u8>>> {
@@ -481,416 +313,6 @@ pub(crate) fn spawn_pipe_feeder(
         }
     });
     chunks
-}
-
-impl Read for TimedPipeReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.offset >= self.pending.len() {
-            match self.chunks.recv_timeout(self.poll) {
-                Ok(Ok(chunk)) => {
-                    self.pending = chunk;
-                    self.offset = 0;
-                }
-                Ok(Err(error)) => return Err(error),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(std::io::ErrorKind::TimedOut.into())
-                }
-                // Feeder gone and channel drained: end of stream.
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(0),
-            }
-        }
-        let take = (self.pending.len() - self.offset).min(buf.len());
-        buf[..take].copy_from_slice(&self.pending[self.offset..self.offset + take]);
-        self.offset += take;
-        Ok(take)
-    }
-}
-
-/// One live, handshake-checked conversation with a worker.
-pub(crate) struct Connection {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
-    child: Option<Child>,
-    /// True when the underlying stream has a read timeout, enabling the
-    /// between-frames straggler poll and the ping health check.
-    polls: bool,
-    /// Negotiated protocol version from the worker's hello.
-    version: u32,
-    /// Jobs the worker is willing to hold in flight (from the hello).
-    capacity: usize,
-    /// Content hashes this connection's worker is known to hold.
-    known_blobs: HashSet<String>,
-    /// When the worker last produced any frame.
-    last_heard: Instant,
-    /// When an unanswered health-check ping went out, if one did.
-    ping_sent: Option<Instant>,
-    /// Id of the next ping.
-    next_ping: u64,
-    /// Timing knobs (poll/ping/handshake deadlines).
-    tuning: DispatchTuning,
-}
-
-impl Connection {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        reader: BufReader<Box<dyn Read + Send>>,
-        writer: Box<dyn Write + Send>,
-        child: Option<Child>,
-        polls: bool,
-        version: u32,
-        capacity: usize,
-        tuning: DispatchTuning,
-    ) -> Self {
-        Self {
-            reader,
-            writer,
-            child,
-            polls,
-            version,
-            capacity,
-            known_blobs: HashSet::new(),
-            last_heard: Instant::now(),
-            ping_sent: None,
-            next_ping: 0,
-            tuning,
-        }
-    }
-
-    /// Reads and validates the worker's hello, enforcing the handshake
-    /// deadline through the read-timeout poll (every transport polls:
-    /// TCP via socket read timeouts, pipes via [`TimedPipeReader`]).
-    /// `endpoint` names the peer in the capacity-0 warning/error.
-    fn expect_hello(&mut self, endpoint: &str) -> Result<(), FleetError> {
-        let deadline = Instant::now() + self.tuning.handshake_timeout;
-        while self.polls && !wait_readable(&mut self.reader)? {
-            if Instant::now() >= deadline {
-                return Err(FleetError::Handshake(
-                    "timed out waiting for the worker hello".to_string(),
-                ));
-            }
-        }
-        let (version, capacity) = read_hello(&mut self.reader)?;
-        self.version = version;
-        self.capacity =
-            accept_hello_capacity(endpoint, capacity, self.tuning.strict_hello_capacity)?;
-        self.note_heard();
-        Ok(())
-    }
-
-    /// The negotiated protocol version.
-    pub(crate) fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// How many jobs the worker advertised it will hold in flight.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records that the worker produced a frame (any frame proves the
-    /// process is alive, so an outstanding ping is considered answered).
-    fn note_heard(&mut self) {
-        self.last_heard = Instant::now();
-        self.ping_sent = None;
-    }
-
-    /// The ping state machine, driven from between read-timeout polls:
-    /// after [`DispatchTuning::ping_after`] of silence a ping goes out; a
-    /// ping unanswered for [`DispatchTuning::ping_timeout`] makes the
-    /// connection [`FleetError::Unresponsive`].
-    fn ping_if_silent(&mut self) -> Result<(), FleetError> {
-        if let Some(sent) = self.ping_sent {
-            if sent.elapsed() >= self.tuning.ping_timeout {
-                return Err(FleetError::Unresponsive {
-                    silent_ms: self.last_heard.elapsed().as_millis() as u64,
-                });
-            }
-        } else if self.last_heard.elapsed() >= self.tuning.ping_after {
-            let id = self.next_ping;
-            self.next_ping += 1;
-            write_frame(&mut self.writer, &Message::Ping { id }.encode())?;
-            self.ping_sent = Some(Instant::now());
-        }
-        Ok(())
-    }
-
-    /// Health-checks an idle connection with a ping/pong round trip —
-    /// how the dispatcher validates a warm connection before trusting it
-    /// with a new batch.  An idle live worker pongs immediately; a dead
-    /// one closes its stream; a wedged one stays silent and runs out the
-    /// [`PING_TIMEOUT`] deadline on the read-timeout poll.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Unresponsive`] when no pong arrives in
-    /// [`DispatchTuning::ping_timeout`]; any transport error otherwise.
-    pub(crate) fn health_check(&mut self) -> Result<(), FleetError> {
-        let id = self.next_ping;
-        self.next_ping += 1;
-        write_frame(&mut self.writer, &Message::Ping { id }.encode())?;
-        let deadline = Instant::now() + self.tuning.ping_timeout;
-        loop {
-            if self.polls && !wait_readable(&mut self.reader)? {
-                if Instant::now() >= deadline {
-                    return Err(FleetError::Unresponsive {
-                        silent_ms: self.tuning.ping_timeout.as_millis() as u64,
-                    });
-                }
-                continue;
-            }
-            let frame = read_frame(&mut self.reader)?.ok_or(FleetError::Closed)?;
-            self.note_heard();
-            match Message::decode(&frame)? {
-                Message::Pong { id: got } if got == id => return Ok(()),
-                // Stale pongs, query answers, or metrics reports from a
-                // previous batch.
-                Message::Pong { .. }
-                | Message::ScenarioState { .. }
-                | Message::MetricsReport { .. } => continue,
-                other => {
-                    return Err(FleetError::Malformed(format!(
-                        "expected a pong, got {other:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Pulls the worker's current [`crp_obs::MetricsSnapshot`] wire body
-    /// with a `metrics`/`metrics-report` round trip.  Returns `Ok(None)`
-    /// on connections whose negotiated protocol predates v3 — old
-    /// workers would reject the frame, so the dispatcher reports them as
-    /// `metrics: unavailable` instead of asking.  Called only on idle
-    /// connections (between batches), so the only interleaved frames
-    /// are stale pongs or query answers.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Unresponsive`] when no report arrives in
-    /// [`DispatchTuning::ping_timeout`]; any transport error otherwise
-    /// (the connection must then be dropped).
-    pub(crate) fn fetch_metrics(&mut self) -> Result<Option<String>, FleetError> {
-        if self.version < 3 {
-            return Ok(None);
-        }
-        let id = self.next_ping;
-        self.next_ping += 1;
-        write_frame(&mut self.writer, &Message::Metrics { id }.encode())?;
-        let deadline = Instant::now() + self.tuning.ping_timeout;
-        loop {
-            if self.polls && !wait_readable(&mut self.reader)? {
-                if Instant::now() >= deadline {
-                    return Err(FleetError::Unresponsive {
-                        silent_ms: self.tuning.ping_timeout.as_millis() as u64,
-                    });
-                }
-                continue;
-            }
-            let frame = read_frame(&mut self.reader)?.ok_or(FleetError::Closed)?;
-            self.note_heard();
-            match Message::decode(&frame)? {
-                Message::MetricsReport { id: got, body } if got == id => return Ok(Some(body)),
-                // Stale answers from a previous round trip.
-                Message::Pong { .. }
-                | Message::ScenarioState { .. }
-                | Message::MetricsReport { .. } => continue,
-                other => {
-                    return Err(FleetError::Malformed(format!(
-                        "expected a metrics report, got {other:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Makes sure the worker holds `blob` under `hash` before a job
-    /// referencing it is sent.  Hashes already confirmed on this
-    /// connection are skipped outright.  With `may_query` (no answers
-    /// outstanding, so the next frame is predictable) the worker is
-    /// asked first via `scenario-have` — a TCP worker's store outlives
-    /// connections, so reconnects usually skip the re-upload; otherwise
-    /// the blob is shipped unconditionally (`scenario-put` is idempotent
-    /// and unacknowledged, safe to interleave with in-flight jobs).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors; the connection must then be dropped.
-    pub(crate) fn ensure_blob(
-        &mut self,
-        hash: &str,
-        blob: &str,
-        may_query: bool,
-    ) -> Result<(), FleetError> {
-        debug_assert!(self.version >= 2, "blob shipping requires protocol v2");
-        if self.known_blobs.contains(hash) {
-            return Ok(());
-        }
-        if may_query {
-            write_frame(
-                &mut self.writer,
-                &Message::ScenarioHave {
-                    hash: hash.to_string(),
-                }
-                .encode(),
-            )?;
-            let deadline = Instant::now() + self.tuning.handshake_timeout;
-            let present = loop {
-                if self.polls && !wait_readable(&mut self.reader)? {
-                    if Instant::now() >= deadline {
-                        return Err(FleetError::Unresponsive {
-                            silent_ms: self.tuning.handshake_timeout.as_millis() as u64,
-                        });
-                    }
-                    continue;
-                }
-                let frame = read_frame(&mut self.reader)?.ok_or(FleetError::Closed)?;
-                self.note_heard();
-                match Message::decode(&frame)? {
-                    Message::ScenarioState { hash: got, present } if got == hash => break present,
-                    Message::Pong { .. } | Message::MetricsReport { .. } => continue,
-                    other => {
-                        return Err(FleetError::Malformed(format!(
-                            "expected scenario-state for {hash}, got {other:?}"
-                        )))
-                    }
-                }
-            };
-            if present {
-                self.known_blobs.insert(hash.to_string());
-                return Ok(());
-            }
-        }
-        write_frame(
-            &mut self.writer,
-            &Message::ScenarioPut {
-                hash: hash.to_string(),
-                blob: blob.to_string(),
-            }
-            .encode(),
-        )?;
-        self.known_blobs.insert(hash.to_string());
-        Ok(())
-    }
-
-    /// Writes one job frame without waiting for its answer — the
-    /// pipelined half of a conversation; answers are pulled back with
-    /// [`Connection::read_answer`].  The span is only put on the wire
-    /// when the negotiated protocol is v3 or newer — older workers
-    /// would reject the extra tokens, and execution is unaffected
-    /// either way.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors; the connection must then be dropped.
-    pub(crate) fn send_job(
-        &mut self,
-        id: u64,
-        payload: &str,
-        span: Option<&JobSpan>,
-    ) -> Result<(), FleetError> {
-        write_frame(
-            &mut self.writer,
-            &Message::Job {
-                id,
-                payload: payload.to_string(),
-                span: if self.version >= 3 {
-                    span.cloned()
-                } else {
-                    None
-                },
-            }
-            .encode(),
-        )
-    }
-
-    /// Waits for the answer to *any* outstanding job (`outstanding`
-    /// decides which ids qualify; answers may arrive out of order when
-    /// several jobs are pipelined).  Between read-timeout polls on a
-    /// polling transport, `should_abandon` lets the caller give up a
-    /// connection whose outstanding jobs all settled elsewhere, and the
-    /// ping health check detects a wedged worker instead of waiting
-    /// forever.
-    ///
-    /// # Errors
-    ///
-    /// Any [`FleetError`] here means the *connection* is unusable
-    /// (closed stream, malformed frame, unexpected job id, unresponsive
-    /// worker) — its jobs may still succeed elsewhere.
-    pub(crate) fn read_answer(
-        &mut self,
-        outstanding: &dyn Fn(u64) -> bool,
-        should_abandon: &dyn Fn() -> bool,
-    ) -> Result<Answer, FleetError> {
-        loop {
-            if self.polls && !wait_readable(&mut self.reader)? {
-                if should_abandon() {
-                    return Ok(Answer::Abandoned);
-                }
-                self.ping_if_silent()?;
-                continue;
-            }
-            let frame = read_frame(&mut self.reader)?.ok_or(FleetError::Closed)?;
-            self.note_heard();
-            return match Message::decode(&frame)? {
-                Message::Done { id, payload } if outstanding(id) => {
-                    Ok(Answer::Done { id, payload })
-                }
-                Message::Failed { id, message } if outstanding(id) => {
-                    Ok(Answer::Failed { id, message })
-                }
-                // Pongs (health checks), stale query answers, and
-                // metrics reports carry no job result; keep waiting.
-                Message::Pong { .. }
-                | Message::ScenarioState { .. }
-                | Message::MetricsReport { .. } => continue,
-                other => Err(FleetError::Malformed(format!(
-                    "expected an answer to an outstanding job, got {other:?}"
-                ))),
-            };
-        }
-    }
-
-    /// Sends one job and waits for its answer — the unpipelined
-    /// conversation, kept for single-call users and tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::read_answer`].
-    #[cfg(test)]
-    pub(crate) fn call(
-        &mut self,
-        id: u64,
-        payload: &str,
-        should_abandon: &dyn Fn() -> bool,
-    ) -> Result<CallOutcome, FleetError> {
-        self.send_job(id, payload, None)?;
-        match self.read_answer(&|got| got == id, should_abandon)? {
-            Answer::Done { payload, .. } => Ok(CallOutcome::Done(payload)),
-            Answer::Failed { message, .. } => Ok(CallOutcome::Failed(message)),
-            Answer::Abandoned => Ok(CallOutcome::Abandoned),
-        }
-    }
-}
-
-impl Connection {
-    /// Best-effort goodbye so a stdio worker exits instead of being
-    /// killed by [`Drop`].
-    pub(crate) fn shutdown(&mut self) {
-        let _ = write_frame(&mut self.writer, &Message::Shutdown.encode());
-        if let Some(child) = &mut self.child {
-            let _ = child.wait();
-            self.child = None;
-        }
-    }
-}
-
-impl Drop for Connection {
-    fn drop(&mut self) {
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
 }
 
 /// One entry of a [`FleetManifest`].
@@ -1152,7 +574,6 @@ mod tests {
         assert_eq!(default.ping_after, Duration::from_millis(1000));
         assert_eq!(default.ping_timeout, Duration::from_millis(2000));
         assert_eq!(default.straggler_grace, Duration::from_millis(250));
-        assert!(!default.strict_hello_capacity);
         let tight = DispatchTuning::with_poll_ms(10);
         assert_eq!(tight.poll, Duration::from_millis(10));
         assert_eq!(tight.ping_after, Duration::from_millis(100));
@@ -1191,26 +612,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_hellos_warn_and_clamp_or_error_strictly() {
-        // Lenient: clamped to 1 (with a once-per-endpoint warning).
-        assert_eq!(
-            accept_hello_capacity("tcp worker x:1", 0, false).unwrap(),
-            1
-        );
-        assert_eq!(
-            accept_hello_capacity("tcp worker x:1", 0, false).unwrap(),
-            1
-        );
-        // Positive capacities pass through untouched either way.
-        assert_eq!(accept_hello_capacity("tcp worker x:1", 7, true).unwrap(), 7);
-        // Strict: a typed handshake error naming the endpoint.
-        match accept_hello_capacity("tcp worker x:1", 0, true) {
-            Err(FleetError::Handshake(reason)) => {
-                assert!(reason.contains("capacity 0"), "reason: {reason}");
-                assert!(reason.contains("x:1"), "reason: {reason}");
-            }
-            other => panic!("expected a handshake error, got {other:?}"),
-        }
+    fn capacity_zero_hellos_warn_and_clamp() {
+        // Clamped to 1 (with a once-per-endpoint warning).
+        assert_eq!(accept_hello_capacity("tcp worker x:1", 0), 1);
+        assert_eq!(accept_hello_capacity("tcp worker x:1", 0), 1);
+        // Positive capacities pass through untouched.
+        assert_eq!(accept_hello_capacity("tcp worker x:1", 7), 7);
     }
 
     #[test]
@@ -1224,9 +631,15 @@ mod tests {
     #[test]
     fn connecting_to_a_missing_local_binary_is_a_typed_error() {
         let endpoint = WorkerEndpoint::local("/no/such/binary", vec![]);
-        assert!(matches!(
-            endpoint.connect(),
-            Err(FleetError::Connect { .. })
-        ));
+        let err = crate::Dispatcher::new(vec![endpoint])
+            .dispatch(&["x".to_string()], &|_| {})
+            .unwrap_err();
+        match err {
+            FleetError::Exhausted { last, .. } => assert!(
+                last.contains("cannot reach fleet worker local worker /no/such/binary"),
+                "last error: {last}"
+            ),
+            other => panic!("expected exhaustion via a connect failure, got {other}"),
+        }
     }
 }

@@ -5,10 +5,9 @@
 //! `set_nonblocking`, subprocess stdio pipes via the feeder channel a
 //! [`crate::endpoint`] helper spawns (drained with `try_recv`) — and
 //! one loop round-robins accept / read / schedule / write over all of
-//! them.  Compared to the thread-per-endpoint scheduler this removes a
-//! thread spawn + join and a 100ms-granularity poll loop per worker per
-//! batch, which is what makes fleets of hundreds of tiny-shard workers
-//! practical (see the `fleet_scale` bench).
+//! them.  No thread is spawned or joined per worker per batch, which is
+//! what makes fleets of hundreds of tiny-shard workers practical (see
+//! the `fleet_scale` bench).
 //!
 //! The crate forbids `unsafe`, so there is no raw `poll(2)` over fds;
 //! readiness is approximated by draining every source each round and
@@ -17,10 +16,9 @@
 //! sources the loop is effectively always busy and the sleep never
 //! matters; on an idle tail it bounds wakeup latency to ~2ms.
 //!
-//! Scheduling semantics are identical to the threaded dispatcher — same
-//! shared [`State`], same attempt accounting, straggler re-dispatch,
-//! ping health checks, capacity pipelining, blob shipping, and
-//! validation — with two additions:
+//! Each batch owns one [`State`] — attempt accounting, straggler
+//! re-dispatch, ping health checks, capacity pipelining, blob shipping,
+//! and validation all run over it — and two pool features sit on top:
 //!
 //! * **Weights** — a connection may hold up to `hello capacity ×
 //!   endpoint weight` jobs, and fresh jobs go to the least-loaded
@@ -43,14 +41,19 @@ use std::process::{Child, ChildStdin};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::{Duration, Instant};
 
-use crate::dispatch::{AnswerValidator, BlobSet, Dispatcher, JobPayload, State, RECONNECT_LIMIT};
+use crate::dispatch::{AnswerValidator, BlobSet, Dispatcher, JobPayload, State};
 use crate::endpoint::{
     accept_hello_capacity, negotiate_hello, spawn_pipe_feeder, DispatchTuning, WorkerEndpoint,
 };
 use crate::frame::{MAX_FRAME_BYTES, MAX_HEADER_BYTES};
 use crate::obs::FleetObs;
-use crate::protocol::{Message, PROTOCOL_VERSION};
+use crate::protocol::Message;
 use crate::FleetError;
+
+/// Per-endpoint cap on transport failures (failed connects, dropped
+/// connections) in one batch before the loop stops retrying that
+/// endpoint.
+const RECONNECT_LIMIT: usize = 3;
 
 /// Incremental frame parser for a non-blocking stream: bytes are fed in
 /// as they arrive and complete `frame <len>\n<payload>` frames are
@@ -142,9 +145,8 @@ enum Transport {
 }
 
 /// One live connection inside the event loop: transport, incremental
-/// decoder, a write-behind outbox, hello state, and the same
-/// pipelining/ping bookkeeping [`crate::endpoint`]'s blocking
-/// `Connection` keeps.
+/// decoder, a write-behind outbox, hello state, and the pipelining /
+/// ping bookkeeping.
 pub(crate) struct LoopConn {
     transport: Transport,
     /// The spawned subprocess of a local endpoint, if any (killed on
@@ -158,7 +160,6 @@ pub(crate) struct LoopConn {
     /// Hello received and negotiated.
     ready: bool,
     hello_deadline: Instant,
-    version: u32,
     capacity: usize,
     known_blobs: HashSet<String>,
     /// Jobs written to this connection and awaiting answers.
@@ -185,7 +186,6 @@ impl LoopConn {
             eof: false,
             ready: false,
             hello_deadline: Instant::now() + tuning.handshake_timeout,
-            version: PROTOCOL_VERSION,
             capacity: 1,
             known_blobs: HashSet::new(),
             outstanding: Vec::new(),
@@ -333,61 +333,39 @@ impl LoopConn {
         Ok(())
     }
 
-    /// Queues one claimed job: on a v2 connection with a compact
-    /// payload, any blobs this connection has not seen are shipped first
-    /// (`scenario-put` is idempotent and unacknowledged) and the compact
-    /// form is sent; otherwise the inline form.  The span rides along on
-    /// v3+ connections only.  Mirrors the threaded dispatcher's
-    /// `send_claim`.
+    /// Queues one claimed job: any referenced blobs this connection has
+    /// not seen are shipped first (`scenario-put` is idempotent and
+    /// unacknowledged), then the job frame with its span.
     fn queue_job(
         &mut self,
         job: usize,
         jobs: &[JobPayload],
         blobs: &BlobSet,
     ) -> Result<(), FleetError> {
-        let payload = &jobs[job];
-        let span = if self.version >= 3 {
-            payload.span.clone()
-        } else {
-            None
-        };
-        if self.version >= 2 {
-            if let Some(compact) = &payload.compact {
-                for hash in &payload.refs {
-                    if self.known_blobs.contains(hash) {
-                        continue;
-                    }
-                    let blob = blobs.get(hash).ok_or_else(|| {
-                        FleetError::Malformed(format!(
-                            "job {job} references blob {hash} missing from the batch blob set"
-                        ))
-                    })?;
-                    self.queue_frame(
-                        &Message::ScenarioPut {
-                            hash: hash.clone(),
-                            blob: blob.to_string(),
-                        }
-                        .encode(),
-                    )?;
-                    self.known_blobs.insert(hash.clone());
-                }
-                self.queue_frame(
-                    &Message::Job {
-                        id: job as u64,
-                        payload: compact.clone(),
-                        span,
-                    }
-                    .encode(),
-                )?;
-                self.outstanding.push(job);
-                return Ok(());
+        let claimed = &jobs[job];
+        for hash in &claimed.refs {
+            if self.known_blobs.contains(hash) {
+                continue;
             }
+            let blob = blobs.get(hash).ok_or_else(|| {
+                FleetError::Malformed(format!(
+                    "job {job} references blob {hash} missing from the batch blob set"
+                ))
+            })?;
+            self.queue_frame(
+                &Message::ScenarioPut {
+                    hash: hash.clone(),
+                    blob: blob.to_string(),
+                }
+                .encode(),
+            )?;
+            self.known_blobs.insert(hash.clone());
         }
         self.queue_frame(
             &Message::Job {
                 id: job as u64,
-                payload: payload.inline.clone(),
-                span,
+                payload: claimed.payload.clone(),
+                span: claimed.span.clone(),
             }
             .encode(),
         )?;
@@ -403,10 +381,10 @@ impl LoopConn {
     /// Pulls the worker's current metrics-snapshot wire body with a
     /// `metrics`/`metrics-report` round trip, polling the non-blocking
     /// transport until the report (or the ping timeout).  `Ok(None)` on
-    /// pre-v3 or not-yet-ready connections — those workers are reported
-    /// as `metrics: unavailable`.  Called only on warm (idle) connections
+    /// a not-yet-ready connection — that worker is reported as
+    /// `metrics: unavailable`.  Called only on warm (idle) connections
     /// between batches, so the only interleaved frames are stale pongs
-    /// or query answers.
+    /// or metrics reports.
     ///
     /// # Errors
     ///
@@ -417,7 +395,7 @@ impl LoopConn {
         &mut self,
         tuning: &DispatchTuning,
     ) -> Result<Option<String>, FleetError> {
-        if !self.ready || self.version < 3 {
+        if !self.ready {
             return Ok(None);
         }
         let id = self.next_ping;
@@ -431,9 +409,7 @@ impl LoopConn {
                 match message {
                     Message::MetricsReport { id: got, body } if got == id => return Ok(Some(body)),
                     // Stale answers from a previous round trip.
-                    Message::Pong { .. }
-                    | Message::ScenarioState { .. }
-                    | Message::MetricsReport { .. } => {}
+                    Message::Pong { .. } | Message::MetricsReport { .. } => {}
                     other => {
                         return Err(FleetError::Malformed(format!(
                             "expected a metrics report, got {other:?}"
@@ -453,9 +429,9 @@ impl LoopConn {
         }
     }
 
-    /// The ping state machine, identical to the blocking connection's:
-    /// silence past `ping_after` with work in flight sends a ping; a
-    /// ping unanswered for `ping_timeout` is [`FleetError::Unresponsive`].
+    /// The ping state machine: silence past `ping_after` with work in
+    /// flight sends a ping; a ping unanswered for `ping_timeout` is
+    /// [`FleetError::Unresponsive`].
     fn ping_if_silent(&mut self, tuning: &DispatchTuning) -> Result<(), FleetError> {
         if let Some(sent) = self.ping_sent {
             if sent.elapsed() >= tuning.ping_timeout {
@@ -612,7 +588,6 @@ fn pump(
     state: &mut State,
     done: &(dyn Fn(usize) + Sync),
     validate: AnswerValidator<'_>,
-    tuning: &DispatchTuning,
     max_attempts: usize,
     obs: &FleetObs,
 ) -> Result<bool, FleetError> {
@@ -620,10 +595,7 @@ fn pump(
     while let Some(message) = conn.next_message()? {
         progressed = true;
         if !conn.ready {
-            let (version, capacity) = negotiate_hello(message)?;
-            conn.capacity =
-                accept_hello_capacity(&conn.peer, capacity, tuning.strict_hello_capacity)?;
-            conn.version = version;
+            conn.capacity = accept_hello_capacity(&conn.peer, negotiate_hello(message)?);
             conn.ready = true;
             continue;
         }
@@ -649,8 +621,7 @@ fn pump(
                 if !state.is_settled(job) {
                     state.results[job] = Some(payload);
                     // Completions are delivered from the loop thread, so
-                    // they are serialised exactly like the threaded
-                    // dispatcher's under-lock delivery.
+                    // they are serialised.
                     done(job);
                 }
             }
@@ -663,11 +634,9 @@ fn pump(
                     state.failures[job] = Some(FleetError::Job { id, message });
                 }
             }
-            // Pongs (health checks), stale query answers, and metrics
-            // reports carry no job result.
-            Message::Pong { .. }
-            | Message::ScenarioState { .. }
-            | Message::MetricsReport { .. } => {}
+            // Pongs (health checks) and stale metrics reports carry no
+            // job result.
+            Message::Pong { .. } | Message::MetricsReport { .. } => {}
             other => {
                 return Err(FleetError::Malformed(format!(
                     "expected an answer to an outstanding job, got {other:?}"
@@ -685,9 +654,9 @@ fn pump(
     Ok(progressed)
 }
 
-/// Runs one batch on the event loop.  Shares the [`State`] shape (and
-/// therefore the final-assembly and error-reporting code) with the
-/// threaded dispatcher.
+/// Runs one batch on the event loop and returns its final [`State`],
+/// from which the dispatcher assembles answers or the lowest-indexed
+/// error.
 pub(crate) fn run(
     dispatcher: &Dispatcher,
     jobs: &[JobPayload],
@@ -775,7 +744,7 @@ pub(crate) fn run(
 
         // Reconnect fixed endpoints whose backoff expired.  Connecting
         // *before* claiming means a connect failure never burns a job
-        // attempt, exactly like the threaded release-unattempted path.
+        // attempt.
         let now = Instant::now();
         for slot in &mut slots {
             let Some(index) = slot.endpoint else { continue };
@@ -805,7 +774,6 @@ pub(crate) fn run(
                 &mut state,
                 done,
                 validate,
-                &tuning,
                 max_attempts,
                 obs,
             ) {

@@ -1,11 +1,10 @@
 //! Length-prefixed framing over any byte stream.
 //!
 //! A frame is a header line `frame <len>\n` followed by exactly `len`
-//! payload bytes.  Unlike the newline-terminated messages the one-shot
-//! `shard-worker` pipe uses, frames delimit messages on a *long-lived*
-//! stream: the reader always knows how many bytes belong to the current
-//! message, so payloads may contain anything (including newlines and the
-//! header literal) and a truncated stream is detected instead of silently
+//! payload bytes.  Frames delimit messages on a *long-lived* stream: the
+//! reader always knows how many bytes belong to the current message, so
+//! payloads may contain anything (including newlines and the header
+//! literal) and a truncated stream is detected instead of silently
 //! concatenating two messages.
 
 use std::io::{BufRead, Write};
@@ -52,9 +51,7 @@ pub(crate) const MAX_HEADER_BYTES: usize = 32;
 
 /// Reads the header line byte-wise off the buffered stream, retrying
 /// read timeouts: once a frame has *started* arriving the read is
-/// committed, and timeouts only carry meaning between frames (see
-/// [`wait_readable`]) — a slow link must never corrupt a half-read
-/// frame.
+/// committed — a slow link must never corrupt a half-read frame.
 fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetError> {
     enum Step {
         Eof,
@@ -114,9 +111,8 @@ fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetEr
 /// Reads one frame, or `None` on a clean end of stream (no header bytes
 /// at all).
 ///
-/// Read timeouts configured on the underlying stream are retried here —
-/// they signal "no frame has started yet" and belong to
-/// [`wait_readable`], never to a frame already in flight on a slow
+/// Read timeouts configured on the underlying stream are retried here,
+/// never treated as the end of a frame already in flight on a slow
 /// link.
 ///
 /// # Errors
@@ -152,36 +148,6 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetErr
         }
     }
     Ok(Some(payload))
-}
-
-/// Waits until at least one byte is readable, without consuming it.
-///
-/// Returns `Ok(true)` when data (or end-of-stream) is ready and
-/// `Ok(false)` when a read timeout configured on the underlying stream
-/// expired first.  Because nothing is consumed, a timeout here leaves the
-/// stream in a clean between-frames state — this is what lets a
-/// dispatcher poll a straggling TCP worker and abandon it once the job
-/// has been completed elsewhere.
-///
-/// # Errors
-///
-/// [`FleetError::Io`] for a transport failure.
-pub fn wait_readable(reader: &mut impl BufRead) -> Result<bool, FleetError> {
-    loop {
-        match reader.fill_buf() {
-            // An empty buffer from fill_buf means end-of-stream, which is
-            // "readable": the next read_frame call reports it properly.
-            Ok(_) => return Ok(true),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(false)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,9 +261,7 @@ mod tests {
             offset: 0,
             ready: false,
         });
-        // wait_readable reports the timeouts between frames...
-        assert!(!wait_readable(&mut reader).unwrap());
-        // ...but once the frame starts, read_frame must ride them out.
+        // Once the frame starts, read_frame must ride the timeouts out.
         assert_eq!(
             read_frame(&mut reader).unwrap().unwrap(),
             b"slow but healthy\nframe body"

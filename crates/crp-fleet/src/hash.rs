@@ -4,8 +4,8 @@
 //! Three layers share this single definition, so a hash computed by any
 //! of them is meaningful to all of them:
 //!
-//! * the wire protocol's `scenario-put` / `scenario-have` messages ship
-//!   and query worker-side blobs by this digest;
+//! * the wire protocol's `scenario-put` messages store worker-side
+//!   blobs under this digest;
 //! * the `crp-serve` result cache keys every job and sweep cell by the
 //!   digest of its canonical (fully inline) wire encoding;
 //! * dispatchers decide what a connection already knows by the same

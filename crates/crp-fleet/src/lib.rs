@@ -19,25 +19,23 @@
 //!   canonical hex digest shared by the blob protocol, the dispatcher,
 //!   and the `crp-serve` result cache.
 //! * [`protocol`] — the messages inside frames: a versioned
-//!   [`protocol::Message::Hello`] handshake (v1 peers are negotiated
-//!   down to, v2 adds the blob messages), `job` / `done` / `failed`
+//!   [`protocol::Message::Hello`] handshake (exactly one version is
+//!   spoken; any other is a typed error), `job` / `done` / `failed`
 //!   requests and answers keyed by job id, a `ping` / `pong` health
-//!   check, and the content-addressed `scenario-put` / `scenario-have` /
-//!   `scenario-state` blob shipping.
+//!   check, content-addressed `scenario-put` blob shipping, and the
+//!   `metrics` / `metrics-report` registry pull.
 //! * [`worker`] — the long-lived worker loop: [`worker::serve`] answers a
 //!   stream of jobs over any `(Read, Write)` pair — N jobs per process
 //!   instead of one, executed concurrently so pings are answered even
 //!   mid-job — with a [`worker::ScenarioStore`] of received blobs and
-//!   [`worker::ServeOptions`] carrying the capacity/version knobs and
-//!   the fault injection the failure tests use.
+//!   [`worker::ServeOptions`] carrying the capacity knob and the fault
+//!   injection the failure tests use.
 //!   [`worker::serve_stdio`] binds it to a subprocess's stdio;
 //!   [`tcp::TcpWorker`] binds it to a listening socket with one
 //!   process-wide blob store shared across connections.
 //! * [`endpoint`] — [`endpoint::WorkerEndpoint`]: where a worker lives
-//!   (a local subprocess to spawn, or a `host:port` to dial) and the
-//!   handshake-checked [connection](endpoint::WorkerEndpoint::describe)
-//!   lifecycle — version/capacity negotiation, pipelined send/read,
-//!   ping-based unresponsiveness detection — plus the
+//!   (a local subprocess to spawn, or a `host:port` to dial), the
+//!   [`endpoint::DispatchTuning`] timing knobs, and the
 //!   [`endpoint::FleetManifest`] (`local:4,host:9000`) the `CRP_FLEET`
 //!   environment variable and `--fleet` flag carry.
 //! * [`chaos`] — [`chaos::ChaosPlan`]: typed, declarative schedules of
@@ -46,20 +44,16 @@
 //!   campaigns and sweeps can declare — and minimise — infrastructure
 //!   faults like any other input.
 //! * [`dispatch`] — [`dispatch::Dispatcher`]: schedules a batch of
-//!   [`dispatch::JobPayload`]s over a pool of endpoints with
-//!   work-stealing semantics (idle workers claim the next unassigned
-//!   job), keeps up to the advertised hello capacity in flight per
-//!   connection, ships [`dispatch::BlobSet`] blobs once per v2 worker,
-//!   **re-dispatches the outstanding jobs of dead, wedged or straggling
-//!   workers**, deduplicates completions by job id, and keeps
-//!   connections (and their spawned workers) warm across batches.  By
-//!   default the batch runs on a single-threaded readiness event loop
-//!   multiplexing every endpoint over non-blocking I/O
-//!   ([`dispatch::DispatchMode::EventLoop`]) with per-endpoint capacity
-//!   weights and elastic membership
-//!   ([`dispatch::Dispatcher::listen_for_workers`]); the legacy
-//!   thread-per-endpoint scheduler survives as
-//!   [`dispatch::DispatchMode::Threaded`].
+//!   [`dispatch::JobPayload`]s over a pool of endpoints on one
+//!   single-threaded readiness event loop multiplexing every connection
+//!   over non-blocking I/O: queued jobs go to the least-loaded
+//!   connection, up to the advertised hello capacity times the
+//!   endpoint's weight; [`dispatch::BlobSet`] blobs ship once per
+//!   worker; the outstanding jobs of **dead, wedged or straggling
+//!   workers are re-dispatched**; completions are deduplicated by job
+//!   id; workers may join elastically
+//!   ([`dispatch::Dispatcher::listen_for_workers`]); and connections
+//!   (with their spawned workers) stay warm across batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,12 +73,12 @@ use std::error::Error;
 use std::fmt;
 
 pub use chaos::{ChaosEvent, ChaosPlan, FaultKind};
-pub use dispatch::{BlobSet, DispatchMode, Dispatcher, JobPayload};
+pub use dispatch::{BlobSet, Dispatcher, JobPayload};
 pub use endpoint::{DispatchTuning, FleetEntry, FleetManifest, WorkerEndpoint};
 pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 pub use hash::{content_hash, is_content_hash};
 pub use obs::{FleetMetrics, FleetSnapshot, WorkerHealth, WorkerMetrics};
-pub use protocol::{JobSpan, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use protocol::{JobSpan, Message, PROTOCOL_VERSION};
 pub use tcp::{join_fleet, join_fleet_with_store, TcpWorker};
 pub use worker::{
     serve, serve_stdio, serve_stdio_with_store, serve_with_store, JobHandler, ScenarioStore,
@@ -150,8 +144,7 @@ pub enum FleetError {
         reason: String,
     },
     /// A fleet environment variable carried a value that cannot be used
-    /// (strict parsing; the lenient [`ServeOptions::from_env`] compat
-    /// path ignores such values instead).
+    /// (strict parsing, e.g. [`ServeOptions::try_from_env`]).
     Env {
         /// The environment variable name.
         var: String,

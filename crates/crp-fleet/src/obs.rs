@@ -2,8 +2,8 @@
 //! on-demand [`FleetSnapshot`], plus the workspace-global `fleet.*`
 //! counters and trace events.
 //!
-//! Both dispatch modes report through one [`FleetObs`] owned by the
-//! [`crate::Dispatcher`], keyed by the worker's human-readable peer
+//! The dispatcher reports through one [`FleetObs`] it owns, keyed by
+//! the worker's human-readable peer
 //! description, so a snapshot spans fixed endpoints and elastically
 //! joined workers alike and accumulates across batches — the view a
 //! long-running serve daemon's `stats` request renders.
@@ -90,8 +90,8 @@ pub struct WorkerMetrics {
     /// The worker's peer description (endpoint, or joined address).
     pub endpoint: String,
     /// The worker's decoded metrics snapshot — `None` when the worker
-    /// speaks a pre-v3 protocol, is not connected, or failed to answer
-    /// the pull (rendered as `metrics: unavailable`).
+    /// is not connected or failed to answer the pull (rendered as
+    /// `metrics: unavailable`).
     pub snapshot: Option<MetricsSnapshot>,
 }
 
@@ -154,7 +154,7 @@ impl FleetMetrics {
 }
 
 /// The dispatcher's accumulator behind [`FleetSnapshot`]: a peer-keyed
-/// map both dispatch modes report into.
+/// map the event loop reports into.
 #[derive(Debug, Default)]
 pub(crate) struct FleetObs {
     workers: Mutex<BTreeMap<String, WorkerHealth>>,

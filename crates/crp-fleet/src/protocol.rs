@@ -9,46 +9,34 @@
 //!
 //! ```text
 //! worker     -> dispatcher   hello v3 capacity 4        (handshake)
-//! dispatcher -> worker       scenario-have ab12..       (v2: blob query)
-//! worker     -> dispatcher   scenario-state ab12.. no
-//! dispatcher -> worker       scenario-put ab12..\n<blob> (v2: ship once)
-//! dispatcher -> worker       job 17 span cd34..\n<payload> (v3: trace span rides along)
+//! dispatcher -> worker       scenario-put ab12..\n<blob> (blob shipped once)
+//! dispatcher -> worker       job 17 span cd34..\n<payload> (trace span rides along)
 //! dispatcher -> worker       job 18\n<payload>          (pipelined up to the capacity)
 //! worker     -> dispatcher   done 17\n<payload>         (or: failed 17\n<message>)
 //! dispatcher -> worker       ping 99
 //! worker     -> dispatcher   pong 99                    (health check, answered mid-job)
-//! dispatcher -> worker       metrics 7                  (v3: registry pull)
+//! dispatcher -> worker       metrics 7                  (registry pull)
 //! worker     -> dispatcher   metrics-report 7\n<snapshot>
 //! worker     -> dispatcher   done 18\n<payload>
 //! dispatcher -> worker       shutdown                   (or just closes the stream)
 //! ```
 //!
-//! Protocol v2 adds the `scenario-put` / `scenario-have` /
-//! `scenario-state` blob messages (content-addressed payload shipping:
-//! a scenario's masses travel once per worker and later jobs reference
-//! them by hash).  Protocol v3 adds the `metrics` / `metrics-report`
-//! registry pull and the optional `span`/`parent` trace-context tokens
-//! on `job` head lines.  Older workers never receive any of them — the
-//! dispatcher negotiates the version from the hello, falls back to
-//! fully inline unstamped payloads, and reports a pre-v3 worker's
-//! metrics as unavailable — so old workers keep interoperating
-//! unchanged.
+//! `scenario-put` ships a content-addressed blob (a scenario's masses
+//! travel once per worker and later jobs reference them by hash); it is
+//! fire-and-forget, so it pipelines with jobs in flight.  Dispatcher and
+//! worker are the same binary, so there is exactly one protocol
+//! version: a hello carrying any other version is a typed handshake
+//! error, never a negotiated-down conversation.
 
 use crate::hash::is_content_hash;
 use crate::FleetError;
 
 /// Version of the fleet wire protocol; sent in the [`Message::Hello`]
-/// handshake.  The dispatcher accepts every version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and restricts the
-/// conversation to what the worker's version understands; anything
-/// outside the range is rejected with a typed error instead of
-/// misparsing frames.
+/// handshake.  The dispatcher accepts exactly this version and rejects
+/// any other with a typed error instead of misparsing frames.
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// Oldest worker protocol version the dispatcher still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
-
-/// The trace context a v3 `job` head line carries: the job's
+/// The trace context a `job` head line carries: the job's
 /// deterministic span id plus its parent span, both derived from
 /// content hashes on the dispatching side (see `crp_obs::span_from_hash`),
 /// never from randomness.  Workers stamp both onto the trace events
@@ -70,7 +58,8 @@ pub enum Message {
         /// The worker's [`PROTOCOL_VERSION`].
         version: u32,
         /// How many jobs the worker is willing to run concurrently on
-        /// this connection (currently always 1; reserved for pipelining).
+        /// this connection; the dispatcher keeps up to this many (times
+        /// the endpoint's weight) in flight.
         capacity: usize,
     },
     /// Dispatcher → worker: execute this payload.
@@ -79,8 +68,7 @@ pub enum Message {
         id: u64,
         /// Opaque job description.
         payload: String,
-        /// The job's trace context (v3; absent on unstamped jobs and on
-        /// connections negotiated below v3).
+        /// The job's trace context (absent on unstamped jobs).
         span: Option<JobSpan>,
     },
     /// Worker → dispatcher: the job's successful answer.
@@ -108,36 +96,22 @@ pub enum Message {
         /// Echo of the ping id.
         id: u64,
     },
-    /// Dispatcher → worker (v2): store this content-addressed blob so
-    /// later job payloads can reference it by hash.  Fire-and-forget —
-    /// the worker verifies the hash and answers nothing.
+    /// Dispatcher → worker: store this content-addressed blob so later
+    /// job payloads can reference it by hash.  Fire-and-forget — the
+    /// worker verifies the hash and answers nothing.
     ScenarioPut {
         /// The blob's [`crate::hash::content_hash`].
         hash: String,
         /// The opaque blob bytes (UTF-8 text in practice).
         blob: String,
     },
-    /// Dispatcher → worker (v2): does the worker already hold this blob?
-    /// (A TCP worker's store outlives connections, so a reconnecting
-    /// dispatcher asks before re-shipping.)
-    ScenarioHave {
-        /// The queried content hash.
-        hash: String,
-    },
-    /// Worker → dispatcher (v2): the answer to [`Message::ScenarioHave`].
-    ScenarioState {
-        /// Echo of the queried hash.
-        hash: String,
-        /// True when the worker holds the blob.
-        present: bool,
-    },
-    /// Dispatcher → worker (v3): report the worker's process-wide
+    /// Dispatcher → worker: report the worker's process-wide
     /// metrics registry.
     Metrics {
         /// Echoed in the matching [`Message::MetricsReport`].
         id: u64,
     },
-    /// Worker → dispatcher (v3): the answer to [`Message::Metrics`] — a
+    /// Worker → dispatcher: the answer to [`Message::Metrics`] — a
     /// `MetricsSnapshot` in its canonical wire encoding.
     MetricsReport {
         /// Echo of the request id.
@@ -173,13 +147,6 @@ impl Message {
             Message::Ping { id } => format!("ping {id}"),
             Message::Pong { id } => format!("pong {id}"),
             Message::ScenarioPut { hash, blob } => format!("scenario-put {hash}\n{blob}"),
-            Message::ScenarioHave { hash } => format!("scenario-have {hash}"),
-            Message::ScenarioState { hash, present } => {
-                format!(
-                    "scenario-state {hash} {}",
-                    if *present { "yes" } else { "no" }
-                )
-            }
             Message::Metrics { id } => format!("metrics {id}"),
             Message::MetricsReport { id, body } => format!("metrics-report {id}\n{body}"),
             Message::Shutdown => "shutdown".to_string(),
@@ -279,22 +246,6 @@ impl Message {
                 hash: hash_token(&mut tokens, "scenario-put")?,
                 blob: body.to_string(),
             }),
-            "scenario-have" => Ok(Message::ScenarioHave {
-                hash: hash_token(&mut tokens, "scenario-have")?,
-            }),
-            "scenario-state" => {
-                let hash = hash_token(&mut tokens, "scenario-state")?;
-                let present = match tokens.next() {
-                    Some("yes") => true,
-                    Some("no") => false,
-                    other => {
-                        return Err(FleetError::Malformed(format!(
-                            "bad scenario-state flag {other:?}"
-                        )))
-                    }
-                };
-                Ok(Message::ScenarioState { hash, present })
-            }
             "metrics" => Ok(Message::Metrics { id: id("metrics")? }),
             "metrics-report" => Ok(Message::MetricsReport {
                 id: id("metrics-report")?,
@@ -385,17 +336,6 @@ mod tests {
             Message::ScenarioPut {
                 hash: crate::hash::content_hash(b"masses"),
                 blob: "sampled 3fe0\nwith a second line".to_string(),
-            },
-            Message::ScenarioHave {
-                hash: crate::hash::content_hash(b"masses"),
-            },
-            Message::ScenarioState {
-                hash: crate::hash::content_hash(b"masses"),
-                present: true,
-            },
-            Message::ScenarioState {
-                hash: crate::hash::content_hash(b"other"),
-                present: false,
             },
             Message::Metrics { id: 7 },
             Message::MetricsReport {

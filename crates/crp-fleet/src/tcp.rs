@@ -89,7 +89,7 @@ impl TcpWorker {
     /// Accepts and serves connections until the process is killed, with
     /// one process-wide [`ScenarioStore`] shared by every connection —
     /// a blob shipped by one dispatcher run is still present when the
-    /// next run reconnects and asks via `scenario-have`.  Per-connection
+    /// next run reconnects.  Per-connection
     /// errors are reported on stderr and do not stop the accept loop —
     /// one misbehaving dispatcher must not take the worker down for
     /// everyone else.
@@ -132,7 +132,7 @@ impl TcpWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{CallOutcome, WorkerEndpoint};
+    use crate::{Dispatcher, WorkerEndpoint};
 
     fn echo(payload: &str) -> Result<String, String> {
         Ok(format!("echo:{payload}"))
@@ -140,48 +140,45 @@ mod tests {
 
     /// Binds a loopback worker on an ephemeral port and serves it from a
     /// detached thread for the rest of the test process's life.
-    pub(crate) fn spawn_echo_worker() -> SocketAddr {
+    fn spawn_echo_worker() -> SocketAddr {
         let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
         let addr = worker.local_addr().unwrap();
         std::thread::spawn(move || worker.serve_forever(&echo, &ServeOptions::default()));
         addr
     }
 
+    fn jobs(names: &[&str]) -> Vec<String> {
+        names.iter().map(|name| name.to_string()).collect()
+    }
+
     #[test]
     fn tcp_round_trip_through_a_real_socket() {
         let addr = spawn_echo_worker();
-        let endpoint = WorkerEndpoint::tcp(addr.to_string());
-        let mut connection = endpoint.connect().unwrap();
-        for id in 0..3u64 {
-            match connection
-                .call(id, &format!("job-{id}"), &|| false)
-                .unwrap()
-            {
-                CallOutcome::Done(payload) => assert_eq!(payload, format!("echo:job-{id}")),
-                _ => panic!("echo worker must answer done"),
-            }
-        }
+        let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.to_string())]);
+        let answers = dispatcher
+            .dispatch(&jobs(&["job-0", "job-1", "job-2"]), &|_| {})
+            .unwrap();
+        assert_eq!(answers, jobs(&["echo:job-0", "echo:job-1", "echo:job-2"]));
     }
 
     #[test]
     fn two_connections_are_served_concurrently() {
-        let addr = spawn_echo_worker();
-        let endpoint = WorkerEndpoint::tcp(addr.to_string());
-        let mut a = endpoint.connect().unwrap();
-        let mut b = endpoint.connect().unwrap();
-        // Interleave calls across both live connections.
-        assert!(matches!(
-            a.call(1, "x", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
-        assert!(matches!(
-            b.call(2, "y", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
-        assert!(matches!(
-            a.call(3, "z", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
+        // Two dispatchers on one worker: each keeps its connection warm
+        // between batches, so interleaved batches only complete if the
+        // worker serves both live connections at once.
+        let addr = spawn_echo_worker().to_string();
+        let a = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())]);
+        let b = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]);
+        let ask = |dispatcher: &Dispatcher, job: &str| {
+            dispatcher.dispatch(&jobs(&[job]), &|_| {}).unwrap()
+        };
+        assert_eq!(ask(&a, "x"), jobs(&["echo:x"]));
+        assert_eq!(ask(&b, "y"), jobs(&["echo:y"]));
+        assert_eq!(ask(&a, "z"), jobs(&["echo:z"]));
+        for (name, dispatcher) in [("a", &a), ("b", &b)] {
+            let warm = dispatcher.worker_metrics().reporting();
+            assert_eq!(warm, 1, "{name}'s connection is still warm");
+        }
     }
 
     #[test]
@@ -192,10 +189,16 @@ mod tests {
             .local_addr()
             .unwrap()
             .port();
-        let endpoint = WorkerEndpoint::tcp(format!("127.0.0.1:{port}"));
-        assert!(matches!(
-            endpoint.connect(),
-            Err(FleetError::Connect { .. })
-        ));
+        let addr = format!("127.0.0.1:{port}");
+        let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())])
+            .dispatch(&jobs(&["x"]), &|_| {})
+            .unwrap_err();
+        match err {
+            FleetError::Exhausted { last, .. } => assert!(
+                last.contains(&format!("cannot reach fleet worker tcp worker {addr}")),
+                "last error: {last}"
+            ),
+            other => panic!("expected exhaustion via a connect failure, got {other}"),
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! The long-lived worker loop.
 //!
 //! A worker serves a *stream* of jobs on one connection — N jobs per
-//! process instead of the one-spec-one-subprocess lifecycle of the
-//! `shard-worker` pipe — which amortises process spawn, binary load and
-//! allocator warm-up over the whole batch.  The loop itself is transport
+//! process instead of one spawn per job — which amortises process
+//! spawn, binary load and allocator warm-up over the whole batch.  The
+//! loop itself is transport
 //! agnostic: [`serve`] takes any `(Read, Write)` pair, [`serve_stdio`]
 //! binds it to the process's stdio (the local-pool transport), and
 //! [`crate::TcpWorker`] binds it to an accepted socket (the remote
 //! transport).
 //!
-//! Two protocol-v2 behaviours live here:
+//! Two behaviours live here:
 //!
 //! * **Concurrent answering** — the read loop never blocks on a job:
 //!   each job executes on its own scoped thread and its answer is
@@ -19,8 +19,7 @@
 //!   to the advertised hello capacity genuinely gets them executed in
 //!   parallel.
 //! * **Scenario blobs** — `scenario-put` stores a content-addressed
-//!   blob (hash-verified) in the connection's [`ScenarioStore`];
-//!   `scenario-have` answers whether a blob is already present.  Job
+//!   blob (hash-verified) in the connection's [`ScenarioStore`].  Job
 //!   handlers resolve payload references out of the same store, so a
 //!   scenario's masses ship once per worker instead of once per shard.
 
@@ -40,8 +39,7 @@ pub type JobHandler<'a> = &'a (dyn Fn(&str) -> Result<String, String> + Sync);
 /// A worker-side store of content-addressed blobs, fed by
 /// `scenario-put` messages and read by job handlers resolving payload
 /// references.  For TCP workers one store outlives all connections, so
-/// a blob shipped by one dispatcher run is still there when the next
-/// run reconnects (`scenario-have` lets the dispatcher discover that).
+/// every dispatcher connection shares the blobs already received.
 #[derive(Debug, Default)]
 pub struct ScenarioStore {
     blobs: Mutex<HashMap<String, String>>,
@@ -60,14 +58,6 @@ impl ScenarioStore {
             .expect("no store panics")
             .get(hash)
             .cloned()
-    }
-
-    /// True when `hash` is present.
-    pub fn contains(&self, hash: &str) -> bool {
-        self.blobs
-            .lock()
-            .expect("no store panics")
-            .contains_key(hash)
     }
 
     /// Stores `blob` under `hash` (idempotent).
@@ -89,9 +79,9 @@ impl ScenarioStore {
     }
 }
 
-/// Options of one serve loop: the advertised capacity, the protocol
-/// version to speak, and the fault-injection knobs the dispatcher's
-/// failure tests (and CI smoke jobs) drive via the environment.
+/// Options of one serve loop: the advertised capacity and the
+/// fault-injection knobs the dispatcher's failure tests (and CI smoke
+/// jobs) drive via the environment.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Kill the whole process (exit code 17) when the N-th job *arrives*,
@@ -115,11 +105,6 @@ pub struct ServeOptions {
     /// (advertised in the hello, clamped to at least 1).  From
     /// `CRP_FLEET_CAPACITY`.
     pub capacity: usize,
-    /// Speak protocol v1: advertise `hello v1` and reject the v2
-    /// scenario messages, exactly like a worker binary from before the
-    /// blob protocol existed.  From `CRP_FLEET_SPEAK_V1` — this is how
-    /// the version-negotiation tests put a genuine v1 peer in a pool.
-    pub legacy_v1: bool,
 }
 
 impl Default for ServeOptions {
@@ -130,7 +115,6 @@ impl Default for ServeOptions {
             mangle_after: None,
             wedge_after: None,
             capacity: 1,
-            legacy_v1: false,
         }
     }
 }
@@ -138,38 +122,16 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// Reads the knobs from `CRP_FLEET_DIE_AFTER`,
     /// `CRP_FLEET_GARBAGE_AFTER`, `CRP_FLEET_MANGLE_AFTER`,
-    /// `CRP_FLEET_WEDGE_AFTER`, `CRP_FLEET_CAPACITY` and
-    /// `CRP_FLEET_SPEAK_V1` (unset or unparsable values keep the
-    /// defaults).
-    ///
-    /// This is the lenient compatibility path; new callers should prefer
-    /// [`ServeOptions::try_from_env`], which surfaces unusable values as
-    /// typed errors instead of silently ignoring them.
-    pub fn from_env() -> Self {
-        let knob = |name: &str| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
-        Self {
-            die_after: knob("CRP_FLEET_DIE_AFTER"),
-            garbage_after: knob("CRP_FLEET_GARBAGE_AFTER"),
-            mangle_after: knob("CRP_FLEET_MANGLE_AFTER"),
-            wedge_after: knob("CRP_FLEET_WEDGE_AFTER"),
-            capacity: knob("CRP_FLEET_CAPACITY").unwrap_or(1usize).max(1),
-            legacy_v1: matches!(
-                std::env::var("CRP_FLEET_SPEAK_V1").as_deref(),
-                Ok("1") | Ok("true") | Ok("yes")
-            ),
-        }
-    }
-
-    /// Like [`ServeOptions::from_env`], but strict: a set-but-unusable
-    /// value is a typed [`FleetError::Env`] naming the variable and the
+    /// `CRP_FLEET_WEDGE_AFTER` and `CRP_FLEET_CAPACITY` (unset values
+    /// keep the defaults).  Parsing is strict: a set-but-unusable value
+    /// is a typed [`FleetError::Env`] naming the variable and the
     /// offending value, matching how `CRP_THREADS` / `CRP_FLEET` are
-    /// already validated on the dispatcher side.
+    /// validated on the dispatcher side.
     ///
     /// # Errors
     ///
     /// [`FleetError::Env`] when a fault knob or `CRP_FLEET_CAPACITY` is
-    /// not a non-negative integer, `CRP_FLEET_CAPACITY` is zero, or
-    /// `CRP_FLEET_SPEAK_V1` is not one of `1/true/yes/0/false/no`.
+    /// not a non-negative integer, or `CRP_FLEET_CAPACITY` is zero.
     pub fn try_from_env() -> Result<Self, FleetError> {
         fn knob(name: &'static str) -> Result<Option<usize>, FleetError> {
             match std::env::var(name) {
@@ -195,43 +157,20 @@ impl ServeOptions {
             }
             Some(capacity) => capacity,
         };
-        let legacy_v1 = match std::env::var("CRP_FLEET_SPEAK_V1") {
-            Err(_) => false,
-            Ok(value) => match value.trim() {
-                "1" | "true" | "yes" => true,
-                "0" | "false" | "no" | "" => false,
-                _ => {
-                    return Err(FleetError::Env {
-                        var: "CRP_FLEET_SPEAK_V1".to_string(),
-                        value,
-                        reason: "expected one of 1/true/yes/0/false/no".to_string(),
-                    })
-                }
-            },
-        };
         Ok(Self {
             die_after: knob("CRP_FLEET_DIE_AFTER")?,
             garbage_after: knob("CRP_FLEET_GARBAGE_AFTER")?,
             mangle_after: knob("CRP_FLEET_MANGLE_AFTER")?,
             wedge_after: knob("CRP_FLEET_WEDGE_AFTER")?,
             capacity,
-            legacy_v1,
         })
-    }
-
-    /// The protocol version this serve loop speaks.
-    fn version(&self) -> u32 {
-        if self.legacy_v1 {
-            1
-        } else {
-            PROTOCOL_VERSION
-        }
     }
 }
 
 /// Serves one connection with a caller-owned blob store: sends the hello
-/// handshake, then answers jobs (and pings, and scenario messages) until
-/// the peer shuts the stream down.  Returns the number of jobs accepted.
+/// handshake, then answers jobs (and pings, blob shipments and metrics
+/// pulls) until the peer shuts the stream down.  Returns the number of
+/// jobs accepted.
 ///
 /// Jobs execute on scoped threads so the read loop keeps draining pings
 /// and pipelined jobs while earlier jobs compute; answers may therefore
@@ -253,7 +192,7 @@ pub fn serve_with_store(
     write_frame(
         writer,
         &Message::Hello {
-            version: options.version(),
+            version: PROTOCOL_VERSION,
             capacity: options.capacity.max(1),
         }
         .encode(),
@@ -338,7 +277,7 @@ pub fn serve_with_store(
                     });
                 }
                 Message::Ping { id } => send(&writer, &Message::Pong { id })?,
-                Message::ScenarioPut { hash, blob } if !options.legacy_v1 => {
+                Message::ScenarioPut { hash, blob } => {
                     let actual = content_hash(blob.as_bytes());
                     if actual != hash {
                         return Err(FleetError::Malformed(format!(
@@ -347,11 +286,7 @@ pub fn serve_with_store(
                     }
                     store.insert(hash, blob);
                 }
-                Message::ScenarioHave { hash } if !options.legacy_v1 => {
-                    let present = store.contains(&hash);
-                    send(&writer, &Message::ScenarioState { hash, present })?;
-                }
-                Message::Metrics { id } if !options.legacy_v1 => {
+                Message::Metrics { id } => {
                     // Ship the whole process-wide registry: the worker's
                     // job/ shard counters live there, and snapshots merge
                     // order-independently on the dispatcher side.
@@ -424,11 +359,11 @@ mod tests {
         }
     }
 
-    /// Runs a scripted conversation against the serve loop and returns
-    /// the worker's decoded answers (skipping the hello).
+    /// Runs a scripted conversation against the serve loop over `store`
+    /// and returns the worker's decoded answers (skipping the hello).
     fn converse_with(
         messages: &[Message],
-        options: &ServeOptions,
+        store: &ScenarioStore,
     ) -> (Result<usize, FleetError>, Vec<Message>) {
         let mut request_bytes = Vec::new();
         for message in messages {
@@ -436,23 +371,34 @@ mod tests {
         }
         let mut reader = BufReader::new(request_bytes.as_slice());
         let mut response_bytes = Vec::new();
-        let served = serve(&mut reader, &mut response_bytes, &echo, options);
+        let served = serve_with_store(
+            &mut reader,
+            &mut response_bytes,
+            &echo,
+            &ServeOptions::default(),
+            store,
+        );
         let mut responses = Vec::new();
         let mut response_reader = BufReader::new(response_bytes.as_slice());
         while let Some(frame) = read_frame(&mut response_reader).unwrap() {
             responses.push(Message::decode(&frame).unwrap());
         }
         let hello = responses.remove(0);
-        let expected_version = options.version();
         assert!(
-            matches!(hello, Message::Hello { version, .. } if version == expected_version),
+            matches!(
+                hello,
+                Message::Hello {
+                    version: PROTOCOL_VERSION,
+                    ..
+                }
+            ),
             "unexpected hello {hello:?}"
         );
         (served, responses)
     }
 
     fn converse(messages: &[Message]) -> (Result<usize, FleetError>, Vec<Message>) {
-        converse_with(messages, &ServeOptions::default())
+        converse_with(messages, &ScenarioStore::new())
     }
 
     #[test]
@@ -518,84 +464,40 @@ mod tests {
     }
 
     #[test]
-    fn scenario_blobs_are_stored_queried_and_hash_verified() {
+    fn scenario_blobs_are_stored_and_hash_verified() {
         let blob = "sampled 3fe0000000000000".to_string();
         let hash = content_hash(blob.as_bytes());
-        let (served, responses) = converse(&[
-            Message::ScenarioHave { hash: hash.clone() },
-            Message::ScenarioPut {
-                hash: hash.clone(),
-                blob: blob.clone(),
-            },
-            Message::ScenarioHave { hash: hash.clone() },
-            Message::Shutdown,
-        ]);
-        assert_eq!(served.unwrap(), 0, "blob traffic is not a job");
-        assert_eq!(
-            responses,
-            vec![
-                Message::ScenarioState {
-                    hash: hash.clone(),
-                    present: false,
-                },
-                Message::ScenarioState {
-                    hash: hash.clone(),
-                    present: true,
-                },
-            ]
-        );
-
-        // A blob whose bytes do not hash to the claimed address is a
-        // protocol violation, not a silent cache poisoning.
-        let (served, _) = converse(&[Message::ScenarioPut {
-            hash: content_hash(b"something else"),
-            blob,
-        }]);
-        assert!(matches!(served, Err(FleetError::Malformed(_))));
-    }
-
-    #[test]
-    fn a_legacy_v1_worker_rejects_scenario_messages() {
-        let options = ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        };
-        let blob = "blob".to_string();
-        let (served, _) = converse_with(
-            &[Message::ScenarioPut {
-                hash: content_hash(blob.as_bytes()),
-                blob,
-            }],
-            &options,
-        );
-        assert!(
-            matches!(served, Err(FleetError::Malformed(_))),
-            "a v1 worker does not understand scenario-put"
-        );
-        // But plain jobs still work, under a v1 hello.
+        let store = ScenarioStore::new();
         let (served, responses) = converse_with(
             &[
-                Message::Job {
-                    id: 3,
-                    payload: "old".into(),
-                    span: None,
+                Message::ScenarioPut {
+                    hash: hash.clone(),
+                    blob: blob.clone(),
                 },
                 Message::Shutdown,
             ],
-            &options,
+            &store,
         );
-        assert_eq!(served.unwrap(), 1);
-        assert_eq!(
-            responses,
-            vec![Message::Done {
-                id: 3,
-                payload: "echo:old".into(),
-            }]
+        assert_eq!(served.unwrap(), 0, "blob traffic is not a job");
+        assert!(responses.is_empty(), "scenario-put is unacknowledged");
+        assert_eq!(store.get(&hash), Some(blob.clone()));
+
+        // A blob whose bytes do not hash to the claimed address is a
+        // protocol violation, not a silent cache poisoning.
+        let store = ScenarioStore::new();
+        let (served, _) = converse_with(
+            &[Message::ScenarioPut {
+                hash: content_hash(b"something else"),
+                blob,
+            }],
+            &store,
         );
+        assert!(matches!(served, Err(FleetError::Malformed(_))));
+        assert!(store.is_empty());
     }
 
     #[test]
-    fn workers_answer_metrics_pulls_and_v1_workers_reject_them() {
+    fn workers_answer_metrics_pulls() {
         let (served, responses) = converse(&[Message::Metrics { id: 9 }, Message::Shutdown]);
         assert_eq!(served.unwrap(), 0, "a metrics pull is not a job");
         match &responses[..] {
@@ -607,13 +509,6 @@ mod tests {
             }
             other => panic!("expected one metrics-report, got {other:?}"),
         }
-        // A v1 worker predates the message entirely.
-        let options = ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        };
-        let (served, _) = converse_with(&[Message::Metrics { id: 9 }], &options);
-        assert!(matches!(served, Err(FleetError::Malformed(_))));
     }
 
     #[test]
@@ -675,8 +570,11 @@ mod tests {
             &store,
         )
         .unwrap();
-        assert!(store.contains(&hash), "the caller-owned store keeps blobs");
-        assert_eq!(store.get(&hash).as_deref(), Some("persistent"));
+        assert_eq!(
+            store.get(&hash).as_deref(),
+            Some("persistent"),
+            "the caller-owned store keeps blobs"
+        );
     }
 
     #[test]
@@ -714,18 +612,11 @@ mod tests {
     #[test]
     fn serve_options_parse_the_environment() {
         // The CRP_FLEET_* knobs are only read by this test in this
-        // binary, so the lenient and strict paths are checked here
-        // back-to-back without racing another test over the same vars.
+        // binary, so the set/remove pairs do not race another test.
         std::env::set_var("CRP_FLEET_DIE_AFTER", "2");
         std::env::set_var("CRP_FLEET_GARBAGE_AFTER", "nope");
         std::env::set_var("CRP_FLEET_CAPACITY", "4");
-        std::env::set_var("CRP_FLEET_SPEAK_V1", "1");
-        let options = ServeOptions::from_env();
-        assert_eq!(options.die_after, Some(2));
-        assert_eq!(options.garbage_after, None);
-        assert_eq!(options.capacity, 4);
-        assert!(options.legacy_v1);
-        // Strict parsing surfaces the value from_env silently dropped.
+        // An unusable value is a typed error naming the variable.
         match ServeOptions::try_from_env() {
             Err(FleetError::Env { var, value, .. }) => {
                 assert_eq!(var, "CRP_FLEET_GARBAGE_AFTER");
@@ -738,24 +629,15 @@ mod tests {
         assert_eq!(options.die_after, Some(2));
         assert_eq!(options.garbage_after, None);
         assert_eq!(options.capacity, 4);
-        assert!(options.legacy_v1);
         std::env::set_var("CRP_FLEET_CAPACITY", "0");
-        assert!(matches!(
-            ServeOptions::try_from_env(),
-            Err(FleetError::Env { .. })
-        ));
-        std::env::set_var("CRP_FLEET_CAPACITY", "4");
-        std::env::set_var("CRP_FLEET_SPEAK_V1", "maybe");
         assert!(matches!(
             ServeOptions::try_from_env(),
             Err(FleetError::Env { .. })
         ));
         std::env::remove_var("CRP_FLEET_DIE_AFTER");
         std::env::remove_var("CRP_FLEET_CAPACITY");
-        std::env::remove_var("CRP_FLEET_SPEAK_V1");
-        let options = ServeOptions::from_env();
+        let options = ServeOptions::try_from_env().unwrap();
         assert_eq!(options.capacity, 1, "capacity defaults to 1");
-        assert!(!options.legacy_v1);
-        assert_eq!(ServeOptions::try_from_env().unwrap().capacity, 1);
+        assert_eq!(options.die_after, None);
     }
 }

@@ -23,10 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hex;
 mod metrics;
 mod span;
 mod trace;
 
+pub use hex::{hex64, parse_hex64};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::{
     current_span, is_span_id, set_current_span, span_from_hash, SpanContext, SPAN_HEX_LEN,

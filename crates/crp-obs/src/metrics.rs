@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::hex::{hex64, parse_hex64};
 use crate::ObsError;
 
 /// Linear buckets below this value; log-spaced with this many
@@ -457,8 +458,11 @@ impl MetricsSnapshot {
             let occupied = histogram.counts.iter().filter(|&&count| count != 0).count();
             let _ = writeln!(
                 out,
-                "histogram {name} {:016x} {:016x} {:016x} {:016x} buckets {occupied}",
-                histogram.total, histogram.sum, histogram.min, histogram.max,
+                "histogram {name} {} {} {} {} buckets {occupied}",
+                hex64(histogram.total),
+                hex64(histogram.sum),
+                hex64(histogram.min),
+                hex64(histogram.max),
             );
             for (index, &count) in histogram.counts.iter().enumerate() {
                 if count != 0 {
@@ -502,15 +506,8 @@ impl MetricsSnapshot {
             Ok(token.to_string())
         }
         fn hex_u64(token: &str) -> Result<u64, ObsError> {
-            if token.len() != 16
-                || !token
-                    .bytes()
-                    .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-            {
-                return fail(format!("scalar {token:?} is not 16 lowercase hex digits"));
-            }
-            u64::from_str_radix(token, 16).map_err(|_| ObsError::Malformed {
-                what: format!("bad hex scalar {token:?}"),
+            parse_hex64(token).ok_or_else(|| ObsError::Malformed {
+                what: format!("scalar {token:?} is not 16 lowercase hex digits"),
             })
         }
         let mut lines = text.lines();

@@ -83,10 +83,8 @@ pub fn current_span() -> Option<SpanContext> {
 /// True when `token` has the canonical span-id shape:
 /// [`SPAN_HEX_LEN`] lowercase hex digits.
 pub fn is_span_id(token: &str) -> bool {
-    token.len() == SPAN_HEX_LEN
-        && token
-            .bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    // SPAN_HEX_LEN digits are exactly one canonical 64-bit hex token.
+    crate::parse_hex64(token).is_some()
 }
 
 /// Derives a span id from a content hash (or any lowercase-hex digest):

@@ -8,7 +8,7 @@
 //! [`CRP_TRACE`](TRACE_ENV) environment variable), each event renders
 //! as one JSON line with a **stable field order**: `ts_us` first, then
 //! `event`, then the remaining fields in insertion order.  Floats are
-//! encoded as IEEE-754 bit-pattern hex strings (`{:016x}` of
+//! encoded as IEEE-754 bit-pattern hex strings ([`crate::hex64`] of
 //! `f64::to_bits`), the same hash-stable discipline the fleet and
 //! serve wire codecs use, so a trace file diffs cleanly across runs
 //! and platforms.
@@ -247,11 +247,13 @@ impl TraceEvent {
     }
 
     /// Adds a float field as its IEEE-754 bit pattern in hex — the
-    /// hash-stable encoding the wire codecs use (`{:016x}` of
+    /// hash-stable encoding the wire codecs use ([`crate::hex64`] of
     /// `f64::to_bits`), wrapped in a JSON string.
     pub fn f64_bits(mut self, key: &str, value: f64) -> Self {
-        self.fields
-            .push((key.to_string(), format!("\"{:016x}\"", value.to_bits())));
+        self.fields.push((
+            key.to_string(),
+            format!("\"{}\"", crate::hex64(value.to_bits())),
+        ));
         self
     }
 

@@ -75,11 +75,12 @@ pub struct Trace {
 /// Formats an `f64` as its IEEE-754 bit pattern in fixed-width hex, the
 /// same bit-exact convention as the shard-spec wire codec.
 fn f64_hex(value: f64) -> String {
-    format!("{:016x}", value.to_bits())
+    crp_obs::hex64(value.to_bits())
 }
 
+/// Strictly decodes [`f64_hex`]: any other spelling is rejected.
 fn parse_f64_hex(text: &str) -> Option<f64> {
-    u64::from_str_radix(text, 16).ok().map(f64::from_bits)
+    crp_obs::parse_hex64(text).map(f64::from_bits)
 }
 
 fn wire_error(what: impl Into<String>) -> PredictError {
@@ -649,6 +650,17 @@ mod tests {
             f64_hex(-1.0)
         );
         assert!(Trace::from_wire(&negative).is_err());
+        // Only the canonical 16-lowercase-hex spelling of a weight parses:
+        // signed, uppercase, short and zero-padded tokens are rejected.
+        for token in [
+            "+3ff0000000000000",
+            "3FF0000000000000",
+            "3ff",
+            "03ff0000000000000",
+        ] {
+            let respelled = format!("crp-fuzz-trace v1\nuniverse 64\ntruth 3 {token}\nend\n");
+            assert!(Trace::from_wire(&respelled).is_err(), "{token:?} parsed");
+        }
     }
 
     #[test]

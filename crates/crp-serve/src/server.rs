@@ -9,8 +9,8 @@
 //! 2. **Job hits** — remaining cells probe per-job; cached answers are
 //!    bit-exact worker blobs.
 //! 3. **Dispatch** — only the missing jobs go to the warm fleet (with
-//!    scenario-by-hash shipping on v2 workers); fresh answers and fresh
-//!    cell merges are written back to the cache.
+//!    scenario-by-hash shipping); fresh answers and fresh cell merges
+//!    are written back to the cache.
 //!
 //! A corrupt or truncated cache entry is *never* served: the
 //! [`ResultCache`] detects it, the server recomputes, and the overwrite
@@ -379,12 +379,13 @@ impl SweepServer {
         }
         progress(hits, total, hits);
 
-        // Phase 3: dispatch only the misses to the warm fleet.  Each
-        // pending job needs its canonical inline payload — shipped by
-        // the client, or reconstructed here from the compact form and
-        // the blob table — and the reconstruction is hash-verified, so
-        // a compact job whose claimed key does not match its content
-        // can never reach a worker or the cache.
+        // Phase 3: dispatch only the misses to the warm fleet.  A job
+        // ships compact when it has a compact form (its blobs travel
+        // once per worker) and inline otherwise.  A compact-only job's
+        // canonical inline payload is first reconstructed from the blob
+        // table and hash-verified, so a compact job whose claimed key
+        // does not match its content can never reach a worker or the
+        // cache.
         let computed = pending.len();
         if !pending.is_empty() {
             let resolve = |hash: &str| blob_set.get(hash).map(str::to_string);
@@ -392,25 +393,28 @@ impl SweepServer {
                 .iter()
                 .map(|&(cell, job)| {
                     let job = &submission.cells[cell].jobs[job];
-                    let inline = match (&job.inline, &job.compact) {
-                        (Some(inline), _) => inline.clone(),
-                        (None, Some(compact)) => {
-                            let inline = (hooks.canonicalize)(compact, &resolve).map_err(|e| {
-                                ServeError::Malformed(format!(
-                                    "cannot canonicalise compact job {}: {e}",
-                                    job.hash
-                                ))
-                            })?;
-                            let actual = crp_fleet::content_hash(inline.as_bytes());
-                            if actual != job.hash {
-                                return Err(ServeError::HashMismatch {
-                                    what: "compact job".to_string(),
-                                    claimed: job.hash.clone(),
-                                    actual,
-                                });
+                    let payload = match (&job.inline, &job.compact) {
+                        (_, Some(compact)) => {
+                            if job.inline.is_none() {
+                                let inline =
+                                    (hooks.canonicalize)(compact, &resolve).map_err(|e| {
+                                        ServeError::Malformed(format!(
+                                            "cannot canonicalise compact job {}: {e}",
+                                            job.hash
+                                        ))
+                                    })?;
+                                let actual = crp_fleet::content_hash(inline.as_bytes());
+                                if actual != job.hash {
+                                    return Err(ServeError::HashMismatch {
+                                        what: "compact job".to_string(),
+                                        claimed: job.hash.clone(),
+                                        actual,
+                                    });
+                                }
                             }
-                            inline
+                            JobPayload::new(compact.clone(), job.refs.clone())
                         }
+                        (Some(inline), None) => JobPayload::from(inline.as_str()),
                         // The wire decoder rejects payload-less jobs,
                         // but run_submission also accepts hand-built
                         // submissions — keep it a typed error.
@@ -430,13 +434,7 @@ impl SweepServer {
                         id: crp_obs::span_from_hash(&job.hash),
                         parent: Some(crp_obs::span_from_hash(&submission.cells[cell].hash)),
                     };
-                    Ok(match &job.compact {
-                        Some(compact) => {
-                            JobPayload::with_compact(inline, compact.clone(), job.refs.clone())
-                        }
-                        None => JobPayload::inline(inline),
-                    }
-                    .with_span(span))
+                    Ok(payload.with_span(span))
                 })
                 .collect::<Result<Vec<JobPayload>, ServeError>>()?;
             let settled = Mutex::new(hits);

@@ -87,13 +87,7 @@
 //! (the fuzzing layer depends on this crate, so it cannot link back) —
 //! all remaining arguments are forwarded verbatim; set `CRP_FUZZ_BIN`
 //! to point at an explicit binary.
-//!
-//! There is also a hidden `shard-worker` subcommand — the entry point the
-//! legacy one-shot process backend spawns: it reads a single shard spec
-//! from stdin, executes that one shard, and writes the serialised
-//! accumulator to stdout.  It is not meant to be invoked by hand.
 
-use std::io::Read;
 use std::process::ExitCode;
 
 use crp_fleet::{ChaosPlan, FleetManifest, ScenarioStore, ServeOptions, TcpWorker};
@@ -105,9 +99,8 @@ use crp_sim::experiments::{
 };
 use crp_sim::service::{submit_matrix_as, sweep_hooks};
 use crp_sim::{
-    env_fleet_dispatch, env_fleet_manifest, env_kernel_choice, env_worker_threads,
-    run_shard_worker, run_shard_worker_with, BackendChoice, KernelChoice, RunnerConfig, SimError,
-    SweepMatrix, SweepProtocol, Table,
+    env_fleet_manifest, env_kernel_choice, env_worker_threads, run_shard_worker_with,
+    BackendChoice, KernelChoice, RunnerConfig, SimError, SweepMatrix, SweepProtocol, Table,
 };
 
 /// Parsed command-line options.
@@ -655,11 +648,6 @@ fn stats_mode(options: &Options) -> Result<(), SimError> {
 /// [`SimError::Config`] error — a mistyped override should fail loudly,
 /// not silently run on hardware parallelism.
 fn cli_config(options: &Options) -> Result<RunnerConfig, SimError> {
-    // Strictly validate the CRP_FLEET_DISPATCH override up front: the
-    // dispatcher itself reads it leniently (library default, warn once),
-    // but a mistyped value on the CLI fails loudly like CRP_KERNEL and
-    // CRP_FLEET_POLL_MS do.
-    env_fleet_dispatch()?;
     let mut config = RunnerConfig::with_trials(options.trials)
         .seeded(options.seed)
         .with_backend(options.backend);
@@ -922,26 +910,6 @@ fn worker_mode(args: &[String]) -> ExitCode {
     }
 }
 
-/// The hidden subcommand the process backend spawns: spec in on stdin,
-/// accumulator out on stdout, errors on stderr with a nonzero exit.
-fn shard_worker() -> ExitCode {
-    let mut input = String::new();
-    if let Err(err) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("shard-worker: failed to read stdin: {err}");
-        return ExitCode::FAILURE;
-    }
-    match run_shard_worker(&input) {
-        Ok(response) => {
-            print!("{response}");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("shard-worker: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// The unquoted `span` / `parent` values of a schema-valid trace line
 /// (`check_trace_line` has already vetted their hex shape).
 fn span_fields(line: &str) -> (Option<String>, Option<String>) {
@@ -1185,9 +1153,6 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("shard-worker") {
-        return shard_worker();
-    }
     if std::env::args().nth(1).as_deref() == Some("fuzz") {
         let args: Vec<String> = std::env::args().skip(2).collect();
         return fuzz_mode(&args);

@@ -9,8 +9,8 @@
 //! matrix compiles the axes to validated simulation cells, the
 //! work-stealing sweep scheduler executes every cell's shards through the
 //! [`crate::ShardBackend`] the supplied [`crate::RunnerConfig`] selects
-//! (serial, scoped threads, or `shard-worker` subprocesses — statistics
-//! are bit-identical across all three), and the module reshapes the
+//! (serial, scoped threads, or persistent fleet workers — statistics
+//! are bit-identical across all of them), and the module reshapes the
 //! resulting grid into its paper-specific row type.
 //!
 //! | module | DESIGN.md experiment id | paper artefact |

@@ -19,11 +19,11 @@
 //!   in shard order.  Execution is delegated to an object-safe
 //!   [`ShardBackend`] — [`SerialBackend`] inline, [`ThreadBackend`]
 //!   (scoped worker threads stealing shards from a shared queue), or
-//!   [`ProcessBackend`] (`crp_experiments shard-worker` subprocesses fed a
-//!   [`ShardSpec`] on stdin) — and the statistics are bit-identical for
-//!   any backend and any worker count.  [`run_batch`] amortises protocol
-//!   construction: the protocol is built once and shared across every
-//!   trial.
+//!   [`FleetBackend`] (persistent local or remote `crp_experiments
+//!   worker` processes fed [`ShardSpec`] messages) — and the statistics
+//!   are bit-identical for any backend and any worker count.
+//!   [`run_batch`] amortises protocol construction: the protocol is
+//!   built once and shared across every trial.
 //! * [`stats`] / [`report`] — the mergeable streaming accumulator
 //!   ([`TrialAccumulator`]: Welford moments, exact min/max, a
 //!   log-bucketed [`QuantileSketch`]), the finalised [`TrialStats`] view,
@@ -70,11 +70,11 @@ use crp_channel::ChannelMode;
 
 pub use report::{fmt_f64, Table};
 pub use runner::{
-    env_fleet_dispatch, env_fleet_manifest, env_kernel_choice, env_worker_threads,
-    measure_cd_strategy, measure_schedule, run_batch, run_batch_with_progress, run_shard_worker,
-    run_shard_worker_with, run_trials, sample_contending_size, BackendChoice, BatchProgress,
-    FleetBackend, JobDoneFn, KernelChoice, ProcessBackend, ProgressFn, RunnerConfig, SerialBackend,
-    ShardBackend, ShardJob, ShardPlan, ShardSpec, ThreadBackend, TrialFn, TrialOutcome,
+    env_fleet_manifest, env_kernel_choice, env_worker_threads, measure_cd_strategy,
+    measure_schedule, run_batch, run_batch_with_progress, run_shard_worker_with, run_trials,
+    sample_contending_size, BackendChoice, BatchProgress, FleetBackend, JobDoneFn, KernelChoice,
+    ProgressFn, RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec,
+    ThreadBackend, TrialFn, TrialOutcome,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};
@@ -107,9 +107,9 @@ pub enum SimError {
     /// A substrate construction (distribution, prediction, protocol)
     /// failed.
     Substrate(String),
-    /// A shard backend could not execute its jobs: the process backend was
-    /// handed work it cannot re-describe to a worker, a worker subprocess
-    /// could not be spawned or failed, or a wire message was malformed.
+    /// A shard backend could not execute its jobs: an out-of-process
+    /// backend was handed work it cannot re-describe to a worker, a worker
+    /// could not be reached or failed, or a wire message was malformed.
     Backend {
         /// Human-readable description of the failure.
         what: String,

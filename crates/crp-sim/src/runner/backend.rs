@@ -7,11 +7,10 @@
 //! order.  Because the shard plans, the per-shard RNG streams and the
 //! merge order are all fixed before any backend runs, backends only decide
 //! *where* shards execute — inline ([`SerialBackend`]), on scoped worker
-//! threads stealing from a shared queue ([`crate::ThreadBackend`]), in
-//! `crp_experiments shard-worker` subprocesses
-//! ([`crate::ProcessBackend`]), or on a pool of persistent local and
-//! remote fleet workers ([`crate::FleetBackend`]) — and the resulting
-//! statistics are bit-identical across all of them.
+//! threads stealing from a shared queue ([`crate::ThreadBackend`]), or
+//! on a pool of persistent local and remote fleet workers
+//! ([`crate::FleetBackend`]) — and the resulting statistics are
+//! bit-identical across all of them.
 
 use rand_chacha::ChaCha8Rng;
 
@@ -135,8 +134,8 @@ pub trait ShardBackend: Sync {
 /// Runs every shard inline on the calling thread, in job order.
 ///
 /// The reference implementation: no queues, no threads, no subprocesses —
-/// useful in tests, in the `shard-worker` subprocess itself, and as the
-/// semantics every other backend must reproduce bit-for-bit.
+/// useful in tests and as the semantics every other backend must
+/// reproduce bit-for-bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialBackend;
 
@@ -212,10 +211,9 @@ pub(crate) fn steal_jobs(
 ///
 /// [`BackendChoice::Process`] builds a pool of `config.threads`
 /// *persistent* local workers (each serving many shard jobs over its
-/// lifetime) rather than the legacy one-subprocess-per-job
-/// [`crate::ProcessBackend`], which remains available for explicit use;
-/// [`BackendChoice::Fleet`] additionally honours the `CRP_FLEET`
-/// manifest, mixing local subprocess workers with remote TCP workers.
+/// lifetime); [`BackendChoice::Fleet`] additionally honours the
+/// `CRP_FLEET` manifest, mixing local subprocess workers with remote TCP
+/// workers.
 ///
 /// # Errors
 ///

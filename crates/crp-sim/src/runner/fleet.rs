@@ -1,8 +1,7 @@
 //! The fleet shard backend: shard jobs dispatched to long-lived workers
 //! over the `crp-fleet` transport.
 //!
-//! Where [`crate::ProcessBackend`] pays a fresh subprocess spawn per
-//! shard job, [`FleetBackend`] keeps a pool of persistent workers — local
+//! [`FleetBackend`] keeps a pool of persistent workers — local
 //! `crp_experiments worker --stdio` subprocesses, remote
 //! `crp_experiments worker --listen host:port` processes dialled over
 //! TCP, or a mix of both from a [`FleetManifest`] — and streams every
@@ -17,8 +16,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 
 use crp_fleet::{
-    BlobSet, DispatchMode, DispatchTuning, Dispatcher, FleetError, FleetManifest, JobPayload,
-    WorkerEndpoint,
+    BlobSet, DispatchTuning, Dispatcher, FleetError, FleetManifest, JobPayload, WorkerEndpoint,
 };
 
 use crate::runner::backend::{JobDoneFn, ShardBackend, ShardJob};
@@ -53,27 +51,6 @@ pub fn env_fleet_manifest() -> Result<Option<FleetManifest>, SimError> {
     }
 }
 
-/// Strictly parses the `CRP_FLEET_DISPATCH` dispatch-mode override:
-/// `Ok(None)` when unset, the parsed [`DispatchMode`] when valid, and a
-/// typed [`SimError::Config`] listing the valid names otherwise — the
-/// CLI convention `CRP_KERNEL` and `CRP_FLEET_POLL_MS` follow.  The
-/// lenient library default ([`DispatchMode::from_env`] inside the
-/// dispatcher) warns once and falls back instead.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for a value [`DispatchMode`] cannot parse.
-pub fn env_fleet_dispatch() -> Result<Option<DispatchMode>, SimError> {
-    DispatchMode::try_from_env().map_err(|err| match err {
-        FleetError::Env { var, value, reason } => SimError::Config {
-            var,
-            value,
-            what: reason,
-        },
-        other => fleet_error(other),
-    })
-}
-
 /// Executes shard jobs on a pool of persistent fleet workers.
 ///
 /// The backend owns its [`Dispatcher`], whose worker connections stay
@@ -93,7 +70,7 @@ impl FleetBackend {
     ///
     /// [`SimError::Backend`] when the worker binary cannot be located.
     pub fn local(workers: usize) -> Result<Self, SimError> {
-        Ok(Self::local_with_command(workers, worker_binary(None)?))
+        Ok(Self::local_with_command(workers, worker_binary()?))
     }
 
     /// Like [`FleetBackend::local`], with an explicit worker binary (how
@@ -120,7 +97,7 @@ impl FleetBackend {
             .iter()
             .any(|entry| matches!(entry, crp_fleet::FleetEntry::Local { .. }));
         let program = if needs_local {
-            worker_binary(None)?
+            worker_binary()?
         } else {
             PathBuf::new()
         };
@@ -210,14 +187,6 @@ impl FleetBackend {
         }
     }
 
-    /// Returns a copy pinned to a dispatch mode (tests compare the
-    /// event-loop and legacy threaded schedulers through this).
-    pub fn with_dispatch_mode(self, mode: DispatchMode) -> Self {
-        Self {
-            dispatcher: self.dispatcher.with_mode(mode),
-        }
-    }
-
     /// Opens the elastic-membership registration listener: workers that
     /// run `crp_experiments worker --join <addr>` are folded into
     /// subsequent (or running) batches.  Returns the bound address.
@@ -258,14 +227,14 @@ impl ShardBackend for FleetBackend {
         jobs: &[ShardJob<'_>],
         done: JobDoneFn<'_>,
     ) -> Result<Vec<TrialAccumulator>, SimError> {
-        // Each job ships as an inline payload plus (when the spec has
-        // masses) a compact payload referencing the scenario blobs by
-        // hash — the dispatcher ships each blob once per v2 worker and
-        // falls back to inline for v1 workers.
+        // Each job ships one payload: when the spec has masses, the
+        // compact form referencing the scenario blobs by hash (the
+        // dispatcher ships each blob once per worker), otherwise the
+        // inline form.
         let mut blobs = BlobSet::new();
         // When tracing, every job also carries a deterministic span —
-        // derived from the content hash of its inline payload, never
-        // randomness — so the dispatcher's `fleet.dispatch` and the
+        // derived from the content hash of its canonical inline payload,
+        // never randomness — so the dispatcher's `fleet.dispatch` and the
         // worker's `shard.execute` events correlate across processes.
         // Spans ride outside the payload and never reach the handler's
         // input, so statistics are bit-identical either way.
@@ -288,8 +257,8 @@ impl ShardBackend for FleetBackend {
                 });
                 let payload =
                     match spec.to_wire_compact(job.plan, job.base_seed, job.shard, &mut blobs) {
-                        Some((compact, refs)) => JobPayload::with_compact(inline, compact, refs),
-                        None => JobPayload::inline(inline),
+                        Some((compact, refs)) => JobPayload::new(compact, refs),
+                        None => JobPayload::from(inline),
                     };
                 Ok(match span {
                     Some(span) => payload.with_span(span),

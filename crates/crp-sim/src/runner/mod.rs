@@ -16,11 +16,11 @@
 //!   per-trial streams.
 //! * [`thread`] — [`ThreadBackend`]: scoped worker threads stealing jobs
 //!   from a shared queue (the former hard-wired parallel path).
-//! * [`process`] — [`ProcessBackend`]: `crp_experiments shard-worker`
-//!   subprocesses fed a [`ShardSpec`] on stdin, answering with a
-//!   serialised accumulator on stdout.
-//! * [`fleet`] — [`FleetBackend`]: the same [`ShardSpec`] messages framed
-//!   over long-lived `crp_experiments worker` processes (persistent local
+//! * [`process`] — the [`ShardSpec`] wire codec that re-describes a cell
+//!   to another process, and [`run_shard_worker_with`], the handler a
+//!   `crp_experiments worker` runs on each received spec.
+//! * [`fleet`] — [`FleetBackend`]: [`ShardSpec`] messages framed over
+//!   long-lived `crp_experiments worker` processes (persistent local
 //!   subprocess pools and/or remote TCP workers from the `CRP_FLEET`
 //!   manifest), with straggler retry and dead-worker re-dispatch.
 //!
@@ -53,13 +53,13 @@ use crate::stats::TrialStats;
 use crate::SimError;
 
 pub use backend::{JobDoneFn, SerialBackend, ShardBackend, ShardJob, TrialFn};
-pub use fleet::{env_fleet_dispatch, env_fleet_manifest, FleetBackend};
+pub use fleet::{env_fleet_manifest, FleetBackend};
 pub use kernel::{env_kernel_choice, KernelChoice};
 pub use plan::{
     env_worker_threads, BackendChoice, BatchProgress, ProgressFn, RunnerConfig, ShardPlan,
     TrialOutcome,
 };
-pub use process::{run_shard_worker, run_shard_worker_with, ProcessBackend, ShardSpec};
+pub use process::{run_shard_worker_with, ShardSpec};
 pub use thread::ThreadBackend;
 
 use backend::execute_and_merge;
@@ -610,7 +610,7 @@ mod tests {
         };
         let plan = ShardPlan::new(600);
         let wire = spec.to_wire(plan, 42, 1);
-        let response = run_shard_worker(&wire).unwrap();
+        let response = run_shard_worker_with(&wire, &|_| None).unwrap();
         let worker_acc = crate::stats::TrialAccumulator::from_wire(&response).unwrap();
 
         let simulation = spec.to_simulation(plan.trials(), 42).unwrap();
@@ -631,8 +631,9 @@ mod tests {
 
     #[test]
     fn shard_worker_rejects_malformed_input() {
-        assert!(run_shard_worker("").is_err());
-        assert!(run_shard_worker("crp-shard-spec v2\n").is_err());
+        let no_blobs = |_: &str| None;
+        assert!(run_shard_worker_with("", &no_blobs).is_err());
+        assert!(run_shard_worker_with("crp-shard-spec v2\n", &no_blobs).is_err());
         let spec = ShardSpec {
             protocol: crp_protocols::ProtocolSpec::new("decay").universe(64),
             population: crate::runner::process::WirePopulation::Fixed(4),
@@ -640,6 +641,6 @@ mod tests {
         };
         let wire = spec.to_wire(ShardPlan::new(10), 1, 5);
         // Shard 5 is out of range for a 10-trial plan (1 shard).
-        assert!(run_shard_worker(&wire).is_err());
+        assert!(run_shard_worker_with(&wire, &no_blobs).is_err());
     }
 }

@@ -47,9 +47,7 @@ pub enum BackendChoice {
     #[default]
     Thread,
     /// A pool of persistent local `crp_experiments worker` subprocesses,
-    /// each serving many shard jobs over its lifetime.  (The legacy
-    /// one-subprocess-per-job [`crate::ProcessBackend`] remains available
-    /// for explicit use and spawn-overhead comparisons.)
+    /// each serving many shard jobs over its lifetime.
     Process,
     /// The fleet dispatcher: local worker subprocesses and/or remote
     /// `host:port` workers from the `CRP_FLEET` manifest (or the

@@ -1,34 +1,29 @@
-//! The multi-process shard backend and its wire protocol.
+//! The out-of-process shard wire codec and the worker entry point.
 //!
-//! [`ProcessBackend`] executes each [`ShardJob`] in a `crp_experiments
-//! shard-worker` subprocess: the parent writes a [`ShardSpec`] (a fully
-//! serialised description of the cell — protocol spec, population, round
-//! budget — plus the job's plan coordinates) to the child's stdin, and the
-//! child answers with a serialised [`TrialAccumulator`] on stdout.
-//! Because the shard plan, the per-shard RNG streams and the merge order
-//! are all decided by the parent, a worker only ever *computes one shard
-//! accumulator*; the statistics are therefore bit-identical to the serial
-//! and threaded backends (floats cross the process boundary as IEEE-754
-//! bit patterns, never as decimal text).
+//! A [`ShardSpec`] is a fully serialised description of one cell —
+//! protocol spec, population, round budget — and [`ShardSpec::to_wire`]
+//! adds one job's plan coordinates.  The fleet backend ships that message
+//! to a persistent `crp_experiments worker` process, whose handler
+//! ([`run_shard_worker_with`]) answers with a serialised
+//! [`crate::TrialAccumulator`].  Because the shard plan, the per-trial
+//! RNG streams and the merge order are all decided by the dispatcher, a
+//! worker only ever *computes one shard accumulator*; the statistics are
+//! therefore bit-identical to the serial and threaded backends (floats
+//! cross the process boundary as IEEE-754 bit patterns via
+//! [`crp_obs::hex64`], never as decimal text).
 //!
 //! The wire format is a deliberately boring line-based text protocol (the
 //! workspace is offline and vendors no serde); see [`ShardSpec::to_wire`].
-//! One subprocess is spawned per shard job — fine for the shard sizes the
-//! planner produces, and the stepping stone to the remote/fleet dispatch
-//! the ROADMAP names as the next frontier.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 
 use crp_fleet::BlobSet;
 use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_protocols::ProtocolSpec;
 
-use crate::runner::backend::{steal_jobs, JobDoneFn, ShardBackend, ShardJob};
+use crate::runner::backend::ShardJob;
 use crate::runner::plan::ShardPlan;
 use crate::simulation::Simulation;
-use crate::stats::TrialAccumulator;
 use crate::SimError;
 
 /// How a cell chooses its per-trial participant population, in
@@ -44,12 +39,12 @@ pub(crate) enum WirePopulation {
 }
 
 /// A fully serialisable description of one cell's work: everything a
-/// `shard-worker` subprocess needs to reconstruct the cell's
-/// [`Simulation`] and execute any shard of it.
+/// fleet worker needs to reconstruct the cell's [`Simulation`] and
+/// execute any shard of it.
 ///
 /// Obtained from a [`Simulation`] that was built from a registry
 /// [`ProtocolSpec`] (cells built around custom protocol *objects* have no
-/// serialisable description and cannot run on the process backend).
+/// serialisable description and cannot run out of process).
 #[derive(Debug)]
 pub struct ShardSpec {
     pub(crate) protocol: ProtocolSpec,
@@ -59,14 +54,18 @@ pub struct ShardSpec {
 
 /// Encodes an `f64` as its IEEE-754 bit pattern in fixed-width hex.
 fn f64_hex(value: f64) -> String {
-    format!("{:016x}", value.to_bits())
+    crp_obs::hex64(value.to_bits())
 }
 
-/// Decodes [`f64_hex`].
+/// Strictly decodes [`f64_hex`]: any other spelling is a typed error.
 fn parse_f64_hex(token: &str) -> Result<f64, SimError> {
-    u64::from_str_radix(token, 16)
+    crp_obs::parse_hex64(token)
         .map(f64::from_bits)
-        .map_err(|e| wire_error(format!("invalid float bits {token:?}: {e}")))
+        .ok_or_else(|| {
+            wire_error(format!(
+                "invalid float bits {token:?}: expected 16 lowercase hex digits"
+            ))
+        })
 }
 
 fn wire_error(what: impl Into<String>) -> SimError {
@@ -139,7 +138,8 @@ impl ShardSpec {
     }
 
     /// Serialises this spec plus the coordinates of one shard job into the
-    /// message a `shard-worker` subprocess consumes on stdin.
+    /// canonical message a fleet worker executes (and a job's cache key
+    /// hashes).
     pub fn to_wire(&self, plan: ShardPlan, base_seed: u64, shard: usize) -> String {
         let mut out = String::new();
         out.push_str("crp-shard-spec v1\n");
@@ -190,7 +190,7 @@ impl ShardSpec {
     /// Like [`ShardSpec::to_wire`], but with every masses section
     /// (sampled population, prediction) replaced by a `ref <hash>` line
     /// whose blob is registered in `blobs` — the scenario-by-hash form a
-    /// protocol-v2 fleet worker accepts once it holds the blobs.
+    /// fleet worker accepts once it holds the blobs.
     /// Returns `None` when the spec has no masses to reference (the
     /// compact form would equal the inline form).
     ///
@@ -414,27 +414,17 @@ impl ShardSpec {
     }
 }
 
-/// The entry point of the hidden `crp_experiments shard-worker`
-/// subcommand: parses a [`ShardSpec`] message, executes the one shard it
-/// names, and returns the serialised [`TrialAccumulator`] to write to
-/// stdout.
+/// The fleet worker's job handler: parses an inline or compact
+/// [`ShardSpec`] message — resolving `ref <hash>` sections through
+/// `resolve`, a lookup into the worker's per-process
+/// [`crp_fleet::ScenarioStore`], so a scenario's masses arrive once per
+/// worker instead of once per shard — executes the one shard it names,
+/// and returns the serialised [`crate::TrialAccumulator`].
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for malformed input or a failing trial; the worker
-/// process reports it on stderr and exits nonzero.
-pub fn run_shard_worker(input: &str) -> Result<String, SimError> {
-    run_shard_worker_with(input, &|_| None)
-}
-
-/// Like [`run_shard_worker`], but resolving compact `ref <hash>`
-/// sections through `resolve` — the long-lived fleet worker passes a
-/// lookup into its per-process [`crp_fleet::ScenarioStore`], so a
-/// scenario's masses arrive once per worker instead of once per shard.
-///
-/// # Errors
-///
-/// As [`run_shard_worker`], plus unresolvable blob references.
+/// Returns [`SimError`] for malformed input, an unresolvable blob
+/// reference, or a failing trial; the worker answers it as a failed job.
 pub fn run_shard_worker_with(
     input: &str,
     resolve: &dyn Fn(&str) -> Option<String>,
@@ -465,59 +455,14 @@ pub fn run_shard_worker_with(
     Ok(job.run_inline()?.to_wire())
 }
 
-/// Executes shard jobs in `crp_experiments shard-worker` subprocesses, up
-/// to `workers` of them concurrently.
-///
-/// The worker binary is resolved in order from: an explicit
-/// [`ProcessBackend::with_command`] path, the `CRP_SHARD_WORKER_BIN`
-/// environment variable, the current executable itself (when it *is*
-/// `crp_experiments`), or a `crp_experiments` binary next to (or one
-/// directory above) the current executable — which finds the right binary
-/// from `cargo test` and `cargo bench` processes in the same target
-/// directory.
-pub struct ProcessBackend {
-    workers: usize,
-    command: Option<PathBuf>,
-}
-
-impl ProcessBackend {
-    /// A backend spawning at most `workers` concurrent subprocesses
-    /// (clamped to at least 1), resolving the worker binary automatically.
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            command: None,
-        }
-    }
-
-    /// Overrides the worker binary to spawn.
-    pub fn with_command(mut self, command: impl Into<PathBuf>) -> Self {
-        self.command = Some(command.into());
-        self
-    }
-
-    /// The configured concurrency.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn worker_command(&self) -> Result<PathBuf, SimError> {
-        worker_binary(self.command.as_deref())
-    }
-}
-
-/// Resolves the `crp_experiments` worker binary for subprocess backends
-/// (the per-job [`ProcessBackend`] and the persistent local pools of
-/// [`crate::FleetBackend`]), in order from: the explicit override, the
+/// Resolves the `crp_experiments` worker binary the persistent local
+/// pools of [`crate::FleetBackend`] spawn, in order from: the
 /// `CRP_SHARD_WORKER_BIN` environment variable, the current executable
 /// itself (when it *is* `crp_experiments`), or a `crp_experiments` binary
 /// next to (or one directory above) the current executable — which finds
 /// the right binary from `cargo test` and `cargo bench` processes in the
 /// same target directory.
-pub(crate) fn worker_binary(explicit: Option<&Path>) -> Result<PathBuf, SimError> {
-    if let Some(command) = explicit {
-        return Ok(command.to_path_buf());
-    }
+pub(crate) fn worker_binary() -> Result<PathBuf, SimError> {
     if let Ok(path) = std::env::var("CRP_SHARD_WORKER_BIN") {
         if !path.trim().is_empty() {
             return Ok(PathBuf::from(path));
@@ -543,74 +488,4 @@ pub(crate) fn worker_binary(explicit: Option<&Path>) -> Result<PathBuf, SimError
         "cannot locate the crp_experiments worker binary; build it \
          (cargo build --bin crp_experiments) or set CRP_SHARD_WORKER_BIN",
     ))
-}
-
-/// Runs one job in one subprocess: spec in on stdin, accumulator out on
-/// stdout.
-fn run_job_in_subprocess(command: &Path, job: &ShardJob<'_>) -> Result<TrialAccumulator, SimError> {
-    let spec = job.spec.ok_or_else(|| {
-        wire_error(format!(
-            "the process backend requires a registry-described simulation, but cell {} \
-         was built from a raw closure or a custom protocol object; use the serial \
-         or thread backend for it",
-            job.cell
-        ))
-    })?;
-    let input = spec.to_wire(job.plan, job.base_seed, job.shard);
-
-    let mut child = Command::new(command)
-        .arg("shard-worker")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|e| wire_error(format!("failed to spawn shard worker {command:?}: {e}")))?;
-    // A worker that rejects the spec can exit while the parent is still
-    // streaming it, failing this write with a broken pipe — so don't bail
-    // out yet: collect the child's output first, because its stderr
-    // carries the actionable diagnostic.
-    let write_result = {
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        stdin.write_all(input.as_bytes())
-        // Dropping stdin here sends EOF.
-    };
-    let output = child
-        .wait_with_output()
-        .map_err(|e| wire_error(format!("failed to collect shard-worker output: {e}")))?;
-    if !output.status.success() {
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        return Err(wire_error(format!(
-            "shard worker for (cell {}, shard {}) failed ({}): {}",
-            job.cell,
-            job.shard,
-            output.status,
-            stderr.trim()
-        )));
-    }
-    if let Err(e) = write_result {
-        return Err(wire_error(format!(
-            "failed to write the shard spec to the worker: {e}"
-        )));
-    }
-    let stdout = std::str::from_utf8(&output.stdout)
-        .map_err(|e| wire_error(format!("shard-worker output is not UTF-8: {e}")))?;
-    TrialAccumulator::from_wire(stdout)
-        .map_err(|e| wire_error(format!("malformed shard-worker accumulator: {e}")))
-}
-
-impl ShardBackend for ProcessBackend {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn execute(
-        &self,
-        jobs: &[ShardJob<'_>],
-        done: JobDoneFn<'_>,
-    ) -> Result<Vec<TrialAccumulator>, SimError> {
-        let command = self.worker_command()?;
-        steal_jobs(self.workers, jobs, done, |job| {
-            run_job_in_subprocess(&command, job)
-        })
-    }
 }

@@ -337,10 +337,10 @@ impl TrialAccumulator {
 /// Appends one `StreamAccumulator` as two wire lines (moments + sketch).
 fn wire_stream(out: &mut String, label: &str, stream: &StreamAccumulator) {
     out.push_str(&format!(
-        "{label} {} {:016x} {:016x} {} {}\n",
+        "{label} {} {} {} {} {}\n",
         stream.count,
-        stream.mean.to_bits(),
-        stream.m2.to_bits(),
+        crp_obs::hex64(stream.mean.to_bits()),
+        crp_obs::hex64(stream.m2.to_bits()),
         stream.min,
         stream.max
     ));
@@ -412,9 +412,11 @@ fn parse_stream<'a>(
 
 /// Parses a 16-digit hex IEEE-754 bit pattern back into an `f64`.
 fn parse_f64_bits(token: &str, label: &str) -> Result<f64, String> {
-    u64::from_str_radix(token, 16)
+    crp_obs::parse_hex64(token)
         .map(f64::from_bits)
-        .map_err(|e| format!("invalid {label} float bits {token:?}: {e}"))
+        .ok_or_else(|| {
+            format!("invalid {label} float bits {token:?}: expected 16 lowercase hex digits")
+        })
 }
 
 /// Summary statistics of a sample of per-trial round counts.

@@ -1,30 +1,46 @@
 //! The acceptance criterion of the executor-agnostic backend refactor:
-//! `SerialBackend`, `ThreadBackend` (1/2/8 workers), `ProcessBackend`
-//! and `FleetBackend` (2 persistent workers — including a pool with an
-//! injected worker death) must produce **bit-identical** `TrialStats`
+//! `SerialBackend`, `ThreadBackend` (1/2/8 workers) and `FleetBackend`
+//! (persistent worker pools — weighted, elastic, pipelined, and one with
+//! an injected worker death) must produce **bit-identical** `TrialStats`
 //! for the same configuration — for a single `Simulation` and for a
 //! whole `SweepMatrix` executed through the work-stealing scheduler.
 //!
-//! The process and fleet backends spawn the real `crp_experiments`
-//! binary (cargo exposes its path to integration tests via
+//! The fleet backends spawn the real `crp_experiments` binary (cargo
+//! exposes its path to integration tests via
 //! `CARGO_BIN_EXE_crp_experiments`), so these tests exercise the full
-//! wire round trip: spec out, accumulator back — one-shot over stdin for
-//! the process backend, framed over long-lived worker stdio for the
-//! fleet.
+//! wire round trip: spec out, accumulator back, framed over long-lived
+//! worker stdio.
 
-use crp_fleet::{DispatchMode, WorkerEndpoint};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
 use crp_protocols::ProtocolSpec;
 use crp_sim::{
-    FleetBackend, KernelChoice, ProcessBackend, SerialBackend, ShardBackend, Simulation,
-    SweepMatrix, SweepProtocol, ThreadBackend,
+    FleetBackend, KernelChoice, SerialBackend, ShardBackend, Simulation, SweepMatrix,
+    SweepProtocol, ThreadBackend,
 };
 
 /// The worker binary cargo built alongside this test.
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_crp_experiments");
 
-fn process_backend(workers: usize) -> ProcessBackend {
-    ProcessBackend::new(workers).with_command(WORKER_BIN)
+/// Serialises installing the process-wide trace sink against every
+/// other test in this binary.  A fleet batch decides whether to stamp
+/// spans when it starts, so a sink installed while a sibling's batch is
+/// in flight would record that batch's dispatches without spans.  The
+/// tracing test takes the write side; every other test reads.
+static TRACE_GATE: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    TRACE_GATE
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    TRACE_GATE
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A fleet pool of two persistent local workers, one of which is
@@ -57,22 +73,6 @@ fn fleet_with_capacity_4_worker() -> FleetBackend {
     )])
 }
 
-/// A mixed-version pool: one worker forced to speak protocol v1 (no
-/// scenario messages, fully inline payloads) next to a current v2
-/// worker.  Version negotiation must keep both productive and the
-/// statistics identical.
-fn fleet_with_v1_worker() -> FleetBackend {
-    let args = vec!["worker".to_string(), "--stdio".to_string()];
-    FleetBackend::with_endpoints(vec![
-        WorkerEndpoint::local_with_env(
-            WORKER_BIN,
-            args.clone(),
-            vec![("CRP_FLEET_SPEAK_V1".to_string(), "1".to_string())],
-        ),
-        WorkerEndpoint::local(WORKER_BIN, args),
-    ])
-}
-
 /// A pool whose second worker joins *elastically*: the backend starts
 /// with one fixed local worker plus a registration listener, and a
 /// `worker --join` subprocess dials in while (or just before) the batch
@@ -101,17 +101,9 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
         ("thread-1", Box::new(ThreadBackend::new(1))),
         ("thread-2", Box::new(ThreadBackend::new(2))),
         ("thread-8", Box::new(ThreadBackend::new(8))),
-        ("process-2", Box::new(process_backend(2))),
         (
             "fleet-2",
             Box::new(FleetBackend::local_with_command(2, WORKER_BIN)),
-        ),
-        (
-            "fleet-2-threaded",
-            Box::new(
-                FleetBackend::local_with_command(2, WORKER_BIN)
-                    .with_dispatch_mode(DispatchMode::Threaded),
-            ),
         ),
         (
             "fleet-weighted",
@@ -135,12 +127,12 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
         ("fleet-elastic-join", Box::new(fleet_with_elastic_joiner())),
         ("fleet-dying-worker", Box::new(fleet_with_dying_worker())),
         ("fleet-capacity-4", Box::new(fleet_with_capacity_4_worker())),
-        ("fleet-v1-worker", Box::new(fleet_with_v1_worker())),
     ]
 }
 
 #[test]
 fn simulation_stats_are_bit_identical_across_all_backends() {
+    let _gate = shared();
     // 700 trials = 3 shards, so the merge path is genuinely exercised;
     // a sampled population exercises the distribution wire codec.  The
     // equivalence quantifies over backends *and* trial kernels: the
@@ -179,6 +171,7 @@ fn simulation_stats_are_bit_identical_across_all_backends() {
 
 #[test]
 fn sweep_stats_are_bit_identical_across_all_backends_and_seeds() {
+    let _gate = shared();
     // Property-style: several seeds over a multi-cell grid (2 scenarios x
     // 2 protocols), each cell spanning multiple shards, executed through
     // the work-stealing (cell, shard) queue on every backend.
@@ -225,10 +218,11 @@ fn sweep_stats_are_bit_identical_across_all_backends_and_seeds() {
 fn tracing_does_not_move_a_bit_of_the_statistics() {
     // The observability acceptance bar: enabling the JSONL trace sink
     // must not move a single bit of the statistics on any backend.
-    // The reference runs *before* the sink is installed (tracing off);
-    // this test is the only one in the workspace that installs the
-    // process-wide sink, so every other test in this binary keeps
-    // exercising the disabled path concurrently.
+    // The reference runs *before* the sink is installed (tracing off).
+    // Installing the process-wide sink waits for every sibling test to
+    // finish and holds them off until this test is done, so no batch
+    // that started untraced lands in the trace.
+    let _gate = exclusive();
     let library = ScenarioLibrary::new(256).unwrap();
     let scenario = library.bimodal();
     let simulation = Simulation::builder()
@@ -295,6 +289,7 @@ fn tracing_does_not_move_a_bit_of_the_statistics() {
 fn per_node_placements_survive_the_process_boundary() {
     // The deterministic §3 protocols run under explicit placements; the
     // placement must round-trip through the wire spec.
+    let _gate = shared();
     let simulation = Simulation::builder()
         .protocol(
             ProtocolSpec::new("det-advice-cd")
@@ -307,8 +302,6 @@ fn per_node_placements_survive_the_process_boundary() {
         .build()
         .unwrap();
     let serial = simulation.run_on(&SerialBackend).unwrap();
-    let process = simulation.run_on(&process_backend(2)).unwrap();
-    assert_eq!(serial, process);
     let fleet = simulation
         .run_on(&FleetBackend::local_with_command(2, WORKER_BIN))
         .unwrap();
@@ -318,6 +311,7 @@ fn per_node_placements_survive_the_process_boundary() {
 
 #[test]
 fn custom_protocol_objects_are_rejected_by_the_process_backend() {
+    let _gate = shared();
     use crp_protocols::{NoCdSchedule, ScheduleProtocol};
     struct Constant;
     impl NoCdSchedule for Constant {
@@ -340,8 +334,6 @@ fn custom_protocol_objects_are_rejected_by_the_process_backend() {
     assert_eq!(simulation.run_on(&SerialBackend).unwrap().trials, 10);
     // ...but it has no serialisable description, so the out-of-process
     // backends report a typed error instead of silently falling back.
-    let err = simulation.run_on(&process_backend(2)).unwrap_err();
-    assert!(matches!(err, crp_sim::SimError::Backend { .. }));
     let err = simulation
         .run_on(&FleetBackend::local_with_command(2, WORKER_BIN))
         .unwrap_err();

@@ -152,6 +152,31 @@ fn shard_spec_rejects_truncation_at_every_line_and_corrupt_floats() {
     assert!(ShardSpec::from_wire(&corrupt).is_err());
     // As is garbage that was never a spec.
     assert!(ShardSpec::from_wire("!!fleet-garbage!!\n").is_err());
+    // Only the canonical 16-lowercase-hex spelling of a mass parses.  A
+    // point mass travels as `3ff0000000000000` (1.0) among zeros, so a
+    // lenient decoder would accept each respelling below as a valid
+    // spec: signed, uppercase and zero-padded forms of the 1.0, and a
+    // short token in place of a zero.
+    let point = ShardSpec::sampled(
+        ProtocolSpec::new("decay").universe(8),
+        SizeDistribution::point_mass(8, 4).unwrap(),
+        100,
+    );
+    let wire = point.to_wire(ShardPlan::new(10), 1, 0);
+    assert!(ShardSpec::from_wire(&wire).is_ok());
+    for (canonical, respelled) in [
+        ("3ff0000000000000", "+3ff0000000000000"),
+        ("3ff0000000000000", "3FF0000000000000"),
+        ("3ff0000000000000", "03ff0000000000000"),
+        ("0000000000000000", "3ff"),
+    ] {
+        let corrupt = wire.replacen(&format!(" {canonical}"), &format!(" {respelled}"), 1);
+        assert_ne!(corrupt, wire, "the spec carries {canonical}");
+        assert!(
+            ShardSpec::from_wire(&corrupt).is_err(),
+            "{respelled:?} must not parse"
+        );
+    }
 }
 
 #[test]
@@ -226,6 +251,27 @@ fn accumulator_rejects_truncation_and_corrupt_buckets() {
     // rejected — the self-check that catches a mid-stream bit flip.
     let corrupt = wire.replacen("overall-counts 50", "overall-counts 51", 1);
     assert!(TrialAccumulator::from_wire(&corrupt).is_err());
+    // Only the canonical 16-lowercase-hex spelling of a Welford moment
+    // parses: signed, uppercase, short and zero-padded tokens are
+    // rejected rather than decoded to a plausible mean.
+    let mean = wire
+        .lines()
+        .find_map(|line| line.strip_prefix("resolved "))
+        .and_then(|moments| moments.split_ascii_whitespace().nth(1))
+        .expect("the resolved line carries a mean")
+        .to_string();
+    for token in [
+        "+3ff0000000000000",
+        "3FF0000000000000",
+        "3ff",
+        "03ff0000000000000",
+    ] {
+        let corrupt = wire.replacen(&mean, token, 1);
+        assert!(
+            TrialAccumulator::from_wire(&corrupt).is_err(),
+            "{token:?} must not parse"
+        );
+    }
 }
 
 #[test]
