@@ -20,9 +20,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use crp_fleet::{
-    read_frame, write_frame, DispatchTuning, Dispatcher, Message, WorkerEndpoint, PROTOCOL_VERSION,
-};
+use crp_fleet::{read_frame, write_frame, Dispatcher, Message, WorkerEndpoint, PROTOCOL_VERSION};
 
 /// The small pool the per-job cost is compared against.
 const SMALL_FLEET: usize = 4;
@@ -89,12 +87,6 @@ fn spawn_echo_fleet(n: usize) -> Vec<WorkerEndpoint> {
         .collect()
 }
 
-/// A dispatcher over `endpoints` at the default tuning (pinned
-/// explicitly so a CI `CRP_FLEET_POLL_MS` cannot skew the measurement).
-fn dispatcher(endpoints: Vec<WorkerEndpoint>) -> Dispatcher {
-    Dispatcher::new(endpoints).with_tuning(DispatchTuning::default())
-}
-
 /// Best-of-N time to drain one batch of tiny jobs on a *warm* pool (the
 /// untimed warm-up batch connects every worker and verifies answers).
 fn drain_time(dispatcher: &Dispatcher, jobs: &[String]) -> Duration {
@@ -141,7 +133,7 @@ fn scale_measurement() {
     let mut large_drain = Duration::ZERO;
     for workers in [SMALL_FLEET, LARGE_FLEET] {
         let jobs = batch(workers);
-        let drain = drain_time(&dispatcher(spawn_echo_fleet(workers)), &jobs);
+        let drain = drain_time(&Dispatcher::new(spawn_echo_fleet(workers)), &jobs);
         let job_us = drain.as_secs_f64() * 1e6 / jobs.len() as f64;
         println!(
             "{workers:>4} workers, {} jobs: event loop {drain:?} ({job_us:.1}us per job)",
@@ -178,7 +170,7 @@ fn fleet_scale(c: &mut Criterion) {
     group.sample_size(10);
     for workers in [SMALL_FLEET, LARGE_FLEET] {
         let jobs = batch(workers);
-        let event = dispatcher(spawn_echo_fleet(workers));
+        let event = Dispatcher::new(spawn_echo_fleet(workers));
         group.bench_with_input(
             criterion::BenchmarkId::new("event-loop", workers),
             &jobs,

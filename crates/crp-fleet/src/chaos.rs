@@ -1,15 +1,12 @@
 //! Declarative chaos plans: typed, scheduled fault injection.
 //!
-//! The fault-injection knobs ([`crate::ServeOptions`]'s
-//! `CRP_FLEET_DIE_AFTER` family) started life as ad-hoc environment
-//! variables set by hand in the failure tests.  A [`ChaosPlan`] promotes
-//! them to a first-class value: an ordered set of [`ChaosEvent`]s — *which
-//! worker* suffers *which fault* *after how many jobs* — that sweeps and
-//! fuzz campaigns can declare, persist, and minimise with the same
-//! machinery as scenario faults.  [`ChaosPlan::apply`] compiles the plan
-//! back down to the env knobs on a pool's local subprocess endpoints, so
-//! the worker side needs no new protocol: the env variables remain as the
-//! compatibility layer the plan targets.
+//! A [`ChaosPlan`] is an ordered set of [`ChaosEvent`]s — *which worker*
+//! suffers *which fault* *after how many jobs* — that sweeps and fuzz
+//! campaigns can declare, persist, and minimise with the same machinery
+//! as scenario faults.  [`ChaosPlan::apply`] compiles the plan down to
+//! `--fault FAULT@JOBS` arguments on a pool's local subprocess
+//! endpoints; the worker parses them with the same code into its
+//! [`crate::ServeOptions`] fault knobs.
 //!
 //! Plans have a canonical text form, `WORKER:FAULT@JOBS` entries joined by
 //! commas (e.g. `0:die@2,1:wedge@5`), carried by the `--chaos` CLI flag
@@ -56,27 +53,30 @@ impl FaultKind {
         }
     }
 
-    /// The legacy environment knob this fault compiles down to.
-    pub fn env_var(&self) -> &'static str {
-        match self {
-            FaultKind::Die => "CRP_FLEET_DIE_AFTER",
-            FaultKind::Garbage => "CRP_FLEET_GARBAGE_AFTER",
-            FaultKind::Mangle => "CRP_FLEET_MANGLE_AFTER",
-            FaultKind::Wedge => "CRP_FLEET_WEDGE_AFTER",
-        }
-    }
-
-    fn parse(text: &str, entry: &str) -> Result<Self, FleetError> {
-        Self::ALL
+    /// Parses one `FAULT@JOBS` schedule (e.g. `die@2`): the part of a
+    /// plan entry after `WORKER:`, and the value of `worker --fault`.
+    /// `entry` is the text errors name.
+    pub(crate) fn parse_schedule(text: &str, entry: &str) -> Result<(Self, usize), FleetError> {
+        let malformed = |reason: String| FleetError::Chaos {
+            entry: entry.to_string(),
+            reason,
+        };
+        let (fault, after) = text
+            .split_once('@')
+            .ok_or_else(|| malformed("expected FAULT@JOBS (e.g. die@2)".to_string()))?;
+        let kind = Self::ALL
             .into_iter()
-            .find(|kind| kind.name() == text)
-            .ok_or_else(|| FleetError::Chaos {
-                entry: entry.to_string(),
-                reason: format!(
-                    "unknown fault {text:?}; expected one of: {}",
+            .find(|kind| kind.name() == fault)
+            .ok_or_else(|| {
+                malformed(format!(
+                    "unknown fault {fault:?}; expected one of: {}",
                     Self::ALL.map(|k| k.name()).join(", ")
-                ),
-            })
+                ))
+            })?;
+        let after_jobs = after
+            .parse::<usize>()
+            .map_err(|_| malformed("job count must be a non-negative integer".to_string()))?;
+        Ok((kind, after_jobs))
     }
 }
 
@@ -148,8 +148,7 @@ impl ChaosPlan {
     }
 
     /// Rejects plans scheduling the same fault kind twice on one worker
-    /// (each kind compiles to a single env knob, so a duplicate would
-    /// silently drop one of the two schedules).
+    /// (a worker holds one schedule per kind).
     fn check_duplicates(&self) -> Result<(), FleetError> {
         for (index, event) in self.events.iter().enumerate() {
             if self.events[..index]
@@ -184,19 +183,13 @@ impl ChaosPlan {
                 entry: entry.to_string(),
                 reason: reason.to_string(),
             };
-            let (worker, rest) = entry
+            let (worker, schedule) = entry
                 .split_once(':')
-                .ok_or_else(|| malformed("expected WORKER:FAULT@JOBS"))?;
-            let (fault, after) = rest
-                .split_once('@')
                 .ok_or_else(|| malformed("expected WORKER:FAULT@JOBS"))?;
             let worker = worker
                 .parse::<usize>()
                 .map_err(|_| malformed("worker index must be a non-negative integer"))?;
-            let fault = FaultKind::parse(fault, entry)?;
-            let after_jobs = after
-                .parse::<usize>()
-                .map_err(|_| malformed("job count must be a non-negative integer"))?;
+            let (fault, after_jobs) = FaultKind::parse_schedule(schedule, entry)?;
             plan.events.push(ChaosEvent {
                 worker,
                 fault,
@@ -207,29 +200,10 @@ impl ChaosPlan {
         Ok(plan)
     }
 
-    /// The environment variables the plan schedules for one worker, in
-    /// event order — the compatibility layer the legacy knobs remain as.
-    pub fn env_for_worker(&self, worker: usize) -> Vec<(String, String)> {
-        self.events
-            .iter()
-            .filter(|event| event.worker == worker)
-            .map(|event| {
-                (
-                    event.fault.env_var().to_string(),
-                    event.after_jobs.to_string(),
-                )
-            })
-            .collect()
-    }
-
-    /// The highest worker index the plan targets, if any.
-    pub fn max_worker(&self) -> Option<usize> {
-        self.events.iter().map(|event| event.worker).max()
-    }
-
-    /// Compiles the plan onto a pool: returns the endpoints with each
-    /// targeted local worker's spawn environment extended by the fault
-    /// knobs.  Untargeted endpoints pass through unchanged.
+    /// Compiles the plan onto a pool: returns the endpoints with one
+    /// `--fault FAULT@JOBS` argument pair appended per event to each
+    /// targeted local worker, in event order.  Untargeted endpoints pass
+    /// through unchanged.
     ///
     /// # Errors
     ///
@@ -268,14 +242,13 @@ impl ChaosPlan {
             .iter()
             .enumerate()
             .map(|(index, endpoint)| match endpoint {
-                WorkerEndpoint::Local {
-                    program,
-                    args,
-                    envs,
-                } => {
-                    let mut envs = envs.clone();
-                    envs.extend(self.env_for_worker(index));
-                    WorkerEndpoint::local_with_env(program.clone(), args.clone(), envs)
+                WorkerEndpoint::Local { program, args } => {
+                    let mut args = args.clone();
+                    for event in self.events.iter().filter(|event| event.worker == index) {
+                        args.push("--fault".to_string());
+                        args.push(format!("{}@{}", event.fault.name(), event.after_jobs));
+                    }
+                    WorkerEndpoint::local(program.clone(), args)
                 }
                 other => other.clone(),
             })
@@ -331,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_extends_local_spawn_environments() {
+    fn apply_extends_local_spawn_args() {
         let endpoints = vec![
             WorkerEndpoint::local("worker", vec!["--stdio".into()]),
             WorkerEndpoint::local("worker", vec!["--stdio".into()]),
@@ -342,13 +315,10 @@ mod tests {
         let sabotaged = plan.apply(&endpoints).unwrap();
         assert_eq!(sabotaged[0], endpoints[0]);
         match &sabotaged[1] {
-            WorkerEndpoint::Local { envs, .. } => {
+            WorkerEndpoint::Local { args, .. } => {
                 assert_eq!(
-                    envs,
-                    &vec![
-                        ("CRP_FLEET_DIE_AFTER".to_string(), "2".to_string()),
-                        ("CRP_FLEET_GARBAGE_AFTER".to_string(), "4".to_string()),
-                    ]
+                    args,
+                    &vec!["--stdio", "--fault", "die@2", "--fault", "garbage@4"]
                 );
             }
             other => panic!("expected a local endpoint, got {other:?}"),

@@ -244,7 +244,7 @@ impl Dispatcher {
     /// Each job is attempted at most `max(3, 2 × pool size)` times
     /// before it is declared failed.
     ///
-    /// Timing knobs come from [`DispatchTuning::from_env`]; use
+    /// Timing knobs start at [`DispatchTuning::default`]; use
     /// [`Dispatcher::with_tuning`] for explicit control.
     pub fn new(endpoints: Vec<WorkerEndpoint>) -> Self {
         let weights = vec![1; endpoints.len()];
@@ -267,7 +267,7 @@ impl Dispatcher {
             endpoints,
             weights,
             max_attempts,
-            tuning: DispatchTuning::from_env(),
+            tuning: DispatchTuning::default(),
             warm,
             obs: FleetObs::default(),
         }
@@ -283,11 +283,6 @@ impl Dispatcher {
     pub fn with_tuning(mut self, tuning: DispatchTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// The timing knobs in effect.
-    pub fn tuning(&self) -> DispatchTuning {
-        self.tuning
     }
 
     /// The pool this dispatcher schedules over.

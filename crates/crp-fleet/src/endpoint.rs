@@ -20,9 +20,7 @@ use std::time::Duration;
 use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::FleetError;
 
-/// Default base poll interval: it caps the event loop's idle sleep, and
-/// the other timing defaults keep fixed ratios to it (see
-/// [`DispatchTuning::with_poll_ms`]).
+/// Default base poll interval: it caps the event loop's idle sleep.
 const TCP_POLL: Duration = Duration::from_millis(100);
 /// Default deadline for a fresh connection to deliver its hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -39,13 +37,9 @@ const PING_TIMEOUT: Duration = Duration::from_millis(2000);
 /// speculatively re-dispatch it.
 const STRAGGLER_GRACE: Duration = Duration::from_millis(250);
 
-/// Every timing knob of a dispatcher and its connections, hoisted out of
-/// the old hardcoded constants so benches and chaos tests can tighten
-/// them deterministically.  [`DispatchTuning::default`] reproduces the
-/// historical values; `CRP_FLEET_POLL_MS` scales the whole family down
-/// from a faster base poll (strictly parsed on config paths via
-/// [`DispatchTuning::try_from_env`], mirroring the `CRP_THREADS` error
-/// style).
+/// Every timing knob of a dispatcher and its connections, so tests can
+/// set them deterministically.  [`DispatchTuning::default`] is what
+/// every dispatcher starts with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchTuning {
     /// Read-poll interval between frames (straggler/abandon checks).
@@ -70,60 +64,6 @@ impl Default for DispatchTuning {
             ping_after: PING_AFTER,
             ping_timeout: PING_TIMEOUT,
             straggler_grace: STRAGGLER_GRACE,
-        }
-    }
-}
-
-impl DispatchTuning {
-    /// A tuning family scaled from a base poll interval, preserving the
-    /// default ratios (ping after 10 polls, ping timeout 20, straggler
-    /// grace 2.5, handshake deadline 100).
-    pub fn with_poll_ms(poll_ms: u64) -> Self {
-        let poll_ms = poll_ms.max(1);
-        Self {
-            poll: Duration::from_millis(poll_ms),
-            handshake_timeout: Duration::from_millis(poll_ms * 100),
-            ping_after: Duration::from_millis(poll_ms * 10),
-            ping_timeout: Duration::from_millis(poll_ms * 20),
-            straggler_grace: Duration::from_millis(poll_ms * 5 / 2),
-        }
-    }
-
-    /// Reads `CRP_FLEET_POLL_MS` leniently: an unset variable keeps the
-    /// defaults, an unusable value warns once and keeps the defaults.
-    /// Config/CLI paths should prefer the strict
-    /// [`DispatchTuning::try_from_env`].
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(tuning) => tuning,
-            Err(error) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("warning: {error}; using the default dispatch tuning");
-                });
-                Self::default()
-            }
-        }
-    }
-
-    /// Like [`DispatchTuning::from_env`], but strict: a set-but-unusable
-    /// `CRP_FLEET_POLL_MS` is a typed [`FleetError::Env`].
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Env`] when `CRP_FLEET_POLL_MS` is set but is not a
-    /// positive integer count of milliseconds.
-    pub fn try_from_env() -> Result<Self, FleetError> {
-        match std::env::var("CRP_FLEET_POLL_MS") {
-            Err(_) => Ok(Self::default()),
-            Ok(value) => match value.trim().parse::<u64>() {
-                Ok(ms) if ms > 0 => Ok(Self::with_poll_ms(ms)),
-                _ => Err(FleetError::Env {
-                    var: "CRP_FLEET_POLL_MS".to_string(),
-                    value,
-                    reason: "expected a positive poll interval in milliseconds".to_string(),
-                }),
-            },
         }
     }
 }
@@ -154,11 +94,9 @@ pub enum WorkerEndpoint {
     Local {
         /// The worker binary.
         program: PathBuf,
-        /// Arguments selecting its worker mode (e.g. `worker --stdio`).
+        /// Arguments selecting its worker mode (e.g. `worker --stdio`,
+        /// plus any `--fault FAULT@JOBS` a chaos plan schedules).
         args: Vec<String>,
-        /// Extra environment for the child — how tests inject faults
-        /// into one specific worker of a pool.
-        envs: Vec<(String, String)>,
     },
     /// A remote worker reached over TCP.
     Tcp {
@@ -173,21 +111,6 @@ impl WorkerEndpoint {
         WorkerEndpoint::Local {
             program: program.into(),
             args,
-            envs: Vec::new(),
-        }
-    }
-
-    /// A local subprocess endpoint with extra environment variables (the
-    /// fault-injection hook).
-    pub fn local_with_env(
-        program: impl Into<PathBuf>,
-        args: Vec<String>,
-        envs: Vec<(String, String)>,
-    ) -> Self {
-        WorkerEndpoint::Local {
-            program: program.into(),
-            args,
-            envs,
         }
     }
 
@@ -209,21 +132,16 @@ impl WorkerEndpoint {
     /// Spawns the subprocess of a [`WorkerEndpoint::Local`] with piped
     /// stdio (the event loop's pipe transport).
     ///
-    /// When the dispatcher itself is tracing (`CRP_TRACE`), each spawned
-    /// worker gets its *own* derived trace path
-    /// (`<path>.worker-<n>`, see [`crp_obs::derive_worker_trace_path`])
-    /// instead of inheriting the dispatcher's path — concurrent
-    /// appenders from several processes would interleave bytes mid-line
-    /// and corrupt the file.  `trace-join` picks the sibling files back
-    /// up.  An endpoint env that sets `CRP_TRACE` explicitly (the
-    /// fault-injection hook) wins over the derived path.
+    /// When the dispatcher itself is tracing, each spawned worker gets
+    /// its *own* derived `CRP_TRACE` path (`<path>.worker-<n>`, see
+    /// [`crp_obs::derive_worker_trace_path`]) instead of inheriting the
+    /// dispatcher's path — concurrent appenders from several processes
+    /// would interleave bytes mid-line and corrupt the file.
+    /// `trace-join` picks the sibling files back up.  Otherwise the
+    /// variable is removed, so a worker traces exactly when its
+    /// dispatcher does.
     pub(crate) fn spawn_local(&self) -> std::io::Result<Child> {
-        let WorkerEndpoint::Local {
-            program,
-            args,
-            envs,
-        } = self
-        else {
+        let WorkerEndpoint::Local { program, args } = self else {
             return Err(std::io::Error::other("not a local endpoint"));
         };
         let mut command = Command::new(program);
@@ -232,18 +150,16 @@ impl WorkerEndpoint {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        if !envs.iter().any(|(key, _)| key == "CRP_TRACE") {
-            if let Some(base) = crp_obs::active_trace_path()
-                .or_else(|| std::env::var("CRP_TRACE").ok().filter(|v| !v.is_empty()))
-            {
+        match crp_obs::active_trace_path() {
+            Some(base) => {
                 static NEXT_WORKER_TRACE: std::sync::atomic::AtomicUsize =
                     std::sync::atomic::AtomicUsize::new(0);
                 let n = NEXT_WORKER_TRACE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 command.env("CRP_TRACE", crp_obs::derive_worker_trace_path(&base, n));
             }
-        }
-        for (key, value) in envs {
-            command.env(key, value);
+            None => {
+                command.env_remove("CRP_TRACE");
+            }
         }
         command.spawn()
     }
@@ -419,19 +335,10 @@ impl FleetManifest {
         &self.entries
     }
 
-    /// Expands the manifest into endpoints: each `local:N` entry becomes
-    /// N subprocess endpoints running `program args`, each `host:port`
-    /// entry one TCP endpoint.  Capacity weights are dropped; use
-    /// [`FleetManifest::weighted_endpoints`] to keep them.
-    pub fn endpoints(&self, program: impl Into<PathBuf>, args: Vec<String>) -> Vec<WorkerEndpoint> {
-        self.weighted_endpoints(program, args)
-            .into_iter()
-            .map(|(endpoint, _)| endpoint)
-            .collect()
-    }
-
     /// Expands the manifest into `(endpoint, weight)` pairs, in manifest
-    /// order — the form [`crate::Dispatcher::new_weighted`] consumes.
+    /// order — the form [`crate::Dispatcher::new_weighted`] consumes:
+    /// each `local:N` entry becomes N subprocess endpoints running
+    /// `program args`, each `host:port` entry one TCP endpoint.
     pub fn weighted_endpoints(
         &self,
         program: impl Into<PathBuf>,
@@ -486,7 +393,11 @@ mod tests {
                 },
             ]
         );
-        let endpoints = manifest.endpoints("/bin/worker", vec!["worker".into(), "--stdio".into()]);
+        let endpoints: Vec<WorkerEndpoint> = manifest
+            .weighted_endpoints("/bin/worker", vec!["worker".into(), "--stdio".into()])
+            .into_iter()
+            .map(|(endpoint, _)| endpoint)
+            .collect();
         assert_eq!(endpoints.len(), 3 + 1 + 1 + 1);
         assert_eq!(
             endpoints[0], endpoints[2],
@@ -532,13 +443,6 @@ mod tests {
             WorkerEndpoint::tcp("10.0.0.7:9311"),
             "the weight suffix is stripped off the dialed address"
         );
-        // The weight-dropping expansion stays consistent with the
-        // weighted one.
-        let flat = manifest.endpoints("/bin/worker", vec!["worker".into()]);
-        assert_eq!(flat.len(), weighted.len());
-        for (endpoint, (weighted_endpoint, _)) in flat.iter().zip(&weighted) {
-            assert_eq!(endpoint, weighted_endpoint);
-        }
     }
 
     #[test]
@@ -565,50 +469,6 @@ mod tests {
                 other => panic!("{text:?} parsed to {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn tuning_scales_from_the_poll_interval() {
-        let default = DispatchTuning::default();
-        assert_eq!(default.poll, Duration::from_millis(100));
-        assert_eq!(default.ping_after, Duration::from_millis(1000));
-        assert_eq!(default.ping_timeout, Duration::from_millis(2000));
-        assert_eq!(default.straggler_grace, Duration::from_millis(250));
-        let tight = DispatchTuning::with_poll_ms(10);
-        assert_eq!(tight.poll, Duration::from_millis(10));
-        assert_eq!(tight.ping_after, Duration::from_millis(100));
-        assert_eq!(tight.ping_timeout, Duration::from_millis(200));
-        assert_eq!(tight.straggler_grace, Duration::from_millis(25));
-        assert_eq!(tight.handshake_timeout, Duration::from_millis(1000));
-    }
-
-    #[test]
-    fn poll_env_is_parsed_strictly_on_the_strict_path() {
-        // Only this test touches CRP_FLEET_POLL_MS in this binary, so
-        // the set/remove pairs do not race another test.
-        std::env::set_var("CRP_FLEET_POLL_MS", "25");
-        assert_eq!(
-            DispatchTuning::try_from_env().unwrap(),
-            DispatchTuning::with_poll_ms(25)
-        );
-        assert_eq!(DispatchTuning::from_env(), DispatchTuning::with_poll_ms(25));
-        for bad in ["0", "-5", "fast", "10ms"] {
-            std::env::set_var("CRP_FLEET_POLL_MS", bad);
-            match DispatchTuning::try_from_env() {
-                Err(FleetError::Env { var, value, .. }) => {
-                    assert_eq!(var, "CRP_FLEET_POLL_MS");
-                    assert_eq!(value, bad);
-                }
-                other => panic!("{bad:?} parsed to {other:?}"),
-            }
-            // The lenient path warns and falls back to the defaults.
-            assert_eq!(DispatchTuning::from_env(), DispatchTuning::default());
-        }
-        std::env::remove_var("CRP_FLEET_POLL_MS");
-        assert_eq!(
-            DispatchTuning::try_from_env().unwrap(),
-            DispatchTuning::default()
-        );
     }
 
     #[test]

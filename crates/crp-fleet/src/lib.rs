@@ -30,7 +30,7 @@
 //!   mid-job — with a [`worker::ScenarioStore`] of received blobs and
 //!   [`worker::ServeOptions`] carrying the capacity knob and the fault
 //!   injection the failure tests use.
-//!   [`worker::serve_stdio`] binds it to a subprocess's stdio;
+//!   [`worker::serve_stdio_with_store`] binds it to a subprocess's stdio;
 //!   [`tcp::TcpWorker`] binds it to a listening socket with one
 //!   process-wide blob store shared across connections.
 //! * [`endpoint`] — [`endpoint::WorkerEndpoint`]: where a worker lives
@@ -40,7 +40,7 @@
 //!   environment variable and `--fleet` flag carry.
 //! * [`chaos`] — [`chaos::ChaosPlan`]: typed, declarative schedules of
 //!   the fault injections above (`0:die@2,1:wedge@5`), compiled down
-//!   onto the spawn environment of a pool's local endpoints so fuzz
+//!   onto `--fault` arguments of a pool's local endpoints so fuzz
 //!   campaigns and sweeps can declare — and minimise — infrastructure
 //!   faults like any other input.
 //! * [`dispatch`] — [`dispatch::Dispatcher`]: schedules a batch of
@@ -81,8 +81,7 @@ pub use obs::{FleetMetrics, FleetSnapshot, WorkerHealth, WorkerMetrics};
 pub use protocol::{JobSpan, Message, PROTOCOL_VERSION};
 pub use tcp::{join_fleet, join_fleet_with_store, TcpWorker};
 pub use worker::{
-    serve, serve_stdio, serve_stdio_with_store, serve_with_store, JobHandler, ScenarioStore,
-    ServeOptions,
+    serve, serve_stdio_with_store, serve_with_store, JobHandler, ScenarioStore, ServeOptions,
 };
 
 /// Errors produced by the fleet transport and dispatcher.
@@ -135,21 +134,12 @@ pub enum FleetError {
         /// The last transport or connect failure observed.
         last: String,
     },
-    /// A chaos-plan entry was malformed or could not be applied to the
-    /// pool.
+    /// A chaos-plan entry or a `worker --fault` schedule was malformed,
+    /// or a plan could not be applied to the pool.
     Chaos {
-        /// The offending plan entry (canonical `WORKER:FAULT@JOBS` form).
+        /// The offending plan entry (`WORKER:FAULT@JOBS`) or fault
+        /// schedule (`FAULT@JOBS`).
         entry: String,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// A fleet environment variable carried a value that cannot be used
-    /// (strict parsing, e.g. [`ServeOptions::try_from_env`]).
-    Env {
-        /// The environment variable name.
-        var: String,
-        /// The offending value.
-        value: String,
         /// Why it was rejected.
         reason: String,
     },
@@ -181,9 +171,6 @@ impl fmt::Display for FleetError {
             ),
             FleetError::Chaos { entry, reason } => {
                 write!(f, "invalid chaos-plan entry {entry:?}: {reason}")
-            }
-            FleetError::Env { var, value, reason } => {
-                write!(f, "invalid {var} value {value:?}: {reason}")
             }
         }
     }
@@ -231,12 +218,5 @@ mod tests {
             reason: "job count must be a non-negative integer".into(),
         };
         assert!(err.to_string().contains("0:die@x"));
-        let err = FleetError::Env {
-            var: "CRP_FLEET_DIE_AFTER".into(),
-            value: "nope".into(),
-            reason: "expected a job count".into(),
-        };
-        assert!(err.to_string().contains("CRP_FLEET_DIE_AFTER"));
-        assert!(err.to_string().contains("nope"));
     }
 }

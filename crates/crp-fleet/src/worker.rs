@@ -3,11 +3,10 @@
 //! A worker serves a *stream* of jobs on one connection — N jobs per
 //! process instead of one spawn per job — which amortises process
 //! spawn, binary load and allocator warm-up over the whole batch.  The
-//! loop itself is transport
-//! agnostic: [`serve`] takes any `(Read, Write)` pair, [`serve_stdio`]
-//! binds it to the process's stdio (the local-pool transport), and
-//! [`crate::TcpWorker`] binds it to an accepted socket (the remote
-//! transport).
+//! loop itself is transport agnostic: [`serve`] takes any
+//! `(Read, Write)` pair, [`serve_stdio_with_store`] binds it to the
+//! process's stdio (the local-pool transport), and [`crate::TcpWorker`]
+//! binds it to an accepted socket (the remote transport).
 //!
 //! Two behaviours live here:
 //!
@@ -27,6 +26,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Mutex;
 
+use crate::chaos::FaultKind;
 use crate::frame::{read_frame, write_frame};
 use crate::hash::content_hash;
 use crate::protocol::{Message, PROTOCOL_VERSION};
@@ -80,30 +80,29 @@ impl ScenarioStore {
 }
 
 /// Options of one serve loop: the advertised capacity and the
-/// fault-injection knobs the dispatcher's failure tests (and CI smoke
-/// jobs) drive via the environment.
+/// fault-injection knobs the dispatcher's failure tests, chaos plans and
+/// CI smoke jobs drive via `worker --capacity N` and
+/// `worker --fault FAULT@JOBS`.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Kill the whole process (exit code 17) when the N-th job *arrives*,
     /// after writing a deliberately truncated frame — a worker dying
-    /// mid-stream, from `CRP_FLEET_DIE_AFTER`.
+    /// mid-stream (`--fault die@N`).
     pub die_after: Option<usize>,
     /// Answer every job from the N-th onwards with bytes that are not a
-    /// frame at all — a worker gone haywire, from
-    /// `CRP_FLEET_GARBAGE_AFTER`.
+    /// frame at all — a worker gone haywire (`--fault garbage@N`).
     pub garbage_after: Option<usize>,
     /// Answer every job from the N-th onwards with a *well-framed* `done`
     /// whose body is nonsense — a worker whose answers frame correctly
-    /// but fail payload validation, from `CRP_FLEET_MANGLE_AFTER`.
+    /// but fail payload validation (`--fault mangle@N`).
     pub mangle_after: Option<usize>,
     /// Stop reading and answering entirely when the N-th job arrives — a
     /// wedged worker that holds its connection open but goes silent, the
-    /// failure mode the dispatcher's ping health check exists to catch.
-    /// From `CRP_FLEET_WEDGE_AFTER`.
+    /// failure mode the dispatcher's ping health check exists to catch
+    /// (`--fault wedge@N`).
     pub wedge_after: Option<usize>,
     /// How many jobs the dispatcher may keep in flight on one connection
-    /// (advertised in the hello, clamped to at least 1).  From
-    /// `CRP_FLEET_CAPACITY`.
+    /// (advertised in the hello, clamped to at least 1).
     pub capacity: usize,
 }
 
@@ -120,50 +119,33 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Reads the knobs from `CRP_FLEET_DIE_AFTER`,
-    /// `CRP_FLEET_GARBAGE_AFTER`, `CRP_FLEET_MANGLE_AFTER`,
-    /// `CRP_FLEET_WEDGE_AFTER` and `CRP_FLEET_CAPACITY` (unset values
-    /// keep the defaults).  Parsing is strict: a set-but-unusable value
-    /// is a typed [`FleetError::Env`] naming the variable and the
-    /// offending value, matching how `CRP_THREADS` / `CRP_FLEET` are
-    /// validated on the dispatcher side.
+    /// Schedules one fault from its `FAULT@JOBS` form (the value of
+    /// `worker --fault`, e.g. `die@2`), parsed by the same code as a
+    /// [`crate::ChaosPlan`] entry.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Env`] when a fault knob or `CRP_FLEET_CAPACITY` is
-    /// not a non-negative integer, or `CRP_FLEET_CAPACITY` is zero.
-    pub fn try_from_env() -> Result<Self, FleetError> {
-        fn knob(name: &'static str) -> Result<Option<usize>, FleetError> {
-            match std::env::var(name) {
-                Err(_) => Ok(None),
-                Ok(value) => match value.trim().parse::<usize>() {
-                    Ok(parsed) => Ok(Some(parsed)),
-                    Err(_) => Err(FleetError::Env {
-                        var: name.to_string(),
-                        value,
-                        reason: "expected a non-negative job count".to_string(),
-                    }),
-                },
-            }
-        }
-        let capacity = match knob("CRP_FLEET_CAPACITY")? {
-            None => 1,
-            Some(0) => {
-                return Err(FleetError::Env {
-                    var: "CRP_FLEET_CAPACITY".to_string(),
-                    value: "0".to_string(),
-                    reason: "capacity must be at least 1".to_string(),
-                })
-            }
-            Some(capacity) => capacity,
+    /// [`FleetError::Chaos`] for an unknown fault, a missing or
+    /// malformed `@JOBS`, or a fault kind already scheduled.
+    pub fn schedule_fault(&mut self, text: &str) -> Result<(), FleetError> {
+        let (kind, after_jobs) = FaultKind::parse_schedule(text, text)?;
+        let slot = match kind {
+            FaultKind::Die => &mut self.die_after,
+            FaultKind::Garbage => &mut self.garbage_after,
+            FaultKind::Mangle => &mut self.mangle_after,
+            FaultKind::Wedge => &mut self.wedge_after,
         };
-        Ok(Self {
-            die_after: knob("CRP_FLEET_DIE_AFTER")?,
-            garbage_after: knob("CRP_FLEET_GARBAGE_AFTER")?,
-            mangle_after: knob("CRP_FLEET_MANGLE_AFTER")?,
-            wedge_after: knob("CRP_FLEET_WEDGE_AFTER")?,
-            capacity,
-        })
+        if slot.is_some() {
+            return Err(FleetError::Chaos {
+                entry: text.to_string(),
+                reason: format!(
+                    "{:?} is already scheduled; one schedule per fault kind",
+                    kind.name()
+                ),
+            });
+        }
+        *slot = Some(after_jobs);
+        Ok(())
     }
 }
 
@@ -336,15 +318,6 @@ pub fn serve_stdio_with_store(
     // internally, and the serve loop serialises writers anyway.
     let mut stdout = std::io::stdout();
     serve_with_store(&mut stdin.lock(), &mut stdout, handler, options, store)
-}
-
-/// Serves the process's stdin/stdout with a fresh store.
-///
-/// # Errors
-///
-/// As [`serve_with_store`].
-pub fn serve_stdio(handler: JobHandler<'_>, options: &ServeOptions) -> Result<usize, FleetError> {
-    serve_stdio_with_store(handler, options, &ScenarioStore::new())
 }
 
 #[cfg(test)]
@@ -610,34 +583,41 @@ mod tests {
     }
 
     #[test]
-    fn serve_options_parse_the_environment() {
-        // The CRP_FLEET_* knobs are only read by this test in this
-        // binary, so the set/remove pairs do not race another test.
-        std::env::set_var("CRP_FLEET_DIE_AFTER", "2");
-        std::env::set_var("CRP_FLEET_GARBAGE_AFTER", "nope");
-        std::env::set_var("CRP_FLEET_CAPACITY", "4");
-        // An unusable value is a typed error naming the variable.
-        match ServeOptions::try_from_env() {
-            Err(FleetError::Env { var, value, .. }) => {
-                assert_eq!(var, "CRP_FLEET_GARBAGE_AFTER");
-                assert_eq!(value, "nope");
-            }
-            other => panic!("expected FleetError::Env, got {other:?}"),
-        }
-        std::env::remove_var("CRP_FLEET_GARBAGE_AFTER");
-        let options = ServeOptions::try_from_env().unwrap();
+    fn fault_args_schedule_the_serve_options() {
+        let mut options = ServeOptions::default();
+        options.schedule_fault("die@2").unwrap();
+        options.schedule_fault("garbage@0").unwrap();
+        options.schedule_fault("mangle@3").unwrap();
+        options.schedule_fault("wedge@1").unwrap();
         assert_eq!(options.die_after, Some(2));
-        assert_eq!(options.garbage_after, None);
-        assert_eq!(options.capacity, 4);
-        std::env::set_var("CRP_FLEET_CAPACITY", "0");
-        assert!(matches!(
-            ServeOptions::try_from_env(),
-            Err(FleetError::Env { .. })
-        ));
-        std::env::remove_var("CRP_FLEET_DIE_AFTER");
-        std::env::remove_var("CRP_FLEET_CAPACITY");
-        let options = ServeOptions::try_from_env().unwrap();
-        assert_eq!(options.capacity, 1, "capacity defaults to 1");
-        assert_eq!(options.die_after, None);
+        assert_eq!(options.garbage_after, Some(0));
+        assert_eq!(options.mangle_after, Some(3));
+        assert_eq!(options.wedge_after, Some(1));
+        assert_eq!(options.capacity, 1, "faults leave the capacity alone");
+
+        for (bad, needle) in [
+            ("explode@2", "unknown fault"),
+            ("die", "FAULT@JOBS"),
+            ("die@", "job count"),
+            ("die@x", "job count"),
+            ("0:die@2", "unknown fault"),
+        ] {
+            match ServeOptions::default().schedule_fault(bad) {
+                Err(FleetError::Chaos { entry, reason }) => {
+                    assert_eq!(entry, bad);
+                    assert!(reason.contains(needle), "{bad:?}: {reason}");
+                }
+                other => panic!("{bad:?} scheduled to {other:?}"),
+            }
+        }
+        let mut options = ServeOptions::default();
+        options.schedule_fault("die@1").unwrap();
+        match options.schedule_fault("die@5") {
+            Err(FleetError::Chaos { reason, .. }) => {
+                assert!(reason.contains("already scheduled"), "{reason}");
+            }
+            other => panic!("a duplicate kind scheduled to {other:?}"),
+        }
+        assert_eq!(options.die_after, Some(1), "the first schedule stands");
     }
 }

@@ -26,8 +26,14 @@
 //! reproducers are *expected* to violate.
 //!
 //! `--chaos PLAN` (e.g. `0:die@2,1:wedge@5`) applies a declarative fault
-//! schedule to the worker pool of a `--backend fleet` evaluation; a
-//! completed chaos run is bit-identical to the serial backend.
+//! schedule to the worker pool of a fleet evaluation; a completed chaos
+//! run is bit-identical to the serial backend.  Like `--fleet`, it
+//! implies the fleet backend and conflicts with any other `--backend`.
+//!
+//! The environment is read once at entry (`crp_sim::EnvConfig`):
+//! `CRP_THREADS`, `CRP_KERNEL` and `CRP_FLEET` stand in for `--threads`,
+//! the kernel path and `--fleet`, a flag wins over its variable, and an
+//! unusable value or unknown `CRP_*` name is an error naming it.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -35,7 +41,7 @@ use std::str::FromStr;
 use crp_fleet::{ChaosPlan, FleetManifest};
 use crp_fuzz::{property_by_name, run_campaign, Corpus, FuzzConfig, Trace};
 use crp_predict::AdversaryKind;
-use crp_sim::BackendChoice;
+use crp_sim::{BackendChoice, EnvConfig, RunnerFlags};
 
 /// Parsed command line: the shared campaign configuration plus the
 /// replay inputs.
@@ -65,8 +71,11 @@ fn parse_usize(flag: &str, value: &str) -> Result<usize, String> {
         .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+/// Parses the command line and resolves its runner flags against `env`
+/// into `config.runner`.
+fn parse_args(args: &[String], env: &EnvConfig) -> Result<Options, String> {
     let mut options = Options::default();
+    let mut runner = RunnerFlags::default();
     let mut index = 0;
     let next = |index: &mut usize, flag: &str| -> Result<String, String> {
         *index += 1;
@@ -126,27 +135,24 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--shrink" => options.config.shrink = true,
             "--backend" => {
-                options.config.runner.backend =
-                    BackendChoice::from_str(&next(&mut index, "--backend")?)?
+                runner.backend = Some(BackendChoice::from_str(&next(&mut index, "--backend")?)?)
             }
             "--threads" | "--workers" => {
                 let threads = parse_usize("--threads", &next(&mut index, "--threads")?)?;
                 if threads == 0 {
                     return Err("--threads expects a positive integer".to_string());
                 }
-                options.config.runner.threads = threads;
+                runner.threads = Some(threads);
             }
             "--fleet" => {
                 let manifest = FleetManifest::parse(&next(&mut index, "--fleet")?)
                     .map_err(|err| err.to_string())?;
-                options.config.runner.fleet = Some(manifest);
-                options.config.runner.backend = BackendChoice::Fleet;
+                runner.fleet = Some(manifest);
             }
             "--chaos" => {
                 let plan = ChaosPlan::parse(&next(&mut index, "--chaos")?)
                     .map_err(|err| err.to_string())?;
-                options.config.runner.chaos = Some(plan);
-                options.config.runner.backend = BackendChoice::Fleet;
+                runner.chaos = Some(plan);
             }
             "--save" => options.save = Some(next(&mut index, "--save")?),
             "--corpus" => options.corpus = Some(next(&mut index, "--corpus")?),
@@ -157,6 +163,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         index += 1;
     }
+    options.config.runner = runner.resolve(env).map_err(|err| err.to_string())?;
     Ok(options)
 }
 
@@ -246,7 +253,10 @@ fn replay_mode(options: &Options) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_args(&args) {
+    let parsed = EnvConfig::from_env()
+        .map_err(|err| err.to_string())
+        .and_then(|env| parse_args(&args, &env));
+    let options = match parsed {
         Ok(options) => options,
         Err(err) => {
             eprintln!("crp_fuzz: {err}");

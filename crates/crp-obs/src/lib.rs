@@ -34,9 +34,8 @@ pub use span::{
     current_span, is_span_id, set_current_span, span_from_hash, SpanContext, SPAN_HEX_LEN,
 };
 pub use trace::{
-    active_trace_path, check_trace_line, derive_worker_trace_path, emit, env_trace_path,
-    init_trace, init_trace_from_env, init_trace_from_env_lenient, install_trace_sink,
-    trace_enabled, trace_line_fields, TraceEvent, TraceSink, TRACE_ENV,
+    active_trace_path, check_trace_line, derive_worker_trace_path, emit, init_trace,
+    install_trace_sink, trace_enabled, trace_line_fields, TraceEvent, TraceSink,
 };
 
 use std::sync::OnceLock;
@@ -50,16 +49,6 @@ pub enum ObsError {
         /// What went wrong.
         what: String,
     },
-    /// A strictly parsed environment variable carried an unusable
-    /// value (mirrors the fleet's `FleetError::Env`).
-    Env {
-        /// The variable name.
-        var: &'static str,
-        /// The rejected value.
-        value: String,
-        /// Why it was rejected.
-        reason: String,
-    },
     /// A wire payload (a [`MetricsSnapshot`] codec body) that could not
     /// be decoded.
     Malformed {
@@ -72,9 +61,6 @@ impl std::fmt::Display for ObsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ObsError::Io { what } => write!(f, "{what}"),
-            ObsError::Env { var, value, reason } => {
-                write!(f, "invalid {var}={value:?}: {reason}")
-            }
             ObsError::Malformed { what } => write!(f, "malformed snapshot: {what}"),
         }
     }

@@ -4,8 +4,8 @@
 //! Instrumented code guards every event behind [`trace_enabled`] — a
 //! single relaxed atomic load — so a build with tracing off pays one
 //! predictable branch per event site and allocates nothing.  When a
-//! sink is installed (via `--trace-out PATH` on the CLI, or the
-//! [`CRP_TRACE`](TRACE_ENV) environment variable), each event renders
+//! sink is installed (via `--trace-out PATH` or `CRP_TRACE` on the CLI,
+//! both resolved to [`init_trace`]), each event renders
 //! as one JSON line with a **stable field order**: `ts_us` first, then
 //! `event`, then the remaining fields in insertion order.  Floats are
 //! encoded as IEEE-754 bit-pattern hex strings ([`crate::hex64`] of
@@ -26,12 +26,6 @@ use std::time::Instant;
 
 use crate::ObsError;
 
-/// The environment variable naming the trace output path.  The values
-/// `""`, `"0"`, `"off"` and `"none"` leave tracing disabled; anything
-/// else is treated as a file path (strictly on CLI paths: an
-/// unwritable path is a typed configuration error).
-pub const TRACE_ENV: &str = "CRP_TRACE";
-
 /// Whether a trace sink is installed and enabled.  The guard every
 /// instrumentation site checks before building an event.
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -46,9 +40,8 @@ static SINK: OnceLock<TraceSink> = OnceLock::new();
 static ACTIVE_PATH: OnceLock<String> = OnceLock::new();
 
 /// The path of the installed trace sink, when tracing is enabled and
-/// the sink was opened from a path (via [`init_trace`] or the
-/// environment initialisers).  `None` for writer-backed sinks and when
-/// tracing is off.
+/// the sink was opened from a path (via [`init_trace`]).  `None` for
+/// writer-backed sinks and when tracing is off.
 pub fn active_trace_path() -> Option<String> {
     if trace_enabled() {
         ACTIVE_PATH.get().cloned()
@@ -143,53 +136,6 @@ pub fn emit(event: &TraceEvent) {
     }
     if let Some(sink) = SINK.get() {
         sink.write(event);
-    }
-}
-
-/// Strictly reads [`TRACE_ENV`]: `Ok(None)` when unset or explicitly
-/// off, `Ok(Some(path))` otherwise.  Mirrors `env_kernel_choice`: the
-/// CLI maps a later open failure to a typed configuration error
-/// instead of warning.
-pub fn env_trace_path() -> Option<String> {
-    let Ok(value) = std::env::var(TRACE_ENV) else {
-        return None;
-    };
-    match value.trim() {
-        "" | "0" | "off" | "none" => None,
-        path => Some(path.to_string()),
-    }
-}
-
-/// Strict environment initialisation for CLI paths: installs a sink
-/// when [`TRACE_ENV`] names a path, failing loudly (typed
-/// [`ObsError::Env`]) when the path cannot be opened.  Returns whether
-/// tracing ended up enabled.
-pub fn init_trace_from_env() -> Result<bool, ObsError> {
-    let Some(path) = env_trace_path() else {
-        return Ok(false);
-    };
-    init_trace(&path).map_err(|err| ObsError::Env {
-        var: TRACE_ENV,
-        value: path.clone(),
-        reason: err.to_string(),
-    })?;
-    Ok(true)
-}
-
-/// Lenient library-default initialisation: like
-/// [`init_trace_from_env`], but an unopenable path warns once on
-/// stderr and leaves tracing disabled instead of failing the run —
-/// the same compatibility posture as the lenient `CRP_KERNEL` parse.
-pub fn init_trace_from_env_lenient() -> bool {
-    match init_trace_from_env() {
-        Ok(enabled) => enabled,
-        Err(err) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {err}; tracing stays disabled");
-            });
-            false
-        }
     }
 }
 

@@ -19,11 +19,11 @@
 //! output is markdown, suitable for pasting into `EXPERIMENTS.md`;
 //! `sweep --csv` emits CSV instead.
 //!
-//! `--trace-out PATH` (or a strictly parsed `CRP_TRACE` environment
-//! variable) streams structured JSONL trace events — `sweep.cell`,
-//! `shard.execute`, `kernel.select`, `fleet.dispatch`, `fleet.requeue`,
-//! `fleet.ping`, `cache.hit`/`miss`/`heal`, `serve.submission`,
-//! `serve.cell`, `serve.submit` — to a file; tracing never changes
+//! `--trace-out PATH` (or `CRP_TRACE`) streams structured JSONL trace
+//! events — `sweep.cell`, `shard.execute`, `kernel.select`,
+//! `fleet.dispatch`, `fleet.requeue`, `fleet.ping`,
+//! `cache.hit`/`miss`/`heal`, `serve.submission`, `serve.cell`,
+//! `serve.submit` — to a file; tracing never changes
 //! statistics, only wall-clock time.  Traced jobs carry deterministic,
 //! content-hash-derived span ids across process boundaries, and
 //! dispatcher-spawned local workers write to derived
@@ -53,18 +53,23 @@
 //!
 //! `--backend` selects the shard backend every experiment executes on
 //! (statistics are bit-identical across backends); `--threads` / its
-//! alias `--workers` pins the worker count and wins over the
-//! `CRP_THREADS` environment variable.  `--backend fleet` dispatches to
-//! the pool the `--fleet` manifest (or the `CRP_FLEET` environment
-//! variable) describes — comma-separated `local[:N]` and `host:port`
-//! entries — and `--fleet` by itself implies `--backend fleet`.
+//! alias `--workers` pins the worker count.  `--backend fleet`
+//! dispatches to the pool the `--fleet` manifest describes —
+//! comma-separated `local[:N]` and `host:port` entries — and `--fleet`
+//! by itself implies `--backend fleet`.
 //!
 //! `--kernel` selects the trial-kernel path (`auto`, the default, uses
 //! the batched struct-of-arrays kernels where the protocol admits one;
-//! `scalar` forces the trial-at-a-time executor) and wins over the
-//! `CRP_KERNEL` environment variable.  Like the backend choice, the
-//! kernel choice only affects wall-clock time: statistics are
-//! bit-identical either way.
+//! `scalar` forces the trial-at-a-time executor).  Like the backend
+//! choice, the kernel choice only affects wall-clock time: statistics
+//! are bit-identical either way.
+//!
+//! Every subcommand except `trace-check`, `trace-join` and `fuzz` reads
+//! the environment once at entry (`crp_sim::EnvConfig`): `CRP_THREADS`,
+//! `CRP_KERNEL`, `CRP_FLEET` and `CRP_TRACE` stand in for `--threads`,
+//! `--kernel`, `--fleet` (the pool of a fleet run) and `--trace-out`,
+//! and a flag wins over its variable.  An unusable value or an unknown
+//! `CRP_*` name fails the run with one error naming the variable.
 //!
 //! The `worker` subcommand runs the long-lived fleet worker: it answers a
 //! framed stream of shard specs — many shards per process — over stdio
@@ -72,7 +77,9 @@
 //! with `worker --listen host:port` (start one per remote machine and
 //! list the addresses in the manifest).  `worker --capacity N` lets the
 //! dispatcher keep N jobs in flight on one connection, executed
-//! concurrently.
+//! concurrently; repeatable `worker --fault FAULT@JOBS` arguments
+//! (e.g. `--fault die@2`) sabotage it on purpose, which is how chaos
+//! plans reach a spawned worker.
 //!
 //! The `serve` subcommand runs the persistent sweep service: a daemon
 //! that keeps a warm worker fleet between CLI invocations and memoises
@@ -99,8 +106,8 @@ use crp_sim::experiments::{
 };
 use crp_sim::service::{submit_matrix_as, sweep_hooks};
 use crp_sim::{
-    env_fleet_manifest, env_kernel_choice, env_worker_threads, run_shard_worker_with,
-    BackendChoice, KernelChoice, RunnerConfig, SimError, SweepMatrix, SweepProtocol, Table,
+    run_shard_worker_with, EnvConfig, RunnerConfig, RunnerFlags, SimError, SweepMatrix,
+    SweepProtocol, Table,
 };
 
 /// Parsed command-line options.
@@ -109,14 +116,9 @@ struct Options {
     trials: usize,
     size: usize,
     seed: u64,
-    backend: BackendChoice,
-    threads: Option<usize>,
-    /// `--kernel` trial-kernel choice (`None` defers to `CRP_KERNEL`,
-    /// then auto).
-    kernel: Option<KernelChoice>,
-    fleet: Option<FleetManifest>,
-    /// `--chaos` fault schedule for the fleet's local workers.
-    chaos: Option<ChaosPlan>,
+    /// `--backend`, `--threads`, `--kernel`, `--fleet`, `--chaos` and
+    /// `--accept-workers`, resolved against the environment in `run`.
+    runner: RunnerFlags,
     protocols: Vec<String>,
     scenarios: Vec<String>,
     csv: bool,
@@ -126,11 +128,8 @@ struct Options {
     connect: String,
     /// `serve --cache` directory (`None` disables the result cache).
     cache: Option<String>,
-    /// `--accept-workers` elastic-registration address for fleet runs
-    /// and the serve daemon (`None` accepts no joiners).
-    accept_workers: Option<String>,
     /// `--trace-out` structured-trace JSONL destination (`None` defers
-    /// to the strictly parsed `CRP_TRACE` environment variable).
+    /// to `CRP_TRACE`).
     trace_out: Option<String>,
     /// `--tenant` name `submit`/`stats` connections identify as (the
     /// daemon accounts submissions to `serve.tenant.<id>.*` counters).
@@ -153,17 +152,13 @@ trace-check FILE|trace-join FILE..|fuzz|all] \
 [--listen host:port] [--connect host:port] [--cache DIR] [--accept-workers host:port] \
 [--trace-out PATH] [--tenant NAME] [--watch SECS]";
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         command: "all".to_string(),
         trials: 2000,
         size: 1 << 14,
         seed: 0xC0FFEE,
-        backend: BackendChoice::default(),
-        threads: None,
-        kernel: None,
-        fleet: None,
-        chaos: None,
+        runner: RunnerFlags::default(),
         protocols: vec![
             "decay".into(),
             "willard".into(),
@@ -178,13 +173,10 @@ fn parse_args() -> Result<Options, String> {
         listen: DEFAULT_SERVICE_ADDR.to_string(),
         connect: DEFAULT_SERVICE_ADDR.to_string(),
         cache: None,
-        accept_workers: None,
         trace_out: None,
         tenant: None,
         watch: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut backend_explicit = false;
     let mut index = 0;
     while index < args.len() {
         match args[index].as_str() {
@@ -214,11 +206,11 @@ fn parse_args() -> Result<Options, String> {
             }
             "--backend" => {
                 index += 1;
-                options.backend = args
-                    .get(index)
-                    .ok_or("--backend requires one of: serial, thread, process, fleet")?
-                    .parse()?;
-                backend_explicit = true;
+                options.runner.backend = Some(
+                    args.get(index)
+                        .ok_or("--backend requires one of: serial, thread, process, fleet")?
+                        .parse()?,
+                );
             }
             flag @ ("--threads" | "--workers") => {
                 index += 1;
@@ -230,11 +222,11 @@ fn parse_args() -> Result<Options, String> {
                 if threads == 0 {
                     return Err(format!("{flag} requires a positive value"));
                 }
-                options.threads = Some(threads);
+                options.runner.threads = Some(threads);
             }
             "--kernel" => {
                 index += 1;
-                options.kernel = Some(
+                options.runner.kernel = Some(
                     args.get(index)
                         .ok_or("--kernel requires one of: auto, scalar, batched")?
                         .parse()?,
@@ -245,14 +237,15 @@ fn parse_args() -> Result<Options, String> {
                 let manifest = args
                     .get(index)
                     .ok_or("--fleet requires a manifest (e.g. local:4,host:9311)")?;
-                options.fleet = Some(FleetManifest::parse(manifest).map_err(|e| e.to_string())?);
+                options.runner.fleet =
+                    Some(FleetManifest::parse(manifest).map_err(|e| e.to_string())?);
             }
             "--chaos" => {
                 index += 1;
                 let plan = args
                     .get(index)
                     .ok_or("--chaos requires a plan (e.g. 0:die@2,1:wedge@5)")?;
-                options.chaos = Some(ChaosPlan::parse(plan).map_err(|e| e.to_string())?);
+                options.runner.chaos = Some(ChaosPlan::parse(plan).map_err(|e| e.to_string())?);
             }
             "--listen" => {
                 index += 1;
@@ -278,7 +271,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--accept-workers" => {
                 index += 1;
-                options.accept_workers = Some(
+                options.runner.accept_workers = Some(
                     args.get(index)
                         .ok_or("--accept-workers requires a host:port")?
                         .clone(),
@@ -365,45 +358,6 @@ fn parse_args() -> Result<Options, String> {
         }
         index += 1;
     }
-    // A fleet manifest only makes sense on the fleet backend; resolve the
-    // implication after the loop so flag order cannot silently decide
-    // whether the manifest is honoured.
-    if options.fleet.is_some() && options.backend != BackendChoice::Fleet {
-        if backend_explicit {
-            return Err(format!(
-                "--fleet conflicts with --backend {:?}; omit --backend or use --backend fleet",
-                options.backend
-            )
-            .to_lowercase());
-        }
-        options.backend = BackendChoice::Fleet;
-    }
-    // A chaos plan sabotages a fleet's local workers, so it carries the
-    // same implication.
-    if options.chaos.is_some() && options.backend != BackendChoice::Fleet {
-        if backend_explicit {
-            return Err(format!(
-                "--chaos conflicts with --backend {:?}; omit --backend or use --backend fleet",
-                options.backend
-            )
-            .to_lowercase());
-        }
-        options.backend = BackendChoice::Fleet;
-    }
-    // Only the fleet dispatcher can fold elastically joining workers
-    // into a run (serve always runs a fleet, so the implication is
-    // harmless there).
-    if options.accept_workers.is_some() && options.backend != BackendChoice::Fleet {
-        if backend_explicit {
-            return Err(format!(
-                "--accept-workers conflicts with --backend {:?}; omit --backend or use \
-                 --backend fleet",
-                options.backend
-            )
-            .to_lowercase());
-        }
-        options.backend = BackendChoice::Fleet;
-    }
     Ok(options)
 }
 
@@ -472,9 +426,6 @@ fn cli_column(name: &str) -> Result<SweepProtocol, SimError> {
     )
 }
 
-/// The (registry protocol × scenario) grid the command line declares —
-/// shared by `sweep` (local execution) and `submit` (service execution),
-/// so both produce identical cells, seeds, and therefore statistics.
 /// The library name of a `--scenarios` trace-file entry: the file stem.
 /// `None` for ordinary scenario names.
 fn trace_stem(name: &str) -> Option<&str> {
@@ -493,7 +444,10 @@ fn load_trace_scenario(path: &str) -> Result<crp_predict::Scenario, SimError> {
     Ok(trace.compile(stem)?)
 }
 
-fn cli_matrix(options: &Options) -> Result<SweepMatrix, SimError> {
+/// The (registry protocol × scenario) grid the command line declares —
+/// shared by `sweep` (local execution) and `submit` (service execution),
+/// so both produce identical cells, seeds, and therefore statistics.
+fn cli_matrix(options: &Options, config: &RunnerConfig) -> Result<SweepMatrix, SimError> {
     let mut library = ScenarioLibrary::new(options.size)?;
     // Trace-file entries (shrunk fuzz reproducers) are compiled and
     // registered first, so they are addressable by stem like any
@@ -503,7 +457,7 @@ fn cli_matrix(options: &Options) -> Result<SweepMatrix, SimError> {
             library.register(load_trace_scenario(name)?)?;
         }
     }
-    let mut matrix = SweepMatrix::new().runner(cli_config(options)?);
+    let mut matrix = SweepMatrix::new().runner(config.clone());
     for name in &options.scenarios {
         let name = trace_stem(name).unwrap_or(name);
         matrix = matrix.scenario(library.by_name(name)?);
@@ -531,8 +485,8 @@ fn print_results(options: &Options, results: &crp_sim::SweepResults) {
 
 /// Runs an arbitrary (registry protocol × scenario) grid declared from the
 /// command line.
-fn run_sweep(options: &Options) -> Result<(), SimError> {
-    let results = cli_matrix(options)?.run()?;
+fn run_sweep(options: &Options, config: &RunnerConfig) -> Result<(), SimError> {
+    let results = cli_matrix(options, config)?.run()?;
     print_results(options, &results);
     Ok(())
 }
@@ -545,14 +499,9 @@ fn backend_error(what: impl std::fmt::Display) -> SimError {
 
 /// The worker pool a `serve` daemon owns, resolved like any fleet run:
 /// `--fleet`, then `CRP_FLEET`, then `--threads` local workers.
-fn fleet_endpoints(options: &Options) -> Result<Vec<crp_fleet::WorkerEndpoint>, SimError> {
-    let config = cli_config(options)?;
-    let manifest = match (&config.fleet, env_fleet_manifest()?) {
-        (Some(manifest), _) => Some(manifest.clone()),
-        (None, manifest) => manifest,
-    };
-    let backend = match manifest {
-        Some(manifest) => crp_sim::FleetBackend::from_manifest(&manifest)?,
+fn fleet_endpoints(config: &RunnerConfig) -> Result<Vec<crp_fleet::WorkerEndpoint>, SimError> {
+    let backend = match &config.fleet {
+        Some(manifest) => crp_sim::FleetBackend::from_manifest(manifest)?,
         None => crp_sim::FleetBackend::local(config.threads)?,
     };
     Ok(backend.endpoints().to_vec())
@@ -560,15 +509,15 @@ fn fleet_endpoints(options: &Options) -> Result<Vec<crp_fleet::WorkerEndpoint>, 
 
 /// The persistent sweep service: a warm fleet plus the content-addressed
 /// result cache, serving framed submissions until shut down.
-fn serve_mode(options: &Options) -> Result<(), SimError> {
-    let endpoints = fleet_endpoints(options)?;
+fn serve_mode(options: &Options, config: &RunnerConfig) -> Result<(), SimError> {
+    let endpoints = fleet_endpoints(config)?;
     let cache = match &options.cache {
         Some(dir) => Some(ResultCache::open(dir).map_err(backend_error)?),
         None => None,
     };
     let server =
         SweepServer::bind(options.listen.as_str(), endpoints, cache).map_err(backend_error)?;
-    if let Some(addr) = &options.accept_workers {
+    if let Some(addr) = &config.accept_workers {
         let bound = server.listen_for_workers(addr).map_err(backend_error)?;
         eprintln!("sweep service accepting elastic workers on {bound}");
     }
@@ -585,8 +534,8 @@ fn serve_mode(options: &Options) -> Result<(), SimError> {
 
 /// Submits the `sweep`-equivalent grid to a running daemon and prints
 /// the identical table or CSV, plus cache statistics on stderr.
-fn submit_mode(options: &Options) -> Result<(), SimError> {
-    let matrix = cli_matrix(options)?;
+fn submit_mode(options: &Options, config: &RunnerConfig) -> Result<(), SimError> {
+    let matrix = cli_matrix(options, config)?;
     let (results, outcome) = submit_matrix_as(
         &options.connect,
         options.tenant.as_deref(),
@@ -638,79 +587,29 @@ fn stats_mode(options: &Options) -> Result<(), SimError> {
     }
 }
 
-/// The runner configuration the command line describes: `--threads` (or
-/// `--workers`) wins over the `CRP_THREADS` environment variable.
-///
-/// # Errors
-///
-/// Unlike the lenient [`RunnerConfig::default`] fallback, the CLI treats
-/// a `CRP_THREADS` value that is not a positive integer as a hard
-/// [`SimError::Config`] error — a mistyped override should fail loudly,
-/// not silently run on hardware parallelism.
-fn cli_config(options: &Options) -> Result<RunnerConfig, SimError> {
-    let mut config = RunnerConfig::with_trials(options.trials)
-        .seeded(options.seed)
-        .with_backend(options.backend);
-    match options.threads {
-        Some(threads) => config = config.with_threads(threads),
-        None => {
-            if let Some(threads) = env_worker_threads()? {
-                config = config.with_threads(threads);
-            }
-        }
-    }
-    // Same precedence as --threads: an explicit --kernel wins, otherwise
-    // a *strictly* parsed CRP_KERNEL (the CLI refuses a misspelt value
-    // instead of warning like the lenient RunnerConfig default does).
-    match options.kernel {
-        Some(kernel) => config = config.with_kernel(kernel),
-        None => {
-            if let Some(kernel) = env_kernel_choice()? {
-                config = config.with_kernel(kernel);
-            }
-        }
-    }
-    // An explicit --fleet (already validated at parse time) travels as a
-    // typed RunnerConfig field — no environment-variable side channel —
-    // and wins over CRP_FLEET, which the backend layer falls back to.
-    if let Some(manifest) = &options.fleet {
-        config = config.with_fleet(manifest.clone());
-    }
-    if let Some(plan) = &options.chaos {
-        config.chaos = Some(plan.clone());
-    }
-    if let Some(addr) = &options.accept_workers {
-        config = config.with_accept_workers(addr.clone());
-    }
-    Ok(config)
+/// Installs the structured-trace sink a process asked for: the
+/// `--trace-out` flag when given, otherwise `CRP_TRACE`.  A path that
+/// cannot be opened is a typed configuration error naming its source.
+fn init_tracing(flag: Option<&str>, env: &EnvConfig) -> Result<(), SimError> {
+    let (var, path) = match (flag, &env.trace) {
+        (Some(path), _) => ("--trace-out", path),
+        (None, Some(path)) => ("CRP_TRACE", path.as_str()),
+        (None, None) => return Ok(()),
+    };
+    crp_obs::init_trace(path).map_err(|err| SimError::Config {
+        var: var.to_string(),
+        value: path.to_string(),
+        what: err.to_string(),
+    })
 }
 
-/// Installs the structured-trace sink the command line asked for:
-/// `--trace-out PATH` wins, otherwise the strictly parsed `CRP_TRACE`
-/// environment variable.  A path that cannot be opened is a typed
-/// configuration error, not a warning.
-fn init_tracing(options: &Options) -> Result<(), SimError> {
-    match &options.trace_out {
-        Some(path) => crp_obs::init_trace(path).map_err(|err| SimError::Config {
-            var: "--trace-out".to_string(),
-            value: path.clone(),
-            what: err.to_string(),
-        }),
-        None => match crp_obs::init_trace_from_env() {
-            Ok(_) => Ok(()),
-            Err(crp_obs::ObsError::Env { var, value, reason }) => Err(SimError::Config {
-                var: var.to_string(),
-                value,
-                what: reason,
-            }),
-            Err(other) => Err(backend_error(other)),
-        },
+fn run(options: &Options, env: &EnvConfig) -> Result<(), SimError> {
+    let config = RunnerConfig {
+        trials: options.trials,
+        ..options.runner.clone().resolve(env)?
     }
-}
-
-fn run(options: &Options) -> Result<(), SimError> {
-    init_tracing(options)?;
-    let config = cli_config(options)?;
+    .seeded(options.seed);
+    init_tracing(options.trace_out.as_deref(), env)?;
     let wants = |name: &str| options.command == "all" || options.command == name;
 
     if options.command == "list" {
@@ -718,13 +617,13 @@ fn run(options: &Options) -> Result<(), SimError> {
         return Ok(());
     }
     if options.command == "sweep" {
-        return run_sweep(options);
+        return run_sweep(options, &config);
     }
     if options.command == "serve" {
-        return serve_mode(options);
+        return serve_mode(options, &config);
     }
     if options.command == "submit" {
-        return submit_mode(options);
+        return submit_mode(options, &config);
     }
     if options.command == "stats" {
         return stats_mode(options);
@@ -781,13 +680,13 @@ fn run(options: &Options) -> Result<(), SimError> {
 /// over stdio (default), a TCP listener (`--listen host:port`), or by
 /// dialling a dispatcher's registration listener (`--join host:port`,
 /// the elastic-membership direction), executing many shards per
-/// process.  Fault-injection knobs (`CRP_FLEET_DIE_AFTER`,
-/// `CRP_FLEET_GARBAGE_AFTER`) are read from the environment for the
-/// failure tests and smoke jobs.
-fn worker_mode(args: &[String]) -> ExitCode {
+/// process on the `CRP_KERNEL` path and tracing to `CRP_TRACE`.
+/// Repeatable `--fault FAULT@JOBS` arguments inject the faults the
+/// failure tests, chaos plans and smoke jobs need.
+fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
     let mut listen: Option<String> = None;
     let mut join: Option<String> = None;
-    let mut capacity: Option<usize> = None;
+    let mut options = ServeOptions::default();
     let mut index = 0;
     while index < args.len() {
         match args[index].as_str() {
@@ -815,17 +714,29 @@ fn worker_mode(args: &[String]) -> ExitCode {
             "--capacity" => {
                 index += 1;
                 match args.get(index).and_then(|value| value.parse().ok()) {
-                    Some(value) if value >= 1 => capacity = Some(value),
+                    Some(value) if value >= 1 => options.capacity = value,
                     _ => {
                         eprintln!("worker: --capacity requires a positive job count");
                         return ExitCode::FAILURE;
                     }
                 }
             }
+            "--fault" => {
+                index += 1;
+                let scheduled = match args.get(index) {
+                    Some(fault) => options.schedule_fault(fault).map_err(|e| e.to_string()),
+                    None => Err("--fault requires FAULT@JOBS (e.g. die@2)".to_string()),
+                };
+                if let Err(err) = scheduled {
+                    eprintln!("worker: {err}");
+                    return ExitCode::FAILURE;
+                }
+            }
             other => {
                 eprintln!(
                     "worker: unknown flag {other}; usage: worker \
-                     [--stdio | --listen host:port | --join host:port] [--capacity N]"
+                     [--stdio | --listen host:port | --join host:port] [--capacity N] \
+                     [--fault FAULT@JOBS].."
                 );
                 return ExitCode::FAILURE;
             }
@@ -836,31 +747,18 @@ fn worker_mode(args: &[String]) -> ExitCode {
         eprintln!("worker: --join and --listen are mutually exclusive");
         return ExitCode::FAILURE;
     }
-    // Strict environment parsing: a mistyped CRP_FLEET_* knob (or an
-    // unopenable CRP_TRACE path) refuses to start the worker instead of
-    // silently running without the fault, capacity, or trace it was
-    // meant to carry.
-    if let Err(err) = crp_obs::init_trace_from_env() {
+    if let Err(err) = init_tracing(None, env) {
         eprintln!("worker: {err}");
         return ExitCode::FAILURE;
-    }
-    let mut options = match ServeOptions::try_from_env() {
-        Ok(options) => options,
-        Err(err) => {
-            eprintln!("worker: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(capacity) = capacity {
-        options.capacity = capacity;
     }
     // One process-wide scenario store: `scenario-put` frames fill it,
     // and the handler resolves compact `ref <hash>` spec sections out of
     // it — a scenario's masses arrive once per worker, not once per
     // shard.
     let store = ScenarioStore::new();
+    let kernel = env.kernel.unwrap_or_default();
     let handler = |payload: &str| {
-        run_shard_worker_with(payload, &|hash| store.get(hash)).map_err(|e| e.to_string())
+        run_shard_worker_with(payload, &|hash| store.get(hash), kernel).map_err(|e| e.to_string())
     };
     if let Some(addr) = join {
         // Elastic membership: dial the dispatcher and serve over the
@@ -1153,30 +1051,31 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("fuzz") {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        return fuzz_mode(&args);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("fuzz") => return fuzz_mode(&args[1..]),
+        Some("trace-check") => return trace_check_mode(&args[1..]),
+        Some("trace-join") => return trace_join_mode(&args[1..]),
+        _ => {}
     }
-    if std::env::args().nth(1).as_deref() == Some("worker") {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        return worker_mode(&args);
+    let env = match EnvConfig::from_env() {
+        Ok(env) => env,
+        Err(err) => {
+            eprintln!("crp_experiments: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if args.first().map(String::as_str) == Some("worker") {
+        return worker_mode(&args[1..], &env);
     }
-    if std::env::args().nth(1).as_deref() == Some("trace-check") {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        return trace_check_mode(&args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("trace-join") {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        return trace_join_mode(&args);
-    }
-    let options = match parse_args() {
+    let options = match parse_args(&args) {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    match run(&options) {
+    match run(&options, &env) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("experiment failed: {err}");

@@ -14,7 +14,7 @@
 //!   participants, zero round budgets, protocol/channel-mode mismatches —
 //!   are typed [`SimError`]s raised at build time, never panics.
 //! * [`runner`] — the sharded trial runner: trials split into
-//!   thread-count-independent shards ([`ShardPlan`]) with per-shard
+//!   thread-count-independent shards ([`ShardPlan`]) with per-trial
 //!   `ChaCha8Rng` streams, folded into mergeable accumulators and merged
 //!   in shard order.  Execution is delegated to an object-safe
 //!   [`ShardBackend`] — [`SerialBackend`] inline, [`ThreadBackend`]
@@ -32,6 +32,11 @@
 //!   `crp_experiments` binary runs them all (its `list` subcommand prints
 //!   the protocol registry, its `sweep` subcommand runs arbitrary
 //!   registry-name × scenario-name grids).
+//!
+//! Library code never reads the environment: the binaries parse the
+//! `CRP_*` variables once with [`EnvConfig::from_env`] and resolve
+//! flag > environment > default into a [`RunnerConfig`] with
+//! [`RunnerFlags::resolve`].
 //!
 //! # Example
 //!
@@ -55,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod env;
 pub mod experiments;
 mod report;
 mod runner;
@@ -68,13 +74,13 @@ use std::fmt;
 
 use crp_channel::ChannelMode;
 
+pub use env::{EnvConfig, RunnerFlags};
 pub use report::{fmt_f64, Table};
 pub use runner::{
-    env_fleet_manifest, env_kernel_choice, env_worker_threads, measure_cd_strategy,
-    measure_schedule, run_batch, run_batch_with_progress, run_shard_worker_with, run_trials,
-    sample_contending_size, BackendChoice, BatchProgress, FleetBackend, JobDoneFn, KernelChoice,
-    ProgressFn, RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec,
-    ThreadBackend, TrialFn, TrialOutcome,
+    measure_cd_strategy, measure_schedule, run_batch, run_batch_with_progress,
+    run_shard_worker_with, run_trials, sample_contending_size, BackendChoice, BatchProgress,
+    FleetBackend, JobDoneFn, KernelChoice, ProgressFn, RunnerConfig, SerialBackend, ShardBackend,
+    ShardJob, ShardPlan, ShardSpec, ThreadBackend, TrialFn, TrialOutcome,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};
@@ -114,12 +120,13 @@ pub enum SimError {
         /// Human-readable description of the failure.
         what: String,
     },
-    /// An environment variable the harness honours (`CRP_THREADS`,
-    /// `CRP_FLEET`) carried a value it could not use.  Surfaced as a
-    /// typed error instead of being silently ignored, so a mistyped
-    /// override fails loudly.
+    /// A `CRP_*` environment variable (see [`EnvConfig::NAMES`]) was
+    /// unknown or carried a value that is not UTF-8 or cannot be used,
+    /// or a trace destination could not be opened.  Surfaced as a typed
+    /// error instead of being silently ignored, so a mistyped override
+    /// fails loudly.
     Config {
-        /// The environment variable.
+        /// The environment variable (or flag).
         var: String,
         /// The offending value, verbatim.
         value: String,

@@ -4,7 +4,7 @@
 //! (a cell being a single batch — a [`crate::Simulation`] — or one cell of
 //! a [`crate::SweepMatrix`] grid).  An object-safe [`ShardBackend`] takes a
 //! slice of jobs and returns one [`TrialAccumulator`] per job, in job
-//! order.  Because the shard plans, the per-shard RNG streams and the
+//! order.  Because the shard plans, the per-trial RNG streams and the
 //! merge order are all fixed before any backend runs, backends only decide
 //! *where* shards execute — inline ([`SerialBackend`]), on scoped worker
 //! threads stealing from a shared queue ([`crate::ThreadBackend`]), or
@@ -115,7 +115,7 @@ impl ShardJob<'_> {
 /// reporting, like the statistics, is independent of scheduling).  They
 /// should invoke `done(index)` once per completed job.
 pub trait ShardBackend: Sync {
-    /// A short stable name (`"serial"`, `"thread"`, `"process"`), used in
+    /// A short stable name (`"serial"`, `"thread"`, `"fleet"`), used in
     /// diagnostics.
     fn name(&self) -> &'static str;
 
@@ -211,13 +211,12 @@ pub(crate) fn steal_jobs(
 ///
 /// [`BackendChoice::Process`] builds a pool of `config.threads`
 /// *persistent* local workers (each serving many shard jobs over its
-/// lifetime); [`BackendChoice::Fleet`] additionally honours the
-/// `CRP_FLEET` manifest, mixing local subprocess workers with remote TCP
+/// lifetime); [`BackendChoice::Fleet`] additionally honours the config's
+/// fleet manifest, mixing local subprocess workers with remote TCP
 /// workers.
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] for an invalid `CRP_FLEET` manifest and
 /// [`SimError::Backend`] when a needed worker binary cannot be located.
 pub(crate) fn backend_for(config: &RunnerConfig) -> Result<Box<dyn ShardBackend>, SimError> {
     Ok(match config.backend {

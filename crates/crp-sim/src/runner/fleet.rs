@@ -15,9 +15,7 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
-use crp_fleet::{
-    BlobSet, DispatchTuning, Dispatcher, FleetError, FleetManifest, JobPayload, WorkerEndpoint,
-};
+use crp_fleet::{BlobSet, Dispatcher, FleetError, FleetManifest, JobPayload, WorkerEndpoint};
 
 use crate::runner::backend::{JobDoneFn, ShardBackend, ShardJob};
 use crate::runner::plan::RunnerConfig;
@@ -28,27 +26,6 @@ use crate::SimError;
 /// The arguments that put the worker binary into stdio worker mode.
 fn stdio_worker_args() -> Vec<String> {
     vec!["worker".to_string(), "--stdio".to_string()]
-}
-
-/// Strictly parses the `CRP_FLEET` manifest: `Ok(None)` when unset, the
-/// parsed [`FleetManifest`] when valid, and a typed [`SimError::Config`]
-/// naming the offending value otherwise.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for a manifest [`FleetManifest::parse`] rejects.
-pub fn env_fleet_manifest() -> Result<Option<FleetManifest>, SimError> {
-    let Ok(value) = std::env::var("CRP_FLEET") else {
-        return Ok(None);
-    };
-    match FleetManifest::parse(&value) {
-        Ok(manifest) => Ok(Some(manifest)),
-        Err(err) => Err(SimError::Config {
-            var: "CRP_FLEET".to_string(),
-            value,
-            what: err.to_string(),
-        }),
-    }
 }
 
 /// Executes shard jobs on a pool of persistent fleet workers.
@@ -106,49 +83,23 @@ impl FleetBackend {
         ))
     }
 
-    /// The pool the `CRP_FLEET` environment variable describes, falling
-    /// back to `workers` local subprocesses when it is unset.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Config`] for an invalid manifest, [`SimError::Backend`]
-    /// when a needed worker binary cannot be located.
-    pub fn from_env_or_local(workers: usize) -> Result<Self, SimError> {
-        match env_fleet_manifest()? {
-            Some(manifest) => Self::from_manifest(&manifest),
-            None => Self::local(workers),
-        }
-    }
-
-    /// The pool a [`RunnerConfig`] selects: its typed
-    /// [`RunnerConfig::fleet`] manifest when set, otherwise the
-    /// `CRP_FLEET` environment variable, otherwise `config.threads`
-    /// local subprocess workers — with the config's
+    /// The pool a [`RunnerConfig`] selects: its
+    /// [`RunnerConfig::fleet`] manifest when set, otherwise
+    /// `config.threads` local subprocess workers — with the config's
     /// [`RunnerConfig::chaos`] plan (if any) compiled onto the pool's
-    /// local endpoints as fault-injection spawn environment, the
-    /// dispatch tuning parsed *strictly* from `CRP_FLEET_POLL_MS`
-    /// (a malformed value is a typed error here, not a warning), and a
+    /// local endpoints as `--fault` arguments, and a
     /// [`RunnerConfig::accept_workers`] registration listener bound
     /// when configured.
     ///
     /// # Errors
     ///
-    /// As [`FleetBackend::from_env_or_local`], plus [`SimError::Backend`]
-    /// when the chaos plan targets an endpoint it cannot sabotage or
-    /// the registration listener cannot be bound, and
-    /// [`SimError::Config`] for a malformed `CRP_FLEET_POLL_MS`.
+    /// [`SimError::Backend`] when a needed worker binary cannot be
+    /// located, the chaos plan targets an endpoint it cannot sabotage,
+    /// or the registration listener cannot be bound.
     pub fn from_config(config: &RunnerConfig) -> Result<Self, SimError> {
-        let tuning = DispatchTuning::try_from_env().map_err(|err| match err {
-            FleetError::Env { var, value, reason } => SimError::Config {
-                var,
-                value,
-                what: reason,
-            },
-            other => fleet_error(other),
-        })?;
         let backend = match &config.fleet {
             Some(manifest) => Self::from_manifest(manifest),
-            None => Self::from_env_or_local(config.threads),
+            None => Self::local(config.threads),
         }?;
         let backend = match &config.chaos {
             None => backend,
@@ -160,9 +111,6 @@ impl FleetBackend {
                 let weights = backend.dispatcher.weights().to_vec();
                 Self::with_weighted_endpoints(sabotaged.into_iter().zip(weights).collect())
             }
-        };
-        let backend = Self {
-            dispatcher: backend.dispatcher.with_tuning(tuning),
         };
         if let Some(addr) = &config.accept_workers {
             backend.listen_for_workers(addr)?;
@@ -289,50 +237,6 @@ impl ShardBackend for FleetBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_fleet_manifest_surfaces_a_typed_config_error() {
-        // CRP_FLEET is only read here and in the test below; no other
-        // test in this binary touches it, so set/remove is race-free.
-        std::env::set_var("CRP_FLEET", "local:0");
-        let err = env_fleet_manifest().unwrap_err();
-        match &err {
-            SimError::Config { var, value, .. } => {
-                assert_eq!(var, "CRP_FLEET");
-                assert_eq!(value, "local:0");
-            }
-            other => panic!("expected SimError::Config, got {other:?}"),
-        }
-        assert!(err.to_string().contains("local:0"), "{err}");
-
-        std::env::set_var("CRP_FLEET", "local:2,10.0.0.7:9311");
-        let manifest = env_fleet_manifest().unwrap().unwrap();
-        assert_eq!(manifest.entries().len(), 2);
-
-        // Capacity weights ride through the environment variable too.
-        std::env::set_var("CRP_FLEET", "local:2*3,10.0.0.7:9311*2");
-        let manifest = env_fleet_manifest().unwrap().unwrap();
-        assert_eq!(
-            manifest.entries(),
-            &[
-                crp_fleet::FleetEntry::Local {
-                    workers: 2,
-                    weight: 3
-                },
-                crp_fleet::FleetEntry::Tcp {
-                    addr: "10.0.0.7:9311".to_string(),
-                    weight: 2
-                },
-            ]
-        );
-        // And a malformed weight is a typed config error, not a clamp.
-        std::env::set_var("CRP_FLEET", "local:2*0");
-        let err = env_fleet_manifest().unwrap_err();
-        assert!(err.to_string().contains("weight"), "{err}");
-
-        std::env::remove_var("CRP_FLEET");
-        assert!(env_fleet_manifest().unwrap().is_none());
-    }
 
     #[test]
     fn manifest_pools_expand_local_entries_to_subprocess_endpoints() {

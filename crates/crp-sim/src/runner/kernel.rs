@@ -90,49 +90,6 @@ impl FromStr for KernelChoice {
     }
 }
 
-/// Strictly parses the `CRP_KERNEL` override: `Ok(None)` when unset,
-/// `Ok(Some(choice))` for a valid name, and a typed [`SimError::Config`]
-/// listing the valid choices otherwise.
-///
-/// [`crate::RunnerConfig::default`] stays infallible (it warns once and
-/// falls back to [`KernelChoice::Auto`]); entry points that *can* fail —
-/// the CLI, explicit callers — use this to refuse a misconfigured
-/// environment instead of silently ignoring it, the same convention as
-/// `CRP_THREADS` and `CRP_FLEET`.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for a value that is not a valid kernel name.
-pub fn env_kernel_choice() -> Result<Option<KernelChoice>, SimError> {
-    let Ok(value) = std::env::var("CRP_KERNEL") else {
-        return Ok(None);
-    };
-    match value.trim().parse::<KernelChoice>() {
-        Ok(choice) => Ok(Some(choice)),
-        Err(what) => Err(SimError::Config {
-            var: "CRP_KERNEL".to_string(),
-            value,
-            what,
-        }),
-    }
-}
-
-/// The default kernel choice: `CRP_KERNEL` when set to a valid name (so
-/// CI smoke jobs can force a path without code changes), otherwise
-/// [`KernelChoice::Auto`].  An invalid override is reported on stderr
-/// (once) and ignored here; strict callers use [`env_kernel_choice`].
-pub(crate) fn default_kernel() -> KernelChoice {
-    match env_kernel_choice() {
-        Ok(Some(choice)) => choice,
-        Ok(None) => KernelChoice::default(),
-        Err(err) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {err}; using the auto kernel"));
-            KernelChoice::default()
-        }
-    }
-}
-
 /// How a kernel chooses each trial's participant population (a borrowed
 /// mirror of the simulation's population).
 pub(crate) enum KernelPopulation<'a> {

@@ -21,8 +21,8 @@
 //!   `crp_experiments worker` runs on each received spec.
 //! * [`fleet`] — [`FleetBackend`]: [`ShardSpec`] messages framed over
 //!   long-lived `crp_experiments worker` processes (persistent local
-//!   subprocess pools and/or remote TCP workers from the `CRP_FLEET`
-//!   manifest), with straggler retry and dead-worker re-dispatch.
+//!   subprocess pools and/or remote TCP workers from a fleet manifest),
+//!   with straggler retry and dead-worker re-dispatch.
 //!
 //! Because the plan, the streams and the merge order are all independent
 //! of scheduling *and of the backend*, the resulting [`TrialStats`] are
@@ -53,12 +53,9 @@ use crate::stats::TrialStats;
 use crate::SimError;
 
 pub use backend::{JobDoneFn, SerialBackend, ShardBackend, ShardJob, TrialFn};
-pub use fleet::{env_fleet_manifest, FleetBackend};
-pub use kernel::{env_kernel_choice, KernelChoice};
-pub use plan::{
-    env_worker_threads, BackendChoice, BatchProgress, ProgressFn, RunnerConfig, ShardPlan,
-    TrialOutcome,
-};
+pub use fleet::FleetBackend;
+pub use kernel::KernelChoice;
+pub use plan::{BackendChoice, BatchProgress, ProgressFn, RunnerConfig, ShardPlan, TrialOutcome};
 pub use process::{run_shard_worker_with, ShardSpec};
 pub use thread::ThreadBackend;
 
@@ -392,71 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn crp_threads_env_overrides_the_default_worker_count() {
-        // Concurrent tests may observe the variable while it is set; that
-        // is harmless by design — the statistics never depend on the
-        // worker count, only wall-clock time does.
-        std::env::set_var("CRP_THREADS", "3");
-        assert_eq!(RunnerConfig::default().threads, 3);
-        // Explicit worker counts (the CLI flag path) win over the env.
-        assert_eq!(RunnerConfig::default().with_threads(2).threads, 2);
-        // Unparsable or zero values fall back to hardware parallelism in
-        // the infallible default...
-        std::env::set_var("CRP_THREADS", "zero");
-        assert!(RunnerConfig::default().threads >= 1);
-        // ...but the strict parser surfaces them as typed Config errors
-        // naming the variable and the offending value.
-        match env_worker_threads() {
-            Err(SimError::Config { var, value, .. }) => {
-                assert_eq!(var, "CRP_THREADS");
-                assert_eq!(value, "zero");
-            }
-            other => panic!("expected SimError::Config, got {other:?}"),
-        }
-        std::env::set_var("CRP_THREADS", "0");
-        assert!(RunnerConfig::default().threads >= 1);
-        assert!(matches!(env_worker_threads(), Err(SimError::Config { .. })));
-        std::env::set_var("CRP_THREADS", "3");
-        assert_eq!(env_worker_threads().unwrap(), Some(3));
-        std::env::remove_var("CRP_THREADS");
-        assert_eq!(env_worker_threads().unwrap(), None);
-    }
-
-    #[test]
-    fn crp_kernel_env_overrides_the_default_kernel_choice() {
-        // Concurrent tests may observe the variable while it is set; that
-        // is harmless by design — kernels are bit-identical to the scalar
-        // path, so the statistics never depend on this choice.
-        std::env::set_var("CRP_KERNEL", "scalar");
-        assert_eq!(RunnerConfig::default().kernel, KernelChoice::Scalar);
-        // Explicit choices (the CLI flag path) win over the environment.
-        assert_eq!(
-            RunnerConfig::default()
-                .with_kernel(KernelChoice::Batched)
-                .kernel,
-            KernelChoice::Batched
-        );
-        // Invalid values fall back to Auto in the infallible default...
-        std::env::set_var("CRP_KERNEL", "simd");
-        assert_eq!(RunnerConfig::default().kernel, KernelChoice::Auto);
-        // ...but the strict parser surfaces them as typed Config errors
-        // naming the variable, the value, and the valid choices.
-        match env_kernel_choice() {
-            Err(SimError::Config { var, value, what }) => {
-                assert_eq!(var, "CRP_KERNEL");
-                assert_eq!(value, "simd");
-                assert!(what.contains("auto, scalar, batched"), "{what}");
-            }
-            other => panic!("expected SimError::Config, got {other:?}"),
-        }
-        std::env::set_var("CRP_KERNEL", "batched");
-        assert_eq!(env_kernel_choice().unwrap(), Some(KernelChoice::Batched));
-        std::env::remove_var("CRP_KERNEL");
-        assert_eq!(env_kernel_choice().unwrap(), None);
-        assert_eq!(RunnerConfig::default().kernel, KernelChoice::Auto);
-    }
-
-    #[test]
     fn progress_callback_reports_every_shard() {
         let config = RunnerConfig::with_trials(1000).seeded(3).single_threaded();
         let calls = AtomicUsize::new(0);
@@ -610,10 +542,12 @@ mod tests {
         };
         let plan = ShardPlan::new(600);
         let wire = spec.to_wire(plan, 42, 1);
-        let response = run_shard_worker_with(&wire, &|_| None).unwrap();
+        let response = run_shard_worker_with(&wire, &|_| None, KernelChoice::Auto).unwrap();
         let worker_acc = crate::stats::TrialAccumulator::from_wire(&response).unwrap();
 
-        let simulation = spec.to_simulation(plan.trials(), 42).unwrap();
+        let simulation = spec
+            .to_simulation(plan.trials(), 42, KernelChoice::Scalar)
+            .unwrap();
         let trial = simulation.trial_fn();
         let local = ShardJob {
             cell: 0,
@@ -632,8 +566,9 @@ mod tests {
     #[test]
     fn shard_worker_rejects_malformed_input() {
         let no_blobs = |_: &str| None;
-        assert!(run_shard_worker_with("", &no_blobs).is_err());
-        assert!(run_shard_worker_with("crp-shard-spec v2\n", &no_blobs).is_err());
+        let run = |wire: &str| run_shard_worker_with(wire, &no_blobs, KernelChoice::Auto);
+        assert!(run("").is_err());
+        assert!(run("crp-shard-spec v2\n").is_err());
         let spec = ShardSpec {
             protocol: crp_protocols::ProtocolSpec::new("decay").universe(64),
             population: crate::runner::process::WirePopulation::Fixed(4),
@@ -641,6 +576,6 @@ mod tests {
         };
         let wire = spec.to_wire(ShardPlan::new(10), 1, 5);
         // Shard 5 is out of range for a 10-trial plan (1 shard).
-        assert!(run_shard_worker_with(&wire, &no_blobs).is_err());
+        assert!(run(&wire).is_err());
     }
 }

@@ -12,8 +12,7 @@ use crp_fleet::{ChaosPlan, FleetManifest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::runner::kernel::{default_kernel, KernelChoice};
-use crate::SimError;
+use crate::runner::kernel::KernelChoice;
 
 /// Outcome of a single Monte-Carlo trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,9 +49,8 @@ pub enum BackendChoice {
     /// each serving many shard jobs over its lifetime.
     Process,
     /// The fleet dispatcher: local worker subprocesses and/or remote
-    /// `host:port` workers from the `CRP_FLEET` manifest (or the
-    /// `--fleet` CLI flag), with straggler retry and dead-worker
-    /// re-dispatch.
+    /// `host:port` workers from a [`FleetManifest`], with straggler
+    /// retry and dead-worker re-dispatch.
     Fleet,
 }
 
@@ -92,23 +90,17 @@ pub struct RunnerConfig {
     pub base_seed: u64,
     /// Number of worker threads or processes (1 = run inline).  The
     /// statistics do not depend on this value, only the wall-clock time
-    /// does.  Defaults to the `CRP_THREADS` environment variable when set
-    /// to a positive integer, otherwise to the machine's available
-    /// parallelism; explicit calls to [`RunnerConfig::threads`]-setting
-    /// builders (and CLI flags built on them) win over the environment.
+    /// does.  Defaults to the machine's available parallelism.
     pub threads: usize,
     /// Which shard backend executes the batch.
     pub backend: BackendChoice,
     /// The worker pool a [`BackendChoice::Fleet`] run dispatches to.
-    /// `None` falls back to the `CRP_FLEET` environment variable (and
-    /// then to `threads` local subprocess workers) — so library callers
-    /// can pin a per-run pool without touching the process environment.
-    /// The CLI's `--fleet` flag populates this field.
+    /// `None` runs `threads` local subprocess workers.  The CLI fills it
+    /// from `--fleet`, then `CRP_FLEET`.
     pub fleet: Option<FleetManifest>,
     /// A declarative fault schedule applied to the worker pool of a
-    /// [`BackendChoice::Fleet`] run: each event extends one local
-    /// worker's spawn environment with the corresponding legacy
-    /// `CRP_FLEET_*_AFTER` knob.  `None` (and the empty plan) injects
+    /// [`BackendChoice::Fleet`] run: each event adds one `--fault` to a
+    /// local worker's arguments.  `None` (and the empty plan) injects
     /// nothing.  Because the dispatcher re-dispatches the jobs of dead,
     /// garbled or wedged workers and shard statistics are deterministic
     /// functions of their specs, a chaos run that completes stays
@@ -127,9 +119,7 @@ pub struct RunnerConfig {
     /// — identical selection, the scalar executor remains the universal
     /// fallback), or never ([`KernelChoice::Scalar`], for debugging and
     /// equivalence baselines).  The choice affects wall-clock time only,
-    /// never the statistics.  Defaults to the `CRP_KERNEL` environment
-    /// variable when set to a valid choice; explicit builder calls and
-    /// CLI flags win over the environment.
+    /// never the statistics.
     pub kernel: KernelChoice,
 }
 
@@ -138,59 +128,14 @@ impl Default for RunnerConfig {
         Self {
             trials: 1000,
             base_seed: 0xC0FFEE,
-            threads: default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             backend: BackendChoice::default(),
             fleet: None,
             chaos: None,
             accept_workers: None,
-            kernel: default_kernel(),
+            kernel: KernelChoice::default(),
         }
     }
-}
-
-/// Strictly parses the `CRP_THREADS` worker-count override: `Ok(None)`
-/// when unset, `Ok(Some(n))` for a positive integer, and a typed
-/// [`SimError::Config`] naming the offending value otherwise.
-///
-/// [`RunnerConfig::default`] stays infallible (it warns once and falls
-/// back to hardware parallelism); entry points that *can* fail — the CLI,
-/// explicit callers — use this to refuse a misconfigured environment
-/// instead of silently ignoring it.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for a value that is not a positive integer.
-pub fn env_worker_threads() -> Result<Option<usize>, SimError> {
-    let Ok(value) = std::env::var("CRP_THREADS") else {
-        return Ok(None);
-    };
-    match value.trim().parse::<usize>() {
-        Ok(threads) if threads >= 1 => Ok(Some(threads)),
-        _ => Err(SimError::Config {
-            var: "CRP_THREADS".to_string(),
-            value,
-            what: "expected a positive integer worker count".to_string(),
-        }),
-    }
-}
-
-/// The default worker count: `CRP_THREADS` when set to a positive integer
-/// (so CI and benches can pin parallelism without code changes), otherwise
-/// the available hardware parallelism.  An invalid override is reported
-/// on stderr (once) and ignored here; strict callers use
-/// [`env_worker_threads`].
-fn default_threads() -> usize {
-    match env_worker_threads() {
-        Ok(Some(threads)) => return threads,
-        Ok(None) => {}
-        Err(err) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {err}; using hardware parallelism"));
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 impl RunnerConfig {
@@ -215,8 +160,7 @@ impl RunnerConfig {
         self
     }
 
-    /// Returns a copy with an explicit worker count (wins over the
-    /// `CRP_THREADS` default).
+    /// Returns a copy with an explicit worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -229,8 +173,7 @@ impl RunnerConfig {
     }
 
     /// Returns a copy pinned to a fleet manifest (and therefore the
-    /// fleet backend) — the typed equivalent of the `CRP_FLEET`
-    /// environment variable, which this field wins over.
+    /// fleet backend).
     pub fn with_fleet(mut self, manifest: FleetManifest) -> Self {
         self.fleet = Some(manifest);
         self.backend = BackendChoice::Fleet;
@@ -246,17 +189,7 @@ impl RunnerConfig {
         self
     }
 
-    /// Returns a copy listening for elastically joining workers on
-    /// `addr` during fleet runs (and therefore selecting the fleet
-    /// backend, the only one workers can join mid-run).
-    pub fn with_accept_workers(mut self, addr: impl Into<String>) -> Self {
-        self.accept_workers = Some(addr.into());
-        self.backend = BackendChoice::Fleet;
-        self
-    }
-
-    /// Returns a copy selecting a trial-kernel path (wins over the
-    /// `CRP_KERNEL` default).
+    /// Returns a copy selecting a trial-kernel path.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
         self.kernel = kernel;
         self

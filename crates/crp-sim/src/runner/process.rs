@@ -22,6 +22,7 @@ use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_protocols::ProtocolSpec;
 
 use crate::runner::backend::ShardJob;
+use crate::runner::kernel::KernelChoice;
 use crate::runner::plan::ShardPlan;
 use crate::simulation::Simulation;
 use crate::SimError;
@@ -393,18 +394,20 @@ impl ShardSpec {
     }
 
     /// Reconstructs the cell's validated [`Simulation`] (single-threaded —
-    /// a worker only ever runs one shard inline).
+    /// a worker only ever runs one shard inline) on the given kernel path.
     pub(crate) fn to_simulation(
         &self,
         trials: usize,
         base_seed: u64,
+        kernel: KernelChoice,
     ) -> Result<Simulation, SimError> {
         let mut builder = Simulation::builder()
             .protocol(self.protocol.clone())
             .max_rounds(self.max_rounds)
             .trials(trials)
             .seed(base_seed)
-            .threads(1);
+            .threads(1)
+            .kernel(kernel);
         builder = match &self.population {
             WirePopulation::Fixed(k) => builder.participants(*k),
             WirePopulation::Placed(ids) => builder.participant_ids(ids.clone()),
@@ -418,8 +421,13 @@ impl ShardSpec {
 /// [`ShardSpec`] message — resolving `ref <hash>` sections through
 /// `resolve`, a lookup into the worker's per-process
 /// [`crp_fleet::ScenarioStore`], so a scenario's masses arrive once per
-/// worker instead of once per shard — executes the one shard it names,
-/// and returns the serialised [`crate::TrialAccumulator`].
+/// worker instead of once per shard — executes the one shard it names on
+/// the worker's `kernel` path, and returns the serialised
+/// [`crate::TrialAccumulator`].
+///
+/// The kernel choice is not carried on the wire: kernels are
+/// bit-identical to the scalar path, so dispatcher and worker may choose
+/// differently without affecting the statistics.
 ///
 /// # Errors
 ///
@@ -428,6 +436,7 @@ impl ShardSpec {
 pub fn run_shard_worker_with(
     input: &str,
     resolve: &dyn Fn(&str) -> Option<String>,
+    kernel: KernelChoice,
 ) -> Result<String, SimError> {
     let (spec, plan, base_seed, shard) = ShardSpec::from_wire_with(input, resolve)?;
     if shard >= plan.num_shards() {
@@ -436,11 +445,7 @@ pub fn run_shard_worker_with(
             plan.num_shards()
         )));
     }
-    let simulation = spec.to_simulation(plan.trials(), base_seed)?;
-    // The kernel choice is not carried on the wire: the worker honours its
-    // own `CRP_KERNEL` environment (default: auto).  Kernels are
-    // bit-identical to the scalar path, so dispatcher and worker may
-    // disagree without affecting the statistics.
+    let simulation = spec.to_simulation(plan.trials(), base_seed, kernel)?;
     let kernel = simulation.cell_kernel();
     let trial = simulation.trial_fn();
     let job = ShardJob {

@@ -48,12 +48,10 @@ fn exclusive() -> RwLockWriteGuard<'static, ()> {
 /// re-dispatch without changing a single bit of the statistics.
 fn fleet_with_dying_worker() -> FleetBackend {
     let args = vec!["worker".to_string(), "--stdio".to_string()];
+    let mut dying = args.clone();
+    dying.extend(["--fault".to_string(), "die@1".to_string()]);
     FleetBackend::with_endpoints(vec![
-        WorkerEndpoint::local_with_env(
-            WORKER_BIN,
-            args.clone(),
-            vec![("CRP_FLEET_DIE_AFTER".to_string(), "1".to_string())],
-        ),
+        WorkerEndpoint::local(WORKER_BIN, dying),
         WorkerEndpoint::local(WORKER_BIN, args),
     ])
 }

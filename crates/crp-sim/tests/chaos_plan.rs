@@ -1,9 +1,9 @@
 //! Declarative chaos plans end to end: a typed [`ChaosPlan`] compiled
-//! onto a fleet pool must inject exactly the faults the legacy
-//! `CRP_FLEET_*_AFTER` environment knobs inject — and, because the
-//! dispatcher re-dispatches the jobs of sabotaged workers and every
-//! shard's statistics are a deterministic function of its spec, a chaos
-//! run that completes stays bit-identical to the serial backend.
+//! onto a fleet pool must inject exactly the faults its `worker --fault`
+//! arguments schedule — and, because the dispatcher re-dispatches the
+//! jobs of sabotaged workers and every shard's statistics are a
+//! deterministic function of its spec, a chaos run that completes stays
+//! bit-identical to the serial backend.
 
 use crp_fleet::{ChaosPlan, FaultKind, WorkerEndpoint};
 use crp_predict::ScenarioLibrary;
@@ -82,21 +82,21 @@ fn runner_config_carries_the_chaos_plan_into_the_fleet_pool() {
     assert_eq!(config.chaos.as_ref(), Some(&plan));
     // Worker-binary resolution may fail in stripped environments; the
     // property under test is the plan landing in the endpoints' spawn
-    // environment, so only assert when the pool can be built.
+    // arguments, so only assert when the pool can be built.
     if let Ok(backend) = FleetBackend::from_config(&config) {
-        let knobs: Vec<Vec<(String, String)>> = backend
+        let args: Vec<Vec<String>> = backend
             .endpoints()
             .iter()
             .map(|endpoint| match endpoint {
-                WorkerEndpoint::Local { envs, .. } => envs.clone(),
+                WorkerEndpoint::Local { args, .. } => args.clone(),
                 other => panic!("expected local endpoints, got {other:?}"),
             })
             .collect();
         assert_eq!(
-            knobs,
+            args,
             vec![
-                vec![("CRP_FLEET_GARBAGE_AFTER".to_string(), "0".to_string())],
-                vec![("CRP_FLEET_MANGLE_AFTER".to_string(), "3".to_string())],
+                vec!["worker", "--stdio", "--fault", "garbage@0"],
+                vec!["worker", "--stdio", "--fault", "mangle@3"],
             ]
         );
     }

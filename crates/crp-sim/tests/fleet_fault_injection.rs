@@ -5,11 +5,11 @@
 //! answers still arrive.
 //!
 //! The sabotaged workers are the *real* `crp_experiments worker` binary
-//! with the crp-fleet fault-injection knobs set in their (per-endpoint)
-//! environment: `CRP_FLEET_DIE_AFTER=N` makes the worker process write a
-//! truncated frame and hard-exit when job N arrives;
-//! `CRP_FLEET_GARBAGE_AFTER=N` makes it answer every job from the N-th
-//! onwards with bytes that are not a frame at all.
+//! with a crp-fleet fault injection in their (per-endpoint) arguments:
+//! `--fault die@N` makes the worker process write a truncated frame and
+//! hard-exit when job N arrives; `--fault garbage@N` makes it answer
+//! every job from the N-th onwards with bytes that are not a frame at
+//! all.
 
 use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
@@ -26,12 +26,10 @@ fn healthy() -> WorkerEndpoint {
     WorkerEndpoint::local(WORKER_BIN, worker_args())
 }
 
-fn sabotaged(var: &str, value: usize) -> WorkerEndpoint {
-    WorkerEndpoint::local_with_env(
-        WORKER_BIN,
-        worker_args(),
-        vec![(var.to_string(), value.to_string())],
-    )
+fn sabotaged(fault: &str) -> WorkerEndpoint {
+    let mut args = worker_args();
+    args.extend(["--fault".to_string(), fault.to_string()]);
+    WorkerEndpoint::local(WORKER_BIN, args)
 }
 
 /// A multi-shard, sampled-population simulation (5 shards), so retries
@@ -62,7 +60,7 @@ fn a_worker_dying_mid_stream_is_retried_bit_identically() {
     // The dying worker serves one job per process life, then writes a
     // truncated frame and exits; the dispatcher respawns it (up to its
     // reconnect budget) and re-dispatches the lost jobs.
-    let fleet = FleetBackend::with_endpoints(vec![sabotaged("CRP_FLEET_DIE_AFTER", 1), healthy()]);
+    let fleet = FleetBackend::with_endpoints(vec![sabotaged("die@1"), healthy()]);
     let stats = simulation().run_on(&fleet).unwrap();
     assert_eq!(stats, serial_reference(), "worker death changed the stats");
 }
@@ -71,8 +69,7 @@ fn a_worker_dying_mid_stream_is_retried_bit_identically() {
 fn a_worker_answering_garbage_is_retried_bit_identically() {
     // The garbage worker answers every job with unframable bytes; every
     // one of its jobs must be recomputed by the healthy worker.
-    let fleet =
-        FleetBackend::with_endpoints(vec![sabotaged("CRP_FLEET_GARBAGE_AFTER", 0), healthy()]);
+    let fleet = FleetBackend::with_endpoints(vec![sabotaged("garbage@0"), healthy()]);
     let stats = simulation().run_on(&fleet).unwrap();
     assert_eq!(
         stats,
@@ -86,8 +83,7 @@ fn a_worker_answering_well_framed_nonsense_is_retried_bit_identically() {
     // The mangling worker frames its answers correctly, but their bodies
     // are not accumulators; the dispatcher-side validator must reject
     // them before the job settles and recompute on the healthy worker.
-    let fleet =
-        FleetBackend::with_endpoints(vec![sabotaged("CRP_FLEET_MANGLE_AFTER", 0), healthy()]);
+    let fleet = FleetBackend::with_endpoints(vec![sabotaged("mangle@0"), healthy()]);
     let stats = simulation().run_on(&fleet).unwrap();
     assert_eq!(
         stats,
@@ -110,11 +106,8 @@ fn a_sweep_survives_both_faults_at_once() {
         .trials(600)
         .seed(31);
     let reference = matrix.run_on(&SerialBackend).unwrap();
-    let fleet = FleetBackend::with_endpoints(vec![
-        sabotaged("CRP_FLEET_DIE_AFTER", 2),
-        sabotaged("CRP_FLEET_GARBAGE_AFTER", 1),
-        healthy(),
-    ]);
+    let fleet =
+        FleetBackend::with_endpoints(vec![sabotaged("die@2"), sabotaged("garbage@1"), healthy()]);
     let results = matrix.run_on(&fleet).unwrap();
     assert_eq!(reference, results, "faulty pool diverged from serial");
 }
@@ -123,7 +116,7 @@ fn a_sweep_survives_both_faults_at_once() {
 fn a_pool_with_no_surviving_workers_errors_instead_of_hanging() {
     // Garbage-only pool: every attempt fails, the dispatcher runs out of
     // retries and reports a typed backend error.
-    let fleet = FleetBackend::with_endpoints(vec![sabotaged("CRP_FLEET_GARBAGE_AFTER", 0)]);
+    let fleet = FleetBackend::with_endpoints(vec![sabotaged("garbage@0")]);
     let err = simulation().run_on(&fleet).unwrap_err();
     assert!(
         matches!(err, crp_sim::SimError::Backend { .. }),
