@@ -41,7 +41,7 @@ fn simulation(universe: usize) -> Simulation {
         .max_rounds(64 * universe)
         .trials(TRIALS)
         .seed(0xBEEF)
-        .kernel(KernelChoice::Batched)
+        .kernel(KernelChoice::Auto)
         .build()
         .expect("the bench simulation is valid")
 }

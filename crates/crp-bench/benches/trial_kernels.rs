@@ -82,7 +82,7 @@ fn record_history() {
     let mut headline = 1.0;
     for universe in LADDER {
         let (scalar_stats, scalar_sec) = measure(universe, KernelChoice::Scalar);
-        let (batched_stats, batched_sec) = measure(universe, KernelChoice::Batched);
+        let (batched_stats, batched_sec) = measure(universe, KernelChoice::Auto);
         assert_eq!(
             scalar_stats, batched_stats,
             "kernel diverged from the scalar executor at n = {universe}"
@@ -123,7 +123,7 @@ fn trial_kernels(c: &mut Criterion) {
         group.sample_size(10);
         for (name, kernel) in [
             ("scalar", KernelChoice::Scalar),
-            ("batched", KernelChoice::Batched),
+            ("batched", KernelChoice::Auto),
         ] {
             let simulation = simulation(universe, kernel);
             group.bench_with_input(

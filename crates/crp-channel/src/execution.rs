@@ -1,13 +1,14 @@
 //! Driving protocols against the channel.
 //!
-//! Two executors are provided:
+//! Two executors are provided, each returning a typed error for an
+//! invalid configuration:
 //!
-//! * [`execute`] drives arbitrary *per-node* protocols (each participant is
-//!   its own [`NodeProtocol`] object making independent decisions).  Needed
-//!   for the deterministic advice-based algorithms of §3, where behaviour
-//!   depends on participant identity.
-//! * [`execute_uniform_schedule`] drives *uniform* protocols, in which all
-//!   participants share the same per-round transmission probability (the
+//! * [`try_execute`] drives arbitrary *per-node* protocols (each
+//!   participant is its own [`NodeProtocol`] object making independent
+//!   decisions).  Needed for the deterministic advice-based algorithms of
+//!   §3, where behaviour depends on participant identity.
+//! * [`try_execute_uniform_schedule`] drives *uniform* protocols, in which
+//!   all participants share the same per-round transmission probability (the
 //!   class of algorithms the paper's §2 analyses).  For uniform protocols
 //!   only the number of transmitters matters, and its distribution is
 //!   `Binomial(k, p)`; the executor therefore samples the round outcome
@@ -116,21 +117,6 @@ impl Execution {
 /// `nodes[i]` is the protocol instance of the `i`-th participant.  The
 /// participant count is `nodes.len()`.
 ///
-/// # Panics
-///
-/// Panics if `nodes` is empty or `config.max_rounds == 0`.  Library code
-/// that wants an `Err` instead should call [`try_execute`].
-pub fn execute<P: NodeProtocol, R: Rng>(
-    nodes: &mut [P],
-    config: &ExecutionConfig,
-    rng: &mut R,
-) -> Execution {
-    try_execute(nodes, config, rng).expect("execution configuration is valid")
-}
-
-/// Fallible variant of [`execute`]: returns a typed error instead of
-/// panicking on an empty node list or a zero round cap.
-///
 /// # Errors
 ///
 /// Returns [`ChannelError::InvalidConfiguration`] if `nodes` is empty or
@@ -204,32 +190,6 @@ pub fn try_execute<P: NodeProtocol, R: Rng>(
 ///
 /// The executor samples the round outcome category directly from the exact
 /// binomial probabilities, so the cost per round is independent of `k`.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `config.max_rounds == 0`, or a returned probability
-/// is outside `[0, 1]`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use try_execute_uniform_schedule (or the crp-sim Simulation builder), which returns \
-            a typed error instead of panicking"
-)]
-pub fn execute_uniform_schedule<F, R>(
-    k: usize,
-    probability_for_round: F,
-    config: &ExecutionConfig,
-    rng: &mut R,
-) -> Execution
-where
-    F: FnMut(usize, &CollisionHistory) -> Option<f64>,
-    R: Rng + ?Sized,
-{
-    try_execute_uniform_schedule(k, probability_for_round, config, rng)
-        .expect("execution configuration is valid")
-}
-
-/// Fallible variant of the uniform executor: returns a typed error instead
-/// of panicking on invalid configurations.
 ///
 /// # Errors
 ///
@@ -400,7 +360,7 @@ mod tests {
         let mut nodes = vec![FixedProbability { p: 1.0 }];
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 10);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let result = execute(&mut nodes, &config, &mut rng);
+        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(result.resolved);
         assert_eq!(result.rounds, 1);
         assert_eq!(result.resolution_round(), Some(1));
@@ -411,7 +371,7 @@ mod tests {
         let mut nodes = vec![FixedProbability { p: 1.0 }, FixedProbability { p: 1.0 }];
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 25).with_trace();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let result = execute(&mut nodes, &config, &mut rng);
+        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(!result.resolved);
         assert_eq!(result.rounds, 25);
         assert_eq!(result.trace.collisions(), 25);
@@ -432,7 +392,7 @@ mod tests {
         ];
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 10).with_trace();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let result = execute(&mut nodes, &config, &mut rng);
+        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(result.resolved);
         assert_eq!(result.rounds, 3);
         assert_eq!(result.trace.silences(), 2);
@@ -452,7 +412,7 @@ mod tests {
         ];
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 100);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let result = execute(&mut nodes, &config, &mut rng);
+        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         // Both collide in round 2, then both are finished: no point running on.
         assert!(!result.resolved);
         assert_eq!(result.rounds, 2);
@@ -602,14 +562,5 @@ mod tests {
         assert!(try_execute_uniform_schedule(0, |_, _| Some(0.5), &config, &mut rng).is_err());
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 0);
         assert!(try_execute_uniform_schedule(2, |_, _| Some(0.5), &config, &mut rng).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn deprecated_uniform_shim_still_panics() {
-        let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 5);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let _ = execute_uniform_schedule(2, |_, _| Some(1.5), &config, &mut rng);
     }
 }

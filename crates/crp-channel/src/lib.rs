@@ -20,9 +20,11 @@
 //!   picks *which* ids participate once the size has been drawn from the
 //!   prediction distribution (for uniform algorithms the identities are
 //!   irrelevant, but full per-node protocols see real ids).
-//! * [`Execution`] / [`execute`] — drives a per-node protocol against the
-//!   channel until contention is resolved (or a round cap is hit) and
-//!   records a [`Trace`].
+//! * [`Execution`] / [`try_execute`] — drives a per-node protocol against
+//!   the channel until contention is resolved (or a round cap is hit) and
+//!   records a [`Trace`]; [`try_execute_uniform_schedule`] does the same
+//!   for uniform protocols in `O(1)` per round.  Both return a typed
+//!   error for an invalid configuration.
 //!
 //! # Example
 //!
@@ -51,12 +53,9 @@ mod trace;
 pub use adversary::{Adversary, AdversaryStrategy};
 pub use channel::{Channel, ChannelMode};
 pub use error::ChannelError;
-#[allow(deprecated)]
-pub use execution::execute_uniform_schedule;
 pub use execution::{
-    classify_uniform_draw, execute, sample_uniform_outcome, try_execute,
-    try_execute_uniform_schedule, uniform_outcome_thresholds, Execution, ExecutionConfig,
-    NodeProtocol,
+    classify_uniform_draw, sample_uniform_outcome, try_execute, try_execute_uniform_schedule,
+    uniform_outcome_thresholds, Execution, ExecutionConfig, NodeProtocol,
 };
 pub use history::CollisionHistory;
 pub use participant::{ParticipantId, ParticipantSet};

@@ -53,7 +53,7 @@
 //! merge guarantee), *which* worker answers never changes the result,
 //! only the wall-clock time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -118,10 +118,11 @@ impl From<&str> for JobPayload {
     }
 }
 
-/// The content-addressed blobs a batch's compact payloads reference.
-#[derive(Debug, Clone, Default)]
+/// The content-addressed blobs a batch's payloads reference, iterated in
+/// hash order so anything encoded from a set is deterministic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlobSet {
-    blobs: HashMap<String, String>,
+    blobs: BTreeMap<String, String>,
 }
 
 impl BlobSet {
@@ -154,7 +155,7 @@ impl BlobSet {
         self.blobs.is_empty()
     }
 
-    /// Iterates over `(hash, blob)` pairs in arbitrary order.
+    /// Iterates over `(hash, blob)` pairs in ascending hash order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.blobs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }

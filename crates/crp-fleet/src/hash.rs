@@ -6,8 +6,9 @@
 //!
 //! * the wire protocol's `scenario-put` messages store worker-side
 //!   blobs under this digest;
-//! * the `crp-serve` result cache keys every job and sweep cell by the
-//!   digest of its canonical (fully inline) wire encoding;
+//! * the `crp-serve` result cache keys every job by the digest of the
+//!   one payload a worker runs, and every sweep cell by the digest of
+//!   its ordered job-key list;
 //! * dispatchers decide what a connection already knows by the same
 //!   digest.
 //!

@@ -6,7 +6,7 @@
 //! crp_fuzz [campaign] [--budget N] [--seed S] [--size N] [--steps N]
 //!          [--trials T] [--protocols a,b,..] [--adversaries a,b,..]
 //!          [--property NAME] [--shrink] [--max-shrink-evals N]
-//!          [--backend serial|thread|process|fleet] [--threads T]
+//!          [--backend serial|thread|fleet] [--threads T]
 //!          [--fleet MANIFEST] [--chaos PLAN] [--save DIR]
 //! crp_fuzz replay [--corpus DIR] [FILE ..] [--trials T]
 //!          [--protocols a,b,..] [--property NAME]

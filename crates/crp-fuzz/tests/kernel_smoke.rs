@@ -1,5 +1,6 @@
 //! The fuzz harness under the batched trial kernels: a short campaign
-//! forced onto [`KernelChoice::Batched`] must report exactly what the
+//! on [`KernelChoice::Auto`] (batched kernels wherever a protocol
+//! admits one) must report exactly what the
 //! scalar executor reports — the same grids, the same (zero, for the
 //! shipped protocols) property violations — because the kernels are
 //! bit-identical to the scalar path by contract.  A kernel bug that
@@ -23,7 +24,7 @@ fn config_with_kernel(kernel: KernelChoice) -> FuzzConfig {
 #[test]
 fn a_batched_campaign_reports_exactly_what_the_scalar_campaign_reports() {
     let scalar = run_campaign(&config_with_kernel(KernelChoice::Scalar)).unwrap();
-    let batched = run_campaign(&config_with_kernel(KernelChoice::Batched)).unwrap();
+    let batched = run_campaign(&config_with_kernel(KernelChoice::Auto)).unwrap();
     assert_eq!(scalar.traces_run, batched.traces_run);
     // The shipped protocols satisfy every property; the kernels must not
     // invent a violation (nor hide one).
@@ -53,7 +54,7 @@ fn corpus_replays_are_bit_identical_under_the_batched_kernel() {
         )
         .unwrap();
         let batched = evaluate_trace(
-            &config(KernelChoice::Batched),
+            &config(KernelChoice::Auto),
             &trace,
             "replay",
             property.as_ref(),

@@ -29,7 +29,10 @@ mod span;
 mod trace;
 
 pub use hex::{hex64, parse_hex64};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    bucket_index, bucket_value, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot,
+};
 pub use span::{
     current_span, is_span_id, set_current_span, span_from_hash, SpanContext, SPAN_HEX_LEN,
 };

@@ -11,8 +11,8 @@
 //! observation render byte-identically regardless of the thread or
 //! fleet interleaving that produced them.
 //!
-//! Histograms reuse the `QuantileSketch` bucketing discipline from the
-//! simulator's statistics: values below 128 occupy one exact bucket
+//! Histograms bucket with [`bucket_index`], which the simulator's
+//! `QuantileSketch` calls too: values below 128 occupy one exact bucket
 //! each; larger values share log-spaced buckets with 128 linear
 //! sub-buckets per power of two (HdrHistogram-style), for a 1/256
 //! worst-case relative error at any quantile.  Unlike the sketch, the
@@ -28,17 +28,19 @@ use crate::hex::{hex64, parse_hex64};
 use crate::ObsError;
 
 /// Linear buckets below this value; log-spaced with this many
-/// sub-buckets per octave above it.  Matches `SKETCH_PRECISION` in the
-/// crp-sim statistics module so the two codecs share error bounds.
+/// sub-buckets per octave above it.
 const PRECISION: usize = 128;
 
 /// The largest bucket index any `u64` can map to: octave `m = 63`
 /// yields `(63 - 6) * 128 + 127`.
 const BUCKETS: usize = (63 - 6) * PRECISION + PRECISION;
 
-/// The bucket index of `value` (identical discipline to
-/// `QuantileSketch::bucket_index`).
-fn bucket_index(value: u64) -> usize {
+/// The log bucket of `value`: values below 128 get one exact bucket
+/// each, larger values one of 128 linear sub-buckets of their power of
+/// two.  The one bucketing discipline of the workspace — histograms here
+/// and the crp-sim `QuantileSketch` both use it, so they share its 1/256
+/// worst-case relative error.
+pub fn bucket_index(value: u64) -> usize {
     if value < PRECISION as u64 {
         value as usize
     } else {
@@ -50,8 +52,9 @@ fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// The representative (lower-midpoint) value of bucket `index`.
-fn bucket_value(index: usize) -> u64 {
+/// The representative (lower-midpoint) value of bucket `index` (see
+/// [`bucket_index`]).
+pub fn bucket_value(index: usize) -> u64 {
     if index < PRECISION {
         index as u64
     } else {
@@ -352,11 +355,6 @@ impl MetricsSnapshot {
     /// The histogram named `name`, when present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
-    }
-
-    /// Sets the counter named `name` (snapshot-building convenience).
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
     }
 
     /// True when no metric has been recorded.

@@ -131,7 +131,7 @@ impl NodeProtocol for DeterministicCdAdvice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crp_channel::{execute, ChannelMode, ExecutionConfig};
+    use crp_channel::{try_execute, ChannelMode, ExecutionConfig};
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -163,7 +163,7 @@ mod tests {
             );
             let config = ExecutionConfig::new(ChannelMode::CollisionDetection, worst.max(1));
             let mut rng = ChaCha8Rng::seed_from_u64(0);
-            let exec = execute(&mut nodes, &config, &mut rng);
+            let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
             assert!(exec.resolved, "budget {budget} failed");
             assert!(
                 exec.rounds <= worst,
@@ -180,7 +180,7 @@ mod tests {
         let mut nodes = build_nodes(universe, &active, 9);
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert_eq!(exec.rounds, 1);
     }
@@ -194,7 +194,7 @@ mod tests {
         let mut nodes = build_nodes(universe, &active, 0);
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10).with_trace();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert!(
             exec.trace.collisions() > 0,
@@ -211,7 +211,7 @@ mod tests {
         let mut nodes = build_nodes(universe, &active, 0);
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10).with_trace();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert!(exec.trace.silences() > 0);
     }
@@ -223,7 +223,7 @@ mod tests {
         for &id in &[0usize, 17, 128, 255] {
             let mut nodes = build_nodes(universe, &[id], 0);
             let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 16);
-            let exec = execute(&mut nodes, &config, &mut rng);
+            let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
             assert!(exec.resolved, "failed to find lone participant {id}");
         }
     }

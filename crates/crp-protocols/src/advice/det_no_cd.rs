@@ -98,7 +98,7 @@ impl NodeProtocol for DeterministicNoCdAdvice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crp_channel::{execute, ChannelMode, ExecutionConfig};
+    use crp_channel::{try_execute, ChannelMode, ExecutionConfig};
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -128,7 +128,7 @@ mod tests {
             assert_eq!(worst, universe >> budget.min(8));
             let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, worst.max(1));
             let mut rng = ChaCha8Rng::seed_from_u64(0);
-            let exec = execute(&mut nodes, &config, &mut rng);
+            let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
             assert!(exec.resolved, "budget {budget} failed to resolve");
             assert!(exec.rounds <= worst);
         }
@@ -141,7 +141,7 @@ mod tests {
         let mut nodes = build_nodes(universe, &active, 10);
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert_eq!(exec.rounds, 1);
     }
@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(nodes[0].worst_case_rounds(), 64);
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 64);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert_eq!(exec.rounds, 64, "id 63 transmits in the last scan round");
     }
@@ -168,7 +168,7 @@ mod tests {
         let mut nodes = build_nodes(universe, &active, 3);
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 32).with_trace();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let exec = execute(&mut nodes, &config, &mut rng);
+        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
         assert!(exec.resolved);
         assert_eq!(exec.trace.collisions(), 0);
     }

@@ -11,8 +11,10 @@
 //!   [`crp_fleet::Dispatcher`] whose worker connections stay warm across
 //!   submissions, so back-to-back sweeps never re-pay process spawn,
 //!   handshake, or scenario shipping.
-//! * **Recomputation** — every job and every sweep cell is keyed by the
-//!   [`crp_fleet::content_hash`] of its canonical wire encoding, and the
+//! * **Recomputation** — every job is keyed by the
+//!   [`crp_fleet::content_hash`] of the one payload a worker runs, every
+//!   sweep cell by the hash of its ordered job keys — addresses the
+//!   daemon computes itself, never takes from a client — and the
 //!   [`ResultCache`] persists each answer as a bit-exact blob.  A
 //!   resubmitted (or overlapping) sweep settles its cached cells without
 //!   touching a worker, returning *bit-identical* statistics because the
@@ -20,8 +22,9 @@
 //!
 //! Like `crp-fleet` underneath it, the crate is payload-agnostic: jobs,
 //! answers and blobs are opaque strings, cells are merged by a
-//! caller-supplied function, and answers are vetted by a caller-supplied
-//! validator.  `crp-sim` layers its `ShardSpec` / `TrialAccumulator`
+//! caller-supplied function, answers are vetted by a caller-supplied
+//! validator, and a caller-supplied canonicalizer fixes the one spelling
+//! of each job it will dispatch.  `crp-sim` layers its `ShardSpec` / `TrialAccumulator`
 //! semantics on top, which keeps the dependency arrow `crp-sim` →
 //! `crp-serve` → `crp-fleet` and lets the `crp_experiments` binary host
 //! both the daemon (`serve`) and the client (`submit`).
@@ -68,8 +71,7 @@ pub use obs::{
 pub use server::{AnswerCheck, Canonicalizer, CellMerger, SubmissionHooks, SweepServer};
 pub use watch::{counters_from_report, rates_line};
 pub use wire::{
-    CellOutcome, ServeMessage, Submission, SubmissionCell, SubmissionJob, SubmissionOutcome,
-    SERVICE_VERSION,
+    CellOutcome, ServeMessage, Submission, SubmissionCell, SubmissionOutcome, SERVICE_VERSION,
 };
 
 use crp_fleet::FleetError;
@@ -89,15 +91,6 @@ pub enum ServeError {
         /// What was wrong with it.
         what: String,
     },
-    /// A submission referenced or produced inconsistent hashes.
-    HashMismatch {
-        /// What was being hashed.
-        what: String,
-        /// The hash the submission claimed.
-        claimed: String,
-        /// The hash actually computed.
-        actual: String,
-    },
     /// The underlying fleet transport or dispatcher failed.
     Fleet(String),
     /// The server answered a submission with a typed error.
@@ -112,14 +105,6 @@ impl fmt::Display for ServeError {
             ServeError::CorruptCache { key, what } => {
                 write!(f, "corrupt cache entry {key}: {what}")
             }
-            ServeError::HashMismatch {
-                what,
-                claimed,
-                actual,
-            } => write!(
-                f,
-                "{what} hash mismatch: submission claims {claimed}, content hashes to {actual}"
-            ),
             ServeError::Fleet(what) => write!(f, "fleet dispatch failed: {what}"),
             ServeError::Server(what) => write!(f, "the sweep server reported: {what}"),
         }
@@ -159,13 +144,6 @@ mod tests {
         }
         .to_string()
         .contains("truncated"));
-        assert!(ServeError::HashMismatch {
-            what: "job".into(),
-            claimed: "x".into(),
-            actual: "y".into(),
-        }
-        .to_string()
-        .contains("mismatch"));
         let err: ServeError = FleetError::Closed.into();
         assert!(matches!(err, ServeError::Fleet(_)));
         let err: ServeError = FleetError::Malformed("bad".into()).into();

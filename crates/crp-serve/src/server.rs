@@ -1,16 +1,19 @@
 //! The sweep daemon: an accept loop owning a warm [`Dispatcher`] fleet
 //! and a [`ResultCache`], executing submissions cache-first.
 //!
-//! For every submission the server settles work at the cheapest level
-//! that can answer it:
+//! For every submission the server computes each content address itself
+//! — a job's key is the content hash of its payload, a cell's key the
+//! [`cell_hash`](crate::wire::cell_hash) of its job keys — and settles
+//! work at the cheapest level that can answer it:
 //!
-//! 1. **Cell hits** — a cell whose [`cell hash`](crate::wire::cell_hash)
-//!    is cached returns its merged blob without touching a single job.
+//! 1. **Cell hits** — a cell whose key is cached returns its merged blob
+//!    without touching a single job.
 //! 2. **Job hits** — remaining cells probe per-job; cached answers are
 //!    bit-exact worker blobs.
-//! 3. **Dispatch** — only the missing jobs go to the warm fleet (with
-//!    scenario-by-hash shipping); fresh answers and fresh cell merges
-//!    are written back to the cache.
+//! 3. **Dispatch** — only the missing jobs go to the warm fleet, each
+//!    after the host canonicalizer has reproduced its payload byte for
+//!    byte, with the blobs that canonicalizer resolved; fresh answers and
+//!    fresh cell merges are written back to the cache.
 //!
 //! A corrupt or truncated cache entry is *never* served: the
 //! [`ResultCache`] detects it, the server recomputes, and the overwrite
@@ -19,10 +22,11 @@
 //! changes wall-clock time, never statistics.
 //!
 //! The server is payload-agnostic: the host supplies the cell `merge`
-//! function and the answer `check` used to vet both worker answers and
-//! cache reads (`crp_experiments serve` plugs in the
-//! `TrialAccumulator` codec).
+//! function, the answer `check` used to vet both worker answers and
+//! cache reads, and the job `canonicalize` (`crp_experiments serve`
+//! plugs in the `TrialAccumulator` and `ShardSpec` codecs).
 
+use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 
@@ -30,7 +34,10 @@ use crp_fleet::frame::{read_frame, write_frame};
 use crp_fleet::{BlobSet, Dispatcher, JobPayload, WorkerEndpoint};
 
 use crate::cache::ResultCache;
-use crate::wire::{CellOutcome, ServeMessage, Submission, SubmissionOutcome, SERVICE_VERSION};
+use crate::wire::{
+    cell_hash, CellOutcome, ServeMessage, Submission, SubmissionCell, SubmissionOutcome,
+    SERVICE_VERSION,
+};
 use crate::ServeError;
 
 /// Merges one cell's job answers (in submission order) into the cell's
@@ -43,12 +50,11 @@ pub type CellMerger<'a> = &'a (dyn Fn(&[String]) -> Result<String, String> + Syn
 /// semantically invalid entry is recomputed instead of returned.
 pub type AnswerCheck<'a> = &'a (dyn Fn(&str) -> Result<(), String> + Sync);
 
-/// Reconstructs a job's canonical inline payload from its compact
-/// payload, resolving blob references through the supplied lookup.  A
-/// compact-only job's hash is verified against this reconstruction
-/// before anything is dispatched or cached — so large masses travel
-/// once per submission (in the blob table) instead of once per shard,
-/// without weakening content addressing.
+/// Re-encodes a job payload in its one canonical spelling, resolving the
+/// blob references it makes through the supplied lookup.  A job is
+/// dispatched, and its answer cached, only when this reproduces its
+/// payload byte for byte — so each job has exactly one key — and it
+/// ships with exactly the blobs the lookup resolved.
 pub type Canonicalizer<'a> =
     &'a (dyn Fn(&str, &dyn Fn(&str) -> Option<String>) -> Result<String, String> + Sync);
 
@@ -63,7 +69,7 @@ pub struct SubmissionHooks<'a> {
     /// Validates an answer blob — worker answers before they settle and
     /// cache reads before they are served.
     pub check: AnswerCheck<'a>,
-    /// Reconstructs a canonical inline payload from a compact one.
+    /// Re-encodes a job payload in its canonical spelling.
     pub canonicalize: Canonicalizer<'a>,
 }
 
@@ -296,15 +302,18 @@ impl SweepServer {
         }
     }
 
-    /// Executes one verified submission: cell cache → job cache → warm
-    /// fleet dispatch → merge, writing fresh answers back.  `progress`
-    /// fires as `(settled_jobs, total_jobs, cache_hits)` — once after
-    /// the cache scan, then per dispatched completion.
+    /// Executes one submission: cell cache → job cache → warm fleet
+    /// dispatch → merge, writing fresh answers back.  Every key is
+    /// computed here from the submitted bytes: a job's is the content
+    /// hash of its payload, a cell's the [`cell_hash`] of its job keys.
+    /// `progress` fires as `(settled_jobs, total_jobs, cache_hits)` —
+    /// once after the cache scan, then per dispatched completion.
     ///
     /// # Errors
     ///
-    /// Hash mismatches, cache I/O failures, fleet dispatch failures, and
-    /// merge failures.
+    /// [`ServeError::Malformed`] for a job the canonicalizer rejects or
+    /// respells (raised before anything is dispatched), cache I/O
+    /// failures, fleet dispatch failures, and merge failures.
     pub fn run_submission(
         &self,
         submission: &Submission,
@@ -313,24 +322,24 @@ impl SweepServer {
     ) -> Result<SubmissionOutcome, ServeError> {
         let started = std::time::Instant::now();
         let check = hooks.check;
-        submission.verify_hashes()?;
         let total = submission.job_count();
-        // The submission's trace span is derived from content the
-        // client already hashed — the hash of the ordered cell-hash
-        // list — so identical submissions carry identical spans across
-        // processes and reruns, and stamping never consumes randomness.
-        let cell_hashes: Vec<String> = submission.cells.iter().map(|c| c.hash.clone()).collect();
-        let submission_span = crp_obs::span_from_hash(&crate::wire::cell_hash(&cell_hashes));
+        let job_keys: Vec<Vec<String>> = submission
+            .cells
+            .iter()
+            .map(SubmissionCell::job_keys)
+            .collect();
+        let cell_keys: Vec<String> = job_keys.iter().map(|keys| cell_hash(keys)).collect();
+        // The submission's trace span is derived from its content — the
+        // hash of the ordered cell-key list — so identical submissions
+        // carry identical spans across processes and reruns, and
+        // stamping never consumes randomness.
+        let submission_span = crp_obs::span_from_hash(&cell_hash(&cell_keys));
         if crp_obs::trace_enabled() {
             let mut event = crp_obs::TraceEvent::new("serve.submission")
                 .u64("cells", submission.cells.len() as u64)
                 .u64("jobs", total as u64);
             event = crp_obs::SpanContext::new(&submission_span).stamp(event);
             crp_obs::emit(&event);
-        }
-        let mut blob_set = BlobSet::new();
-        for (_, blob) in &submission.blobs {
-            blob_set.insert(blob.clone());
         }
 
         // Phase 1+2: settle whole cells, then individual jobs, from the
@@ -339,32 +348,33 @@ impl SweepServer {
         let mut answers: Vec<Vec<Option<String>>> = Vec::with_capacity(submission.cells.len());
         let mut pending: Vec<(usize, usize)> = Vec::new();
         let mut hits = 0usize;
-        for (cell_index, cell) in submission.cells.iter().enumerate() {
+        for (cell_index, cell_key) in cell_keys.iter().enumerate() {
+            let keys = &job_keys[cell_index];
             // Emitted before any of the cell's jobs dispatch, so within
             // this file a job span's parent (the cell span) always
             // appears first — the ordering `trace-check` verifies.
             if crp_obs::trace_enabled() {
                 let event = crp_obs::TraceEvent::new("serve.cell")
-                    .str("hash", &cell.hash)
-                    .u64("jobs", cell.jobs.len() as u64);
+                    .str("hash", cell_key)
+                    .u64("jobs", keys.len() as u64);
                 crp_obs::emit(
                     &crp_obs::SpanContext::with_parent(
-                        crp_obs::span_from_hash(&cell.hash),
+                        crp_obs::span_from_hash(cell_key),
                         submission_span.clone(),
                     )
                     .stamp(event),
                 );
             }
-            if let Some(blob) = self.cache_probe(&cell.hash, "cell", check)? {
-                hits += cell.jobs.len();
+            if let Some(blob) = self.cache_probe(cell_key, "cell", check)? {
+                hits += keys.len();
                 cell_cached.push(Some(blob));
                 answers.push(Vec::new());
                 continue;
             }
             cell_cached.push(None);
-            let mut cell_answers = Vec::with_capacity(cell.jobs.len());
-            for (job_index, job) in cell.jobs.iter().enumerate() {
-                match self.cache_probe(&job.hash, "job", check)? {
+            let mut cell_answers = Vec::with_capacity(keys.len());
+            for (job_index, key) in keys.iter().enumerate() {
+                match self.cache_probe(key, "job", check)? {
                     Some(answer) => {
                         hits += 1;
                         cell_answers.push(Some(answer));
@@ -379,62 +389,25 @@ impl SweepServer {
         }
         progress(hits, total, hits);
 
-        // Phase 3: dispatch only the misses to the warm fleet.  A job
-        // ships compact when it has a compact form (its blobs travel
-        // once per worker) and inline otherwise.  A compact-only job's
-        // canonical inline payload is first reconstructed from the blob
-        // table and hash-verified, so a compact job whose claimed key
-        // does not match its content can never reach a worker or the
-        // cache.
+        // Phase 3: dispatch only the misses to the warm fleet, every job
+        // down the one path `canonical_refs` vets.
         let computed = pending.len();
         if !pending.is_empty() {
-            let resolve = |hash: &str| blob_set.get(hash).map(str::to_string);
             let payloads: Vec<JobPayload> = pending
                 .iter()
                 .map(|&(cell, job)| {
-                    let job = &submission.cells[cell].jobs[job];
-                    let payload = match (&job.inline, &job.compact) {
-                        (_, Some(compact)) => {
-                            if job.inline.is_none() {
-                                let inline =
-                                    (hooks.canonicalize)(compact, &resolve).map_err(|e| {
-                                        ServeError::Malformed(format!(
-                                            "cannot canonicalise compact job {}: {e}",
-                                            job.hash
-                                        ))
-                                    })?;
-                                let actual = crp_fleet::content_hash(inline.as_bytes());
-                                if actual != job.hash {
-                                    return Err(ServeError::HashMismatch {
-                                        what: "compact job".to_string(),
-                                        claimed: job.hash.clone(),
-                                        actual,
-                                    });
-                                }
-                            }
-                            JobPayload::new(compact.clone(), job.refs.clone())
-                        }
-                        (Some(inline), None) => JobPayload::from(inline.as_str()),
-                        // The wire decoder rejects payload-less jobs,
-                        // but run_submission also accepts hand-built
-                        // submissions — keep it a typed error.
-                        (None, None) => {
-                            return Err(ServeError::Malformed(format!(
-                                "job {} has neither an inline nor a compact payload",
-                                job.hash
-                            )))
-                        }
-                    };
+                    let payload = &submission.cells[cell].jobs[job];
+                    let key = &job_keys[cell][job];
+                    let refs = canonical_refs(payload, key, hooks.canonicalize, &submission.blobs)?;
                     // Every dispatched job carries its deterministic
-                    // span (derived from the hashes the client already
-                    // computed), parented on its cell — unconditionally,
-                    // because stamping costs two string slices and never
-                    // influences execution.
+                    // span (derived from its key), parented on its cell
+                    // — unconditionally, because stamping costs two
+                    // string slices and never influences execution.
                     let span = crp_fleet::JobSpan {
-                        id: crp_obs::span_from_hash(&job.hash),
-                        parent: Some(crp_obs::span_from_hash(&submission.cells[cell].hash)),
+                        id: crp_obs::span_from_hash(key),
+                        parent: Some(crp_obs::span_from_hash(&cell_keys[cell])),
                     };
-                    Ok(payload.with_span(span))
+                    Ok(JobPayload::new(payload.as_str(), refs).with_span(span))
                 })
                 .collect::<Result<Vec<JobPayload>, ServeError>>()?;
             let settled = Mutex::new(hits);
@@ -442,7 +415,7 @@ impl SweepServer {
                 .dispatcher
                 .dispatch_jobs(
                     &payloads,
-                    &blob_set,
+                    &submission.blobs,
                     &|_| {
                         let mut settled = settled.lock().expect("no server panics");
                         *settled += 1;
@@ -452,17 +425,17 @@ impl SweepServer {
                 )
                 .map_err(ServeError::from)?;
             for (&(cell, job), answer) in pending.iter().zip(results) {
-                self.cache_put(&submission.cells[cell].jobs[job].hash, &answer)?;
+                self.cache_put(&job_keys[cell][job], &answer)?;
                 answers[cell][job] = Some(answer);
             }
         }
 
         // Phase 4: merge non-cached cells and persist the merges.
         let mut outcomes = Vec::with_capacity(submission.cells.len());
-        for (cell_index, cell) in submission.cells.iter().enumerate() {
+        for (cell_index, cell_key) in cell_keys.into_iter().enumerate() {
             if let Some(blob) = cell_cached[cell_index].take() {
                 outcomes.push(CellOutcome {
-                    hash: cell.hash.clone(),
+                    hash: cell_key,
                     cached: true,
                     blob,
                 });
@@ -472,12 +445,11 @@ impl SweepServer {
                 .drain(..)
                 .map(|slot| slot.expect("every pending job settled or dispatch failed"))
                 .collect();
-            let blob = (hooks.merge)(&cell_answers).map_err(|e| {
-                ServeError::Server(format!("merging cell {} failed: {e}", cell.hash))
-            })?;
-            self.cache_put(&cell.hash, &blob)?;
+            let blob = (hooks.merge)(&cell_answers)
+                .map_err(|e| ServeError::Server(format!("merging cell {cell_key} failed: {e}")))?;
+            self.cache_put(&cell_key, &blob)?;
             outcomes.push(CellOutcome {
-                hash: cell.hash.clone(),
+                hash: cell_key,
                 cached: false,
                 blob,
             });
@@ -507,12 +479,40 @@ impl SweepServer {
     }
 }
 
+/// Vets one job before it is dispatched: `canonicalize` must reproduce
+/// `payload` byte for byte, so the job has one spelling and therefore
+/// one key.  Returns the blob hashes the canonicalizer resolved — the
+/// blobs the job ships with.
+fn canonical_refs(
+    payload: &str,
+    key: &str,
+    canonicalize: Canonicalizer<'_>,
+    blobs: &BlobSet,
+) -> Result<Vec<String>, ServeError> {
+    let resolved = RefCell::new(Vec::<String>::new());
+    let resolve = |hash: &str| {
+        let blob = blobs.get(hash)?;
+        let mut resolved = resolved.borrow_mut();
+        if !resolved.iter().any(|seen| seen == hash) {
+            resolved.push(hash.to_string());
+        }
+        Some(blob.to_string())
+    };
+    let canonical = canonicalize(payload, &resolve)
+        .map_err(|e| ServeError::Malformed(format!("cannot canonicalise job {key}: {e}")))?;
+    if canonical != payload {
+        return Err(ServeError::Malformed(format!(
+            "job {key} is not in canonical form"
+        )));
+    }
+    Ok(resolved.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ServeClient;
-    use crate::wire::{cell_hash, SubmissionCell, SubmissionJob};
-    use crp_fleet::hash::content_hash;
+    use crate::wire::{cell_hash, SubmissionCell};
     use crp_fleet::worker::ServeOptions;
     use crp_fleet::TcpWorker;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -535,29 +535,18 @@ mod tests {
         (addr, executions)
     }
 
-    fn job(text: &str) -> SubmissionJob {
-        SubmissionJob {
-            hash: content_hash(text.as_bytes()),
-            inline: Some(text.to_string()),
-            compact: None,
-            refs: Vec::new(),
-        }
-    }
-
-    fn cell(jobs: Vec<SubmissionJob>) -> SubmissionCell {
-        let hashes: Vec<String> = jobs.iter().map(|j| j.hash.clone()).collect();
+    fn cell(jobs: &[&str]) -> SubmissionCell {
         SubmissionCell {
-            hash: cell_hash(&hashes),
-            jobs,
+            jobs: jobs.iter().map(|job| job.to_string()).collect(),
         }
     }
 
     fn demo_submission() -> Submission {
         Submission {
-            blobs: Vec::new(),
+            blobs: BlobSet::new(),
             cells: vec![
-                cell(vec![job("cell-a shard 0"), job("cell-a shard 1")]),
-                cell(vec![job("cell-b shard 0")]),
+                cell(&["cell-a shard 0", "cell-a shard 1"]),
+                cell(&["cell-b shard 0"]),
             ],
         }
     }
@@ -574,18 +563,20 @@ mod tests {
         }
     }
 
-    fn no_canonicalizer(
-        _compact: &str,
+    /// The canonical spelling of a test job has no surrounding
+    /// whitespace.
+    fn trim_canonicalizer(
+        payload: &str,
         _resolve: &dyn Fn(&str) -> Option<String>,
     ) -> Result<String, String> {
-        Err("these tests ship inline payloads".to_string())
+        Ok(payload.trim().to_string())
     }
 
     fn hooks() -> SubmissionHooks<'static> {
         SubmissionHooks {
             merge: &merge,
             check: &check,
-            canonicalize: &no_canonicalizer,
+            canonicalize: &trim_canonicalizer,
         }
     }
 
@@ -593,6 +584,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("crp-serve-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ResultCache::open(dir).unwrap()
+    }
+
+    /// Resolves every `ref <hash>` line of a payload and changes nothing.
+    fn resolving_canonicalizer(
+        payload: &str,
+        resolve: &dyn Fn(&str) -> Option<String>,
+    ) -> Result<String, String> {
+        for hash in payload.lines().filter_map(|line| line.strip_prefix("ref ")) {
+            resolve(hash).ok_or_else(|| format!("no blob {hash}"))?;
+        }
+        Ok(payload.to_string())
+    }
+
+    #[test]
+    fn jobs_ship_exactly_the_blobs_their_canonicalizer_resolved() {
+        let mut blobs = BlobSet::new();
+        let used = blobs.insert("a referenced blob");
+        blobs.insert("a blob no job references");
+        let payload = format!("job\nref {used}\nref {used}\n");
+        let refs = canonical_refs(&payload, "key", &resolving_canonicalizer, &blobs).unwrap();
+        assert_eq!(
+            refs,
+            vec![used.clone()],
+            "each resolved blob once, nothing else"
+        );
+
+        let dangling = payload.replace(&used, &crp_fleet::content_hash(b"absent"));
+        let err = canonical_refs(&dangling, "key", &resolving_canonicalizer, &blobs).unwrap_err();
+        assert!(matches!(err, ServeError::Malformed(_)), "{err}");
     }
 
     #[test]
@@ -634,10 +654,10 @@ mod tests {
         // An overlapping submission: one old cell, one new — only the
         // new cell's job is computed.
         let overlapping = Submission {
-            blobs: Vec::new(),
+            blobs: BlobSet::new(),
             cells: vec![
-                cell(vec![job("cell-a shard 0"), job("cell-a shard 1")]),
-                cell(vec![job("cell-c shard 0")]),
+                cell(&["cell-a shard 0", "cell-a shard 1"]),
+                cell(&["cell-c shard 0"]),
             ],
         };
         let third = server
@@ -664,7 +684,9 @@ mod tests {
             .unwrap();
 
         // Vandalise one job entry and one cell entry on disk.
-        for key in [&submission.cells[0].jobs[0].hash, &submission.cells[0].hash] {
+        let job_keys = submission.cells[0].job_keys();
+        let cell_key = cell_hash(&job_keys);
+        for key in [&job_keys[0], &cell_key] {
             let path = cache.dir().join(&key[..2]).join(format!("{key}.crp"));
             std::fs::write(&path, b"crp-cache v1\ngarbage").unwrap();
             assert!(
@@ -686,7 +708,7 @@ mod tests {
             "recomputed cell is bit-identical to the original"
         );
         // The overwrite healed the entries.
-        assert!(cache.get(&submission.cells[0].hash).unwrap().is_some());
+        assert!(cache.get(&cell_key).unwrap().is_some());
     }
 
     #[test]
@@ -801,16 +823,13 @@ mod tests {
         let service_addr = server.local_addr().unwrap().to_string();
         let daemon = std::thread::spawn(move || server.serve(hooks()));
 
-        let mut tampered = demo_submission();
-        tampered.cells[0].jobs[0]
-            .inline
-            .as_mut()
-            .expect("demo jobs ship inline payloads")
-            .push('!');
+        // A respelled job never reaches the (empty) fleet.
+        let mut respelled = demo_submission();
+        respelled.cells[0].jobs[0].push(' ');
         let mut client = ServeClient::connect(service_addr.as_str()).unwrap();
-        let err = client.submit(&tampered, |_, _, _| {}).unwrap_err();
+        let err = client.submit(&respelled, |_, _, _| {}).unwrap_err();
         assert!(matches!(err, ServeError::Server(_)), "got {err}");
-        assert!(err.to_string().contains("hash mismatch"), "{err}");
+        assert!(err.to_string().contains("not in canonical form"), "{err}");
         client.shutdown_server().unwrap();
         daemon.join().unwrap().unwrap();
     }

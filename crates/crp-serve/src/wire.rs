@@ -12,12 +12,15 @@
 //! ```
 //!
 //! Bodies are versioned text with byte-exact payload sections, so job
-//! payloads and result blobs may contain anything.  Everything is keyed
-//! by [`crp_fleet::content_hash`]es the *client* computes and the
-//! *server* verifies — a submission whose hashes do not match its bytes
-//! is rejected before it can poison the cache.
+//! payloads and result blobs may contain anything.  A submission body
+//! declares no hashes: the daemon computes every content address itself
+//! — blob hashes while decoding, job keys as the
+//! [`crp_fleet::content_hash`] of each payload, and cell keys with
+//! [`cell_hash`] — so nothing a client writes can disagree with the
+//! bytes it addresses.
 
 use crp_fleet::hash::{content_hash, is_content_hash};
+use crp_fleet::BlobSet;
 
 use crate::ServeError;
 
@@ -202,52 +205,43 @@ impl ServeMessage {
     }
 }
 
-/// One job of a submission: its cache key (the content hash of the
-/// inline payload) plus the payload forms the dispatcher can ship.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmissionJob {
-    /// `content_hash(canonical inline encoding)` — the job's identity
-    /// and cache key.
-    pub hash: String,
-    /// The canonical self-contained payload.  `None` when the job ships
-    /// compact-only — the server then reconstructs (and hash-verifies)
-    /// the canonical form from `compact` + the blob table through its
-    /// canonicalizer, so large masses never travel once per shard.
-    pub inline: Option<String>,
-    /// The compact payload referencing blobs by hash, if any.
-    pub compact: Option<String>,
-    /// The blob hashes `compact` references.
-    pub refs: Vec<String>,
-}
-
-/// One cell of a submission: an ordered list of jobs whose answers merge
-/// into the cell's result.
+/// One cell of a submission: the payloads its workers run, in merge
+/// order.  A job's key is the [`content_hash`] of its payload and the
+/// cell's key is [`cell_hash`] of its job keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmissionCell {
-    /// The cell's cache key — see [`cell_hash`].
-    pub hash: String,
-    /// The cell's jobs, in merge order.
-    pub jobs: Vec<SubmissionJob>,
+    /// The cell's job payloads, in merge order.
+    pub jobs: Vec<String>,
 }
 
-/// A complete sweep submission: cells plus the blob table their compact
-/// payloads reference.
+impl SubmissionCell {
+    /// The cell's job keys, in merge order.
+    pub fn job_keys(&self) -> Vec<String> {
+        self.jobs
+            .iter()
+            .map(|payload| content_hash(payload.as_bytes()))
+            .collect()
+    }
+}
+
+/// A complete sweep submission: cells plus the blob table their payloads
+/// reference by hash.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Submission {
-    /// `(hash, blob)` pairs, each blob shipped to a worker at most once.
-    pub blobs: Vec<(String, String)>,
+    /// The referenced blobs, each shipped to a worker at most once.
+    pub blobs: BlobSet,
     /// The cells, in grid order.
     pub cells: Vec<SubmissionCell>,
 }
 
 /// The canonical cache key of a cell: the content hash of its ordered
-/// job-hash list (newline-terminated lines).  Any change to any job —
+/// job-key list (newline-terminated lines).  Any change to any job —
 /// protocol spec, masses, plan, seed, shard count or order — changes a
-/// job hash and therefore the cell key.
-pub fn cell_hash(job_hashes: &[String]) -> String {
-    let mut text = String::with_capacity(job_hashes.len() * 65);
-    for hash in job_hashes {
-        text.push_str(hash);
+/// job key and therefore the cell key.
+pub fn cell_hash(job_keys: &[String]) -> String {
+    let mut text = String::with_capacity(job_keys.len() * 65);
+    for key in job_keys {
+        text.push_str(key);
         text.push('\n');
     }
     content_hash(text.as_bytes())
@@ -299,7 +293,7 @@ impl<'a> Cursor<'a> {
         } else {
             Err(ServeError::Malformed(format!(
                 "trailing bytes after the end marker: {:?}…",
-                &self.rest[..self.rest.len().min(32)]
+                self.rest.chars().take(32).collect::<String>()
             )))
         }
     }
@@ -322,47 +316,44 @@ fn parse_hash(token: Option<&str>, label: &str) -> Result<String, ServeError> {
     Ok(token.to_string())
 }
 
+/// The header line of a submission body.
+const SUBMISSION_HEADER: &str = "crp-serve-submission v2";
+
+/// Parses a `<label> <count>` head line.
+fn parse_labelled_count(line: &str, label: &str) -> Result<usize, ServeError> {
+    match line.split_once(' ') {
+        Some((head, count)) if head == label => parse_count(Some(count), &format!("{label} count")),
+        _ => Err(ServeError::Malformed(format!("expected a {label} line"))),
+    }
+}
+
 impl Submission {
     /// Encodes the submission into a `submit` body.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        out.push_str("crp-serve-submission v1\n");
+        out.push_str(SUBMISSION_HEADER);
+        out.push('\n');
         out.push_str(&format!("blobs {}\n", self.blobs.len()));
-        for (hash, blob) in &self.blobs {
-            out.push_str(&format!("blob {hash} bytes {}\n", blob.len()));
+        for (_, blob) in self.blobs.iter() {
+            out.push_str(&format!("blob {}\n", blob.len()));
             out.push_str(blob);
             out.push('\n');
         }
         out.push_str(&format!("cells {}\n", self.cells.len()));
         for cell in &self.cells {
-            out.push_str(&format!("cell {} jobs {}\n", cell.hash, cell.jobs.len()));
-            for job in &cell.jobs {
-                let refs = if job.refs.is_empty() {
-                    "-".to_string()
-                } else {
-                    job.refs.join(",")
-                };
-                out.push_str(&format!(
-                    "job {} refs {refs} inline {} compact {}\n",
-                    job.hash,
-                    job.inline.as_ref().map_or(0, String::len),
-                    job.compact.as_ref().map_or(0, String::len),
-                ));
-                if let Some(inline) = &job.inline {
-                    out.push_str(inline);
-                    out.push('\n');
-                }
-                if let Some(compact) = &job.compact {
-                    out.push_str(compact);
-                    out.push('\n');
-                }
+            out.push_str(&format!("cell {}\n", cell.jobs.len()));
+            for payload in &cell.jobs {
+                out.push_str(&format!("job {}\n", payload.len()));
+                out.push_str(payload);
+                out.push('\n');
             }
         }
         out.push_str("end\n");
         out
     }
 
-    /// Parses a `submit` body.
+    /// Parses a `submit` body, hashing every blob into the blob table as
+    /// it goes.
     ///
     /// # Errors
     ///
@@ -371,158 +362,30 @@ impl Submission {
     pub fn decode(body: &str) -> Result<Self, ServeError> {
         let mut cursor = Cursor::new(body);
         let header = cursor.line()?;
-        if header != "crp-serve-submission v1" {
+        if header != SUBMISSION_HEADER {
             return Err(ServeError::Malformed(format!(
                 "unexpected submission header {header:?}"
             )));
         }
-        let mut tokens = cursor.line()?.split_ascii_whitespace();
-        if tokens.next() != Some("blobs") {
-            return Err(ServeError::Malformed("expected a blobs line".to_string()));
+        let mut blobs = BlobSet::new();
+        for _ in 0..parse_labelled_count(cursor.line()?, "blobs")? {
+            let len = parse_labelled_count(cursor.line()?, "blob")?;
+            blobs.insert(cursor.take(len)?);
         }
-        let blob_count = parse_count(tokens.next(), "blob count")?;
-        let mut blobs = Vec::new();
-        for _ in 0..blob_count {
-            let mut tokens = cursor.line()?.split_ascii_whitespace();
-            if tokens.next() != Some("blob") {
-                return Err(ServeError::Malformed("expected a blob line".to_string()));
-            }
-            let hash = parse_hash(tokens.next(), "blob hash")?;
-            if tokens.next() != Some("bytes") {
-                return Err(ServeError::Malformed("expected blob bytes".to_string()));
-            }
-            let len = parse_count(tokens.next(), "blob length")?;
-            blobs.push((hash, cursor.take(len)?.to_string()));
-        }
-        let mut tokens = cursor.line()?.split_ascii_whitespace();
-        if tokens.next() != Some("cells") {
-            return Err(ServeError::Malformed("expected a cells line".to_string()));
-        }
-        let cell_count = parse_count(tokens.next(), "cell count")?;
         let mut cells = Vec::new();
-        for _ in 0..cell_count {
-            let mut tokens = cursor.line()?.split_ascii_whitespace();
-            if tokens.next() != Some("cell") {
-                return Err(ServeError::Malformed("expected a cell line".to_string()));
-            }
-            let hash = parse_hash(tokens.next(), "cell hash")?;
-            if tokens.next() != Some("jobs") {
-                return Err(ServeError::Malformed("expected cell jobs".to_string()));
-            }
-            let job_count = parse_count(tokens.next(), "job count")?;
+        for _ in 0..parse_labelled_count(cursor.line()?, "cells")? {
             let mut jobs = Vec::new();
-            for _ in 0..job_count {
-                let mut tokens = cursor.line()?.split_ascii_whitespace();
-                if tokens.next() != Some("job") {
-                    return Err(ServeError::Malformed("expected a job line".to_string()));
-                }
-                let job_hash = parse_hash(tokens.next(), "job hash")?;
-                if tokens.next() != Some("refs") {
-                    return Err(ServeError::Malformed("expected job refs".to_string()));
-                }
-                let refs_token = tokens
-                    .next()
-                    .ok_or_else(|| ServeError::Malformed("missing job refs".to_string()))?;
-                let refs = if refs_token == "-" {
-                    Vec::new()
-                } else {
-                    refs_token
-                        .split(',')
-                        .map(|token| parse_hash(Some(token), "job ref"))
-                        .collect::<Result<Vec<String>, ServeError>>()?
-                };
-                if tokens.next() != Some("inline") {
-                    return Err(ServeError::Malformed(
-                        "expected job inline length".to_string(),
-                    ));
-                }
-                let inline_len = parse_count(tokens.next(), "inline length")?;
-                if tokens.next() != Some("compact") {
-                    return Err(ServeError::Malformed(
-                        "expected job compact length".to_string(),
-                    ));
-                }
-                let compact_len = parse_count(tokens.next(), "compact length")?;
-                let inline = if inline_len == 0 {
-                    None
-                } else {
-                    Some(cursor.take(inline_len)?.to_string())
-                };
-                let compact = if compact_len == 0 {
-                    None
-                } else {
-                    Some(cursor.take(compact_len)?.to_string())
-                };
-                if inline.is_none() && compact.is_none() {
-                    return Err(ServeError::Malformed(
-                        "a job needs an inline or a compact payload".to_string(),
-                    ));
-                }
-                jobs.push(SubmissionJob {
-                    hash: job_hash,
-                    inline,
-                    compact,
-                    refs,
-                });
+            for _ in 0..parse_labelled_count(cursor.line()?, "cell")? {
+                let len = parse_labelled_count(cursor.line()?, "job")?;
+                jobs.push(cursor.take(len)?.to_string());
             }
-            cells.push(SubmissionCell { hash, jobs });
+            cells.push(SubmissionCell { jobs });
         }
         if cursor.line()? != "end" {
             return Err(ServeError::Malformed("missing end marker".to_string()));
         }
         cursor.expect_end()?;
         Ok(Self { blobs, cells })
-    }
-
-    /// Verifies every hash against the bytes it claims to address: job
-    /// hashes against inline payloads (compact-only jobs are verified by
-    /// the server after canonicalisation, before anything is written to
-    /// the cache), cell hashes against job-hash lists, blob hashes
-    /// against blob bytes, and every job ref against the blob table.
-    /// Run by the server before anything touches the cache.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::HashMismatch`] naming the first offender;
-    /// [`ServeError::Malformed`] for a ref with no blob.
-    pub fn verify_hashes(&self) -> Result<(), ServeError> {
-        let mismatch = |what: String, claimed: &str, actual: String| ServeError::HashMismatch {
-            what,
-            claimed: claimed.to_string(),
-            actual,
-        };
-        let mut blob_hashes = std::collections::HashSet::new();
-        for (hash, blob) in &self.blobs {
-            let actual = content_hash(blob.as_bytes());
-            if &actual != hash {
-                return Err(mismatch("blob".to_string(), hash, actual));
-            }
-            blob_hashes.insert(hash.as_str());
-        }
-        for (index, cell) in self.cells.iter().enumerate() {
-            for job in &cell.jobs {
-                if let Some(inline) = &job.inline {
-                    let actual = content_hash(inline.as_bytes());
-                    if actual != job.hash {
-                        return Err(mismatch(format!("cell {index} job"), &job.hash, actual));
-                    }
-                }
-                for reference in &job.refs {
-                    if !blob_hashes.contains(reference.as_str()) {
-                        return Err(ServeError::Malformed(format!(
-                            "cell {index} references blob {reference} missing from the \
-                             submission blob table"
-                        )));
-                    }
-                }
-            }
-            let job_hashes: Vec<String> = cell.jobs.iter().map(|j| j.hash.clone()).collect();
-            let actual = cell_hash(&job_hashes);
-            if actual != cell.hash {
-                return Err(mismatch(format!("cell {index}"), &cell.hash, actual));
-            }
-        }
-        Ok(())
     }
 
     /// Total number of jobs across all cells.
@@ -658,29 +521,19 @@ mod tests {
     use super::*;
 
     fn demo_submission() -> Submission {
-        let blob = "sampled 3fe0000000000000 3fd0000000000000".to_string();
-        let blob_hash = content_hash(blob.as_bytes());
-        let job = |text: &str| SubmissionJob {
-            hash: content_hash(text.as_bytes()),
-            inline: Some(text.to_string()),
-            compact: Some(format!("ref {blob_hash}")),
-            refs: vec![blob_hash.clone()],
-        };
-        let jobs_a = vec![
-            job("spec a shard 0\nmasses inline\n"),
-            job("spec a shard 1\n"),
-        ];
-        let jobs_b = vec![job("spec b shard 0\n")];
-        let cell = |jobs: Vec<SubmissionJob>| {
-            let hashes: Vec<String> = jobs.iter().map(|j| j.hash.clone()).collect();
-            SubmissionCell {
-                hash: cell_hash(&hashes),
-                jobs,
-            }
-        };
+        let mut blobs = BlobSet::new();
+        let blob_hash = blobs.insert("sampled 3fe0000000000000 3fd0000000000000");
+        let job = |text: &str| format!("{text}\nref {blob_hash}\n");
         Submission {
-            blobs: vec![(blob_hash, blob)],
-            cells: vec![cell(jobs_a), cell(jobs_b)],
+            blobs,
+            cells: vec![
+                SubmissionCell {
+                    jobs: vec![job("spec a shard 0 …"), job("spec a shard 1")],
+                },
+                SubmissionCell {
+                    jobs: vec![job("spec b shard 0")],
+                },
+            ],
         }
     }
 
@@ -727,50 +580,40 @@ mod tests {
     #[test]
     fn submissions_round_trip_byte_exactly() {
         let submission = demo_submission();
-        let decoded = Submission::decode(&submission.encode()).unwrap();
+        let body = submission.encode();
+        assert!(body.starts_with("crp-serve-submission v2\n"));
+        let decoded = Submission::decode(&body).unwrap();
         assert_eq!(decoded, submission);
+        assert_eq!(decoded.encode(), body);
         assert_eq!(decoded.job_count(), 3);
-        decoded.verify_hashes().unwrap();
-    }
-
-    #[test]
-    fn tampered_submissions_fail_hash_verification() {
-        let mut submission = demo_submission();
-        submission.cells[0].jobs[0]
-            .inline
-            .as_mut()
-            .expect("demo jobs carry inline payloads")
-            .push('!');
-        match submission.verify_hashes().unwrap_err() {
-            ServeError::HashMismatch { what, .. } => assert!(what.contains("job"), "{what}"),
-            other => panic!("expected a job hash mismatch, got {other}"),
-        }
-
-        let mut submission = demo_submission();
-        submission.cells[1].hash = content_hash(b"someone else's cell");
-        assert!(matches!(
-            submission.verify_hashes(),
-            Err(ServeError::HashMismatch { .. })
-        ));
-
-        let mut submission = demo_submission();
-        submission.blobs[0].1.push('x');
-        assert!(matches!(
-            submission.verify_hashes(),
-            Err(ServeError::HashMismatch { .. })
-        ));
+        // The decoder keys every blob by the hash it computed itself.
+        let blob = "sampled 3fe0000000000000 3fd0000000000000";
+        assert_eq!(
+            decoded.blobs.get(&content_hash(blob.as_bytes())),
+            Some(blob)
+        );
+        assert_eq!(
+            decoded.cells[0].job_keys(),
+            vec![
+                content_hash(decoded.cells[0].jobs[0].as_bytes()),
+                content_hash(decoded.cells[0].jobs[1].as_bytes()),
+            ]
+        );
     }
 
     #[test]
     fn truncated_bodies_are_rejected() {
         let body = demo_submission().encode();
-        for cut in [body.len() / 4, body.len() / 2, body.len() - 2] {
+        assert!(!body.is_ascii(), "the body must exercise char boundaries");
+        for cut in (0..body.len()).filter(|&cut| body.is_char_boundary(cut)) {
             assert!(
                 Submission::decode(&body[..cut]).is_err(),
                 "cut at {cut} must not parse"
             );
         }
-        assert!(Submission::decode(&format!("{body}trailing")).is_err());
+        assert!(Submission::decode(&format!("{body}trailing…")).is_err());
+        let v1 = body.replacen("crp-serve-submission v2", "crp-serve-submission v1", 1);
+        assert!(Submission::decode(&v1).is_err());
     }
 
     #[test]

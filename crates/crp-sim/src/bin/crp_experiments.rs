@@ -7,8 +7,8 @@
 //!
 //! ```text
 //! crp_experiments [command] [--trials T] [--size N] [--seed S]
-//!                 [--backend serial|thread|process|fleet] [--threads T]
-//!                 [--workers N] [--kernel auto|scalar|batched]
+//!                 [--backend serial|thread|fleet] [--threads T]
+//!                 [--workers N] [--kernel auto|scalar]
 //!                 [--fleet MANIFEST] [--chaos PLAN]
 //!                 [--protocols a,b,..] [--scenarios x,y,..] [--csv]
 //! ```
@@ -145,8 +145,8 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:9317";
 const USAGE: &str = "usage: crp_experiments \
 [list|table1|table2|entropy|kl|baselines|range-finding|sweep|worker|serve|submit|stats|\
 trace-check FILE|trace-join FILE..|fuzz|all] \
-[--trials T] [--size N] [--seed S] [--backend serial|thread|process|fleet] \
-[--threads T] [--workers N] [--kernel auto|scalar|batched] \
+[--trials T] [--size N] [--seed S] [--backend serial|thread|fleet] \
+[--threads T] [--workers N] [--kernel auto|scalar] \
 [--fleet local[:N],host:port,..] \
 [--chaos W:FAULT@N,..] [--protocols a,b,..] [--scenarios x,y,..|file.trace,..] [--csv] \
 [--listen host:port] [--connect host:port] [--cache DIR] [--accept-workers host:port] \
@@ -208,7 +208,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 index += 1;
                 options.runner.backend = Some(
                     args.get(index)
-                        .ok_or("--backend requires one of: serial, thread, process, fleet")?
+                        .ok_or("--backend requires one of: serial, thread, fleet")?
                         .parse()?,
                 );
             }
@@ -228,7 +228,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 index += 1;
                 options.runner.kernel = Some(
                     args.get(index)
-                        .ok_or("--kernel requires one of: auto, scalar, batched")?
+                        .ok_or("--kernel requires one of: auto, scalar")?
                         .parse()?,
                 );
             }
@@ -752,7 +752,7 @@ fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
         return ExitCode::FAILURE;
     }
     // One process-wide scenario store: `scenario-put` frames fill it,
-    // and the handler resolves compact `ref <hash>` spec sections out of
+    // and the handler resolves the `ref <hash>` spec sections out of
     // it — a scenario's masses arrive once per worker, not once per
     // shard.
     let store = ScenarioStore::new();

@@ -21,7 +21,7 @@ use crate::SimError;
 pub struct EnvConfig {
     /// `CRP_THREADS`: the worker count (a positive integer).
     pub threads: Option<usize>,
-    /// `CRP_KERNEL`: the trial-kernel path (`auto`, `scalar`, `batched`).
+    /// `CRP_KERNEL`: the trial-kernel path (`auto` or `scalar`).
     pub kernel: Option<KernelChoice>,
     /// `CRP_FLEET`: the pool a fleet run dispatches to.
     pub fleet: Option<FleetManifest>,
@@ -202,9 +202,9 @@ mod tests {
                 },
             ),
             (
-                &[("CRP_KERNEL", "batched")],
+                &[("CRP_KERNEL", "auto")],
                 EnvConfig {
-                    kernel: Some(KernelChoice::Batched),
+                    kernel: Some(KernelChoice::Auto),
                     ..EnvConfig::default()
                 },
             ),
@@ -240,7 +240,8 @@ mod tests {
             ("CRP_THREADS", "0", "positive integer"),
             ("CRP_THREADS", "zero", "positive integer"),
             ("CRP_THREADS", "", "positive integer"),
-            ("CRP_KERNEL", "simd", "auto, scalar, batched"),
+            ("CRP_KERNEL", "simd", "auto, scalar"),
+            ("CRP_KERNEL", "batched", "auto, scalar"),
             ("CRP_FLEET", "local:2*0", "weight"),
             ("CRP_FLEET", "local:0", "at least one"),
             ("CRP_THREAD", "2", "unknown CRP_* variable"),
@@ -305,12 +306,12 @@ mod tests {
 
         let flags = RunnerFlags {
             threads: Some(2),
-            kernel: Some(KernelChoice::Batched),
+            kernel: Some(KernelChoice::Auto),
             ..RunnerFlags::default()
         };
         let config = flags.resolve(&env).unwrap();
         assert_eq!(config.threads, 2);
-        assert_eq!(config.kernel, KernelChoice::Batched);
+        assert_eq!(config.kernel, KernelChoice::Auto);
 
         let config = RunnerFlags::default()
             .resolve(&EnvConfig::default())
@@ -354,11 +355,7 @@ mod tests {
                 .unwrap();
                 assert_eq!(config.backend, BackendChoice::Fleet, "{flag} {backend:?}");
             }
-            for backend in [
-                BackendChoice::Serial,
-                BackendChoice::Thread,
-                BackendChoice::Process,
-            ] {
+            for backend in [BackendChoice::Serial, BackendChoice::Thread] {
                 let conflicting = RunnerFlags {
                     backend: Some(backend),
                     ..flags.clone()

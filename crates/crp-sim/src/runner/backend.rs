@@ -209,11 +209,10 @@ pub(crate) fn steal_jobs(
 
 /// Instantiates the backend a configuration selects.
 ///
-/// [`BackendChoice::Process`] builds a pool of `config.threads`
-/// *persistent* local workers (each serving many shard jobs over its
-/// lifetime); [`BackendChoice::Fleet`] additionally honours the config's
-/// fleet manifest, mixing local subprocess workers with remote TCP
-/// workers.
+/// [`BackendChoice::Fleet`] builds the pool [`FleetBackend::from_config`]
+/// describes: `config.threads` *persistent* local workers (each serving
+/// many shard jobs over its lifetime), or the config's fleet manifest,
+/// mixing local subprocess workers with remote TCP workers.
 ///
 /// # Errors
 ///
@@ -222,7 +221,6 @@ pub(crate) fn backend_for(config: &RunnerConfig) -> Result<Box<dyn ShardBackend>
     Ok(match config.backend {
         BackendChoice::Serial => Box::new(SerialBackend),
         BackendChoice::Thread => Box::new(ThreadBackend::new(config.threads)),
-        BackendChoice::Process => Box::new(FleetBackend::local(config.threads)?),
         BackendChoice::Fleet => Box::new(FleetBackend::from_config(config)?),
     })
 }

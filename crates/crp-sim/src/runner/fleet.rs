@@ -175,14 +175,13 @@ impl ShardBackend for FleetBackend {
         jobs: &[ShardJob<'_>],
         done: JobDoneFn<'_>,
     ) -> Result<Vec<TrialAccumulator>, SimError> {
-        // Each job ships one payload: when the spec has masses, the
-        // compact form referencing the scenario blobs by hash (the
-        // dispatcher ships each blob once per worker), otherwise the
-        // inline form.
+        // Each job ships its one payload; the masses blobs it references
+        // by hash travel once per worker (the dispatcher ships a blob to
+        // a connection before the first job there that needs it).
         let mut blobs = BlobSet::new();
         // When tracing, every job also carries a deterministic span —
-        // derived from the content hash of its canonical inline payload,
-        // never randomness — so the dispatcher's `fleet.dispatch` and the
+        // derived from the content hash of its payload, never
+        // randomness — so the dispatcher's `fleet.dispatch` and the
         // worker's `shard.execute` events correlate across processes.
         // Spans ride outside the payload and never reach the handler's
         // input, so statistics are bit-identical either way.
@@ -198,19 +197,14 @@ impl ShardBackend for FleetBackend {
                         job.cell
                     ),
                 })?;
-                let inline = spec.to_wire(job.plan, job.base_seed, job.shard);
-                let span = stamp_spans.then(|| crp_fleet::JobSpan {
-                    id: crp_obs::span_from_hash(&crp_fleet::content_hash(inline.as_bytes())),
-                    parent: None,
-                });
-                let payload =
-                    match spec.to_wire_compact(job.plan, job.base_seed, job.shard, &mut blobs) {
-                        Some((compact, refs)) => JobPayload::new(compact, refs),
-                        None => JobPayload::from(inline),
-                    };
-                Ok(match span {
-                    Some(span) => payload.with_span(span),
-                    None => payload,
+                let payload = spec.to_wire(job.plan, job.base_seed, job.shard, &mut blobs);
+                Ok(if stamp_spans {
+                    let id = crp_obs::span_from_hash(&crp_fleet::content_hash(
+                        payload.payload.as_bytes(),
+                    ));
+                    payload.with_span(crp_fleet::JobSpan { id, parent: None })
+                } else {
+                    payload
                 })
             })
             .collect::<Result<Vec<JobPayload>, SimError>>()?;

@@ -62,16 +62,11 @@ pub enum KernelChoice {
     /// Always use the scalar trial-at-a-time executor (debugging and
     /// equivalence baselines).
     Scalar,
-    /// Prefer the batched kernels.  Selection is identical to
-    /// [`KernelChoice::Auto`] — the scalar executor remains the universal
-    /// fallback for protocols without a fast path — but the intent is
-    /// explicit in configs and CSV-diff smoke jobs.
-    Batched,
 }
 
 impl KernelChoice {
     /// The stable CLI names, in declaration order.
-    pub const NAMES: [&'static str; 3] = ["auto", "scalar", "batched"];
+    pub const NAMES: [&'static str; 2] = ["auto", "scalar"];
 }
 
 impl FromStr for KernelChoice {
@@ -81,7 +76,6 @@ impl FromStr for KernelChoice {
         match s {
             "auto" => Ok(KernelChoice::Auto),
             "scalar" => Ok(KernelChoice::Scalar),
-            "batched" => Ok(KernelChoice::Batched),
             other => Err(format!(
                 "unknown kernel {other:?}; expected one of: {}",
                 Self::NAMES.join(", ")
@@ -515,13 +509,12 @@ mod tests {
             let parsed: KernelChoice = name.parse().unwrap();
             let expected = match name {
                 "auto" => KernelChoice::Auto,
-                "scalar" => KernelChoice::Scalar,
-                _ => KernelChoice::Batched,
+                _ => KernelChoice::Scalar,
             };
             assert_eq!(parsed, expected);
         }
         let err = "vectorized".parse::<KernelChoice>().unwrap_err();
-        assert!(err.contains("auto, scalar, batched"), "{err}");
+        assert!(err.contains("auto, scalar"), "{err}");
     }
 
     #[test]

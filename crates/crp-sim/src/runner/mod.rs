@@ -65,23 +65,16 @@ use backend::execute_and_merge;
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Backend`] when the configuration selects an
-/// out-of-process backend (process or fleet), which cannot execute raw
-/// closures.
+/// Returns [`SimError::Backend`] when the configuration selects the
+/// out-of-process fleet backend, which cannot execute raw closures.
 fn closure_backend(config: &RunnerConfig) -> Result<Box<dyn ShardBackend>, SimError> {
     match config.backend {
         BackendChoice::Serial => Ok(Box::new(SerialBackend)),
         BackendChoice::Thread => Ok(Box::new(ThreadBackend::new(config.threads))),
-        BackendChoice::Process | BackendChoice::Fleet => Err(SimError::Backend {
-            what: format!(
-                "the {} backend cannot execute raw trial closures; run a \
-                 registry-described Simulation or SweepMatrix instead",
-                if config.backend == BackendChoice::Process {
-                    "process"
-                } else {
-                    "fleet"
-                }
-            ),
+        BackendChoice::Fleet => Err(SimError::Backend {
+            what: "the fleet backend cannot execute raw trial closures; run a \
+                   registry-described Simulation or SweepMatrix instead"
+                .to_string(),
         }),
     }
 }
@@ -149,9 +142,7 @@ where
     F: Fn(&mut ChaCha8Rng) -> TrialOutcome + Sync,
 {
     let config = match config.backend {
-        BackendChoice::Process | BackendChoice::Fleet => {
-            config.clone().with_backend(BackendChoice::Thread)
-        }
+        BackendChoice::Fleet => config.clone().with_backend(BackendChoice::Thread),
         _ => config.clone(),
     };
     run_shards(&config, |rng| Ok(trial(rng)), None).expect("infallible trial closures cannot fail")
@@ -319,10 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn closure_batches_reject_the_process_backend_with_a_typed_error() {
+    fn closure_batches_reject_the_fleet_backend_with_a_typed_error() {
         let config = RunnerConfig::with_trials(10)
             .seeded(0)
-            .with_backend(BackendChoice::Process);
+            .with_backend(BackendChoice::Fleet);
         let err = run_batch(&config, |_| {
             Ok(TrialOutcome {
                 resolved: true,
@@ -347,12 +338,12 @@ mod tests {
             let expected = match name {
                 "serial" => BackendChoice::Serial,
                 "thread" => BackendChoice::Thread,
-                "process" => BackendChoice::Process,
                 _ => BackendChoice::Fleet,
             };
             assert_eq!(parsed, expected);
         }
         assert!("cluster".parse::<BackendChoice>().is_err());
+        assert!("process".parse::<BackendChoice>().is_err());
     }
 
     #[test]
@@ -485,9 +476,9 @@ mod tests {
         assert_eq!(config.base_seed, 5);
         assert_eq!(config.threads, 1);
         assert_eq!(config.backend, BackendChoice::Thread);
-        let config = config.with_threads(0).with_backend(BackendChoice::Process);
+        let config = config.with_threads(0).with_backend(BackendChoice::Fleet);
         assert_eq!(config.threads, 1, "worker counts clamp to 1");
-        assert_eq!(config.backend, BackendChoice::Process);
+        assert_eq!(config.backend, BackendChoice::Fleet);
     }
 
     #[test]
@@ -507,8 +498,11 @@ mod tests {
             max_rounds: 4096,
         };
         let plan = ShardPlan::with_shard_size(700, 256);
-        let wire = spec.to_wire(plan, 0xDEAD_BEEF, 2);
-        let (parsed, parsed_plan, base_seed, shard) = ShardSpec::from_wire(&wire).unwrap();
+        let mut blobs = crp_fleet::BlobSet::new();
+        let job = spec.to_wire(plan, 0xDEAD_BEEF, 2, &mut blobs);
+        let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
+        let (parsed, parsed_plan, base_seed, shard) =
+            ShardSpec::from_wire(&job.payload, &resolve).unwrap();
         assert_eq!(parsed_plan, plan);
         assert_eq!(base_seed, 0xDEAD_BEEF);
         assert_eq!(shard, 2);
@@ -541,8 +535,10 @@ mod tests {
             max_rounds: 50_000,
         };
         let plan = ShardPlan::new(600);
-        let wire = spec.to_wire(plan, 42, 1);
-        let response = run_shard_worker_with(&wire, &|_| None, KernelChoice::Auto).unwrap();
+        let mut blobs = crp_fleet::BlobSet::new();
+        let job = spec.to_wire(plan, 42, 1, &mut blobs);
+        let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
+        let response = run_shard_worker_with(&job.payload, &resolve, KernelChoice::Auto).unwrap();
         let worker_acc = crate::stats::TrialAccumulator::from_wire(&response).unwrap();
 
         let simulation = spec
@@ -574,8 +570,8 @@ mod tests {
             population: crate::runner::process::WirePopulation::Fixed(4),
             max_rounds: 100,
         };
-        let wire = spec.to_wire(ShardPlan::new(10), 1, 5);
+        let job = spec.to_wire(ShardPlan::new(10), 1, 5, &mut crp_fleet::BlobSet::new());
         // Shard 5 is out of range for a 10-trial plan (1 shard).
-        assert!(run(&wire).is_err());
+        assert!(run(&job.payload).is_err());
     }
 }

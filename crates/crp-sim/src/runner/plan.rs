@@ -45,18 +45,16 @@ pub enum BackendChoice {
     /// default).
     #[default]
     Thread,
-    /// A pool of persistent local `crp_experiments worker` subprocesses,
-    /// each serving many shard jobs over its lifetime.
-    Process,
-    /// The fleet dispatcher: local worker subprocesses and/or remote
-    /// `host:port` workers from a [`FleetManifest`], with straggler
+    /// The fleet dispatcher: persistent `crp_experiments worker`
+    /// processes — `threads` local subprocesses, or the local and/or
+    /// remote `host:port` workers of a [`FleetManifest`] — with straggler
     /// retry and dead-worker re-dispatch.
     Fleet,
 }
 
 impl BackendChoice {
     /// The stable CLI names, in declaration order.
-    pub const NAMES: [&'static str; 4] = ["serial", "thread", "process", "fleet"];
+    pub const NAMES: [&'static str; 3] = ["serial", "thread", "fleet"];
 }
 
 impl FromStr for BackendChoice {
@@ -66,7 +64,6 @@ impl FromStr for BackendChoice {
         match s {
             "serial" => Ok(BackendChoice::Serial),
             "thread" => Ok(BackendChoice::Thread),
-            "process" => Ok(BackendChoice::Process),
             "fleet" => Ok(BackendChoice::Fleet),
             other => Err(format!(
                 "unknown backend {other:?}; expected one of: {}",
@@ -115,11 +112,10 @@ pub struct RunnerConfig {
     pub accept_workers: Option<String>,
     /// Which trial-kernel path executes shards: the batched
     /// struct-of-arrays fast paths where a protocol supports them
-    /// ([`KernelChoice::Auto`], the default, and [`KernelChoice::Batched`]
-    /// — identical selection, the scalar executor remains the universal
-    /// fallback), or never ([`KernelChoice::Scalar`], for debugging and
-    /// equivalence baselines).  The choice affects wall-clock time only,
-    /// never the statistics.
+    /// ([`KernelChoice::Auto`], the default — the scalar executor remains
+    /// the universal fallback), or never ([`KernelChoice::Scalar`], for
+    /// debugging and equivalence baselines).  The choice affects
+    /// wall-clock time only, never the statistics.
     pub kernel: KernelChoice,
 }
 
@@ -169,14 +165,6 @@ impl RunnerConfig {
     /// Returns a copy selecting a different shard backend.
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Returns a copy pinned to a fleet manifest (and therefore the
-    /// fleet backend).
-    pub fn with_fleet(mut self, manifest: FleetManifest) -> Self {
-        self.fleet = Some(manifest);
-        self.backend = BackendChoice::Fleet;
         self
     }
 

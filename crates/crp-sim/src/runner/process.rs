@@ -2,8 +2,11 @@
 //!
 //! A [`ShardSpec`] is a fully serialised description of one cell —
 //! protocol spec, population, round budget — and [`ShardSpec::to_wire`]
-//! adds one job's plan coordinates.  The fleet backend ships that message
-//! to a persistent `crp_experiments worker` process, whose handler
+//! adds one job's plan coordinates.  That message has one encoding: its
+//! masses sections are `ref <hash>` lines naming content-addressed blobs,
+//! and the hash of the message itself is the job's identity and cache
+//! key.  The fleet backend and the sweep daemon ship it, with the blobs it
+//! names, to a persistent `crp_experiments worker` process, whose handler
 //! ([`run_shard_worker_with`]) answers with a serialised
 //! [`crate::TrialAccumulator`].  Because the shard plan, the per-trial
 //! RNG streams and the merge order are all decided by the dispatcher, a
@@ -17,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crp_fleet::BlobSet;
+use crp_fleet::{BlobSet, JobPayload};
 use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_protocols::ProtocolSpec;
 
@@ -79,12 +82,15 @@ fn parse_usize(token: &str, label: &str) -> Result<usize, SimError> {
         .map_err(|e| wire_error(format!("invalid {label} {token:?}: {e}")))
 }
 
-/// Appends the hex-encoded masses of a slice of probabilities.
-fn push_masses(out: &mut String, masses: &[f64]) {
+/// A masses blob: `head` followed by the hex-encoded masses.
+fn masses_blob(head: &str, masses: &[f64]) -> String {
+    let mut blob = String::with_capacity(head.len() + 17 * masses.len());
+    blob.push_str(head);
     for &mass in masses {
-        out.push(' ');
-        out.push_str(&f64_hex(mass));
+        blob.push(' ');
+        blob.push_str(&f64_hex(mass));
     }
+    blob
 }
 
 fn parse_masses(tokens: std::str::SplitAsciiWhitespace<'_>) -> Result<Vec<f64>, SimError> {
@@ -138,11 +144,31 @@ impl ShardSpec {
         }
     }
 
-    /// Serialises this spec plus the coordinates of one shard job into the
-    /// canonical message a fleet worker executes (and a job's cache key
-    /// hashes).
-    pub fn to_wire(&self, plan: ShardPlan, base_seed: u64, shard: usize) -> String {
-        let mut out = String::new();
+    /// Serialises this spec plus the coordinates of one shard job into
+    /// the one message a fleet worker executes.
+    ///
+    /// Every masses section — the sampled population and the prediction
+    /// — is written as a `ref <hash>` line whose blob goes into `blobs`,
+    /// so a scenario's masses travel once per worker rather than once
+    /// per shard.  The payload's [`crp_fleet::content_hash`] is the
+    /// job's identity and cache key; because the payload names its
+    /// blobs by hash, that key covers the masses as well as the spec,
+    /// plan, seed and shard.
+    pub fn to_wire(
+        &self,
+        plan: ShardPlan,
+        base_seed: u64,
+        shard: usize,
+        blobs: &mut BlobSet,
+    ) -> JobPayload {
+        let mut refs = Vec::new();
+        let mut reference = |blob: String| {
+            let hash = blobs.insert(blob);
+            let line = format!("ref {hash}");
+            refs.push(hash);
+            line
+        };
+        let mut out = String::with_capacity(512);
         out.push_str("crp-shard-spec v1\n");
         out.push_str(&format!("protocol {}\n", self.protocol.name()));
         let params = self.protocol.params();
@@ -158,9 +184,9 @@ impl ShardSpec {
         }
         match &params.prediction {
             Some(prediction) => {
-                out.push_str(&format!("prediction {}", prediction.max_size()));
-                push_masses(&mut out, prediction.probabilities());
-                out.push('\n');
+                let head = prediction.max_size().to_string();
+                let line = reference(masses_blob(&head, prediction.probabilities()));
+                out.push_str(&format!("prediction {line}\n"));
             }
             None => out.push_str("prediction none\n"),
         }
@@ -174,9 +200,8 @@ impl ShardSpec {
                 out.push('\n');
             }
             WirePopulation::Sampled(truth) => {
-                out.push_str("population sampled");
-                push_masses(&mut out, truth.masses());
-                out.push('\n');
+                let line = reference(masses_blob("sampled", truth.masses()));
+                out.push_str(&format!("population {line}\n"));
             }
         }
         out.push_str(&format!("max-rounds {}\n", self.max_rounds));
@@ -185,90 +210,20 @@ impl ShardSpec {
         out.push_str(&format!("base-seed {base_seed}\n"));
         out.push_str(&format!("shard {shard}\n"));
         out.push_str("end\n");
-        out
+        JobPayload::new(out, refs)
     }
 
-    /// Like [`ShardSpec::to_wire`], but with every masses section
-    /// (sampled population, prediction) replaced by a `ref <hash>` line
-    /// whose blob is registered in `blobs` — the scenario-by-hash form a
-    /// fleet worker accepts once it holds the blobs.
-    /// Returns `None` when the spec has no masses to reference (the
-    /// compact form would equal the inline form).
-    ///
-    /// The inline encoding remains the *canonical* one: job identity and
-    /// cache keys hash the [`ShardSpec::to_wire`] bytes, so how a spec
-    /// was shipped can never change what it is.
-    pub fn to_wire_compact(
-        &self,
-        plan: ShardPlan,
-        base_seed: u64,
-        shard: usize,
-        blobs: &mut BlobSet,
-    ) -> Option<(String, Vec<String>)> {
-        let prediction_blob = self
-            .protocol
-            .params()
-            .prediction
-            .as_ref()
-            .map(|prediction| {
-                let mut blob = format!("{}", prediction.max_size());
-                push_masses(&mut blob, prediction.probabilities());
-                blob
-            });
-        let population_blob = match &self.population {
-            WirePopulation::Sampled(truth) => {
-                let mut blob = "sampled".to_string();
-                push_masses(&mut blob, truth.masses());
-                Some(blob)
-            }
-            _ => None,
-        };
-        if prediction_blob.is_none() && population_blob.is_none() {
-            return None;
-        }
-        let inline = self.to_wire(plan, base_seed, shard);
-        let mut refs = Vec::new();
-        let mut out = String::with_capacity(256);
-        for line in inline.lines() {
-            if line.starts_with("prediction ") && prediction_blob.is_some() {
-                let hash = blobs.insert(prediction_blob.clone().expect("checked above"));
-                out.push_str(&format!("prediction ref {hash}\n"));
-                refs.push(hash);
-            } else if line.starts_with("population sampled") && population_blob.is_some() {
-                let hash = blobs.insert(population_blob.clone().expect("checked above"));
-                out.push_str(&format!("population ref {hash}\n"));
-                refs.push(hash);
-            } else {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        refs.dedup();
-        Some((out, refs))
-    }
-
-    /// Parses the message produced by [`ShardSpec::to_wire`], returning the
-    /// spec and the job coordinates `(plan, base_seed, shard)`.  Compact
-    /// messages (with `ref <hash>` sections) are rejected here — use
-    /// [`ShardSpec::from_wire_with`] with a blob resolver for those.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Backend`] describing the first malformed line.
-    pub fn from_wire(input: &str) -> Result<(Self, ShardPlan, u64, usize), SimError> {
-        Self::from_wire_with(input, &|_| None)
-    }
-
-    /// Parses an inline or compact shard-spec message, resolving
-    /// `ref <hash>` sections (compact scenario-by-hash shipping) through
-    /// `resolve` — a fleet worker passes a lookup into its
-    /// [`crp_fleet::ScenarioStore`].
+    /// Parses the message produced by [`ShardSpec::to_wire`], resolving
+    /// each `ref <hash>` section through `resolve` (a fleet worker passes
+    /// a lookup into its [`crp_fleet::ScenarioStore`]), and returns the
+    /// spec plus the job coordinates `(plan, base_seed, shard)`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Backend`] describing the first malformed line
-    /// or an unresolvable blob reference.
-    pub fn from_wire_with(
+    /// — masses written inline included — or naming a blob `resolve`
+    /// does not hold.
+    pub fn from_wire(
         input: &str,
         resolve: &dyn Fn(&str) -> Option<String>,
     ) -> Result<(Self, ShardPlan, u64, usize), SimError> {
@@ -300,14 +255,13 @@ impl ShardSpec {
             "none" => None,
             token => Some(parse_usize(token, "estimate")?),
         };
-        // A `ref <hash>` payload (compact scenario-by-hash shipping)
-        // dereferences to the text an inline message would have carried.
-        let deref = |payload: &str, label: &str| -> Result<Option<String>, SimError> {
-            let Some(hash) = payload.strip_prefix("ref ") else {
-                return Ok(None);
-            };
-            let hash = hash.trim();
-            resolve(hash).map(Some).ok_or_else(|| {
+        // Masses only ever travel by reference: a section is a
+        // `ref <hash>` line, dereferenced to its blob through `resolve`.
+        let deref = |section: &str, label: &str| -> Result<String, SimError> {
+            let hash = section.strip_prefix("ref ").ok_or_else(|| {
+                wire_error(format!("{label} masses must travel as a `ref <hash>` line"))
+            })?;
+            resolve(hash).ok_or_else(|| {
                 wire_error(format!(
                     "{label} references scenario blob {hash}, which this worker does not hold"
                 ))
@@ -315,14 +269,13 @@ impl ShardSpec {
         };
         let prediction = match expect(lines, "prediction")? {
             "none" => None,
-            payload => {
-                let resolved = deref(payload, "prediction")?;
-                let payload = resolved.as_deref().unwrap_or(payload);
-                let mut tokens = payload.split_ascii_whitespace();
+            section => {
+                let blob = deref(section, "prediction")?;
+                let mut tokens = blob.split_ascii_whitespace();
                 let max_size = parse_usize(
                     tokens
                         .next()
-                        .ok_or_else(|| wire_error("prediction line is missing its max size"))?,
+                        .ok_or_else(|| wire_error("prediction blob is missing its max size"))?,
                     "prediction max size",
                 )?;
                 let masses = parse_masses(tokens)?;
@@ -333,10 +286,8 @@ impl ShardSpec {
             }
         };
         let population = {
-            let payload = expect(lines, "population")?;
-            let resolved = deref(payload, "population")?;
-            let payload = resolved.as_deref().unwrap_or(payload);
-            let mut tokens = payload.split_ascii_whitespace();
+            let section = expect(lines, "population")?;
+            let mut tokens = section.split_ascii_whitespace();
             match tokens.next() {
                 Some("fixed") => WirePopulation::Fixed(parse_usize(
                     tokens
@@ -349,12 +300,21 @@ impl ShardSpec {
                         .map(|t| parse_usize(t, "participant id"))
                         .collect::<Result<Vec<usize>, SimError>>()?,
                 ),
-                Some("sampled") => WirePopulation::Sampled(
-                    SizeDistribution::from_masses_exact(parse_masses(tokens)?)
-                        .map_err(|e| wire_error(format!("invalid population masses: {e}")))?,
-                ),
+                Some("ref") => {
+                    let blob = deref(section, "population")?;
+                    let mut tokens = blob.split_ascii_whitespace();
+                    if tokens.next() != Some("sampled") {
+                        return Err(wire_error("population blob is not a sampled-masses blob"));
+                    }
+                    WirePopulation::Sampled(
+                        SizeDistribution::from_masses_exact(parse_masses(tokens)?)
+                            .map_err(|e| wire_error(format!("invalid population masses: {e}")))?,
+                    )
+                }
                 other => {
-                    return Err(wire_error(format!("unknown population kind {other:?}")));
+                    return Err(wire_error(format!(
+                        "unknown population kind {other:?}: expected fixed, placed or ref"
+                    )));
                 }
             }
         };
@@ -417,13 +377,12 @@ impl ShardSpec {
     }
 }
 
-/// The fleet worker's job handler: parses an inline or compact
-/// [`ShardSpec`] message — resolving `ref <hash>` sections through
-/// `resolve`, a lookup into the worker's per-process
-/// [`crp_fleet::ScenarioStore`], so a scenario's masses arrive once per
-/// worker instead of once per shard — executes the one shard it names on
-/// the worker's `kernel` path, and returns the serialised
-/// [`crate::TrialAccumulator`].
+/// The fleet worker's job handler: parses a [`ShardSpec`] message —
+/// resolving its `ref <hash>` sections through `resolve`, a lookup into
+/// the worker's per-process [`crp_fleet::ScenarioStore`], so a
+/// scenario's masses arrive once per worker instead of once per shard —
+/// executes the one shard it names on the worker's `kernel` path, and
+/// returns the serialised [`crate::TrialAccumulator`].
 ///
 /// The kernel choice is not carried on the wire: kernels are
 /// bit-identical to the scalar path, so dispatcher and worker may choose
@@ -438,7 +397,7 @@ pub fn run_shard_worker_with(
     resolve: &dyn Fn(&str) -> Option<String>,
     kernel: KernelChoice,
 ) -> Result<String, SimError> {
-    let (spec, plan, base_seed, shard) = ShardSpec::from_wire_with(input, resolve)?;
+    let (spec, plan, base_seed, shard) = ShardSpec::from_wire(input, resolve)?;
     if shard >= plan.num_shards() {
         return Err(wire_error(format!(
             "shard {shard} out of range for a plan of {} shards",

@@ -4,25 +4,27 @@
 //! The split of responsibilities:
 //!
 //! * **This module (client side)** compiles the matrix exactly like a
-//!   local run would, serialises every `(cell, shard)` job to its
-//!   canonical [`ShardSpec::to_wire`] encoding, keys jobs and cells by
-//!   [`content_hash`], and reassembles the daemon's bit-exact
+//!   local run would, serialises every `(cell, shard)` job with
+//!   [`ShardSpec::to_wire`] — its masses going once into the
+//!   submission's blob table — and reassembles the daemon's bit-exact
 //!   accumulator blobs into the same [`SweepResults`] a local run
-//!   produces — so `crp_experiments submit --csv` is byte-for-byte
+//!   produces, so `crp_experiments submit --csv` is byte-for-byte
 //!   compatible with `sweep --csv`.
-//! * **This module (server side)** supplies the two closures a
+//! * **This module (server side)** supplies the three hooks a
 //!   payload-agnostic [`crp_serve::SweepServer`] needs:
-//!   [`merge_cell_answers`] (shard-order accumulator merge) and
+//!   [`merge_cell_answers`] (shard-order accumulator merge),
 //!   [`check_answer`] (accumulator-codec validation of worker answers
-//!   and cache reads).
+//!   and cache reads) and [`canonicalize_shard_job`] (the one spelling
+//!   of a job the daemon dispatches).
 //!
-//! Because a job's cache key is the hash of its canonical wire encoding,
-//! *any* change to the protocol spec, the scenario masses, the shard
-//! plan, or the seed produces a different key — cache invalidation is
-//! structural, with no versioning bookkeeping to forget.
+//! The daemon keys a job by the content hash of its payload, which names
+//! its masses blobs by hash, so *any* change to the protocol spec, the
+//! scenario masses, the shard plan, or the seed produces a different key
+//! — cache invalidation is structural, with no versioning bookkeeping to
+//! forget.
 
-use crp_fleet::content_hash;
-use crp_serve::wire::{cell_hash, Submission, SubmissionCell, SubmissionJob};
+use crp_fleet::BlobSet;
+use crp_serve::wire::{Submission, SubmissionCell};
 use crp_serve::{ServeClient, SubmissionHooks, SubmissionOutcome};
 
 use crate::runner::{ShardPlan, ShardSpec};
@@ -55,7 +57,7 @@ pub struct CellTicket {
 /// those have no wire encoding and cannot be shipped to a service.
 pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellTicket>), SimError> {
     let cells = matrix.compile()?;
-    let mut blobs = crp_fleet::BlobSet::new();
+    let mut blobs = BlobSet::new();
     let mut submission_cells = Vec::with_capacity(cells.len());
     let mut tickets = Vec::with_capacity(cells.len());
     for cell in &cells {
@@ -71,37 +73,13 @@ pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellT
             })?;
         let config = cell.simulation.config();
         let plan = ShardPlan::new(config.trials);
-        let mut jobs = Vec::with_capacity(plan.num_shards());
-        for shard in 0..plan.num_shards() {
-            let inline = spec.to_wire(plan, config.base_seed, shard);
-            let (compact, refs) =
-                match spec.to_wire_compact(plan, config.base_seed, shard, &mut blobs) {
-                    Some((compact, refs)) => (Some(compact), refs),
-                    None => (None, Vec::new()),
-                };
-            let hash = content_hash(inline.as_bytes());
-            // A job with a compact form ships compact-only: the masses
-            // travel once in the submission's blob table, and the
-            // server reconstructs (and hash-verifies) the canonical
-            // inline through the canonicalizer hook.  Without one, the
-            // canonical encoding ships directly.
-            let inline = if compact.is_some() {
-                None
-            } else {
-                Some(inline)
-            };
-            jobs.push(SubmissionJob {
-                hash,
-                inline,
-                compact,
-                refs,
-            });
-        }
-        let hashes: Vec<String> = jobs.iter().map(|job| job.hash.clone()).collect();
-        submission_cells.push(SubmissionCell {
-            hash: cell_hash(&hashes),
-            jobs,
-        });
+        let jobs = (0..plan.num_shards())
+            .map(|shard| {
+                spec.to_wire(plan, config.base_seed, shard, &mut blobs)
+                    .payload
+            })
+            .collect();
+        submission_cells.push(SubmissionCell { jobs });
         tickets.push(CellTicket {
             scenario: cell.scenario.clone(),
             protocol: cell.protocol.clone(),
@@ -112,10 +90,7 @@ pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellT
     }
     Ok((
         Submission {
-            blobs: blobs
-                .iter()
-                .map(|(hash, blob)| (hash.to_string(), blob.to_string()))
-                .collect(),
+            blobs,
             cells: submission_cells,
         },
         tickets,
@@ -211,32 +186,34 @@ pub fn submit_matrix_as(
     Ok((results, outcome))
 }
 
-/// The server-side canonicalizer: parses a compact shard-spec payload
-/// (resolving `ref <hash>` sections through the submission's blob
-/// table) and re-serialises it to the canonical inline encoding the
-/// job's cache key hashes.
+/// The server-side canonicalizer: parses a shard-job payload (resolving
+/// its `ref <hash>` lines through the submission's blob table) and
+/// re-encodes it with [`ShardSpec::to_wire`] — the one spelling the
+/// daemon dispatches and caches a job under.
 ///
 /// # Errors
 ///
 /// The codec's description of a malformed payload or an unresolvable
 /// blob reference.
-pub fn canonicalize_compact_spec(
-    compact: &str,
+pub fn canonicalize_shard_job(
+    payload: &str,
     resolve: &dyn Fn(&str) -> Option<String>,
 ) -> Result<String, String> {
     let (spec, plan, base_seed, shard) =
-        ShardSpec::from_wire_with(compact, resolve).map_err(|e| e.to_string())?;
-    Ok(spec.to_wire(plan, base_seed, shard))
+        ShardSpec::from_wire(payload, resolve).map_err(|e| e.to_string())?;
+    Ok(spec
+        .to_wire(plan, base_seed, shard, &mut BlobSet::new())
+        .payload)
 }
 
 /// The hooks a [`crp_serve::SweepServer`] needs to host sweep
 /// submissions: accumulator merge, accumulator validation, and the
-/// compact-spec canonicalizer.
+/// shard-job canonicalizer.
 pub fn sweep_hooks() -> SubmissionHooks<'static> {
     SubmissionHooks {
         merge: &merge_cell_answers,
         check: &check_answer,
-        canonicalize: &canonicalize_compact_spec,
+        canonicalize: &canonicalize_shard_job,
     }
 }
 
@@ -296,47 +273,39 @@ mod tests {
         assert_eq!(submission.cells.len(), 2);
         assert_eq!(tickets.len(), 2);
         assert_eq!(submission.job_count(), 6);
-        submission.verify_hashes().unwrap();
         // Two scenarios → two truth blobs (no predictions in this grid);
-        // every job references its scenario's blob.
+        // every job references its scenario's blob and is already in
+        // the one spelling the daemon's canonicalizer reproduces.
         assert_eq!(submission.blobs.len(), 2);
+        let resolve = |hash: &str| submission.blobs.get(hash).map(str::to_string);
         for cell in &submission.cells {
-            for job in &cell.jobs {
-                assert!(job.compact.is_some());
+            for payload in &cell.jobs {
+                assert_eq!(payload.matches(" ref ").count(), 1, "{payload}");
                 assert!(
-                    job.inline.is_none(),
-                    "compact jobs must not duplicate their masses inline"
+                    !payload.contains("population sampled"),
+                    "jobs must not carry their masses inline"
                 );
-                assert_eq!(job.refs.len(), 1);
-                // The server can reconstruct the canonical bytes the
-                // hash addresses from compact + blobs alone.
-                let resolve = |hash: &str| {
-                    submission
-                        .blobs
-                        .iter()
-                        .find(|(h, _)| h == hash)
-                        .map(|(_, blob)| blob.clone())
-                };
-                let canonical =
-                    canonicalize_compact_spec(job.compact.as_deref().unwrap(), &resolve).unwrap();
-                assert_eq!(content_hash(canonical.as_bytes()), job.hash);
+                assert_eq!(&canonicalize_shard_job(payload, &resolve).unwrap(), payload);
             }
         }
+        // The decoded body recomputes the same blob table.
+        let decoded = Submission::decode(&submission.encode()).unwrap();
+        assert_eq!(decoded, submission);
     }
 
     #[test]
-    fn job_hashes_change_with_spec_masses_plan_and_seed() {
+    fn job_keys_change_with_spec_masses_plan_and_seed() {
         let library = ScenarioLibrary::new(256).unwrap();
         let base = |matrix: &SweepMatrix| {
             let (submission, _) = compile_submission(matrix).unwrap();
-            submission.cells[0].jobs[0].hash.clone()
+            submission.cells[0].job_keys()[0].clone()
         };
         let reference = base(&demo_matrix(600));
-        // Different seed → different hash.
+        // Different seed → different key.
         assert_ne!(reference, base(&demo_matrix(600).seed(12)));
-        // Different plan (trial budget) → different hash.
+        // Different plan (trial budget) → different key.
         assert_ne!(reference, base(&demo_matrix(900)));
-        // Different protocol spec → different hash.
+        // Different protocol spec → different key.
         let other_protocol = SweepMatrix::new()
             .scenario(library.bimodal())
             .protocol(
@@ -348,7 +317,7 @@ mod tests {
             .trials(600)
             .seed(11);
         assert_ne!(reference, base(&other_protocol));
-        // Different scenario masses → different hash.
+        // Different scenario masses → different key.
         let other_scenario = SweepMatrix::new()
             .scenario(library.geometric())
             .protocol(
@@ -360,6 +329,46 @@ mod tests {
             .trials(600)
             .seed(11);
         assert_ne!(reference, base(&other_scenario));
+    }
+
+    #[test]
+    fn respelled_and_dangling_jobs_are_rejected_before_dispatch() {
+        let (submission, _) = compile_submission(&demo_matrix(600)).unwrap();
+        let first = &submission.cells[0].jobs[0];
+        let hash = first
+            .lines()
+            .find_map(|line| line.strip_prefix("population ref "))
+            .expect("the first job references its population blob")
+            .to_string();
+        // The same job with its ref line spelled `ref  <hash>`, which is
+        // not the one spelling `to_wire` produces.
+        let mut respelled = submission.clone();
+        respelled.cells[0].jobs[0] = first.replacen("ref ", "ref  ", 1);
+        let respelled_key = respelled.cells[0].job_keys()[0].clone();
+        // The same job with a zero-padded round budget: it decodes to
+        // the same spec, and only the byte-for-byte check rejects it.
+        let mut padded = submission.clone();
+        padded.cells[0].jobs[0] = first.replacen("max-rounds ", "max-rounds 0", 1);
+        // The same job referencing a blob the submission does not carry.
+        let mut dangling = submission.clone();
+        let missing = crp_fleet::content_hash(b"a blob nobody shipped");
+        dangling.cells[0].jobs[0] = first.replacen(&hash, &missing, 1);
+
+        // No cache and no workers: a job that got past the canonical
+        // check would fail with a fleet error instead.
+        let server = crp_serve::SweepServer::bind("127.0.0.1:0", Vec::new(), None).unwrap();
+        for (label, tampered, needle) in [
+            ("respelled", respelled, respelled_key.as_str()),
+            ("padded", padded, "not in canonical form"),
+            ("dangling", dangling, missing.as_str()),
+        ] {
+            match server.run_submission(&tampered, sweep_hooks(), &|_, _, _| {}) {
+                Err(crp_serve::ServeError::Malformed(what)) => {
+                    assert!(what.contains(needle), "{label}: {what}");
+                }
+                other => panic!("{label} job reached dispatch: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,18 +13,15 @@
 //!   report layer and all downstream experiment code consume, unchanged
 //!   from the collect-then-sort era.
 
-/// Number of exact buckets (values below this are stored exactly) and
-/// sub-buckets per octave of the quantile sketch.  With 128 sub-buckets the
-/// worst-case relative error of a reconstructed value is `1/256 ≈ 0.4%`.
-const SKETCH_PRECISION: usize = 128;
-
 /// A fixed-size streaming quantile sketch over non-negative integers.
 ///
-/// Values below [`SKETCH_PRECISION`] occupy one exact bucket each; larger
-/// values share log-spaced buckets with `SKETCH_PRECISION` linear
-/// sub-buckets per power of two (HdrHistogram-style).  The sketch is
-/// mergeable (bucket-wise addition), deterministic, and its size is bounded
-/// by the value range, never by the number of samples.
+/// Values below 128 occupy one exact bucket each; larger values share
+/// log-spaced buckets with 128 linear sub-buckets per power of two
+/// (HdrHistogram-style) — the [`crp_obs::bucket_index`] discipline the
+/// metrics histograms use, so a reconstructed value is within
+/// `1/256 ≈ 0.4%` of the original.  The sketch is mergeable (bucket-wise
+/// addition), deterministic, and its size is bounded by the value range,
+/// never by the number of samples.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QuantileSketch {
     /// Bucket occupancy counts, grown lazily up to the largest recorded
@@ -42,28 +39,12 @@ impl QuantileSketch {
 
     /// The bucket index of `value`.
     fn bucket_index(value: u64) -> usize {
-        if value < SKETCH_PRECISION as u64 {
-            value as usize
-        } else {
-            // `value` is in the octave [2^m, 2^{m+1}) with m >= 7; the top
-            // seven bits below the leading one select the sub-bucket.
-            let m = 63 - value.leading_zeros() as u64;
-            let sub = ((value >> (m - 7)) & 127) as usize;
-            (m as usize - 6) * SKETCH_PRECISION + sub
-        }
+        crp_obs::bucket_index(value)
     }
 
     /// The representative (lower-midpoint) value of bucket `index`.
     fn bucket_value(index: usize) -> u64 {
-        if index < SKETCH_PRECISION {
-            index as u64
-        } else {
-            let m = index / SKETCH_PRECISION + 6;
-            let sub = (index % SKETCH_PRECISION) as u64;
-            let lo = (1u64 << m) + (sub << (m - 7));
-            let width = 1u64 << (m - 7);
-            lo + (width - 1) / 2
-        }
+        crp_obs::bucket_value(index)
     }
 
     /// Records one value.

@@ -156,7 +156,7 @@ fn simulation_stats_are_bit_identical_across_all_backends() {
 
     let reference = build(KernelChoice::Scalar).run_on(&SerialBackend).unwrap();
     assert_eq!(reference.trials, 700);
-    for kernel in [KernelChoice::Scalar, KernelChoice::Batched] {
+    for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
         let simulation = build(kernel);
         for (name, backend) in all_backends() {
             let stats = simulation.run_on(backend.as_ref()).unwrap();
@@ -199,7 +199,7 @@ fn sweep_stats_are_bit_identical_across_all_backends_and_seeds() {
 
         let reference = build(KernelChoice::Scalar).run_on(&SerialBackend).unwrap();
         assert_eq!(reference.cells().len(), 4);
-        for kernel in [KernelChoice::Scalar, KernelChoice::Batched] {
+        for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
             let matrix = build(kernel);
             for (name, backend) in all_backends() {
                 let results = matrix.run_on(backend.as_ref()).unwrap();

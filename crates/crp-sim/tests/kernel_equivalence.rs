@@ -1,6 +1,6 @@
 //! The acceptance criterion of the batched trial-kernel layer: for every
 //! protocol in the standard registry, a simulation executed with
-//! [`KernelChoice::Batched`] must produce **bit-identical** `TrialStats`
+//! [`KernelChoice::Auto`] must produce **bit-identical** `TrialStats`
 //! to the scalar trial-at-a-time executor ([`KernelChoice::Scalar`]) —
 //! same seed, same per-trial RNG streams, same accumulator fold order,
 //! down to the last bit of the Welford moments and sketch quantiles.
@@ -31,7 +31,7 @@ fn full_spec(name: &str, universe: usize) -> ProtocolSpec {
 /// the stats agree bit for bit.
 fn assert_kernel_equivalence(name: &str, build: impl Fn() -> SimulationBuilder) {
     let scalar = build().kernel(KernelChoice::Scalar).build().unwrap();
-    let batched = build().kernel(KernelChoice::Batched).build().unwrap();
+    let batched = build().kernel(KernelChoice::Auto).build().unwrap();
     assert_eq!(
         scalar.kernel_name(),
         None,
@@ -84,7 +84,7 @@ fn every_registry_protocol_selects_a_batched_fast_path() {
             .protocol(full_spec(name, universe))
             .participants(12)
             .max_rounds(64 * universe)
-            .kernel(KernelChoice::Batched)
+            .kernel(KernelChoice::Auto)
             .trials(10)
             .seed(1)
             .build()
@@ -152,7 +152,7 @@ fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
         .protocol_object(Box::new(CoinFlip))
         .participants(4)
         .max_rounds(1000)
-        .kernel(KernelChoice::Batched)
+        .kernel(KernelChoice::Auto)
         .trials(50)
         .seed(3)
         .build()

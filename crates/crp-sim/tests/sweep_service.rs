@@ -16,6 +16,7 @@
 use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
 use crp_protocols::ProtocolSpec;
+use crp_serve::wire::cell_hash;
 use crp_serve::{ResultCache, ServeClient, SweepServer};
 use crp_sim::service::{compile_submission, submit_matrix, sweep_hooks};
 use crp_sim::{SerialBackend, SweepMatrix, SweepProtocol};
@@ -94,7 +95,9 @@ fn service_results_are_bit_identical_cached_and_self_healing() {
     // exactly the corrupted job, heal the entries, and return the same
     // bits as ever.
     let (submission, _) = compile_submission(&matrix).unwrap();
-    for key in [&submission.cells[0].hash, &submission.cells[0].jobs[0].hash] {
+    let job_keys = submission.cells[0].job_keys();
+    let cell_key = cell_hash(&job_keys);
+    for key in [&cell_key, &job_keys[0]] {
         let path = cache_dir.join(&key[..2]).join(format!("{key}.crp"));
         std::fs::write(&path, b"crp-cache v1\nvandalised").unwrap();
         assert!(
@@ -108,7 +111,7 @@ fn service_results_are_bit_identical_cached_and_self_healing() {
     let (results, outcome) = submit_matrix(&addr, &matrix, |_, _, _| {}).unwrap();
     assert_eq!(reference, results, "recomputed cell diverged");
     assert_eq!(outcome.computed, 1, "only the corrupted job recomputes");
-    assert!(cache.get(&submission.cells[0].hash).unwrap().is_some());
+    assert!(cache.get(&cell_key).unwrap().is_some());
 
     // Overlap: two old cells plus two new ones (different seed) — only
     // the new cells' jobs run.

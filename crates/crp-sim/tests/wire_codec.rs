@@ -1,10 +1,12 @@
 //! Property-style round-trip tests for the wire codec the out-of-process
-//! backends live on: `ShardSpec::to_wire`/`from_wire` and
+//! backends live on: `ShardSpec::to_wire`/`from_wire` (masses travel as
+//! `ref <hash>` blobs resolved through a `BlobSet`) and
 //! `TrialAccumulator::to_wire`/`from_wire` over seeded random inputs,
 //! plus the float bit-pattern edge cases (±0.0, subnormals, infinities —
 //! the codec ships IEEE-754 bit patterns, so any NaN-free value must
 //! survive bit-for-bit) and truncated / corrupted message rejection.
 
+use crp_fleet::BlobSet;
 use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_protocols::ProtocolSpec;
 use crp_sim::{ShardPlan, ShardSpec, TrialAccumulator};
@@ -22,6 +24,26 @@ fn random_distribution(rng: &mut ChaCha8Rng) -> SizeDistribution {
         weights[rng.gen_range(0..len)] = 0.0;
     }
     SizeDistribution::from_weights(weights).unwrap()
+}
+
+/// The blob lookup a fleet worker's scenario store provides.
+fn resolver(blobs: &BlobSet) -> impl Fn(&str) -> Option<String> + '_ {
+    |hash| blobs.get(hash).map(str::to_string)
+}
+
+/// A lookup serving `blobs` with the first ` canonical` token of each
+/// blob respelled as ` respelled`.
+fn respelling_resolver<'a>(
+    blobs: &'a BlobSet,
+    canonical: &str,
+    respelled: &str,
+) -> impl Fn(&str) -> Option<String> + 'a {
+    let (canonical, respelled) = (format!(" {canonical}"), format!(" {respelled}"));
+    move |hash| {
+        blobs
+            .get(hash)
+            .map(|blob| blob.replacen(&canonical, &respelled, 1))
+    }
 }
 
 #[test]
@@ -45,10 +67,17 @@ fn shard_specs_round_trip_bit_exactly_over_random_distributions() {
         );
         let seed: u64 = rng.gen();
         let shard = rng.gen_range(0usize..plan.num_shards().max(1));
-        let wire = spec.to_wire(plan, seed, shard);
+        let mut blobs = BlobSet::new();
+        let job = spec.to_wire(plan, seed, shard, &mut blobs);
+        assert_eq!(
+            job.refs.len(),
+            2,
+            "case {case}: population + prediction blobs"
+        );
 
         let (parsed, parsed_plan, parsed_seed, parsed_shard) =
-            ShardSpec::from_wire(&wire).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            ShardSpec::from_wire(&job.payload, &resolver(&blobs))
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(parsed_plan, plan, "case {case}");
         assert_eq!(parsed_seed, seed, "case {case}");
         assert_eq!(parsed_shard, shard, "case {case}");
@@ -81,13 +110,16 @@ fn shard_specs_round_trip_bit_exactly_over_random_distributions() {
             prediction_bits, parsed_prediction_bits,
             "case {case}: prediction masses"
         );
-        // And the re-serialisation is byte-identical, so a spec can relay
-        // through any number of dispatch hops unchanged.
+        // And the re-serialisation is byte-identical — payload, refs and
+        // blobs — so a spec can relay through any number of dispatch hops
+        // unchanged.
+        let mut reencoded_blobs = BlobSet::new();
         assert_eq!(
-            parsed.to_wire(parsed_plan, parsed_seed, parsed_shard),
-            wire,
+            parsed.to_wire(parsed_plan, parsed_seed, parsed_shard, &mut reencoded_blobs),
+            job,
             "case {case}"
         );
+        assert_eq!(reencoded_blobs, blobs, "case {case}");
     }
 }
 
@@ -103,8 +135,9 @@ fn shard_spec_masses_survive_signed_zero_and_subnormals() {
         truth,
         1000,
     );
-    let wire = spec.to_wire(ShardPlan::new(100), 7, 0);
-    let (parsed, ..) = ShardSpec::from_wire(&wire).unwrap();
+    let mut blobs = BlobSet::new();
+    let job = spec.to_wire(ShardPlan::new(100), 7, 0, &mut blobs);
+    let (parsed, ..) = ShardSpec::from_wire(&job.payload, &resolver(&blobs)).unwrap();
     let parsed_bits: Vec<u64> = parsed
         .sampled_masses()
         .unwrap()
@@ -130,28 +163,30 @@ fn shard_spec_rejects_truncation_at_every_line_and_corrupt_floats() {
         truth,
         4096,
     );
-    let wire = spec.to_wire(ShardPlan::new(700), 3, 1);
+    let mut blobs = BlobSet::new();
+    let wire = spec.to_wire(ShardPlan::new(700), 3, 1, &mut blobs).payload;
+    let resolve = resolver(&blobs);
     let lines: Vec<&str> = wire.lines().collect();
     // Dropping the trailing end marker — or any suffix — must be
     // rejected, never silently parsed as a shorter message.
     for keep in 0..lines.len() {
         let truncated = lines[..keep].join("\n");
         assert!(
-            ShardSpec::from_wire(&truncated).is_err(),
+            ShardSpec::from_wire(&truncated, &resolve).is_err(),
             "truncation to {keep} lines must not parse"
         );
     }
-    // A corrupted float hex token is a typed error, not a bogus value.
-    let corrupt = wire.replacen(
-        wire.split_ascii_whitespace()
-            .find(|t| t.len() == 16 && t.chars().all(|c| c.is_ascii_hexdigit()))
-            .expect("the wire carries hex-encoded masses"),
-        "zzzzzzzzzzzzzzzz",
-        1,
-    );
-    assert!(ShardSpec::from_wire(&corrupt).is_err());
+    // A corrupted float hex token in a masses blob is a typed error, not
+    // a bogus value.
+    let mass = blobs
+        .iter()
+        .flat_map(|(_, blob)| blob.split_ascii_whitespace())
+        .find(|t| t.len() == 16 && t.chars().all(|c| c.is_ascii_hexdigit()))
+        .expect("the blobs carry hex-encoded masses");
+    let corrupt = respelling_resolver(&blobs, mass, "zzzzzzzzzzzzzzzz");
+    assert!(ShardSpec::from_wire(&wire, &corrupt).is_err());
     // As is garbage that was never a spec.
-    assert!(ShardSpec::from_wire("!!fleet-garbage!!\n").is_err());
+    assert!(ShardSpec::from_wire("!!fleet-garbage!!\n", &resolve).is_err());
     // Only the canonical 16-lowercase-hex spelling of a mass parses.  A
     // point mass travels as `3ff0000000000000` (1.0) among zeros, so a
     // lenient decoder would accept each respelling below as a valid
@@ -162,18 +197,24 @@ fn shard_spec_rejects_truncation_at_every_line_and_corrupt_floats() {
         SizeDistribution::point_mass(8, 4).unwrap(),
         100,
     );
-    let wire = point.to_wire(ShardPlan::new(10), 1, 0);
-    assert!(ShardSpec::from_wire(&wire).is_ok());
+    let mut blobs = BlobSet::new();
+    let wire = point.to_wire(ShardPlan::new(10), 1, 0, &mut blobs).payload;
+    assert!(ShardSpec::from_wire(&wire, &resolver(&blobs)).is_ok());
     for (canonical, respelled) in [
         ("3ff0000000000000", "+3ff0000000000000"),
         ("3ff0000000000000", "3FF0000000000000"),
         ("3ff0000000000000", "03ff0000000000000"),
         ("0000000000000000", "3ff"),
     ] {
-        let corrupt = wire.replacen(&format!(" {canonical}"), &format!(" {respelled}"), 1);
-        assert_ne!(corrupt, wire, "the spec carries {canonical}");
         assert!(
-            ShardSpec::from_wire(&corrupt).is_err(),
+            blobs
+                .iter()
+                .any(|(_, blob)| blob.contains(&format!(" {canonical}"))),
+            "the spec carries {canonical}"
+        );
+        let corrupt = respelling_resolver(&blobs, canonical, respelled);
+        assert!(
+            ShardSpec::from_wire(&wire, &corrupt).is_err(),
             "{respelled:?} must not parse"
         );
     }
@@ -275,56 +316,55 @@ fn accumulator_rejects_truncation_and_corrupt_buckets() {
 }
 
 #[test]
-fn compact_specs_resolve_refs_to_the_exact_inline_parse() {
-    // The compact (scenario-by-hash) encoding must parse to the same
-    // spec as the inline encoding once its blobs are resolved, and it
-    // must be rejected with a typed error when a blob is missing.
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-    for _ in 0..8 {
-        let truth = random_distribution(&mut rng);
-        let prediction = CondensedDistribution::from_sizes(&random_distribution(&mut rng));
-        let spec = ShardSpec::sampled(
-            ProtocolSpec::new("sorted-guess-cycling")
-                .universe(truth.max_size())
-                .prediction(prediction),
-            truth,
-            4096,
-        );
-        let plan = ShardPlan::new(700);
-        let inline = spec.to_wire(plan, 42, 1);
-        let mut blobs = crp_fleet::BlobSet::new();
-        let (compact, refs) = spec
-            .to_wire_compact(plan, 42, 1, &mut blobs)
-            .expect("a spec with masses has a compact form");
-        assert!(compact.len() < inline.len(), "compact must actually shrink");
-        assert_eq!(refs.len(), 2, "population + prediction references");
-        for hash in &refs {
-            assert!(blobs.get(hash).is_some(), "every ref has its blob");
-        }
+fn specs_without_masses_reference_no_blob() {
+    let spec = ShardSpec::fixed(ProtocolSpec::new("decay").universe(64), 8, 100);
+    let mut blobs = BlobSet::new();
+    let job = spec.to_wire(ShardPlan::new(10), 1, 0, &mut blobs);
+    assert!(job.refs.is_empty());
+    assert!(blobs.is_empty());
+    assert!(!job.payload.contains(" ref "), "{}", job.payload);
+    let no_blobs = |_: &str| None;
+    let (parsed, ..) = ShardSpec::from_wire(&job.payload, &no_blobs).unwrap();
+    assert!(parsed.sampled_masses().is_none());
+}
 
-        // Resolving through the blob set reproduces the inline parse —
-        // and re-serialising yields the identical canonical bytes.
-        let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
-        let (parsed, parsed_plan, seed, shard) =
-            ShardSpec::from_wire_with(&compact, &resolve).unwrap();
-        assert_eq!((parsed_plan, seed, shard), (plan, 42, 1));
-        assert_eq!(parsed.to_wire(plan, 42, 1), inline);
-
-        // A worker without the blobs must refuse, not guess.
-        let err = ShardSpec::from_wire(&compact).unwrap_err();
-        assert!(
-            err.to_string().contains("does not hold"),
-            "unexpected error: {err}"
-        );
+#[test]
+fn unresolvable_refs_are_typed_errors_naming_the_hash() {
+    let truth = SizeDistribution::bimodal(256, 8, 128, 0.8).unwrap();
+    let spec = ShardSpec::sampled(
+        ProtocolSpec::new("sorted-guess-cycling")
+            .universe(256)
+            .prediction(CondensedDistribution::from_sizes(&truth)),
+        truth,
+        4096,
+    );
+    let mut blobs = BlobSet::new();
+    let job = spec.to_wire(ShardPlan::new(700), 42, 1, &mut blobs);
+    assert_eq!(job.refs.len(), 2);
+    // A worker that holds only one of the two blobs must refuse, naming
+    // the one it lacks, never guess.
+    for missing in &job.refs {
+        let partial = |hash: &str| {
+            (hash != missing)
+                .then(|| blobs.get(hash).map(str::to_string))
+                .flatten()
+        };
+        let err = ShardSpec::from_wire(&job.payload, &partial).unwrap_err();
+        assert!(err.to_string().contains(missing.as_str()), "{err}");
     }
 }
 
 #[test]
-fn specs_without_masses_have_no_compact_form() {
-    let spec = ShardSpec::fixed(ProtocolSpec::new("decay").universe(64), 8, 100);
-    let mut blobs = crp_fleet::BlobSet::new();
-    assert!(spec
-        .to_wire_compact(ShardPlan::new(10), 1, 0, &mut blobs)
-        .is_none());
-    assert!(blobs.is_empty());
+fn inline_masses_are_not_a_wire_spelling() {
+    let truth = SizeDistribution::point_mass(8, 4).unwrap();
+    let spec = ShardSpec::sampled(ProtocolSpec::new("decay").universe(8), truth, 100);
+    let mut blobs = BlobSet::new();
+    let job = spec.to_wire(ShardPlan::new(10), 1, 0, &mut blobs);
+    let (hash, blob) = blobs.iter().next().expect("the population blob");
+    // Splice the blob's `sampled <hex…>` text in place of its ref: the
+    // codec's older inline form, which no longer parses.
+    let inline = job.payload.replacen(&format!("ref {hash}"), blob, 1);
+    assert!(inline.contains("population sampled "), "{inline}");
+    let err = ShardSpec::from_wire(&inline, &resolver(&blobs)).unwrap_err();
+    assert!(err.to_string().contains("population"), "{err}");
 }
