@@ -986,14 +986,20 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_hellos_are_clamped_to_one() {
-        // A capacity-0 hello warns once, is treated as capacity 1, and
-        // the batch completes.
+    fn capacity_zero_hellos_are_a_typed_handshake_error() {
+        // A worker that will run no job is refused at the handshake: the
+        // endpoint never becomes usable and the batch exhausts.
         let addr = spawn_hello_worker(crate::protocol::PROTOCOL_VERSION, 0);
-        let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
+        let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
             .dispatch(&["a".to_string()], &|_| {})
-            .unwrap();
-        assert_eq!(answers, vec!["echo:a".to_string()]);
+            .unwrap_err();
+        match err {
+            FleetError::Exhausted { last, .. } => {
+                assert!(last.contains("handshake"), "{last}");
+                assert!(last.contains("capacity 0"), "{last}");
+            }
+            other => panic!("expected a handshake exhaustion, got {other}"),
+        }
     }
 
     #[test]

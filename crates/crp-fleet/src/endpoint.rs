@@ -9,12 +9,10 @@
 //! `local[:N]` (N spawned subprocess workers) or `host:port` (one remote
 //! worker).
 
-use std::collections::HashSet;
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::protocol::{Message, PROTOCOL_VERSION};
@@ -66,24 +64,6 @@ impl Default for DispatchTuning {
             straggler_grace: STRAGGLER_GRACE,
         }
     }
-}
-
-/// Applies the capacity-0 hello policy: a worker advertising `capacity 0`
-/// gets a once-per-endpoint warning and is clamped to capacity 1 — never
-/// a silent promotion.
-pub(crate) fn accept_hello_capacity(endpoint: &str, capacity: usize) -> usize {
-    if capacity > 0 {
-        return capacity;
-    }
-    static WARNED: Mutex<Option<HashSet<String>>> = Mutex::new(None);
-    let mut warned = WARNED.lock().expect("no hello-capacity panics");
-    if warned
-        .get_or_insert_with(HashSet::new)
-        .insert(endpoint.to_string())
-    {
-        eprintln!("warning: {endpoint} advertised hello capacity 0; treating it as capacity 1");
-    }
-    1
 }
 
 /// Where one fleet worker lives and how to reach it.
@@ -181,18 +161,21 @@ impl WorkerEndpoint {
     }
 }
 
-/// Validates a decoded hello message, returning the advertised capacity
-/// exactly as sent (0 included — the caller applies
-/// [`accept_hello_capacity`]).  Dispatcher and worker are one binary, so
-/// exactly [`PROTOCOL_VERSION`] is accepted; any other version is a
-/// typed handshake error naming it, never a negotiated-down
-/// conversation.
+/// Validates a decoded hello message, returning the advertised capacity.
+/// Dispatcher and worker are one binary, so exactly [`PROTOCOL_VERSION`]
+/// and a capacity of at least 1 are accepted; anything else is a typed
+/// handshake error naming it, never a negotiated-down conversation.
 pub(crate) fn negotiate_hello(message: Message) -> Result<usize, FleetError> {
     match message {
-        Message::Hello { version, capacity } if version == PROTOCOL_VERSION => Ok(capacity),
-        Message::Hello { version, .. } => Err(FleetError::Handshake(format!(
-            "worker speaks protocol v{version}, dispatcher speaks only v{PROTOCOL_VERSION}"
-        ))),
+        Message::Hello { version, .. } if version != PROTOCOL_VERSION => {
+            Err(FleetError::Handshake(format!(
+                "worker speaks protocol v{version}, dispatcher speaks only v{PROTOCOL_VERSION}"
+            )))
+        }
+        Message::Hello { capacity: 0, .. } => Err(FleetError::Handshake(
+            "worker advertised capacity 0; a worker runs at least one job".to_string(),
+        )),
+        Message::Hello { capacity, .. } => Ok(capacity),
         other => Err(FleetError::Handshake(format!(
             "expected hello, worker sent {other:?}"
         ))),
@@ -469,15 +452,6 @@ mod tests {
                 other => panic!("{text:?} parsed to {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn capacity_zero_hellos_warn_and_clamp() {
-        // Clamped to 1 (with a once-per-endpoint warning).
-        assert_eq!(accept_hello_capacity("tcp worker x:1", 0), 1);
-        assert_eq!(accept_hello_capacity("tcp worker x:1", 0), 1);
-        // Positive capacities pass through untouched.
-        assert_eq!(accept_hello_capacity("tcp worker x:1", 7), 7);
     }
 
     #[test]

@@ -42,10 +42,8 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::{Duration, Instant};
 
 use crate::dispatch::{AnswerValidator, BlobSet, Dispatcher, JobPayload, State};
-use crate::endpoint::{
-    accept_hello_capacity, negotiate_hello, spawn_pipe_feeder, DispatchTuning, WorkerEndpoint,
-};
-use crate::frame::{MAX_FRAME_BYTES, MAX_HEADER_BYTES};
+use crate::endpoint::{negotiate_hello, spawn_pipe_feeder, DispatchTuning, WorkerEndpoint};
+use crate::frame::{parse_header, write_frame, MAX_HEADER_BYTES};
 use crate::obs::FleetObs;
 use crate::protocol::Message;
 use crate::FleetError;
@@ -95,17 +93,7 @@ impl FrameDecoder {
             self.compact();
             return Ok(None);
         };
-        let header = std::str::from_utf8(&pending[..newline])
-            .map_err(|_| FleetError::Malformed("frame header is not UTF-8".into()))?;
-        let len = header
-            .strip_prefix("frame ")
-            .and_then(|token| token.trim().parse::<usize>().ok())
-            .ok_or_else(|| FleetError::Malformed(format!("bad frame header {header:?}")))?;
-        if len > MAX_FRAME_BYTES {
-            return Err(FleetError::Malformed(format!(
-                "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-            )));
-        }
+        let len = parse_header(&pending[..newline])?;
         let total = newline + 1 + len;
         if pending.len() < total {
             self.compact();
@@ -319,20 +307,6 @@ impl LoopConn {
         }
     }
 
-    /// Appends one frame (header + payload) to the outbox.
-    fn queue_frame(&mut self, payload: &[u8]) -> Result<(), FleetError> {
-        if payload.len() > MAX_FRAME_BYTES {
-            return Err(FleetError::Malformed(format!(
-                "refusing to send a {}-byte frame (limit {MAX_FRAME_BYTES})",
-                payload.len()
-            )));
-        }
-        self.outbox
-            .extend_from_slice(format!("frame {}\n", payload.len()).as_bytes());
-        self.outbox.extend_from_slice(payload);
-        Ok(())
-    }
-
     /// Queues one claimed job: any referenced blobs this connection has
     /// not seen are shipped first (`scenario-put` is idempotent and
     /// unacknowledged), then the job frame with its span.
@@ -352,7 +326,8 @@ impl LoopConn {
                     "job {job} references blob {hash} missing from the batch blob set"
                 ))
             })?;
-            self.queue_frame(
+            write_frame(
+                &mut self.outbox,
                 &Message::ScenarioPut {
                     hash: hash.clone(),
                     blob: blob.to_string(),
@@ -361,7 +336,8 @@ impl LoopConn {
             )?;
             self.known_blobs.insert(hash.clone());
         }
-        self.queue_frame(
+        write_frame(
+            &mut self.outbox,
             &Message::Job {
                 id: job as u64,
                 payload: claimed.payload.clone(),
@@ -400,7 +376,7 @@ impl LoopConn {
         }
         let id = self.next_ping;
         self.next_ping += 1;
-        self.queue_frame(&Message::Metrics { id }.encode())?;
+        write_frame(&mut self.outbox, &Message::Metrics { id }.encode())?;
         let deadline = Instant::now() + tuning.ping_timeout;
         loop {
             self.flush()?;
@@ -442,7 +418,7 @@ impl LoopConn {
         } else if self.last_heard.elapsed() >= tuning.ping_after {
             let id = self.next_ping;
             self.next_ping += 1;
-            self.queue_frame(&Message::Ping { id }.encode())?;
+            write_frame(&mut self.outbox, &Message::Ping { id }.encode())?;
             self.ping_sent = Some(Instant::now());
         }
         Ok(())
@@ -482,7 +458,7 @@ impl LoopConn {
     /// Best-effort goodbye so a worker exits instead of being killed by
     /// [`Drop`] — the warm pool's cold-stop path.
     pub(crate) fn shutdown(mut self) {
-        let _ = self.queue_frame(&Message::Shutdown.encode());
+        let _ = write_frame(&mut self.outbox, &Message::Shutdown.encode());
         if let Transport::Tcp(stream) = &self.transport {
             // Switch back to blocking so the goodbye actually leaves.
             let _ = stream.set_nonblocking(false);
@@ -554,7 +530,7 @@ impl Slot {
     fn limit(&self) -> usize {
         self.conn
             .as_ref()
-            .map_or(0, |conn| conn.capacity.max(1) * self.weight.max(1))
+            .map_or(0, |conn| conn.capacity * self.weight.max(1))
     }
 }
 
@@ -595,7 +571,7 @@ fn pump(
     while let Some(message) = conn.next_message()? {
         progressed = true;
         if !conn.ready {
-            conn.capacity = accept_hello_capacity(&conn.peer, negotiate_hello(message)?);
+            conn.capacity = negotiate_hello(message)?;
             conn.ready = true;
             continue;
         }
@@ -1000,6 +976,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME_BYTES;
 
     #[test]
     fn frame_decoder_reassembles_arbitrarily_chunked_frames() {

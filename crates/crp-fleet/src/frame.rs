@@ -49,10 +49,29 @@ fn is_timeout(kind: std::io::ErrorKind) -> bool {
 /// (`frame <len>\n` with `len <= MAX_FRAME_BYTES`).
 pub(crate) const MAX_HEADER_BYTES: usize = 32;
 
+/// Parses a header line (without its `\n`) into the payload length: the
+/// one header rule [`read_frame`] and the event loop's incremental
+/// decoder share.  The length is canonical decimal, at most
+/// [`MAX_FRAME_BYTES`].
+pub(crate) fn parse_header(header: &[u8]) -> Result<usize, FleetError> {
+    let header = std::str::from_utf8(header)
+        .map_err(|_| FleetError::Malformed("frame header is not UTF-8".into()))?;
+    let len = header
+        .strip_prefix("frame ")
+        .and_then(crp_obs::parse_int::<usize>)
+        .ok_or_else(|| FleetError::Malformed(format!("bad frame header {header:?}")))?;
+    if len > MAX_FRAME_BYTES {
+        return Err(FleetError::Malformed(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )));
+    }
+    Ok(len)
+}
+
 /// Reads the header line byte-wise off the buffered stream, retrying
 /// read timeouts: once a frame has *started* arriving the read is
 /// committed — a slow link must never corrupt a half-read frame.
-fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetError> {
+fn read_header_line(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetError> {
     enum Step {
         Eof,
         Consumed { bytes: usize, complete: bool },
@@ -93,9 +112,7 @@ fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetEr
             Step::Consumed { bytes, complete } => {
                 reader.consume(bytes);
                 if complete {
-                    return String::from_utf8(header)
-                        .map(Some)
-                        .map_err(|_| FleetError::Malformed("frame header is not UTF-8".into()));
+                    return Ok(Some(header));
                 }
                 if header.len() > MAX_HEADER_BYTES {
                     return Err(FleetError::Malformed(format!(
@@ -124,15 +141,7 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetErr
     let Some(header) = read_header_line(reader)? else {
         return Ok(None);
     };
-    let len = header
-        .strip_prefix("frame ")
-        .and_then(|token| token.trim().parse::<usize>().ok())
-        .ok_or_else(|| FleetError::Malformed(format!("bad frame header {header:?}")))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(FleetError::Malformed(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )));
-    }
+    let len = parse_header(&header)?;
     let mut payload = vec![0u8; len];
     let mut filled = 0;
     while filled < len {

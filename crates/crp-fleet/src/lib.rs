@@ -178,6 +178,12 @@ impl fmt::Display for FleetError {
 
 impl Error for FleetError {}
 
+impl From<crp_obs::LineError> for FleetError {
+    fn from(err: crp_obs::LineError) -> Self {
+        FleetError::Malformed(err.to_string())
+    }
+}
+
 impl From<std::io::Error> for FleetError {
     fn from(err: std::io::Error) -> Self {
         FleetError::Io(err.to_string())

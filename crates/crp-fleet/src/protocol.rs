@@ -28,6 +28,8 @@
 //! version: a hello carrying any other version is a typed handshake
 //! error, never a negotiated-down conversation.
 
+use crp_obs::{parse_int, Fields, Head};
+
 use crate::hash::is_content_hash;
 use crate::FleetError;
 
@@ -154,141 +156,84 @@ impl Message {
         .into_bytes()
     }
 
-    /// Decodes a frame payload.
+    /// Decodes a frame payload: exactly the bytes [`Message::encode`]
+    /// writes.
     ///
     /// # Errors
     ///
     /// [`FleetError::Malformed`] for non-UTF-8 payloads, unknown message
-    /// names, and missing or unparsable ids.
+    /// names, missing, extra or non-canonical fields (a hello without its
+    /// capacity included), and a body on a message that takes none or a
+    /// missing one.
     pub fn decode(bytes: &[u8]) -> Result<Self, FleetError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| FleetError::Malformed(format!("message is not UTF-8: {e}")))?;
-        let (head, body) = match text.split_once('\n') {
-            Some((head, body)) => (head, body),
-            None => (text, ""),
-        };
-        let mut tokens = head.split_ascii_whitespace();
-        let name = tokens
-            .next()
-            .ok_or_else(|| FleetError::Malformed("empty message".to_string()))?;
-        let mut id = |label: &str| -> Result<u64, FleetError> {
-            tokens
-                .next()
-                .ok_or_else(|| FleetError::Malformed(format!("{label} is missing its id")))?
-                .parse::<u64>()
-                .map_err(|e| FleetError::Malformed(format!("bad {label} id: {e}")))
-        };
-        match name {
-            "hello" => {
-                let version = tokens
-                    .next()
-                    .and_then(|token| token.strip_prefix('v'))
-                    .and_then(|token| token.parse::<u32>().ok())
-                    .ok_or_else(|| {
-                        FleetError::Malformed(format!("bad hello version in {head:?}"))
-                    })?;
-                let capacity = match (tokens.next(), tokens.next()) {
-                    (Some("capacity"), Some(token)) => token
-                        .parse::<usize>()
-                        .map_err(|e| FleetError::Malformed(format!("bad hello capacity: {e}")))?,
-                    (None, _) => 1,
-                    _ => {
-                        return Err(FleetError::Malformed(format!(
-                            "unexpected hello trailer in {head:?}"
-                        )))
-                    }
-                };
-                Ok(Message::Hello { version, capacity })
-            }
-            "job" => {
-                let id = id("job")?;
-                let span = match tokens.next() {
-                    None => None,
-                    Some("span") => {
-                        let span_id = span_token(&mut tokens, "job span")?;
-                        let parent = match tokens.next() {
-                            None => None,
-                            Some("parent") => Some(span_token(&mut tokens, "job parent")?),
-                            Some(other) => {
-                                return Err(FleetError::Malformed(format!(
-                                    "unexpected job trailer token {other:?}"
-                                )))
-                            }
-                        };
-                        Some(JobSpan {
-                            id: span_id,
-                            parent,
-                        })
-                    }
-                    Some(other) => {
-                        return Err(FleetError::Malformed(format!(
-                            "unexpected job trailer token {other:?}"
-                        )))
-                    }
-                };
-                Ok(Message::Job {
-                    id,
-                    payload: body.to_string(),
-                    span,
+        let mut head = Head::parse(text)?;
+        // ` <word> <span id>`, when the head line goes on.
+        let span_id = |fields: &mut Fields<'_>, word: &str| match fields.opt()? {
+            None => Ok(None),
+            Some(token) if token == word => fields
+                .parse("a span id", |id| {
+                    crp_obs::is_span_id(id).then(|| id.to_string())
                 })
+                .map(Some),
+            Some(other) => Err(fields.error(format!("unexpected job trailer {other:?}"))),
+        };
+        let message = match head.name {
+            "hello" => Message::Hello {
+                version: head.fields.parse("a version v<n>", |token| {
+                    parse_int(token.strip_prefix('v')?)
+                })?,
+                capacity: {
+                    head.fields.keyword("capacity")?;
+                    head.fields.int()?
+                },
+            },
+            "job" => {
+                let id = head.fields.int()?;
+                let span = match span_id(&mut head.fields, "span")? {
+                    None => None,
+                    Some(span) => Some(JobSpan {
+                        id: span,
+                        parent: span_id(&mut head.fields, "parent")?,
+                    }),
+                };
+                let payload = head.body()?.to_string();
+                Message::Job { id, payload, span }
             }
-            "done" => Ok(Message::Done {
-                id: id("done")?,
-                payload: body.to_string(),
-            }),
-            "failed" => Ok(Message::Failed {
-                id: id("failed")?,
-                message: body.to_string(),
-            }),
-            "ping" => Ok(Message::Ping { id: id("ping")? }),
-            "pong" => Ok(Message::Pong { id: id("pong")? }),
-            "scenario-put" => Ok(Message::ScenarioPut {
-                hash: hash_token(&mut tokens, "scenario-put")?,
-                blob: body.to_string(),
-            }),
-            "metrics" => Ok(Message::Metrics { id: id("metrics")? }),
-            "metrics-report" => Ok(Message::MetricsReport {
-                id: id("metrics-report")?,
-                body: body.to_string(),
-            }),
-            "shutdown" => Ok(Message::Shutdown),
-            other => Err(FleetError::Malformed(format!("unknown message {other:?}"))),
-        }
+            "done" => Message::Done {
+                id: head.fields.int()?,
+                payload: head.body()?.to_string(),
+            },
+            "failed" => Message::Failed {
+                id: head.fields.int()?,
+                message: head.body()?.to_string(),
+            },
+            "ping" => Message::Ping {
+                id: head.fields.int()?,
+            },
+            "pong" => Message::Pong {
+                id: head.fields.int()?,
+            },
+            "scenario-put" => Message::ScenarioPut {
+                hash: head.fields.parse("a content hash", |token| {
+                    is_content_hash(token).then(|| token.to_string())
+                })?,
+                blob: head.body()?.to_string(),
+            },
+            "metrics" => Message::Metrics {
+                id: head.fields.int()?,
+            },
+            "metrics-report" => Message::MetricsReport {
+                id: head.fields.int()?,
+                body: head.body()?.to_string(),
+            },
+            "shutdown" => Message::Shutdown,
+            other => return Err(FleetError::Malformed(format!("unknown message {other:?}"))),
+        };
+        head.finish()?;
+        Ok(message)
     }
-}
-
-/// Pulls a span-id token off a head line, rejecting anything that is
-/// not 16 lowercase hex digits.
-fn span_token(
-    tokens: &mut std::str::SplitAsciiWhitespace<'_>,
-    label: &str,
-) -> Result<String, FleetError> {
-    let token = tokens
-        .next()
-        .ok_or_else(|| FleetError::Malformed(format!("{label} is missing its span id")))?;
-    if !crp_obs::is_span_id(token) {
-        return Err(FleetError::Malformed(format!(
-            "{label} id {token:?} is not a canonical span id"
-        )));
-    }
-    Ok(token.to_string())
-}
-
-/// Pulls a content-hash token off a head line, rejecting anything that
-/// is not a canonical digest.
-fn hash_token(
-    tokens: &mut std::str::SplitAsciiWhitespace<'_>,
-    label: &str,
-) -> Result<String, FleetError> {
-    let token = tokens
-        .next()
-        .ok_or_else(|| FleetError::Malformed(format!("{label} is missing its hash")))?;
-    if !is_content_hash(token) {
-        return Err(FleetError::Malformed(format!(
-            "{label} hash {token:?} is not a canonical content hash"
-        )));
-    }
-    Ok(token.to_string())
 }
 
 #[cfg(test)]
@@ -351,18 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_without_capacity_defaults_to_one() {
-        let hello = Message::decode(b"hello v1").unwrap();
-        assert_eq!(
-            hello,
-            Message::Hello {
-                version: 1,
-                capacity: 1
-            }
-        );
-    }
-
-    #[test]
     fn malformed_messages_are_rejected() {
         for bad in [
             b"".as_slice(),
@@ -370,6 +303,7 @@ mod tests {
             b"job x\npayload",
             b"done",
             b"hello",
+            b"hello v3",
             b"hello 1",
             b"hello vx",
             b"hello v1 cap 2",

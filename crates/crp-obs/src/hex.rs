@@ -1,5 +1,5 @@
 //! The one bit-pattern codec every line-based wire format in the
-//! workspace shares.
+//! workspace shares, read through [`crate::Fields::hex64`].
 //!
 //! Floats never cross a process boundary as decimal text: they travel
 //! as their IEEE-754 bit patterns (`f64::to_bits`) in exactly 16

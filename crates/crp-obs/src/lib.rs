@@ -4,7 +4,8 @@
 //! [`MetricsRegistry`] of named counters, gauges, and log-bucketed
 //! latency histograms, plus a structured JSONL trace-event sink
 //! ([`TraceSink`]) behind a zero-cost-when-disabled guard
-//! ([`trace_enabled`]).
+//! ([`trace_enabled`]); and the two codecs every line-based wire format
+//! shares, [`hex64`] and the one [`LineReader`] each decoder runs on.
 //!
 //! The crate is std-only and dependency-free so it can sit underneath
 //! every runtime crate (crp-fleet, crp-serve, crp-sim).  Two
@@ -24,14 +25,16 @@
 #![warn(missing_docs)]
 
 mod hex;
+mod lines;
 mod metrics;
 mod span;
 mod trace;
 
 pub use hex::{hex64, parse_hex64};
+pub use lines::{parse_int, Fields, Head, LineError, LineReader};
 pub use metrics::{
     bucket_index, bucket_value, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot,
+    MetricsSnapshot, BUCKETS,
 };
 pub use span::{
     current_span, is_span_id, set_current_span, span_from_hash, SpanContext, SPAN_HEX_LEN,

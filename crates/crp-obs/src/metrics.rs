@@ -24,16 +24,19 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hex::{hex64, parse_hex64};
+use crate::hex::hex64;
+use crate::lines::{Fields, LineError, LineReader};
 use crate::ObsError;
 
 /// Linear buckets below this value; log-spaced with this many
 /// sub-buckets per octave above it.
 const PRECISION: usize = 128;
 
-/// The largest bucket index any `u64` can map to: octave `m = 63`
-/// yields `(63 - 6) * 128 + 127`.
-const BUCKETS: usize = (63 - 6) * PRECISION + PRECISION;
+/// The number of log buckets, enough for every `u64`: the largest index,
+/// of octave `m = 63`, is `(63 - 6) * 128 + 127`.  Every decoder of a
+/// bucket list caps it here, since [`bucket_value`] of a larger index
+/// overflows.
+pub const BUCKETS: usize = (63 - 6) * PRECISION + PRECISION;
 
 /// The log bucket of `value`: values below 128 get one exact bucket
 /// each, larger values one of 128 linear sub-buckets of their power of
@@ -473,147 +476,81 @@ impl MetricsSnapshot {
     }
 
     /// Decodes the canonical wire text produced by
-    /// [`MetricsSnapshot::encode`].
+    /// [`MetricsSnapshot::encode`]: exactly the bytes `encode` writes.
     ///
     /// # Errors
     ///
-    /// [`ObsError::Malformed`] for a missing or wrong header, truncation
-    /// at any line (section counts must match exactly and the `end`
-    /// terminator must be present, with nothing after it), duplicate or
-    /// whitespace-bearing names, non-canonical hex scalars, out-of-range
-    /// or out-of-order bucket indices, and zero bucket counts.
+    /// [`ObsError::Malformed`] naming the first offending line: a wrong
+    /// header, truncation (section counts must match and the `end` line
+    /// must close the body, with nothing after it), names that repeat or
+    /// do not ascend within their section, non-canonical integers or hex
+    /// scalars, more than [`BUCKETS`] buckets, bucket indices out of
+    /// range or order, and zero bucket counts.
     pub fn decode(text: &str) -> Result<Self, ObsError> {
-        fn fail<T>(what: String) -> Result<T, ObsError> {
-            Err(ObsError::Malformed { what })
-        }
-        fn section_len(line: &str, section: &str) -> Result<usize, ObsError> {
-            match line
-                .strip_prefix(section)
-                .and_then(|rest| rest.strip_prefix(' '))
-            {
-                Some(token) => token.parse::<usize>().map_err(|_| ObsError::Malformed {
-                    what: format!("bad {section} count {token:?}"),
-                }),
-                None => fail(format!("expected \"{section} <n>\", got {line:?}")),
-            }
-        }
-        fn name_token(token: &str) -> Result<String, ObsError> {
-            if token.is_empty() {
-                return fail("empty metric name".to_string());
-            }
-            Ok(token.to_string())
-        }
-        fn hex_u64(token: &str) -> Result<u64, ObsError> {
-            parse_hex64(token).ok_or_else(|| ObsError::Malformed {
-                what: format!("scalar {token:?} is not 16 lowercase hex digits"),
-            })
-        }
-        let mut lines = text.lines();
-        let mut next = |what: &str| -> Result<&str, ObsError> {
-            lines.next().ok_or_else(|| ObsError::Malformed {
-                what: format!("truncated before {what}"),
-            })
-        };
-        if next("header")? != "crp-metrics-snapshot v1" {
-            return fail("bad header".to_string());
-        }
-
-        let mut snapshot = MetricsSnapshot::new();
-        let counter_count = section_len(next("counters section")?, "counters")?;
-        for _ in 0..counter_count {
-            let line = next("a counter line")?;
-            let mut tokens = line.split(' ');
-            match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
-                (Some("counter"), Some(name), Some(value), None) => {
-                    let value = value.parse::<u64>().map_err(|_| ObsError::Malformed {
-                        what: format!("bad counter value in {line:?}"),
-                    })?;
-                    if snapshot.counters.insert(name_token(name)?, value).is_some() {
-                        return fail(format!("duplicate counter {name:?}"));
-                    }
-                }
-                _ => return fail(format!("expected \"counter <name> <value>\", got {line:?}")),
-            }
-        }
-        let gauge_count = section_len(next("gauges section")?, "gauges")?;
-        for _ in 0..gauge_count {
-            let line = next("a gauge line")?;
-            let mut tokens = line.split(' ');
-            match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
-                (Some("gauge"), Some(name), Some(value), None) => {
-                    let value = value.parse::<i64>().map_err(|_| ObsError::Malformed {
-                        what: format!("bad gauge value in {line:?}"),
-                    })?;
-                    if snapshot.gauges.insert(name_token(name)?, value).is_some() {
-                        return fail(format!("duplicate gauge {name:?}"));
-                    }
-                }
-                _ => return fail(format!("expected \"gauge <name> <value>\", got {line:?}")),
-            }
-        }
-        let histogram_count = section_len(next("histograms section")?, "histograms")?;
-        for _ in 0..histogram_count {
-            let line = next("a histogram line")?;
-            let tokens: Vec<&str> = line.split(' ').collect();
-            let [head, name, total, sum, min, max, buckets_word, occupied] = tokens[..] else {
-                return fail(format!("expected a histogram head line, got {line:?}"));
-            };
-            if head != "histogram" || buckets_word != "buckets" {
-                return fail(format!("expected a histogram head line, got {line:?}"));
-            }
-            let occupied = occupied.parse::<usize>().map_err(|_| ObsError::Malformed {
-                what: format!("bad bucket count in {line:?}"),
-            })?;
-            let mut counts: Vec<u64> = Vec::new();
-            for _ in 0..occupied {
-                let line = next("a bucket line")?;
-                let mut tokens = line.split(' ');
-                match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
-                    (Some("bucket"), Some(index), Some(count), None) => {
-                        let index = index.parse::<usize>().map_err(|_| ObsError::Malformed {
-                            what: format!("bad bucket index in {line:?}"),
-                        })?;
-                        let count = count.parse::<u64>().map_err(|_| ObsError::Malformed {
-                            what: format!("bad bucket count in {line:?}"),
-                        })?;
-                        if index >= BUCKETS {
-                            return fail(format!("bucket index {index} out of range"));
-                        }
-                        if index < counts.len() {
-                            return fail(format!("bucket index {index} out of order"));
-                        }
-                        if count == 0 {
-                            return fail(format!("empty bucket {index} must be omitted"));
-                        }
-                        counts.resize(index, 0);
-                        counts.push(count);
-                    }
-                    _ => return fail(format!("expected \"bucket <i> <n>\", got {line:?}")),
-                }
-            }
-            let histogram = HistogramSnapshot {
-                counts,
-                total: hex_u64(total)?,
-                sum: hex_u64(sum)?,
-                min: hex_u64(min)?,
-                max: hex_u64(max)?,
-            };
-            if snapshot
-                .histograms
-                .insert(name_token(name)?, histogram)
-                .is_some()
-            {
-                return fail(format!("duplicate histogram {name:?}"));
-            }
-        }
-        if next("the end marker")? != "end" {
-            return fail("expected the end marker".to_string());
-        }
-        if let Some(extra) = lines.next() {
-            return fail(format!("unexpected content after end: {extra:?}"));
-        }
-        Ok(snapshot)
+        Self::read(text).map_err(|e| ObsError::Malformed {
+            what: e.to_string(),
+        })
     }
+
+    fn read(text: &str) -> Result<Self, LineError> {
+        let mut reader = LineReader::new(text);
+        reader.header("crp-metrics-snapshot v1")?;
+        let counters = named(&mut reader, "counter", |fields, _| fields.int())?;
+        let gauges = named(&mut reader, "gauge", |fields, _| fields.int())?;
+        let histograms = named(&mut reader, "histogram", |fields, reader| {
+            let (total, sum) = (fields.hex64()?, fields.hex64()?);
+            let (min, max) = (fields.hex64()?, fields.hex64()?);
+            fields.keyword("buckets")?;
+            let mut counts: Vec<u64> = Vec::new();
+            for _ in 0..fields.count(BUCKETS)? {
+                let (index, count) = reader.field("bucket", |f| Ok((f.int()?, f.int()?)))?;
+                if index >= BUCKETS || index < counts.len() || count == 0 {
+                    return Err(reader.error("bucket indices ascend below BUCKETS, counts above 0"));
+                }
+                counts.resize(index, 0);
+                counts.push(count);
+            }
+            Ok(HistogramSnapshot {
+                counts,
+                total,
+                sum,
+                min,
+                max,
+            })
+        })?;
+        reader.end()?;
+        Ok(Self {
+            counters,
+            gauges,
+            histograms,
+        })
+    }
+}
+
+/// A counted section of `label <name> …` lines (the count line is
+/// `label` plus `s`) whose values `read` takes.  Names ascend strictly,
+/// the order `encode` writes, so a repeated or reordered name is no
+/// spelling of a snapshot.
+fn named<'a, V>(
+    reader: &mut LineReader<'a>,
+    label: &str,
+    read: impl Fn(&mut Fields<'a>, &mut LineReader<'a>) -> Result<V, LineError>,
+) -> Result<BTreeMap<String, V>, LineError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..reader.count(&format!("{label}s"), usize::MAX)? {
+        let mut fields = reader.fields(label)?;
+        let name = fields.token()?;
+        if map
+            .last_key_value()
+            .is_some_and(|(last, _): (&String, _)| last.as_str() >= name)
+        {
+            return Err(fields.error(format!("name {name:?} is repeated or out of order")));
+        }
+        let value = read(&mut fields, reader)?;
+        fields.finish()?;
+        map.insert(name.to_string(), value);
+    }
+    Ok(map)
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! hash, and shipped through the fleet machinery bit-exactly.
 
 use crp_info::SizeDistribution;
+use crp_obs::{Fields, LineError, LineReader};
 use rand::Rng;
 
 use crate::error::PredictError;
@@ -76,11 +77,6 @@ pub struct Trace {
 /// same bit-exact convention as the shard-spec wire codec.
 fn f64_hex(value: f64) -> String {
     crp_obs::hex64(value.to_bits())
-}
-
-/// Strictly decodes [`f64_hex`]: any other spelling is rejected.
-fn parse_f64_hex(text: &str) -> Option<f64> {
-    crp_obs::parse_hex64(text).map(f64::from_bits)
 }
 
 fn wire_error(what: impl Into<String>) -> PredictError {
@@ -268,77 +264,42 @@ impl Trace {
         out
     }
 
-    /// Parses the canonical wire form produced by [`Trace::to_wire`].
+    /// Parses the canonical wire form produced by [`Trace::to_wire`]:
+    /// exactly the bytes `to_wire` writes.
     ///
     /// # Errors
     ///
     /// [`PredictError::InvalidParameter`] naming the offending line for a
-    /// missing header, malformed event, missing `end` marker, or trailing
-    /// garbage; field validation is as in [`Trace::new`].
+    /// missing header, malformed event, non-canonical number, missing
+    /// `end` line, or trailing content; field validation is as in
+    /// [`Trace::new`].
     pub fn from_wire(text: &str) -> Result<Self, PredictError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(Self::WIRE_HEADER) => {}
-            other => {
-                return Err(wire_error(format!(
-                    "expected header {:?}, got {other:?}",
-                    Self::WIRE_HEADER
-                )))
+        let read = || {
+            let mut reader = LineReader::new(text);
+            reader.header(Self::WIRE_HEADER)?;
+            let universe = reader.field("universe", Fields::int)?;
+            let mut events = Vec::new();
+            while !reader.at_end() {
+                let (label, mut fields) = reader.tagged()?;
+                events.push(match label {
+                    "truth" => TraceEvent::Truth {
+                        level: fields.int()?,
+                        weight: f64::from_bits(fields.hex64()?),
+                    },
+                    "observe" => TraceEvent::Observe {
+                        fidelity: f64::from_bits(fields.hex64()?),
+                    },
+                    "drift" => TraceEvent::Drift {
+                        shift: fields.int()?,
+                    },
+                    other => return Err(fields.error(format!("unknown event {other:?}"))),
+                });
+                fields.finish()?;
             }
-        }
-        let universe = match lines.next().and_then(|l| l.strip_prefix("universe ")) {
-            Some(value) => value
-                .parse::<usize>()
-                .map_err(|_| wire_error(format!("malformed universe line: {value:?}")))?,
-            None => return Err(wire_error("missing universe line")),
+            reader.end()?;
+            Ok((universe, events))
         };
-        let mut events = Vec::new();
-        let mut saw_end = false;
-        for line in lines.by_ref() {
-            if line == "end" {
-                saw_end = true;
-                break;
-            }
-            let mut fields = line.split_whitespace();
-            let event = match fields.next() {
-                Some("truth") => {
-                    let level = fields
-                        .next()
-                        .and_then(|f| f.parse::<u32>().ok())
-                        .ok_or_else(|| wire_error(format!("malformed truth line: {line:?}")))?;
-                    let weight = fields
-                        .next()
-                        .and_then(parse_f64_hex)
-                        .ok_or_else(|| wire_error(format!("malformed truth line: {line:?}")))?;
-                    TraceEvent::Truth { level, weight }
-                }
-                Some("observe") => {
-                    let fidelity = fields
-                        .next()
-                        .and_then(parse_f64_hex)
-                        .ok_or_else(|| wire_error(format!("malformed observe line: {line:?}")))?;
-                    TraceEvent::Observe { fidelity }
-                }
-                Some("drift") => {
-                    let shift = fields
-                        .next()
-                        .and_then(|f| f.parse::<i32>().ok())
-                        .ok_or_else(|| wire_error(format!("malformed drift line: {line:?}")))?;
-                    TraceEvent::Drift { shift }
-                }
-                other => return Err(wire_error(format!("unknown event {other:?} in {line:?}"))),
-            };
-            if fields.next().is_some() {
-                return Err(wire_error(format!("trailing fields in {line:?}")));
-            }
-            events.push(event);
-        }
-        if !saw_end {
-            return Err(wire_error("missing end marker"));
-        }
-        if lines.next().is_some() {
-            return Err(wire_error("trailing lines after end marker"));
-        }
+        let (universe, events) = read().map_err(|e: LineError| wire_error(e.to_string()))?;
         Self::new(universe, events)
     }
 }

@@ -19,6 +19,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crp_fleet::hash::{content_hash, is_content_hash};
+use crp_obs::{Fields, LineReader};
 
 use crate::ServeError;
 
@@ -77,42 +78,32 @@ impl ResultCache {
         let text = std::str::from_utf8(&bytes).map_err(|_| corrupt("entry is not UTF-8"))?;
         // Header: "crp-cache v1\nkey <key>\nvalue <hash> bytes <n>\n",
         // then exactly n value bytes.
-        let rest = text
-            .strip_prefix(ENTRY_HEADER)
-            .and_then(|r| r.strip_prefix('\n'))
-            .ok_or_else(|| corrupt("bad entry header"))?;
-        let (key_line, rest) = rest
-            .split_once('\n')
-            .ok_or_else(|| corrupt("missing key line"))?;
-        let stored_key = key_line
-            .strip_prefix("key ")
-            .ok_or_else(|| corrupt("bad key line"))?;
-        if stored_key != key {
-            return Err(corrupt(&format!("entry holds key {stored_key}")));
-        }
-        let (value_line, value) = rest
-            .split_once('\n')
-            .ok_or_else(|| corrupt("missing value line"))?;
-        let mut tokens = value_line.split_ascii_whitespace();
-        let (value_hash, len) = match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
-            (Some("value"), Some(hash), Some("bytes"), Some(len)) => (
-                hash,
-                len.parse::<usize>()
-                    .map_err(|_| corrupt("bad value length"))?,
-            ),
-            _ => return Err(corrupt("bad value line")),
+        let read = || {
+            let mut reader = LineReader::new(text);
+            reader.header(ENTRY_HEADER)?;
+            let stored_key = reader.field("key", Fields::token)?;
+            if stored_key != key {
+                return Err(reader.error(format!("entry holds key {stored_key}")));
+            }
+            let (value_hash, len) = reader.field("value", |fields| {
+                let hash = fields.token()?;
+                fields.keyword("bytes")?;
+                Ok((hash, fields.int::<usize>()?))
+            })?;
+            let value = reader.rest();
+            if value.len() != len {
+                return Err(
+                    reader.error(format!("expected {len} value bytes, found {}", value.len()))
+                );
+            }
+            if content_hash(value.as_bytes()) != value_hash {
+                return Err(reader.error("value bytes do not match their recorded hash"));
+            }
+            Ok(value)
         };
-        if value.len() != len {
-            return Err(corrupt(&format!(
-                "value truncated: expected {len} bytes, found {}",
-                value.len()
-            )));
-        }
-        let actual = content_hash(value.as_bytes());
-        if actual != value_hash {
-            return Err(corrupt("value bytes do not match their recorded hash"));
-        }
-        Ok(Some(value.to_string()))
+        read()
+            .map(|value| Some(value.to_string()))
+            .map_err(|e| corrupt(&e.to_string()))
     }
 
     /// Stores `value` under `key`, atomically (temp file + rename), and

@@ -113,6 +113,12 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
+impl From<crp_obs::LineError> for ServeError {
+    fn from(err: crp_obs::LineError) -> Self {
+        ServeError::Malformed(err.to_string())
+    }
+}
+
 impl From<std::io::Error> for ServeError {
     fn from(err: std::io::Error) -> Self {
         ServeError::Io(err.to_string())

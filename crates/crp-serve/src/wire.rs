@@ -21,6 +21,7 @@
 
 use crp_fleet::hash::{content_hash, is_content_hash};
 use crp_fleet::BlobSet;
+use crp_obs::{parse_int, Head, LineReader};
 
 use crate::ServeError;
 
@@ -122,86 +123,70 @@ impl ServeMessage {
         .into_bytes()
     }
 
-    /// Decodes a frame payload.
+    /// Decodes a frame payload: exactly the bytes [`ServeMessage::encode`]
+    /// writes.
     ///
     /// # Errors
     ///
     /// [`ServeError::Malformed`] for non-UTF-8 payloads, unknown message
-    /// names, and missing or unparsable fields.
+    /// names, missing, extra or non-canonical fields, and a body on a
+    /// message that takes none or a missing one.
     pub fn decode(bytes: &[u8]) -> Result<Self, ServeError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| ServeError::Malformed(format!("message is not UTF-8: {e}")))?;
-        let (head, body) = match text.split_once('\n') {
-            Some((head, body)) => (head, body),
-            None => (text, ""),
-        };
-        let mut tokens = head.split_ascii_whitespace();
-        let name = tokens
-            .next()
-            .ok_or_else(|| ServeError::Malformed("empty service message".to_string()))?;
-        let mut field = |label: &str| -> Result<u64, ServeError> {
-            tokens
-                .next()
-                .ok_or_else(|| ServeError::Malformed(format!("{label} is missing a field")))?
-                .parse::<u64>()
-                .map_err(|e| ServeError::Malformed(format!("bad {label} field: {e}")))
-        };
-        match name {
-            "serve-hello" => {
-                let version = tokens
-                    .next()
-                    .and_then(|token| token.strip_prefix('v'))
-                    .and_then(|token| token.parse::<u32>().ok())
-                    .ok_or_else(|| {
-                        ServeError::Malformed(format!("bad serve-hello version in {head:?}"))
-                    })?;
-                Ok(ServeMessage::Hello { version })
-            }
-            "submit" => Ok(ServeMessage::Submit {
-                id: field("submit")?,
-                body: body.to_string(),
-            }),
-            "progress" => Ok(ServeMessage::Progress {
-                id: field("progress")?,
-                completed: field("progress")? as usize,
-                total: field("progress")? as usize,
-                hits: field("progress")? as usize,
-            }),
-            "result" => Ok(ServeMessage::Result {
-                id: field("result")?,
-                body: body.to_string(),
-            }),
-            "error" => Ok(ServeMessage::Error {
-                id: field("error")?,
-                message: body.to_string(),
-            }),
-            "stats" => Ok(ServeMessage::Stats {
-                id: field("stats")?,
-            }),
-            "stats-report" => Ok(ServeMessage::StatsReport {
-                id: field("stats-report")?,
-                body: body.to_string(),
-            }),
-            "client-hello" => Ok(ServeMessage::ClientHello {
-                tenant: tokens
-                    .next()
-                    .ok_or_else(|| {
-                        ServeError::Malformed("client-hello is missing a tenant".to_string())
-                    })?
-                    .to_string(),
-            }),
-            "serve-shutdown" => Ok(ServeMessage::Shutdown),
+        let mut head = Head::parse(text)?;
+        let message = match head.name {
+            "serve-hello" => ServeMessage::Hello {
+                version: head.fields.parse("a version v<n>", |token| {
+                    parse_int(token.strip_prefix('v')?)
+                })?,
+            },
+            "submit" => ServeMessage::Submit {
+                id: head.fields.int()?,
+                body: head.body()?.to_string(),
+            },
+            "progress" => ServeMessage::Progress {
+                id: head.fields.int()?,
+                completed: head.fields.int()?,
+                total: head.fields.int()?,
+                hits: head.fields.int()?,
+            },
+            "result" => ServeMessage::Result {
+                id: head.fields.int()?,
+                body: head.body()?.to_string(),
+            },
+            "error" => ServeMessage::Error {
+                id: head.fields.int()?,
+                message: head.body()?.to_string(),
+            },
+            "stats" => ServeMessage::Stats {
+                id: head.fields.int()?,
+            },
+            "stats-report" => ServeMessage::StatsReport {
+                id: head.fields.int()?,
+                body: head.body()?.to_string(),
+            },
+            "client-hello" => ServeMessage::ClientHello {
+                tenant: head.fields.token()?.to_string(),
+            },
+            "serve-shutdown" => ServeMessage::Shutdown,
             // A fleet worker's greeting, reported specifically because
             // pointing `submit` at a worker port is an easy mistake.
-            "hello" => Err(ServeError::Malformed(
-                "the peer speaks the fleet *worker* protocol, not the sweep service; \
-                 is this a worker port?"
-                    .to_string(),
-            )),
-            other => Err(ServeError::Malformed(format!(
-                "unknown service message {other:?}"
-            ))),
-        }
+            "hello" => {
+                return Err(ServeError::Malformed(
+                    "the peer speaks the fleet *worker* protocol, not the sweep service; \
+                     is this a worker port?"
+                        .to_string(),
+                ))
+            }
+            other => {
+                return Err(ServeError::Malformed(format!(
+                    "unknown service message {other:?}"
+                )))
+            }
+        };
+        head.finish()?;
+        Ok(message)
     }
 }
 
@@ -247,85 +232,8 @@ pub fn cell_hash(job_keys: &[String]) -> String {
     content_hash(text.as_bytes())
 }
 
-/// A byte-exact cursor over a body: head lines via [`Cursor::line`],
-/// payload sections via [`Cursor::take`].
-struct Cursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { rest: text }
-    }
-
-    fn line(&mut self) -> Result<&'a str, ServeError> {
-        let (line, rest) = self
-            .rest
-            .split_once('\n')
-            .ok_or_else(|| ServeError::Malformed("body ended mid-line".to_string()))?;
-        self.rest = rest;
-        Ok(line)
-    }
-
-    /// Takes exactly `n` bytes followed by a newline.
-    fn take(&mut self, n: usize) -> Result<&'a str, ServeError> {
-        if self.rest.len() < n.saturating_add(1) {
-            return Err(ServeError::Malformed(format!(
-                "body truncated: a {n}-byte section overruns the end"
-            )));
-        }
-        if !self.rest.is_char_boundary(n) {
-            return Err(ServeError::Malformed(
-                "section length splits a UTF-8 character".to_string(),
-            ));
-        }
-        let (section, rest) = self.rest.split_at(n);
-        let rest = rest.strip_prefix('\n').ok_or_else(|| {
-            ServeError::Malformed("payload section is not newline-terminated".to_string())
-        })?;
-        self.rest = rest;
-        Ok(section)
-    }
-
-    fn expect_end(&self) -> Result<(), ServeError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(ServeError::Malformed(format!(
-                "trailing bytes after the end marker: {:?}…",
-                self.rest.chars().take(32).collect::<String>()
-            )))
-        }
-    }
-}
-
-fn parse_count(token: Option<&str>, label: &str) -> Result<usize, ServeError> {
-    token
-        .ok_or_else(|| ServeError::Malformed(format!("missing {label}")))?
-        .parse::<usize>()
-        .map_err(|e| ServeError::Malformed(format!("bad {label}: {e}")))
-}
-
-fn parse_hash(token: Option<&str>, label: &str) -> Result<String, ServeError> {
-    let token = token.ok_or_else(|| ServeError::Malformed(format!("missing {label}")))?;
-    if !is_content_hash(token) {
-        return Err(ServeError::Malformed(format!(
-            "{label} {token:?} is not a canonical content hash"
-        )));
-    }
-    Ok(token.to_string())
-}
-
 /// The header line of a submission body.
 const SUBMISSION_HEADER: &str = "crp-serve-submission v2";
-
-/// Parses a `<label> <count>` head line.
-fn parse_labelled_count(line: &str, label: &str) -> Result<usize, ServeError> {
-    match line.split_once(' ') {
-        Some((head, count)) if head == label => parse_count(Some(count), &format!("{label} count")),
-        _ => Err(ServeError::Malformed(format!("expected a {label} line"))),
-    }
-}
 
 impl Submission {
     /// Encodes the submission into a `submit` body.
@@ -353,38 +261,39 @@ impl Submission {
     }
 
     /// Parses a `submit` body, hashing every blob into the blob table as
-    /// it goes.
+    /// it goes: exactly the bytes [`Submission::encode`] writes.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Malformed`] describing the first offending line or
-    /// section.
+    /// [`ServeError::Malformed`] naming the first offending line or
+    /// section, including blobs that repeat or do not ascend by hash.
     pub fn decode(body: &str) -> Result<Self, ServeError> {
-        let mut cursor = Cursor::new(body);
-        let header = cursor.line()?;
-        if header != SUBMISSION_HEADER {
-            return Err(ServeError::Malformed(format!(
-                "unexpected submission header {header:?}"
-            )));
-        }
+        // Every counted item takes at least one byte of the body.
+        let max = body.len();
+        let mut reader = LineReader::new(body);
+        reader.header(SUBMISSION_HEADER)?;
         let mut blobs = BlobSet::new();
-        for _ in 0..parse_labelled_count(cursor.line()?, "blobs")? {
-            let len = parse_labelled_count(cursor.line()?, "blob")?;
-            blobs.insert(cursor.take(len)?);
+        let mut last: Option<String> = None;
+        for _ in 0..reader.count("blobs", max)? {
+            let len = reader.count("blob", max)?;
+            let hash = blobs.insert(reader.take(len)?);
+            if last.is_some_and(|last| last >= hash) {
+                return Err(reader
+                    .error(format!("blob {hash} is repeated or out of hash order"))
+                    .into());
+            }
+            last = Some(hash);
         }
         let mut cells = Vec::new();
-        for _ in 0..parse_labelled_count(cursor.line()?, "cells")? {
+        for _ in 0..reader.count("cells", max)? {
             let mut jobs = Vec::new();
-            for _ in 0..parse_labelled_count(cursor.line()?, "cell")? {
-                let len = parse_labelled_count(cursor.line()?, "job")?;
-                jobs.push(cursor.take(len)?.to_string());
+            for _ in 0..reader.count("cell", max)? {
+                let len = reader.count("job", max)?;
+                jobs.push(reader.take(len)?.to_string());
             }
             cells.push(SubmissionCell { jobs });
         }
-        if cursor.line()? != "end" {
-            return Err(ServeError::Malformed("missing end marker".to_string()));
-        }
-        cursor.expect_end()?;
+        reader.end()?;
         Ok(Self { blobs, cells })
     }
 
@@ -443,70 +352,42 @@ impl SubmissionOutcome {
         out
     }
 
-    /// Parses a `result` body.
+    /// Parses a `result` body: exactly the bytes
+    /// [`SubmissionOutcome::encode`] writes.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Malformed`] describing the first offending line or
+    /// [`ServeError::Malformed`] naming the first offending line or
     /// section.
     pub fn decode(body: &str) -> Result<Self, ServeError> {
-        let mut cursor = Cursor::new(body);
-        let header = cursor.line()?;
-        if header != "crp-serve-result v1" {
-            return Err(ServeError::Malformed(format!(
-                "unexpected result header {header:?}"
-            )));
-        }
-        let mut tokens = cursor.line()?.split_ascii_whitespace();
-        let (jobs_total, job_hits, computed) = match (
-            tokens.next(),
-            tokens.next(),
-            tokens.next(),
-            tokens.next(),
-            tokens.next(),
-            tokens.next(),
-        ) {
-            (Some("jobs"), total, Some("hits"), hits, Some("computed"), computed) => (
-                parse_count(total, "jobs total")?,
-                parse_count(hits, "job hits")?,
-                parse_count(computed, "computed count")?,
-            ),
-            _ => return Err(ServeError::Malformed("bad result stats line".to_string())),
-        };
-        let mut tokens = cursor.line()?.split_ascii_whitespace();
-        if tokens.next() != Some("cells") {
-            return Err(ServeError::Malformed("expected a cells line".to_string()));
-        }
-        let cell_count = parse_count(tokens.next(), "cell count")?;
+        let mut reader = LineReader::new(body);
+        reader.header("crp-serve-result v1")?;
+        let mut fields = reader.fields("jobs")?;
+        let jobs_total = fields.int()?;
+        fields.keyword("hits")?;
+        let job_hits = fields.int()?;
+        fields.keyword("computed")?;
+        let computed = fields.int()?;
+        fields.finish()?;
         let mut cells = Vec::new();
-        for _ in 0..cell_count {
-            let mut tokens = cursor.line()?.split_ascii_whitespace();
-            if tokens.next() != Some("cell") {
-                return Err(ServeError::Malformed("expected a cell line".to_string()));
-            }
-            let hash = parse_hash(tokens.next(), "cell hash")?;
-            if tokens.next() != Some("cached") {
-                return Err(ServeError::Malformed("expected cached flag".to_string()));
-            }
-            let cached = match tokens.next() {
-                Some("1") => true,
-                Some("0") => false,
-                other => return Err(ServeError::Malformed(format!("bad cached flag {other:?}"))),
-            };
-            if tokens.next() != Some("bytes") {
-                return Err(ServeError::Malformed("expected cell bytes".to_string()));
-            }
-            let len = parse_count(tokens.next(), "cell blob length")?;
+        for _ in 0..reader.count("cells", body.len())? {
+            let mut fields = reader.fields("cell")?;
+            let hash = fields.parse("a content hash", |token| {
+                is_content_hash(token).then(|| token.to_string())
+            })?;
+            fields.keyword("cached")?;
+            let cached =
+                fields.parse("0 or 1", |token| parse_int::<u8>(token).filter(|&f| f < 2))?;
+            fields.keyword("bytes")?;
+            let len = fields.int()?;
+            fields.finish()?;
             cells.push(CellOutcome {
                 hash,
-                cached,
-                blob: cursor.take(len)?.to_string(),
+                cached: cached == 1,
+                blob: reader.take(len)?.to_string(),
             });
         }
-        if cursor.line()? != "end" {
-            return Err(ServeError::Malformed("missing end marker".to_string()));
-        }
-        cursor.expect_end()?;
+        reader.end()?;
         Ok(Self {
             cells,
             jobs_total,

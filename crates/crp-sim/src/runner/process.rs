@@ -17,11 +17,14 @@
 //!
 //! The wire format is a deliberately boring line-based text protocol (the
 //! workspace is offline and vendors no serde); see [`ShardSpec::to_wire`].
+//! [`ShardSpec::from_wire`] reads it, blobs included, with the one
+//! [`crp_obs::LineReader`] and accepts exactly the bytes `to_wire` writes.
 
 use std::path::{Path, PathBuf};
 
 use crp_fleet::{BlobSet, JobPayload};
 use crp_info::{CondensedDistribution, SizeDistribution};
+use crp_obs::{parse_hex64, parse_int, Fields, LineError, LineReader};
 use crp_protocols::ProtocolSpec;
 
 use crate::runner::backend::ShardJob;
@@ -61,25 +64,8 @@ fn f64_hex(value: f64) -> String {
     crp_obs::hex64(value.to_bits())
 }
 
-/// Strictly decodes [`f64_hex`]: any other spelling is a typed error.
-fn parse_f64_hex(token: &str) -> Result<f64, SimError> {
-    crp_obs::parse_hex64(token)
-        .map(f64::from_bits)
-        .ok_or_else(|| {
-            wire_error(format!(
-                "invalid float bits {token:?}: expected 16 lowercase hex digits"
-            ))
-        })
-}
-
 fn wire_error(what: impl Into<String>) -> SimError {
     SimError::Backend { what: what.into() }
-}
-
-fn parse_usize(token: &str, label: &str) -> Result<usize, SimError> {
-    token
-        .parse::<usize>()
-        .map_err(|e| wire_error(format!("invalid {label} {token:?}: {e}")))
 }
 
 /// A masses blob: `head` followed by the hex-encoded masses.
@@ -91,10 +77,6 @@ fn masses_blob(head: &str, masses: &[f64]) -> String {
         blob.push_str(&f64_hex(mass));
     }
     blob
-}
-
-fn parse_masses(tokens: std::str::SplitAsciiWhitespace<'_>) -> Result<Vec<f64>, SimError> {
-    tokens.map(parse_f64_hex).collect()
 }
 
 impl ShardSpec {
@@ -216,118 +198,96 @@ impl ShardSpec {
     /// Parses the message produced by [`ShardSpec::to_wire`], resolving
     /// each `ref <hash>` section through `resolve` (a fleet worker passes
     /// a lookup into its [`crp_fleet::ScenarioStore`]), and returns the
-    /// spec plus the job coordinates `(plan, base_seed, shard)`.
+    /// spec plus the job coordinates `(plan, base_seed, shard)`.  It
+    /// accepts exactly the bytes `to_wire` writes, blobs included.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Backend`] describing the first malformed line
-    /// — masses written inline included — or naming a blob `resolve`
+    /// Returns [`SimError::Backend`] naming the first malformed line —
+    /// masses written inline, a `shard-size` of 0 and any spelling
+    /// `to_wire` would not write included — or naming a blob `resolve`
     /// does not hold.
     pub fn from_wire(
         input: &str,
         resolve: &dyn Fn(&str) -> Option<String>,
     ) -> Result<(Self, ShardPlan, u64, usize), SimError> {
-        fn expect<'a>(lines: &mut std::str::Lines<'a>, label: &str) -> Result<&'a str, SimError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| wire_error(format!("missing {label} line")))?;
-            line.strip_prefix(label)
-                .map(str::trim_start)
-                .ok_or_else(|| wire_error(format!("expected a {label} line, got {line:?}")))
-        }
+        Self::read(input, resolve).map_err(|e| wire_error(e.to_string()))
+    }
 
-        let mut lines = input.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| wire_error("empty shard-spec message"))?;
-        if header != "crp-shard-spec v1" {
-            return Err(wire_error(format!("unexpected spec header {header:?}")));
-        }
-        let lines = &mut lines;
-        let name = expect(lines, "protocol")?.to_string();
-        let universe = parse_usize(expect(lines, "universe")?, "universe")?;
-        let advice_bits = parse_usize(expect(lines, "advice-bits")?, "advice-bits")?;
-        let participants = match expect(lines, "participants")? {
-            "none" => None,
-            token => Some(parse_usize(token, "participants")?),
-        };
-        let estimate = match expect(lines, "estimate")? {
-            "none" => None,
-            token => Some(parse_usize(token, "estimate")?),
+    fn read(
+        input: &str,
+        resolve: &dyn Fn(&str) -> Option<String>,
+    ) -> Result<(Self, ShardPlan, u64, usize), LineError> {
+        let none_or_count = |fields: &mut Fields<'_>| {
+            fields.parse("none or a count", |token| match token {
+                "none" => Some(None),
+                token => parse_int(token).map(Some),
+            })
         };
         // Masses only ever travel by reference: a section is a
         // `ref <hash>` line, dereferenced to its blob through `resolve`.
-        let deref = |section: &str, label: &str| -> Result<String, SimError> {
-            let hash = section.strip_prefix("ref ").ok_or_else(|| {
-                wire_error(format!("{label} masses must travel as a `ref <hash>` line"))
-            })?;
+        let deref = |fields: &mut Fields<'_>, label: &str| {
+            let hash = fields.token()?;
             resolve(hash).ok_or_else(|| {
-                wire_error(format!(
+                fields.error(format!(
                     "{label} references scenario blob {hash}, which this worker does not hold"
                 ))
             })
         };
-        let prediction = match expect(lines, "prediction")? {
+        let mass = |token: &str| parse_hex64(token).map(f64::from_bits);
+
+        let mut reader = LineReader::new(input);
+        reader.header("crp-shard-spec v1")?;
+        let name = reader.field("protocol", Fields::token)?;
+        let universe = reader.field("universe", Fields::int)?;
+        let advice_bits = reader.field("advice-bits", Fields::int)?;
+        let participants = reader.field("participants", none_or_count)?;
+        let estimate = reader.field("estimate", none_or_count)?;
+        let mut fields = reader.fields("prediction")?;
+        let prediction = match fields.token()? {
             "none" => None,
-            section => {
-                let blob = deref(section, "prediction")?;
-                let mut tokens = blob.split_ascii_whitespace();
-                let max_size = parse_usize(
-                    tokens
-                        .next()
-                        .ok_or_else(|| wire_error("prediction blob is missing its max size"))?,
-                    "prediction max size",
-                )?;
-                let masses = parse_masses(tokens)?;
+            "ref" => {
+                let blob = deref(&mut fields, "prediction")?;
+                let mut blob = reader.fields_of(&blob);
+                let max_size = blob.int()?;
+                let masses = blob.list(usize::MAX, "a mass bit pattern", mass)?;
                 Some(
                     CondensedDistribution::from_range_masses_exact(masses, max_size)
-                        .map_err(|e| wire_error(format!("invalid prediction masses: {e}")))?,
+                        .map_err(|e| reader.error(format!("invalid prediction masses: {e}")))?,
                 )
             }
+            other => return Err(fields.error(format!("unknown prediction {other:?}"))),
         };
-        let population = {
-            let section = expect(lines, "population")?;
-            let mut tokens = section.split_ascii_whitespace();
-            match tokens.next() {
-                Some("fixed") => WirePopulation::Fixed(parse_usize(
-                    tokens
-                        .next()
-                        .ok_or_else(|| wire_error("population fixed is missing its count"))?,
-                    "population count",
-                )?),
-                Some("placed") => WirePopulation::Placed(
-                    tokens
-                        .map(|t| parse_usize(t, "participant id"))
-                        .collect::<Result<Vec<usize>, SimError>>()?,
-                ),
-                Some("ref") => {
-                    let blob = deref(section, "population")?;
-                    let mut tokens = blob.split_ascii_whitespace();
-                    if tokens.next() != Some("sampled") {
-                        return Err(wire_error("population blob is not a sampled-masses blob"));
-                    }
-                    WirePopulation::Sampled(
-                        SizeDistribution::from_masses_exact(parse_masses(tokens)?)
-                            .map_err(|e| wire_error(format!("invalid population masses: {e}")))?,
-                    )
-                }
-                other => {
-                    return Err(wire_error(format!(
-                        "unknown population kind {other:?}: expected fixed, placed or ref"
-                    )));
-                }
+        fields.finish()?;
+        let mut fields = reader.fields("population")?;
+        let population = match fields.token()? {
+            "fixed" => WirePopulation::Fixed(fields.int()?),
+            "placed" => {
+                WirePopulation::Placed(fields.list(usize::MAX, "a participant id", parse_int)?)
             }
+            "ref" => {
+                let blob = deref(&mut fields, "population")?;
+                let mut blob = reader.fields_of(&blob);
+                blob.keyword("sampled")?;
+                let masses = blob.list(usize::MAX, "a mass bit pattern", mass)?;
+                WirePopulation::Sampled(
+                    SizeDistribution::from_masses_exact(masses)
+                        .map_err(|e| reader.error(format!("invalid population masses: {e}")))?,
+                )
+            }
+            other => return Err(fields.error(format!("unknown population {other:?}"))),
         };
-        let max_rounds = parse_usize(expect(lines, "max-rounds")?, "max-rounds")?;
-        let trials = parse_usize(expect(lines, "trials")?, "trials")?;
-        let shard_size = parse_usize(expect(lines, "shard-size")?, "shard-size")?;
-        let base_seed = expect(lines, "base-seed")?
-            .parse::<u64>()
-            .map_err(|e| wire_error(format!("invalid base seed: {e}")))?;
-        let shard = parse_usize(expect(lines, "shard")?, "shard")?;
-        if !expect(lines, "end")?.is_empty() {
-            return Err(wire_error("trailing content after the end marker"));
-        }
+        fields.finish()?;
+        let max_rounds = reader.field("max-rounds", Fields::int)?;
+        let trials = reader.field("trials", Fields::int)?;
+        let shard_size = reader.field("shard-size", |fields| {
+            fields.parse("at least 1", |token| {
+                parse_int(token).filter(|&size| size >= 1)
+            })
+        })?;
+        let base_seed = reader.field("base-seed", Fields::int)?;
+        let shard = reader.field("shard", Fields::int)?;
+        reader.end()?;
 
         let mut protocol = ProtocolSpec::new(name)
             .universe(universe)

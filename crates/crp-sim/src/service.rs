@@ -345,8 +345,8 @@ mod tests {
         let mut respelled = submission.clone();
         respelled.cells[0].jobs[0] = first.replacen("ref ", "ref  ", 1);
         let respelled_key = respelled.cells[0].job_keys()[0].clone();
-        // The same job with a zero-padded round budget: it decodes to
-        // the same spec, and only the byte-for-byte check rejects it.
+        // The same job with a zero-padded round budget, which the spec
+        // decoder rejects, naming the `max-rounds` line.
         let mut padded = submission.clone();
         padded.cells[0].jobs[0] = first.replacen("max-rounds ", "max-rounds 0", 1);
         // The same job referencing a blob the submission does not carry.
@@ -359,7 +359,7 @@ mod tests {
         let server = crp_serve::SweepServer::bind("127.0.0.1:0", Vec::new(), None).unwrap();
         for (label, tampered, needle) in [
             ("respelled", respelled, respelled_key.as_str()),
-            ("padded", padded, "not in canonical form"),
+            ("padded", padded, "line 9: \"016384\""),
             ("dangling", dangling, missing.as_str()),
         ] {
             match server.run_submission(&tampered, sweep_hooks(), &|_, _, _| {}) {

@@ -13,6 +13,8 @@
 //!   report layer and all downstream experiment code consume, unchanged
 //!   from the collect-then-sort era.
 
+use crp_obs::{parse_int, Fields, LineError, LineReader, BUCKETS};
+
 /// A fixed-size streaming quantile sketch over non-negative integers.
 ///
 /// Values below 128 occupy one exact bucket each; larger values share
@@ -37,19 +39,9 @@ impl QuantileSketch {
         Self::default()
     }
 
-    /// The bucket index of `value`.
-    fn bucket_index(value: u64) -> usize {
-        crp_obs::bucket_index(value)
-    }
-
-    /// The representative (lower-midpoint) value of bucket `index`.
-    fn bucket_value(index: usize) -> u64 {
-        crp_obs::bucket_value(index)
-    }
-
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        let index = Self::bucket_index(value);
+        let index = crp_obs::bucket_index(value);
         if index >= self.counts.len() {
             self.counts.resize(index + 1, 0);
         }
@@ -88,7 +80,7 @@ impl QuantileSketch {
         for (index, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen > rank {
-                return Some(Self::bucket_value(index));
+                return Some(crp_obs::bucket_value(index));
             }
         }
         None
@@ -288,30 +280,30 @@ impl TrialAccumulator {
         out
     }
 
-    /// Parses the wire format produced by [`TrialAccumulator::to_wire`].
+    /// Parses the wire format produced by [`TrialAccumulator::to_wire`]:
+    /// exactly the bytes `to_wire` writes.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first malformed line.
+    /// A description naming the first malformed line: anything
+    /// `to_wire` would not write, and a sketch whose bucket list is
+    /// longer than [`crp_obs::BUCKETS`] or whose buckets do not sum,
+    /// without overflow, to its stream's sample count.
     pub fn from_wire(input: &str) -> Result<Self, String> {
-        let mut lines = input.lines();
-        let header = lines.next().ok_or("empty accumulator message")?;
-        if header != "crp-shard-accumulator v1" {
-            return Err(format!("unexpected accumulator header {header:?}"));
-        }
-        let trials = parse_field(lines.next(), "trials")?
-            .parse::<u64>()
-            .map_err(|e| format!("invalid trials count: {e}"))?;
-        let resolved = parse_stream(&mut lines, "resolved")?;
-        let overall = parse_stream(&mut lines, "overall")?;
-        match lines.next() {
-            Some("end") => Ok(Self {
+        let read = || {
+            let mut reader = LineReader::new(input);
+            reader.header("crp-shard-accumulator v1")?;
+            let trials = reader.field("trials", Fields::int)?;
+            let resolved = read_stream(&mut reader, "resolved")?;
+            let overall = read_stream(&mut reader, "overall")?;
+            reader.end()?;
+            Ok::<_, LineError>(Self {
                 trials,
                 resolved,
                 overall,
-            }),
-            other => Err(format!("expected end marker, got {other:?}")),
-        }
+            })
+        };
+        read().map_err(|e| e.to_string())
     }
 }
 
@@ -332,54 +324,22 @@ fn wire_stream(out: &mut String, label: &str, stream: &StreamAccumulator) {
     out.push('\n');
 }
 
-/// Extracts the payload of the line `"<label> <payload>"`.
-fn parse_field<'a>(line: Option<&'a str>, label: &str) -> Result<&'a str, String> {
-    let line = line.ok_or_else(|| format!("missing {label} line"))?;
-    line.strip_prefix(label)
-        .map(str::trim_start)
-        .ok_or_else(|| format!("expected a {label} line, got {line:?}"))
-}
-
-/// Parses the two lines emitted by [`wire_stream`].
-fn parse_stream<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    label: &str,
-) -> Result<StreamAccumulator, String> {
-    let moments = parse_field(lines.next(), label)?;
-    let mut tokens = moments.split_ascii_whitespace();
-    let mut next = |what: &str| {
-        tokens
-            .next()
-            .ok_or_else(|| format!("{label} line is missing {what}"))
-    };
-    let count = next("count")?
-        .parse::<u64>()
-        .map_err(|e| format!("invalid {label} count: {e}"))?;
-    let mean = parse_f64_bits(next("mean")?, label)?;
-    let m2 = parse_f64_bits(next("m2")?, label)?;
-    let min = next("min")?
-        .parse::<u64>()
-        .map_err(|e| format!("invalid {label} min: {e}"))?;
-    let max = next("max")?
-        .parse::<u64>()
-        .map_err(|e| format!("invalid {label} max: {e}"))?;
-
-    let counts_label = format!("{label}-counts");
-    let sketch_line = parse_field(lines.next(), &counts_label)?;
-    let mut tokens = sketch_line.split_ascii_whitespace();
-    let total = tokens
-        .next()
-        .ok_or_else(|| format!("{counts_label} line is missing its total"))?
-        .parse::<u64>()
-        .map_err(|e| format!("invalid {counts_label} total: {e}"))?;
-    let counts = tokens
-        .map(|t| {
-            t.parse::<u64>()
-                .map_err(|e| format!("invalid {counts_label} bucket: {e}"))
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    if counts.iter().sum::<u64>() != total {
-        return Err(format!("{counts_label} buckets do not sum to the total"));
+/// Reads the two lines [`wire_stream`] writes.
+fn read_stream(reader: &mut LineReader<'_>, label: &str) -> Result<StreamAccumulator, LineError> {
+    let mut fields = reader.fields(label)?;
+    let count = fields.int()?;
+    let mean = f64::from_bits(fields.hex64()?);
+    let m2 = f64::from_bits(fields.hex64()?);
+    let (min, max) = (fields.int()?, fields.int()?);
+    fields.finish()?;
+    let mut fields = reader.fields(&format!("{label}-counts"))?;
+    let total = fields.int()?;
+    let counts = fields.list(BUCKETS, "a bucket count", parse_int::<u64>)?;
+    let sum = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+    if sum != Some(total) || total != count {
+        return Err(reader.error(format!(
+            "the {label} buckets must sum to the stream's {count} samples"
+        )));
     }
     Ok(StreamAccumulator {
         count,
@@ -389,15 +349,6 @@ fn parse_stream<'a>(
         max,
         sketch: QuantileSketch { counts, total },
     })
-}
-
-/// Parses a 16-digit hex IEEE-754 bit pattern back into an `f64`.
-fn parse_f64_bits(token: &str, label: &str) -> Result<f64, String> {
-    crp_obs::parse_hex64(token)
-        .map(f64::from_bits)
-        .ok_or_else(|| {
-            format!("invalid {label} float bits {token:?}: expected 16 lowercase hex digits")
-        })
 }
 
 /// Summary statistics of a sample of per-trial round counts.
@@ -583,7 +534,7 @@ mod tests {
     #[test]
     fn sketch_bucket_round_trip_error_is_bounded() {
         for value in [1u64, 127, 128, 255, 256, 1000, 4096, 1 << 20, u64::MAX / 2] {
-            let rep = QuantileSketch::bucket_value(QuantileSketch::bucket_index(value));
+            let rep = crp_obs::bucket_value(crp_obs::bucket_index(value));
             let err = (rep as f64 - value as f64).abs() / value as f64;
             assert!(err <= 1.0 / 256.0, "value {value}: rep {rep}, err {err}");
         }

@@ -368,3 +368,47 @@ fn inline_masses_are_not_a_wire_spelling() {
     let err = ShardSpec::from_wire(&inline, &resolver(&blobs)).unwrap_err();
     assert!(err.to_string().contains("population"), "{err}");
 }
+
+/// An accumulator body whose two streams each hold `count` samples and
+/// the sketch bucket list `counts`.
+fn accumulator_wire(count: u64, counts: &[u64]) -> String {
+    let counts: String = counts.iter().map(|c| format!(" {c}")).collect();
+    let one = 1.0f64.to_bits();
+    let stream = |label: &str| {
+        format!("{label} {count} {one:016x} 0000000000000000 1 1\n{label}-counts {count}{counts}\n")
+    };
+    format!(
+        "crp-shard-accumulator v1\ntrials {count}\n{}{}end\n",
+        stream("resolved"),
+        stream("overall")
+    )
+}
+
+#[test]
+fn sketches_past_the_bucket_range_or_overflowing_their_total_are_rejected() {
+    let mut buckets = vec![0u64; crp_obs::BUCKETS];
+    buckets[1] = 1;
+    assert!(TrialAccumulator::from_wire(&accumulator_wire(1, &buckets)).is_ok());
+    // One bucket past the last index any u64 maps to: finalising it
+    // would shift past 64 bits.
+    buckets.push(0);
+    let err = TrialAccumulator::from_wire(&accumulator_wire(1, &buckets)).unwrap_err();
+    assert!(
+        err.contains(&format!("more than {}", crp_obs::BUCKETS)),
+        "{err}"
+    );
+    // Buckets whose sum overflows a u64 cannot match any total.
+    let err = TrialAccumulator::from_wire(&accumulator_wire(1, &[u64::MAX, 2])).unwrap_err();
+    assert!(err.starts_with("line 4:"), "{err}");
+}
+
+#[test]
+fn a_round_count_of_u64_max_round_trips() {
+    let mut accumulator = TrialAccumulator::new();
+    accumulator.record(true, u64::MAX);
+    let wire = accumulator.to_wire();
+    let decoded = TrialAccumulator::from_wire(&wire).unwrap();
+    assert_eq!(decoded, accumulator);
+    assert_eq!(decoded.to_wire(), wire);
+    assert_eq!(decoded.finalize(), accumulator.finalize());
+}
