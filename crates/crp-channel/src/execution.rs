@@ -4,8 +4,9 @@
 //! invalid configuration:
 //!
 //! * [`try_execute`] drives arbitrary *per-node* protocols (each
-//!   participant is its own [`NodeProtocol`] object making independent
-//!   decisions).  Needed for the deterministic advice-based algorithms of
+//!   participant is its own [`NodeProtocol`] value making independent
+//!   decisions; one execution's nodes share one concrete type, held
+//!   unboxed).  Needed for the deterministic advice-based algorithms of
 //!   §3, where behaviour depends on participant identity.
 //! * [`try_execute_uniform_schedule`] drives *uniform* protocols, in which
 //!   all participants share the same per-round transmission probability (the
@@ -28,7 +29,7 @@ use crate::trace::{RoundRecord, Trace};
 
 /// A per-node contention-resolution protocol instance.
 ///
-/// One object is created per participant per execution.  The executor calls
+/// One value is created per participant per execution.  The executor calls
 /// [`NodeProtocol::decide`] each round to learn whether the node transmits,
 /// then [`NodeProtocol::observe`] with the feedback the node would hear on
 /// the channel.
@@ -44,18 +45,6 @@ pub trait NodeProtocol {
     /// `false`, i.e. the protocol runs until the round cap.
     fn finished(&self) -> bool {
         false
-    }
-}
-
-impl<T: NodeProtocol + ?Sized> NodeProtocol for Box<T> {
-    fn decide(&mut self, round: usize, rng: &mut dyn RngCore) -> bool {
-        (**self).decide(round, rng)
-    }
-    fn observe(&mut self, round: usize, feedback: Feedback) {
-        (**self).observe(round, feedback)
-    }
-    fn finished(&self) -> bool {
-        (**self).finished()
     }
 }
 
@@ -115,16 +104,18 @@ impl Execution {
 /// is reached.
 ///
 /// `nodes[i]` is the protocol instance of the `i`-th participant.  The
-/// participant count is `nodes.len()`.
+/// participant count is `nodes.len()`.  The nodes are one concrete type,
+/// so `decide` is statically dispatched; `rng` is handed to every
+/// `decide` call as is.
 ///
 /// # Errors
 ///
 /// Returns [`ChannelError::InvalidConfiguration`] if `nodes` is empty or
 /// `config.max_rounds == 0`.
-pub fn try_execute<P: NodeProtocol, R: Rng>(
+pub fn try_execute<P: NodeProtocol>(
     nodes: &mut [P],
     config: &ExecutionConfig,
-    rng: &mut R,
+    rng: &mut dyn RngCore,
 ) -> Result<Execution, ChannelError> {
     if nodes.is_empty() {
         return Err(ChannelError::InvalidConfiguration {

@@ -68,7 +68,14 @@ impl Advice {
     /// Interprets the advice as an unsigned integer (most significant bit
     /// first).  The empty advice decodes to 0.
     pub fn to_value(&self) -> usize {
-        self.bits
+        self.prefix_value(self.bits.len())
+    }
+
+    /// Interprets the first `count` bits (clamped to the advice length) as
+    /// an unsigned integer, most significant bit first, without copying
+    /// them.  A zero-bit prefix decodes to 0.
+    pub fn prefix_value(&self, count: usize) -> usize {
+        self.bits[..count.min(self.bits.len())]
             .iter()
             .fold(0usize, |acc, &bit| (acc << 1) | usize::from(bit))
     }
@@ -141,13 +148,8 @@ impl IdPrefixOracle {
         let id_bits = Self::id_bits(universe_size);
         let used = advice.len().min(id_bits);
         let remaining = id_bits - used;
-        let prefix_value = if used == 0 {
-            0
-        } else {
-            // Only the first `used` bits of the advice are meaningful here.
-            Advice::from_bits(advice.bits()[..used].to_vec()).to_value()
-        };
-        let low = prefix_value << remaining;
+        // Only the first `used` bits of the advice are meaningful here.
+        let low = advice.prefix_value(used) << remaining;
         let high = (low + (1usize << remaining)).min(universe_size);
         (low.min(universe_size), high)
     }
@@ -210,12 +212,7 @@ impl RangeOracle {
         let num_ranges = Self::num_ranges(universe_size);
         let used = advice.len().min(range_bits);
         let remaining = range_bits - used;
-        let prefix_value = if used == 0 {
-            0
-        } else {
-            Advice::from_bits(advice.bits()[..used].to_vec()).to_value()
-        };
-        let low0 = prefix_value << remaining;
+        let low0 = advice.prefix_value(used) << remaining;
         let high0 = (low0 + (1usize << remaining)).min(num_ranges);
         ((low0 + 1).min(num_ranges), high0.max(1))
     }
@@ -255,6 +252,17 @@ mod tests {
         assert_eq!(advice.to_string(), "1011");
         assert_eq!(Advice::empty().to_value(), 0);
         assert_eq!(Advice::empty().to_string(), "ε");
+    }
+
+    #[test]
+    fn prefix_value_folds_only_the_leading_bits() {
+        let advice = Advice::from_value(0b1011, 4);
+        assert_eq!(advice.prefix_value(0), 0);
+        assert_eq!(advice.prefix_value(1), 0b1);
+        assert_eq!(advice.prefix_value(3), 0b101);
+        assert_eq!(advice.prefix_value(4), 0b1011);
+        assert_eq!(advice.prefix_value(9), 0b1011, "count is clamped");
+        assert_eq!(Advice::empty().prefix_value(3), 0);
     }
 
     #[test]

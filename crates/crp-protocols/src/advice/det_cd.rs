@@ -14,6 +14,7 @@ use crp_channel::{Feedback, NodeProtocol, ParticipantId};
 use crp_predict::{Advice, IdPrefixOracle};
 use rand::RngCore;
 
+use super::check_in_universe;
 use crate::error::ProtocolError;
 
 /// Per-node state of the deterministic collision-detection advice protocol.
@@ -43,19 +44,24 @@ impl DeterministicCdAdvice {
         id: ParticipantId,
         advice: &Advice,
     ) -> Result<Self, ProtocolError> {
-        if id.index() >= universe_size {
-            return Err(ProtocolError::InvalidParameter {
-                what: format!("participant {id} outside universe of size {universe_size}"),
-            });
-        }
-        let (low, high) = IdPrefixOracle::candidate_interval(universe_size, advice);
-        Ok(Self {
+        check_in_universe(universe_size, id)?;
+        Ok(Self::from_interval(
+            id,
+            IdPrefixOracle::candidate_interval(universe_size, advice),
+        ))
+    }
+
+    /// Creates the instance for an id already checked against the
+    /// universe, given the candidate interval the shared advice leaves, so
+    /// one execution computes that interval once for all of its nodes.
+    pub(crate) fn from_interval(id: ParticipantId, (low, high): (usize, usize)) -> Self {
+        Self {
             id,
             low,
             high,
             resolved: false,
             eliminated: false,
-        })
+        }
     }
 
     /// Worst-case number of rounds: `⌈log(n / 2^b)⌉ + 1`.

@@ -28,8 +28,32 @@ mod noninteractive;
 mod rand_cd;
 mod rand_no_cd;
 
+use crp_channel::ParticipantId;
+
+use crate::error::ProtocolError;
+
 pub use det_cd::DeterministicCdAdvice;
 pub use det_no_cd::DeterministicNoCdAdvice;
 pub use noninteractive::NonInteractiveScheme;
 pub use rand_cd::AdvisedWillard;
 pub use rand_no_cd::AdvisedDecay;
+
+/// The universe check of the deterministic advice nodes: both
+/// constructors apply it to their own id, and a whole execution applies it
+/// to every id before building its nodes infallibly.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError::InvalidParameter`] if `id` is outside a
+/// universe of size `universe_size`.
+pub(crate) fn check_in_universe(
+    universe_size: usize,
+    id: ParticipantId,
+) -> Result<(), ProtocolError> {
+    if id.index() >= universe_size {
+        return Err(ProtocolError::InvalidParameter {
+            what: format!("participant {id} outside universe of size {universe_size}"),
+        });
+    }
+    Ok(())
+}

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crp_channel::ChannelError;
 use crp_info::InfoError;
 use crp_predict::PredictError;
 
@@ -76,6 +77,17 @@ impl From<InfoError> for ProtocolError {
 impl From<PredictError> for ProtocolError {
     fn from(err: PredictError) -> Self {
         ProtocolError::Predict(err)
+    }
+}
+
+/// An executor's configuration check (empty participant set, zero round
+/// cap, a probability outside `[0, 1]`) surfaces as an invalid parameter
+/// carrying the channel's message.
+impl From<ChannelError> for ProtocolError {
+    fn from(err: ChannelError) -> Self {
+        ProtocolError::InvalidParameter {
+            what: err.to_string(),
+        }
     }
 }
 

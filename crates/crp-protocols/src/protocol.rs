@@ -19,10 +19,10 @@
 //! [`try_run_protocol`] drives any of them against the channel.
 
 use crp_channel::{
-    try_execute, try_execute_uniform_schedule, ChannelMode, CollisionHistory, Execution,
-    ExecutionConfig, NodeProtocol, ParticipantId,
+    try_execute_uniform_schedule, ChannelMode, CollisionHistory, Execution, ExecutionConfig,
+    ParticipantId,
 };
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::error::ProtocolError;
 use crate::traits::{CdStrategy, NoCdSchedule, ProtocolKind};
@@ -58,7 +58,8 @@ pub enum Behavior<'a> {
     /// per-round probability.
     Uniform(&'a dyn UniformPolicy),
     /// A per-node protocol: each participant runs its own state machine,
-    /// built by the factory for a concrete participant set.
+    /// which the factory builds and executes for a concrete participant
+    /// set.
     PerNode(&'a dyn NodeFactory),
 }
 
@@ -88,18 +89,31 @@ pub trait UniformPolicy: Send + Sync {
     }
 }
 
-/// Builds per-node protocol instances for a concrete participant set.
+/// Executes a per-node protocol for a concrete participant set.
+///
+/// The factory owns its node type: [`NodeFactory::execute`] builds one
+/// [`crp_channel::NodeProtocol`] value per participant in a `Vec` of that
+/// concrete type and drives it through [`crp_channel::try_execute`], so
+/// nodes are never boxed and `decide` is statically dispatched.  Anything
+/// the nodes share (the §3 advice and its candidate interval) is computed
+/// once per execution, not once per node.
 pub trait NodeFactory: Send + Sync {
-    /// Creates one [`NodeProtocol`] instance per participant.
+    /// Runs one execution with one node per participant (`participants[i]`
+    /// is the `i`-th node's id) under `config`, handing `rng` to every
+    /// node's `decide`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] if the participant set is invalid for this
-    /// protocol (e.g. an id outside the universe).
-    fn build_nodes(
+    /// protocol (e.g. empty, or an id outside the universe), or — after the
+    /// participant checks — if `config` is rejected by the executor (a zero
+    /// round cap).
+    fn execute(
         &self,
         participants: &[ParticipantId],
-    ) -> Result<Vec<Box<dyn NodeProtocol>>, ProtocolError>;
+        config: &ExecutionConfig,
+        rng: &mut dyn RngCore,
+    ) -> Result<Execution, ProtocolError>;
 
     /// The worst-case round budget for the given participant set, if the
     /// protocol guarantees one.
@@ -108,11 +122,11 @@ pub trait NodeFactory: Send + Sync {
         None
     }
 
-    /// Whether the nodes this factory builds are *deterministic*: their
-    /// [`NodeProtocol::decide`] never reads the RNG, so an execution's
-    /// outcome is a pure function of the participant set (the §3 advice
-    /// schedules are the canonical case).  Batched kernels use this to
-    /// execute once per distinct participant set and replicate the
+    /// Whether the nodes this factory executes are *deterministic*: their
+    /// [`crp_channel::NodeProtocol::decide`] never reads the RNG, so an
+    /// execution's outcome is a pure function of the participant set (the
+    /// §3 advice schedules are the canonical case).  Batched kernels use
+    /// this to execute once per distinct participant set and replicate the
     /// outcome; a factory must only return `true` when that replication
     /// is exact.  Defaults to `false`.
     fn deterministic(&self) -> bool {
@@ -211,10 +225,9 @@ impl<S: CdStrategy + Send + Sync> UniformPolicy for StrategyProtocol<S> {
 /// rounds on the channel mode matching its [`ProtocolKind`].
 ///
 /// Uniform protocols ignore participant identities; per-node protocols are
-/// instantiated for the ids `0, …, k−1` (callers needing adversarial
-/// placements should build nodes through [`Protocol::behavior`] and drive
-/// [`crp_channel::try_execute`] themselves, or use the `crp-sim`
-/// `Simulation` builder's participant placement options).
+/// executed for the ids `0, …, k−1` (callers needing adversarial
+/// placements pass the ids to [`try_run_protocol_with`], or use the
+/// `crp-sim` `Simulation` builder's participant placement options).
 ///
 /// # Errors
 ///
@@ -232,7 +245,8 @@ pub fn try_run_protocol<R: Rng>(
 }
 
 /// Like [`try_run_protocol`], but with an explicit participant set (needed
-/// for per-node protocols under adversarial placements).
+/// for per-node protocols under adversarial placements, which
+/// [`NodeFactory::execute`] runs directly).
 ///
 /// # Errors
 ///
@@ -253,15 +267,8 @@ pub fn try_run_protocol_with<R: Rng>(
             &config,
             rng,
         )
-        .map_err(|err| ProtocolError::InvalidParameter {
-            what: err.to_string(),
-        }),
-        Behavior::PerNode(factory) => {
-            let mut nodes = factory.build_nodes(participants)?;
-            try_execute(&mut nodes, &config, rng).map_err(|err| ProtocolError::InvalidParameter {
-                what: err.to_string(),
-            })
-        }
+        .map_err(ProtocolError::from),
+        Behavior::PerNode(factory) => factory.execute(participants, &config, rng),
     }
 }
 

@@ -11,11 +11,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crp_channel::{NodeProtocol, ParticipantId};
+use crp_channel::{try_execute, Execution, ExecutionConfig, NodeProtocol, ParticipantId};
 use crp_info::CondensedDistribution;
 use crp_predict::{Advice, AdviceOracle, IdPrefixOracle, RangeOracle};
+use rand::RngCore;
 
-use crate::advice::{AdvisedDecay, AdvisedWillard, DeterministicCdAdvice, DeterministicNoCdAdvice};
+use crate::advice::{
+    check_in_universe, AdvisedDecay, AdvisedWillard, DeterministicCdAdvice, DeterministicNoCdAdvice,
+};
 use crate::baselines::{BlindTrust, Decay, FixedProbability, Willard};
 use crate::error::ProtocolError;
 use crate::predicted::{CodeChoice, CodedSearch, SortedGuess};
@@ -437,7 +440,7 @@ impl Default for ProtocolRegistry {
 /// The §3 deterministic advice algorithms as a per-node [`Protocol`].
 ///
 /// The id-prefix advice is perfect — computed from the *actual* participant
-/// set at node-construction time, exactly as the paper's model grants every
+/// set once per execution, exactly as the paper's model grants every
 /// participant the same `b`-bit hint about the designated transmitter.
 pub struct DeterministicAdviceProtocol {
     universe: usize,
@@ -472,10 +475,34 @@ impl DeterministicAdviceProtocol {
         self.universe
     }
 
-    fn advice_for(&self, participants: &[ParticipantId]) -> Result<Advice, ProtocolError> {
-        let ids: Vec<usize> = participants.iter().map(|p| p.index()).collect();
-        Ok(IdPrefixOracle.advise(self.universe, &ids, self.advice_bits)?)
+    /// The candidate interval every node of one execution starts from.
+    /// The advice is the id prefix of the designated (first) participant,
+    /// so it is decoded from that id alone, once per execution.
+    fn candidate_interval(
+        &self,
+        participants: &[ParticipantId],
+    ) -> Result<(usize, usize), ProtocolError> {
+        let first = participants
+            .first()
+            .ok_or_else(|| ProtocolError::InvalidParameter {
+                what: "deterministic advice protocols require at least one participant".into(),
+            })?;
+        let advice = IdPrefixOracle.advise(self.universe, &[first.index()], self.advice_bits)?;
+        Ok(IdPrefixOracle::candidate_interval(self.universe, &advice))
     }
+}
+
+/// Builds one node per participant into a `Vec` of the concrete node type
+/// — infallibly, with no per-node allocation — and drives it through the
+/// channel.
+fn execute_nodes<P: NodeProtocol>(
+    participants: &[ParticipantId],
+    node: impl Fn(ParticipantId) -> P,
+    config: &ExecutionConfig,
+    rng: &mut dyn RngCore,
+) -> Result<Execution, ProtocolError> {
+    let mut nodes: Vec<P> = participants.iter().map(|&id| node(id)).collect();
+    Ok(try_execute(&mut nodes, config, rng)?)
 }
 
 impl Protocol for DeterministicAdviceProtocol {
@@ -493,46 +520,44 @@ impl Protocol for DeterministicAdviceProtocol {
 }
 
 impl NodeFactory for DeterministicAdviceProtocol {
-    fn build_nodes(
+    fn execute(
         &self,
         participants: &[ParticipantId],
-    ) -> Result<Vec<Box<dyn NodeProtocol>>, ProtocolError> {
-        if participants.is_empty() {
-            return Err(ProtocolError::InvalidParameter {
-                what: "deterministic advice protocols require at least one participant".into(),
-            });
-        }
-        let advice = self.advice_for(participants)?;
+        config: &ExecutionConfig,
+        rng: &mut dyn RngCore,
+    ) -> Result<Execution, ProtocolError> {
+        // Same error order as building each node with its public `new`:
+        // the empty set, then the advice, then the first id outside the
+        // universe, and only then the executor's own config checks.
+        let interval = self.candidate_interval(participants)?;
         participants
             .iter()
-            .map(|&id| -> Result<Box<dyn NodeProtocol>, ProtocolError> {
-                match self.kind {
-                    ProtocolKind::NoCollisionDetection => Ok(Box::new(
-                        DeterministicNoCdAdvice::new(self.universe, id, &advice)?,
-                    )),
-                    ProtocolKind::CollisionDetection => Ok(Box::new(DeterministicCdAdvice::new(
-                        self.universe,
-                        id,
-                        &advice,
-                    )?)),
-                }
-            })
-            .collect()
+            .try_for_each(|&id| check_in_universe(self.universe, id))?;
+        match self.kind {
+            ProtocolKind::NoCollisionDetection => execute_nodes(
+                participants,
+                |id| DeterministicNoCdAdvice::from_interval(id, interval),
+                config,
+                rng,
+            ),
+            ProtocolKind::CollisionDetection => execute_nodes(
+                participants,
+                |id| DeterministicCdAdvice::from_interval(id, interval),
+                config,
+                rng,
+            ),
+        }
     }
 
     fn round_budget(&self, participants: &[ParticipantId]) -> Option<usize> {
-        let advice = self.advice_for(participants).ok()?;
         let first = *participants.first()?;
+        let interval = self.candidate_interval(participants).ok()?;
         let budget = match self.kind {
             ProtocolKind::NoCollisionDetection => {
-                DeterministicNoCdAdvice::new(self.universe, first, &advice)
-                    .ok()?
-                    .worst_case_rounds()
+                DeterministicNoCdAdvice::from_interval(first, interval).worst_case_rounds()
             }
             ProtocolKind::CollisionDetection => {
-                DeterministicCdAdvice::new(self.universe, first, &advice)
-                    .ok()?
-                    .worst_case_rounds()
+                DeterministicCdAdvice::from_interval(first, interval).worst_case_rounds()
             }
         };
         Some(budget.max(1))

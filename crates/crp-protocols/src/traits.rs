@@ -87,11 +87,8 @@ pub fn try_run_schedule<S: NoCdSchedule + ?Sized, R: Rng>(
     rng: &mut R,
 ) -> Result<Execution, ProtocolError> {
     let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, max_rounds);
-    try_execute_uniform_schedule(k, |round, _| schedule.probability(round), &config, rng).map_err(
-        |err| ProtocolError::InvalidParameter {
-            what: err.to_string(),
-        },
-    )
+    try_execute_uniform_schedule(k, |round, _| schedule.probability(round), &config, rng)
+        .map_err(ProtocolError::from)
 }
 
 /// Runs a [`CdStrategy`] with `k` participants for at most `max_rounds`
@@ -109,9 +106,7 @@ pub fn try_run_cd_strategy<S: CdStrategy + ?Sized, R: Rng>(
 ) -> Result<Execution, ProtocolError> {
     let config = ExecutionConfig::new(ChannelMode::CollisionDetection, max_rounds);
     try_execute_uniform_schedule(k, |_, history| strategy.probability(history), &config, rng)
-        .map_err(|err| ProtocolError::InvalidParameter {
-            what: err.to_string(),
-        })
+        .map_err(ProtocolError::from)
 }
 
 #[cfg(test)]

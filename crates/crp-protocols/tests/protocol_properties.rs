@@ -1,13 +1,14 @@
 //! Property-style tests over the protocol layer, driven by deterministic
 //! seeded sweeps (the environment has no `proptest`).
 
-use crp_channel::CollisionHistory;
+use crp_channel::{try_execute, CollisionHistory, ExecutionConfig, ParticipantId};
 use crp_info::{range_index_for_size, CondensedDistribution, SizeDistribution};
 use crp_predict::{Advice, AdviceOracle, IdPrefixOracle, RangeOracle};
 use crp_protocols::rangefinding::rf_construction;
 use crp_protocols::{
-    AdvisedDecay, AdvisedWillard, CdStrategy, CodedSearch, Decay, NoCdSchedule, SortedGuess,
-    Willard,
+    try_run_protocol_with, AdvisedDecay, AdvisedWillard, CdStrategy, CodedSearch, Decay,
+    DeterministicAdviceProtocol, DeterministicCdAdvice, DeterministicNoCdAdvice, NoCdSchedule,
+    NodeFactory, ProtocolError, ProtocolKind, SortedGuess, Willard,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -232,5 +233,132 @@ fn condensing_then_sorting_is_stable_under_size_noise() {
         let order_a = SortedGuess::from_sizes(&a).visit_order().to_vec();
         let order_b = SortedGuess::from_sizes(&b).visit_order().to_vec();
         assert_eq!(order_a, order_b);
+    }
+}
+
+/// The per-node reference for the §3 deterministic advice protocols: the
+/// advice from the whole participant set, one node per participant built
+/// with its public `new` (each recomputing the candidate interval), and
+/// the nodes driven through `try_execute`.  Errors carry the text the
+/// registry protocol reports: the empty set first, then the advice, then
+/// the first id outside the universe, then the executor's config checks.
+fn per_node_reference(
+    kind: ProtocolKind,
+    universe: usize,
+    bits: usize,
+    ids: &[ParticipantId],
+    max_rounds: usize,
+) -> Result<(bool, usize), String> {
+    let run = || -> Result<(bool, usize), ProtocolError> {
+        if ids.is_empty() {
+            return Err(ProtocolError::InvalidParameter {
+                what: "deterministic advice protocols require at least one participant".into(),
+            });
+        }
+        let raw: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+        let advice = IdPrefixOracle.advise(universe, &raw, bits)?;
+        let config = ExecutionConfig::new(kind.channel_mode(), max_rounds);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let execution = match kind {
+            ProtocolKind::NoCollisionDetection => {
+                let mut nodes = ids
+                    .iter()
+                    .map(|&id| DeterministicNoCdAdvice::new(universe, id, &advice))
+                    .collect::<Result<Vec<_>, _>>()?;
+                try_execute(&mut nodes, &config, &mut rng)
+            }
+            ProtocolKind::CollisionDetection => {
+                let mut nodes = ids
+                    .iter()
+                    .map(|&id| DeterministicCdAdvice::new(universe, id, &advice))
+                    .collect::<Result<Vec<_>, _>>()?;
+                try_execute(&mut nodes, &config, &mut rng)
+            }
+        }
+        .map_err(|err| ProtocolError::InvalidParameter {
+            what: err.to_string(),
+        })?;
+        Ok((execution.resolved, execution.rounds))
+    };
+    run().map_err(|err| err.to_string())
+}
+
+/// The registry protocol's own execution of the same participant set.
+fn registry_execution(
+    protocol: &DeterministicAdviceProtocol,
+    ids: &[ParticipantId],
+    max_rounds: usize,
+) -> Result<(bool, usize), String> {
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    try_run_protocol_with(protocol, ids, max_rounds, &mut rng)
+        .map(|execution| (execution.resolved, execution.rounds))
+        .map_err(|err| err.to_string())
+}
+
+#[test]
+fn deterministic_advice_executions_match_the_per_node_reference() {
+    let universe = 256;
+    let mut placement_rng = ChaCha8Rng::seed_from_u64(41);
+    let mut sets: Vec<Vec<ParticipantId>> = (1..=universe)
+        .map(|k| (0..k).map(ParticipantId).collect())
+        .collect();
+    for placement in 0..200 {
+        // k distinct ids by a partial Fisher–Yates shuffle, left in draw
+        // order (so the designated first id need not be the smallest) for
+        // half of the placements and sorted for the other half.
+        let k = placement_rng.gen_range(1..=universe);
+        let mut pool: Vec<usize> = (0..universe).collect();
+        for i in 0..k {
+            let j = placement_rng.gen_range(i..universe);
+            pool.swap(i, j);
+        }
+        let mut ids: Vec<usize> = pool[..k].to_vec();
+        if placement % 2 == 0 {
+            ids.sort_unstable();
+        }
+        sets.push(ids.into_iter().map(ParticipantId).collect());
+    }
+    let ids =
+        |raw: &[usize]| -> Vec<ParticipantId> { raw.iter().copied().map(ParticipantId).collect() };
+    let rejected = [
+        ids(&[]),
+        ids(&[universe, 3, 5]),
+        ids(&[3, universe + 44, 5, universe + 1]),
+        ids(&[0, 1, 2, universe - 1, universe]),
+    ];
+
+    for kind in [
+        ProtocolKind::NoCollisionDetection,
+        ProtocolKind::CollisionDetection,
+    ] {
+        for bits in 0..=8 {
+            let protocol = DeterministicAdviceProtocol::new(universe, bits, kind);
+            for set in &sets {
+                let budget = protocol
+                    .round_budget(set)
+                    .expect("a placement inside the universe has a round budget");
+                // A zero cap checks that the executor's own config check
+                // still comes last and reads the same.
+                for max_rounds in [budget, 3, 1, 0] {
+                    assert_eq!(
+                        registry_execution(&protocol, set, max_rounds),
+                        per_node_reference(kind, universe, bits, set, max_rounds),
+                        "{kind:?}, b = {bits}, cap {max_rounds}, ids {set:?}"
+                    );
+                }
+            }
+            for set in &rejected {
+                // A zero round cap too: the participant checks come first.
+                for max_rounds in [3, 0] {
+                    let outcome = registry_execution(&protocol, set, max_rounds);
+                    assert!(outcome.is_err(), "{kind:?}, b = {bits}, ids {set:?}");
+                    assert_eq!(
+                        outcome,
+                        per_node_reference(kind, universe, bits, set, max_rounds),
+                        "{kind:?}, b = {bits}, cap {max_rounds}, ids {set:?}"
+                    );
+                }
+            }
+        }
     }
 }

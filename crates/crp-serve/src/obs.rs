@@ -112,10 +112,15 @@ pub fn tenant_summary(snapshot: &MetricsSnapshot) -> String {
 }
 
 /// Formats the canonical cache summary — the one wording both the
-/// `submit` CLI stderr line and the daemon `stats` report print.
+/// `submit` CLI stderr line and the daemon `stats` report print.  With
+/// no jobs yet there is no hit rate, so the percentage is omitted.
 pub fn cache_summary(hits: u64, total: u64, computed: u64) -> String {
-    let percent = (hits * 100).checked_div(total).unwrap_or(100);
-    format!("{hits}/{total} job cache hits ({percent}%), {computed} computed on the fleet")
+    match (hits * 100).checked_div(total) {
+        Some(percent) => {
+            format!("{hits}/{total} job cache hits ({percent}%), {computed} computed on the fleet")
+        }
+        None => format!("{hits}/{total} job cache hits, {computed} computed on the fleet"),
+    }
 }
 
 /// Derives the cache summary from the `serve.submit.*` counters of a
@@ -184,6 +189,22 @@ pub(crate) fn probe_heal(kind: &'static str, key: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_summary_omits_the_rate_until_a_job_arrives() {
+        assert_eq!(
+            cache_summary(0, 0, 0),
+            "0/0 job cache hits, 0 computed on the fleet"
+        );
+        assert_eq!(
+            cache_summary(16, 16, 0),
+            "16/16 job cache hits (100%), 0 computed on the fleet"
+        );
+        assert_eq!(
+            cache_summary(1, 3, 2),
+            "1/3 job cache hits (33%), 2 computed on the fleet"
+        );
+    }
 
     #[test]
     fn tenant_ids_are_sanitised_to_counter_safe_tokens() {

@@ -84,12 +84,15 @@ impl Table {
     }
 }
 
-/// Formats a float with three significant decimals for table cells.
+/// Formats a float with three significant decimals for table cells.  A
+/// value that rounds to zero prints as `0.000`, never `-0.000`.
 pub fn fmt_f64(value: f64) -> String {
     if value.is_nan() {
         "—".to_string()
     } else if value.abs() >= 1000.0 {
         format!("{value:.0}")
+    } else if value.abs() < 0.0005 {
+        "0.000".to_string()
     } else {
         format!("{value:.3}")
     }
@@ -131,5 +134,8 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "—");
         assert_eq!(fmt_f64(1.23456), "1.235");
         assert_eq!(fmt_f64(12345.6), "12346");
+        assert_eq!(fmt_f64(-0.0), "0.000");
+        assert_eq!(fmt_f64(-0.0004), "0.000");
+        assert_eq!(fmt_f64(-0.0006), "-0.001");
     }
 }

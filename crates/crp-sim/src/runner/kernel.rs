@@ -19,7 +19,12 @@
 //! * **Deterministic per-node protocols** (the §3 advice schedules, gated
 //!   by [`crp_protocols::NodeFactory::deterministic`]) never read the RNG,
 //!   so the kernel executes once per distinct participant set and
-//!   replicates the outcome across trials.
+//!   replicates the outcome across trials.  Each of those executions is
+//!   the factory's own [`crp_protocols::NodeFactory::execute`]: the
+//!   advice and its candidate interval are decoded once, and the nodes
+//!   run unboxed in one `Vec` of their concrete type.  In the benchmark's
+//!   populations every execution resolves in round 1, so building the
+//!   nodes, not stepping rounds, is what an execution costs.
 //!
 //! Everything else falls back to the scalar executor — every registry
 //! protocol still runs under every [`KernelChoice`].

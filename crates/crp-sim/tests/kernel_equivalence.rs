@@ -111,7 +111,9 @@ fn placed_populations_are_bit_identical_under_the_deterministic_kernel() {
 
 #[test]
 fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
-    use crp_channel::{Feedback, NodeProtocol, ParticipantId};
+    use crp_channel::{
+        try_execute, Execution, ExecutionConfig, Feedback, NodeProtocol, ParticipantId,
+    };
     use crp_protocols::{NodeFactory, Protocol, ProtocolError, ProtocolKind};
     use rand::{Rng, RngCore};
 
@@ -126,14 +128,14 @@ fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
         fn observe(&mut self, _round: usize, _feedback: Feedback) {}
     }
     impl NodeFactory for CoinFlip {
-        fn build_nodes(
+        fn execute(
             &self,
             participants: &[ParticipantId],
-        ) -> Result<Vec<Box<dyn NodeProtocol>>, ProtocolError> {
-            Ok(participants
-                .iter()
-                .map(|_| Box::new(CoinNode) as Box<dyn NodeProtocol>)
-                .collect())
+            config: &ExecutionConfig,
+            rng: &mut dyn RngCore,
+        ) -> Result<Execution, ProtocolError> {
+            let mut nodes: Vec<CoinNode> = participants.iter().map(|_| CoinNode).collect();
+            Ok(try_execute(&mut nodes, config, rng)?)
         }
     }
     impl Protocol for CoinFlip {
