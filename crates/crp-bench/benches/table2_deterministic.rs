@@ -3,7 +3,7 @@
 //! Sweeps the advice budget `b` and, for an adversarial participant
 //! placement, measures the deterministic scan (no collision detection,
 //! theory `n / 2^b`) and the deterministic tree descent (collision
-//! detection, theory `log n − b`).  The measurement is the table2
+//! detection, theory `log n − b + 1`).  The measurement is the table2
 //! experiment module's own `det_rounds` helper, so bench and experiment
 //! cannot drift apart.
 
@@ -25,15 +25,15 @@ fn table2_deterministic(c: &mut Criterion) {
     let log_n = (UNIVERSE as f64).log2();
     println!("\n=== Table 2 / deterministic (n = {UNIVERSE}) ===");
     println!(
-        "{:>2} {:>10} {:>12} {:>12} {:>12}",
-        "b", "n/2^b", "scan rounds", "log n - b", "descent rnds"
+        "{:>2} {:>10} {:>12} {:>13} {:>12}",
+        "b", "n/2^b", "scan rounds", "log n - b + 1", "descent rnds"
     );
     for b in 0..=(log_n as usize) {
         println!(
-            "{b:>2} {:>10.0} {:>12} {:>12.1} {:>12}",
+            "{b:>2} {:>10.0} {:>12} {:>13.1} {:>12}",
             UNIVERSE as f64 / 2f64.powi(b as i32),
             rounds("det-advice-no-cd", b),
-            (log_n - b as f64).max(1.0),
+            log_n - b as f64 + 1.0,
             rounds("det-advice-cd", b)
         );
     }

@@ -2,9 +2,9 @@
 //! worker endpoints.
 //!
 //! A batch runs on one readiness event loop on the dispatching thread
-//! (see [`crate::event_loop`]): every endpoint is a non-blocking source,
-//! queued jobs go to whichever connection has spare capacity, and the
-//! dispatcher handles the failure modes a pool of real processes and
+//! (the crate's `event_loop` module): every endpoint is a non-blocking
+//! source, queued jobs go to whichever connection has spare capacity, and
+//! the dispatcher handles the failure modes a pool of real processes and
 //! sockets adds:
 //!
 //! * **Dead workers** — a connect failure, a closed stream, or a

@@ -2,11 +2,11 @@
 //! on-demand [`FleetSnapshot`], plus the workspace-global `fleet.*`
 //! counters and trace events.
 //!
-//! The dispatcher reports through one [`FleetObs`] it owns, keyed by
-//! the worker's human-readable peer
-//! description, so a snapshot spans fixed endpoints and elastically
-//! joined workers alike and accumulates across batches — the view a
-//! long-running serve daemon's `stats` request renders.
+//! The dispatcher reports through one per-pool health record it owns,
+//! keyed by the worker's human-readable peer description, so a snapshot
+//! spans fixed endpoints and elastically joined workers alike and
+//! accumulates across batches — the view a long-running serve daemon's
+//! `stats` request renders.
 //!
 //! Nothing here touches job payloads, RNG streams, or completion
 //! order: counters are plain additions under a short mutex and trace

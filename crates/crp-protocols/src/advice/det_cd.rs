@@ -6,9 +6,11 @@
 //! the collision detector: in each step the active nodes in the left half
 //! of the current interval transmit; a collision or lone transmission means
 //! the left half contains active nodes (descend left, or finish), silence
-//! means it does not (descend right).  This takes `⌈log n⌉` rounds.  The
+//! means it does not (descend right).  This takes `⌈log n⌉ + 1` rounds:
+//! `⌈log n⌉` halvings leave one candidate id, which still needs its own
+//! round to transmit alone (so `n = 2` already needs 2 rounds).  The
 //! advice (an id prefix from [`crp_predict::IdPrefixOracle`]) pre-descends
-//! the first `b` steps of that walk, leaving `⌈log n⌉ − b` rounds.
+//! the first `b` steps of that walk, leaving `⌈log n⌉ − b + 1` rounds.
 
 use crp_channel::{Feedback, NodeProtocol, ParticipantId};
 use crp_predict::{Advice, IdPrefixOracle};

@@ -2,10 +2,11 @@
 //!
 //! Every entry lives at `<dir>/<k0k1>/<key>.crp` (two-hex-char fan-out
 //! so a big cache does not produce one enormous directory), where `key`
-//! is the [`content_hash`] of the *question* — the one payload a job's
-//! worker runs, or a cell's ordered job-key list — as the daemon computed
-//! it.  The stored value is the bit-exact answer blob a worker (or a
-//! merge) once produced.
+//! is the [`content_hash`] of the *question* as the daemon computed it.
+//! The daemon stores merged cells only: the key is a cell's, the hash of
+//! its ordered job keys (each the hash of the one payload a worker runs),
+//! and the value is the bit-exact blob the cell's shard-order merge once
+//! produced.
 //!
 //! Entries are self-verifying: the file carries its own key and the
 //! content hash of its value, so a truncated write, a flipped bit, or a

@@ -15,10 +15,11 @@
 //!   [`crp_fleet::content_hash`] of the one payload a worker runs, every
 //!   sweep cell by the hash of its ordered job keys — addresses the
 //!   daemon computes itself, never takes from a client — and the
-//!   [`ResultCache`] persists each answer as a bit-exact blob.  A
-//!   resubmitted (or overlapping) sweep settles its cached cells without
-//!   touching a worker, returning *bit-identical* statistics because the
-//!   blobs are the exact accumulator bytes a worker once produced.
+//!   [`ResultCache`] persists each cell's merged answer as a bit-exact
+//!   blob.  A resubmitted (or overlapping) sweep settles its cached cells
+//!   without touching a worker, returning *bit-identical* statistics
+//!   because the blobs are the exact accumulator bytes the cell's merge
+//!   once produced.
 //!
 //! Like `crp-fleet` underneath it, the crate is payload-agnostic: jobs,
 //! answers and blobs are opaque strings, cells are merged by a
@@ -38,11 +39,12 @@
 //!   and the [`wire::Submission`] / [`wire::SubmissionOutcome`] body
 //!   codecs.
 //! * [`server`] — [`SweepServer`]: the accept loop and the
-//!   cache-then-dispatch submission executor.
+//!   cell-cache-then-dispatch submission executor.
 //! * [`client`] — [`ServeClient`]: connect, submit, stream progress,
 //!   collect the result.
 //! * [`obs`] — the `serve.*` counter names, cache instrumentation,
-//!   the per-tenant `serve.tenant.<id>.*` accounting, and the shared
+//!   the per-tenant `serve.tenant.<id>.*` accounting (bounded to
+//!   [`obs::TENANT_CAP`] ids plus one overflow id), and the shared
 //!   cache-summary formatter behind both the `submit` CLI line and the
 //!   daemon's framed `stats` report.
 //! * [`watch`] — the `stats --watch` rate computer: counter deltas

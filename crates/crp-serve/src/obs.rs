@@ -1,20 +1,25 @@
-//! Serve-side observability: the `serve.*` counter names, the cache
-//! probe/put instrumentation hooks, and the single cache-summary
-//! formatter shared by the `submit` CLI line and the daemon `stats`
-//! report — both derive from the same counters through the same code,
-//! so they can never disagree.
+//! Serve-side observability: the `serve.*` counter names, the cell-cache
+//! probe instrumentation hooks, the bounded per-tenant accounting, and
+//! the single cache-summary formatter shared by the `submit` CLI line and
+//! the daemon `stats` report — both derive from the same counters through
+//! the same code, so they can never disagree.
 //!
 //! Counters and trace events never influence what is served: probes
 //! and puts behave identically with observability on or off, and the
 //! trace emission is guarded by [`crp_obs::trace_enabled`].
 
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
 use crp_obs::{MetricsSnapshot, TraceEvent};
 
 /// Counter: whole cells served from the cell cache.
 pub const CACHE_CELL_HIT: &str = "serve.cache.cell_hit";
-/// Counter: individual jobs served from the job cache.
+/// Counter: jobs served from a per-job cache entry.  The daemon caches
+/// merged cells only, so nothing increments it; the name stays for
+/// readers of existing reports.
 pub const CACHE_JOB_HIT: &str = "serve.cache.job_hit";
-/// Counter: cache probes that found nothing usable.
+/// Counter: cell-cache probes that found no entry.
 pub const CACHE_MISS: &str = "serve.cache.miss";
 /// Counter: corrupt or invalid entries detected at probe time; the
 /// recompute's write-back overwrites (heals) them.
@@ -27,7 +32,7 @@ pub const CACHE_WRITE_BYTES: &str = "serve.cache.write_bytes";
 pub const SUBMIT: &str = "serve.submit";
 /// Counter: jobs carried by executed submissions.
 pub const SUBMIT_JOBS: &str = "serve.submit.jobs";
-/// Counter: jobs settled from the cache (cell- or job-level).
+/// Counter: jobs settled from the cache (every job of a cached cell).
 pub const SUBMIT_HITS: &str = "serve.submit.hits";
 /// Counter: jobs computed on the fleet.
 pub const SUBMIT_COMPUTED: &str = "serve.submit.computed";
@@ -40,6 +45,15 @@ pub const TENANT_PREFIX: &str = "serve.tenant.";
 
 /// Maximum length of a sanitised tenant id.
 pub const TENANT_MAX_LEN: usize = 32;
+
+/// Distinct tenant ids one daemon accounts separately.  Every further id
+/// is accounted to [`TENANT_OVERFLOW`], so clients cannot grow the
+/// daemon's counters (four per id) or its `stats` report without bound.
+pub const TENANT_CAP: usize = 64;
+
+/// The tenant id every id beyond the first [`TENANT_CAP`] is accounted
+/// to.
+pub const TENANT_OVERFLOW: &str = "overflow";
 
 /// Sanitises a client-supplied tenant id into a counter-name-safe
 /// token: characters outside `[A-Za-z0-9_-]` become `-`, the result is
@@ -64,9 +78,33 @@ pub fn sanitize_tenant(raw: &str) -> String {
     }
 }
 
+/// The tenant ids one daemon has admitted: the first [`TENANT_CAP`]
+/// distinct ones.
+#[derive(Debug, Default)]
+pub(crate) struct Tenants(Mutex<BTreeSet<String>>);
+
+impl Tenants {
+    /// The id a connection whose `client-hello` carries `raw` is
+    /// accounted to: the sanitised id while it is (or can still be)
+    /// admitted, [`TENANT_OVERFLOW`] once [`TENANT_CAP`] other ids are.
+    pub(crate) fn admit(&self, raw: &str) -> String {
+        let tenant = sanitize_tenant(raw);
+        let mut admitted = self.0.lock().expect("no panics while admitting tenants");
+        if admitted.len() < TENANT_CAP {
+            admitted.insert(tenant.clone());
+        }
+        if admitted.contains(&tenant) {
+            tenant
+        } else {
+            TENANT_OVERFLOW.to_string()
+        }
+    }
+}
+
 /// Records the aggregate numbers of one executed submission into the
 /// submitting tenant's `serve.tenant.<id>.*` counters.  `tenant` must
-/// already be sanitised (the server sanitises at `client-hello` time).
+/// already be admitted (the server sanitises and bounds it at
+/// `client-hello` time).
 pub fn record_tenant_submission(
     registry: &crp_obs::MetricsRegistry,
     tenant: &str,
@@ -144,45 +182,32 @@ pub fn record_submission(registry: &crp_obs::MetricsRegistry, jobs: u64, hits: u
     registry.add(SUBMIT_COMPUTED, computed);
 }
 
-/// One cache probe served a usable value.
-pub(crate) fn probe_hit(kind: &'static str, key: &str, bytes: usize) {
+/// One cell-cache probe served a usable value.
+pub(crate) fn probe_hit(key: &str, bytes: usize) {
     let registry = crp_obs::global();
-    registry.inc(match kind {
-        "cell" => CACHE_CELL_HIT,
-        _ => CACHE_JOB_HIT,
-    });
+    registry.inc(CACHE_CELL_HIT);
     registry.add(CACHE_READ_BYTES, bytes as u64);
-    if crp_obs::trace_enabled() {
-        crp_obs::emit(
-            &TraceEvent::new("cache.hit")
-                .str("kind", kind)
-                .str("key", key),
-        );
-    }
+    emit_probe("cache.hit", key);
 }
 
-/// One cache probe found no entry.
-pub(crate) fn probe_miss(kind: &'static str, key: &str) {
+/// One cell-cache probe found no entry.
+pub(crate) fn probe_miss(key: &str) {
     crp_obs::global().inc(CACHE_MISS);
-    if crp_obs::trace_enabled() {
-        crp_obs::emit(
-            &TraceEvent::new("cache.miss")
-                .str("kind", kind)
-                .str("key", key),
-        );
-    }
+    emit_probe("cache.miss", key);
 }
 
-/// One cache probe found a corrupt or invalid entry; the recompute
+/// One cell-cache probe found a corrupt or invalid entry; the recompute
 /// path will overwrite it.
-pub(crate) fn probe_heal(kind: &'static str, key: &str) {
+pub(crate) fn probe_heal(key: &str) {
     crp_obs::global().inc(CACHE_HEAL);
+    emit_probe("cache.heal", key);
+}
+
+/// Emits one `cache.*` trace event; its `kind` is always `cell`, since
+/// the cache holds merged cells only.
+fn emit_probe(event: &'static str, key: &str) {
     if crp_obs::trace_enabled() {
-        crp_obs::emit(
-            &TraceEvent::new("cache.heal")
-                .str("kind", kind)
-                .str("key", key),
-        );
+        crp_obs::emit(&TraceEvent::new(event).str("kind", "cell").str("key", key));
     }
 }
 
@@ -228,5 +253,28 @@ mod tests {
              tenant beta: submits=2 jobs=10 hits=7 computed=3\n"
         );
         assert_eq!(tenant_summary(&MetricsSnapshot::default()), "");
+    }
+
+    #[test]
+    fn tenant_accounting_is_bounded_by_the_cap() {
+        let tenants = Tenants::default();
+        let registry = crp_obs::MetricsRegistry::default();
+        let ids = 10_000;
+        for i in 0..ids {
+            let tenant = tenants.admit(&format!("tenant-{i}"));
+            record_tenant_submission(&registry, &tenant, 2, 1, 1);
+        }
+        // An admitted id keeps its own counters.
+        assert_eq!(tenants.admit("tenant-0"), "tenant-0");
+        let summary = tenant_summary(&registry.snapshot());
+        assert!(summary.lines().count() <= TENANT_CAP + 1, "{summary}");
+        let overflow = ids - TENANT_CAP;
+        assert!(
+            summary.contains(&format!(
+                "tenant overflow: submits={overflow} jobs={} hits={overflow}",
+                2 * overflow
+            )),
+            "{summary}"
+        );
     }
 }

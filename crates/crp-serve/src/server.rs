@@ -3,23 +3,22 @@
 //!
 //! For every submission the server computes each content address itself
 //! — a job's key is the content hash of its payload, a cell's key the
-//! [`cell_hash`](crate::wire::cell_hash) of its job keys — and settles
-//! work at the cheapest level that can answer it:
+//! [`cell_hash`] of its job keys — and settles each cell one of two ways:
 //!
-//! 1. **Cell hits** — a cell whose key is cached returns its merged blob
+//! 1. **Cell hit** — a cell whose key is cached returns its merged blob
 //!    without touching a single job.
-//! 2. **Job hits** — remaining cells probe per-job; cached answers are
-//!    bit-exact worker blobs.
-//! 3. **Dispatch** — only the missing jobs go to the warm fleet, each
-//!    after the host canonicalizer has reproduced its payload byte for
-//!    byte, with the blobs that canonicalizer resolved; fresh answers and
-//!    fresh cell merges are written back to the cache.
+//! 2. **Dispatch** — every job of a missing cell goes to the warm fleet,
+//!    each after the host canonicalizer has reproduced its payload byte
+//!    for byte, with the blobs that canonicalizer resolved; the cell's
+//!    fresh merge is written back to the cache.
 //!
-//! A corrupt or truncated cache entry is *never* served: the
-//! [`ResultCache`] detects it, the server recomputes, and the overwrite
-//! heals the entry.  Because answers are deterministic functions of
-//! their payloads, a hit and a recompute are bit-identical — the cache
-//! changes wall-clock time, never statistics.
+//! The cache holds merged cells only: one probe and at most one write per
+//! cell, never one per job.  A corrupt or truncated cell entry is *never*
+//! served: the [`ResultCache`] detects it, the server recomputes all of
+//! the cell's jobs, and the overwrite heals the entry.  Because answers
+//! are deterministic functions of their payloads, a hit and a recompute
+//! are bit-identical — the cache changes wall-clock time, never
+//! statistics.
 //!
 //! The server is payload-agnostic: the host supplies the cell `merge`
 //! function, the answer `check` used to vet both worker answers and
@@ -34,6 +33,7 @@ use crp_fleet::frame::{read_frame, write_frame};
 use crp_fleet::{BlobSet, Dispatcher, JobPayload, WorkerEndpoint};
 
 use crate::cache::ResultCache;
+use crate::obs::Tenants;
 use crate::wire::{
     cell_hash, CellOutcome, ServeMessage, Submission, SubmissionCell, SubmissionOutcome,
     SERVICE_VERSION,
@@ -81,6 +81,7 @@ pub struct SweepServer {
     listener: TcpListener,
     dispatcher: Dispatcher,
     cache: Option<ResultCache>,
+    tenants: Tenants,
 }
 
 impl SweepServer {
@@ -103,6 +104,7 @@ impl SweepServer {
             listener,
             dispatcher: Dispatcher::new(endpoints),
             cache,
+            tenants: Tenants::default(),
         })
     }
 
@@ -177,14 +179,14 @@ impl SweepServer {
         send(&ServeMessage::Hello {
             version: SERVICE_VERSION,
         })?;
-        let mut tenant = "anonymous".to_string();
+        let mut tenant = self.tenants.admit("anonymous");
         loop {
             let Some(frame) = read_frame(&mut reader)? else {
                 return Ok(false);
             };
             match ServeMessage::decode(&frame)? {
                 ServeMessage::ClientHello { tenant: raw } => {
-                    tenant = crate::obs::sanitize_tenant(&raw);
+                    tenant = self.tenants.admit(&raw);
                 }
                 ServeMessage::Submit { id, body } => {
                     // Progress write failures are ignored: a vanished
@@ -257,35 +259,30 @@ impl SweepServer {
         body
     }
 
-    /// A cache probe that only ever returns a *trustworthy* value: a
+    /// A cell-cache probe that only ever returns a *trustworthy* value: a
     /// missing entry, a [`ServeError::CorruptCache`], or a value failing
     /// the host's `check` all read as a miss (the recompute overwrites
     /// and heals the entry).  Genuine I/O failures propagate.
-    fn cache_probe(
-        &self,
-        key: &str,
-        kind: &'static str,
-        check: AnswerCheck<'_>,
-    ) -> Result<Option<String>, ServeError> {
+    fn cache_probe(&self, key: &str, check: AnswerCheck<'_>) -> Result<Option<String>, ServeError> {
         let Some(cache) = &self.cache else {
             return Ok(None);
         };
         match cache.get(key) {
             Ok(Some(value)) => {
                 if check(&value).is_ok() {
-                    crate::obs::probe_hit(kind, key, value.len());
+                    crate::obs::probe_hit(key, value.len());
                     Ok(Some(value))
                 } else {
-                    crate::obs::probe_heal(kind, key);
+                    crate::obs::probe_heal(key);
                     Ok(None)
                 }
             }
             Ok(None) => {
-                crate::obs::probe_miss(kind, key);
+                crate::obs::probe_miss(key);
                 Ok(None)
             }
             Err(ServeError::CorruptCache { .. }) => {
-                crate::obs::probe_heal(kind, key);
+                crate::obs::probe_heal(key);
                 Ok(None)
             }
             Err(other) => Err(other),
@@ -302,12 +299,12 @@ impl SweepServer {
         }
     }
 
-    /// Executes one submission: cell cache → job cache → warm fleet
-    /// dispatch → merge, writing fresh answers back.  Every key is
-    /// computed here from the submitted bytes: a job's is the content
-    /// hash of its payload, a cell's the [`cell_hash`] of its job keys.
-    /// `progress` fires as `(settled_jobs, total_jobs, cache_hits)` —
-    /// once after the cache scan, then per dispatched completion.
+    /// Executes one submission: cell cache → warm fleet dispatch of every
+    /// job of each missing cell → merge, writing each fresh merge back.
+    /// Every key is computed here from the submitted bytes: a job's is the
+    /// content hash of its payload, a cell's the [`cell_hash`] of its job
+    /// keys.  `progress` fires as `(settled_jobs, total_jobs, cache_hits)`
+    /// — once after the cache scan, then per dispatched completion.
     ///
     /// # Errors
     ///
@@ -342,10 +339,9 @@ impl SweepServer {
             crp_obs::emit(&event);
         }
 
-        // Phase 1+2: settle whole cells, then individual jobs, from the
-        // cache.
+        // Phase 1: settle whole cells from the cache; every job of a
+        // missing cell is pending, in cell and job order.
         let mut cell_cached: Vec<Option<String>> = Vec::with_capacity(submission.cells.len());
-        let mut answers: Vec<Vec<Option<String>>> = Vec::with_capacity(submission.cells.len());
         let mut pending: Vec<(usize, usize)> = Vec::new();
         let mut hits = 0usize;
         for (cell_index, cell_key) in cell_keys.iter().enumerate() {
@@ -365,33 +361,19 @@ impl SweepServer {
                     .stamp(event),
                 );
             }
-            if let Some(blob) = self.cache_probe(cell_key, "cell", check)? {
-                hits += keys.len();
-                cell_cached.push(Some(blob));
-                answers.push(Vec::new());
-                continue;
+            let cached = self.cache_probe(cell_key, check)?;
+            match cached {
+                Some(_) => hits += keys.len(),
+                None => pending.extend((0..keys.len()).map(|job| (cell_index, job))),
             }
-            cell_cached.push(None);
-            let mut cell_answers = Vec::with_capacity(keys.len());
-            for (job_index, key) in keys.iter().enumerate() {
-                match self.cache_probe(key, "job", check)? {
-                    Some(answer) => {
-                        hits += 1;
-                        cell_answers.push(Some(answer));
-                    }
-                    None => {
-                        pending.push((cell_index, job_index));
-                        cell_answers.push(None);
-                    }
-                }
-            }
-            answers.push(cell_answers);
+            cell_cached.push(cached);
         }
         progress(hits, total, hits);
 
-        // Phase 3: dispatch only the misses to the warm fleet, every job
-        // down the one path `canonical_refs` vets.
+        // Phase 2: dispatch the missing cells' jobs to the warm fleet,
+        // every job down the one path `canonical_refs` vets.
         let computed = pending.len();
+        let mut fresh = Vec::new().into_iter();
         if !pending.is_empty() {
             let payloads: Vec<JobPayload> = pending
                 .iter()
@@ -411,7 +393,7 @@ impl SweepServer {
                 })
                 .collect::<Result<Vec<JobPayload>, ServeError>>()?;
             let settled = Mutex::new(hits);
-            let results = self
+            fresh = self
                 .dispatcher
                 .dispatch_jobs(
                     &payloads,
@@ -423,17 +405,16 @@ impl SweepServer {
                     },
                     &|_, answer| check(answer),
                 )
-                .map_err(ServeError::from)?;
-            for (&(cell, job), answer) in pending.iter().zip(results) {
-                self.cache_put(&job_keys[cell][job], &answer)?;
-                answers[cell][job] = Some(answer);
-            }
+                .map_err(ServeError::from)?
+                .into_iter();
         }
 
-        // Phase 4: merge non-cached cells and persist the merges.
+        // Phase 3: merge non-cached cells and persist the merges.  The
+        // answers come back in `pending` order, so each missing cell's
+        // answers are the next ones, in job order.
         let mut outcomes = Vec::with_capacity(submission.cells.len());
-        for (cell_index, cell_key) in cell_keys.into_iter().enumerate() {
-            if let Some(blob) = cell_cached[cell_index].take() {
+        for ((cell_key, cached), keys) in cell_keys.into_iter().zip(cell_cached).zip(&job_keys) {
+            if let Some(blob) = cached {
                 outcomes.push(CellOutcome {
                     hash: cell_key,
                     cached: true,
@@ -441,10 +422,7 @@ impl SweepServer {
                 });
                 continue;
             }
-            let cell_answers: Vec<String> = answers[cell_index]
-                .drain(..)
-                .map(|slot| slot.expect("every pending job settled or dispatch failed"))
-                .collect();
+            let cell_answers: Vec<String> = fresh.by_ref().take(keys.len()).collect();
             let blob = (hooks.merge)(&cell_answers)
                 .map_err(|e| ServeError::Server(format!("merging cell {cell_key} failed: {e}")))?;
             self.cache_put(&cell_key, &blob)?;
@@ -683,11 +661,13 @@ mod tests {
             .run_submission(&submission, hooks(), &|_, _, _| {})
             .unwrap();
 
-        // Vandalise one job entry and one cell entry on disk.
+        // Vandalise one cell entry on disk, and plant a garbage entry
+        // under one of its job keys (the daemon never reads job keys).
         let job_keys = submission.cells[0].job_keys();
         let cell_key = cell_hash(&job_keys);
         for key in [&job_keys[0], &cell_key] {
             let path = cache.dir().join(&key[..2]).join(format!("{key}.crp"));
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, b"crp-cache v1\ngarbage").unwrap();
             assert!(
                 matches!(cache.get(key), Err(ServeError::CorruptCache { .. })),
@@ -699,10 +679,10 @@ mod tests {
         let again = server
             .run_submission(&submission, hooks(), &|_, _, _| {})
             .unwrap();
-        // Cell b still hits; cell a recomputes exactly its corrupted job
-        // (the intact shard-1 job entry still serves from cache).
-        assert_eq!(again.computed, 1);
-        assert_eq!(executions.load(Ordering::SeqCst), executed_before + 1);
+        // Cell b still hits; cell a recomputes both of its jobs (the
+        // cache holds merged cells only).
+        assert_eq!(again.computed, 2);
+        assert_eq!(executions.load(Ordering::SeqCst), executed_before + 2);
         assert_eq!(
             again.cells[0].blob, first.cells[0].blob,
             "recomputed cell is bit-identical to the original"

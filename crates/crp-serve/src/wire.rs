@@ -322,7 +322,7 @@ pub struct SubmissionOutcome {
     pub cells: Vec<CellOutcome>,
     /// Total jobs in the submission.
     pub jobs_total: usize,
-    /// Jobs settled from the cache (including jobs of cached cells).
+    /// Jobs settled from the cache: every job of each cached cell.
     pub job_hits: usize,
     /// Jobs actually dispatched to workers.
     pub computed: usize,

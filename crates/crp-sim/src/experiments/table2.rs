@@ -14,6 +14,10 @@
 //! deterministic protocols are measured against an adversarial participant
 //! placement (worst case); the randomized ones report expected rounds over
 //! Monte-Carlo trials.
+//!
+//! The deterministic rows are exact: the scan takes `n / 2^b` rounds and
+//! the tree descent `log n − b + 1` — `log n − b` halvings leave one
+//! candidate id, which still needs its own round to transmit alone.
 
 use crp_info::SizeDistribution;
 use crp_predict::Scenario;
@@ -34,7 +38,7 @@ pub struct Table2Row {
     pub theory_det_no_cd: f64,
     /// Measured worst-case rounds of the deterministic no-CD protocol.
     pub det_no_cd_rounds: f64,
-    /// Theory column `log n − b` (deterministic, CD).
+    /// Theory column `log n − b + 1` (deterministic, CD).
     pub theory_det_cd: f64,
     /// Measured worst-case rounds of the deterministic CD protocol.
     pub det_cd_rounds: f64,
@@ -67,7 +71,7 @@ impl Table2Result {
                 "b",
                 "n/2^b",
                 "det no-CD rounds",
-                "log n - b",
+                "log n - b + 1",
                 "det CD rounds",
                 "log n / 2^b",
                 "rand no-CD E[rounds]",
@@ -274,7 +278,7 @@ pub fn run(
             advice_bits: b,
             theory_det_no_cd: (universe_size as f64) / 2f64.powi(b as i32),
             det_no_cd_rounds: det(format!("det-no-cd-b{b}"))?,
-            theory_det_cd: (log_n - b as f64).max(1.0),
+            theory_det_cd: log_n - b as f64 + 1.0,
             det_cd_rounds: det(format!("det-cd-b{b}"))?,
             theory_rand_no_cd: (log_n / 2f64.powi(b as i32)).max(1.0),
             rand_no_cd_rounds: cell(format!("rand-no-cd-b{b}")).stats.mean_rounds_overall(),
@@ -309,26 +313,6 @@ mod tests {
         let result = run(n, 60, &config).unwrap();
         assert_eq!(result.rows.len(), 11);
 
-        for row in &result.rows {
-            // Deterministic bounds are worst-case guarantees: the measured
-            // rounds never exceed the theory column (within +1 slack for
-            // ceilings).
-            assert!(
-                row.det_no_cd_rounds <= row.theory_det_no_cd + 1.0,
-                "b={}: det no-CD {} > {}",
-                row.advice_bits,
-                row.det_no_cd_rounds,
-                row.theory_det_no_cd
-            );
-            assert!(
-                row.det_cd_rounds <= row.theory_det_cd + 1.0,
-                "b={}: det CD {} > {}",
-                row.advice_bits,
-                row.det_cd_rounds,
-                row.theory_det_cd
-            );
-        }
-
         // More advice never hurts (monotone non-increasing measured rounds,
         // allowing small statistical noise for the randomized rows).
         let first = &result.rows[0];
@@ -339,5 +323,23 @@ mod tests {
 
         let md = result.to_table().to_markdown();
         assert!(md.contains("Table 2"));
+    }
+
+    #[test]
+    fn deterministic_rows_are_exact() {
+        // Thm 3.4 and Thm 3.5 rows are exact under the adversarial
+        // placement, for every advice budget.
+        for n in [16, 256] {
+            let config = RunnerConfig::with_trials(20).seeded(5);
+            let result = run(n, (n / 16).max(2), &config).unwrap();
+            for row in &result.rows {
+                let b = row.advice_bits;
+                assert_eq!(row.det_no_cd_rounds, row.theory_det_no_cd, "n={n} b={b}");
+                assert_eq!(row.theory_det_no_cd, (n >> b) as f64, "n={n} b={b}");
+                assert_eq!(row.det_cd_rounds, row.theory_det_cd, "n={n} b={b}");
+                let log_n = n.trailing_zeros() as usize;
+                assert_eq!(row.theory_det_cd, (log_n - b + 1) as f64, "n={n} b={b}");
+            }
+        }
     }
 }

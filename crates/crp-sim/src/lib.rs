@@ -12,26 +12,29 @@
 //!   `k`, an explicit placement, or a sampled ground truth), and run a
 //!   validated Monte-Carlo batch.  All misconfigurations — zero
 //!   participants, zero round budgets, protocol/channel-mode mismatches —
-//!   are typed [`SimError`]s raised at build time, never panics.
-//! * [`runner`] — the sharded trial runner: trials split into
-//!   thread-count-independent shards ([`ShardPlan`]) with per-trial
-//!   `ChaCha8Rng` streams, folded into mergeable accumulators and merged
-//!   in shard order.  Execution is delegated to an object-safe
-//!   [`ShardBackend`] — [`SerialBackend`] inline, [`ThreadBackend`]
-//!   (scoped worker threads stealing shards from a shared queue), or
-//!   [`FleetBackend`] (persistent local or remote `crp_experiments
-//!   worker` processes fed [`ShardSpec`] messages) — and the statistics
-//!   are bit-identical for any backend and any worker count.
-//!   [`run_batch`] amortises protocol construction: the protocol is
-//!   built once and shared across every trial.
-//! * [`stats`] / [`report`] — the mergeable streaming accumulator
+//!   are typed [`SimError`]s raised at build time, never panics.  A
+//!   simulation is one *cell*; a sweep is many.
+//! * The sharded runner — one path under both: each cell's trials
+//!   split into thread-count-independent shards ([`ShardPlan`]) with
+//!   per-trial `ChaCha8Rng` streams, run by the cell's trial kernel (a
+//!   batched fast path or the scalar executor, see [`KernelChoice`]),
+//!   folded into mergeable accumulators and merged in shard order.
+//!   Execution is delegated to an object-safe [`ShardBackend`] —
+//!   [`SerialBackend`] inline, [`ThreadBackend`] (scoped worker threads
+//!   stealing shards from a shared queue), or [`FleetBackend`]
+//!   (persistent local or remote `crp_experiments worker` processes fed
+//!   [`ShardSpec`] messages) — and the statistics are bit-identical for
+//!   any backend and any worker count.  The protocol is built once per
+//!   cell and shared across every trial.
+//! * Statistics and reports — the mergeable streaming accumulator
 //!   ([`TrialAccumulator`]: Welford moments, exact min/max, a
 //!   log-bucketed [`QuantileSketch`]), the finalised [`TrialStats`] view,
-//!   and markdown / CSV table rendering.
+//!   and markdown / CSV rendering through [`Table`].
 //! * [`experiments`] — one module per table / figure of the paper; the
 //!   `crp_experiments` binary runs them all (its `list` subcommand prints
 //!   the protocol registry, its `sweep` subcommand runs arbitrary
-//!   registry-name × scenario-name grids).
+//!   registry-name × scenario-name grids, its `serve` / `submit` pair
+//!   runs them through the [`service`] daemon).
 //!
 //! Library code never reads the environment: the binaries parse the
 //! `CRP_*` variables once with [`EnvConfig::from_env`] and resolve
@@ -77,10 +80,9 @@ use crp_channel::ChannelMode;
 pub use env::{EnvConfig, RunnerFlags};
 pub use report::{fmt_f64, Table};
 pub use runner::{
-    measure_cd_strategy, measure_schedule, run_batch, run_batch_with_progress,
-    run_shard_worker_with, run_trials, sample_contending_size, BackendChoice, BatchProgress,
-    FleetBackend, JobDoneFn, KernelChoice, ProgressFn, RunnerConfig, SerialBackend, ShardBackend,
-    ShardJob, ShardPlan, ShardSpec, ThreadBackend, TrialFn, TrialOutcome,
+    run_shard_worker_with, sample_contending_size, BackendChoice, FleetBackend, JobDoneFn,
+    KernelChoice, RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec,
+    ThreadBackend,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};

@@ -1,4 +1,5 @@
-//! The executor-agnostic shard backend abstraction.
+//! The executor-agnostic shard backend abstraction, and the one way a
+//! cell runs on it.
 //!
 //! A [`ShardJob`] is the unit of schedulable work: one shard of one cell
 //! (a cell being a single batch — a [`crate::Simulation`] — or one cell of
@@ -11,21 +12,21 @@
 //! on a pool of persistent local and remote fleet workers
 //! ([`crate::FleetBackend`]) — and the resulting statistics are
 //! bit-identical across all of them.
-
-use rand_chacha::ChaCha8Rng;
+//!
+//! Every cell runs the same way.  [`CellWork`] is a cell's per-cell setup
+//! (plan, seed, wire spec and trial kernel, built once), and [`run_cells`]
+//! is the one function that turns cells into a job list, executes it on a
+//! backend and merges each cell in shard order.  A fleet worker runs the
+//! one shard of a job through the same [`CellWork`].
 
 use crate::runner::fleet::FleetBackend;
 use crate::runner::kernel::CellKernel;
-use crate::runner::plan::{BackendChoice, RunnerConfig, ShardPlan, TrialOutcome};
+use crate::runner::plan::{BackendChoice, RunnerConfig, ShardPlan};
 use crate::runner::process::ShardSpec;
 use crate::runner::thread::ThreadBackend;
+use crate::simulation::Simulation;
 use crate::stats::{TrialAccumulator, TrialStats};
 use crate::SimError;
-
-/// A borrowed, thread-safe trial closure: the in-process form of a cell's
-/// work.  The closure receives the shard's deterministically seeded RNG and
-/// runs one trial.
-pub type TrialFn<'a> = &'a (dyn Fn(&mut ChaCha8Rng) -> Result<TrialOutcome, SimError> + Sync);
 
 /// A job-completion callback, invoked with the index of the finished job in
 /// the slice passed to [`ShardBackend::execute`] (possibly from a worker
@@ -44,28 +45,26 @@ pub struct ShardJob<'a> {
     pub plan: ShardPlan,
     /// The cell's base seed.
     pub base_seed: u64,
-    /// The cell's trial closure, for in-process backends.
-    pub trial: TrialFn<'a>,
     /// The cell's serialisable description, for out-of-process backends
-    /// (absent when the cell was built around a raw closure or a custom
-    /// protocol object).
+    /// (absent when the cell was built around a custom protocol object).
     pub spec: Option<&'a ShardSpec>,
-    /// The cell's batched trial kernel, when the configured
-    /// [`crate::KernelChoice`] and the protocol admit one.  `None` runs
-    /// the scalar trial-at-a-time path; either way the statistics are
+    /// The cell's trial executor: a batched kernel when the configured
+    /// [`crate::KernelChoice`] and the protocol admit one, the scalar
+    /// trial-at-a-time path otherwise.  Either way the statistics are
     /// bit-identical (both consume the same per-trial RNG streams in the
     /// same order).
-    pub(crate) kernel: Option<&'a CellKernel<'a>>,
+    pub(crate) kernel: &'a CellKernel<'a>,
 }
 
 impl ShardJob<'_> {
-    /// Runs this job inline on the calling thread: the cell's batched
-    /// kernel when one was selected, otherwise the scalar path folding
+    /// Runs this job inline on the calling thread: the cell's kernel folds
     /// the shard's trials into a fresh accumulator in trial order,
     /// stopping at the first failed trial.
     pub fn run_inline(&self) -> Result<TrialAccumulator, SimError> {
         let started = std::time::Instant::now();
-        let accumulator = self.run_uninstrumented()?;
+        let accumulator = self
+            .kernel
+            .run_shard(self.plan, self.base_seed, self.shard)?;
         // Counters and the guarded trace event only observe the shard
         // after its accumulator is final: nothing here can perturb RNG
         // streams or merge order, so statistics stay bit-identical with
@@ -79,7 +78,7 @@ impl ShardJob<'_> {
                 .u64("cell", self.cell as u64)
                 .u64("shard", self.shard as u64)
                 .u64("trials", self.plan.shard_trials(self.shard) as u64)
-                .str("kernel", self.kernel.map_or("scalar", |k| k.name()))
+                .str("kernel", self.kernel.name())
                 .u64("micros", micros);
             // A fleet worker sets the thread's span from the job frame
             // before invoking the handler; stamping it here is what
@@ -92,19 +91,43 @@ impl ShardJob<'_> {
         }
         Ok(accumulator)
     }
+}
 
-    fn run_uninstrumented(&self) -> Result<TrialAccumulator, SimError> {
-        if let Some(kernel) = self.kernel {
-            return kernel.run_shard(self.plan, self.base_seed, self.shard);
+/// One cell's per-cell setup, built once and borrowed by every shard job
+/// of the cell: its shard plan, base seed, wire spec and trial kernel.
+pub(crate) struct CellWork<'a> {
+    plan: ShardPlan,
+    base_seed: u64,
+    spec: Option<ShardSpec>,
+    kernel: CellKernel<'a>,
+}
+
+impl<'a> CellWork<'a> {
+    /// The work of `simulation` split by `plan`; `spec` is what an
+    /// out-of-process backend ships for it.
+    pub(crate) fn new(
+        simulation: &'a Simulation,
+        plan: ShardPlan,
+        spec: Option<ShardSpec>,
+    ) -> Self {
+        Self {
+            plan,
+            base_seed: simulation.config().base_seed,
+            spec,
+            kernel: simulation.cell_kernel(),
         }
-        let mut accumulator = TrialAccumulator::new();
-        for offset in 0..self.plan.shard_trials(self.shard) {
-            let trial = self.plan.trial_index(self.shard, offset);
-            let mut rng = ShardPlan::trial_rng(self.base_seed, trial);
-            let outcome = (self.trial)(&mut rng)?;
-            accumulator.record(outcome.resolved, outcome.rounds as u64);
+    }
+
+    /// Shard `shard` of this cell, as job of cell index `cell`.
+    pub(crate) fn job(&self, cell: usize, shard: usize) -> ShardJob<'_> {
+        ShardJob {
+            cell,
+            shard,
+            plan: self.plan,
+            base_seed: self.base_seed,
+            spec: self.spec.as_ref(),
+            kernel: &self.kernel,
         }
-        Ok(accumulator)
     }
 }
 
@@ -225,29 +248,51 @@ pub(crate) fn backend_for(config: &RunnerConfig) -> Result<Box<dyn ShardBackend>
     })
 }
 
-/// Executes `jobs` on `backend` and merges each cell's accumulators in
-/// shard order, yielding one [`TrialStats`] per cell (cells indexed
-/// `0..num_cells`; jobs of a cell must be contiguous and shard-ordered).
+/// Runs cells — the one path under [`crate::Simulation::run_on`] and the
+/// [`crate::SweepMatrix`] scheduler: builds each labelled cell's
+/// [`CellWork`] (accounting its kernel choice), runs every cell's shard
+/// jobs as one job list on `backend`, and merges each cell's accumulators
+/// in shard order — one [`TrialStats`] per cell, in cell order.  `done`
+/// receives the cell index of each finished job.
 ///
-/// This is the single driver under [`crate::run_batch`],
-/// [`crate::Simulation::run`] and the [`crate::SweepMatrix`] scheduler: the
-/// merge happens here, in plan order, so the result is a pure function of
-/// the jobs — never of the backend or its scheduling.
-pub(crate) fn execute_and_merge(
+/// The merge happens here, in plan order, so the result is a pure
+/// function of the cells — never of the backend or its scheduling.
+pub(crate) fn run_cells(
     backend: &dyn ShardBackend,
-    jobs: &[ShardJob<'_>],
-    num_cells: usize,
-    done: JobDoneFn<'_>,
+    cells: &[(&str, &Simulation)],
+    done: &(dyn Fn(usize) + Sync),
 ) -> Result<Vec<TrialStats>, SimError> {
-    debug_assert!(
-        jobs.windows(2).all(|w| {
-            w[0].cell < w[1].cell || (w[0].cell == w[1].cell && w[0].shard + 1 == w[1].shard)
-        }),
-        "jobs must be grouped by cell and shard-ordered within each cell"
-    );
-    let accumulators = backend.execute(jobs, done)?;
-    let mut merged: Vec<TrialAccumulator> =
-        (0..num_cells).map(|_| TrialAccumulator::new()).collect();
+    let work: Vec<CellWork<'_>> = cells
+        .iter()
+        .enumerate()
+        .map(|(index, &(label, simulation))| {
+            let plan = ShardPlan::new(simulation.config().trials);
+            let work = CellWork::new(simulation, plan, simulation.shard_spec());
+            crp_obs::global().inc(if work.kernel.is_batched() {
+                "sim.kernel.batched"
+            } else {
+                "sim.kernel.scalar"
+            });
+            if crp_obs::trace_enabled() {
+                crp_obs::emit(
+                    &crp_obs::TraceEvent::new("kernel.select")
+                        .u64("cell", index as u64)
+                        .str("protocol", label)
+                        .str("kernel", work.kernel.name()),
+                );
+            }
+            work
+        })
+        .collect();
+    let jobs: Vec<ShardJob<'_>> = work
+        .iter()
+        .enumerate()
+        .flat_map(|(cell, work)| {
+            (0..work.plan.num_shards()).map(move |shard| work.job(cell, shard))
+        })
+        .collect();
+    let accumulators = backend.execute(&jobs, &|index| done(jobs[index].cell))?;
+    let mut merged: Vec<TrialAccumulator> = work.iter().map(|_| TrialAccumulator::new()).collect();
     for (job, accumulator) in jobs.iter().zip(&accumulators) {
         merged[job.cell].merge(accumulator);
     }

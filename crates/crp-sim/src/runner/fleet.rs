@@ -192,8 +192,8 @@ impl ShardBackend for FleetBackend {
                 let spec = job.spec.ok_or_else(|| SimError::Backend {
                     what: format!(
                         "the fleet backend requires a registry-described simulation, but cell {} \
-                         was built from a raw closure or a custom protocol object; use the serial \
-                         or thread backend for it",
+                         was built from a custom protocol object; use the serial or thread \
+                         backend for it",
                         job.cell
                     ),
                 })?;

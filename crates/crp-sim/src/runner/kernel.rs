@@ -1,11 +1,12 @@
-//! Batched struct-of-arrays trial kernels.
+//! The per-cell trial executor: batched struct-of-arrays kernels and the
+//! scalar fallback.
 //!
 //! The scalar path executes a shard trial-at-a-time: each trial walks its
 //! rounds through `dyn`-dispatched protocol calls with two `powf`s and a
-//! fresh RNG draw per round.  A [`CellKernel`] instead runs *all* trials
-//! of a shard in lockstep over flat per-trial state (participant counts,
-//! round counters, outcome flags in `Vec`s), with monomorphized fast paths
-//! for the hot protocol families:
+//! fresh RNG draw per round.  The batched kernels instead run *all*
+//! trials of a shard in lockstep over flat per-trial state (participant
+//! counts, round counters, outcome flags in `Vec`s), with monomorphized
+//! fast paths for the hot protocol families:
 //!
 //! * **Uniform policies** (the paper's §2 class) sample the round outcome
 //!   category with one uniform draw classified branchlessly against
@@ -26,8 +27,10 @@
 //!   populations every execution resolves in round 1, so building the
 //!   nodes, not stepping rounds, is what an execution costs.
 //!
-//! Everything else falls back to the scalar executor — every registry
-//! protocol still runs under every [`KernelChoice`].
+//! Everything else — and every cell under [`KernelChoice::Scalar`] — runs
+//! on the scalar executor, so every registry protocol runs under every
+//! [`KernelChoice`].  A [`CellKernel`] is either one: the one way a shard
+//! of a cell executes.
 //!
 //! **Bit-identity is the non-negotiable contract.**  Both paths consume
 //! the same per-trial RNG streams ([`ShardPlan::trial_rng`]) in the same
@@ -44,13 +47,13 @@ use crp_channel::{
     classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, ParticipantId,
     RoundOutcome,
 };
-use crp_info::SizeDistribution;
-use crp_protocols::{try_run_protocol_with, Behavior, Protocol, UniformPolicy};
+use crp_protocols::{try_run_protocol, try_run_protocol_with, Behavior, Protocol, UniformPolicy};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::runner::plan::ShardPlan;
 use crate::runner::sample_contending_size;
+use crate::simulation::Population;
 use crate::stats::TrialAccumulator;
 use crate::SimError;
 
@@ -89,20 +92,12 @@ impl FromStr for KernelChoice {
     }
 }
 
-/// How a kernel chooses each trial's participant population (a borrowed
-/// mirror of the simulation's population).
-pub(crate) enum KernelPopulation<'a> {
-    /// A fixed participant count.
-    Fixed(usize),
-    /// An explicit participant-id placement.
-    Placed(&'a [ParticipantId]),
-    /// The count is sampled from this ground truth each trial (consuming
-    /// the trial's RNG stream exactly as the scalar path does).
-    Sampled(&'a SizeDistribution),
-}
-
-/// The monomorphized fast path a cell dispatches to.
+/// The path a cell dispatches to: the scalar executor or a monomorphized
+/// fast path.
 enum KernelKind<'a> {
+    /// The scalar trial-at-a-time executor: every protocol, one trial
+    /// after another.
+    Scalar { protocol: &'a dyn Protocol },
     /// A uniform policy, run round-major over all trials of the shard.
     Uniform {
         policy: &'a dyn UniformPolicy,
@@ -118,48 +113,54 @@ enum KernelKind<'a> {
     Deterministic { protocol: &'a dyn Protocol },
 }
 
-/// A batched trial kernel for one cell, built once per cell and shared by
+/// The trial executor of one cell, built once per cell and shared by
 /// every shard job (and worker thread) of that cell.
 pub struct CellKernel<'a> {
     kind: KernelKind<'a>,
-    population: KernelPopulation<'a>,
+    population: &'a Population,
     max_rounds: usize,
 }
 
 impl<'a> CellKernel<'a> {
-    /// Selects the fast path for a cell, or `None` when `choice` is
-    /// [`KernelChoice::Scalar`] or the protocol only runs on the scalar
-    /// executor (randomized per-node protocols).
+    /// Selects the path for a cell: the scalar executor when `choice` is
+    /// [`KernelChoice::Scalar`] or the protocol has no fast path
+    /// (randomized per-node protocols), a batched kernel otherwise.
     pub(crate) fn select(
         choice: KernelChoice,
         protocol: &'a dyn Protocol,
-        population: KernelPopulation<'a>,
+        population: &'a Population,
         max_rounds: usize,
-    ) -> Option<Self> {
-        if choice == KernelChoice::Scalar {
-            return None;
-        }
+    ) -> Self {
+        let batched = choice == KernelChoice::Auto;
         let kind = match protocol.behavior() {
-            Behavior::Uniform(policy) => KernelKind::Uniform {
+            Behavior::Uniform(policy) if batched => KernelKind::Uniform {
                 policy,
                 collision_detection: protocol.kind().channel_mode().has_collision_detection(),
                 constant: policy.constant_probability(),
             },
-            Behavior::PerNode(factory) if factory.deterministic() => {
+            Behavior::PerNode(factory) if batched && factory.deterministic() => {
                 KernelKind::Deterministic { protocol }
             }
-            Behavior::PerNode(_) => return None,
+            _ => KernelKind::Scalar { protocol },
         };
-        Some(Self {
+        Self {
             kind,
             population,
             max_rounds,
-        })
+        }
     }
 
-    /// A short stable name of the selected fast path, for diagnostics.
+    /// True when a batched fast path was selected (false on the scalar
+    /// executor).
+    pub(crate) fn is_batched(&self) -> bool {
+        !matches!(self.kind, KernelKind::Scalar { .. })
+    }
+
+    /// A short stable name of the selected path (`"scalar"` or the fast
+    /// path's), for diagnostics.
     pub fn name(&self) -> &'static str {
         match &self.kind {
+            KernelKind::Scalar { .. } => "scalar",
             KernelKind::Uniform {
                 collision_detection: false,
                 constant: Some(_),
@@ -174,15 +175,16 @@ impl<'a> CellKernel<'a> {
         }
     }
 
-    /// Runs one shard through the kernel: all of the shard's trials in
-    /// lockstep, folded into a fresh accumulator in trial order (the
-    /// fold order of the scalar path).
+    /// Runs one shard: all of the shard's trials, one after another on the
+    /// scalar executor or in lockstep on a batched kernel, folded into a
+    /// fresh accumulator in trial order.
     ///
     /// # Errors
     ///
-    /// Returns the [`SimError`] a failing trial would produce on the
-    /// scalar path (e.g. a policy emitting a probability outside
-    /// `[0, 1]`, or a factory rejecting a sampled participant set).
+    /// Returns the [`SimError`] of the shard's first failing trial (e.g. a
+    /// policy emitting a probability outside `[0, 1]`, or a factory
+    /// rejecting a sampled participant set); a batched kernel fails with
+    /// the error the scalar path would produce.
     pub(crate) fn run_shard(
         &self,
         plan: ShardPlan,
@@ -192,6 +194,7 @@ impl<'a> CellKernel<'a> {
         let trials = plan.shard_trials(shard);
         let mut state = ShardState::new(self, plan, base_seed, shard, trials);
         match &self.kind {
+            KernelKind::Scalar { protocol } => self.run_scalar(*protocol, &mut state)?,
             KernelKind::Uniform {
                 policy,
                 collision_detection,
@@ -212,6 +215,25 @@ impl<'a> CellKernel<'a> {
             accumulator.record(state.resolved[t], state.rounds[t] as u64);
         }
         Ok(accumulator)
+    }
+
+    /// The scalar executor: each trial runs the protocol on its own RNG
+    /// stream (after its population draw), stopping at the first failing
+    /// trial.
+    fn run_scalar(&self, protocol: &dyn Protocol, state: &mut ShardState) -> Result<(), SimError> {
+        for t in 0..state.rounds.len() {
+            let rng = state.draws[t].rng_mut();
+            let execution = match self.population {
+                Population::Placed(ids) => {
+                    try_run_protocol_with(protocol, ids, self.max_rounds, rng)
+                }
+                _ => try_run_protocol(protocol, state.k[t], self.max_rounds, rng),
+            }
+            .map_err(SimError::from)?;
+            state.resolved[t] = execution.resolved;
+            state.rounds[t] = execution.rounds;
+        }
+        Ok(())
     }
 
     /// The uniform no-CD fast path: the policy sees an empty history in
@@ -340,8 +362,8 @@ impl<'a> CellKernel<'a> {
             let (resolved, rounds) = match memo.get(&k) {
                 Some(&outcome) => outcome,
                 None => {
-                    let execution = match &self.population {
-                        KernelPopulation::Placed(ids) => try_run_protocol_with(
+                    let execution = match self.population {
+                        Population::Placed(ids) => try_run_protocol_with(
                             protocol,
                             ids,
                             self.max_rounds,
@@ -417,10 +439,10 @@ impl ShardState {
         let mut draws = Vec::with_capacity(trials);
         for offset in 0..trials {
             let mut rng = ShardPlan::trial_rng(base_seed, plan.trial_index(shard, offset));
-            k.push(match &kernel.population {
-                KernelPopulation::Fixed(count) => *count,
-                KernelPopulation::Placed(ids) => ids.len(),
-                KernelPopulation::Sampled(truth) => sample_contending_size(truth, &mut rng),
+            k.push(match kernel.population {
+                Population::Fixed(count) => *count,
+                Population::Placed(ids) => ids.len(),
+                Population::Sampled(truth) => sample_contending_size(truth, &mut rng),
             });
             draws.push(DrawBuffer::new(rng));
         }
@@ -495,8 +517,9 @@ impl DrawBuffer {
     }
 
     /// Direct access to the underlying stream, for paths that must not
-    /// buffer (deterministic executions hand the RNG to the scalar
-    /// executor).  Only valid before any buffered draw was taken.
+    /// buffer (the scalar executor and deterministic executions hand the
+    /// RNG to the protocol).  Only valid before any buffered draw was
+    /// taken.
     fn rng_mut(&mut self) -> &mut ChaCha8Rng {
         debug_assert_eq!(self.next, DRAW_BLOCK, "stream already buffered");
         &mut self.rng
@@ -525,10 +548,10 @@ mod tests {
     #[test]
     fn kernel_selection_matches_the_protocol_family() {
         let expectations = [
-            ("fixed-probability", Some("uniform-constant")),
-            ("decay", Some("uniform-no-cd")),
-            ("willard", Some("uniform-cd")),
-            ("det-advice-no-cd", Some("deterministic")),
+            ("fixed-probability", "uniform-constant"),
+            ("decay", "uniform-no-cd"),
+            ("willard", "uniform-cd"),
+            ("det-advice-no-cd", "deterministic"),
         ];
         for (name, expected) in expectations {
             let protocol = crp_protocols::ProtocolSpec::new(name)
@@ -537,21 +560,15 @@ mod tests {
                 .advice_bits(2)
                 .build()
                 .unwrap();
-            let kernel = CellKernel::select(
-                KernelChoice::Auto,
-                protocol.as_ref(),
-                KernelPopulation::Fixed(16),
-                64,
-            );
-            assert_eq!(kernel.as_ref().map(CellKernel::name), expected, "{name}");
+            let population = Population::Fixed(16);
+            let kernel = CellKernel::select(KernelChoice::Auto, protocol.as_ref(), &population, 64);
+            assert_eq!(kernel.name(), expected, "{name}");
+            assert!(kernel.is_batched());
             // Scalar disables every kernel.
-            assert!(CellKernel::select(
-                KernelChoice::Scalar,
-                protocol.as_ref(),
-                KernelPopulation::Fixed(16),
-                64,
-            )
-            .is_none());
+            let scalar =
+                CellKernel::select(KernelChoice::Scalar, protocol.as_ref(), &population, 64);
+            assert_eq!(scalar.name(), "scalar");
+            assert!(!scalar.is_batched());
         }
     }
 

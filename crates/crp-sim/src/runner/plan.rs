@@ -1,5 +1,5 @@
-//! Deterministic batch planning: [`RunnerConfig`], [`BackendChoice`],
-//! [`ShardPlan`] and the progress/outcome value types.
+//! Deterministic batch planning: [`RunnerConfig`], [`BackendChoice`] and
+//! [`ShardPlan`].
 //!
 //! Everything here is a pure function of the configuration — never of the
 //! thread count, the backend, or scheduling — which is what makes the
@@ -7,30 +7,11 @@
 
 use std::str::FromStr;
 
-use crp_channel::Execution;
 use crp_fleet::{ChaosPlan, FleetManifest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::runner::kernel::KernelChoice;
-
-/// Outcome of a single Monte-Carlo trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialOutcome {
-    /// Whether contention was resolved within the round budget.
-    pub resolved: bool,
-    /// Rounds elapsed (equals the budget when unresolved).
-    pub rounds: usize,
-}
-
-impl From<Execution> for TrialOutcome {
-    fn from(execution: Execution) -> Self {
-        TrialOutcome {
-            resolved: execution.resolved,
-            rounds: execution.rounds,
-        }
-    }
-}
 
 /// Which [`crate::ShardBackend`] executes the shards of a batch or sweep.
 ///
@@ -258,19 +239,3 @@ impl ShardPlan {
         ChaCha8Rng::from_seed(seed)
     }
 }
-
-/// Progress of a sharded batch, reported once per completed shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// Shards finished so far.
-    pub completed_shards: usize,
-    /// Total shards in the plan.
-    pub total_shards: usize,
-    /// Trials finished so far.
-    pub completed_trials: usize,
-    /// Total trials in the plan.
-    pub total_trials: usize,
-}
-
-/// A shard-completion callback; see [`crate::run_batch_with_progress`].
-pub type ProgressFn<'a> = &'a (dyn Fn(BatchProgress) + Sync);

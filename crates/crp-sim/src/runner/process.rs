@@ -22,28 +22,17 @@
 
 use std::path::{Path, PathBuf};
 
+use crp_channel::ParticipantId;
 use crp_fleet::{BlobSet, JobPayload};
 use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_obs::{parse_hex64, parse_int, Fields, LineError, LineReader};
 use crp_protocols::ProtocolSpec;
 
-use crate::runner::backend::ShardJob;
+use crate::runner::backend::CellWork;
 use crate::runner::kernel::KernelChoice;
 use crate::runner::plan::ShardPlan;
-use crate::simulation::Simulation;
+use crate::simulation::{Population, Simulation};
 use crate::SimError;
-
-/// How a cell chooses its per-trial participant population, in
-/// serialisable form.
-#[derive(Debug)]
-pub(crate) enum WirePopulation {
-    /// A fixed participant count.
-    Fixed(usize),
-    /// An explicit participant-id placement.
-    Placed(Vec<usize>),
-    /// The participant count is sampled from this ground truth each trial.
-    Sampled(SizeDistribution),
-}
 
 /// A fully serialisable description of one cell's work: everything a
 /// fleet worker needs to reconstruct the cell's [`Simulation`] and
@@ -55,7 +44,7 @@ pub(crate) enum WirePopulation {
 #[derive(Debug)]
 pub struct ShardSpec {
     pub(crate) protocol: ProtocolSpec,
-    pub(crate) population: WirePopulation,
+    pub(crate) population: Population,
     pub(crate) max_rounds: usize,
 }
 
@@ -88,7 +77,7 @@ impl ShardSpec {
     pub fn sampled(protocol: ProtocolSpec, truth: SizeDistribution, max_rounds: usize) -> Self {
         Self {
             protocol,
-            population: WirePopulation::Sampled(truth),
+            population: Population::Sampled(truth),
             max_rounds,
         }
     }
@@ -97,7 +86,7 @@ impl ShardSpec {
     pub fn fixed(protocol: ProtocolSpec, participants: usize, max_rounds: usize) -> Self {
         Self {
             protocol,
-            population: WirePopulation::Fixed(participants),
+            population: Population::Fixed(participants),
             max_rounds,
         }
     }
@@ -106,7 +95,7 @@ impl ShardSpec {
     pub fn placed(protocol: ProtocolSpec, ids: Vec<usize>, max_rounds: usize) -> Self {
         Self {
             protocol,
-            population: WirePopulation::Placed(ids),
+            population: Population::Placed(ids.into_iter().map(ParticipantId).collect()),
             max_rounds,
         }
     }
@@ -121,7 +110,7 @@ impl ShardSpec {
     /// round-trip assertions.
     pub fn sampled_masses(&self) -> Option<&[f64]> {
         match &self.population {
-            WirePopulation::Sampled(truth) => Some(truth.masses()),
+            Population::Sampled(truth) => Some(truth.masses()),
             _ => None,
         }
     }
@@ -173,15 +162,15 @@ impl ShardSpec {
             None => out.push_str("prediction none\n"),
         }
         match &self.population {
-            WirePopulation::Fixed(k) => out.push_str(&format!("population fixed {k}\n")),
-            WirePopulation::Placed(ids) => {
+            Population::Fixed(k) => out.push_str(&format!("population fixed {k}\n")),
+            Population::Placed(ids) => {
                 out.push_str("population placed");
                 for id in ids {
-                    out.push_str(&format!(" {id}"));
+                    out.push_str(&format!(" {}", id.index()));
                 }
                 out.push('\n');
             }
-            WirePopulation::Sampled(truth) => {
+            Population::Sampled(truth) => {
                 let line = reference(masses_blob("sampled", truth.masses()));
                 out.push_str(&format!("population {line}\n"));
             }
@@ -261,16 +250,18 @@ impl ShardSpec {
         fields.finish()?;
         let mut fields = reader.fields("population")?;
         let population = match fields.token()? {
-            "fixed" => WirePopulation::Fixed(fields.int()?),
+            "fixed" => Population::Fixed(fields.int()?),
             "placed" => {
-                WirePopulation::Placed(fields.list(usize::MAX, "a participant id", parse_int)?)
+                Population::Placed(fields.list(usize::MAX, "a participant id", |token| {
+                    parse_int(token).map(ParticipantId)
+                })?)
             }
             "ref" => {
                 let blob = deref(&mut fields, "population")?;
                 let mut blob = reader.fields_of(&blob);
                 blob.keyword("sampled")?;
                 let masses = blob.list(usize::MAX, "a mass bit pattern", mass)?;
-                WirePopulation::Sampled(
+                Population::Sampled(
                     SizeDistribution::from_masses_exact(masses)
                         .map_err(|e| reader.error(format!("invalid population masses: {e}")))?,
                 )
@@ -315,25 +306,21 @@ impl ShardSpec {
 
     /// Reconstructs the cell's validated [`Simulation`] (single-threaded —
     /// a worker only ever runs one shard inline) on the given kernel path.
-    pub(crate) fn to_simulation(
-        &self,
+    pub(crate) fn into_simulation(
+        self,
         trials: usize,
         base_seed: u64,
         kernel: KernelChoice,
     ) -> Result<Simulation, SimError> {
-        let mut builder = Simulation::builder()
-            .protocol(self.protocol.clone())
+        Simulation::builder()
+            .protocol(self.protocol)
+            .population(self.population)
             .max_rounds(self.max_rounds)
             .trials(trials)
             .seed(base_seed)
             .threads(1)
-            .kernel(kernel);
-        builder = match &self.population {
-            WirePopulation::Fixed(k) => builder.participants(*k),
-            WirePopulation::Placed(ids) => builder.participant_ids(ids.clone()),
-            WirePopulation::Sampled(truth) => builder.truth(truth.clone()),
-        };
-        builder.build()
+            .kernel(kernel)
+            .build()
     }
 }
 
@@ -342,7 +329,8 @@ impl ShardSpec {
 /// the worker's per-process [`crp_fleet::ScenarioStore`], so a
 /// scenario's masses arrive once per worker instead of once per shard —
 /// executes the one shard it names on the worker's `kernel` path, and
-/// returns the serialised [`crate::TrialAccumulator`].
+/// returns the serialised [`crate::TrialAccumulator`].  The shard runs
+/// through the same per-cell setup as every in-process shard job.
 ///
 /// The kernel choice is not carried on the wire: kernels are
 /// bit-identical to the scalar path, so dispatcher and worker may choose
@@ -364,19 +352,9 @@ pub fn run_shard_worker_with(
             plan.num_shards()
         )));
     }
-    let simulation = spec.to_simulation(plan.trials(), base_seed, kernel)?;
-    let kernel = simulation.cell_kernel();
-    let trial = simulation.trial_fn();
-    let job = ShardJob {
-        cell: 0,
-        shard,
-        plan,
-        base_seed,
-        trial: &trial,
-        spec: None,
-        kernel: kernel.as_ref(),
-    };
-    Ok(job.run_inline()?.to_wire())
+    let simulation = spec.into_simulation(plan.trials(), base_seed, kernel)?;
+    let work = CellWork::new(&simulation, plan, None);
+    Ok(work.job(0, shard).run_inline()?.to_wire())
 }
 
 /// Resolves the `crp_experiments` worker binary the persistent local

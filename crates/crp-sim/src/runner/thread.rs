@@ -1,13 +1,13 @@
 //! The scoped-thread shard backend: a fixed pool of workers stealing jobs
 //! from one shared queue.
 //!
-//! This is the former hard-wired parallel path of `run_batch`, extracted
-//! behind [`crate::ShardBackend`].  The "queue" is an atomic cursor over
-//! the job slice (see [`steal_jobs`]): whichever worker is free claims the
-//! next unclaimed job, so grids of many small cells keep every worker busy
-//! without any per-cell barriers.  Results land in per-job slots and are
-//! collected in job order afterwards, which keeps the output independent
-//! of scheduling.
+//! It implements [`crate::ShardBackend`] over the work-stealing loop it
+//! shares with [`crate::SerialBackend`].  The "queue" is an atomic cursor
+//! over the job slice (see [`steal_jobs`]): whichever worker is free claims
+//! the next unclaimed job, so grids of many small cells keep every worker
+//! busy without any per-cell barriers.  Results land in per-job slots and
+//! are collected in job order afterwards, which keeps the output
+//! independent of scheduling.
 
 use crate::runner::backend::{steal_jobs, JobDoneFn, ShardBackend, ShardJob};
 use crate::stats::TrialAccumulator;

@@ -27,21 +27,20 @@
 
 use crp_channel::{ChannelMode, ParticipantId};
 use crp_info::SizeDistribution;
-use crp_protocols::{try_run_protocol, try_run_protocol_with, Behavior, Protocol, ProtocolSpec};
-use rand_chacha::ChaCha8Rng;
+use crp_protocols::{Behavior, Protocol, ProtocolSpec};
 
-use crate::runner::backend::{backend_for, execute_and_merge};
-use crate::runner::kernel::{CellKernel, KernelPopulation};
-use crate::runner::process::{ShardSpec, WirePopulation};
-use crate::runner::{
-    sample_contending_size, BackendChoice, KernelChoice, RunnerConfig, ShardBackend, ShardJob,
-    ShardPlan, TrialOutcome,
-};
+use crate::runner::backend::{backend_for, run_cells};
+use crate::runner::kernel::CellKernel;
+use crate::runner::process::ShardSpec;
+use crate::runner::{BackendChoice, KernelChoice, RunnerConfig, ShardBackend};
 use crate::stats::TrialStats;
 use crate::SimError;
 
-/// How the per-trial participant set is chosen.
-enum Population {
+/// How the per-trial participant set is chosen: the one population type
+/// a simulation holds, a [`ShardSpec`] carries over the wire, and a
+/// [`CellKernel`] borrows.
+#[derive(Debug, Clone)]
+pub(crate) enum Population {
     /// A fixed participant count; uniform protocols ignore identities and
     /// per-node protocols get the ids `0, …, k−1`.
     Fixed(usize),
@@ -115,6 +114,13 @@ impl SimulationBuilder {
         self
     }
 
+    /// Sets the population directly (how a decoded [`ShardSpec`] rebuilds
+    /// its cell).
+    pub(crate) fn population(mut self, population: Population) -> Self {
+        self.population = Some(population);
+        self
+    }
+
     /// Caps every trial at `max_rounds` rounds.  Defaults to the
     /// protocol's own horizon when it has one.
     pub fn max_rounds(mut self, max_rounds: usize) -> Self {
@@ -137,7 +143,7 @@ impl SimulationBuilder {
     }
 
     /// Base seed; trial `i` derives its own `ChaCha8Rng` stream from
-    /// `(seed, i)` (see [`ShardPlan::trial_rng`]).
+    /// `(seed, i)` (see [`crate::ShardPlan::trial_rng`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.base_seed = seed;
         self
@@ -333,7 +339,7 @@ impl Simulation {
     ///
     /// Returns a [`SimError`] if any trial fails (e.g. a per-node factory
     /// rejects a sampled participant set), or a [`SimError::Backend`] if
-    /// the process backend was selected but the simulation was built from
+    /// the fleet backend was selected but the simulation was built from
     /// a custom protocol object it cannot re-describe.
     pub fn run(&self) -> Result<TrialStats, SimError> {
         self.run_on(backend_for(&self.config)?.as_ref())
@@ -346,76 +352,22 @@ impl Simulation {
     ///
     /// As [`Simulation::run`].
     pub fn run_on(&self, backend: &dyn ShardBackend) -> Result<TrialStats, SimError> {
-        let plan = ShardPlan::new(self.config.trials);
-        let spec = self.shard_spec();
-        let kernel = self.cell_kernel();
-        crp_obs::global().inc(if kernel.is_some() {
-            "sim.kernel.batched"
-        } else {
-            "sim.kernel.scalar"
-        });
-        if crp_obs::trace_enabled() {
-            crp_obs::emit(
-                &crp_obs::TraceEvent::new("kernel.select")
-                    .u64("cell", 0)
-                    .str("kernel", kernel.as_ref().map_or("scalar", |k| k.name())),
-            );
-        }
-        let trial = self.trial_fn();
-        let trial_ref: &(dyn Fn(&mut ChaCha8Rng) -> Result<TrialOutcome, SimError> + Sync) = &trial;
-        let jobs: Vec<ShardJob<'_>> = (0..plan.num_shards())
-            .map(|shard| ShardJob {
-                cell: 0,
-                shard,
-                plan,
-                base_seed: self.config.base_seed,
-                trial: trial_ref,
-                spec: spec.as_ref(),
-                kernel: kernel.as_ref(),
-            })
-            .collect();
-        let stats = execute_and_merge(backend, &jobs, 1, &|_| {})?;
+        let stats = run_cells(backend, &[(self.protocol.name(), self)], &|_| {})?;
         Ok(stats
             .into_iter()
             .next()
-            .expect("execute_and_merge returns one TrialStats per cell"))
+            .expect("run_cells returns one TrialStats per cell"))
     }
 
-    /// The per-trial closure of this simulation: samples or places the
-    /// participant population and drives the (shared, immutable) protocol
-    /// for one trial with the supplied RNG.
-    pub(crate) fn trial_fn(
-        &self,
-    ) -> impl Fn(&mut ChaCha8Rng) -> Result<TrialOutcome, SimError> + Sync + '_ {
-        let protocol = self.protocol.as_ref();
-        let max_rounds = self.max_rounds;
-        move |rng| match &self.population {
-            Population::Fixed(k) => run_with_count(protocol, *k, max_rounds, rng),
-            Population::Placed(ids) => try_run_protocol_with(protocol, ids, max_rounds, rng)
-                .map(TrialOutcome::from)
-                .map_err(SimError::from),
-            Population::Sampled(truth) => {
-                let k = sample_contending_size(truth, rng);
-                run_with_count(protocol, k, max_rounds, rng)
-            }
-        }
-    }
-
-    /// The batched trial kernel of this cell, when the configured
-    /// [`KernelChoice`] and the protocol's execution style admit one
-    /// (`None` falls back to the scalar trial-at-a-time path).  Built
-    /// once per cell and shared, immutably, by every shard job and
-    /// worker thread.
-    pub(crate) fn cell_kernel(&self) -> Option<CellKernel<'_>> {
-        let population = match &self.population {
-            Population::Fixed(k) => KernelPopulation::Fixed(*k),
-            Population::Placed(ids) => KernelPopulation::Placed(ids),
-            Population::Sampled(truth) => KernelPopulation::Sampled(truth),
-        };
+    /// The trial executor of this cell: the batched kernel the configured
+    /// [`KernelChoice`] and the protocol's execution style admit, or the
+    /// scalar trial-at-a-time executor.  Built once per cell and shared,
+    /// immutably, by every shard job and worker thread.
+    pub(crate) fn cell_kernel(&self) -> CellKernel<'_> {
         CellKernel::select(
             self.config.kernel,
             self.protocol.as_ref(),
-            population,
+            &self.population,
             self.max_rounds,
         )
     }
@@ -426,38 +378,20 @@ impl Simulation {
     /// trial-at-a-time executor.  Diagnostics only — the choice never
     /// affects the statistics.
     pub fn kernel_name(&self) -> Option<&'static str> {
-        self.cell_kernel().map(|kernel| kernel.name())
+        let kernel = self.cell_kernel();
+        kernel.is_batched().then(|| kernel.name())
     }
 
     /// The serialisable description out-of-process backends ship to their
     /// workers, or `None` when the simulation was built around a custom
     /// protocol object.
     pub(crate) fn shard_spec(&self) -> Option<ShardSpec> {
-        let protocol = self.spec.clone()?;
-        let population = match &self.population {
-            Population::Fixed(k) => WirePopulation::Fixed(*k),
-            Population::Placed(ids) => {
-                WirePopulation::Placed(ids.iter().map(|id| id.index()).collect())
-            }
-            Population::Sampled(truth) => WirePopulation::Sampled(truth.clone()),
-        };
         Some(ShardSpec {
-            protocol,
-            population,
+            protocol: self.spec.clone()?,
+            population: self.population.clone(),
             max_rounds: self.max_rounds,
         })
     }
-}
-
-fn run_with_count(
-    protocol: &dyn Protocol,
-    k: usize,
-    max_rounds: usize,
-    rng: &mut ChaCha8Rng,
-) -> Result<TrialOutcome, SimError> {
-    try_run_protocol(protocol, k, max_rounds, rng)
-        .map(TrialOutcome::from)
-        .map_err(SimError::from)
 }
 
 #[cfg(test)]

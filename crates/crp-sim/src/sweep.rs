@@ -61,8 +61,8 @@ use crp_predict::Scenario;
 use crp_protocols::ProtocolSpec;
 
 use crate::report::{fmt_f64, Table};
-use crate::runner::backend::{backend_for, execute_and_merge};
-use crate::runner::{KernelChoice, RunnerConfig, ShardBackend, ShardJob, ShardPlan};
+use crate::runner::backend::{backend_for, run_cells};
+use crate::runner::{KernelChoice, RunnerConfig, ShardBackend, ShardPlan};
 use crate::simulation::Simulation;
 use crate::stats::TrialStats;
 use crate::SimError;
@@ -224,7 +224,9 @@ pub struct SweepProgress {
     pub cell_completed: bool,
 }
 
-/// The declarative experiment matrix; see the [module docs](self).
+/// The declarative experiment matrix: scenario, protocol and trial-budget
+/// axes that [`SweepMatrix::compile`] flattens into validated
+/// [`Simulation`] cells and [`SweepMatrix::run`] executes as one job list.
 #[derive(Default)]
 pub struct SweepMatrix {
     protocols: Vec<SweepProtocol>,
@@ -444,62 +446,22 @@ impl SweepMatrix {
         let cells = self.compile()?;
         let total_cells = cells.len();
 
-        // Per-cell execution state borrowed by the job list: shard plans,
-        // trial closures and (for out-of-process backends) shard specs.
-        let plans: Vec<ShardPlan> = cells
-            .iter()
-            .map(|cell| ShardPlan::new(cell.simulation.config().trials))
-            .collect();
-        let specs: Vec<_> = cells.iter().map(|c| c.simulation.shard_spec()).collect();
-        let kernels: Vec<_> = cells.iter().map(|c| c.simulation.cell_kernel()).collect();
-        for (index, (cell, kernel)) in cells.iter().zip(&kernels).enumerate() {
-            crp_obs::global().inc(if kernel.is_some() {
-                "sim.kernel.batched"
-            } else {
-                "sim.kernel.scalar"
-            });
-            if crp_obs::trace_enabled() {
-                crp_obs::emit(
-                    &crp_obs::TraceEvent::new("kernel.select")
-                        .u64("cell", index as u64)
-                        .str("protocol", &cell.protocol)
-                        .str("kernel", kernel.as_ref().map_or("scalar", |k| k.name())),
-                );
-            }
-        }
-        let trials: Vec<_> = cells.iter().map(|c| c.simulation.trial_fn()).collect();
-
-        let mut jobs: Vec<ShardJob<'_>> = Vec::new();
-        for (index, cell) in cells.iter().enumerate() {
-            for shard in 0..plans[index].num_shards() {
-                jobs.push(ShardJob {
-                    cell: index,
-                    shard,
-                    plan: plans[index],
-                    base_seed: cell.simulation.config().base_seed,
-                    trial: &trials[index],
-                    spec: specs[index].as_ref(),
-                    kernel: kernels[index].as_ref(),
-                });
-            }
-        }
-        let total_shards = jobs.len();
-
         // Progress bookkeeping under one lock: remaining shards per cell
         // plus the global counters, so every callback observes a
         // consistent snapshot and cell completion fires exactly once.
-        let remaining: Vec<usize> = plans.iter().map(ShardPlan::num_shards).collect();
+        let remaining: Vec<usize> = cells
+            .iter()
+            .map(|cell| ShardPlan::new(cell.simulation.config().trials).num_shards())
+            .collect();
+        let total_shards = remaining.iter().sum();
         let state: Mutex<(Vec<usize>, usize, usize)> = Mutex::new((remaining, 0, 0));
-        let jobs_ref = &jobs;
-        let cells_ref = &cells;
-        let on_done = move |job_index: usize| {
-            let job = &jobs_ref[job_index];
-            let cell = &cells_ref[job.cell];
+        let on_done = |index: usize| {
+            let cell = &cells[index];
             // The callback runs while the lock is held so deliveries are
             // serialised and the counters observers see are monotonic.
             let mut state = state.lock().expect("no panics while counting progress");
-            state.0[job.cell] -= 1;
-            let cell_completed = state.0[job.cell] == 0;
+            state.0[index] -= 1;
+            let cell_completed = state.0[index] == 0;
             state.1 += 1;
             if cell_completed {
                 state.2 += 1;
@@ -507,7 +469,7 @@ impl SweepMatrix {
                 if crp_obs::trace_enabled() {
                     crp_obs::emit(
                         &crp_obs::TraceEvent::new("sweep.cell")
-                            .u64("cell", job.cell as u64)
+                            .u64("cell", index as u64)
                             .str("scenario", &cell.scenario)
                             .str("protocol", &cell.protocol),
                     );
@@ -523,15 +485,11 @@ impl SweepMatrix {
                 cell_completed,
             });
         };
-
-        let stats = execute_and_merge(backend, &jobs, cells.len(), &on_done)?;
-        // End the borrows of `cells` (job list, per-cell closures, specs)
-        // before moving its entries into the results.
-        drop(on_done);
-        drop(jobs);
-        drop(trials);
-        drop(kernels);
-        drop(specs);
+        let labelled: Vec<(&str, &Simulation)> = cells
+            .iter()
+            .map(|cell| (cell.protocol.as_str(), &cell.simulation))
+            .collect();
+        let stats = run_cells(backend, &labelled, &on_done)?;
 
         let results = cells
             .into_iter()

@@ -11,7 +11,8 @@
 //! * a corrupt cache entry is rejected (typed error inside, never a
 //!   panic), recomputed, healed, and the result still does not move by
 //!   a bit;
-//! * overlapping sweeps only compute their new cells.
+//! * an overlapping sweep — the same grid grown by a scenario — serves
+//!   its old cells from the cache and computes only its new cells.
 
 use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
@@ -90,15 +91,16 @@ fn service_results_are_bit_identical_cached_and_self_healing() {
     assert_eq!(progress_hits, outcome.jobs_total);
     assert!(outcome.cells.iter().all(|cell| cell.cached));
 
-    // Vandalise the first cell's cache entry and one of its job
-    // entries: the service must detect the corruption, recompute
-    // exactly the corrupted job, heal the entries, and return the same
-    // bits as ever.
+    // Vandalise the first cell's cache entry, and plant a garbage entry
+    // under one of its job keys (which the daemon never reads): the
+    // service must detect the corruption, recompute the cell's jobs,
+    // heal the entry, and return the same bits as ever.
     let (submission, _) = compile_submission(&matrix).unwrap();
     let job_keys = submission.cells[0].job_keys();
     let cell_key = cell_hash(&job_keys);
     for key in [&cell_key, &job_keys[0]] {
         let path = cache_dir.join(&key[..2]).join(format!("{key}.crp"));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, b"crp-cache v1\nvandalised").unwrap();
         assert!(
             matches!(
@@ -110,16 +112,25 @@ fn service_results_are_bit_identical_cached_and_self_healing() {
     }
     let (results, outcome) = submit_matrix(&addr, &matrix, |_, _, _| {}).unwrap();
     assert_eq!(reference, results, "recomputed cell diverged");
-    assert_eq!(outcome.computed, 1, "only the corrupted job recomputes");
+    assert_eq!(
+        outcome.computed, 2,
+        "the corrupted cell recomputes its 2 jobs"
+    );
     assert!(cache.get(&cell_key).unwrap().is_some());
 
-    // Overlap: two old cells plus two new ones (different seed) — only
-    // the new cells' jobs run.
-    let overlapping = demo_matrix().seed(0xBEEF);
+    // Overlap: the same grid plus a third scenario.  Its cells come
+    // last, so the 4 old cells keep their indices and seeds and are
+    // cell hits; only the 2 new cells' jobs run.
+    let overlapping = demo_matrix().scenario(ScenarioLibrary::new(256).unwrap().bursty());
     let overlap_reference = overlapping.run_on(&SerialBackend).unwrap();
     let (results, outcome) = submit_matrix(&addr, &overlapping, |_, _, _| {}).unwrap();
     assert_eq!(overlap_reference, results);
-    assert_eq!(outcome.job_hits, 0, "a new seed shares no jobs");
+    assert_eq!(overlap_reference.to_csv(), results.to_csv());
+    assert_eq!(outcome.jobs_total, 12, "6 cells x 2 shards");
+    let cached: Vec<bool> = outcome.cells.iter().map(|cell| cell.cached).collect();
+    assert_eq!(cached, [true, true, true, true, false, false]);
+    assert_eq!(outcome.job_hits, 8);
+    assert_eq!(outcome.computed, 4, "only the 2 new cells' jobs run");
     let (_, outcome) = submit_matrix(&addr, &overlapping, |_, _, _| {}).unwrap();
     assert_eq!(outcome.job_hits, outcome.jobs_total);
 

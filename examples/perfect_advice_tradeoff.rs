@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!(
-        "The deterministic columns track n/2^b and log n - b; the randomized \
+        "The deterministic columns track n/2^b and log n - b + 1; the randomized \
          columns track log n / 2^b and log log n - b, as in Table 2 of the paper."
     );
     Ok(())
