@@ -15,12 +15,14 @@
 //! under 10 ms.  The figures are recorded as `BENCH_dispatch.json` at
 //! the workspace root.
 
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use crp_fleet::{read_frame, write_frame, Dispatcher, Message, WorkerEndpoint, PROTOCOL_VERSION};
+use crp_fleet::{
+    write_frame, BlobSet, Dispatcher, FleetError, FrameReader, JobPayload, Message, WorkerEndpoint,
+    PROTOCOL_VERSION,
+};
 
 /// The small pool the per-job cost is compared against.
 const SMALL_FLEET: usize = 4;
@@ -56,8 +58,8 @@ fn spawn_echo_fleet(n: usize) -> Vec<WorkerEndpoint> {
                 for stream in listener.incoming().flatten() {
                     std::thread::spawn(move || {
                         stream.set_nodelay(true).ok();
-                        let mut reader = BufReader::new(stream.try_clone().expect("sockets clone"));
-                        let mut writer = stream;
+                        let mut reader = FrameReader::new(&stream);
+                        let mut writer = &stream;
                         let hello = Message::Hello {
                             version: PROTOCOL_VERSION,
                             capacity: 1,
@@ -65,7 +67,7 @@ fn spawn_echo_fleet(n: usize) -> Vec<WorkerEndpoint> {
                         if write_frame(&mut writer, &hello.encode()).is_err() {
                             return;
                         }
-                        while let Ok(Some(frame)) = read_frame(&mut reader) {
+                        while let Ok(Some(frame)) = reader.read_frame() {
                             let answer = match Message::decode(&frame) {
                                 Ok(Message::Job { id, payload, .. }) => Message::Done {
                                     id,
@@ -87,29 +89,36 @@ fn spawn_echo_fleet(n: usize) -> Vec<WorkerEndpoint> {
         .collect()
 }
 
+/// Dispatches one batch of self-contained jobs, accepting every answer.
+fn dispatch(dispatcher: &Dispatcher, jobs: &[JobPayload]) -> Result<Vec<String>, FleetError> {
+    dispatcher.dispatch(jobs, &BlobSet::new(), &|_| {}, &|_, _| Ok(()))
+}
+
 /// Best-of-N time to drain one batch of tiny jobs on a *warm* pool (the
 /// untimed warm-up batch connects every worker and verifies answers).
-fn drain_time(dispatcher: &Dispatcher, jobs: &[String]) -> Duration {
-    let answers = dispatcher
-        .dispatch(jobs, &|_| {})
-        .expect("echo fleet answers");
+fn drain_time(dispatcher: &Dispatcher, jobs: &[JobPayload]) -> Duration {
+    let answers = dispatch(dispatcher, jobs).expect("echo fleet answers");
     assert_eq!(answers.len(), jobs.len());
     for (job, answer) in jobs.iter().zip(&answers) {
-        assert_eq!(answer, &format!("echo:{job}"), "echo fleet must echo");
+        assert_eq!(
+            answer,
+            &format!("echo:{}", job.payload),
+            "echo fleet must echo"
+        );
     }
     (0..REPETITIONS)
         .map(|_| {
             let start = Instant::now();
-            black_box(dispatcher.dispatch(jobs, &|_| {}).expect("warm batch"));
+            black_box(dispatch(dispatcher, jobs).expect("warm batch"));
             start.elapsed()
         })
         .min()
         .expect("at least one repetition")
 }
 
-fn batch(workers: usize) -> Vec<String> {
+fn batch(workers: usize) -> Vec<JobPayload> {
     (0..workers * JOBS_PER_WORKER)
-        .map(|i| format!("j{i}"))
+        .map(|i| JobPayload::new(format!("j{i}"), Vec::new()))
         .collect()
 }
 
@@ -174,7 +183,7 @@ fn fleet_scale(c: &mut Criterion) {
         group.bench_with_input(
             criterion::BenchmarkId::new("event-loop", workers),
             &jobs,
-            |b, jobs| b.iter(|| event.dispatch(jobs, &|_| {}).unwrap()),
+            |b, jobs| b.iter(|| dispatch(&event, jobs).unwrap()),
         );
     }
     group.finish();

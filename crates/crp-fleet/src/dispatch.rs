@@ -23,9 +23,13 @@
 //!   batch tail is not duplicated pointlessly).  Whichever copy answers
 //!   first wins, and the batch returns as soon as every job settled, so
 //!   a wedged worker can delay but never hang [`Dispatcher::dispatch`].
-//! * **Poisoned answers** — [`Dispatcher::dispatch_validated`] checks
-//!   every answer before its job settles; a well-framed reply whose body
-//!   fails validation is retried elsewhere like any transport failure.
+//! * **Poisoned answers** — [`Dispatcher::dispatch`] checks every
+//!   answer with the caller's validator before its job settles; a
+//!   well-framed reply whose body fails validation is retried elsewhere
+//!   like any transport failure.
+//! * **Failing jobs** — a worker that rejects a job, or whose handler
+//!   panics on it, answers `failed`; that is deterministic, so the batch
+//!   ends with [`FleetError::Job`] instead of retrying it.
 //! * **Dedup by job id** — every completion is recorded at most once, so
 //!   duplicated answers from straggler re-dispatch (or a slow worker
 //!   racing its replacement) are dropped and the per-job completion
@@ -34,9 +38,9 @@
 //! Two capabilities are layered over that core:
 //!
 //! * **Pipelining** — the worker's `hello` advertises a capacity, and
-//!   the dispatcher keeps up to that many jobs (times the endpoint's
-//!   weight) in flight on the connection; answers are matched by job id,
-//!   in whatever order they come back.
+//!   the dispatcher keeps up to that many jobs in flight on the
+//!   connection; answers are matched by job id, in whatever order they
+//!   come back.
 //! * **Content-addressed blobs** — a [`JobPayload`] may reference blobs
 //!   from a [`BlobSet`] by hash; the dispatcher ships each blob to a
 //!   connection once (`scenario-put`) before the first job that needs
@@ -106,18 +110,6 @@ impl JobPayload {
     }
 }
 
-impl From<String> for JobPayload {
-    fn from(payload: String) -> Self {
-        Self::new(payload, Vec::new())
-    }
-}
-
-impl From<&str> for JobPayload {
-    fn from(payload: &str) -> Self {
-        Self::new(payload, Vec::new())
-    }
-}
-
 /// The content-addressed blobs a batch's payloads reference, iterated in
 /// hash order so anything encoded from a set is deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -165,9 +157,6 @@ impl BlobSet {
 /// keeping each endpoint's connection warm between batches.
 pub struct Dispatcher {
     pub(crate) endpoints: Vec<WorkerEndpoint>,
-    /// Capacity multiplier per endpoint: the scheduler keeps up to
-    /// `hello capacity × weight` jobs in flight on that connection.
-    pub(crate) weights: Vec<usize>,
     pub(crate) max_attempts: usize,
     pub(crate) tuning: DispatchTuning,
     /// The event loop's warm connections, registration listener, and
@@ -241,32 +230,16 @@ impl State {
 }
 
 impl Dispatcher {
-    /// A dispatcher over the given pool (every endpoint at weight 1).
-    /// Each job is attempted at most `max(3, 2 × pool size)` times
-    /// before it is declared failed.
+    /// A dispatcher over the given pool.  Each job is attempted at most
+    /// `max(3, 2 × pool size)` times before it is declared failed.
     ///
     /// Timing knobs start at [`DispatchTuning::default`]; use
     /// [`Dispatcher::with_tuning`] for explicit control.
     pub fn new(endpoints: Vec<WorkerEndpoint>) -> Self {
-        let weights = vec![1; endpoints.len()];
-        Self::new_weighted(endpoints.into_iter().zip(weights).collect())
-    }
-
-    /// A dispatcher over a pool with per-endpoint capacity weights: the
-    /// scheduler keeps up to `hello capacity × weight` jobs in flight
-    /// on each connection, so a beefy host can be oversubscribed
-    /// relative to its peers (`host:port*4` in a [`crate::FleetManifest`]).
-    /// Zero weights are promoted to 1.
-    pub fn new_weighted(endpoints: Vec<(WorkerEndpoint, usize)>) -> Self {
-        let (endpoints, weights): (Vec<_>, Vec<_>) = endpoints
-            .into_iter()
-            .map(|(endpoint, weight)| (endpoint, weight.max(1)))
-            .unzip();
         let max_attempts = (2 * endpoints.len()).max(3);
         let warm = Mutex::new(WarmPool::with_fixed(endpoints.len()));
         Self {
             endpoints,
-            weights,
             max_attempts,
             tuning: DispatchTuning::default(),
             warm,
@@ -280,7 +253,7 @@ impl Dispatcher {
         self
     }
 
-    /// Overrides the timing knobs (polling, pings, straggler grace).
+    /// Overrides the timing knobs (handshake, pings, straggler grace).
     pub fn with_tuning(mut self, tuning: DispatchTuning) -> Self {
         self.tuning = tuning;
         self
@@ -289,12 +262,6 @@ impl Dispatcher {
     /// The pool this dispatcher schedules over.
     pub fn endpoints(&self) -> &[WorkerEndpoint] {
         &self.endpoints
-    }
-
-    /// The per-endpoint capacity weights, parallel to
-    /// [`Dispatcher::endpoints`] (always ≥ 1).
-    pub fn weights(&self) -> &[usize] {
-        &self.weights
     }
 
     /// An on-demand view of per-worker health: jobs dispatched,
@@ -355,10 +322,10 @@ impl Dispatcher {
     /// Opens a registration listener for elastic membership: workers
     /// that dial `addr` (see `crp_fleet::join_fleet` or
     /// `crp_experiments worker --join`) are folded into the event loop
-    /// of every subsequent — or currently running — `dispatch` call as
-    /// weight-1 endpoints.  A joined worker that disconnects mid-batch
-    /// has its in-flight jobs requeued exactly like a dead fixed
-    /// worker.  Returns the bound address (useful with port 0).
+    /// of every subsequent — or currently running — `dispatch` call.  A
+    /// joined worker that disconnects mid-batch has its in-flight jobs
+    /// requeued exactly like a dead fixed worker.  Returns the bound
+    /// address (useful with port 0).
     ///
     /// # Errors
     ///
@@ -389,52 +356,21 @@ impl Dispatcher {
         self.warm.lock().expect("no dispatcher panics").shutdown();
     }
 
-    /// Runs every payload to completion on the pool and returns the
-    /// answers in job order.  `done(job)` is invoked exactly once per
+    /// Runs every job to completion on the pool and returns the answers
+    /// in job order.  Blobs the jobs reference ship from `blobs`, once
+    /// per connection.  Every answer must pass `validate` before its job
+    /// settles; a rejected answer is retried on another worker like any
+    /// transport failure.  `done(job)` is invoked exactly once per
     /// completed job, in completion order, from the dispatching thread.
     ///
     /// # Errors
     ///
     /// The error of the lowest-indexed failing job: [`FleetError::Job`]
-    /// when a worker rejected the payload deterministically, otherwise
-    /// [`FleetError::Exhausted`] describing the transport failures that
-    /// used up the job's attempts (or left the pool unreachable).
+    /// when a worker rejected the payload deterministically (or its
+    /// handler panicked on it), otherwise [`FleetError::Exhausted`]
+    /// describing the transport failures that used up the job's attempts
+    /// (or left the pool unreachable).
     pub fn dispatch(
-        &self,
-        payloads: &[String],
-        done: &(dyn Fn(usize) + Sync),
-    ) -> Result<Vec<String>, FleetError> {
-        self.dispatch_validated(payloads, done, &|_, _| Ok(()))
-    }
-
-    /// Like [`Dispatcher::dispatch`], but every answer must pass
-    /// `validate` before its job settles; a rejected answer is retried
-    /// on another worker like any transport failure.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dispatcher::dispatch`].
-    pub fn dispatch_validated(
-        &self,
-        payloads: &[String],
-        done: &(dyn Fn(usize) + Sync),
-        validate: AnswerValidator<'_>,
-    ) -> Result<Vec<String>, FleetError> {
-        let jobs: Vec<JobPayload> = payloads
-            .iter()
-            .map(|payload| JobPayload::from(payload.as_str()))
-            .collect();
-        self.dispatch_jobs(&jobs, &BlobSet::new(), done, validate)
-    }
-
-    /// The full-featured entry point: [`JobPayload`]s that may reference
-    /// `blobs`, answer validation, and per-job completion callbacks.
-    /// See [`Dispatcher::dispatch`] for the scheduling contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dispatcher::dispatch`].
-    pub fn dispatch_jobs(
         &self,
         jobs: &[JobPayload],
         blobs: &BlobSet,
@@ -490,7 +426,7 @@ impl Drop for Dispatcher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tcp::TcpWorker;
     use crate::worker::{ScenarioStore, ServeOptions};
@@ -499,8 +435,26 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Self-contained jobs (no blob references), one per payload.
+    fn plain_jobs(payloads: &[impl AsRef<str>]) -> Vec<JobPayload> {
+        payloads
+            .iter()
+            .map(|payload| JobPayload::new(payload.as_ref(), Vec::new()))
+            .collect()
+    }
+
+    /// Dispatches self-contained jobs, accepting every answer.
+    pub(crate) fn dispatch_plain(
+        dispatcher: &Dispatcher,
+        payloads: &[impl AsRef<str>],
+    ) -> Result<Vec<String>, FleetError> {
+        let jobs = plain_jobs(payloads);
+        dispatcher.dispatch(&jobs, &BlobSet::new(), &|_| {}, &|_, _| Ok(()))
+    }
+
     /// An echo worker whose handler can also reject (`fail:<message>`),
-    /// sleep every time (`sleep:<ms>:<text>`) or straggle
+    /// panic (`panic:<message>`), sleep every time (`sleep:<ms>:<text>`)
+    /// or straggle
     /// (`slow-once:<ms>:<text>` sleeps on its *first* execution in this
     /// process only, so a re-dispatched copy of the same payload answers
     /// promptly — the answer text stays identical either way, like a
@@ -509,6 +463,9 @@ mod tests {
         static SLOWED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
         if let Some(message) = payload.strip_prefix("fail:") {
             return Err(message.to_string());
+        }
+        if let Some(message) = payload.strip_prefix("panic:") {
+            panic!("{message}");
         }
         let payload = if let Some(rest) = payload.strip_prefix("slow-once:") {
             let (ms, text) = rest.split_once(':').expect("slow-once:<ms>:<text>");
@@ -529,7 +486,9 @@ mod tests {
     fn spawn_worker_with(options: ServeOptions) -> String {
         let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
         let addr = worker.local_addr().unwrap().to_string();
-        std::thread::spawn(move || worker.serve_forever(&scripted, &options));
+        std::thread::spawn(move || {
+            worker.serve_forever(&scripted, &options, &ScenarioStore::new())
+        });
         addr
     }
 
@@ -554,9 +513,14 @@ mod tests {
         let payloads: Vec<String> = (0..20).map(|i| format!("job-{i}")).collect();
         let completions = AtomicUsize::new(0);
         let answers = Dispatcher::new(endpoints)
-            .dispatch(&payloads, &|_| {
-                completions.fetch_add(1, Ordering::Relaxed);
-            })
+            .dispatch(
+                &plain_jobs(&payloads),
+                &BlobSet::new(),
+                &|_| {
+                    completions.fetch_add(1, Ordering::Relaxed);
+                },
+                &|_, _| Ok(()),
+            )
             .unwrap();
         let expected: Vec<String> = (0..20).map(|i| format!("echo:job-{i}")).collect();
         assert_eq!(answers, expected);
@@ -572,9 +536,9 @@ mod tests {
         // One TCP worker, two dispatches through the same dispatcher:
         // the second batch reuses the health-checked warm connection.
         let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(spawn_worker())]);
-        let first = dispatcher.dispatch(&["a".to_string()], &|_| {}).unwrap();
+        let first = dispatch_plain(&dispatcher, &["a"]).unwrap();
         assert_eq!(first, vec!["echo:a".to_string()]);
-        let second = dispatcher.dispatch(&["b".to_string()], &|_| {}).unwrap();
+        let second = dispatch_plain(&dispatcher, &["b"]).unwrap();
         assert_eq!(second, vec!["echo:b".to_string()]);
     }
 
@@ -590,7 +554,7 @@ mod tests {
         let payloads: Vec<String> = (0..4).map(|i| format!("sleep:300:p{i}")).collect();
         let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]);
         let start = Instant::now();
-        let answers = dispatcher.dispatch(&payloads, &|_| {}).unwrap();
+        let answers = dispatch_plain(&dispatcher, &payloads).unwrap();
         let elapsed = start.elapsed();
         assert_eq!(
             answers,
@@ -612,9 +576,7 @@ mod tests {
             ..Default::default()
         });
         let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]).with_max_attempts(1);
-        let err = dispatcher
-            .dispatch(&["stuck".to_string()], &|_| {})
-            .unwrap_err();
+        let err = dispatch_plain(&dispatcher, &["stuck"]).unwrap_err();
         match err {
             FleetError::Exhausted { last, .. } => {
                 assert!(last.contains("unresponsive"), "last error: {last}");
@@ -631,12 +593,11 @@ mod tests {
         });
         let healthy = spawn_worker();
         let payloads: Vec<String> = (0..6).map(|i| format!("w{i}")).collect();
-        let answers = Dispatcher::new(vec![
+        let dispatcher = Dispatcher::new(vec![
             WorkerEndpoint::tcp(wedged),
             WorkerEndpoint::tcp(healthy),
-        ])
-        .dispatch(&payloads, &|_| {})
-        .unwrap();
+        ]);
+        let answers = dispatch_plain(&dispatcher, &payloads).unwrap();
         assert_eq!(
             answers,
             (0..6).map(|i| format!("echo:w{i}")).collect::<Vec<_>>()
@@ -661,7 +622,7 @@ mod tests {
                     .map(|blob| format!("resolved:{blob}"))
                     .ok_or_else(|| format!("unknown blob {hash}"))
             };
-            worker.serve_forever_with_store(&handler, &ServeOptions::default(), &serve_store)
+            worker.serve_forever(&handler, &ServeOptions::default(), &serve_store)
         });
 
         let mut blobs = BlobSet::new();
@@ -670,7 +631,7 @@ mod tests {
             .map(|_| JobPayload::new(format!("resolve:{hash}"), vec![hash.clone()]))
             .collect();
         let answers = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
-            .dispatch_jobs(&jobs, &blobs, &|_| {}, &|_, _| Ok(()))
+            .dispatch(&jobs, &blobs, &|_| {}, &|_, _| Ok(()))
             .unwrap();
         assert_eq!(answers, vec!["resolved:the-masses".to_string(); 3]);
         assert_eq!(store.len(), 1, "one scenario-put for three jobs");
@@ -680,9 +641,7 @@ mod tests {
     fn a_dead_endpoint_does_not_lose_jobs() {
         let endpoints = vec![dead_endpoint(), WorkerEndpoint::tcp(spawn_worker())];
         let payloads: Vec<String> = (0..8).map(|i| format!("j{i}")).collect();
-        let answers = Dispatcher::new(endpoints)
-            .dispatch(&payloads, &|_| {})
-            .unwrap();
+        let answers = dispatch_plain(&Dispatcher::new(endpoints), &payloads).unwrap();
         assert_eq!(answers[7], "echo:j7");
         assert_eq!(answers.len(), 8);
     }
@@ -701,9 +660,14 @@ mod tests {
         let completions = AtomicUsize::new(0);
         let start = std::time::Instant::now();
         let answers = Dispatcher::new(endpoints)
-            .dispatch(&payloads, &|_| {
-                completions.fetch_add(1, Ordering::Relaxed);
-            })
+            .dispatch(
+                &plain_jobs(&payloads),
+                &BlobSet::new(),
+                &|_| {
+                    completions.fetch_add(1, Ordering::Relaxed);
+                },
+                &|_, _| Ok(()),
+            )
             .unwrap();
         assert!(
             start.elapsed() < Duration::from_millis(3500),
@@ -717,14 +681,8 @@ mod tests {
     #[test]
     fn worker_reported_failures_are_permanent_and_lowest_index_wins() {
         let endpoints = vec![WorkerEndpoint::tcp(spawn_worker())];
-        let payloads = vec![
-            "fine".to_string(),
-            "fail:second is bad".to_string(),
-            "fail:third is bad".to_string(),
-        ];
-        let err = Dispatcher::new(endpoints)
-            .dispatch(&payloads, &|_| {})
-            .unwrap_err();
+        let payloads = ["fine", "fail:second is bad", "fail:third is bad"];
+        let err = dispatch_plain(&Dispatcher::new(endpoints), &payloads).unwrap_err();
         match err {
             FleetError::Job { id, message } => {
                 assert_eq!(id, 1);
@@ -735,14 +693,32 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_handler_fails_its_batch_instead_of_hanging_it() {
+        // The handler panics on the middle job.  The worker answers it
+        // `failed` with the panic message, so the batch ends with a typed
+        // job error.  The dispatch runs on a helper thread, so a job that
+        // is never answered fails this test instead of hanging it.
+        let endpoints = vec![WorkerEndpoint::tcp(spawn_worker())];
+        let (sender, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let dispatcher = Dispatcher::new(endpoints);
+            let _ = sender.send(dispatch_plain(&dispatcher, &["ok", "panic:boom", "ok2"]));
+        });
+        match outcome.recv_timeout(Duration::from_secs(30)) {
+            Ok(Err(FleetError::Job { id, message })) => {
+                assert_eq!(id, 1);
+                assert!(message.contains("boom"), "{message}");
+            }
+            other => panic!("expected a typed job failure within 30 s, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn an_unreachable_pool_is_a_typed_error_not_a_hang() {
-        let err = Dispatcher::new(vec![dead_endpoint(), dead_endpoint()])
-            .dispatch(&["x".to_string()], &|_| {})
-            .unwrap_err();
+        let dispatcher = Dispatcher::new(vec![dead_endpoint(), dead_endpoint()]);
+        let err = dispatch_plain(&dispatcher, &["x"]).unwrap_err();
         assert!(matches!(err, FleetError::Exhausted { .. }), "got {err}");
-        let err = Dispatcher::new(Vec::new())
-            .dispatch(&["x".to_string()], &|_| {})
-            .unwrap_err();
+        let err = dispatch_plain(&Dispatcher::new(Vec::new()), &["x"]).unwrap_err();
         assert!(matches!(err, FleetError::Connect { .. }));
     }
 
@@ -758,13 +734,18 @@ mod tests {
         let payloads: Vec<String> = (0..4).map(|i| format!("v{i}")).collect();
         let rejected_once = std::sync::atomic::AtomicBool::new(false);
         let answers = Dispatcher::new(endpoints)
-            .dispatch_validated(&payloads, &|_| {}, &|id, _| {
-                if id == 0 && !rejected_once.swap(true, Ordering::SeqCst) {
-                    Err("first answer rejected".to_string())
-                } else {
-                    Ok(())
-                }
-            })
+            .dispatch(
+                &plain_jobs(&payloads),
+                &BlobSet::new(),
+                &|_| {},
+                &|id, _| {
+                    if id == 0 && !rejected_once.swap(true, Ordering::SeqCst) {
+                        Err("first answer rejected".to_string())
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
             .unwrap();
         assert_eq!(answers[0], "echo:v0");
         assert_eq!(answers.len(), 4);
@@ -773,49 +754,29 @@ mod tests {
         // A validator that never accepts exhausts the job's attempts
         // into a typed error instead of settling a poisoned answer.
         let err = Dispatcher::new(vec![WorkerEndpoint::tcp(spawn_worker())])
-            .dispatch_validated(&["x".to_string()], &|_| {}, &|_, _| Err("no".into()))
+            .dispatch(&plain_jobs(&["x"]), &BlobSet::new(), &|_| {}, &|_, _| {
+                Err("no".into())
+            })
             .unwrap_err();
         assert!(matches!(err, FleetError::Exhausted { .. }), "got {err}");
     }
 
     #[test]
     fn empty_batches_are_a_no_op() {
-        let answers = Dispatcher::new(vec![dead_endpoint()])
-            .dispatch(&[], &|_| {})
-            .unwrap();
+        let answers =
+            dispatch_plain(&Dispatcher::new(vec![dead_endpoint()]), &[] as &[&str]).unwrap();
         assert!(answers.is_empty());
-    }
-
-    #[test]
-    fn a_weighted_endpoint_holds_capacity_times_weight_in_flight() {
-        // One capacity-1 worker at weight 4: the event loop may keep
-        // 1 × 4 jobs in flight, and the worker executes them
-        // concurrently — four 300ms sleeps overlap instead of queueing.
-        let addr = spawn_worker();
-        let payloads: Vec<String> = (0..4).map(|i| format!("sleep:300:w{i}")).collect();
-        let dispatcher = Dispatcher::new_weighted(vec![(WorkerEndpoint::tcp(addr), 4)]);
-        let start = Instant::now();
-        let answers = dispatcher.dispatch(&payloads, &|_| {}).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(
-            answers,
-            (0..4).map(|i| format!("echo:w{i}")).collect::<Vec<_>>()
-        );
-        assert!(
-            elapsed < Duration::from_millis(900),
-            "weight-4 oversubscription should overlap the four sleeps (took {elapsed:?})"
-        );
     }
 
     /// A worker that joins via the registration listener, answers
     /// exactly one job, then hangs up — an elastic *leave* with work
     /// possibly still in flight.
     fn join_answer_one_then_leave(addr: String) {
-        use crate::frame::{read_frame, write_frame};
+        use crate::frame::{write_frame, FrameReader};
         use crate::protocol::Message;
         let stream = std::net::TcpStream::connect(addr).expect("dispatcher listener is up");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("sockets clone"));
-        let mut writer = stream;
+        let mut reader = FrameReader::new(&stream);
+        let mut writer = &stream;
         write_frame(
             &mut writer,
             &Message::Hello {
@@ -825,7 +786,7 @@ mod tests {
             .encode(),
         )
         .expect("hello goes out");
-        while let Ok(Some(frame)) = read_frame(&mut reader) {
+        while let Ok(Some(frame)) = reader.read_frame() {
             match Message::decode(&frame) {
                 Ok(Message::Job { id, payload, .. }) => {
                     let _ = write_frame(
@@ -867,15 +828,25 @@ mod tests {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(200));
-                let _ = crate::tcp::join_fleet(&addr, &scripted, &ServeOptions::default());
+                let _ = crate::tcp::join_fleet(
+                    &addr,
+                    &scripted,
+                    &ServeOptions::default(),
+                    &ScenarioStore::new(),
+                );
             });
         }
         let payloads: Vec<String> = (0..8).map(|i| format!("e{i}")).collect();
         let completions = AtomicUsize::new(0);
         let answers = dispatcher
-            .dispatch(&payloads, &|_| {
-                completions.fetch_add(1, Ordering::Relaxed);
-            })
+            .dispatch(
+                &plain_jobs(&payloads),
+                &BlobSet::new(),
+                &|_| {
+                    completions.fetch_add(1, Ordering::Relaxed);
+                },
+                &|_, _| Ok(()),
+            )
             .unwrap();
         assert_eq!(
             answers,
@@ -888,21 +859,20 @@ mod tests {
     /// `capacity` verbatim — greetings the stock [`ServeOptions`] worker
     /// (current version, capacity clamped at write time) cannot produce.
     fn spawn_hello_worker(version: u32, capacity: usize) -> String {
-        use crate::frame::{read_frame, write_frame};
+        use crate::frame::{write_frame, FrameReader};
         use crate::protocol::Message;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
             for stream in listener.incoming().flatten() {
                 std::thread::spawn(move || {
-                    let mut reader =
-                        std::io::BufReader::new(stream.try_clone().expect("sockets clone"));
-                    let mut writer = stream;
+                    let mut reader = FrameReader::new(&stream);
+                    let mut writer = &stream;
                     let hello = Message::Hello { version, capacity };
                     if write_frame(&mut writer, &hello.encode()).is_err() {
                         return;
                     }
-                    while let Ok(Some(frame)) = read_frame(&mut reader) {
+                    while let Ok(Some(frame)) = reader.read_frame() {
                         match Message::decode(&frame) {
                             Ok(Message::Job { id, payload, .. }) => {
                                 let _ = write_frame(
@@ -950,7 +920,7 @@ mod tests {
         ])
         .with_tuning(tuning);
         let payloads: Vec<String> = (0..9).map(|i| format!("m{i}")).collect();
-        dispatcher.dispatch(&payloads, &|_| {}).unwrap();
+        dispatch_plain(&dispatcher, &payloads).unwrap();
         // A pull reports whichever connections are warm right now; on a
         // loaded host a batch can finish before every handshake does,
         // leaving a worker legitimately unavailable.  Re-dispatch until
@@ -963,7 +933,7 @@ mod tests {
                 break;
             }
             let warmup: Vec<String> = (0..3).map(|i| format!("warm{round}-{i}")).collect();
-            dispatcher.dispatch(&warmup, &|_| {}).unwrap();
+            dispatch_plain(&dispatcher, &warmup).unwrap();
             metrics = dispatcher.worker_metrics();
         }
         assert_eq!(metrics.workers.len(), 3, "every endpoint is listed");
@@ -979,9 +949,7 @@ mod tests {
         );
         // The pull is repeatable and the pool still answers afterwards.
         assert_eq!(dispatcher.worker_metrics().reporting(), 2);
-        let again = dispatcher
-            .dispatch(&["after".to_string()], &|_| {})
-            .unwrap();
+        let again = dispatch_plain(&dispatcher, &["after"]).unwrap();
         assert_eq!(again, vec!["echo:after".to_string()]);
     }
 
@@ -990,9 +958,8 @@ mod tests {
         // A worker that will run no job is refused at the handshake: the
         // endpoint never becomes usable and the batch exhausts.
         let addr = spawn_hello_worker(crate::protocol::PROTOCOL_VERSION, 0);
-        let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
-            .dispatch(&["a".to_string()], &|_| {})
-            .unwrap_err();
+        let err =
+            dispatch_plain(&Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]), &["a"]).unwrap_err();
         match err {
             FleetError::Exhausted { last, .. } => {
                 assert!(last.contains("handshake"), "{last}");
@@ -1010,8 +977,7 @@ mod tests {
         // a handshake error naming the version.
         for version in [1, 2] {
             let addr = spawn_hello_worker(version, 1);
-            let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)])
-                .dispatch(&["a".to_string()], &|_| {})
+            let err = dispatch_plain(&Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]), &["a"])
                 .unwrap_err();
             match err {
                 FleetError::Exhausted { last, .. } => {

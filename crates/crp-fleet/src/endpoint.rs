@@ -18,8 +18,6 @@ use std::time::Duration;
 use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::FleetError;
 
-/// Default base poll interval: it caps the event loop's idle sleep.
-const TCP_POLL: Duration = Duration::from_millis(100);
 /// Default deadline for a fresh connection to deliver its hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default silence on a polling connection with work in flight before a
@@ -40,8 +38,6 @@ const STRAGGLER_GRACE: Duration = Duration::from_millis(250);
 /// every dispatcher starts with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchTuning {
-    /// Read-poll interval between frames (straggler/abandon checks).
-    pub poll: Duration,
     /// How long a fresh connection may take to deliver its hello.
     pub handshake_timeout: Duration,
     /// Silence with work in flight before a health-check ping goes out.
@@ -57,7 +53,6 @@ pub struct DispatchTuning {
 impl Default for DispatchTuning {
     fn default() -> Self {
         Self {
-            poll: TCP_POLL,
             handshake_timeout: HANDSHAKE_TIMEOUT,
             ping_after: PING_AFTER,
             ping_timeout: PING_TIMEOUT,
@@ -217,21 +212,15 @@ pub(crate) fn spawn_pipe_feeder(
 /// One entry of a [`FleetManifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetEntry {
-    /// `local[:N][*w]` — N dispatcher-spawned subprocess workers, each
-    /// with capacity weight `w`.
+    /// `local[:N]` — N dispatcher-spawned subprocess workers.
     Local {
         /// Pool size (at least 1).
         workers: usize,
-        /// Capacity weight (at least 1): the scheduler keeps up to
-        /// `hello capacity × weight` jobs in flight per connection.
-        weight: usize,
     },
-    /// `host:port[*w]` — one remote TCP worker with capacity weight `w`.
+    /// `host:port` — one remote TCP worker.
     Tcp {
         /// The address to dial.
         addr: String,
-        /// Capacity weight (at least 1).
-        weight: usize,
     },
 }
 
@@ -242,18 +231,16 @@ pub struct FleetManifest {
 }
 
 impl FleetManifest {
-    /// Parses `local[:N][*w]` and `host:port[*w]` entries from a
-    /// comma-separated manifest, e.g.
-    /// `local:4,10.0.0.7:9311*2,10.0.0.8:9311`.  The optional `*w`
-    /// suffix is a capacity weight: the scheduler keeps up to
-    /// `hello capacity × w` jobs in flight on that worker's connection.
+    /// Parses `local[:N]` and `host:port` entries from a comma-separated
+    /// manifest, e.g. `local:4,10.0.0.7:9311,10.0.0.8:9311`.  How many
+    /// jobs a worker runs at once is the worker's own setting
+    /// (`worker --capacity N`), advertised in its hello.
     ///
     /// # Errors
     ///
     /// [`FleetError::Manifest`] naming the first offending entry: empty
     /// manifests and entries, `local:0`, an unparsable local count, a
-    /// missing or out-of-range port, an empty host, or a weight suffix
-    /// that is not a positive integer (`*0`, `*-1`, garbage).
+    /// missing or out-of-range port, or an empty host.
     pub fn parse(text: &str) -> Result<Self, FleetError> {
         let reject = |entry: &str, reason: &str| FleetError::Manifest {
             entry: entry.to_string(),
@@ -265,35 +252,18 @@ impl FleetManifest {
             if entry.is_empty() {
                 return Err(reject(raw, "empty entry"));
             }
-            let (body, weight) = match entry.rsplit_once('*') {
-                Some((body, suffix)) => {
-                    let weight = suffix
-                        .trim()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&weight| weight > 0)
-                        .ok_or_else(|| {
-                            reject(entry, "expected a positive integer weight after '*'")
-                        })?;
-                    (body.trim(), weight)
-                }
-                None => (entry, 1),
-            };
-            if body.is_empty() {
-                return Err(reject(entry, "empty entry before the '*' weight"));
-            }
-            if body == "local" {
-                entries.push(FleetEntry::Local { workers: 1, weight });
-            } else if let Some(count) = body.strip_prefix("local:") {
+            if entry == "local" {
+                entries.push(FleetEntry::Local { workers: 1 });
+            } else if let Some(count) = entry.strip_prefix("local:") {
                 let workers = count
                     .parse::<usize>()
                     .map_err(|_| reject(entry, "expected local:<positive worker count>"))?;
                 if workers == 0 {
                     return Err(reject(entry, "a local pool needs at least one worker"));
                 }
-                entries.push(FleetEntry::Local { workers, weight });
+                entries.push(FleetEntry::Local { workers });
             } else {
-                let (host, port) = body
+                let (host, port) = entry
                     .rsplit_once(':')
                     .ok_or_else(|| reject(entry, "expected local[:N] or host:port"))?;
                 if host.is_empty() {
@@ -302,8 +272,7 @@ impl FleetManifest {
                 port.parse::<u16>()
                     .map_err(|_| reject(entry, "expected a port in 0..=65535"))?;
                 entries.push(FleetEntry::Tcp {
-                    addr: body.to_string(),
-                    weight,
+                    addr: entry.to_string(),
                 });
             }
         }
@@ -318,30 +287,18 @@ impl FleetManifest {
         &self.entries
     }
 
-    /// Expands the manifest into `(endpoint, weight)` pairs, in manifest
-    /// order — the form [`crate::Dispatcher::new_weighted`] consumes:
-    /// each `local:N` entry becomes N subprocess endpoints running
+    /// Expands the manifest into endpoints, in manifest order: each
+    /// `local:N` entry becomes N subprocess endpoints running
     /// `program args`, each `host:port` entry one TCP endpoint.
-    pub fn weighted_endpoints(
-        &self,
-        program: impl Into<PathBuf>,
-        args: Vec<String>,
-    ) -> Vec<(WorkerEndpoint, usize)> {
+    pub fn endpoints(&self, program: impl Into<PathBuf>, args: Vec<String>) -> Vec<WorkerEndpoint> {
         let program = program.into();
         let mut endpoints = Vec::new();
         for entry in &self.entries {
             match entry {
-                FleetEntry::Local { workers, weight } => {
-                    for _ in 0..*workers {
-                        endpoints.push((
-                            WorkerEndpoint::local(program.clone(), args.clone()),
-                            *weight,
-                        ));
-                    }
-                }
-                FleetEntry::Tcp { addr, weight } => {
-                    endpoints.push((WorkerEndpoint::tcp(addr.clone()), *weight));
-                }
+                FleetEntry::Local { workers } => endpoints.extend(
+                    (0..*workers).map(|_| WorkerEndpoint::local(program.clone(), args.clone())),
+                ),
+                FleetEntry::Tcp { addr } => endpoints.push(WorkerEndpoint::tcp(addr.clone())),
             }
         }
         endpoints
@@ -351,6 +308,7 @@ impl FleetManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::tests::dispatch_plain;
 
     #[test]
     fn manifests_parse_local_pools_and_remote_addresses() {
@@ -358,29 +316,17 @@ mod tests {
         assert_eq!(
             manifest.entries(),
             &[
-                FleetEntry::Local {
-                    workers: 3,
-                    weight: 1
-                },
+                FleetEntry::Local { workers: 3 },
                 FleetEntry::Tcp {
                     addr: "10.0.0.7:9311".into(),
-                    weight: 1
                 },
-                FleetEntry::Local {
-                    workers: 1,
-                    weight: 1
-                },
+                FleetEntry::Local { workers: 1 },
                 FleetEntry::Tcp {
                     addr: "worker-a:80".into(),
-                    weight: 1
                 },
             ]
         );
-        let endpoints: Vec<WorkerEndpoint> = manifest
-            .weighted_endpoints("/bin/worker", vec!["worker".into(), "--stdio".into()])
-            .into_iter()
-            .map(|(endpoint, _)| endpoint)
-            .collect();
+        let endpoints = manifest.endpoints("/bin/worker", vec!["worker".into(), "--stdio".into()]);
         assert_eq!(endpoints.len(), 3 + 1 + 1 + 1);
         assert_eq!(
             endpoints[0], endpoints[2],
@@ -390,41 +336,6 @@ mod tests {
             endpoints[3],
             WorkerEndpoint::tcp("10.0.0.7:9311"),
             "manifest order: all local:3 workers first, then the remotes in order"
-        );
-    }
-
-    #[test]
-    fn manifest_weights_round_trip_through_weighted_endpoints() {
-        let manifest = FleetManifest::parse("local:2*3, 10.0.0.7:9311*2 ,local*4,worker-a:80")
-            .expect("weighted manifest parses");
-        assert_eq!(
-            manifest.entries(),
-            &[
-                FleetEntry::Local {
-                    workers: 2,
-                    weight: 3
-                },
-                FleetEntry::Tcp {
-                    addr: "10.0.0.7:9311".into(),
-                    weight: 2
-                },
-                FleetEntry::Local {
-                    workers: 1,
-                    weight: 4
-                },
-                FleetEntry::Tcp {
-                    addr: "worker-a:80".into(),
-                    weight: 1
-                },
-            ]
-        );
-        let weighted = manifest.weighted_endpoints("/bin/worker", vec!["worker".into()]);
-        let weights: Vec<usize> = weighted.iter().map(|(_, weight)| *weight).collect();
-        assert_eq!(weights, vec![3, 3, 2, 4, 1]);
-        assert_eq!(
-            weighted[2].0,
-            WorkerEndpoint::tcp("10.0.0.7:9311"),
-            "the weight suffix is stripped off the dialed address"
         );
     }
 
@@ -439,15 +350,16 @@ mod tests {
             (":9311", "empty host"),
             ("host:notaport", "port"),
             ("host:99999", "port"),
-            ("local:2*0", "weight"),
-            ("local:2*-1", "weight"),
-            ("host:9311*lots", "weight"),
-            ("local*", "weight"),
-            ("*3", "empty entry"),
+            // Entries take no suffix: how many jobs a worker holds is
+            // its own `worker --capacity`.
+            ("local:2*3", "positive worker count"),
+            ("host:9311*2", "port"),
+            ("local*4", "host:port"),
         ] {
             match FleetManifest::parse(text) {
-                Err(FleetError::Manifest { reason, .. }) => {
+                Err(FleetError::Manifest { entry, reason }) => {
                     assert!(reason.contains(needle), "{text:?}: reason {reason:?}");
+                    assert!(text.contains(entry.trim()), "{text:?}: entry {entry:?}");
                 }
                 other => panic!("{text:?} parsed to {other:?}"),
             }
@@ -465,9 +377,7 @@ mod tests {
     #[test]
     fn connecting_to_a_missing_local_binary_is_a_typed_error() {
         let endpoint = WorkerEndpoint::local("/no/such/binary", vec![]);
-        let err = crate::Dispatcher::new(vec![endpoint])
-            .dispatch(&["x".to_string()], &|_| {})
-            .unwrap_err();
+        let err = dispatch_plain(&crate::Dispatcher::new(vec![endpoint]), &["x"]).unwrap_err();
         match err {
             FleetError::Exhausted { last, .. } => assert!(
                 last.contains("cannot reach fleet worker local worker /no/such/binary"),

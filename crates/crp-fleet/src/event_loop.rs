@@ -5,27 +5,29 @@
 //! `set_nonblocking`, subprocess stdio pipes via the feeder channel a
 //! [`crate::endpoint`] helper spawns (drained with `try_recv`) — and
 //! one loop round-robins accept / read / schedule / write over all of
-//! them.  No thread is spawned or joined per worker per batch, which is
-//! what makes fleets of hundreds of tiny-shard workers practical (see
+//! them.  Each connection's bytes go through the crate's one frame
+//! decoder (`frame::FrameDecoder`), fed whatever the non-blocking read
+//! returned.  No thread is spawned or joined per worker per batch, which
+//! is what makes fleets of hundreds of tiny-shard workers practical (see
 //! the `fleet_scale` bench).
 //!
 //! The crate forbids `unsafe`, so there is no raw `poll(2)` over fds;
 //! readiness is approximated by draining every source each round and
-//! sleeping adaptively (sub-millisecond, bounded by the tuning's poll
-//! interval) when a round made no progress.  With tens or hundreds of
-//! sources the loop is effectively always busy and the sleep never
-//! matters; on an idle tail it bounds wakeup latency to ~2ms.
+//! sleeping adaptively (from 100µs, doubling up to 2ms) when a round
+//! made no progress.  With tens or hundreds of sources the loop is
+//! effectively always busy and the sleep never matters; on an idle tail
+//! it bounds wakeup latency to ~2ms.
 //!
 //! Each batch owns one [`State`] — attempt accounting, straggler
 //! re-dispatch, ping health checks, capacity pipelining, blob shipping,
 //! and validation all run over it — and two pool features sit on top:
 //!
-//! * **Weights** — a connection may hold up to `hello capacity ×
-//!   endpoint weight` jobs, and fresh jobs go to the least-loaded
-//!   eligible connection (load compared as a fraction of that limit).
+//! * **Capacity** — a connection may hold up to its hello capacity in
+//!   jobs, and fresh jobs go to the least-loaded eligible connection
+//!   (load compared as a fraction of that capacity).
 //! * **Elastic membership** — when [`crate::Dispatcher::listen_for_workers`]
 //!   opened a registration listener, workers dialing it mid-run are
-//!   accepted into the loop as weight-1 connections (a worker speaks
+//!   accepted into the loop like any other connection (a worker speaks
 //!   hello first, so a dialed-in connection is byte-identical to an
 //!   accepted one); a joined worker that leaves has its in-flight jobs
 //!   requeued exactly like a dead fixed worker.
@@ -43,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use crate::dispatch::{AnswerValidator, BlobSet, Dispatcher, JobPayload, State};
 use crate::endpoint::{negotiate_hello, spawn_pipe_feeder, DispatchTuning, WorkerEndpoint};
-use crate::frame::{parse_header, write_frame, MAX_HEADER_BYTES};
+use crate::frame::{write_frame, FrameDecoder};
 use crate::obs::FleetObs;
 use crate::protocol::Message;
 use crate::FleetError;
@@ -53,68 +55,11 @@ use crate::FleetError;
 /// endpoint.
 const RECONNECT_LIMIT: usize = 3;
 
-/// Incremental frame parser for a non-blocking stream: bytes are fed in
-/// as they arrive and complete `frame <len>\n<payload>` frames are
-/// extracted, however the reads happened to chunk them.
-pub(crate) struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (drained lazily to amortise the memmove).
-    start: usize,
-}
-
-impl FrameDecoder {
-    fn new() -> Self {
-        Self {
-            buf: Vec::new(),
-            start: 0,
-        }
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// True when bytes of an unfinished frame are pending — an EOF here
-    /// is a truncation, not a clean close.
-    fn is_mid_frame(&self) -> bool {
-        self.start < self.buf.len()
-    }
-
-    /// Extracts the next complete frame, `Ok(None)` when more bytes are
-    /// needed.
-    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FleetError> {
-        let pending = &self.buf[self.start..];
-        let Some(newline) = pending.iter().position(|&byte| byte == b'\n') else {
-            if pending.len() > MAX_HEADER_BYTES {
-                return Err(FleetError::Malformed(format!(
-                    "frame header exceeds {MAX_HEADER_BYTES} bytes"
-                )));
-            }
-            self.compact();
-            return Ok(None);
-        };
-        let len = parse_header(&pending[..newline])?;
-        let total = newline + 1 + len;
-        if pending.len() < total {
-            self.compact();
-            return Ok(None);
-        }
-        let frame = pending[newline + 1..total].to_vec();
-        self.start += total;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
-        Ok(Some(frame))
-    }
-
-    fn compact(&mut self) {
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-    }
-}
+/// The idle sleep after a round that made no progress starts here and
+/// doubles up to [`MAX_IDLE`], which bounds the wakeup latency of an
+/// idle tail.
+const MIN_IDLE: Duration = Duration::from_micros(100);
+const MAX_IDLE: Duration = Duration::from_millis(2);
 
 /// The byte transport under one event-loop connection.
 enum Transport {
@@ -169,7 +114,7 @@ impl LoopConn {
         Self {
             transport,
             child,
-            decoder: FrameDecoder::new(),
+            decoder: FrameDecoder::default(),
             outbox: Vec::new(),
             eof: false,
             ready: false,
@@ -518,20 +463,9 @@ impl WarmPool {
 /// worker (`endpoint: None`; never reconnected — the worker re-dials).
 struct Slot {
     endpoint: Option<usize>,
-    weight: usize,
     conn: Option<LoopConn>,
     failures: usize,
     retry_at: Instant,
-}
-
-impl Slot {
-    /// Jobs this slot's connection may hold: negotiated capacity times
-    /// the endpoint's configured weight.
-    fn limit(&self) -> usize {
-        self.conn
-            .as_ref()
-            .map_or(0, |conn| conn.capacity * self.weight.max(1))
-    }
 }
 
 /// Tears a connection down: its outstanding jobs are requeued (or
@@ -621,11 +555,8 @@ fn pump(
         }
     }
     if conn.eof {
-        return Err(if conn.decoder.is_mid_frame() {
-            FleetError::Malformed("stream ended inside a frame".to_string())
-        } else {
-            FleetError::Closed
-        });
+        conn.decoder.finish()?;
+        return Err(FleetError::Closed);
     }
     Ok(progressed)
 }
@@ -655,7 +586,6 @@ pub(crate) fn run(
         let mut slots: Vec<Slot> = (0..dispatcher.endpoints.len())
             .map(|index| Slot {
                 endpoint: Some(index),
-                weight: dispatcher.weights[index].max(1),
                 conn: warm.fixed[index].take().map(|mut conn| {
                     conn.note_heard();
                     conn
@@ -668,7 +598,6 @@ pub(crate) fn run(
             conn.note_heard();
             slots.push(Slot {
                 endpoint: None,
-                weight: 1,
                 conn: Some(conn),
                 failures: 0,
                 retry_at: Instant::now(),
@@ -677,8 +606,6 @@ pub(crate) fn run(
         (listener, slots)
     };
 
-    const MIN_IDLE: Duration = Duration::from_micros(100);
-    let max_idle = tuning.poll.min(Duration::from_millis(2)).max(MIN_IDLE);
     let mut idle = MIN_IDLE;
     // While the pool is empty but a listener is open, how long to keep
     // waiting for a worker to join before giving the batch up.
@@ -696,7 +623,6 @@ pub(crate) fn run(
                             Ok(conn) => {
                                 slots.push(Slot {
                                     endpoint: None,
-                                    weight: 1,
                                     conn: Some(conn),
                                     failures: 0,
                                     retry_at: Instant::now(),
@@ -789,8 +715,8 @@ pub(crate) fn run(
         }
 
         // Fill phase: queued jobs go to the least-loaded eligible
-        // connection (load as a fraction of capacity × weight, compared
-        // by cross-multiplication), skipping connections that already
+        // connection (load as a fraction of its capacity, compared by
+        // cross-multiplication), skipping connections that already
         // hold the job — a duplicate id on one stream would read as a
         // protocol violation.  Jobs nobody can take yet return to the
         // queue front in order.
@@ -805,21 +731,18 @@ pub(crate) fn run(
                 let Some(conn) = slot.conn.as_ref() else {
                     continue;
                 };
-                if !conn.ready || conn.outstanding.len() >= slot.limit() {
+                if !conn.ready || conn.outstanding.len() >= conn.capacity {
                     continue;
                 }
                 any_spare = true;
                 if conn.outstanding.contains(&job) {
                     continue;
                 }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let best_conn = slots[b].conn.as_ref().expect("best slot is live");
-                        conn.outstanding.len() * slots[b].limit()
-                            < best_conn.outstanding.len() * slot.limit()
-                    }
-                };
+                let better = best.is_none_or(|b| {
+                    let best_conn = slots[b].conn.as_ref().expect("best slot is live");
+                    conn.outstanding.len() * best_conn.capacity
+                        < best_conn.outstanding.len() * conn.capacity
+                });
                 if better {
                     best = Some(i);
                 }
@@ -945,7 +868,7 @@ pub(crate) fn run(
             idle = MIN_IDLE;
         } else {
             std::thread::sleep(idle);
-            idle = (idle * 2).min(max_idle);
+            idle = (idle * 2).min(MAX_IDLE);
         }
     }
 
@@ -971,66 +894,4 @@ pub(crate) fn run(
         }
     }
     state
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::frame::MAX_FRAME_BYTES;
-
-    #[test]
-    fn frame_decoder_reassembles_arbitrarily_chunked_frames() {
-        let mut wire = Vec::new();
-        crate::frame::write_frame(&mut wire, b"first\npayload").unwrap();
-        crate::frame::write_frame(&mut wire, b"").unwrap();
-        crate::frame::write_frame(&mut wire, b"third").unwrap();
-        // Feed one byte at a time: every split point is exercised.
-        let mut decoder = FrameDecoder::new();
-        let mut frames = Vec::new();
-        for &byte in &wire {
-            decoder.feed(&[byte]);
-            while let Some(frame) = decoder.next_frame().unwrap() {
-                frames.push(frame);
-            }
-        }
-        assert_eq!(
-            frames,
-            vec![b"first\npayload".to_vec(), b"".to_vec(), b"third".to_vec()]
-        );
-        assert!(!decoder.is_mid_frame(), "no partial frame left over");
-    }
-
-    #[test]
-    fn frame_decoder_rejects_garbage_and_oversize() {
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(b"!!fleet-garbage!!\n");
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(FleetError::Malformed(_))
-        ));
-
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(format!("frame {}\n", MAX_FRAME_BYTES + 1).as_bytes());
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(FleetError::Malformed(_))
-        ));
-
-        // A header that never terminates is rejected at the length cap
-        // instead of buffering forever.
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&[b'x'; MAX_HEADER_BYTES + 1]);
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(FleetError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn frame_decoder_tracks_mid_frame_state_for_truncation() {
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(b"frame 4096\ntruncat");
-        assert!(decoder.next_frame().unwrap().is_none(), "incomplete frame");
-        assert!(decoder.is_mid_frame(), "an EOF here is a truncation");
-    }
 }

@@ -6,8 +6,13 @@
 //! payloads may contain anything (including newlines and the header
 //! literal) and a truncated stream is detected instead of silently
 //! concatenating two messages.
+//!
+//! One byte loop parses frames: the incremental `FrameDecoder`, fed
+//! whatever bytes have arrived.  The dispatcher's event loop feeds it
+//! from non-blocking sockets and pipes; [`FrameReader`] feeds it from a
+//! blocking stream (workers, the sweep daemon and its clients).
 
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 
 use crate::FleetError;
 
@@ -36,24 +41,13 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), FleetE
     Ok(())
 }
 
-/// True for the error kinds a read-timeout-configured stream produces
-/// when no data arrived in time.
-fn is_timeout(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
 /// Longest header line a well-formed frame can produce
 /// (`frame <len>\n` with `len <= MAX_FRAME_BYTES`).
-pub(crate) const MAX_HEADER_BYTES: usize = 32;
+const MAX_HEADER_BYTES: usize = 32;
 
-/// Parses a header line (without its `\n`) into the payload length: the
-/// one header rule [`read_frame`] and the event loop's incremental
-/// decoder share.  The length is canonical decimal, at most
-/// [`MAX_FRAME_BYTES`].
-pub(crate) fn parse_header(header: &[u8]) -> Result<usize, FleetError> {
+/// Parses a header line (without its `\n`) into the payload length.
+/// The length is canonical decimal, at most [`MAX_FRAME_BYTES`].
+fn parse_header(header: &[u8]) -> Result<usize, FleetError> {
     let header = std::str::from_utf8(header)
         .map_err(|_| FleetError::Malformed("frame header is not UTF-8".into()))?;
     let len = header
@@ -68,107 +62,134 @@ pub(crate) fn parse_header(header: &[u8]) -> Result<usize, FleetError> {
     Ok(len)
 }
 
-/// Reads the header line byte-wise off the buffered stream, retrying
-/// read timeouts: once a frame has *started* arriving the read is
-/// committed — a slow link must never corrupt a half-read frame.
-fn read_header_line(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetError> {
-    enum Step {
-        Eof,
-        Consumed { bytes: usize, complete: bool },
-        Retry,
+/// Incremental frame parser: bytes are fed in as they arrive and
+/// complete `frame <len>\n<payload>` frames are extracted, however the
+/// reads happened to chunk them.  Nothing is allocated for a payload
+/// before its bytes arrive, so a header alone costs nothing.
+#[derive(Debug, Default)]
+pub(crate) struct FrameDecoder {
+    buf: Vec<u8>,
+    /// Consumed prefix of `buf` (drained lazily to amortise the memmove).
+    start: usize,
+}
+
+impl FrameDecoder {
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
-    let mut header: Vec<u8> = Vec::new();
-    loop {
-        let step = match reader.fill_buf() {
-            Ok([]) => Step::Eof,
-            Ok(available) => match available.iter().position(|&byte| byte == b'\n') {
-                Some(newline) => {
-                    header.extend_from_slice(&available[..newline]);
-                    Step::Consumed {
-                        bytes: newline + 1,
-                        complete: true,
-                    }
-                }
-                None => {
-                    header.extend_from_slice(available);
-                    Step::Consumed {
-                        bytes: available.len(),
-                        complete: false,
-                    }
-                }
-            },
-            Err(e) if is_timeout(e.kind()) || e.kind() == std::io::ErrorKind::Interrupted => {
-                Step::Retry
+
+    /// Judges an end of stream: clean between frames, a truncation while
+    /// bytes of an unfinished frame are pending.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Malformed`] when the stream ended inside a frame.
+    pub(crate) fn finish(&self) -> Result<(), FleetError> {
+        if self.start < self.buf.len() {
+            return Err(FleetError::Malformed(
+                "stream ended inside a frame".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Extracts the next complete frame, `Ok(None)` when more bytes are
+    /// needed.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Malformed`] for a bad or oversized header, or a
+    /// header line longer than any well-formed one.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FleetError> {
+        let pending = &self.buf[self.start..];
+        let Some(newline) = pending.iter().position(|&byte| byte == b'\n') else {
+            if pending.len() > MAX_HEADER_BYTES {
+                return Err(FleetError::Malformed(format!(
+                    "frame header exceeds {MAX_HEADER_BYTES} bytes"
+                )));
             }
-            Err(e) => return Err(e.into()),
+            self.compact();
+            return Ok(None);
         };
-        match step {
-            Step::Eof if header.is_empty() => return Ok(None),
-            Step::Eof => {
-                return Err(FleetError::Malformed(
-                    "stream ended inside a frame header".to_string(),
-                ))
-            }
-            Step::Consumed { bytes, complete } => {
-                reader.consume(bytes);
-                if complete {
-                    return Ok(Some(header));
-                }
-                if header.len() > MAX_HEADER_BYTES {
-                    return Err(FleetError::Malformed(format!(
-                        "frame header exceeds {MAX_HEADER_BYTES} bytes"
-                    )));
-                }
-            }
-            Step::Retry => {}
+        let len = parse_header(&pending[..newline])?;
+        let total = newline + 1 + len;
+        if pending.len() < total {
+            self.compact();
+            return Ok(None);
+        }
+        let frame = pending[newline + 1..total].to_vec();
+        self.start += total;
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
         }
     }
 }
 
-/// Reads one frame, or `None` on a clean end of stream (no header bytes
-/// at all).
-///
-/// Read timeouts configured on the underlying stream are retried here,
-/// never treated as the end of a frame already in flight on a slow
-/// link.
-///
-/// # Errors
-///
-/// [`FleetError::Malformed`] for a bad or oversized header and for a
-/// stream that ends mid-frame (truncation); [`FleetError::Io`] for a
-/// transport failure.
-pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetError> {
-    let Some(header) = read_header_line(reader)? else {
-        return Ok(None);
-    };
-    let len = parse_header(&header)?;
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match reader.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(FleetError::Malformed(format!(
-                    "frame truncated: expected {len} payload bytes, got {filled}"
-                )));
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(e.kind()) || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+/// Reads frames off a blocking byte stream: one `FrameDecoder` per
+/// connection, fed with reads until a frame is complete.  Bytes past the
+/// end of a frame stay buffered for the next call.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    decoder: FrameDecoder,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader over `inner` with nothing buffered yet.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            decoder: FrameDecoder::default(),
         }
     }
-    Ok(Some(payload))
+
+    /// Reads one frame, or `None` on a clean end of stream (no frame
+    /// bytes pending).
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Malformed`] for a bad or oversized header and for a
+    /// stream that ends mid-frame (truncation); [`FleetError::Io`] for a
+    /// transport failure.
+    pub fn read_frame(&mut self) -> Result<Option<Vec<u8>>, FleetError> {
+        let mut buffer = [0u8; 8192];
+        loop {
+            if let Some(frame) = self.decoder.next_frame()? {
+                return Ok(Some(frame));
+            }
+            match self.inner.read(&mut buffer) {
+                Ok(0) => {
+                    self.decoder.finish()?;
+                    return Ok(None);
+                }
+                Ok(n) => self.decoder.feed(&buffer[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn round_trip(payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, payload).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        read_frame(&mut reader).unwrap().unwrap()
+    fn read_all(wire: &[u8]) -> Result<Vec<Vec<u8>>, FleetError> {
+        let mut reader = FrameReader::new(wire);
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.read_frame()? {
+            frames.push(frame);
+        }
+        Ok(frames)
     }
 
     #[test]
@@ -180,7 +201,9 @@ mod tests {
             b"frame 12\nnested header literal",
             &[0u8, 255, 10, 13, 0],
         ] {
-            assert_eq!(round_trip(payload), payload);
+            let mut wire = Vec::new();
+            write_frame(&mut wire, payload).unwrap();
+            assert_eq!(read_all(&wire).unwrap(), vec![payload.to_vec()]);
         }
     }
 
@@ -189,10 +212,10 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"first\n").unwrap();
         write_frame(&mut wire, b"second").unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"first\n");
-        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"second");
-        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+        let mut reader = FrameReader::new(wire.as_slice());
+        assert_eq!(reader.read_frame().unwrap().unwrap(), b"first\n");
+        assert_eq!(reader.read_frame().unwrap().unwrap(), b"second");
+        assert!(reader.read_frame().unwrap().is_none(), "clean EOF");
     }
 
     #[test]
@@ -201,80 +224,73 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"twelve bytes").unwrap();
         wire.truncate(wire.len() - 5);
-        let mut reader = BufReader::new(wire.as_slice());
-        assert!(matches!(
-            read_frame(&mut reader),
-            Err(FleetError::Malformed(_))
-        ));
         // Header cut short (no trailing newline).
-        let mut reader = BufReader::new(b"frame 12".as_slice());
-        assert!(matches!(
-            read_frame(&mut reader),
-            Err(FleetError::Malformed(_))
-        ));
-        // Not a frame header at all.
-        let mut reader = BufReader::new(b"!!not-a-frame!!\n".as_slice());
-        assert!(matches!(
-            read_frame(&mut reader),
-            Err(FleetError::Malformed(_))
-        ));
-        // Unparsable and oversized lengths.
-        let mut reader = BufReader::new(b"frame zebra\n".as_slice());
-        assert!(read_frame(&mut reader).is_err());
-        let huge = format!("frame {}\n", MAX_FRAME_BYTES + 1);
-        let mut reader = BufReader::new(huge.as_bytes());
-        assert!(read_frame(&mut reader).is_err());
-        // Writers refuse oversized payloads outright (no allocation test —
-        // just the length check, exercised via the error path above).
+        for bad in [
+            wire.as_slice(),
+            b"frame 12",
+            b"!!not-a-frame!!\n",
+            b"frame zebra\n",
+            format!("frame {}\n", MAX_FRAME_BYTES + 1).as_bytes(),
+            &[b'x'; MAX_HEADER_BYTES + 1],
+        ] {
+            assert!(
+                matches!(read_all(bad), Err(FleetError::Malformed(_))),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
     }
 
     #[test]
     fn clean_eof_is_not_an_error() {
-        let mut reader = BufReader::new(b"".as_slice());
-        assert!(read_frame(&mut reader).unwrap().is_none());
+        assert!(read_all(b"").unwrap().is_empty());
     }
 
-    /// A reader that delivers its bytes in tiny chunks with a read
-    /// timeout (`WouldBlock`) before every one — the shape of a slow TCP
-    /// link under a 100ms poll timeout.
-    struct ChoppyReader {
-        bytes: Vec<u8>,
-        offset: usize,
-        ready: bool,
-    }
+    /// A reader that delivers one byte per `read` — the shape of a slow
+    /// link, where every header and payload byte arrives on its own.
+    struct OneByteReader<'a>(&'a [u8]);
 
-    impl std::io::Read for ChoppyReader {
+    impl Read for OneByteReader<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if !self.ready {
-                self.ready = true;
-                return Err(std::io::ErrorKind::WouldBlock.into());
-            }
-            self.ready = false;
-            if self.offset >= self.bytes.len() {
+            let Some((&byte, rest)) = self.0.split_first() else {
                 return Ok(0);
-            }
-            // One byte at a time, so every header byte and every payload
-            // byte is preceded by a timeout.
-            buf[0] = self.bytes[self.offset];
-            self.offset += 1;
+            };
+            buf[0] = byte;
+            self.0 = rest;
             Ok(1)
         }
     }
 
     #[test]
-    fn read_timeouts_mid_frame_are_retried_not_fatal() {
+    fn frames_reassemble_from_one_byte_reads() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"slow but healthy\nframe body").unwrap();
-        let mut reader = BufReader::new(ChoppyReader {
-            bytes: wire,
-            offset: 0,
-            ready: false,
-        });
-        // Once the frame starts, read_frame must ride the timeouts out.
+        write_frame(&mut wire, b"").unwrap();
+        write_frame(&mut wire, b"third").unwrap();
+        let mut reader = FrameReader::new(OneByteReader(&wire));
         assert_eq!(
-            read_frame(&mut reader).unwrap().unwrap(),
+            reader.read_frame().unwrap().unwrap(),
             b"slow but healthy\nframe body"
         );
-        assert!(read_frame(&mut reader).unwrap().is_none());
+        assert_eq!(reader.read_frame().unwrap().unwrap(), b"");
+        assert_eq!(reader.read_frame().unwrap().unwrap(), b"third");
+        assert!(reader.read_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn frame_decoder_tracks_mid_frame_state_for_truncation() {
+        let mut decoder = FrameDecoder::default();
+        decoder.feed(b"frame 4096\ntruncat");
+        assert!(decoder.next_frame().unwrap().is_none(), "incomplete frame");
+        assert!(
+            matches!(decoder.finish(), Err(FleetError::Malformed(_))),
+            "an EOF here is a truncation"
+        );
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"whole").unwrap();
+        let mut decoder = FrameDecoder::default();
+        decoder.feed(&wire);
+        assert_eq!(decoder.next_frame().unwrap().unwrap(), b"whole");
+        assert!(decoder.finish().is_ok(), "no partial frame left over");
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! * [`frame`] — length-prefixed framing over any byte stream (a header
 //!   line carrying the payload size, then exactly that many bytes), with
-//!   truncation and oversize rejection.
+//!   truncation and oversize rejection: one incremental decoder, fed by
+//!   the dispatcher's event loop and by [`frame::FrameReader`] on
+//!   blocking streams.
 //! * [`hash`] — content addressing: a self-contained SHA-256 and the
 //!   canonical hex digest shared by the blob protocol, the dispatcher,
 //!   and the `crp-serve` result cache.
@@ -27,12 +29,12 @@
 //! * [`worker`] — the long-lived worker loop: [`worker::serve`] answers a
 //!   stream of jobs over any `(Read, Write)` pair — N jobs per process
 //!   instead of one, executed concurrently so pings are answered even
-//!   mid-job — with a [`worker::ScenarioStore`] of received blobs and
-//!   [`worker::ServeOptions`] carrying the capacity knob and the fault
-//!   injection the failure tests use.
-//!   [`worker::serve_stdio_with_store`] binds it to a subprocess's stdio;
-//!   [`tcp::TcpWorker`] binds it to a listening socket with one
-//!   process-wide blob store shared across connections.
+//!   mid-job, and a panicking job answered as a failure — out of a
+//!   caller-owned [`worker::ScenarioStore`] of received blobs, with
+//!   [`worker::ServeOptions`] carrying the capacity and the fault
+//!   injection the failure tests use.  [`worker::serve_stdio`] binds it
+//!   to a subprocess's stdio; [`tcp::TcpWorker`] binds it to a listening
+//!   socket and [`tcp::join_fleet`] to a dialed-out one.
 //! * [`endpoint`] — [`endpoint::WorkerEndpoint`]: where a worker lives
 //!   (a local subprocess to spawn, or a `host:port` to dial), the
 //!   [`endpoint::DispatchTuning`] timing knobs, and the
@@ -47,13 +49,12 @@
 //!   [`dispatch::JobPayload`]s over a pool of endpoints on one
 //!   single-threaded readiness event loop multiplexing every connection
 //!   over non-blocking I/O: queued jobs go to the least-loaded
-//!   connection, up to the advertised hello capacity times the
-//!   endpoint's weight; [`dispatch::BlobSet`] blobs ship once per
-//!   worker; the outstanding jobs of **dead, wedged or straggling
-//!   workers are re-dispatched**; completions are deduplicated by job
-//!   id; workers may join elastically
-//!   ([`dispatch::Dispatcher::listen_for_workers`]); and connections
-//!   (with their spawned workers) stay warm across batches.
+//!   connection, up to the capacity its worker's hello advertised;
+//!   [`dispatch::BlobSet`] blobs ship once per worker; the outstanding
+//!   jobs of **dead, wedged or straggling workers are re-dispatched**;
+//!   completions are deduplicated by job id; workers may join
+//!   elastically ([`dispatch::Dispatcher::listen_for_workers`]); and
+//!   connections (with their spawned workers) stay warm across batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,14 +76,12 @@ use std::fmt;
 pub use chaos::{ChaosEvent, ChaosPlan, FaultKind};
 pub use dispatch::{BlobSet, Dispatcher, JobPayload};
 pub use endpoint::{DispatchTuning, FleetEntry, FleetManifest, WorkerEndpoint};
-pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+pub use frame::{write_frame, FrameReader, MAX_FRAME_BYTES};
 pub use hash::{content_hash, is_content_hash};
 pub use obs::{FleetMetrics, FleetSnapshot, WorkerHealth, WorkerMetrics};
 pub use protocol::{JobSpan, Message, PROTOCOL_VERSION};
-pub use tcp::{join_fleet, join_fleet_with_store, TcpWorker};
-pub use worker::{
-    serve, serve_stdio_with_store, serve_with_store, JobHandler, ScenarioStore, ServeOptions,
-};
+pub use tcp::{join_fleet, TcpWorker};
+pub use worker::{serve, serve_stdio, JobHandler, ScenarioStore, ServeOptions};
 
 /// Errors produced by the fleet transport and dispatcher.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -48,21 +48,6 @@ pub struct FleetSnapshot {
 }
 
 impl FleetSnapshot {
-    /// Total jobs dispatched across the pool.
-    pub fn dispatched(&self) -> u64 {
-        self.workers.iter().map(|w| w.dispatched).sum()
-    }
-
-    /// Total jobs requeued across the pool.
-    pub fn requeued(&self) -> u64 {
-        self.workers.iter().map(|w| w.requeued).sum()
-    }
-
-    /// Total health-check pings across the pool.
-    pub fn pings(&self) -> u64 {
-        self.workers.iter().map(|w| w.pings).sum()
-    }
-
     /// Renders the snapshot as a deterministic text report, one line
     /// per worker in sorted order.
     pub fn render(&self) -> String {

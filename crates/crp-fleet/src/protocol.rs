@@ -60,8 +60,8 @@ pub enum Message {
         /// The worker's [`PROTOCOL_VERSION`].
         version: u32,
         /// How many jobs the worker is willing to run concurrently on
-        /// this connection; the dispatcher keeps up to this many (times
-        /// the endpoint's weight) in flight.
+        /// this connection; the dispatcher keeps up to this many in
+        /// flight.
         capacity: usize,
     },
     /// Dispatcher → worker: execute this payload.

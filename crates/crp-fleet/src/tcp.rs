@@ -5,17 +5,24 @@
 //! `crp_experiments worker --listen host:port` on any machine, point a
 //! dispatcher at `host:port` via the fleet manifest, and the same framed
 //! protocol that runs over subprocess stdio runs over the socket.
+//! [`TcpWorker`] accepts dispatcher connections; [`join_fleet`] dials out
+//! to a dispatcher's registration listener.  Both serve out of a
+//! caller-owned [`ScenarioStore`], and both read and write the one
+//! socket through shared references (`&TcpStream` is `Read` and
+//! `Write`), so a connection never needs a cloned handle.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
-use crate::worker::{serve_with_store, JobHandler, ScenarioStore, ServeOptions};
+use crate::worker::{serve, JobHandler, ScenarioStore, ServeOptions};
 use crate::FleetError;
 
 /// Dials a dispatcher's worker-registration listener (see
 /// [`crate::Dispatcher::listen_for_workers`]) and serves jobs over the
-/// connection until the dispatcher says shutdown or hangs up — the
-/// elastic-membership worker half.  Because a worker speaks hello first,
-/// the dialed-out conversation is byte-identical to an accepted one.
+/// connection out of `store` until the dispatcher says shutdown or hangs
+/// up — the elastic-membership worker half.  Because a worker speaks
+/// hello first, the dialed-out conversation is byte-identical to an
+/// accepted one, and a worker that re-joins with the same store keeps
+/// the blobs it already received.
 ///
 /// Returns the number of jobs served once the dispatcher disconnects.
 ///
@@ -27,21 +34,6 @@ pub fn join_fleet(
     addr: impl ToSocketAddrs + std::fmt::Debug,
     handler: JobHandler<'_>,
     options: &ServeOptions,
-) -> Result<usize, FleetError> {
-    let store = ScenarioStore::new();
-    join_fleet_with_store(addr, handler, options, &store)
-}
-
-/// [`join_fleet`] with a caller-owned [`ScenarioStore`], so a worker
-/// that re-joins keeps the blobs it already received.
-///
-/// # Errors
-///
-/// As [`join_fleet`].
-pub fn join_fleet_with_store(
-    addr: impl ToSocketAddrs + std::fmt::Debug,
-    handler: JobHandler<'_>,
-    options: &ServeOptions,
     store: &ScenarioStore,
 ) -> Result<usize, FleetError> {
     let stream = TcpStream::connect(&addr).map_err(|e| FleetError::Connect {
@@ -49,9 +41,7 @@ pub fn join_fleet_with_store(
         reason: e.to_string(),
     })?;
     stream.set_nodelay(true).ok();
-    let mut reader = std::io::BufReader::new(stream.try_clone().map_err(FleetError::from)?);
-    let mut writer = stream;
-    serve_with_store(&mut reader, &mut writer, handler, options, store)
+    serve(&stream, &mut &stream, handler, options, store)
 }
 
 /// A bound TCP worker: accepts dispatcher connections and serves each on
@@ -89,11 +79,10 @@ impl TcpWorker {
     /// Accepts and serves connections until the process is killed, with
     /// one process-wide [`ScenarioStore`] shared by every connection —
     /// a blob shipped by one dispatcher run is still present when the
-    /// next run reconnects.  Per-connection
-    /// errors are reported on stderr and do not stop the accept loop —
-    /// one misbehaving dispatcher must not take the worker down for
-    /// everyone else.
-    pub fn serve_forever_with_store(
+    /// next run reconnects.  Per-connection errors are reported on
+    /// stderr and drop only that connection — one misbehaving dispatcher
+    /// must not take the worker down for everyone else.
+    pub fn serve_forever(
         &self,
         handler: JobHandler<'_>,
         options: &ServeOptions,
@@ -104,11 +93,7 @@ impl TcpWorker {
                 Ok((stream, peer)) => {
                     scope.spawn(move || {
                         stream.set_nodelay(true).ok();
-                        let mut reader = std::io::BufReader::new(
-                            stream.try_clone().expect("accepted sockets clone"),
-                        );
-                        let mut writer = stream;
-                        match serve_with_store(&mut reader, &mut writer, handler, options, store) {
+                        match serve(&stream, &mut &stream, handler, options, store) {
                             Ok(served) => {
                                 eprintln!("fleet worker: {peer} disconnected after {served} jobs");
                             }
@@ -120,18 +105,12 @@ impl TcpWorker {
             }
         })
     }
-
-    /// [`TcpWorker::serve_forever_with_store`] with a fresh process-wide
-    /// store.
-    pub fn serve_forever(&self, handler: JobHandler<'_>, options: &ServeOptions) -> ! {
-        let store = ScenarioStore::new();
-        self.serve_forever_with_store(handler, options, &store)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::tests::dispatch_plain;
     use crate::{Dispatcher, WorkerEndpoint};
 
     fn echo(payload: &str) -> Result<String, String> {
@@ -143,7 +122,9 @@ mod tests {
     fn spawn_echo_worker() -> SocketAddr {
         let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
         let addr = worker.local_addr().unwrap();
-        std::thread::spawn(move || worker.serve_forever(&echo, &ServeOptions::default()));
+        std::thread::spawn(move || {
+            worker.serve_forever(&echo, &ServeOptions::default(), &ScenarioStore::new())
+        });
         addr
     }
 
@@ -155,9 +136,7 @@ mod tests {
     fn tcp_round_trip_through_a_real_socket() {
         let addr = spawn_echo_worker();
         let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.to_string())]);
-        let answers = dispatcher
-            .dispatch(&jobs(&["job-0", "job-1", "job-2"]), &|_| {})
-            .unwrap();
+        let answers = dispatch_plain(&dispatcher, &["job-0", "job-1", "job-2"]).unwrap();
         assert_eq!(answers, jobs(&["echo:job-0", "echo:job-1", "echo:job-2"]));
     }
 
@@ -169,9 +148,7 @@ mod tests {
         let addr = spawn_echo_worker().to_string();
         let a = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())]);
         let b = Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]);
-        let ask = |dispatcher: &Dispatcher, job: &str| {
-            dispatcher.dispatch(&jobs(&[job]), &|_| {}).unwrap()
-        };
+        let ask = |dispatcher: &Dispatcher, job: &str| dispatch_plain(dispatcher, &[job]).unwrap();
         assert_eq!(ask(&a, "x"), jobs(&["echo:x"]));
         assert_eq!(ask(&b, "y"), jobs(&["echo:y"]));
         assert_eq!(ask(&a, "z"), jobs(&["echo:z"]));
@@ -190,9 +167,11 @@ mod tests {
             .unwrap()
             .port();
         let addr = format!("127.0.0.1:{port}");
-        let err = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())])
-            .dispatch(&jobs(&["x"]), &|_| {})
-            .unwrap_err();
+        let err = dispatch_plain(
+            &Dispatcher::new(vec![WorkerEndpoint::tcp(addr.clone())]),
+            &["x"],
+        )
+        .unwrap_err();
         match err {
             FleetError::Exhausted { last, .. } => assert!(
                 last.contains(&format!("cannot reach fleet worker tcp worker {addr}")),

@@ -4,9 +4,10 @@
 //! process instead of one spawn per job — which amortises process
 //! spawn, binary load and allocator warm-up over the whole batch.  The
 //! loop itself is transport agnostic: [`serve`] takes any
-//! `(Read, Write)` pair, [`serve_stdio_with_store`] binds it to the
-//! process's stdio (the local-pool transport), and [`crate::TcpWorker`]
-//! binds it to an accepted socket (the remote transport).
+//! `(Read, Write)` pair, [`serve_stdio`] binds it to the process's stdio
+//! (the local-pool transport), and [`crate::TcpWorker`] and
+//! [`crate::join_fleet`] bind it to a socket (the remote transports).
+//! Every one of them serves out of a caller-owned [`ScenarioStore`].
 //!
 //! Two behaviours live here:
 //!
@@ -16,18 +17,20 @@
 //!   answered immediately even mid-job (the dispatcher's health checks
 //!   stay meaningful), and a dispatcher that pipelines several jobs up
 //!   to the advertised hello capacity genuinely gets them executed in
-//!   parallel.
+//!   parallel.  A handler that panics is answered `failed` with the
+//!   panic message, so every job the loop accepts gets an answer.
 //! * **Scenario blobs** — `scenario-put` stores a content-addressed
 //!   blob (hash-verified) in the connection's [`ScenarioStore`].  Job
 //!   handlers resolve payload references out of the same store, so a
 //!   scenario's masses ship once per worker instead of once per shard.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
+use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
 use crate::chaos::FaultKind;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{write_frame, FrameReader};
 use crate::hash::content_hash;
 use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::FleetError;
@@ -149,23 +152,25 @@ impl ServeOptions {
     }
 }
 
-/// Serves one connection with a caller-owned blob store: sends the hello
-/// handshake, then answers jobs (and pings, blob shipments and metrics
-/// pulls) until the peer shuts the stream down.  Returns the number of
-/// jobs accepted.
+/// Serves one connection out of a caller-owned blob store: sends the
+/// hello handshake, then answers jobs (and pings, blob shipments and
+/// metrics pulls) until the peer shuts the stream down.  Returns the
+/// number of jobs accepted.
 ///
 /// Jobs execute on scoped threads so the read loop keeps draining pings
 /// and pipelined jobs while earlier jobs compute; answers may therefore
 /// leave in completion order, not arrival order (the dispatcher matches
-/// them by id).
+/// them by id).  A job whose handler panics is answered `failed` with
+/// the panic message: the answer is a function of the payload, so the
+/// dispatcher reports it rather than retrying it elsewhere.
 ///
 /// # Errors
 ///
 /// [`FleetError`] for transport failures and malformed or unexpected
 /// incoming messages (including a `scenario-put` whose blob does not
 /// hash to its claimed address).
-pub fn serve_with_store(
-    reader: &mut impl BufRead,
+pub fn serve(
+    reader: impl Read,
     writer: &mut (impl Write + Send),
     handler: JobHandler<'_>,
     options: &ServeOptions,
@@ -188,13 +193,14 @@ pub fn serve_with_store(
     // The first write failure a job thread hits; surfaced from the main
     // loop because scoped threads cannot return early out of it.
     let write_error: Mutex<Option<FleetError>> = Mutex::new(None);
+    let mut reader = FrameReader::new(reader);
     let mut served = 0usize;
     std::thread::scope(|scope| {
         loop {
             if let Some(error) = write_error.lock().expect("no serve panics").take() {
                 return Err(error);
             }
-            let Some(payload) = read_frame(reader)? else {
+            let Some(payload) = reader.read_frame()? else {
                 return Ok(served);
             };
             match Message::decode(&payload)? {
@@ -245,9 +251,22 @@ pub fn serve_with_store(
                             id: span.id,
                             parent: span.parent,
                         }));
-                        let answer = match handler(&payload) {
-                            Ok(payload) => Message::Done { id, payload },
-                            Err(message) => Message::Failed { id, message },
+                        // A panic is caught so the job still gets an
+                        // answer.  The closure borrows only the handler and
+                        // this job's payload, so the unwind leaves none of
+                        // the loop's state half-updated.
+                        let answer = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            handler(&payload)
+                        })) {
+                            Ok(Ok(payload)) => Message::Done { id, payload },
+                            Ok(Err(message)) => Message::Failed { id, message },
+                            Err(panic) => Message::Failed {
+                                id,
+                                message: format!(
+                                    "the job handler panicked: {}",
+                                    panic_message(panic.as_ref())
+                                ),
+                            },
                         };
                         crp_obs::set_current_span(None);
                         if let Err(error) = send(writer, &answer) {
@@ -286,46 +305,47 @@ pub fn serve_with_store(
     })
 }
 
-/// Serves one connection with a fresh, connection-scoped blob store.
-/// See [`serve_with_store`].
-///
-/// # Errors
-///
-/// As [`serve_with_store`].
-pub fn serve(
-    reader: &mut impl BufRead,
-    writer: &mut (impl Write + Send),
-    handler: JobHandler<'_>,
-    options: &ServeOptions,
-) -> Result<usize, FleetError> {
-    serve_with_store(reader, writer, handler, options, &ScenarioStore::new())
+/// The message a panic was raised with, if it carried one.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
 }
 
 /// Serves the process's stdin/stdout — the transport of a
-/// dispatcher-spawned local pool worker — with a caller-owned store (so
-/// the handler can resolve blob references out of it).
+/// dispatcher-spawned local pool worker — out of a caller-owned store
+/// (so the handler can resolve blob references out of it).
 ///
 /// # Errors
 ///
-/// As [`serve_with_store`].
-pub fn serve_stdio_with_store(
+/// As [`serve`].
+pub fn serve_stdio(
     handler: JobHandler<'_>,
     options: &ServeOptions,
     store: &ScenarioStore,
 ) -> Result<usize, FleetError> {
-    let stdin = std::io::stdin();
     // `Stdout` (not the non-`Send` `StdoutLock`) — every write locks
     // internally, and the serve loop serialises writers anyway.
     let mut stdout = std::io::stdout();
-    serve_with_store(&mut stdin.lock(), &mut stdout, handler, options, store)
+    serve(
+        std::io::stdin().lock(),
+        &mut stdout,
+        handler,
+        options,
+        store,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn echo(payload: &str) -> Result<String, String> {
+        if let Some(message) = payload.strip_prefix("panic:") {
+            panic!("{message}");
+        }
         match payload.strip_prefix("fail:") {
             Some(message) => Err(message.to_string()),
             None => Ok(format!("echo:{payload}")),
@@ -342,18 +362,17 @@ mod tests {
         for message in messages {
             write_frame(&mut request_bytes, &message.encode()).unwrap();
         }
-        let mut reader = BufReader::new(request_bytes.as_slice());
         let mut response_bytes = Vec::new();
-        let served = serve_with_store(
-            &mut reader,
+        let served = serve(
+            request_bytes.as_slice(),
             &mut response_bytes,
             &echo,
             &ServeOptions::default(),
             store,
         );
         let mut responses = Vec::new();
-        let mut response_reader = BufReader::new(response_bytes.as_slice());
-        while let Some(frame) = read_frame(&mut response_reader).unwrap() {
+        let mut response_reader = FrameReader::new(response_bytes.as_slice());
+        while let Some(frame) = response_reader.read_frame().unwrap() {
             responses.push(Message::decode(&frame).unwrap());
         }
         let hello = responses.remove(0);
@@ -417,6 +436,36 @@ mod tests {
         for message in expect {
             assert!(responses.contains(&message), "missing {message:?}");
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_with_failed() {
+        let (served, responses) = converse(&[
+            Message::Job {
+                id: 1,
+                payload: "panic:boom".into(),
+                span: None,
+            },
+            Message::Job {
+                id: 2,
+                payload: "after".into(),
+                span: None,
+            },
+            Message::Shutdown,
+        ]);
+        assert_eq!(served.unwrap(), 2, "the loop survives the panic");
+        assert_eq!(responses.len(), 2);
+        assert!(
+            responses.iter().any(|message| matches!(
+                message,
+                Message::Failed { id: 1, message } if message.contains("panicked: boom")
+            )),
+            "{responses:?}"
+        );
+        assert!(responses.contains(&Message::Done {
+            id: 2,
+            payload: "echo:after".into(),
+        }));
     }
 
     #[test]
@@ -508,10 +557,11 @@ mod tests {
         write_frame(&mut request, &Message::Shutdown.encode()).unwrap();
         let mut sink = Vec::new();
         serve(
-            &mut BufReader::new(request.as_slice()),
+            request.as_slice(),
             &mut sink,
             &handler,
             &ServeOptions::default(),
+            &ScenarioStore::new(),
         )
         .unwrap();
         let span = seen.lock().unwrap().clone().expect("handler saw a span");
@@ -535,8 +585,8 @@ mod tests {
         .unwrap();
         write_frame(&mut request, &Message::Shutdown.encode()).unwrap();
         let mut sink = Vec::new();
-        serve_with_store(
-            &mut BufReader::new(request.as_slice()),
+        serve(
+            request.as_slice(),
             &mut sink,
             &echo,
             &ServeOptions::default(),
@@ -563,23 +613,23 @@ mod tests {
             .encode(),
         )
         .unwrap();
-        let mut reader = BufReader::new(request_bytes.as_slice());
         let mut response_bytes = Vec::new();
         serve(
-            &mut reader,
+            request_bytes.as_slice(),
             &mut response_bytes,
             &echo,
             &ServeOptions {
                 garbage_after: Some(0),
                 ..Default::default()
             },
+            &ScenarioStore::new(),
         )
         .unwrap();
-        let mut response_reader = BufReader::new(response_bytes.as_slice());
+        let mut response_reader = FrameReader::new(response_bytes.as_slice());
         // The hello is fine...
-        assert!(read_frame(&mut response_reader).unwrap().is_some());
+        assert!(response_reader.read_frame().unwrap().is_some());
         // ...but the answer is not a frame.
-        assert!(read_frame(&mut response_reader).is_err());
+        assert!(response_reader.read_frame().is_err());
     }
 
     #[test]

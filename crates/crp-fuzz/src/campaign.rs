@@ -18,9 +18,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crp_predict::{AdversaryKind, Scenario, ScenarioLibrary, Trace, TraceModel};
-use crp_protocols::{ProtocolRegistry, ProtocolSpec};
-use crp_sim::{RunnerConfig, SimError, SweepMatrix, SweepProtocol, SweepResults};
+use crp_predict::{AdversaryKind, Scenario, Trace, TraceModel};
+use crp_sim::{RunnerConfig, SweepMatrix, SweepProtocol, SweepResults};
 
 use crate::error::FuzzError;
 use crate::property::{property_by_name, Property, Violation};
@@ -127,50 +126,6 @@ fn mix_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds the sweep column for one registry protocol, with the same
-/// derivations the `crp_experiments sweep` CLI uses: universe, condensed
-/// advice prediction and a default population-size estimate from each
-/// scenario, and a `64·n` round budget for protocols without a bounded
-/// horizon.
-///
-/// # Errors
-///
-/// [`FuzzError::Sim`] when `name` is not in the protocol registry.
-pub fn protocol_column(name: &str) -> Result<SweepProtocol, FuzzError> {
-    if ProtocolRegistry::standard().entry(name).is_none() {
-        return Err(FuzzError::Sim(SimError::InvalidParameter {
-            what: format!("unknown protocol {name:?}; run `crp_experiments list` for the registry"),
-        }));
-    }
-    let spec_for = {
-        let name = name.to_string();
-        move |s: &Scenario| {
-            let n = s.distribution().max_size();
-            ProtocolSpec::new(name.clone())
-                .universe(n)
-                .prediction(s.advice_condensed())
-                .participants((n / 16).max(2))
-                .advice_bits(2)
-        }
-    };
-    // Horizon-boundedness is a property of the protocol type, so probe it
-    // once with a small representative scenario (as the CLI does).
-    let has_horizon = spec_for(&ScenarioLibrary::new(64)?.bimodal())
-        .build()
-        .ok()
-        .and_then(|protocol| protocol.horizon())
-        .is_some();
-    Ok(
-        SweepProtocol::from_scenario(name, spec_for).max_rounds_with(move |s| {
-            if has_horizon {
-                None
-            } else {
-                Some(64 * s.distribution().max_size())
-            }
-        }),
-    )
-}
-
 /// The accurate twin of a compiled trace scenario: same ground truth,
 /// advice replaced by the truth (divergence exactly zero).
 fn accurate_twin(scenario: &Scenario) -> Scenario {
@@ -204,7 +159,7 @@ pub fn evaluate_trace(
         .scenario(scenario)
         .trials(config.trials);
     for name in &config.protocols {
-        matrix = matrix.protocol(protocol_column(name)?);
+        matrix = matrix.protocol(SweepProtocol::registry(name)?);
     }
     let results = matrix.run()?;
     let violations = property.check(&results);
@@ -292,10 +247,11 @@ mod tests {
 
     #[test]
     fn unknown_protocols_and_empty_budgets_are_typed_errors() {
-        assert!(matches!(
-            protocol_column("no-such-protocol"),
-            Err(FuzzError::Sim(_))
-        ));
+        let config = FuzzConfig {
+            protocols: vec!["no-such-protocol".into()],
+            ..FuzzConfig::default()
+        };
+        assert!(matches!(run_campaign(&config), Err(FuzzError::Sim(_))));
         let config = FuzzConfig {
             budget: 0,
             ..FuzzConfig::default()

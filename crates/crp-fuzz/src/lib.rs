@@ -46,8 +46,7 @@ pub mod property;
 pub mod shrink;
 
 pub use campaign::{
-    evaluate_trace, protocol_column, run_campaign, CampaignReport, FailingTrace, FuzzConfig,
-    TraceEvaluation,
+    evaluate_trace, run_campaign, CampaignReport, FailingTrace, FuzzConfig, TraceEvaluation,
 };
 pub use corpus::{Corpus, TRACE_EXTENSION};
 pub use error::FuzzError;

@@ -216,6 +216,17 @@ impl RangeOracle {
         let high0 = (low0 + (1usize << remaining)).min(num_ranges);
         ((low0 + 1).min(num_ranges), high0.max(1))
     }
+
+    /// The advice for any participant set of size `participants`: the
+    /// leading `budget_bits` bits of the geometric range containing that
+    /// count.  The oracle reads nothing but the count, so callers that
+    /// only know a count need no id list.
+    pub fn advise_count(universe_size: usize, participants: usize, budget_bits: usize) -> Advice {
+        let range0 = range_index_for_size(participants.max(2)) - 1;
+        let range_bits = Self::range_bits(universe_size);
+        let used = budget_bits.min(range_bits);
+        Advice::from_value(range0 >> (range_bits - used), used)
+    }
 }
 
 impl AdviceOracle for RangeOracle {
@@ -230,12 +241,11 @@ impl AdviceOracle for RangeOracle {
                 what: "participant set is empty".into(),
             });
         }
-        let k = participants.len();
-        let range0 = range_index_for_size(k.max(2)) - 1;
-        let range_bits = Self::range_bits(universe_size);
-        let used = budget_bits.min(range_bits);
-        let shifted = range0 >> (range_bits - used);
-        Ok(Advice::from_value(shifted, used))
+        Ok(Self::advise_count(
+            universe_size,
+            participants.len(),
+            budget_bits,
+        ))
     }
 }
 

@@ -86,12 +86,13 @@ impl ProtocolParams {
             })
     }
 
-    /// Range-oracle advice for the expected participant count.
+    /// Range-oracle advice for the expected participant count, computed
+    /// from the count alone (a count from outside the program may be far
+    /// too large to materialise as an id list).
     fn range_advice(&self, protocol: &str) -> Result<Advice, ProtocolError> {
         let universe = self.require_universe(protocol)?;
         let k = self.require_participants(protocol)?;
-        let participants: Vec<usize> = vec![0; k];
-        Ok(RangeOracle.advise(universe, &participants, self.advice_bits)?)
+        Ok(RangeOracle::advise_count(universe, k, self.advice_bits))
     }
 }
 
@@ -622,6 +623,22 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, ProtocolError::MissingParameter { .. }));
+    }
+
+    #[test]
+    fn range_advice_needs_no_id_list_for_a_huge_participant_count() {
+        // A participant count of 2^62 can arrive from outside the program
+        // in a shard job; building the protocol must neither allocate an
+        // id per participant nor panic.
+        for name in ["advised-decay", "advised-willard"] {
+            let protocol = ProtocolSpec::new(name)
+                .universe(1024)
+                .participants(1 << 62)
+                .advice_bits(2)
+                .build()
+                .unwrap();
+            assert_eq!(protocol.name(), name);
+        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The sweep-service client: connect, submit, stream progress, collect
 //! the result.
 
-use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crp_fleet::frame::{read_frame, write_frame};
+use crp_fleet::frame::{write_frame, FrameReader};
 
 use crate::wire::{ServeMessage, Submission, SubmissionOutcome, SERVICE_VERSION};
 use crate::ServeError;
 
 /// One live connection to a [`crate::SweepServer`].
 pub struct ServeClient {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
 }
@@ -54,11 +53,11 @@ impl ServeClient {
             .map_err(|e| ServeError::Io(format!("cannot reach sweep server {addr:?}: {e}")))?;
         stream.set_nodelay(true).ok();
         let mut client = Self {
-            reader: BufReader::new(stream.try_clone()?),
+            reader: FrameReader::new(stream.try_clone()?),
             writer: stream,
             next_id: 1,
         };
-        let frame = read_frame(&mut client.reader)?.ok_or_else(|| {
+        let frame = client.reader.read_frame()?.ok_or_else(|| {
             ServeError::Io("the sweep server closed the connection before its hello".to_string())
         })?;
         match ServeMessage::decode(&frame)? {
@@ -111,7 +110,7 @@ impl ServeClient {
             .encode(),
         )?;
         loop {
-            let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
+            let frame = self.reader.read_frame()?.ok_or_else(|| {
                 ServeError::Io("the sweep server closed the connection mid-submission".to_string())
             })?;
             match ServeMessage::decode(&frame)? {
@@ -149,7 +148,7 @@ impl ServeClient {
         let id = self.next_id;
         self.next_id += 1;
         write_frame(&mut self.writer, &ServeMessage::Stats { id }.encode())?;
-        let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
+        let frame = self.reader.read_frame()?.ok_or_else(|| {
             ServeError::Io("the sweep server closed the connection mid-stats-request".to_string())
         })?;
         match ServeMessage::decode(&frame)? {

@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 
-use crp_fleet::frame::{read_frame, write_frame};
+use crp_fleet::frame::{write_frame, FrameReader};
 use crp_fleet::{BlobSet, Dispatcher, JobPayload, WorkerEndpoint};
 
 use crate::cache::ResultCache;
@@ -170,8 +170,8 @@ impl SweepServer {
         hooks: SubmissionHooks<'_>,
     ) -> Result<bool, ServeError> {
         stream.set_nodelay(true).ok();
-        let mut reader = std::io::BufReader::new(stream.try_clone()?);
-        let writer = Mutex::new(stream);
+        let mut reader = FrameReader::new(&stream);
+        let writer = Mutex::new(&stream);
         let send = |message: &ServeMessage| -> Result<(), ServeError> {
             let mut guard = writer.lock().expect("no server panics");
             write_frame(&mut *guard, &message.encode()).map_err(ServeError::from)
@@ -181,7 +181,7 @@ impl SweepServer {
         })?;
         let mut tenant = self.tenants.admit("anonymous");
         loop {
-            let Some(frame) = read_frame(&mut reader)? else {
+            let Some(frame) = reader.read_frame()? else {
                 return Ok(false);
             };
             match ServeMessage::decode(&frame)? {
@@ -395,7 +395,7 @@ impl SweepServer {
             let settled = Mutex::new(hits);
             fresh = self
                 .dispatcher
-                .dispatch_jobs(
+                .dispatch(
                     &payloads,
                     &submission.blobs,
                     &|_| {
@@ -491,7 +491,7 @@ mod tests {
     use super::*;
     use crate::client::ServeClient;
     use crate::wire::{cell_hash, SubmissionCell};
-    use crp_fleet::worker::ServeOptions;
+    use crp_fleet::worker::{ScenarioStore, ServeOptions};
     use crp_fleet::TcpWorker;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -508,7 +508,7 @@ mod tests {
                 count.fetch_add(1, Ordering::SeqCst);
                 Ok(format!("echo:{payload}"))
             };
-            worker.serve_forever(&handler, &ServeOptions::default())
+            worker.serve_forever(&handler, &ServeOptions::default(), &ScenarioStore::new())
         });
         (addr, executions)
     }
@@ -785,7 +785,12 @@ mod tests {
         std::thread::spawn(move || {
             let handler =
                 |payload: &str| -> Result<String, String> { Ok(format!("echo:{payload}")) };
-            let _ = crp_fleet::join_fleet(join_addr.as_str(), &handler, &ServeOptions::default());
+            let _ = crp_fleet::join_fleet(
+                join_addr.as_str(),
+                &handler,
+                &ServeOptions::default(),
+                &ScenarioStore::new(),
+            );
         });
         let outcome = server
             .run_submission(&demo_submission(), hooks(), &|_, _, _| {})

@@ -99,7 +99,7 @@ use std::process::ExitCode;
 
 use crp_fleet::{ChaosPlan, FleetManifest, ScenarioStore, ServeOptions, TcpWorker};
 use crp_predict::{ScenarioLibrary, Trace};
-use crp_protocols::{ProtocolRegistry, ProtocolSpec};
+use crp_protocols::ProtocolRegistry;
 use crp_serve::{ResultCache, ServeClient, SweepServer};
 use crp_sim::experiments::{
     baselines, entropy_sweep, kl_degradation, range_finding, table1, table2,
@@ -382,50 +382,6 @@ fn registry_table() -> Table {
     table
 }
 
-/// Builds the sweep column for one registry protocol: universe, accurate
-/// prediction, and a default population-size estimate are filled from each
-/// scenario; protocols without a bounded horizon get a `64·n` round budget.
-fn cli_column(name: &str) -> Result<SweepProtocol, SimError> {
-    if ProtocolRegistry::standard().entry(name).is_none() {
-        return Err(SimError::InvalidParameter {
-            what: format!("unknown protocol {name:?}; run `crp_experiments list` for the registry"),
-        });
-    }
-    let spec_for = {
-        let name = name.to_string();
-        move |s: &crp_predict::Scenario| {
-            let n = s.distribution().max_size();
-            ProtocolSpec::new(name.clone())
-                .universe(n)
-                .prediction(s.advice_condensed())
-                .participants((n / 16).max(2))
-                .advice_bits(2)
-        }
-    };
-    // Whether a protocol bounds its own horizon is a property of the
-    // protocol type, not of the scenario, so probe it once with a small
-    // representative scenario instead of rebuilding the protocol per cell.
-    // A probe that fails to build falls into the 64·n-budget branch; the
-    // real build error (if any) surfaces from the matrix's compile step.
-    let has_horizon = spec_for(&ScenarioLibrary::new(64)?.bimodal())
-        .build()
-        .ok()
-        .and_then(|protocol| protocol.horizon())
-        .is_some();
-    Ok(
-        SweepProtocol::from_scenario(name, spec_for).max_rounds_with(move |s| {
-            // Horizon-bounded protocols default to their own horizon; the
-            // unbounded ones (decay, cycling passes, fixed-probability)
-            // get a generous sweep budget.
-            if has_horizon {
-                None
-            } else {
-                Some(64 * s.distribution().max_size())
-            }
-        }),
-    )
-}
-
 /// The library name of a `--scenarios` trace-file entry: the file stem.
 /// `None` for ordinary scenario names.
 fn trace_stem(name: &str) -> Option<&str> {
@@ -463,7 +419,7 @@ fn cli_matrix(options: &Options, config: &RunnerConfig) -> Result<SweepMatrix, S
         matrix = matrix.scenario(library.by_name(name)?);
     }
     for name in &options.protocols {
-        matrix = matrix.protocol(cli_column(name)?);
+        matrix = matrix.protocol(SweepProtocol::registry(name)?);
     }
     Ok(matrix)
 }
@@ -767,7 +723,7 @@ fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
         // of) the run that will consume it.
         let mut attempts = 0;
         loop {
-            match crp_fleet::join_fleet_with_store(addr.as_str(), &handler, &options, &store) {
+            match crp_fleet::join_fleet(addr.as_str(), &handler, &options, &store) {
                 Ok(served) => {
                     eprintln!("fleet worker: dispatcher {addr} disconnected after {served} jobs");
                     return ExitCode::SUCCESS;
@@ -796,9 +752,9 @@ fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
                 Ok(addr) => eprintln!("fleet worker listening on {addr}"),
                 Err(err) => eprintln!("fleet worker listening (address unknown: {err})"),
             }
-            worker.serve_forever_with_store(&handler, &options, &store)
+            worker.serve_forever(&handler, &options, &store)
         }
-        None => match crp_fleet::serve_stdio_with_store(&handler, &options, &store) {
+        None => match crp_fleet::serve_stdio(&handler, &options, &store) {
             Ok(_) => ExitCode::SUCCESS,
             Err(err) => {
                 eprintln!("worker: {err}");

@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn env_config_parses_every_kept_variable_strictly() {
-        let manifest = FleetManifest::parse("local:2*3,10.0.0.7:9311").unwrap();
+        let manifest = FleetManifest::parse("local:2,10.0.0.7:9311").unwrap();
         let valid: &[(&[(&str, &str)], EnvConfig)] = &[
             (&[], EnvConfig::default()),
             (&[("PATH", "/bin"), ("HOME", "")], EnvConfig::default()),
@@ -209,7 +209,7 @@ mod tests {
                 },
             ),
             (
-                &[("CRP_FLEET", "local:2*3,10.0.0.7:9311")],
+                &[("CRP_FLEET", "local:2,10.0.0.7:9311")],
                 EnvConfig {
                     fleet: Some(manifest),
                     ..EnvConfig::default()
@@ -242,7 +242,7 @@ mod tests {
             ("CRP_THREADS", "", "positive integer"),
             ("CRP_KERNEL", "simd", "auto, scalar"),
             ("CRP_KERNEL", "batched", "auto, scalar"),
-            ("CRP_FLEET", "local:2*0", "weight"),
+            ("CRP_FLEET", "local:2*3", "positive worker count"),
             ("CRP_FLEET", "local:0", "at least one"),
             ("CRP_THREAD", "2", "unknown CRP_* variable"),
             ("CRP_FLEET_POLL_MS", "25", "unknown CRP_* variable"),

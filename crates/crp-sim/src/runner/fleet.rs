@@ -78,8 +78,8 @@ impl FleetBackend {
         } else {
             PathBuf::new()
         };
-        Ok(Self::with_weighted_endpoints(
-            manifest.weighted_endpoints(program, stdio_worker_args()),
+        Ok(Self::with_endpoints(
+            manifest.endpoints(program, stdio_worker_args()),
         ))
     }
 
@@ -105,11 +105,7 @@ impl FleetBackend {
             None => backend,
             Some(plan) if plan.is_empty() => backend,
             Some(plan) => {
-                // Chaos rewrites endpoints in place (same order), so the
-                // capacity weights re-pair positionally.
-                let sabotaged = plan.apply(backend.endpoints()).map_err(fleet_error)?;
-                let weights = backend.dispatcher.weights().to_vec();
-                Self::with_weighted_endpoints(sabotaged.into_iter().zip(weights).collect())
+                Self::with_endpoints(plan.apply(backend.endpoints()).map_err(fleet_error)?)
             }
         };
         if let Some(addr) = &config.accept_workers {
@@ -123,15 +119,6 @@ impl FleetBackend {
     pub fn with_endpoints(endpoints: Vec<WorkerEndpoint>) -> Self {
         Self {
             dispatcher: Dispatcher::new(endpoints),
-        }
-    }
-
-    /// A pool over explicit `(endpoint, capacity weight)` pairs — the
-    /// scheduler keeps up to `hello capacity × weight` jobs in flight
-    /// per connection.
-    pub fn with_weighted_endpoints(endpoints: Vec<(WorkerEndpoint, usize)>) -> Self {
-        Self {
-            dispatcher: Dispatcher::new_weighted(endpoints),
         }
     }
 
@@ -151,11 +138,6 @@ impl FleetBackend {
     /// The pool's endpoints.
     pub fn endpoints(&self) -> &[WorkerEndpoint] {
         self.dispatcher.endpoints()
-    }
-
-    /// The warm dispatcher behind this backend.
-    pub fn dispatcher(&self) -> &Dispatcher {
-        &self.dispatcher
     }
 }
 
@@ -213,7 +195,7 @@ impl ShardBackend for FleetBackend {
         // retried on another worker instead of failing the whole batch.
         let answers = self
             .dispatcher
-            .dispatch_jobs(&payloads, &blobs, done, &|_, answer| {
+            .dispatch(&payloads, &blobs, done, &|_, answer| {
                 TrialAccumulator::from_wire(answer).map(|_| ())
             })
             .map_err(fleet_error)?;
@@ -253,12 +235,5 @@ mod tests {
             ],
             "remote-only manifests never need the local worker binary"
         );
-    }
-
-    #[test]
-    fn manifest_weights_reach_the_dispatcher() {
-        let weighted = FleetManifest::parse("127.0.0.1:9311*4,127.0.0.1:9312").unwrap();
-        let backend = FleetBackend::from_manifest(&weighted).unwrap();
-        assert_eq!(backend.dispatcher().weights(), &[4, 1]);
     }
 }

@@ -57,8 +57,8 @@
 use std::sync::Mutex;
 
 use crp_info::SizeDistribution;
-use crp_predict::Scenario;
-use crp_protocols::ProtocolSpec;
+use crp_predict::{Scenario, ScenarioLibrary};
+use crp_protocols::{ProtocolRegistry, ProtocolSpec};
 
 use crate::report::{fmt_f64, Table};
 use crate::runner::backend::{backend_for, run_cells};
@@ -122,6 +122,49 @@ impl SweepProtocol {
             population: None,
             trials: None,
         }
+    }
+
+    /// The column the command line and fuzz campaigns build for a
+    /// registry protocol: universe, condensed advice as the prediction,
+    /// `participants (n / 16).max(2)` and `advice_bits 2` come from each
+    /// scenario, and protocols without a horizon of their own get a
+    /// `64·n` round budget.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidParameter`] when `name` is not in the protocol
+    /// registry.
+    pub fn registry(name: &str) -> Result<Self, SimError> {
+        if ProtocolRegistry::standard().entry(name).is_none() {
+            return Err(SimError::InvalidParameter {
+                what: format!(
+                    "unknown protocol {name:?}; run `crp_experiments list` for the registry"
+                ),
+            });
+        }
+        let spec_for = {
+            let name = name.to_string();
+            move |s: &Scenario| {
+                let n = s.distribution().max_size();
+                ProtocolSpec::new(name.clone())
+                    .universe(n)
+                    .prediction(s.advice_condensed())
+                    .participants((n / 16).max(2))
+                    .advice_bits(2)
+            }
+        };
+        // Whether a protocol bounds its own horizon is a property of the
+        // protocol type, not of the scenario, so probe it once with a
+        // small representative scenario.  A probe that fails to build
+        // falls into the 64·n-budget branch; the real build error (if
+        // any) surfaces from the matrix's compile step.
+        let has_horizon = spec_for(&ScenarioLibrary::new(64)?.bimodal())
+            .build()
+            .ok()
+            .and_then(|protocol| protocol.horizon())
+            .is_some();
+        Ok(Self::from_scenario(name, spec_for)
+            .max_rounds_with(move |s| (!has_horizon).then(|| 64 * s.distribution().max_size())))
     }
 
     /// Caps every trial of this column at `rounds` rounds (default: the
@@ -703,6 +746,11 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, SimError::Substrate(_)));
+        // A registry column checks the name before any matrix exists.
+        let err = SweepProtocol::registry("no-such-protocol")
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("no-such-protocol"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The acceptance criterion of the executor-agnostic backend refactor:
 //! `SerialBackend`, `ThreadBackend` (1/2/8 workers) and `FleetBackend`
-//! (persistent worker pools — weighted, elastic, pipelined, and one with
-//! an injected worker death) must produce **bit-identical** `TrialStats`
-//! for the same configuration — for a single `Simulation` and for a
-//! whole `SweepMatrix` executed through the work-stealing scheduler.
+//! (persistent worker pools — uneven capacity, elastic, pipelined, and
+//! one with an injected worker death) must produce **bit-identical**
+//! `TrialStats` for the same configuration — for a single `Simulation`
+//! and for a whole `SweepMatrix` executed through the work-stealing
+//! scheduler.
 //!
 //! The fleet backends spawn the real `crp_experiments` binary (cargo
 //! exposes its path to integration tests via
@@ -71,6 +72,20 @@ fn fleet_with_capacity_4_worker() -> FleetBackend {
     )])
 }
 
+/// An uneven pipelined pool: one worker advertising capacity 3 next to
+/// a plain capacity-1 worker, so the least-loaded placement fills the
+/// two connections at different rates — and the statistics must not
+/// move a bit.
+fn fleet_with_uneven_capacity() -> FleetBackend {
+    let args = vec!["worker".to_string(), "--stdio".to_string()];
+    let mut wide = args.clone();
+    wide.extend(["--capacity".to_string(), "3".to_string()]);
+    FleetBackend::with_endpoints(vec![
+        WorkerEndpoint::local(WORKER_BIN, wide),
+        WorkerEndpoint::local(WORKER_BIN, args),
+    ])
+}
+
 /// A pool whose second worker joins *elastically*: the backend starts
 /// with one fixed local worker plus a registration listener, and a
 /// `worker --join` subprocess dials in while (or just before) the batch
@@ -104,23 +119,8 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
             Box::new(FleetBackend::local_with_command(2, WORKER_BIN)),
         ),
         (
-            "fleet-weighted",
-            Box::new(FleetBackend::with_weighted_endpoints(vec![
-                (
-                    WorkerEndpoint::local(
-                        WORKER_BIN,
-                        vec!["worker".to_string(), "--stdio".to_string()],
-                    ),
-                    3,
-                ),
-                (
-                    WorkerEndpoint::local(
-                        WORKER_BIN,
-                        vec!["worker".to_string(), "--stdio".to_string()],
-                    ),
-                    1,
-                ),
-            ])),
+            "fleet-uneven-capacity",
+            Box::new(fleet_with_uneven_capacity()),
         ),
         ("fleet-elastic-join", Box::new(fleet_with_elastic_joiner())),
         ("fleet-dying-worker", Box::new(fleet_with_dying_worker())),

@@ -22,8 +22,8 @@
 //!   [`protocols::Protocol`] API with its name-based
 //!   [`protocols::ProtocolRegistry`].
 //! * [`fleet`] (`crp-fleet`) — fleet dispatch: the framed worker wire
-//!   protocol (v2: capacity pipelining, scenario-by-hash blobs, ping
-//!   health checks), long-lived stdio/TCP workers, and the
+//!   protocol (v3: capacity pipelining, scenario-by-hash blobs, ping
+//!   health checks, metrics pulls), long-lived stdio/TCP workers, and the
 //!   straggler-retrying job dispatcher behind [`sim::FleetBackend`].
 //! * [`serve`] (`crp-serve`) — the persistent sweep service: a
 //!   warm-fleet daemon with a content-addressed result cache, fronted
