@@ -1,4 +1,4 @@
-//! The slotted multiple-access channel.
+//! The channel's detection mode and the feedback it gives.
 
 use crate::round::{Feedback, RoundOutcome};
 
@@ -19,69 +19,9 @@ impl ChannelMode {
     pub fn has_collision_detection(self) -> bool {
         matches!(self, ChannelMode::CollisionDetection)
     }
-}
 
-impl std::fmt::Display for ChannelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChannelMode::CollisionDetection => write!(f, "collision detection"),
-            ChannelMode::NoCollisionDetection => write!(f, "no collision detection"),
-        }
-    }
-}
-
-/// A synchronous slotted multiple-access channel.
-///
-/// The channel is purely reactive: each call to
-/// [`Channel::resolve_round`] takes the transmit decision of every
-/// participant, classifies the round, appends it to the channel's outcome
-/// log and returns the [`RoundOutcome`].  Per-participant observations are
-/// derived with [`Channel::feedback_for`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Channel {
-    mode: ChannelMode,
-    outcomes: Vec<RoundOutcome>,
-}
-
-impl Channel {
-    /// Creates a channel with the given detection mode and an empty history.
-    pub fn new(mode: ChannelMode) -> Self {
-        Self {
-            mode,
-            outcomes: Vec::new(),
-        }
-    }
-
-    /// The channel's detection mode.
-    pub fn mode(&self) -> ChannelMode {
-        self.mode
-    }
-
-    /// Number of rounds that have been resolved so far.
-    pub fn rounds_elapsed(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// The full outcome log, one entry per elapsed round.
-    pub fn outcomes(&self) -> &[RoundOutcome] {
-        &self.outcomes
-    }
-
-    /// Resolves one round given each participant's transmit decision
-    /// (`decisions[i]` is whether participant `i` of the current
-    /// participant set transmits).
-    ///
-    /// Returns the ground-truth outcome.  The outcome is also appended to
-    /// the channel log.
-    pub fn resolve_round(&mut self, decisions: &[bool]) -> RoundOutcome {
-        let transmitters = decisions.iter().filter(|&&d| d).count();
-        let outcome = RoundOutcome::from_transmitter_count(transmitters);
-        self.outcomes.push(outcome);
-        outcome
-    }
-
-    /// What a participant observes for a given round outcome on this
-    /// channel, depending on whether that participant transmitted.
+    /// What every participant observes for a round with `outcome` on a
+    /// channel in this mode.  Transmitters and listeners hear the same.
     ///
     /// * A successful round is announced to everyone as
     ///   [`Feedback::Resolved`] (the problem is defined to end there).
@@ -91,8 +31,8 @@ impl Channel {
     ///   [`Feedback::NothingHeard`].  (A transmitter involved in a collision
     ///   also learns nothing beyond the fact that it did not succeed, which
     ///   is exactly what `NothingHeard` conveys.)
-    pub fn feedback_for(&self, outcome: RoundOutcome, _transmitted: bool) -> Feedback {
-        match (outcome, self.mode) {
+    pub fn feedback(self, outcome: RoundOutcome) -> Feedback {
+        match (outcome, self) {
             (RoundOutcome::Success, _) => Feedback::Resolved,
             (RoundOutcome::Collision, ChannelMode::CollisionDetection) => {
                 Feedback::CollisionDetected
@@ -104,24 +44,14 @@ impl Channel {
             ) => Feedback::NothingHeard,
         }
     }
+}
 
-    /// True if some round in the log resolved contention.
-    pub fn resolved(&self) -> bool {
-        self.outcomes.iter().any(|o| o.is_success())
-    }
-
-    /// The 1-based round number of the first success, if any.
-    pub fn resolution_round(&self) -> Option<usize> {
-        self.outcomes
-            .iter()
-            .position(|o| o.is_success())
-            .map(|i| i + 1)
-    }
-
-    /// Clears the outcome log, keeping the mode.  Used when the same channel
-    /// object is reused across Monte-Carlo trials.
-    pub fn reset(&mut self) {
-        self.outcomes.clear();
+impl std::fmt::Display for ChannelMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChannelMode::CollisionDetection => write!(f, "collision detection"),
+            ChannelMode::NoCollisionDetection => write!(f, "no collision detection"),
+        }
     }
 }
 
@@ -130,65 +60,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_classification_matches_transmitter_count() {
-        let mut ch = Channel::new(ChannelMode::CollisionDetection);
-        assert_eq!(ch.resolve_round(&[false, false]), RoundOutcome::Silence);
-        assert_eq!(ch.resolve_round(&[true, false]), RoundOutcome::Success);
-        assert_eq!(ch.resolve_round(&[true, true]), RoundOutcome::Collision);
-        assert_eq!(ch.rounds_elapsed(), 3);
-        assert_eq!(ch.resolution_round(), Some(2));
-        assert!(ch.resolved());
-    }
-
-    #[test]
-    fn feedback_with_collision_detection_is_faithful() {
-        let ch = Channel::new(ChannelMode::CollisionDetection);
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Collision, false),
-            Feedback::CollisionDetected
-        );
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Silence, false),
-            Feedback::SilenceDetected
-        );
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Success, true),
-            Feedback::Resolved
-        );
-    }
-
-    #[test]
-    fn feedback_without_collision_detection_hides_collisions() {
-        let ch = Channel::new(ChannelMode::NoCollisionDetection);
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Collision, true),
-            Feedback::NothingHeard
-        );
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Silence, false),
-            Feedback::NothingHeard
-        );
-        assert_eq!(
-            ch.feedback_for(RoundOutcome::Success, false),
-            Feedback::Resolved
-        );
-    }
-
-    #[test]
-    fn reset_clears_history_but_keeps_mode() {
-        let mut ch = Channel::new(ChannelMode::NoCollisionDetection);
-        ch.resolve_round(&[true, true]);
-        assert_eq!(ch.rounds_elapsed(), 1);
-        ch.reset();
-        assert_eq!(ch.rounds_elapsed(), 0);
-        assert!(!ch.resolved());
-        assert_eq!(ch.mode(), ChannelMode::NoCollisionDetection);
-    }
-
-    #[test]
-    fn empty_decision_slice_is_silence() {
-        let mut ch = Channel::new(ChannelMode::CollisionDetection);
-        assert_eq!(ch.resolve_round(&[]), RoundOutcome::Silence);
+    fn feedback_is_faithful_with_collision_detection_only() {
+        use Feedback::*;
+        use RoundOutcome::*;
+        for (outcome, with_cd, without_cd) in [
+            (Collision, CollisionDetected, NothingHeard),
+            (Silence, SilenceDetected, NothingHeard),
+            (Success, Resolved, Resolved),
+        ] {
+            let cd = ChannelMode::CollisionDetection;
+            let no_cd = ChannelMode::NoCollisionDetection;
+            assert_eq!(cd.feedback(outcome), with_cd);
+            assert_eq!(no_cd.feedback(outcome), without_cd);
+        }
     }
 
     #[test]

@@ -6,25 +6,8 @@ use std::fmt;
 /// Errors produced while configuring or driving the channel simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChannelError {
-    /// A participant set was requested with zero participants; the problem
-    /// is defined only for non-empty participant sets.
-    EmptyParticipantSet,
-    /// A participant set was requested with more participants than the
-    /// universe contains.
-    TooManyParticipants {
-        /// Requested number of participants.
-        requested: usize,
-        /// Size of the universe `|V| = n`.
-        universe: usize,
-    },
-    /// An execution exceeded its configured round cap without resolving
-    /// contention.
-    RoundLimitExceeded {
-        /// The configured cap that was hit.
-        limit: usize,
-    },
-    /// A protocol was driven with a participant count it cannot handle
-    /// (for example zero participants).
+    /// An executor was driven with a configuration it cannot run (no
+    /// participants, a zero round cap, or a probability outside `[0, 1]`).
     InvalidConfiguration {
         /// Human-readable description of the problem.
         what: String,
@@ -34,19 +17,6 @@ pub enum ChannelError {
 impl fmt::Display for ChannelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChannelError::EmptyParticipantSet => {
-                write!(f, "participant set must be non-empty")
-            }
-            ChannelError::TooManyParticipants {
-                requested,
-                universe,
-            } => write!(
-                f,
-                "requested {requested} participants from a universe of {universe}"
-            ),
-            ChannelError::RoundLimitExceeded { limit } => {
-                write!(f, "execution exceeded the round limit of {limit}")
-            }
             ChannelError::InvalidConfiguration { what } => {
                 write!(f, "invalid execution configuration: {what}")
             }
@@ -61,23 +31,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_is_informative() {
-        assert!(ChannelError::EmptyParticipantSet
-            .to_string()
-            .contains("non-empty"));
-        assert!(ChannelError::TooManyParticipants {
-            requested: 10,
-            universe: 5
-        }
-        .to_string()
-        .contains("10"));
-        assert!(ChannelError::RoundLimitExceeded { limit: 64 }
-            .to_string()
-            .contains("64"));
-        assert!(ChannelError::InvalidConfiguration {
-            what: "zero rounds".into()
-        }
-        .to_string()
-        .contains("zero rounds"));
+    fn display_names_the_problem() {
+        let what = "zero rounds".to_string();
+        let err = ChannelError::InvalidConfiguration { what };
+        assert!(err.to_string().contains("zero rounds"));
     }
 }

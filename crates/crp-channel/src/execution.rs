@@ -1,38 +1,22 @@
-//! Driving protocols against the channel.
-//!
-//! Two executors are provided, each returning a typed error for an
-//! invalid configuration:
-//!
-//! * [`try_execute`] drives arbitrary *per-node* protocols (each
-//!   participant is its own [`NodeProtocol`] value making independent
-//!   decisions; one execution's nodes share one concrete type, held
-//!   unboxed).  Needed for the deterministic advice-based algorithms of
-//!   §3, where behaviour depends on participant identity.
-//! * [`try_execute_uniform_schedule`] drives *uniform* protocols, in which
-//!   all participants share the same per-round transmission probability (the
-//!   class of algorithms the paper's §2 analyses).  For uniform protocols
-//!   only the number of transmitters matters, and its distribution is
-//!   `Binomial(k, p)`; the executor therefore samples the round outcome
-//!   category directly from the exact probabilities
-//!   `Pr[silence] = (1−p)^k`, `Pr[success] = k·p·(1−p)^{k−1}` — `O(1)` work
-//!   per round regardless of `k`, which keeps the Monte-Carlo harness fast
-//!   at `n = 2^20`.
+//! Driving protocols against the channel: [`try_execute`] for per-node
+//! protocols (the identity-dependent advice algorithms of §3) and
+//! [`try_execute_uniform_schedule`] for uniform ones (the §2 class, in
+//! which every participant shares one per-round probability).
 
 use rand::Rng;
 use rand::RngCore;
 
-use crate::channel::{Channel, ChannelMode};
+use crate::channel::ChannelMode;
 use crate::error::ChannelError;
 use crate::history::CollisionHistory;
 use crate::round::{Feedback, RoundOutcome};
-use crate::trace::{RoundRecord, Trace};
 
 /// A per-node contention-resolution protocol instance.
 ///
 /// One value is created per participant per execution.  The executor calls
 /// [`NodeProtocol::decide`] each round to learn whether the node transmits,
-/// then [`NodeProtocol::observe`] with the feedback the node would hear on
-/// the channel.
+/// then, unless the round resolved contention, [`NodeProtocol::observe`]
+/// with the feedback every node hears on the channel.
 pub trait NodeProtocol {
     /// Whether this node transmits in the given (1-based) round.
     fn decide(&mut self, round: usize, rng: &mut dyn RngCore) -> bool;
@@ -55,25 +39,12 @@ pub struct ExecutionConfig {
     pub mode: ChannelMode,
     /// Hard cap on the number of rounds simulated.
     pub max_rounds: usize,
-    /// Whether to record a full per-round [`Trace`] (slower, but useful for
-    /// tests and examples).
-    pub record_trace: bool,
 }
 
 impl ExecutionConfig {
-    /// Convenience constructor with trace recording disabled.
+    /// A configuration for `mode` with a cap of `max_rounds` rounds.
     pub fn new(mode: ChannelMode, max_rounds: usize) -> Self {
-        Self {
-            mode,
-            max_rounds,
-            record_trace: false,
-        }
-    }
-
-    /// Returns a copy with trace recording enabled.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
+        Self { mode, max_rounds }
     }
 }
 
@@ -84,19 +55,6 @@ pub struct Execution {
     pub resolved: bool,
     /// Number of rounds that elapsed (the resolving round included).
     pub rounds: usize,
-    /// Per-round trace (empty unless `record_trace` was set).
-    pub trace: Trace,
-}
-
-impl Execution {
-    /// The 1-based round of resolution, or `None` if unresolved.
-    pub fn resolution_round(&self) -> Option<usize> {
-        if self.resolved {
-            Some(self.rounds)
-        } else {
-            None
-        }
-    }
 }
 
 /// Drives one per-node protocol object per participant until contention is
@@ -107,6 +65,11 @@ impl Execution {
 /// participant count is `nodes.len()`.  The nodes are one concrete type,
 /// so `decide` is statically dispatched; `rng` is handed to every
 /// `decide` call as is.
+///
+/// Each round, every node's `decide` runs once, in index order; the
+/// round's outcome is [`RoundOutcome::from_transmitter_count`] of the
+/// transmitters.  Unless it resolved contention, every node — finished or
+/// not — then observes the one [`ChannelMode::feedback`] of that outcome.
 ///
 /// # Errors
 ///
@@ -128,45 +91,32 @@ pub fn try_execute<P: NodeProtocol>(
         });
     }
 
-    let mut channel = Channel::new(config.mode);
-    let mut trace = Trace::new();
-    let mut decisions = vec![false; nodes.len()];
-
     for round in 1..=config.max_rounds {
-        for (node, decision) in nodes.iter_mut().zip(decisions.iter_mut()) {
-            *decision = node.decide(round, rng);
+        let mut transmitters = 0;
+        for node in nodes.iter_mut() {
+            transmitters += usize::from(node.decide(round, rng));
         }
-        let outcome = channel.resolve_round(&decisions);
-        if config.record_trace {
-            trace.push(RoundRecord {
-                round,
-                transmitters: decisions.iter().filter(|&&d| d).count(),
-                outcome,
-            });
-        }
+        let outcome = RoundOutcome::from_transmitter_count(transmitters);
         if outcome.is_success() {
             return Ok(Execution {
                 resolved: true,
                 rounds: round,
-                trace,
             });
         }
-        for (node, &decision) in nodes.iter_mut().zip(decisions.iter()) {
-            let feedback = channel.feedback_for(outcome, decision);
+        let feedback = config.mode.feedback(outcome);
+        for node in nodes.iter_mut() {
             node.observe(round, feedback);
         }
         if nodes.iter().all(|n| n.finished()) {
             return Ok(Execution {
                 resolved: false,
                 rounds: round,
-                trace,
             });
         }
     }
     Ok(Execution {
         resolved: false,
         rounds: config.max_rounds,
-        trace,
     })
 }
 
@@ -179,8 +129,11 @@ pub fn try_execute<P: NodeProtocol>(
 /// nothing there) and returns the transmission probability for that round,
 /// or `None` if the schedule is exhausted (one-shot protocols).
 ///
-/// The executor samples the round outcome category directly from the exact
-/// binomial probabilities, so the cost per round is independent of `k`.
+/// Only the number of transmitters matters, and it is `Binomial(k, p)`:
+/// the executor samples the round's outcome directly from the exact
+/// probabilities (see [`uniform_outcome_thresholds`]), so the cost per
+/// round is independent of `k` — which keeps the Monte-Carlo harness fast
+/// at `n = 2^20`.
 ///
 /// # Errors
 ///
@@ -209,14 +162,12 @@ where
     }
 
     let mut history = CollisionHistory::new();
-    let mut trace = Trace::new();
 
     for round in 1..=config.max_rounds {
         let Some(p) = probability_for_round(round, &history) else {
             return Ok(Execution {
                 resolved: false,
                 rounds: round - 1,
-                trace,
             });
         };
         if !(0.0..=1.0).contains(&p) {
@@ -225,25 +176,10 @@ where
             });
         }
         let outcome = sample_uniform_outcome(k, p, rng);
-        if config.record_trace {
-            // Transmitter counts other than 0/1 are not reconstructed when
-            // sampling the category directly; record 2 as "a collision".
-            let transmitters = match outcome {
-                RoundOutcome::Silence => 0,
-                RoundOutcome::Success => 1,
-                RoundOutcome::Collision => 2,
-            };
-            trace.push(RoundRecord {
-                round,
-                transmitters,
-                outcome,
-            });
-        }
         if outcome.is_success() {
             return Ok(Execution {
                 resolved: true,
                 rounds: round,
-                trace,
             });
         }
         if config.mode.has_collision_detection() {
@@ -253,7 +189,6 @@ where
     Ok(Execution {
         resolved: false,
         rounds: config.max_rounds,
-        trace,
     })
 }
 
@@ -313,6 +248,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::cell::RefCell;
 
     /// A per-node protocol that transmits with a fixed probability forever.
     struct FixedProbability {
@@ -326,10 +262,15 @@ mod tests {
         fn observe(&mut self, _round: usize, _feedback: Feedback) {}
     }
 
-    /// A node that transmits exactly in one designated round.
+    /// A node that transmits exactly in one designated round and is
+    /// finished once it has observed that round.
     struct TransmitOnce {
         round: usize,
         done: bool,
+    }
+
+    fn once(round: usize) -> TransmitOnce {
+        TransmitOnce { round, done: false }
     }
 
     impl NodeProtocol for TransmitOnce {
@@ -346,61 +287,163 @@ mod tests {
         }
     }
 
+    /// One executor call as [`Logged`] records it: `Decide(round, node,
+    /// transmits)` or `Observe(round, node, feedback)`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Decide(usize, usize, bool),
+        Observe(usize, usize, Feedback),
+    }
+
+    /// Wraps node `index` and appends every call it receives to `log`.
+    struct Logged<'a, N> {
+        index: usize,
+        node: N,
+        log: &'a RefCell<Vec<Call>>,
+    }
+
+    impl<N: NodeProtocol> NodeProtocol for Logged<'_, N> {
+        fn decide(&mut self, round: usize, rng: &mut dyn RngCore) -> bool {
+            let transmits = self.node.decide(round, rng);
+            let call = Call::Decide(round, self.index, transmits);
+            self.log.borrow_mut().push(call);
+            transmits
+        }
+        fn observe(&mut self, round: usize, feedback: Feedback) {
+            let call = Call::Observe(round, self.index, feedback);
+            self.log.borrow_mut().push(call);
+            self.node.observe(round, feedback);
+        }
+        fn finished(&self) -> bool {
+            self.node.finished()
+        }
+    }
+
+    /// Runs `nodes`, each wrapped in [`Logged`], and returns the execution
+    /// with the log of every call the executor made.
+    fn execute_logged<N: NodeProtocol>(
+        nodes: Vec<N>,
+        config: &ExecutionConfig,
+        seed: u64,
+    ) -> (Execution, Vec<Call>) {
+        let log = RefCell::new(Vec::new());
+        let mut logged: Vec<Logged<N>> = (0..)
+            .zip(nodes)
+            .map(|(index, node)| Logged {
+                index,
+                node,
+                log: &log,
+            })
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let result = try_execute(&mut logged, config, &mut rng).expect("valid configuration");
+        (result, log.into_inner())
+    }
+
+    /// Transmitters per elapsed round (`[r - 1]` for round `r`), tallied
+    /// from a call log.
+    fn transmitters_per_round(log: &[Call]) -> Vec<usize> {
+        let mut tally = Vec::new();
+        for &call in log {
+            if let Call::Decide(round, _, transmits) = call {
+                tally.resize(tally.len().max(round), 0);
+                tally[round - 1] += usize::from(transmits);
+            }
+        }
+        tally
+    }
+
+    #[test]
+    fn every_node_decides_then_observes_in_index_order_each_round() {
+        // Round 1: nodes 0 and 1 collide, and are finished from then on
+        // yet still decide and observe.  Round 2: silence.  Round 3:
+        // node 2 alone succeeds, and nobody observes it.
+        let rounds = [1, 1, 3];
+        let cd = [Feedback::CollisionDetected, Feedback::SilenceDetected];
+        let no_cd = [Feedback::NothingHeard; 2];
+        for (mode, heard) in [
+            (ChannelMode::CollisionDetection, cd),
+            (ChannelMode::NoCollisionDetection, no_cd),
+        ] {
+            let nodes = rounds.map(once).into();
+            let (result, log) = execute_logged(nodes, &ExecutionConfig::new(mode, 10), 11);
+            assert_eq!((result.resolved, result.rounds), (true, 3));
+            let mut expected = Vec::new();
+            for round in 1..=3 {
+                expected.extend((0..3).map(|i| Call::Decide(round, i, rounds[i] == round)));
+                if round < 3 {
+                    expected.extend((0..3).map(|i| Call::Observe(round, i, heard[round - 1])));
+                }
+            }
+            assert_eq!(log, expected, "{mode}");
+        }
+    }
+
+    #[test]
+    fn randomized_nodes_draw_exactly_as_a_hand_written_loop() {
+        let cap = 40;
+        for mode in [
+            ChannelMode::CollisionDetection,
+            ChannelMode::NoCollisionDetection,
+        ] {
+            for (k, p, seed) in [(1, 0.1, 0), (3, 0.3, 1), (6, 0.5, 2), (12, 0.9, 3)] {
+                let mut nodes: Vec<_> = (0..k).map(|_| FixedProbability { p }).collect();
+                let config = ExecutionConfig::new(mode, cap);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let result =
+                    try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+
+                // Each round, one draw per node in index order; the first
+                // round with exactly one transmitter ends the execution.
+                let mut reference = ChaCha8Rng::seed_from_u64(seed);
+                let mut expected = (false, cap);
+                for round in 1..=cap {
+                    if (0..k).filter(|_| reference.gen_bool(p)).count() == 1 {
+                        expected = (true, round);
+                        break;
+                    }
+                }
+                assert_eq!((result.resolved, result.rounds), expected, "k = {k}");
+                assert_eq!(rng.next_u64(), reference.next_u64(), "k = {k}");
+            }
+        }
+    }
+
     #[test]
     fn single_node_with_probability_one_resolves_immediately() {
-        let mut nodes = vec![FixedProbability { p: 1.0 }];
+        let nodes = vec![FixedProbability { p: 1.0 }];
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 10);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+        let (result, log) = execute_logged(nodes, &config, 1);
         assert!(result.resolved);
         assert_eq!(result.rounds, 1);
-        assert_eq!(result.resolution_round(), Some(1));
+        // Resolved by the lone transmitter of round 1.
+        assert_eq!(transmitters_per_round(&log), [1]);
     }
 
     #[test]
     fn two_always_transmitting_nodes_never_resolve() {
-        let mut nodes = vec![FixedProbability { p: 1.0 }, FixedProbability { p: 1.0 }];
-        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 25).with_trace();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+        let nodes = vec![FixedProbability { p: 1.0 }, FixedProbability { p: 1.0 }];
+        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 25);
+        let (result, log) = execute_logged(nodes, &config, 2);
         assert!(!result.resolved);
         assert_eq!(result.rounds, 25);
-        assert_eq!(result.trace.collisions(), 25);
-        assert_eq!(result.resolution_round(), None);
+        // 25 collisions, and no round with a lone transmitter.
+        assert_eq!(transmitters_per_round(&log), [2; 25]);
     }
 
     #[test]
     fn distinct_transmit_rounds_resolve_at_the_earliest() {
-        let mut nodes = vec![
-            TransmitOnce {
-                round: 3,
-                done: false,
-            },
-            TransmitOnce {
-                round: 5,
-                done: false,
-            },
-        ];
-        let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 10).with_trace();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+        let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 10);
+        let (result, log) = execute_logged(vec![once(3), once(5)], &config, 3);
         assert!(result.resolved);
         assert_eq!(result.rounds, 3);
-        assert_eq!(result.trace.silences(), 2);
+        // Two silent rounds, then round 3 resolves.
+        assert_eq!(transmitters_per_round(&log), [0, 0, 1]);
     }
 
     #[test]
     fn execution_stops_when_all_nodes_finish() {
-        let mut nodes = vec![
-            TransmitOnce {
-                round: 2,
-                done: false,
-            },
-            TransmitOnce {
-                round: 2,
-                done: false,
-            },
-        ];
+        let mut nodes = vec![once(2), once(2)];
         let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 100);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let result = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
@@ -420,10 +463,7 @@ mod tests {
             let result =
                 try_execute_uniform_schedule(k, |_, _| Some(1.0 / k as f64), &config, &mut rng)
                     .unwrap();
-            assert!(
-                result.resolved,
-                "1/k schedule should always resolve quickly"
-            );
+            assert!(result.resolved, "1/k schedules resolve quickly");
             total_rounds += result.rounds;
         }
         let mean = total_rounds as f64 / trials as f64;
@@ -454,10 +494,9 @@ mod tests {
         let mut observed_lengths = Vec::new();
         let _ = try_execute_uniform_schedule(
             4,
-            |round, history| {
+            |_, history| {
                 observed_lengths.push(history.len());
                 // Everyone transmits: guaranteed collisions, never resolves.
-                let _ = round;
                 Some(1.0)
             },
             &config,
@@ -487,18 +526,13 @@ mod tests {
     #[test]
     fn sample_uniform_outcome_edge_probabilities() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        assert_eq!(
-            sample_uniform_outcome(5, 0.0, &mut rng),
-            RoundOutcome::Silence
-        );
-        assert_eq!(
-            sample_uniform_outcome(5, 1.0, &mut rng),
-            RoundOutcome::Collision
-        );
-        assert_eq!(
-            sample_uniform_outcome(1, 1.0, &mut rng),
-            RoundOutcome::Success
-        );
+        for (k, p, outcome) in [
+            (5, 0.0, RoundOutcome::Silence),
+            (5, 1.0, RoundOutcome::Collision),
+            (1, 1.0, RoundOutcome::Success),
+        ] {
+            assert_eq!(sample_uniform_outcome(k, p, &mut rng), outcome);
+        }
     }
 
     #[test]
@@ -522,19 +556,13 @@ mod tests {
     }
 
     #[test]
-    fn try_execute_rejects_empty_node_list() {
-        let mut nodes: Vec<FixedProbability> = vec![];
+    fn try_execute_rejects_empty_node_list_and_zero_round_cap() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 5);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let err = try_execute(&mut nodes, &config, &mut rng).unwrap_err();
+        let err = try_execute::<FixedProbability>(&mut [], &config, &mut rng).unwrap_err();
         assert!(err.to_string().contains("at least one participant"));
-    }
-
-    #[test]
-    fn try_execute_rejects_zero_round_cap() {
-        let mut nodes = vec![FixedProbability { p: 0.5 }];
+        let mut nodes = [FixedProbability { p: 0.5 }];
         let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, 0);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(try_execute(&mut nodes, &config, &mut rng).is_err());
     }
 

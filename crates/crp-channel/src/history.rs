@@ -6,8 +6,6 @@
 //! bit string `b₁b₂…b_r` with `b_i = 1` when round `i` was a collision.
 //! [`CollisionHistory`] is that bit string.
 
-use crate::round::Feedback;
-
 /// The collision/silence history observed by all participants under
 /// collision detection, as a bit string (`true` = collision).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -23,23 +21,6 @@ impl CollisionHistory {
 
     /// Builds a history from explicit bits.
     pub fn from_bits(bits: Vec<bool>) -> Self {
-        Self { bits }
-    }
-
-    /// Builds a history from an ASCII string of `'0'`/`'1'` characters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the string contains characters other than `'0'` and `'1'`.
-    pub fn from_str_bits(s: &str) -> Self {
-        let bits = s
-            .chars()
-            .map(|c| match c {
-                '0' => false,
-                '1' => true,
-                other => panic!("history strings may only contain 0 and 1, found {other:?}"),
-            })
-            .collect();
         Self { bits }
     }
 
@@ -63,50 +44,6 @@ impl CollisionHistory {
     pub fn push(&mut self, collision: bool) {
         self.bits.push(collision);
     }
-
-    /// Appends the observation encoded by a [`Feedback`], if it carries a
-    /// collision bit.  Feedback kinds without a history bit (resolution, or
-    /// the no-detection observation) leave the history unchanged and return
-    /// `false`.
-    pub fn push_feedback(&mut self, feedback: Feedback) -> bool {
-        match feedback.as_collision_bit() {
-            Some(bit) => {
-                self.bits.push(bit);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Renders the history as a `0`/`1` string (oldest round first).
-    pub fn to_bit_string(&self) -> String {
-        self.bits
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect()
-    }
-
-    /// True if `self` is a (non-strict) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &CollisionHistory) -> bool {
-        self.bits.len() <= other.bits.len() && other.bits[..self.bits.len()] == self.bits[..]
-    }
-
-    /// Returns a copy of this history extended with `collision`.
-    pub fn child(&self, collision: bool) -> CollisionHistory {
-        let mut bits = self.bits.clone();
-        bits.push(collision);
-        CollisionHistory { bits }
-    }
-}
-
-impl std::fmt::Display for CollisionHistory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.bits.is_empty() {
-            write!(f, "ε")
-        } else {
-            write!(f, "{}", self.to_bit_string())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,52 +51,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_render() {
+    fn push_appends_oldest_round_first() {
         let mut h = CollisionHistory::new();
         assert!(h.is_empty());
-        h.push(true);
-        h.push(false);
-        h.push(true);
+        for bit in [true, false, true] {
+            h.push(bit);
+        }
         assert_eq!(h.len(), 3);
-        assert_eq!(h.to_bit_string(), "101");
-        assert_eq!(h.to_string(), "101");
-    }
-
-    #[test]
-    fn empty_history_displays_epsilon() {
-        assert_eq!(CollisionHistory::new().to_string(), "ε");
-    }
-
-    #[test]
-    fn from_str_round_trips() {
-        let h = CollisionHistory::from_str_bits("0110");
-        assert_eq!(h.bits(), &[false, true, true, false]);
-        assert_eq!(h.to_bit_string(), "0110");
-    }
-
-    #[test]
-    fn push_feedback_only_records_detection_bits() {
-        let mut h = CollisionHistory::new();
-        assert!(h.push_feedback(Feedback::CollisionDetected));
-        assert!(h.push_feedback(Feedback::SilenceDetected));
-        assert!(!h.push_feedback(Feedback::Resolved));
-        assert!(!h.push_feedback(Feedback::NothingHeard));
-        assert_eq!(h.to_bit_string(), "10");
-    }
-
-    #[test]
-    fn prefix_relation_and_child() {
-        let parent = CollisionHistory::from_str_bits("01");
-        let child = parent.child(true);
-        assert_eq!(child.to_bit_string(), "011");
-        assert!(parent.is_prefix_of(&child));
-        assert!(!child.is_prefix_of(&parent));
-        assert!(parent.is_prefix_of(&parent));
-    }
-
-    #[test]
-    #[should_panic(expected = "only contain 0 and 1")]
-    fn from_str_rejects_other_characters() {
-        let _ = CollisionHistory::from_str_bits("01x");
+        assert_eq!(h, CollisionHistory::from_bits(vec![true, false, true]));
+        assert_eq!(h.bits(), &[true, false, true]);
     }
 }

@@ -10,54 +10,47 @@
 //! without collision detection colliding rounds are indistinguishable from
 //! silent rounds for listeners.
 //!
-//! This crate implements that model exactly as a discrete-event simulator:
-//!
-//! * [`RoundOutcome`] / [`Feedback`] — the channel's per-round result and
-//!   what each participant observes under either detection assumption.
-//! * [`Channel`] — the slotted channel itself, parameterised by
-//!   [`ChannelMode`].
-//! * [`ParticipantSet`] and [`Adversary`] — who participates; the adversary
-//!   picks *which* ids participate once the size has been drawn from the
-//!   prediction distribution (for uniform algorithms the identities are
-//!   irrelevant, but full per-node protocols see real ids).
-//! * [`Execution`] / [`try_execute`] — drives a per-node protocol against
-//!   the channel until contention is resolved (or a round cap is hit) and
-//!   records a [`Trace`]; [`try_execute_uniform_schedule`] does the same
-//!   for uniform protocols in `O(1)` per round.  Both return a typed
-//!   error for an invalid configuration.
+//! A round is stateless in that model: its outcome depends only on how
+//! many participants transmit, and what every participant hears depends
+//! only on that outcome and on the channel's [`ChannelMode`].  This crate
+//! implements it exactly.  [`RoundOutcome::from_transmitter_count`]
+//! classifies a round and [`ChannelMode::feedback`] gives the one
+//! [`Feedback`] everyone observes.  Two executors run protocols on it:
+//! [`try_execute`] drives one [`NodeProtocol`] per participant, and
+//! [`try_execute_uniform_schedule`] drives a uniform protocol in `O(1)` per
+//! round, feeding back a [`CollisionHistory`] under collision detection.
 //!
 //! # Example
 //!
 //! ```
-//! use crp_channel::{Channel, ChannelMode, RoundOutcome};
+//! use crp_channel::{ChannelMode, Feedback, RoundOutcome};
 //!
-//! let mut channel = Channel::new(ChannelMode::CollisionDetection);
-//! // Two participants transmit in the same round: a collision.
-//! let outcome = channel.resolve_round(&[true, true, false]);
+//! // Two participants transmit in the same round: a collision, which
+//! // sounds like silence without collision detection.
+//! let outcome = RoundOutcome::from_transmitter_count(2);
 //! assert_eq!(outcome, RoundOutcome::Collision);
-//! assert_eq!(channel.rounds_elapsed(), 1);
+//! let cd = ChannelMode::CollisionDetection.feedback(outcome);
+//! assert_eq!(cd, Feedback::CollisionDetected);
+//! let no_cd = ChannelMode::NoCollisionDetection.feedback(outcome);
+//! assert_eq!(no_cd, Feedback::NothingHeard);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adversary;
 mod channel;
 mod error;
 mod execution;
 mod history;
 mod participant;
 mod round;
-mod trace;
 
-pub use adversary::{Adversary, AdversaryStrategy};
-pub use channel::{Channel, ChannelMode};
+pub use channel::ChannelMode;
 pub use error::ChannelError;
 pub use execution::{
     classify_uniform_draw, sample_uniform_outcome, try_execute, try_execute_uniform_schedule,
     uniform_outcome_thresholds, Execution, ExecutionConfig, NodeProtocol,
 };
 pub use history::CollisionHistory;
-pub use participant::{ParticipantId, ParticipantSet};
+pub use participant::ParticipantId;
 pub use round::{Feedback, RoundOutcome};
-pub use trace::{RoundRecord, Trace};

@@ -1,6 +1,4 @@
-//! Participants and participant sets.
-
-use crate::error::ChannelError;
+//! Participant identities.
 
 /// Identifier of a potential participant, i.e. an element of the universe
 /// `V = {0, 1, …, n − 1}`.
@@ -14,112 +12,9 @@ impl ParticipantId {
     }
 }
 
-impl From<usize> for ParticipantId {
-    fn from(value: usize) -> Self {
-        ParticipantId(value)
-    }
-}
-
 impl std::fmt::Display for ParticipantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-/// The set `P ⊆ V` of participants activated for one execution.
-///
-/// Stored as a sorted, de-duplicated list of ids so that iteration order is
-/// deterministic and membership checks are `O(log |P|)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParticipantSet {
-    universe_size: usize,
-    members: Vec<ParticipantId>,
-}
-
-impl ParticipantSet {
-    /// Builds a participant set from explicit member ids within a universe
-    /// of `universe_size` potential participants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::EmptyParticipantSet`] if `members` is empty
-    /// and [`ChannelError::TooManyParticipants`] if any id is outside the
-    /// universe.
-    pub fn new(
-        universe_size: usize,
-        mut members: Vec<ParticipantId>,
-    ) -> Result<Self, ChannelError> {
-        if members.is_empty() {
-            return Err(ChannelError::EmptyParticipantSet);
-        }
-        members.sort_unstable();
-        members.dedup();
-        if let Some(max) = members.last() {
-            if max.index() >= universe_size {
-                return Err(ChannelError::TooManyParticipants {
-                    requested: max.index() + 1,
-                    universe: universe_size,
-                });
-            }
-        }
-        Ok(Self {
-            universe_size,
-            members,
-        })
-    }
-
-    /// Builds the participant set `{0, 1, …, size − 1}`: the first `size`
-    /// ids of the universe.  Convenient for uniform algorithms, whose
-    /// behaviour does not depend on identities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::EmptyParticipantSet`] if `size == 0` and
-    /// [`ChannelError::TooManyParticipants`] if `size > universe_size`.
-    pub fn first_k(universe_size: usize, size: usize) -> Result<Self, ChannelError> {
-        if size == 0 {
-            return Err(ChannelError::EmptyParticipantSet);
-        }
-        if size > universe_size {
-            return Err(ChannelError::TooManyParticipants {
-                requested: size,
-                universe: universe_size,
-            });
-        }
-        Ok(Self {
-            universe_size,
-            members: (0..size).map(ParticipantId).collect(),
-        })
-    }
-
-    /// Number of participants `k = |P|`.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if the set is empty (never the case for validated sets).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Size of the universe `n = |V|`.
-    pub fn universe_size(&self) -> usize {
-        self.universe_size
-    }
-
-    /// The member ids in ascending order.
-    pub fn members(&self) -> &[ParticipantId] {
-        &self.members
-    }
-
-    /// True if `id` participates in this execution.
-    pub fn contains(&self, id: ParticipantId) -> bool {
-        self.members.binary_search(&id).is_ok()
-    }
-
-    /// Iterates over the member ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = ParticipantId> + '_ {
-        self.members.iter().copied()
     }
 }
 
@@ -128,63 +23,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_sorts_and_dedups() {
-        let set = ParticipantSet::new(
-            10,
-            vec![ParticipantId(5), ParticipantId(1), ParticipantId(5)],
-        )
-        .unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.members(), &[ParticipantId(1), ParticipantId(5)]);
-    }
-
-    #[test]
-    fn new_rejects_empty_and_out_of_universe() {
-        assert_eq!(
-            ParticipantSet::new(10, vec![]),
-            Err(ChannelError::EmptyParticipantSet)
-        );
-        assert!(matches!(
-            ParticipantSet::new(4, vec![ParticipantId(4)]),
-            Err(ChannelError::TooManyParticipants { .. })
-        ));
-    }
-
-    #[test]
-    fn first_k_builds_prefix() {
-        let set = ParticipantSet::first_k(100, 3).unwrap();
-        assert_eq!(set.len(), 3);
-        assert!(set.contains(ParticipantId(0)));
-        assert!(set.contains(ParticipantId(2)));
-        assert!(!set.contains(ParticipantId(3)));
-        assert_eq!(set.universe_size(), 100);
-    }
-
-    #[test]
-    fn first_k_validates_bounds() {
-        assert!(ParticipantSet::first_k(10, 0).is_err());
-        assert!(ParticipantSet::first_k(10, 11).is_err());
-        assert!(ParticipantSet::first_k(10, 10).is_ok());
-    }
-
-    #[test]
-    fn membership_and_iteration_agree() {
-        let set = ParticipantSet::new(
-            32,
-            vec![ParticipantId(3), ParticipantId(17), ParticipantId(31)],
-        )
-        .unwrap();
-        let collected: Vec<_> = set.iter().collect();
-        assert_eq!(collected.len(), set.len());
-        for id in collected {
-            assert!(set.contains(id));
-        }
-        assert!(!set.contains(ParticipantId(4)));
-    }
-
-    #[test]
-    fn participant_id_display_and_conversion() {
-        let id: ParticipantId = 7usize.into();
+    fn participant_id_display_and_index() {
+        let id = ParticipantId(7);
         assert_eq!(id.to_string(), "p7");
         assert_eq!(id.index(), 7);
     }

@@ -28,29 +28,10 @@ impl RoundOutcome {
     }
 }
 
-impl std::fmt::Display for RoundOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let label = match self {
-            RoundOutcome::Silence => "silence",
-            RoundOutcome::Success => "success",
-            RoundOutcome::Collision => "collision",
-        };
-        write!(f, "{label}")
-    }
-}
-
-/// What a single participant observes at the end of a round.
-///
-/// The observation depends on the channel mode and on whether the
-/// participant itself transmitted:
-///
-/// * With collision detection, everyone (including transmitters) can tell a
-///   collision apart from silence.
-/// * Without collision detection, listeners cannot distinguish collision
-///   from silence; they only ever see [`Feedback::NothingHeard`] unless the
-///   round succeeded.  A node that transmitted alone knows it succeeded; the
-///   paper's model announces success to everyone (the problem is defined to
-///   end at that round), which we model as [`Feedback::Resolved`].
+/// What every participant observes at the end of a round: a function of
+/// the round's [`RoundOutcome`] and the channel mode alone, never of
+/// whether the participant itself transmitted (see
+/// [`crate::ChannelMode::feedback`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Feedback {
     /// The round resolved contention (a single transmitter was heard).
@@ -69,20 +50,6 @@ impl Feedback {
     pub fn is_resolved(self) -> bool {
         matches!(self, Feedback::Resolved)
     }
-
-    /// Collapses the feedback to the single "collision history" bit used by
-    /// uniform collision-detection algorithms: `true` for a detected
-    /// collision, `false` for detected silence.
-    ///
-    /// Returns `None` for feedback kinds that do not correspond to a history
-    /// bit (resolution, or the no-detection "nothing heard" observation).
-    pub fn as_collision_bit(self) -> Option<bool> {
-        match self {
-            Feedback::CollisionDetected => Some(true),
-            Feedback::SilenceDetected => Some(false),
-            Feedback::Resolved | Feedback::NothingHeard => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -91,22 +58,14 @@ mod tests {
 
     #[test]
     fn outcome_from_count_matches_model() {
-        assert_eq!(
-            RoundOutcome::from_transmitter_count(0),
-            RoundOutcome::Silence
-        );
-        assert_eq!(
-            RoundOutcome::from_transmitter_count(1),
-            RoundOutcome::Success
-        );
-        assert_eq!(
-            RoundOutcome::from_transmitter_count(2),
-            RoundOutcome::Collision
-        );
-        assert_eq!(
-            RoundOutcome::from_transmitter_count(100),
-            RoundOutcome::Collision
-        );
+        for (count, outcome) in [
+            (0, RoundOutcome::Silence),
+            (1, RoundOutcome::Success),
+            (2, RoundOutcome::Collision),
+            (100, RoundOutcome::Collision),
+        ] {
+            assert_eq!(RoundOutcome::from_transmitter_count(count), outcome);
+        }
     }
 
     #[test]
@@ -114,21 +73,6 @@ mod tests {
         assert!(RoundOutcome::Success.is_success());
         assert!(!RoundOutcome::Silence.is_success());
         assert!(!RoundOutcome::Collision.is_success());
-    }
-
-    #[test]
-    fn display_labels_are_stable() {
-        assert_eq!(RoundOutcome::Silence.to_string(), "silence");
-        assert_eq!(RoundOutcome::Success.to_string(), "success");
-        assert_eq!(RoundOutcome::Collision.to_string(), "collision");
-    }
-
-    #[test]
-    fn feedback_collision_bits() {
-        assert_eq!(Feedback::CollisionDetected.as_collision_bit(), Some(true));
-        assert_eq!(Feedback::SilenceDetected.as_collision_bit(), Some(false));
-        assert_eq!(Feedback::Resolved.as_collision_bit(), None);
-        assert_eq!(Feedback::NothingHeard.as_collision_bit(), None);
     }
 
     #[test]

@@ -139,6 +139,7 @@ impl NodeProtocol for DeterministicCdAdvice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::execute_tallied;
     use crp_channel::{try_execute, ChannelMode, ExecutionConfig};
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
@@ -199,14 +200,14 @@ mod tests {
         // left after collisions until a single id remains.
         let universe = 64;
         let active = vec![1, 2, 3, 4, 5];
-        let mut nodes = build_nodes(universe, &active, 0);
-        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10).with_trace();
+        let nodes = build_nodes(universe, &active, 0);
+        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+        let (exec, transmitters) = execute_tallied(nodes, &config, &mut rng);
         assert!(exec.resolved);
         assert!(
-            exec.trace.collisions() > 0,
-            "expected at least one collision"
+            transmitters.iter().any(|&t| t >= 2),
+            "expected at least one collision: {transmitters:?}"
         );
     }
 
@@ -216,12 +217,15 @@ mod tests {
         // first probe (lower half transmits) is silent.
         let universe = 64;
         let active = vec![50, 60];
-        let mut nodes = build_nodes(universe, &active, 0);
-        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10).with_trace();
+        let nodes = build_nodes(universe, &active, 0);
+        let config = ExecutionConfig::new(ChannelMode::CollisionDetection, 10);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let exec = try_execute(&mut nodes, &config, &mut rng).expect("valid configuration");
+        let (exec, transmitters) = execute_tallied(nodes, &config, &mut rng);
         assert!(exec.resolved);
-        assert!(exec.trace.silences() > 0);
+        assert!(
+            transmitters.contains(&0),
+            "expected a silent round: {transmitters:?}"
+        );
     }
 
     #[test]

@@ -57,3 +57,49 @@ pub(crate) fn check_in_universe(
     }
     Ok(())
 }
+
+/// Runs `nodes` with each one wrapped so that it adds its transmissions to
+/// a shared tally, and returns the execution with the number of
+/// transmitters in each elapsed round (`[r - 1]` for round `r`).
+#[cfg(test)]
+fn execute_tallied<N: crp_channel::NodeProtocol>(
+    nodes: Vec<N>,
+    config: &crp_channel::ExecutionConfig,
+    rng: &mut dyn rand::RngCore,
+) -> (crp_channel::Execution, Vec<usize>) {
+    use crp_channel::{Feedback, NodeProtocol};
+    use std::cell::RefCell;
+
+    struct Tallied<'a, N> {
+        node: N,
+        tally: &'a RefCell<Vec<usize>>,
+    }
+
+    impl<N: NodeProtocol> NodeProtocol for Tallied<'_, N> {
+        fn decide(&mut self, round: usize, rng: &mut dyn rand::RngCore) -> bool {
+            let transmits = self.node.decide(round, rng);
+            let tally = &mut *self.tally.borrow_mut();
+            tally.resize(tally.len().max(round), 0);
+            tally[round - 1] += usize::from(transmits);
+            transmits
+        }
+        fn observe(&mut self, round: usize, feedback: Feedback) {
+            self.node.observe(round, feedback);
+        }
+        fn finished(&self) -> bool {
+            self.node.finished()
+        }
+    }
+
+    let tally = RefCell::new(Vec::new());
+    let mut tallied: Vec<Tallied<N>> = nodes
+        .into_iter()
+        .map(|node| Tallied {
+            node,
+            tally: &tally,
+        })
+        .collect();
+    let execution =
+        crp_channel::try_execute(&mut tallied, config, rng).expect("valid configuration");
+    (execution, tally.into_inner())
+}

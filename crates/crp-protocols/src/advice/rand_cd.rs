@@ -65,7 +65,7 @@ impl CdStrategy for AdvisedWillard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::try_run_cd_strategy;
+    use crate::{try_run_protocol, StrategyProtocol};
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -102,7 +102,7 @@ mod tests {
         let trials = 300;
         let resolved = (0..trials)
             .filter(|_| {
-                try_run_cd_strategy(&protocol, k, 1, &mut rng)
+                try_run_protocol(&StrategyProtocol::new(protocol), k, 1, &mut rng)
                     .unwrap()
                     .resolved
             })
@@ -126,7 +126,7 @@ mod tests {
             let trials = 300;
             let resolved = (0..trials)
                 .filter(|_| {
-                    try_run_cd_strategy(&protocol, k, horizon, &mut rng)
+                    try_run_protocol(&StrategyProtocol::new(protocol), k, horizon, &mut rng)
                         .unwrap()
                         .resolved
                 })

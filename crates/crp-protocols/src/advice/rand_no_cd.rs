@@ -74,7 +74,7 @@ impl NoCdSchedule for AdvisedDecay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::try_run_schedule;
+    use crate::{try_run_protocol, ScheduleProtocol};
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -111,9 +111,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let trials = 400;
         let mean_for = |budget: usize, rng: &mut ChaCha8Rng| {
-            let schedule = AdvisedDecay::new(n, &advice_for(n, k, budget)).unwrap();
+            let schedule =
+                ScheduleProtocol(AdvisedDecay::new(n, &advice_for(n, k, budget)).unwrap());
             let total: usize = (0..trials)
-                .map(|_| try_run_schedule(&schedule, k, 50_000, rng).unwrap().rounds)
+                .map(|_| try_run_protocol(&schedule, k, 50_000, rng).unwrap().rounds)
                 .sum();
             total as f64 / trials as f64
         };
@@ -150,7 +151,7 @@ mod tests {
         for k in [2usize, 60, 500, 3000] {
             let schedule = AdvisedDecay::new(n, &advice_for(n, k, 2)).unwrap();
             assert!(schedule.covers_size(k));
-            let exec = try_run_schedule(&schedule, k, 20_000, &mut rng).unwrap();
+            let exec = try_run_protocol(&ScheduleProtocol(schedule), k, 20_000, &mut rng).unwrap();
             assert!(exec.resolved, "k={k} did not resolve");
         }
     }

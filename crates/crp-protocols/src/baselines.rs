@@ -318,7 +318,7 @@ impl CdStrategy for WillardSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{try_run_cd_strategy, try_run_schedule};
+    use crate::{try_run_protocol, ScheduleProtocol, StrategyProtocol};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -354,10 +354,10 @@ mod tests {
 
     #[test]
     fn decay_resolves_for_many_sizes() {
-        let decay = Decay::new(4096).unwrap();
+        let decay = ScheduleProtocol(Decay::new(4096).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for k in [2usize, 10, 100, 1000, 4000] {
-            let exec = try_run_schedule(&decay, k, 10_000, &mut rng).unwrap();
+            let exec = try_run_protocol(&decay, k, 10_000, &mut rng).unwrap();
             assert!(exec.resolved, "decay failed to resolve with k={k}");
         }
     }
@@ -367,9 +367,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let trials = 300;
         let mean_rounds = |n: usize, k: usize, rng: &mut ChaCha8Rng| {
-            let decay = Decay::new(n).unwrap();
+            let decay = ScheduleProtocol(Decay::new(n).unwrap());
             let total: usize = (0..trials)
-                .map(|_| try_run_schedule(&decay, k, 100_000, rng).unwrap().rounds)
+                .map(|_| try_run_protocol(&decay, k, 100_000, rng).unwrap().rounds)
                 .sum();
             total as f64 / trials as f64
         };
@@ -387,12 +387,12 @@ mod tests {
     fn fixed_probability_is_constant_time_when_estimate_is_right() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let k = 500;
-        let protocol = FixedProbability::new(k).unwrap();
-        assert_eq!(protocol.estimate(), k);
+        let protocol = ScheduleProtocol(FixedProbability::new(k).unwrap());
+        assert_eq!(protocol.0.estimate(), k);
         let trials = 400;
         let total: usize = (0..trials)
             .map(|_| {
-                try_run_schedule(&protocol, k, 10_000, &mut rng)
+                try_run_protocol(&protocol, k, 10_000, &mut rng)
                     .unwrap()
                     .rounds
             })
@@ -434,13 +434,13 @@ mod tests {
     #[test]
     fn willard_resolves_quickly_with_collision_detection() {
         let n = 1 << 16;
-        let willard = Willard::new(n).unwrap();
+        let willard = StrategyProtocol::new(Willard::new(n).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut resolved = 0;
         let trials = 300;
         let mut total_rounds = 0;
         for _ in 0..trials {
-            let exec = try_run_cd_strategy(&willard, 3000, 200, &mut rng).unwrap();
+            let exec = try_run_protocol(&willard, 3000, 200, &mut rng).unwrap();
             if exec.resolved {
                 resolved += 1;
                 total_rounds += exec.rounds;

@@ -80,8 +80,8 @@ pub use baselines::{BlindTrust, Decay, FixedProbability, Willard};
 pub use error::ProtocolError;
 pub use predicted::{CodeChoice, CodedSearch, SortedGuess};
 pub use protocol::{
-    required_channel_mode, try_run_protocol, try_run_protocol_with, Behavior, NodeFactory,
-    Protocol, ScheduleProtocol, StrategyProtocol, UniformPolicy,
+    try_run_protocol, try_run_protocol_with, Behavior, NodeFactory, Protocol, ScheduleProtocol,
+    StrategyProtocol, UniformPolicy,
 };
 pub use registry::{
     DeterministicAdviceProtocol, ProtocolEntry, ProtocolParams, ProtocolRegistry, ProtocolSpec,
@@ -89,4 +89,4 @@ pub use registry::{
 pub use selective_family::{
     binary_representation_family, is_strongly_selective, singleton_family, SelectiveFamily,
 };
-pub use traits::{try_run_cd_strategy, try_run_schedule, CdStrategy, NoCdSchedule, ProtocolKind};
+pub use traits::{CdStrategy, NoCdSchedule, ProtocolKind};

@@ -188,7 +188,7 @@ impl CdStrategy for CodedSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::try_run_cd_strategy;
+    use crate::{try_run_protocol, StrategyProtocol};
     use crp_info::range_index_for_size;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -233,13 +233,14 @@ mod tests {
         let k = 900;
         let prediction = SizeDistribution::point_mass(n, k).unwrap();
         let protocol = CodedSearch::from_sizes(&prediction).unwrap();
+        let budget = protocol.horizon().max(4);
+        let protocol = StrategyProtocol::new(protocol);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let trials = 400;
         let mut resolved = 0;
         let mut total_rounds = 0;
         for _ in 0..trials {
-            let exec =
-                try_run_cd_strategy(&protocol, k, protocol.horizon().max(4), &mut rng).unwrap();
+            let exec = try_run_protocol(&protocol, k, budget, &mut rng).unwrap();
             if exec.resolved {
                 resolved += 1;
                 total_rounds += exec.rounds;
@@ -267,10 +268,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let trials = 500;
         let mean_resolved = |p: &CodedSearch, rng: &mut ChaCha8Rng| {
+            let strategy = StrategyProtocol::new(p.clone());
             let mut rounds = 0usize;
             let mut count = 0usize;
             for _ in 0..trials {
-                let exec = try_run_cd_strategy(p, k, p.horizon().max(4), rng).unwrap();
+                let exec = try_run_protocol(&strategy, k, p.horizon().max(4), rng).unwrap();
                 if exec.resolved {
                     rounds += exec.rounds;
                     count += 1;
@@ -294,8 +296,8 @@ mod tests {
         let protocol = CodedSearch::with_code_choice(&condensed, CodeChoice::ShannonFano).unwrap();
         assert_eq!(protocol.name(), "coded-search-shannon-fano");
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let exec =
-            try_run_cd_strategy(&protocol, 4, 10 * protocol.horizon().max(4), &mut rng).unwrap();
+        let budget = 10 * protocol.horizon().max(4);
+        let exec = try_run_protocol(&StrategyProtocol::new(protocol), 4, budget, &mut rng).unwrap();
         // 4 participants fall in range 2; the protocol covers every range,
         // so across a generous budget it should usually resolve.
         let _ = exec; // statistical behaviour covered by other tests

@@ -104,7 +104,7 @@ impl NoCdSchedule for SortedGuess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::try_run_schedule;
+    use crate::{try_run_protocol, ScheduleProtocol};
     use crp_info::range_index_for_size;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -155,11 +155,13 @@ mod tests {
         let k = 3000;
         let prediction = SizeDistribution::point_mass(n, k).unwrap();
         let protocol = SortedGuess::from_sizes(&prediction);
+        let pass = protocol.pass_length();
+        let protocol = ScheduleProtocol(protocol);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let trials = 500;
         let mut resolved_in_first_round = 0;
         for _ in 0..trials {
-            let exec = try_run_schedule(&protocol, k, protocol.pass_length(), &mut rng).unwrap();
+            let exec = try_run_protocol(&protocol, k, pass, &mut rng).unwrap();
             if exec.resolved && exec.rounds == 1 {
                 resolved_in_first_round += 1;
             }
@@ -184,7 +186,8 @@ mod tests {
         let mean = |p: &SortedGuess, rng: &mut ChaCha8Rng| {
             let total: usize = (0..trials)
                 .map(|_| {
-                    let exec = try_run_schedule(&p.clone().cycling(), k, 10_000, rng).unwrap();
+                    let cycling = ScheduleProtocol(p.clone().cycling());
+                    let exec = try_run_protocol(&cycling, k, 10_000, rng).unwrap();
                     exec.rounds
                 })
                 .sum();
@@ -202,10 +205,10 @@ mod tests {
     fn cycling_variant_always_resolves_eventually() {
         let n = 4096;
         let prediction = SizeDistribution::uniform_ranges(n).unwrap();
-        let protocol = SortedGuess::from_sizes(&prediction).cycling();
+        let protocol = ScheduleProtocol(SortedGuess::from_sizes(&prediction).cycling());
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for k in [2usize, 57, 513, 4000] {
-            let exec = try_run_schedule(&protocol, k, 50_000, &mut rng).unwrap();
+            let exec = try_run_protocol(&protocol, k, 50_000, &mut rng).unwrap();
             assert!(exec.resolved, "cycling sorted-guess failed for k={k}");
         }
     }

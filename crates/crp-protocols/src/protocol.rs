@@ -4,23 +4,20 @@
 //! two feedback models (with and without collision detection) and two
 //! execution styles (*uniform* — every participant runs the same
 //! probability schedule — and *per-node* — behaviour depends on the
-//! participant's identity, as in the §3 advice algorithms).  Historically
-//! this reproduction exposed those styles through three disjoint traits
-//! ([`NoCdSchedule`], [`CdStrategy`], [`crp_channel::NodeProtocol`]) and
-//! three hand-wired run functions, so every caller duplicated construction
-//! and dispatch logic.
+//! participant's identity, as in the §3 advice algorithms).
 //!
-//! [`Protocol`] unifies them: one object-safe trait that names the
+//! [`Protocol`] covers all of them: one object-safe trait that names the
 //! protocol, declares which channel feedback model it needs
 //! ([`ProtocolKind`]), optionally bounds its round budget, and exposes its
-//! execution style through [`Protocol::behavior`].  Existing trait impls
-//! slot in through the [`ScheduleProtocol`] and [`StrategyProtocol`]
-//! adapters (uniform) and [`NodeFactory`] implementations (per-node);
-//! [`try_run_protocol`] drives any of them against the channel.
+//! execution style through [`Protocol::behavior`].  A [`NoCdSchedule`] or
+//! [`CdStrategy`] becomes a protocol through the [`ScheduleProtocol`] or
+//! [`StrategyProtocol`] adapter, and a per-node protocol through a
+//! [`NodeFactory`].  There is one runner: [`try_run_protocol`] (or
+//! [`try_run_protocol_with`], for explicit participant ids) drives any
+//! protocol on the channel mode its kind requires.
 
 use crp_channel::{
-    try_execute_uniform_schedule, ChannelMode, CollisionHistory, Execution, ExecutionConfig,
-    ParticipantId,
+    try_execute_uniform_schedule, CollisionHistory, Execution, ExecutionConfig, ParticipantId,
 };
 use rand::{Rng, RngCore};
 
@@ -272,18 +269,11 @@ pub fn try_run_protocol_with<R: Rng>(
     }
 }
 
-/// The channel mode a protocol must run on.
-///
-/// Convenience mirror of `protocol.kind().channel_mode()` for call sites
-/// that only hold a `dyn Protocol`.
-pub fn required_channel_mode(protocol: &dyn Protocol) -> ChannelMode {
-    protocol.kind().channel_mode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::{Decay, Willard};
+    use crp_channel::ChannelMode;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -327,11 +317,11 @@ mod tests {
     fn required_mode_matches_kind() {
         let no_cd = ScheduleProtocol(Decay::new(64).unwrap());
         assert_eq!(
-            required_channel_mode(&no_cd),
+            no_cd.kind().channel_mode(),
             ChannelMode::NoCollisionDetection
         );
         let cd = StrategyProtocol::new(Willard::new(64).unwrap());
-        assert_eq!(required_channel_mode(&cd), ChannelMode::CollisionDetection);
+        assert_eq!(cd.kind().channel_mode(), ChannelMode::CollisionDetection);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Protocol traits and runners.
+//! Protocol kinds and the uniform protocol traits.
 //!
 //! The paper analyses *uniform* algorithms (§2.1): without collision
 //! detection a uniform algorithm is a fixed sequence of probabilities
 //! `p₁, p₂, …`; with collision detection it is a function from collision
 //! histories to probabilities.  [`NoCdSchedule`] and [`CdStrategy`] are
-//! those two classes.  The per-node (non-uniform) protocols of §3 implement
-//! `crp_channel::NodeProtocol` directly instead.
+//! those two classes; they run through the [`crate::ScheduleProtocol`] and
+//! [`crate::StrategyProtocol`] adapters.  The per-node (non-uniform)
+//! protocols of §3 implement `crp_channel::NodeProtocol` directly instead.
 
-use crp_channel::{
-    try_execute_uniform_schedule, ChannelMode, CollisionHistory, Execution, ExecutionConfig,
-};
-use rand::Rng;
-
-use crate::error::ProtocolError;
+use crp_channel::{ChannelMode, CollisionHistory};
 
 /// Which channel assumption a protocol is designed for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,45 +69,10 @@ pub trait CdStrategy {
     fn name(&self) -> &str;
 }
 
-/// Runs a [`NoCdSchedule`] with `k` participants for at most `max_rounds`
-/// rounds on a channel without collision detection.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::InvalidParameter`] if `k == 0`,
-/// `max_rounds == 0`, or the schedule emits a probability outside `[0, 1]`.
-pub fn try_run_schedule<S: NoCdSchedule + ?Sized, R: Rng>(
-    schedule: &S,
-    k: usize,
-    max_rounds: usize,
-    rng: &mut R,
-) -> Result<Execution, ProtocolError> {
-    let config = ExecutionConfig::new(ChannelMode::NoCollisionDetection, max_rounds);
-    try_execute_uniform_schedule(k, |round, _| schedule.probability(round), &config, rng)
-        .map_err(ProtocolError::from)
-}
-
-/// Runs a [`CdStrategy`] with `k` participants for at most `max_rounds`
-/// rounds on a channel with collision detection.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::InvalidParameter`] if `k == 0`,
-/// `max_rounds == 0`, or the strategy emits a probability outside `[0, 1]`.
-pub fn try_run_cd_strategy<S: CdStrategy + ?Sized, R: Rng>(
-    strategy: &S,
-    k: usize,
-    max_rounds: usize,
-    rng: &mut R,
-) -> Result<Execution, ProtocolError> {
-    let config = ExecutionConfig::new(ChannelMode::CollisionDetection, max_rounds);
-    try_execute_uniform_schedule(k, |_, history| strategy.probability(history), &config, rng)
-        .map_err(ProtocolError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_run_protocol, ScheduleProtocol, StrategyProtocol};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -152,7 +113,8 @@ mod tests {
     #[test]
     fn run_schedule_resolves_single_participant() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let exec = try_run_schedule(&ConstantSchedule(0.8), 1, 100, &mut rng).unwrap();
+        let schedule = ScheduleProtocol(ConstantSchedule(0.8));
+        let exec = try_run_protocol(&schedule, 1, 100, &mut rng).unwrap();
         assert!(exec.resolved);
     }
 
@@ -161,17 +123,20 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         // 8 participants starting at p=1/2: collisions push the probability
         // down until a lone transmitter emerges.
-        let exec = try_run_cd_strategy(&HalvingStrategy, 8, 500, &mut rng).unwrap();
+        let strategy = StrategyProtocol::new(HalvingStrategy);
+        let exec = try_run_protocol(&strategy, 8, 500, &mut rng).unwrap();
         assert!(exec.resolved);
     }
 
     #[test]
     fn degenerate_configurations_yield_typed_errors() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        assert!(try_run_schedule(&ConstantSchedule(0.5), 0, 100, &mut rng).is_err());
-        assert!(try_run_schedule(&ConstantSchedule(0.5), 4, 0, &mut rng).is_err());
-        assert!(try_run_cd_strategy(&HalvingStrategy, 0, 100, &mut rng).is_err());
-        assert!(try_run_cd_strategy(&HalvingStrategy, 4, 0, &mut rng).is_err());
+        let schedule = ScheduleProtocol(ConstantSchedule(0.5));
+        let strategy = StrategyProtocol::new(HalvingStrategy);
+        assert!(try_run_protocol(&schedule, 0, 100, &mut rng).is_err());
+        assert!(try_run_protocol(&schedule, 4, 0, &mut rng).is_err());
+        assert!(try_run_protocol(&strategy, 0, 100, &mut rng).is_err());
+        assert!(try_run_protocol(&strategy, 4, 0, &mut rng).is_err());
     }
 
     #[test]

@@ -185,12 +185,6 @@ impl From<crp_protocols::ProtocolError> for SimError {
     }
 }
 
-impl From<crp_channel::ChannelError> for SimError {
-    fn from(err: crp_channel::ChannelError) -> Self {
-        SimError::Substrate(err.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,7 +68,7 @@ mod tests {
     use crate::runner::backend::CellWork;
     use crate::simulation::Population;
     use crate::{SimError, Simulation};
-    use crp_protocols::{ProtocolSpec, Willard};
+    use crp_protocols::{DeterministicAdviceProtocol, ProtocolKind, ProtocolSpec, Willard};
     use rand::SeedableRng;
 
     #[test]
@@ -143,14 +143,14 @@ mod tests {
     fn a_failing_trial_surfaces_its_typed_error() {
         // Participant 300 lies outside the 256-id universe: every trial's
         // execution rejects it, on the scalar executor and on the
-        // deterministic kernel alike.
+        // deterministic kernel alike.  The protocol object carries no
+        // spec, so the builder's universe check does not apply and the
+        // failure happens at trial time.
         let run = |kernel: KernelChoice| {
+            let protocol =
+                DeterministicAdviceProtocol::new(256, 2, ProtocolKind::CollisionDetection);
             Simulation::builder()
-                .protocol(
-                    ProtocolSpec::new("det-advice-cd")
-                        .universe(256)
-                        .advice_bits(2),
-                )
+                .protocol_object(Box::new(protocol))
                 .participant_ids(vec![10, 300])
                 .max_rounds(100)
                 .trials(10)
@@ -302,6 +302,20 @@ mod tests {
             .run_inline()
             .unwrap();
         assert_eq!(worker_acc, local);
+    }
+
+    #[test]
+    fn shard_worker_rejects_a_population_outside_its_universe() {
+        let spec = ShardSpec {
+            protocol: crp_protocols::ProtocolSpec::new("decay").universe(1024),
+            population: Population::Fixed(1 << 20),
+            max_rounds: 100,
+        };
+        let job = spec.to_wire(ShardPlan::new(10), 1, 0, &mut crp_fleet::BlobSet::new());
+        assert!(job.payload.contains("population fixed 1048576\n"));
+        let no_blobs = |_: &str| None;
+        let err = run_shard_worker_with(&job.payload, &no_blobs, KernelChoice::Auto).unwrap_err();
+        assert!(matches!(err, SimError::InvalidParameter { .. }), "{err}");
     }
 
     #[test]

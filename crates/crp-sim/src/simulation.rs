@@ -185,7 +185,10 @@ impl SimulationBuilder {
     ///   converted [`crp_protocols::ProtocolError`] instead.)
     /// * [`SimError::InvalidParameter`] — zero participants, zero trials,
     ///   a zero round budget, or no budget at all for an unbounded
-    ///   protocol.
+    ///   protocol; and, for a protocol built from a spec, a population
+    ///   that does not fit the spec's universe: more participants than
+    ///   ids, a placement with a repeated or out-of-universe id, or a
+    ///   truth distribution over sizes beyond the universe.
     /// * [`SimError::ModeMismatch`] — an explicitly pinned channel mode
     ///   contradicts the protocol's [`crp_protocols::ProtocolKind`].
     pub fn build(self) -> Result<Simulation, SimError> {
@@ -225,6 +228,9 @@ impl SimulationBuilder {
                 });
             }
             _ => {}
+        }
+        if let Some(spec) = &spec {
+            check_fits_universe(&population, spec.params().universe)?;
         }
 
         let max_rounds = match self.max_rounds {
@@ -271,6 +277,39 @@ impl SimulationBuilder {
     pub fn run(self) -> Result<TrialStats, SimError> {
         self.build()?.run()
     }
+}
+
+/// The paper draws every participant set from the universe `V` of
+/// `universe` ids: a fixed count, an id placement or a sampled size that
+/// does not fit it is outside the model, so it is rejected before any
+/// trial runs rather than reported as a statistic.
+fn check_fits_universe(population: &Population, universe: usize) -> Result<(), SimError> {
+    let what = match population {
+        Population::Fixed(k) if *k > universe => {
+            format!("participants({k}) exceeds the universe of {universe} ids")
+        }
+        Population::Placed(ids) => {
+            let mut sorted: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                format!(
+                    "participant_ids: id {} is placed twice; ids are distinct members of the \
+                     universe of {universe} ids",
+                    pair[0]
+                )
+            } else if let Some(&id) = sorted.last().filter(|&&id| id >= universe) {
+                format!("participant_ids: id {id} is outside the universe of {universe} ids")
+            } else {
+                return Ok(());
+            }
+        }
+        Population::Sampled(truth) if truth.max_size() > universe => format!(
+            "truth: sizes up to {} exceed the universe of {universe} ids",
+            truth.max_size()
+        ),
+        _ => return Ok(()),
+    };
+    Err(SimError::InvalidParameter { what })
 }
 
 fn budget_required() -> SimError {
@@ -522,6 +561,54 @@ mod tests {
             .run()
             .unwrap();
         assert!((stats.success_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn populations_outside_the_universe_are_rejected_at_build_time() {
+        let build = |spec: ProtocolSpec, builder: SimulationBuilder| {
+            builder
+                .protocol(spec)
+                .max_rounds(100)
+                .trials(10)
+                .build()
+                .map(|_| ())
+        };
+        let decay = || ProtocolSpec::new("decay").universe(1024);
+        let scan = || ProtocolSpec::new("det-advice-no-cd").universe(64);
+        let truth = SizeDistribution::uniform_sizes(2048).unwrap();
+        let cases = [
+            (
+                decay(),
+                Simulation::builder().participants(1 << 20),
+                "1048576",
+            ),
+            (
+                scan(),
+                Simulation::builder().participant_ids(vec![5, 5]),
+                "5",
+            ),
+            (
+                scan(),
+                Simulation::builder().participant_ids(vec![3, 64]),
+                "64",
+            ),
+            (decay(), Simulation::builder().truth(truth), "2048"),
+        ];
+        for (spec, builder, population) in cases {
+            let universe = spec.params().universe.to_string();
+            match build(spec, builder) {
+                Err(SimError::InvalidParameter { what }) => {
+                    assert!(what.contains(population), "{what}");
+                    assert!(what.contains(&universe), "{what}");
+                }
+                other => panic!("expected InvalidParameter, got {other:?}"),
+            }
+        }
+        // Populations that exactly fill the universe are in the model.
+        assert!(build(decay(), Simulation::builder().participants(1024)).is_ok());
+        assert!(build(scan(), Simulation::builder().participant_ids(vec![0, 63])).is_ok());
+        let full = SizeDistribution::uniform_sizes(1024).unwrap();
+        assert!(build(decay(), Simulation::builder().truth(full)).is_ok());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!
 //! * [`info`] (`crp-info`) — size distributions, condensed distributions,
 //!   entropy, KL divergence, Huffman / Shannon–Fano codes.
-//! * [`channel`] (`crp-channel`) — the synchronous slotted channel, with
-//!   and without collision detection, and the execution engine.
+//! * [`channel`] (`crp-channel`) — the stateless round model (a round's
+//!   outcome from its transmitter count; the one feedback every
+//!   participant hears, with or without collision detection) and its two
+//!   executors, per-node and uniform.
 //! * [`predict`] (`crp-predict`) — scenario library, noise models, the
 //!   learned histogram predictor and perfect-advice oracles.
 //! * [`protocols`] (`crp-protocols`) — decay, Willard, the §2.5 / §2.6
