@@ -75,7 +75,7 @@ fn baselines(c: &mut Criterion) {
         let known = measure(
             ProtocolSpec::new("fixed-probability")
                 .universe(n)
-                .estimate(mode),
+                .participants(mode),
             SizeDistribution::point_mass(n, mode).unwrap(),
             Some(64 * n),
             &config,

@@ -32,9 +32,8 @@
 //!   content-addressed `fuzz-<hash12>.trace` files.
 //! * [`error`] — the [`FuzzError`] type.
 //!
-//! The `crp_fuzz` binary fronts all of this (and `crp_experiments fuzz`
-//! delegates to it); the fixed-seed CI smoke job asserts that the
-//! shipped protocols clear every oracle.
+//! The `crp_fuzz` binary fronts all of this; the fixed-seed CI smoke job
+//! asserts that the shipped protocols clear every oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

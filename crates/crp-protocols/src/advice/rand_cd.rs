@@ -9,12 +9,12 @@
 //! `b ≥ log log n` bits the correct range is pinned exactly and the
 //! protocol runs at the known-size optimum.
 
-use crp_channel::CollisionHistory;
+use crp_channel::{ChannelMode, CollisionHistory};
 use crp_predict::{Advice, RangeOracle};
 
 use crate::baselines::WillardSearch;
 use crate::error::ProtocolError;
-use crate::traits::CdStrategy;
+use crate::protocol::{Behavior, Protocol, UniformPolicy};
 
 /// Willard's binary search restricted to the advice's candidate ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,20 +52,34 @@ impl AdvisedWillard {
     }
 }
 
-impl CdStrategy for AdvisedWillard {
-    fn probability(&self, history: &CollisionHistory) -> Option<f64> {
-        self.search.probability(history)
+impl Protocol for AdvisedWillard {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::CollisionDetection
     }
 
     fn name(&self) -> &str {
         "advised-willard"
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        Some(self.worst_case_rounds())
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for AdvisedWillard {
+    fn probability(&self, _round: usize, history: &CollisionHistory) -> Option<f64> {
+        self.search.probability(history)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_protocol, StrategyProtocol};
+    use crate::try_run_protocol;
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -102,7 +116,7 @@ mod tests {
         let trials = 300;
         let resolved = (0..trials)
             .filter(|_| {
-                try_run_protocol(&StrategyProtocol::new(protocol), k, 1, &mut rng)
+                try_run_protocol(&protocol, k, 1, &mut rng)
                     .unwrap()
                     .resolved
             })
@@ -126,7 +140,7 @@ mod tests {
             let trials = 300;
             let resolved = (0..trials)
                 .filter(|_| {
-                    try_run_protocol(&StrategyProtocol::new(protocol), k, horizon, &mut rng)
+                    try_run_protocol(&protocol, k, horizon, &mut rng)
                         .unwrap()
                         .resolved
                 })

@@ -8,11 +8,12 @@
 //! decay strategy cycles through just that block, for an expected round
 //! complexity of `Θ(log n / 2^b)`.
 
+use crp_channel::{ChannelMode, CollisionHistory};
 use crp_info::range_index_for_size;
 use crp_predict::{Advice, RangeOracle};
 
 use crate::error::ProtocolError;
-use crate::traits::NoCdSchedule;
+use crate::protocol::{Behavior, Protocol, UniformPolicy};
 
 /// Truncated decay: the decay strategy restricted to the candidate
 /// geometric ranges selected by `b` bits of range advice.
@@ -59,22 +60,32 @@ impl AdvisedDecay {
     }
 }
 
-impl NoCdSchedule for AdvisedDecay {
-    fn probability(&self, round: usize) -> Option<f64> {
-        let position = (round - 1) % self.sweep_length();
-        let range = self.low + position;
-        Some(2f64.powi(-(range as i32)))
+impl Protocol for AdvisedDecay {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::NoCollisionDetection
     }
 
     fn name(&self) -> &str {
         "advised-decay"
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for AdvisedDecay {
+    fn probability(&self, round: usize, _history: &CollisionHistory) -> Option<f64> {
+        let position = (round - 1) % self.sweep_length();
+        let range = self.low + position;
+        Some(2f64.powi(-(range as i32)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_protocol, ScheduleProtocol};
+    use crate::try_run_protocol;
     use crp_predict::AdviceOracle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -111,8 +122,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let trials = 400;
         let mean_for = |budget: usize, rng: &mut ChaCha8Rng| {
-            let schedule =
-                ScheduleProtocol(AdvisedDecay::new(n, &advice_for(n, k, budget)).unwrap());
+            let schedule = AdvisedDecay::new(n, &advice_for(n, k, budget)).unwrap();
             let total: usize = (0..trials)
                 .map(|_| try_run_protocol(&schedule, k, 50_000, rng).unwrap().rounds)
                 .sum();
@@ -136,11 +146,12 @@ mod tests {
     fn zero_advice_is_plain_decay_over_all_ranges() {
         let n = 1024;
         let schedule = AdvisedDecay::new(n, &Advice::empty()).unwrap();
+        let empty = CollisionHistory::new();
         assert_eq!(schedule.candidate_ranges(), (1, 10));
         assert_eq!(schedule.sweep_length(), 10);
-        assert_eq!(schedule.probability(1), Some(0.5));
-        assert_eq!(schedule.probability(10), Some(2f64.powi(-10)));
-        assert_eq!(schedule.probability(11), Some(0.5));
+        assert_eq!(schedule.probability(1, &empty), Some(0.5));
+        assert_eq!(schedule.probability(10, &empty), Some(2f64.powi(-10)));
+        assert_eq!(schedule.probability(11, &empty), Some(0.5));
         assert_eq!(schedule.name(), "advised-decay");
     }
 
@@ -151,7 +162,7 @@ mod tests {
         for k in [2usize, 60, 500, 3000] {
             let schedule = AdvisedDecay::new(n, &advice_for(n, k, 2)).unwrap();
             assert!(schedule.covers_size(k));
-            let exec = try_run_protocol(&ScheduleProtocol(schedule), k, 20_000, &mut rng).unwrap();
+            let exec = try_run_protocol(&schedule, k, 20_000, &mut rng).unwrap();
             assert!(exec.resolved, "k={k} did not resolve");
         }
     }

@@ -6,11 +6,11 @@
 //! detection, Willard achieves `O(log log n)` with collision detection, and
 //! a correct size estimate `k̂ = Θ(k)` achieves `O(1)` rounds.
 
-use crp_channel::CollisionHistory;
+use crp_channel::{ChannelMode, CollisionHistory};
 use crp_info::{log2_ceil, range_index_for_size, range_interval, CondensedDistribution};
 
 use crate::error::ProtocolError;
-use crate::traits::{CdStrategy, NoCdSchedule};
+use crate::protocol::{Behavior, Protocol, UniformPolicy};
 
 /// The decay strategy of Bar-Yehuda, Goldreich and Itai: cycle forever
 /// through the geometrically decreasing probabilities
@@ -47,14 +47,24 @@ impl Decay {
     }
 }
 
-impl NoCdSchedule for Decay {
-    fn probability(&self, round: usize) -> Option<f64> {
-        let position = (round - 1) % self.num_ranges;
-        Some(2f64.powi(-(position as i32 + 1)))
+impl Protocol for Decay {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::NoCollisionDetection
     }
 
     fn name(&self) -> &str {
         "decay"
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for Decay {
+    fn probability(&self, round: usize, _history: &CollisionHistory) -> Option<f64> {
+        let position = (round - 1) % self.num_ranges;
+        Some(2f64.powi(-(position as i32 + 1)))
     }
 }
 
@@ -90,13 +100,23 @@ impl FixedProbability {
     }
 }
 
-impl NoCdSchedule for FixedProbability {
-    fn probability(&self, _round: usize) -> Option<f64> {
-        Some(1.0 / self.estimate as f64)
+impl Protocol for FixedProbability {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::NoCollisionDetection
     }
 
     fn name(&self) -> &str {
         "fixed-probability"
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for FixedProbability {
+    fn probability(&self, _round: usize, _history: &CollisionHistory) -> Option<f64> {
+        Some(1.0 / self.estimate as f64)
     }
 
     fn constant_probability(&self) -> Option<f64> {
@@ -149,13 +169,23 @@ impl BlindTrust {
     }
 }
 
-impl NoCdSchedule for BlindTrust {
-    fn probability(&self, round: usize) -> Option<f64> {
-        self.schedule.probability(round)
+impl Protocol for BlindTrust {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::NoCollisionDetection
     }
 
     fn name(&self) -> &str {
         "blind-trust"
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for BlindTrust {
+    fn probability(&self, round: usize, history: &CollisionHistory) -> Option<f64> {
+        self.schedule.probability(round, history)
     }
 
     fn constant_probability(&self) -> Option<f64> {
@@ -198,34 +228,37 @@ impl Willard {
         })
     }
 
-    /// Creates a search restricted to the (1-based, inclusive) candidate
-    /// range interval `[low, high]` — used by the advice-augmented variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidParameter`] if the interval is empty
-    /// or inverted.
-    pub fn over_ranges(low: usize, high: usize) -> Result<WillardSearch, ProtocolError> {
-        WillardSearch::new(low, high)
-    }
-
     /// Worst-case number of rounds of the search (`⌈log ⌈log n⌉⌉ + 1`).
     pub fn worst_case_rounds(&self) -> usize {
         log2_ceil(self.num_ranges as u64) as usize + 1
     }
 }
 
-impl CdStrategy for Willard {
-    fn probability(&self, history: &CollisionHistory) -> Option<f64> {
+impl Protocol for Willard {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::CollisionDetection
+    }
+
+    fn name(&self) -> &str {
+        "willard"
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        Some(self.worst_case_rounds())
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for Willard {
+    fn probability(&self, _round: usize, history: &CollisionHistory) -> Option<f64> {
         WillardSearch {
             low: 1,
             high: self.num_ranges,
         }
         .probability(history)
-    }
-
-    fn name(&self) -> &str {
-        "willard"
     }
 }
 
@@ -235,7 +268,7 @@ impl CdStrategy for Willard {
 /// §2.6 [`crate::CodedSearch`] phases and the §3 advice-augmented
 /// [`crate::AdvisedWillard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WillardSearch {
+pub(crate) struct WillardSearch {
     low: usize,
     high: usize,
 }
@@ -301,36 +334,34 @@ impl WillardSearch {
         let width = self.high - self.low + 1;
         log2_ceil(width as u64) as usize + 1
     }
-}
 
-impl CdStrategy for WillardSearch {
-    fn probability(&self, history: &CollisionHistory) -> Option<f64> {
+    /// The probe after `history`: transmit with probability `2^{-m}` for
+    /// the median `m` of the remaining interval, or `None` once the
+    /// search is exhausted.
+    pub fn probability(&self, history: &CollisionHistory) -> Option<f64> {
         let (low, high) = self.state_after(history.bits())?;
         let median = low + (high - low) / 2;
         Some(2f64.powi(-(median as i32)))
-    }
-
-    fn name(&self) -> &str {
-        "willard-search"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_protocol, ScheduleProtocol, StrategyProtocol};
+    use crate::try_run_protocol;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn decay_cycles_through_geometric_probabilities() {
         let decay = Decay::new(1024).unwrap();
+        let empty = CollisionHistory::new();
         assert_eq!(decay.sweep_length(), 10);
-        assert_eq!(decay.probability(1), Some(0.5));
-        assert_eq!(decay.probability(2), Some(0.25));
-        assert_eq!(decay.probability(10), Some(2f64.powi(-10)));
+        assert_eq!(decay.probability(1, &empty), Some(0.5));
+        assert_eq!(decay.probability(2, &empty), Some(0.25));
+        assert_eq!(decay.probability(10, &empty), Some(2f64.powi(-10)));
         // Cycles back to the start.
-        assert_eq!(decay.probability(11), Some(0.5));
+        assert_eq!(decay.probability(11, &empty), Some(0.5));
         assert_eq!(decay.name(), "decay");
     }
 
@@ -348,13 +379,14 @@ mod tests {
         assert_eq!(blind.estimate(), 32);
         assert_eq!(blind.name(), "blind-trust");
         // The schedule never decays or cycles: same probability forever.
-        assert_eq!(blind.probability(1), Some(1.0 / 32.0));
-        assert_eq!(blind.probability(1_000_000), Some(1.0 / 32.0));
+        let empty = CollisionHistory::new();
+        assert_eq!(blind.probability(1, &empty), Some(1.0 / 32.0));
+        assert_eq!(blind.probability(1_000_000, &empty), Some(1.0 / 32.0));
     }
 
     #[test]
     fn decay_resolves_for_many_sizes() {
-        let decay = ScheduleProtocol(Decay::new(4096).unwrap());
+        let decay = Decay::new(4096).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for k in [2usize, 10, 100, 1000, 4000] {
             let exec = try_run_protocol(&decay, k, 10_000, &mut rng).unwrap();
@@ -367,7 +399,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let trials = 300;
         let mean_rounds = |n: usize, k: usize, rng: &mut ChaCha8Rng| {
-            let decay = ScheduleProtocol(Decay::new(n).unwrap());
+            let decay = Decay::new(n).unwrap();
             let total: usize = (0..trials)
                 .map(|_| try_run_protocol(&decay, k, 100_000, rng).unwrap().rounds)
                 .sum();
@@ -387,8 +419,8 @@ mod tests {
     fn fixed_probability_is_constant_time_when_estimate_is_right() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let k = 500;
-        let protocol = ScheduleProtocol(FixedProbability::new(k).unwrap());
-        assert_eq!(protocol.0.estimate(), k);
+        let protocol = FixedProbability::new(k).unwrap();
+        assert_eq!(protocol.estimate(), k);
         let trials = 400;
         let total: usize = (0..trials)
             .map(|_| {
@@ -434,7 +466,7 @@ mod tests {
     #[test]
     fn willard_resolves_quickly_with_collision_detection() {
         let n = 1 << 16;
-        let willard = StrategyProtocol::new(Willard::new(n).unwrap());
+        let willard = Willard::new(n).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut resolved = 0;
         let trials = 300;
@@ -468,12 +500,5 @@ mod tests {
         assert!(WillardSearch::new(6, 5).is_err());
         let search = WillardSearch::new(3, 3).unwrap();
         assert_eq!(search.worst_case_rounds(), 1);
-        assert_eq!(search.name(), "willard-search");
-    }
-
-    #[test]
-    fn willard_over_ranges_delegates_to_search() {
-        let search = Willard::over_ranges(2, 9).unwrap();
-        assert_eq!(search.interval(), (2, 9));
     }
 }

@@ -28,13 +28,14 @@
 //! # The unified `Protocol` API
 //!
 //! Every algorithm above is reachable through one object-safe trait,
-//! [`Protocol`], and one catalogue, [`ProtocolRegistry`]: a protocol is
-//! constructed from a *name plus parameters* ([`ProtocolSpec`]) and then
-//! driven uniformly, regardless of whether it is a fixed schedule, a
-//! collision-history strategy, or a per-node advice algorithm.  The legacy
-//! traits ([`NoCdSchedule`], [`CdStrategy`]) remain as the implementation
-//! surface and slot into the unified API through the [`ScheduleProtocol`]
-//! and [`StrategyProtocol`] adapters.
+//! [`Protocol`], and one catalogue, the static [`REGISTRY`] table: a
+//! protocol is constructed from a *name plus parameters*
+//! ([`ProtocolSpec`]) and then driven uniformly on the
+//! [`crp_channel::ChannelMode`] it declares.  Each uniform algorithm
+//! implements [`UniformPolicy`] itself — a probability as a function of
+//! the round and the collision history, the history being empty without
+//! collision detection — and each per-node algorithm is a
+//! [`NodeFactory`].
 //!
 //! # Example
 //!
@@ -70,7 +71,6 @@ mod protocol;
 pub mod rangefinding;
 mod registry;
 mod selective_family;
-mod traits;
 
 pub use advice::{
     AdvisedDecay, AdvisedWillard, DeterministicCdAdvice, DeterministicNoCdAdvice,
@@ -80,13 +80,11 @@ pub use baselines::{BlindTrust, Decay, FixedProbability, Willard};
 pub use error::ProtocolError;
 pub use predicted::{CodeChoice, CodedSearch, SortedGuess};
 pub use protocol::{
-    try_run_protocol, try_run_protocol_with, Behavior, NodeFactory, Protocol, ScheduleProtocol,
-    StrategyProtocol, UniformPolicy,
+    try_run_protocol, try_run_protocol_with, Behavior, NodeFactory, Protocol, UniformPolicy,
 };
 pub use registry::{
-    DeterministicAdviceProtocol, ProtocolEntry, ProtocolParams, ProtocolRegistry, ProtocolSpec,
+    DeterministicAdviceProtocol, ProtocolEntry, ProtocolParams, ProtocolSpec, REGISTRY,
 };
 pub use selective_family::{
     binary_representation_family, is_strongly_selective, singleton_family, SelectiveFamily,
 };
-pub use traits::{CdStrategy, NoCdSchedule, ProtocolKind};

@@ -14,14 +14,14 @@
 //! function of the collision history, implemented by replaying the history
 //! through the phase/search state machine on every probability query.
 
-use crp_channel::CollisionHistory;
+use crp_channel::{ChannelMode, CollisionHistory};
 use crp_info::{
     huffman_code, shannon_fano_code, CondensedDistribution, PrefixCode, SizeDistribution,
 };
 
 use crate::baselines::WillardSearch;
 use crate::error::ProtocolError;
-use crate::traits::CdStrategy;
+use crate::protocol::{Behavior, Protocol, UniformPolicy};
 
 /// Which optimal-code construction [`CodedSearch`] uses internally.
 ///
@@ -150,8 +150,26 @@ impl CodedSearch {
     }
 }
 
-impl CdStrategy for CodedSearch {
-    fn probability(&self, history: &CollisionHistory) -> Option<f64> {
+impl Protocol for CodedSearch {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::CollisionDetection
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        Some(CodedSearch::horizon(self))
+    }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for CodedSearch {
+    fn probability(&self, _round: usize, history: &CollisionHistory) -> Option<f64> {
         // The search path so far: each phase consumes a fixed budget of
         // probes (its worst-case binary-search length), so the phase we are
         // in is determined by the history length, and the state inside the
@@ -179,16 +197,12 @@ impl CdStrategy for CodedSearch {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_protocol, StrategyProtocol};
+    use crate::try_run_protocol;
     use crp_info::range_index_for_size;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -234,7 +248,6 @@ mod tests {
         let prediction = SizeDistribution::point_mass(n, k).unwrap();
         let protocol = CodedSearch::from_sizes(&prediction).unwrap();
         let budget = protocol.horizon().max(4);
-        let protocol = StrategyProtocol::new(protocol);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let trials = 400;
         let mut resolved = 0;
@@ -268,11 +281,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let trials = 500;
         let mean_resolved = |p: &CodedSearch, rng: &mut ChaCha8Rng| {
-            let strategy = StrategyProtocol::new(p.clone());
             let mut rounds = 0usize;
             let mut count = 0usize;
             for _ in 0..trials {
-                let exec = try_run_protocol(&strategy, k, p.horizon().max(4), rng).unwrap();
+                let exec = try_run_protocol(p, k, p.horizon().max(4), rng).unwrap();
                 if exec.resolved {
                     rounds += exec.rounds;
                     count += 1;
@@ -297,7 +309,7 @@ mod tests {
         assert_eq!(protocol.name(), "coded-search-shannon-fano");
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let budget = 10 * protocol.horizon().max(4);
-        let exec = try_run_protocol(&StrategyProtocol::new(protocol), 4, budget, &mut rng).unwrap();
+        let exec = try_run_protocol(&protocol, 4, budget, &mut rng).unwrap();
         // 4 participants fall in range 2; the protocol covers every range,
         // so across a generous budget it should usually resolve.
         let _ = exec; // statistical behaviour covered by other tests
@@ -308,13 +320,13 @@ mod tests {
         let prediction = SizeDistribution::geometric(1024, 0.1).unwrap();
         let protocol = CodedSearch::from_sizes(&prediction).unwrap();
         let mut history = CollisionHistory::new();
-        for _ in 0..protocol.horizon() {
-            let p = protocol.probability(&history);
+        for round in 1..=protocol.horizon() {
+            let p = protocol.probability(round, &history);
             assert!(p.is_some());
             let p = p.unwrap();
             assert!((0.0..=1.0).contains(&p));
             history.push(false);
         }
-        assert_eq!(protocol.probability(&history), None);
+        assert_eq!(protocol.probability(protocol.horizon() + 1, &history), None);
     }
 }

@@ -14,9 +14,10 @@
 //! good expected time — plain repetition is the simplest such scheme and is
 //! what the harness measures).
 
+use crp_channel::{ChannelMode, CollisionHistory};
 use crp_info::{CondensedDistribution, SizeDistribution};
 
-use crate::traits::NoCdSchedule;
+use crate::protocol::{Behavior, Protocol, UniformPolicy};
 
 /// The sorted-guess protocol of §2.5.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +75,9 @@ impl SortedGuess {
     }
 }
 
-impl NoCdSchedule for SortedGuess {
-    fn probability(&self, round: usize) -> Option<f64> {
-        let index = if self.cycling {
-            (round - 1) % self.visit_order.len()
-        } else {
-            if round > self.visit_order.len() {
-                return None;
-            }
-            round - 1
-        };
-        let range = self.visit_order[index];
-        Some(2f64.powi(-(range as i32)))
+impl Protocol for SortedGuess {
+    fn mode(&self) -> ChannelMode {
+        ChannelMode::NoCollisionDetection
     }
 
     fn name(&self) -> &str {
@@ -99,12 +91,31 @@ impl NoCdSchedule for SortedGuess {
             Some(self.visit_order.len())
         }
     }
+
+    fn behavior(&self) -> Behavior<'_> {
+        Behavior::Uniform(self)
+    }
+}
+
+impl UniformPolicy for SortedGuess {
+    fn probability(&self, round: usize, _history: &CollisionHistory) -> Option<f64> {
+        let index = if self.cycling {
+            (round - 1) % self.visit_order.len()
+        } else {
+            if round > self.visit_order.len() {
+                return None;
+            }
+            round - 1
+        };
+        let range = self.visit_order[index];
+        Some(2f64.powi(-(range as i32)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_protocol, ScheduleProtocol};
+    use crate::try_run_protocol;
     use crp_info::range_index_for_size;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -127,16 +138,20 @@ mod tests {
         let prediction = SizeDistribution::point_mass(1024, 100).unwrap();
         let protocol = SortedGuess::from_sizes(&prediction);
         let range = range_index_for_size(100);
-        assert_eq!(protocol.probability(1), Some(2f64.powi(-(range as i32))));
+        assert_eq!(
+            protocol.probability(1, &CollisionHistory::new()),
+            Some(2f64.powi(-(range as i32)))
+        );
     }
 
     #[test]
     fn one_shot_schedule_is_finite() {
         let prediction = SizeDistribution::uniform_ranges(256).unwrap();
         let protocol = SortedGuess::from_sizes(&prediction);
+        let empty = CollisionHistory::new();
         assert_eq!(protocol.horizon(), Some(8));
-        assert!(protocol.probability(8).is_some());
-        assert_eq!(protocol.probability(9), None);
+        assert!(protocol.probability(8, &empty).is_some());
+        assert_eq!(protocol.probability(9, &empty), None);
         assert_eq!(protocol.name(), "sorted-guess");
     }
 
@@ -144,8 +159,12 @@ mod tests {
     fn cycling_schedule_never_ends() {
         let prediction = SizeDistribution::uniform_ranges(256).unwrap();
         let protocol = SortedGuess::from_sizes(&prediction).cycling();
+        let empty = CollisionHistory::new();
         assert_eq!(protocol.horizon(), None);
-        assert_eq!(protocol.probability(9), protocol.probability(1));
+        assert_eq!(
+            protocol.probability(9, &empty),
+            protocol.probability(1, &empty)
+        );
         assert_eq!(protocol.name(), "sorted-guess-cycling");
     }
 
@@ -156,7 +175,6 @@ mod tests {
         let prediction = SizeDistribution::point_mass(n, k).unwrap();
         let protocol = SortedGuess::from_sizes(&prediction);
         let pass = protocol.pass_length();
-        let protocol = ScheduleProtocol(protocol);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let trials = 500;
         let mut resolved_in_first_round = 0;
@@ -186,7 +204,7 @@ mod tests {
         let mean = |p: &SortedGuess, rng: &mut ChaCha8Rng| {
             let total: usize = (0..trials)
                 .map(|_| {
-                    let cycling = ScheduleProtocol(p.clone().cycling());
+                    let cycling = p.clone().cycling();
                     let exec = try_run_protocol(&cycling, k, 10_000, rng).unwrap();
                     exec.rounds
                 })
@@ -205,7 +223,7 @@ mod tests {
     fn cycling_variant_always_resolves_eventually() {
         let n = 4096;
         let prediction = SizeDistribution::uniform_ranges(n).unwrap();
-        let protocol = ScheduleProtocol(SortedGuess::from_sizes(&prediction).cycling());
+        let protocol = SortedGuess::from_sizes(&prediction).cycling();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for k in [2usize, 57, 513, 4000] {
             let exec = try_run_protocol(&protocol, k, 50_000, &mut rng).unwrap();

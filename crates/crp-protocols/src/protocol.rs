@@ -7,22 +7,23 @@
 //! participant's identity, as in the §3 advice algorithms).
 //!
 //! [`Protocol`] covers all of them: one object-safe trait that names the
-//! protocol, declares which channel feedback model it needs
-//! ([`ProtocolKind`]), optionally bounds its round budget, and exposes its
-//! execution style through [`Protocol::behavior`].  A [`NoCdSchedule`] or
-//! [`CdStrategy`] becomes a protocol through the [`ScheduleProtocol`] or
-//! [`StrategyProtocol`] adapter, and a per-node protocol through a
-//! [`NodeFactory`].  There is one runner: [`try_run_protocol`] (or
-//! [`try_run_protocol_with`], for explicit participant ids) drives any
-//! protocol on the channel mode its kind requires.
+//! protocol, declares the [`ChannelMode`] it needs, optionally bounds its
+//! round budget, and exposes its execution style through
+//! [`Protocol::behavior`].  A uniform algorithm (§2.1) is one
+//! [`UniformPolicy`]: a probability as a function of the round and the
+//! collision history, where the history is always empty without
+//! collision detection.  A per-node protocol is a [`NodeFactory`].  There
+//! is one runner: [`try_run_protocol`] (or [`try_run_protocol_with`], for
+//! explicit participant ids) drives any protocol on the channel mode it
+//! declares.
 
 use crp_channel::{
-    try_execute_uniform_schedule, CollisionHistory, Execution, ExecutionConfig, ParticipantId,
+    try_execute_uniform_schedule, ChannelMode, CollisionHistory, Execution, ExecutionConfig,
+    ParticipantId,
 };
 use rand::{Rng, RngCore};
 
 use crate::error::ProtocolError;
-use crate::traits::{CdStrategy, NoCdSchedule, ProtocolKind};
 
 /// A contention-resolution protocol, unified across feedback models and
 /// execution styles.
@@ -31,8 +32,8 @@ use crate::traits::{CdStrategy, NoCdSchedule, ProtocolKind};
 /// handle protocols as `Box<dyn Protocol>` without knowing the concrete
 /// algorithm.
 pub trait Protocol: Send + Sync {
-    /// Which channel feedback model the protocol is designed for.
-    fn kind(&self) -> ProtocolKind;
+    /// The channel feedback model the protocol is designed for.
+    fn mode(&self) -> ChannelMode;
 
     /// Human-readable protocol name (used in experiment tables and by the
     /// registry).
@@ -62,7 +63,7 @@ pub enum Behavior<'a> {
 
 /// The probability schedule of a uniform protocol.
 ///
-/// For [`ProtocolKind::NoCollisionDetection`] protocols the executor always
+/// For [`ChannelMode::NoCollisionDetection`] protocols the executor always
 /// passes an empty history (listeners learn nothing on such channels).
 pub trait UniformPolicy: Send + Sync {
     /// The transmission probability for (1-based) round `round` given the
@@ -131,95 +132,8 @@ pub trait NodeFactory: Send + Sync {
     }
 }
 
-/// Adapter: exposes any [`NoCdSchedule`] as a no-collision-detection
-/// [`Protocol`].
-pub struct ScheduleProtocol<S>(pub S);
-
-impl<S: NoCdSchedule + Send + Sync> Protocol for ScheduleProtocol<S> {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::NoCollisionDetection
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn horizon(&self) -> Option<usize> {
-        self.0.horizon()
-    }
-
-    fn behavior(&self) -> Behavior<'_> {
-        Behavior::Uniform(self)
-    }
-}
-
-impl<S: NoCdSchedule + Send + Sync> UniformPolicy for ScheduleProtocol<S> {
-    fn probability(&self, round: usize, _history: &CollisionHistory) -> Option<f64> {
-        self.0.probability(round)
-    }
-
-    fn constant_probability(&self) -> Option<f64> {
-        self.0.constant_probability()
-    }
-}
-
-/// Adapter: exposes any [`CdStrategy`] as a collision-detection
-/// [`Protocol`].
-pub struct StrategyProtocol<S> {
-    strategy: S,
-    horizon: Option<usize>,
-}
-
-impl<S: CdStrategy + Send + Sync> StrategyProtocol<S> {
-    /// Wraps a strategy with no declared round budget.
-    pub fn new(strategy: S) -> Self {
-        Self {
-            strategy,
-            horizon: None,
-        }
-    }
-
-    /// Wraps a strategy with a declared worst-case round budget (e.g.
-    /// Willard's `⌈log log n⌉ + 1` probes).
-    pub fn with_horizon(strategy: S, horizon: usize) -> Self {
-        Self {
-            strategy,
-            horizon: Some(horizon),
-        }
-    }
-
-    /// The wrapped strategy.
-    pub fn inner(&self) -> &S {
-        &self.strategy
-    }
-}
-
-impl<S: CdStrategy + Send + Sync> Protocol for StrategyProtocol<S> {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::CollisionDetection
-    }
-
-    fn name(&self) -> &str {
-        self.strategy.name()
-    }
-
-    fn horizon(&self) -> Option<usize> {
-        self.horizon
-    }
-
-    fn behavior(&self) -> Behavior<'_> {
-        Behavior::Uniform(self)
-    }
-}
-
-impl<S: CdStrategy + Send + Sync> UniformPolicy for StrategyProtocol<S> {
-    fn probability(&self, _round: usize, history: &CollisionHistory) -> Option<f64> {
-        self.strategy.probability(history)
-    }
-}
-
 /// Drives a [`Protocol`] with `k` participants for at most `max_rounds`
-/// rounds on the channel mode matching its [`ProtocolKind`].
+/// rounds on the channel mode it declares.
 ///
 /// Uniform protocols ignore participant identities; per-node protocols are
 /// executed for the ids `0, …, k−1` (callers needing adversarial
@@ -256,7 +170,7 @@ pub fn try_run_protocol_with<R: Rng>(
     max_rounds: usize,
     rng: &mut R,
 ) -> Result<Execution, ProtocolError> {
-    let config = ExecutionConfig::new(protocol.kind().channel_mode(), max_rounds);
+    let config = ExecutionConfig::new(protocol.mode(), max_rounds);
     match protocol.behavior() {
         Behavior::Uniform(policy) => try_execute_uniform_schedule(
             participants.len(),
@@ -273,33 +187,30 @@ pub fn try_run_protocol_with<R: Rng>(
 mod tests {
     use super::*;
     use crate::baselines::{Decay, Willard};
-    use crp_channel::ChannelMode;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
-    fn schedule_adapter_reports_no_cd_kind_and_name() {
-        let protocol = ScheduleProtocol(Decay::new(1024).unwrap());
-        assert_eq!(protocol.kind(), ProtocolKind::NoCollisionDetection);
+    fn decay_reports_its_no_cd_mode_and_name() {
+        let protocol = Decay::new(1024).unwrap();
+        assert_eq!(protocol.mode(), ChannelMode::NoCollisionDetection);
         assert_eq!(protocol.name(), "decay");
         assert_eq!(protocol.horizon(), None);
         assert!(matches!(protocol.behavior(), Behavior::Uniform(_)));
     }
 
     #[test]
-    fn strategy_adapter_reports_cd_kind_and_horizon() {
-        let willard = Willard::new(1 << 16).unwrap();
-        let budget = willard.worst_case_rounds();
-        let protocol = StrategyProtocol::with_horizon(willard, budget);
-        assert_eq!(protocol.kind(), ProtocolKind::CollisionDetection);
+    fn willard_reports_its_cd_mode_and_horizon() {
+        let protocol = Willard::new(1 << 16).unwrap();
+        assert_eq!(protocol.mode(), ChannelMode::CollisionDetection);
         assert_eq!(protocol.name(), "willard");
         assert_eq!(protocol.horizon(), Some(5));
-        assert_eq!(protocol.inner().worst_case_rounds(), 5);
+        assert_eq!(protocol.worst_case_rounds(), 5);
     }
 
     #[test]
     fn try_run_protocol_resolves_with_decay() {
-        let protocol = ScheduleProtocol(Decay::new(4096).unwrap());
+        let protocol = Decay::new(4096).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let exec = try_run_protocol(&protocol, 100, 10_000, &mut rng).unwrap();
         assert!(exec.resolved);
@@ -307,33 +218,94 @@ mod tests {
 
     #[test]
     fn try_run_protocol_rejects_degenerate_configurations() {
-        let protocol = ScheduleProtocol(Decay::new(64).unwrap());
+        let protocol = Decay::new(64).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         assert!(try_run_protocol(&protocol, 0, 100, &mut rng).is_err());
         assert!(try_run_protocol(&protocol, 4, 0, &mut rng).is_err());
     }
 
     #[test]
-    fn required_mode_matches_kind() {
-        let no_cd = ScheduleProtocol(Decay::new(64).unwrap());
-        assert_eq!(
-            no_cd.kind().channel_mode(),
-            ChannelMode::NoCollisionDetection
-        );
-        let cd = StrategyProtocol::new(Willard::new(64).unwrap());
-        assert_eq!(cd.kind().channel_mode(), ChannelMode::CollisionDetection);
-    }
-
-    #[test]
     fn boxed_protocols_are_object_safe() {
         let protocols: Vec<Box<dyn Protocol>> = vec![
-            Box::new(ScheduleProtocol(Decay::new(256).unwrap())),
-            Box::new(StrategyProtocol::new(Willard::new(256).unwrap())),
+            Box::new(Decay::new(256).unwrap()),
+            Box::new(Willard::new(256).unwrap()),
         ];
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for protocol in &protocols {
             let exec = try_run_protocol(protocol.as_ref(), 8, 5_000, &mut rng).unwrap();
             assert!(exec.resolved, "{} failed to resolve", protocol.name());
         }
+    }
+
+    struct ConstantSchedule(f64);
+    impl Protocol for ConstantSchedule {
+        fn mode(&self) -> ChannelMode {
+            ChannelMode::NoCollisionDetection
+        }
+        fn name(&self) -> &str {
+            "constant"
+        }
+        fn behavior(&self) -> Behavior<'_> {
+            Behavior::Uniform(self)
+        }
+    }
+    impl UniformPolicy for ConstantSchedule {
+        fn probability(&self, _round: usize, _history: &CollisionHistory) -> Option<f64> {
+            Some(self.0)
+        }
+    }
+
+    struct HalvingStrategy;
+    impl Protocol for HalvingStrategy {
+        fn mode(&self) -> ChannelMode {
+            ChannelMode::CollisionDetection
+        }
+        fn name(&self) -> &str {
+            "halving"
+        }
+        fn behavior(&self) -> Behavior<'_> {
+            Behavior::Uniform(self)
+        }
+    }
+    impl UniformPolicy for HalvingStrategy {
+        fn probability(&self, _round: usize, history: &CollisionHistory) -> Option<f64> {
+            // Halve the probability after every collision, reset on silence.
+            let collisions = history.bits().iter().rev().take_while(|&&b| b).count();
+            Some(0.5f64.powi(collisions as i32 + 1))
+        }
+    }
+
+    #[test]
+    fn run_schedule_resolves_single_participant() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let exec = try_run_protocol(&ConstantSchedule(0.8), 1, 100, &mut rng).unwrap();
+        assert!(exec.resolved);
+    }
+
+    #[test]
+    fn run_cd_strategy_adapts_to_collisions() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        // 8 participants starting at p=1/2: collisions push the probability
+        // down until a lone transmitter emerges.
+        let exec = try_run_protocol(&HalvingStrategy, 8, 500, &mut rng).unwrap();
+        assert!(exec.resolved);
+    }
+
+    #[test]
+    fn degenerate_configurations_yield_typed_errors() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let schedule = ConstantSchedule(0.5);
+        let strategy = HalvingStrategy;
+        assert!(try_run_protocol(&schedule, 0, 100, &mut rng).is_err());
+        assert!(try_run_protocol(&schedule, 4, 0, &mut rng).is_err());
+        assert!(try_run_protocol(&strategy, 0, 100, &mut rng).is_err());
+        assert!(try_run_protocol(&strategy, 4, 0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn default_horizon_is_unbounded() {
+        assert_eq!(ConstantSchedule(0.5).horizon(), None);
+        assert_eq!(ConstantSchedule(0.5).name(), "constant");
+        assert_eq!(HalvingStrategy.name(), "halving");
     }
 }

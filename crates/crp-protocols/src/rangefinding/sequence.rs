@@ -1,8 +1,9 @@
 //! Sequence range finding and the RF-Construction (paper Algorithm 1).
 
+use crp_channel::CollisionHistory;
 use crp_info::{range_index_for_size, CondensedDistribution};
 
-use crate::traits::NoCdSchedule;
+use crate::protocol::UniformPolicy;
 
 /// A range-finding strategy in sequence form: a list of guesses from
 /// `L(n)`, visited in order.
@@ -68,7 +69,8 @@ impl RangeFindingSequence {
 /// The paper's RF-Construction (Algorithm 1): converts a uniform
 /// no-collision-detection schedule into a range-finding sequence by
 /// interleaving the schedule's implied range guesses `⌈log(1/p_i)⌉` with a
-/// cyclic sweep of every range in `L(n)`.
+/// cyclic sweep of every range in `L(n)`.  The schedule is queried with
+/// the empty history, as on a channel without collision detection.
 ///
 /// The interleaving guarantees every range appears within the first
 /// `2⌈log n⌉` entries (Case 2 of Lemma 2.7), while preserving — at most a
@@ -76,16 +78,17 @@ impl RangeFindingSequence {
 ///
 /// `horizon` bounds how many schedule rounds are converted (the paper's
 /// algorithm runs over the full schedule `A = p₁ … p_z`).
-pub fn rf_construction<S: NoCdSchedule + ?Sized>(
+pub fn rf_construction<S: UniformPolicy + ?Sized>(
     schedule: &S,
     n: usize,
     horizon: usize,
 ) -> RangeFindingSequence {
     let num_ranges = range_index_for_size(n.max(2));
+    let empty = CollisionHistory::new();
     let mut guesses = Vec::with_capacity(2 * horizon);
     let mut sweep = 0usize;
     for round in 1..=horizon {
-        let Some(p) = schedule.probability(round) else {
+        let Some(p) = schedule.probability(round, &empty) else {
             break;
         };
         // The schedule's implied guess: the range whose probability 2^-i is

@@ -13,7 +13,7 @@
 use crp_channel::CollisionHistory;
 use crp_info::{log2_ceil, range_index_for_size, CondensedDistribution};
 
-use crate::traits::CdStrategy;
+use crate::protocol::UniformPolicy;
 
 /// A binary tree whose nodes are labelled with range guesses from `L(n)`.
 ///
@@ -38,7 +38,11 @@ impl RangeFindingTree {
     /// `⌈log log n⌉` and hang the canonical tree `T*` (a balanced tree
     /// containing every range in `L(n)`) below it, so every range appears
     /// by depth `⌈log log n⌉ + ⌈log ⌈log n⌉⌉ ≤ 2⌈log log n⌉`.
-    pub fn from_strategy<S: CdStrategy + ?Sized>(strategy: &S, n: usize, depth: usize) -> Self {
+    ///
+    /// The node at depth `d` is the strategy's probability for round
+    /// `d + 1` after the `d`-bit history leading to it, the round an
+    /// executor would query it in.
+    pub fn from_strategy<S: UniformPolicy + ?Sized>(strategy: &S, n: usize, depth: usize) -> Self {
         let num_ranges = range_index_for_size(n.max(2));
         let graft_depth = log2_ceil(num_ranges.max(1) as u64) as usize;
         let canonical_depth = log2_ceil(num_ranges.max(1) as u64) as usize;
@@ -53,7 +57,7 @@ impl RangeFindingTree {
                 // most significant first, of length `d`.
                 let bits: Vec<bool> = (0..d).rev().map(|shift| (node >> shift) & 1 == 1).collect();
                 let history = CollisionHistory::from_bits(bits);
-                let label = strategy.probability(&history).map(|p| {
+                let label = strategy.probability(d + 1, &history).map(|p| {
                     if p <= 0.0 {
                         num_ranges
                     } else {

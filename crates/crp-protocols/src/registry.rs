@@ -1,5 +1,5 @@
-//! Name-based protocol construction: [`ProtocolSpec`] and
-//! [`ProtocolRegistry`].
+//! Name-based protocol construction: [`ProtocolSpec`] and the
+//! [`REGISTRY`] table.
 //!
 //! The registry is the single catalogue of every protocol this
 //! reproduction implements — the classical baselines, the §2
@@ -8,10 +8,9 @@
 //! `crp_experiments list` subcommand all construct protocols through it,
 //! so adding a protocol in one place makes it available everywhere.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use crp_channel::{try_execute, Execution, ExecutionConfig, NodeProtocol, ParticipantId};
+use crp_channel::{
+    try_execute, ChannelMode, Execution, ExecutionConfig, NodeProtocol, ParticipantId,
+};
 use crp_info::CondensedDistribution;
 use crp_predict::{Advice, AdviceOracle, IdPrefixOracle, RangeOracle};
 use rand::RngCore;
@@ -22,17 +21,17 @@ use crate::advice::{
 use crate::baselines::{BlindTrust, Decay, FixedProbability, Willard};
 use crate::error::ProtocolError;
 use crate::predicted::{CodeChoice, CodedSearch, SortedGuess};
-use crate::protocol::{Behavior, NodeFactory, Protocol, ScheduleProtocol, StrategyProtocol};
-use crate::traits::ProtocolKind;
+use crate::protocol::{Behavior, NodeFactory, Protocol};
 
 /// Parameters available to registry constructors.
 ///
-/// Not every protocol consumes every field; each constructor validates the
-/// fields it needs and returns [`ProtocolError::MissingParameter`] when a
-/// required one is absent.
+/// Not every protocol consumes every field; [`ProtocolSpec::build`]
+/// checks the universe for all of them, and each constructor returns
+/// [`ProtocolError::MissingParameter`] when another field it needs is
+/// absent.
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolParams {
-    /// Universe size `n` (required by every protocol).
+    /// Universe size `n` (required by every protocol, at least 2).
     pub universe: usize,
     /// Predicted condensed network-size distribution (required by the §2
     /// prediction-augmented protocols).
@@ -41,33 +40,12 @@ pub struct ProtocolParams {
     /// defaults to 0 = no advice).
     pub advice_bits: usize,
     /// Expected participant count, used by the advice oracles of the
-    /// uniform §3 protocols and by `fixed-probability` as its estimate.
+    /// uniform §3 protocols and by `fixed-probability` as its size
+    /// estimate `k̂`.
     pub participants: Option<usize>,
-    /// Size estimate `k̂` for `fixed-probability` (falls back to
-    /// `participants` when unset).
-    pub estimate: Option<usize>,
 }
 
 impl ProtocolParams {
-    /// Parameters for a universe of size `universe` with everything else
-    /// unset.
-    pub fn for_universe(universe: usize) -> Self {
-        Self {
-            universe,
-            ..Self::default()
-        }
-    }
-
-    fn require_universe(&self, protocol: &str) -> Result<usize, ProtocolError> {
-        if self.universe < 2 {
-            return Err(ProtocolError::MissingParameter {
-                protocol: protocol.to_string(),
-                what: format!("a universe size >= 2 (got {})", self.universe),
-            });
-        }
-        Ok(self.universe)
-    }
-
     fn require_prediction(&self, protocol: &str) -> Result<&CondensedDistribution, ProtocolError> {
         self.prediction
             .as_ref()
@@ -90,9 +68,12 @@ impl ProtocolParams {
     /// from the count alone (a count from outside the program may be far
     /// too large to materialise as an id list).
     fn range_advice(&self, protocol: &str) -> Result<Advice, ProtocolError> {
-        let universe = self.require_universe(protocol)?;
         let k = self.require_participants(protocol)?;
-        Ok(RangeOracle::advise_count(universe, k, self.advice_bits))
+        Ok(RangeOracle::advise_count(
+            self.universe,
+            k,
+            self.advice_bits,
+        ))
     }
 }
 
@@ -141,15 +122,9 @@ impl ProtocolSpec {
     }
 
     /// Sets the expected participant count (for the advice oracles and as
-    /// the default `fixed-probability` estimate).
+    /// the `fixed-probability` size estimate).
     pub fn participants(mut self, count: usize) -> Self {
         self.params.participants = Some(count);
-        self
-    }
-
-    /// Sets an explicit size estimate `k̂` for `fixed-probability`.
-    pub fn estimate(mut self, estimate: usize) -> Self {
-        self.params.estimate = Some(estimate);
         self
     }
 
@@ -163,280 +138,177 @@ impl ProtocolSpec {
         &self.params
     }
 
-    /// Builds the protocol through the standard registry.
+    /// Builds the protocol from its [`REGISTRY`] entry.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::UnknownProtocol`] for an unregistered name
-    /// and constructor-specific errors for missing or invalid parameters.
+    /// Returns [`ProtocolError::UnknownProtocol`] for an unregistered name,
+    /// [`ProtocolError::MissingParameter`] for a universe below 2 (checked
+    /// before any constructor runs) and constructor-specific errors for
+    /// other missing or invalid parameters.
     pub fn build(&self) -> Result<Box<dyn Protocol>, ProtocolError> {
-        ProtocolRegistry::standard().build_spec(self)
-    }
-}
-
-type Constructor = fn(&ProtocolParams) -> Result<Box<dyn Protocol>, ProtocolError>;
-
-/// One catalogue entry of the registry.
-#[derive(Clone)]
-pub struct ProtocolEntry {
-    /// Stable registry name.
-    pub name: &'static str,
-    /// The feedback model the protocol requires.
-    pub kind: ProtocolKind,
-    /// One-line description shown by `crp_experiments list`.
-    pub summary: &'static str,
-    constructor: Constructor,
-}
-
-impl fmt::Debug for ProtocolEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProtocolEntry")
-            .field("name", &self.name)
-            .field("kind", &self.kind)
-            .field("summary", &self.summary)
-            .finish()
-    }
-}
-
-impl ProtocolEntry {
-    /// Constructs the protocol from the given parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the constructor's [`ProtocolError`].
-    pub fn construct(&self, params: &ProtocolParams) -> Result<Box<dyn Protocol>, ProtocolError> {
-        (self.constructor)(params)
-    }
-}
-
-/// The catalogue of named protocols.
-#[derive(Debug, Clone)]
-pub struct ProtocolRegistry {
-    entries: BTreeMap<&'static str, ProtocolEntry>,
-}
-
-impl ProtocolRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The standard registry holding every protocol of the reproduction.
-    pub fn standard() -> Self {
-        let mut registry = Self::empty();
-        registry.register(ProtocolEntry {
-            name: "decay",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "Bar-Yehuda–Goldreich–Itai decay: cycle through geometric probabilities, Θ(log n) expected rounds",
-            constructor: |params| {
-                let n = params.require_universe("decay")?;
-                Ok(Box::new(ScheduleProtocol(Decay::new(n)?)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "fixed-probability",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "known-size baseline: transmit with probability 1/k̂ forever, O(1) rounds when k̂ = Θ(k)",
-            constructor: |params| {
-                let estimate = params
-                    .estimate
-                    .or(params.participants)
-                    .ok_or_else(|| ProtocolError::MissingParameter {
-                        protocol: "fixed-probability".to_string(),
-                        what: "a size estimate (estimate or participants)".to_string(),
-                    })?;
-                Ok(Box::new(ScheduleProtocol(FixedProbability::new(estimate)?)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "blind-trust",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "oracle-bait baseline: trust the prediction's modal range unconditionally, transmitting at 1/k̂ forever — collapses when the advice diverges",
-            constructor: |params| {
-                let prediction = params.require_prediction("blind-trust")?;
-                Ok(Box::new(ScheduleProtocol(BlindTrust::from_prediction(
-                    prediction,
-                )?)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "willard",
-            kind: ProtocolKind::CollisionDetection,
-            summary: "Willard's binary search over geometric size guesses, Θ(log log n) rounds",
-            constructor: |params| {
-                let n = params.require_universe("willard")?;
-                let willard = Willard::new(n)?;
-                let horizon = willard.worst_case_rounds();
-                Ok(Box::new(StrategyProtocol::with_horizon(willard, horizon)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "sorted-guess",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "§2.5 one-shot pass over ranges in decreasing predicted likelihood, O(2^{2H}) rounds w.c.p.",
-            constructor: |params| {
-                let prediction = params.require_prediction("sorted-guess")?;
-                Ok(Box::new(ScheduleProtocol(SortedGuess::new(prediction))))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "sorted-guess-cycling",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "§2.5 pass repeated forever, for expected-time measurements",
-            constructor: |params| {
-                let prediction = params.require_prediction("sorted-guess-cycling")?;
-                Ok(Box::new(ScheduleProtocol(
-                    SortedGuess::new(prediction).cycling(),
-                )))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "coded-search",
-            kind: ProtocolKind::CollisionDetection,
-            summary: "§2.6 Huffman-phase binary search, O((H + D_KL)²) rounds w.c.p.",
-            constructor: |params| {
-                let prediction = params.require_prediction("coded-search")?;
-                let search = CodedSearch::new(prediction)?;
-                let horizon = search.horizon();
-                Ok(Box::new(StrategyProtocol::with_horizon(search, horizon)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "coded-search-shannon-fano",
-            kind: ProtocolKind::CollisionDetection,
-            summary: "§2.6 search with a Shannon–Fano code instead of Huffman (ablation)",
-            constructor: |params| {
-                let prediction = params.require_prediction("coded-search-shannon-fano")?;
-                let search = CodedSearch::with_code_choice(prediction, CodeChoice::ShannonFano)?;
-                let horizon = search.horizon();
-                Ok(Box::new(StrategyProtocol::with_horizon(search, horizon)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "advised-decay",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "§3 randomized no-CD: decay truncated to the advised range block, Θ(log n / 2^b) expected",
-            constructor: |params| {
-                let n = params.require_universe("advised-decay")?;
-                let advice = params.range_advice("advised-decay")?;
-                Ok(Box::new(ScheduleProtocol(AdvisedDecay::new(n, &advice)?)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "advised-willard",
-            kind: ProtocolKind::CollisionDetection,
-            summary: "§3 randomized CD: Willard restricted to the advised ranges, Θ(log log n − b) expected",
-            constructor: |params| {
-                let n = params.require_universe("advised-willard")?;
-                let advice = params.range_advice("advised-willard")?;
-                let willard = AdvisedWillard::new(n, &advice)?;
-                let horizon = willard.worst_case_rounds();
-                Ok(Box::new(StrategyProtocol::with_horizon(willard, horizon)))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "det-advice-no-cd",
-            kind: ProtocolKind::NoCollisionDetection,
-            summary: "§3 deterministic no-CD: scan the advised id interval, Θ(n / 2^b) rounds worst case",
-            constructor: |params| {
-                let n = params.require_universe("det-advice-no-cd")?;
-                Ok(Box::new(DeterministicAdviceProtocol::new(
-                    n,
-                    params.advice_bits,
-                    ProtocolKind::NoCollisionDetection,
-                )))
-            },
-        });
-        registry.register(ProtocolEntry {
-            name: "det-advice-cd",
-            kind: ProtocolKind::CollisionDetection,
-            summary:
-                "§3 deterministic CD: advised binary tree descent, Θ(log n − b) rounds worst case",
-            constructor: |params| {
-                let n = params.require_universe("det-advice-cd")?;
-                Ok(Box::new(DeterministicAdviceProtocol::new(
-                    n,
-                    params.advice_bits,
-                    ProtocolKind::CollisionDetection,
-                )))
-            },
-        });
-        registry
-    }
-
-    /// Adds (or replaces) an entry.
-    pub fn register(&mut self, entry: ProtocolEntry) {
-        self.entries.insert(entry.name, entry);
-    }
-
-    /// All registered names in lexicographic order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Iterates over the entries in name order.
-    pub fn entries(&self) -> impl Iterator<Item = &ProtocolEntry> {
-        self.entries.values()
-    }
-
-    /// Looks up one entry by name.
-    pub fn entry(&self, name: &str) -> Option<&ProtocolEntry> {
-        self.entries.get(name)
-    }
-
-    /// Number of registered protocols.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no protocols are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Constructs the protocol registered under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::UnknownProtocol`] if the name is not
-    /// registered, plus constructor-specific errors.
-    pub fn build(
-        &self,
-        name: &str,
-        params: &ProtocolParams,
-    ) -> Result<Box<dyn Protocol>, ProtocolError> {
-        let entry = self
-            .entry(name)
+        let entry = REGISTRY
+            .iter()
+            .find(|entry| entry.name == self.name)
             .ok_or_else(|| ProtocolError::UnknownProtocol {
-                name: name.to_string(),
-                known: self.names().join(", "),
+                name: self.name.clone(),
+                known: REGISTRY
+                    .iter()
+                    .map(|entry| entry.name)
+                    .collect::<Vec<_>>()
+                    .join(", "),
             })?;
-        let protocol = entry.construct(params)?;
+        if self.params.universe < 2 {
+            return Err(ProtocolError::MissingParameter {
+                protocol: self.name.clone(),
+                what: format!("a universe size >= 2 (got {})", self.params.universe),
+            });
+        }
+        let protocol = (entry.constructor)(&self.params)?;
         debug_assert_eq!(
-            protocol.kind(),
-            entry.kind,
-            "registry entry {name} constructed a protocol of the wrong kind"
+            protocol.mode(),
+            entry.mode,
+            "registry entry {} constructed a protocol of the wrong mode",
+            entry.name
         );
         Ok(protocol)
     }
-
-    /// Constructs the protocol described by `spec`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ProtocolRegistry::build`].
-    pub fn build_spec(&self, spec: &ProtocolSpec) -> Result<Box<dyn Protocol>, ProtocolError> {
-        self.build(spec.name(), spec.params())
-    }
 }
 
-impl Default for ProtocolRegistry {
-    fn default() -> Self {
-        Self::standard()
-    }
+/// One entry of the [`REGISTRY`] table.
+#[derive(Debug, Clone)]
+pub struct ProtocolEntry {
+    /// Stable registry name.
+    pub name: &'static str,
+    /// The channel feedback model the protocol requires.
+    pub mode: ChannelMode,
+    /// One-line description shown by `crp_experiments list`.
+    pub summary: &'static str,
+    /// Builds the protocol from parameters whose universe
+    /// [`ProtocolSpec::build`] has already checked.
+    constructor: fn(&ProtocolParams) -> Result<Box<dyn Protocol>, ProtocolError>,
 }
+
+/// The catalogue of named protocols, sorted by name.
+pub static REGISTRY: &[ProtocolEntry] = &[
+    ProtocolEntry {
+        name: "advised-decay",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "§3 randomized no-CD: decay truncated to the advised range block, Θ(log n / 2^b) expected",
+        constructor: |params| {
+            let advice = params.range_advice("advised-decay")?;
+            Ok(Box::new(AdvisedDecay::new(params.universe, &advice)?))
+        },
+    },
+    ProtocolEntry {
+        name: "advised-willard",
+        mode: ChannelMode::CollisionDetection,
+        summary: "§3 randomized CD: Willard restricted to the advised ranges, Θ(log log n − b) expected",
+        constructor: |params| {
+            let advice = params.range_advice("advised-willard")?;
+            Ok(Box::new(AdvisedWillard::new(params.universe, &advice)?))
+        },
+    },
+    ProtocolEntry {
+        name: "blind-trust",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "oracle-bait baseline: trust the prediction's modal range unconditionally, transmitting at 1/k̂ forever — collapses when the advice diverges",
+        constructor: |params| {
+            let prediction = params.require_prediction("blind-trust")?;
+            Ok(Box::new(BlindTrust::from_prediction(prediction)?))
+        },
+    },
+    ProtocolEntry {
+        name: "coded-search",
+        mode: ChannelMode::CollisionDetection,
+        summary: "§2.6 Huffman-phase binary search, O((H + D_KL)²) rounds w.c.p.",
+        constructor: |params| {
+            let prediction = params.require_prediction("coded-search")?;
+            Ok(Box::new(CodedSearch::new(prediction)?))
+        },
+    },
+    ProtocolEntry {
+        name: "coded-search-shannon-fano",
+        mode: ChannelMode::CollisionDetection,
+        summary: "§2.6 search with a Shannon–Fano code instead of Huffman (ablation)",
+        constructor: |params| {
+            let prediction = params.require_prediction("coded-search-shannon-fano")?;
+            Ok(Box::new(CodedSearch::with_code_choice(
+                prediction,
+                CodeChoice::ShannonFano,
+            )?))
+        },
+    },
+    ProtocolEntry {
+        name: "decay",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "Bar-Yehuda–Goldreich–Itai decay: cycle through geometric probabilities, Θ(log n) expected rounds",
+        constructor: |params| Ok(Box::new(Decay::new(params.universe)?)),
+    },
+    ProtocolEntry {
+        name: "det-advice-cd",
+        mode: ChannelMode::CollisionDetection,
+        summary:
+            "§3 deterministic CD: advised binary tree descent, Θ(log n − b) rounds worst case",
+        constructor: |params| {
+            Ok(Box::new(DeterministicAdviceProtocol::new(
+                params.universe,
+                params.advice_bits,
+                ChannelMode::CollisionDetection,
+            )))
+        },
+    },
+    ProtocolEntry {
+        name: "det-advice-no-cd",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "§3 deterministic no-CD: scan the advised id interval, Θ(n / 2^b) rounds worst case",
+        constructor: |params| {
+            Ok(Box::new(DeterministicAdviceProtocol::new(
+                params.universe,
+                params.advice_bits,
+                ChannelMode::NoCollisionDetection,
+            )))
+        },
+    },
+    ProtocolEntry {
+        name: "fixed-probability",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "known-size baseline: transmit with probability 1/k̂ forever, O(1) rounds when k̂ = Θ(k)",
+        constructor: |params| {
+            let estimate = params
+                .participants
+                .ok_or_else(|| ProtocolError::MissingParameter {
+                    protocol: "fixed-probability".to_string(),
+                    what: "a size estimate (participants)".to_string(),
+                })?;
+            Ok(Box::new(FixedProbability::new(estimate)?))
+        },
+    },
+    ProtocolEntry {
+        name: "sorted-guess",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "§2.5 one-shot pass over ranges in decreasing predicted likelihood, O(2^{2H}) rounds w.c.p.",
+        constructor: |params| {
+            let prediction = params.require_prediction("sorted-guess")?;
+            Ok(Box::new(SortedGuess::new(prediction)))
+        },
+    },
+    ProtocolEntry {
+        name: "sorted-guess-cycling",
+        mode: ChannelMode::NoCollisionDetection,
+        summary: "§2.5 pass repeated forever, for expected-time measurements",
+        constructor: |params| {
+            let prediction = params.require_prediction("sorted-guess-cycling")?;
+            Ok(Box::new(SortedGuess::new(prediction).cycling()))
+        },
+    },
+    ProtocolEntry {
+        name: "willard",
+        mode: ChannelMode::CollisionDetection,
+        summary: "Willard's binary search over geometric size guesses, Θ(log log n) rounds",
+        constructor: |params| Ok(Box::new(Willard::new(params.universe)?)),
+    },
+];
 
 /// The §3 deterministic advice algorithms as a per-node [`Protocol`].
 ///
@@ -446,22 +318,22 @@ impl Default for ProtocolRegistry {
 pub struct DeterministicAdviceProtocol {
     universe: usize,
     advice_bits: usize,
-    kind: ProtocolKind,
+    mode: ChannelMode,
     name: &'static str,
 }
 
 impl DeterministicAdviceProtocol {
     /// Creates the protocol for a universe of size `universe` and an advice
     /// budget of `advice_bits` bits, in the given feedback model.
-    pub fn new(universe: usize, advice_bits: usize, kind: ProtocolKind) -> Self {
-        let name = match kind {
-            ProtocolKind::NoCollisionDetection => "det-advice-no-cd",
-            ProtocolKind::CollisionDetection => "det-advice-cd",
+    pub fn new(universe: usize, advice_bits: usize, mode: ChannelMode) -> Self {
+        let name = match mode {
+            ChannelMode::NoCollisionDetection => "det-advice-no-cd",
+            ChannelMode::CollisionDetection => "det-advice-cd",
         };
         Self {
             universe,
             advice_bits,
-            kind,
+            mode,
             name,
         }
     }
@@ -507,8 +379,8 @@ fn execute_nodes<P: NodeProtocol>(
 }
 
 impl Protocol for DeterministicAdviceProtocol {
-    fn kind(&self) -> ProtocolKind {
-        self.kind
+    fn mode(&self) -> ChannelMode {
+        self.mode
     }
 
     fn name(&self) -> &str {
@@ -534,14 +406,14 @@ impl NodeFactory for DeterministicAdviceProtocol {
         participants
             .iter()
             .try_for_each(|&id| check_in_universe(self.universe, id))?;
-        match self.kind {
-            ProtocolKind::NoCollisionDetection => execute_nodes(
+        match self.mode {
+            ChannelMode::NoCollisionDetection => execute_nodes(
                 participants,
                 |id| DeterministicNoCdAdvice::from_interval(id, interval),
                 config,
                 rng,
             ),
-            ProtocolKind::CollisionDetection => execute_nodes(
+            ChannelMode::CollisionDetection => execute_nodes(
                 participants,
                 |id| DeterministicCdAdvice::from_interval(id, interval),
                 config,
@@ -553,11 +425,11 @@ impl NodeFactory for DeterministicAdviceProtocol {
     fn round_budget(&self, participants: &[ParticipantId]) -> Option<usize> {
         let first = *participants.first()?;
         let interval = self.candidate_interval(participants).ok()?;
-        let budget = match self.kind {
-            ProtocolKind::NoCollisionDetection => {
+        let budget = match self.mode {
+            ChannelMode::NoCollisionDetection => {
                 DeterministicNoCdAdvice::from_interval(first, interval).worst_case_rounds()
             }
-            ProtocolKind::CollisionDetection => {
+            ChannelMode::CollisionDetection => {
                 DeterministicCdAdvice::from_interval(first, interval).worst_case_rounds()
             }
         };
@@ -581,9 +453,7 @@ mod tests {
 
     #[test]
     fn standard_registry_has_the_full_catalogue() {
-        let registry = ProtocolRegistry::standard();
-        assert!(registry.len() >= 8, "only {} protocols", registry.len());
-        assert!(!registry.is_empty());
+        assert!(REGISTRY.len() >= 8, "only {} protocols", REGISTRY.len());
         for name in [
             "decay",
             "fixed-probability",
@@ -598,15 +468,18 @@ mod tests {
             "det-advice-no-cd",
             "det-advice-cd",
         ] {
-            assert!(registry.entry(name).is_some(), "{name} missing");
+            assert!(
+                REGISTRY.iter().any(|entry| entry.name == name),
+                "{name} missing"
+            );
         }
     }
 
     #[test]
     fn unknown_names_produce_a_typed_error() {
-        let registry = ProtocolRegistry::standard();
-        let err = registry
-            .build("no-such-protocol", &ProtocolParams::for_universe(64))
+        let err = ProtocolSpec::new("no-such-protocol")
+            .universe(64)
+            .build()
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, ProtocolError::UnknownProtocol { .. }));
@@ -617,9 +490,9 @@ mod tests {
 
     #[test]
     fn prediction_protocols_require_a_prediction() {
-        let registry = ProtocolRegistry::standard();
-        let err = registry
-            .build("sorted-guess", &ProtocolParams::for_universe(256))
+        let err = ProtocolSpec::new("sorted-guess")
+            .universe(256)
+            .build()
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, ProtocolError::MissingParameter { .. }));
@@ -650,13 +523,13 @@ mod tests {
             .prediction(condensed)
             .build()
             .unwrap();
-        assert_eq!(protocol.kind(), ProtocolKind::CollisionDetection);
+        assert_eq!(protocol.mode(), ChannelMode::CollisionDetection);
         assert!(protocol.horizon().is_some());
     }
 
     #[test]
     fn per_node_advice_protocol_resolves_deterministically() {
-        let protocol = DeterministicAdviceProtocol::new(256, 3, ProtocolKind::CollisionDetection);
+        let protocol = DeterministicAdviceProtocol::new(256, 3, ChannelMode::CollisionDetection);
         assert_eq!(protocol.advice_bits(), 3);
         assert_eq!(protocol.universe(), 256);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -670,7 +543,7 @@ mod tests {
         let mut last = usize::MAX;
         for bits in [0usize, 2, 4, 6] {
             let protocol =
-                DeterministicAdviceProtocol::new(256, bits, ProtocolKind::NoCollisionDetection);
+                DeterministicAdviceProtocol::new(256, bits, ChannelMode::NoCollisionDetection);
             let budget = protocol.round_budget(&participants).unwrap();
             assert!(budget <= last, "budget grew with advice");
             last = budget;
@@ -679,14 +552,17 @@ mod tests {
 
     #[test]
     fn entry_metadata_matches_construction() {
-        let registry = ProtocolRegistry::standard();
-        let entry = registry.entry("willard").unwrap();
-        assert_eq!(entry.kind, ProtocolKind::CollisionDetection);
-        assert!(!entry.summary.is_empty());
-        let built = entry
-            .construct(&ProtocolParams::for_universe(1 << 12))
+        let entry = REGISTRY
+            .iter()
+            .find(|entry| entry.name == "willard")
             .unwrap();
-        assert_eq!(built.kind(), entry.kind);
+        assert_eq!(entry.mode, ChannelMode::CollisionDetection);
+        assert!(!entry.summary.is_empty());
+        let built = ProtocolSpec::new("willard")
+            .universe(1 << 12)
+            .build()
+            .unwrap();
+        assert_eq!(built.mode(), entry.mode);
         assert_eq!(built.name(), "willard");
         assert!(format!("{entry:?}").contains("willard"));
     }

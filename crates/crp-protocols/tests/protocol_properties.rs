@@ -1,14 +1,14 @@
 //! Property-style tests over the protocol layer, driven by deterministic
 //! seeded sweeps (the environment has no `proptest`).
 
-use crp_channel::{try_execute, CollisionHistory, ExecutionConfig, ParticipantId};
+use crp_channel::{try_execute, ChannelMode, CollisionHistory, ExecutionConfig, ParticipantId};
 use crp_info::{range_index_for_size, CondensedDistribution, SizeDistribution};
 use crp_predict::{Advice, AdviceOracle, IdPrefixOracle, RangeOracle};
 use crp_protocols::rangefinding::rf_construction;
 use crp_protocols::{
-    try_run_protocol_with, AdvisedDecay, AdvisedWillard, CdStrategy, CodedSearch, Decay,
-    DeterministicAdviceProtocol, DeterministicCdAdvice, DeterministicNoCdAdvice, NoCdSchedule,
-    NodeFactory, ProtocolError, ProtocolKind, SortedGuess, Willard,
+    try_run_protocol_with, AdvisedDecay, AdvisedWillard, CodedSearch, Decay,
+    DeterministicAdviceProtocol, DeterministicCdAdvice, DeterministicNoCdAdvice, NodeFactory,
+    ProtocolError, SortedGuess, UniformPolicy, Willard,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,10 +41,14 @@ fn decay_probabilities_are_always_valid_and_periodic() {
         let round = rng.gen_range(1usize..10_000);
         let n = 1usize << exp;
         let decay = Decay::new(n.max(2)).unwrap();
-        let p = decay.probability(round).unwrap();
+        let empty = CollisionHistory::new();
+        let p = decay.probability(round, &empty).unwrap();
         assert!(p > 0.0 && p <= 0.5);
         let period = decay.sweep_length();
-        assert_eq!(decay.probability(round), decay.probability(round + period));
+        assert_eq!(
+            decay.probability(round, &empty),
+            decay.probability(round + period, &empty)
+        );
     }
 }
 
@@ -59,12 +63,16 @@ fn sorted_guess_visits_every_range_exactly_once() {
         let expected: Vec<usize> = (1..=condensed.num_ranges()).collect();
         assert_eq!(seen, expected);
         // Every scheduled probability is the power of two of its range.
+        let empty = CollisionHistory::new();
         for round in 1..=protocol.pass_length() {
-            let p = protocol.probability(round).unwrap();
+            let p = protocol.probability(round, &empty).unwrap();
             let range = protocol.visit_order()[round - 1];
             assert!((p - 2f64.powi(-(range as i32))).abs() < 1e-15);
         }
-        assert_eq!(protocol.probability(protocol.pass_length() + 1), None);
+        assert_eq!(
+            protocol.probability(protocol.pass_length() + 1, &empty),
+            None
+        );
     }
 }
 
@@ -106,7 +114,7 @@ fn coded_search_probabilities_are_valid_along_any_history() {
         let protocol = CodedSearch::new(&condensed).unwrap();
         let mut history = CollisionHistory::new();
         for &bit in bits.iter().take(protocol.horizon()) {
-            match protocol.probability(&history) {
+            match protocol.probability(history.len() + 1, &history) {
                 Some(p) => assert!((0.0..=1.0).contains(&p)),
                 None => break,
             }
@@ -124,7 +132,7 @@ fn willard_probability_is_a_valid_power_of_two_for_any_history() {
         let n = 1usize << exp;
         let willard = Willard::new(n).unwrap();
         let history = CollisionHistory::from_bits(bits);
-        if let Some(p) = willard.probability(&history) {
+        if let Some(p) = willard.probability(history.len() + 1, &history) {
             assert!(p > 0.0 && p <= 0.5 + 1e-12);
             let range = (1.0 / p).log2().round() as usize;
             assert!(range >= 1 && range <= range_index_for_size(n));
@@ -207,8 +215,12 @@ fn empty_advice_reduces_to_the_classical_protocols() {
         let decay = Decay::new(n).unwrap();
         let advised = AdvisedDecay::new(n, &Advice::empty()).unwrap();
         assert_eq!(advised.sweep_length(), decay.sweep_length());
+        let empty = CollisionHistory::new();
         for round in 1..=decay.sweep_length() {
-            assert_eq!(advised.probability(round), decay.probability(round));
+            assert_eq!(
+                advised.probability(round, &empty),
+                decay.probability(round, &empty)
+            );
         }
         let willard = Willard::new(n).unwrap();
         let advised = AdvisedWillard::new(n, &Advice::empty()).unwrap();
@@ -243,7 +255,7 @@ fn condensing_then_sorting_is_stable_under_size_noise() {
 /// registry protocol reports: the empty set first, then the advice, then
 /// the first id outside the universe, then the executor's config checks.
 fn per_node_reference(
-    kind: ProtocolKind,
+    kind: ChannelMode,
     universe: usize,
     bits: usize,
     ids: &[ParticipantId],
@@ -257,17 +269,17 @@ fn per_node_reference(
         }
         let raw: Vec<usize> = ids.iter().map(|id| id.index()).collect();
         let advice = IdPrefixOracle.advise(universe, &raw, bits)?;
-        let config = ExecutionConfig::new(kind.channel_mode(), max_rounds);
+        let config = ExecutionConfig::new(kind, max_rounds);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let execution = match kind {
-            ProtocolKind::NoCollisionDetection => {
+            ChannelMode::NoCollisionDetection => {
                 let mut nodes = ids
                     .iter()
                     .map(|&id| DeterministicNoCdAdvice::new(universe, id, &advice))
                     .collect::<Result<Vec<_>, _>>()?;
                 try_execute(&mut nodes, &config, &mut rng)
             }
-            ProtocolKind::CollisionDetection => {
+            ChannelMode::CollisionDetection => {
                 let mut nodes = ids
                     .iter()
                     .map(|&id| DeterministicCdAdvice::new(universe, id, &advice))
@@ -328,8 +340,8 @@ fn deterministic_advice_executions_match_the_per_node_reference() {
     ];
 
     for kind in [
-        ProtocolKind::NoCollisionDetection,
-        ProtocolKind::CollisionDetection,
+        ChannelMode::NoCollisionDetection,
+        ChannelMode::CollisionDetection,
     ] {
         for bits in 0..=8 {
             let protocol = DeterministicAdviceProtocol::new(universe, bits, kind);

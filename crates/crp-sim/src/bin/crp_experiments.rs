@@ -15,7 +15,7 @@
 //!
 //! where `command` is one of `list`, `table1`, `table2`, `entropy`, `kl`,
 //! `baselines`, `range-finding`, `sweep`, `worker`, `serve`, `submit`,
-//! `stats`, `trace-check`, `fuzz` or `all` (the default).  Experiment
+//! `stats`, `trace-check`, `trace-join` or `all` (the default).  Experiment
 //! output is markdown, suitable for pasting into `EXPERIMENTS.md`;
 //! `sweep --csv` emits CSV instead.
 //!
@@ -42,7 +42,8 @@
 //! to `serve.tenant.<name>.*` counters on the daemon.
 //!
 //! A `--scenarios` entry ending in `.trace` is loaded as a fuzz-trace
-//! wire file (see the `crp-fuzz` crate), compiled, and registered into
+//! wire file (see the `crp-fuzz` crate, whose `crp_fuzz` binary runs
+//! fuzz campaigns), compiled, and registered into
 //! the scenario library under the file stem — so shrunk reproducers from
 //! `fuzz/corpus/` can ride in any sweep next to the built-in scenarios.
 //!
@@ -64,7 +65,7 @@
 //! choice, the kernel choice only affects wall-clock time: statistics
 //! are bit-identical either way.
 //!
-//! Every subcommand except `trace-check`, `trace-join` and `fuzz` reads
+//! Every subcommand except `trace-check` and `trace-join` reads
 //! the environment once at entry (`crp_sim::EnvConfig`): `CRP_THREADS`,
 //! `CRP_KERNEL`, `CRP_FLEET` and `CRP_TRACE` stand in for `--threads`,
 //! `--kernel`, `--fleet` (the pool of a fleet run) and `--trace-out`,
@@ -89,17 +90,13 @@
 //! (`--connect host:port`) and prints the identical table or CSV;
 //! repeated or overlapping submissions settle from the cache,
 //! bit-identically and near-instantly.
-//!
-//! The `fuzz` subcommand delegates to the sibling `crp_fuzz` binary
-//! (the fuzzing layer depends on this crate, so it cannot link back) —
-//! all remaining arguments are forwarded verbatim; set `CRP_FUZZ_BIN`
-//! to point at an explicit binary.
 
 use std::process::ExitCode;
 
+use crp_channel::ChannelMode;
 use crp_fleet::{ChaosPlan, FleetManifest, ScenarioStore, ServeOptions, TcpWorker};
 use crp_predict::{ScenarioLibrary, Trace};
-use crp_protocols::ProtocolRegistry;
+use crp_protocols::REGISTRY;
 use crp_serve::{ResultCache, ServeClient, SweepServer};
 use crp_sim::experiments::{
     baselines, entropy_sweep, kl_degradation, range_finding, table1, table2,
@@ -144,7 +141,7 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:9317";
 
 const USAGE: &str = "usage: crp_experiments \
 [list|table1|table2|entropy|kl|baselines|range-finding|sweep|worker|serve|submit|stats|\
-trace-check FILE|trace-join FILE..|fuzz|all] \
+trace-check FILE|trace-join FILE..|all] \
 [--trials T] [--size N] [--seed S] [--backend serial|thread|fleet] \
 [--threads T] [--workers N] [--kernel auto|scalar] \
 [--fleet local[:N],host:port,..] \
@@ -363,15 +360,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 
 /// Renders the protocol registry as a markdown table.
 fn registry_table() -> Table {
-    let registry = ProtocolRegistry::standard();
     let mut table = Table::new(
-        format!("Registered protocols ({})", registry.len()),
+        format!("Registered protocols ({})", REGISTRY.len()),
         &["name", "channel", "summary"],
     );
-    for entry in registry.entries() {
-        let channel = match entry.kind {
-            crp_protocols::ProtocolKind::NoCollisionDetection => "no-CD",
-            crp_protocols::ProtocolKind::CollisionDetection => "CD",
+    for entry in REGISTRY {
+        let channel = match entry.mode {
+            ChannelMode::NoCollisionDetection => "no-CD",
+            ChannelMode::CollisionDetection => "CD",
         };
         table.push_row(vec![
             entry.name.to_string(),
@@ -976,40 +972,9 @@ fn trace_join_mode(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `fuzz` subcommand: delegates to the sibling `crp_fuzz` binary
-/// (the fuzzing crate depends on this one, so the fuzzer cannot be
-/// linked in), forwarding all remaining arguments verbatim.  The binary
-/// is resolved from `CRP_FUZZ_BIN` when set, otherwise from the
-/// directory of the current executable.
-fn fuzz_mode(args: &[String]) -> ExitCode {
-    let binary = match std::env::var_os("CRP_FUZZ_BIN") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => match std::env::current_exe() {
-            Ok(exe) => exe.with_file_name("crp_fuzz"),
-            Err(err) => {
-                eprintln!("fuzz: cannot locate the crp_fuzz binary: {err}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    match std::process::Command::new(&binary).args(args).status() {
-        Ok(status) if status.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(err) => {
-            eprintln!(
-                "fuzz: cannot run {} ({err}); build it with `cargo build -p crp-fuzz` or set \
-                 CRP_FUZZ_BIN",
-                binary.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("fuzz") => return fuzz_mode(&args[1..]),
         Some("trace-check") => return trace_check_mode(&args[1..]),
         Some("trace-join") => return trace_join_mode(&args[1..]),
         _ => {}

@@ -31,16 +31,15 @@ pub struct EnvConfig {
 }
 
 impl EnvConfig {
-    /// Every `CRP_*` name the workspace knows.  The last two only locate
-    /// binaries, so they are read where the binary is resolved and never
-    /// parsed here.
-    pub const NAMES: [&'static str; 6] = [
+    /// Every `CRP_*` name the workspace knows.  The last one only locates
+    /// the worker binary, so it is read where that binary is resolved and
+    /// never parsed here.
+    pub const NAMES: [&'static str; 5] = [
         "CRP_THREADS",
         "CRP_KERNEL",
         "CRP_FLEET",
         "CRP_TRACE",
         "CRP_SHARD_WORKER_BIN",
-        "CRP_FUZZ_BIN",
     ];
 
     /// Parses the `CRP_*` entries of `vars`; every other name is ignored.
@@ -91,7 +90,7 @@ impl EnvConfig {
                         path => Some(path.to_string()),
                     };
                 }
-                "CRP_SHARD_WORKER_BIN" | "CRP_FUZZ_BIN" => {}
+                "CRP_SHARD_WORKER_BIN" => {}
                 _ => {
                     return Err(reject(format!(
                         "unknown CRP_* variable; expected one of: {}",
@@ -226,11 +225,8 @@ mod tests {
             (&[("CRP_TRACE", "0")], EnvConfig::default()),
             (&[("CRP_TRACE", "off")], EnvConfig::default()),
             (&[("CRP_TRACE", "none")], EnvConfig::default()),
-            // Binary locators are known names but never parsed.
-            (
-                &[("CRP_SHARD_WORKER_BIN", "/bin/w"), ("CRP_FUZZ_BIN", "")],
-                EnvConfig::default(),
-            ),
+            // The binary locator is a known name but never parsed.
+            (&[("CRP_SHARD_WORKER_BIN", "/bin/w")], EnvConfig::default()),
         ];
         for (pairs, expected) in valid {
             assert_eq!(&parse(pairs).unwrap(), expected, "{pairs:?}");
@@ -245,6 +241,7 @@ mod tests {
             ("CRP_FLEET", "local:2*3", "positive worker count"),
             ("CRP_FLEET", "local:0", "at least one"),
             ("CRP_THREAD", "2", "unknown CRP_* variable"),
+            ("CRP_FUZZ_BIN", "", "unknown CRP_* variable"),
             ("CRP_FLEET_POLL_MS", "25", "unknown CRP_* variable"),
             ("CRP_FLEET_CAPACITY", "4", "unknown CRP_* variable"),
             ("CRP_FLEET_DIE_AFTER", "1", "unknown CRP_* variable"),

@@ -128,7 +128,7 @@ pub fn run(universe_sizes: &[usize], config: &RunnerConfig) -> Result<BaselineRe
             SweepProtocol::from_scenario("known-size", |s| {
                 ProtocolSpec::new("fixed-probability")
                     .universe(universe_of(s))
-                    .estimate(primary_mode(universe_of(s)))
+                    .participants(primary_mode(universe_of(s)))
             })
             .population_with(|s| {
                 let n = universe_of(s);

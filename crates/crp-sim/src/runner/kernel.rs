@@ -135,7 +135,7 @@ impl<'a> CellKernel<'a> {
         let kind = match protocol.behavior() {
             Behavior::Uniform(policy) if batched => KernelKind::Uniform {
                 policy,
-                collision_detection: protocol.kind().channel_mode().has_collision_detection(),
+                collision_detection: protocol.mode().has_collision_detection(),
                 constant: policy.constant_probability(),
             },
             Behavior::PerNode(factory) if batched && factory.deterministic() => {

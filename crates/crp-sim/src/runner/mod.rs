@@ -68,7 +68,8 @@ mod tests {
     use crate::runner::backend::CellWork;
     use crate::simulation::Population;
     use crate::{SimError, Simulation};
-    use crp_protocols::{DeterministicAdviceProtocol, ProtocolKind, ProtocolSpec, Willard};
+    use crp_channel::ChannelMode;
+    use crp_protocols::{DeterministicAdviceProtocol, ProtocolSpec, Willard};
     use rand::SeedableRng;
 
     #[test]
@@ -116,7 +117,7 @@ mod tests {
         };
         let fixed = run(ProtocolSpec::new("fixed-probability")
             .universe(n)
-            .estimate(k));
+            .participants(k));
         let decay = run(ProtocolSpec::new("decay").universe(n));
         assert!(fixed.success_rate() > 0.99);
         assert!(decay.success_rate() > 0.99);
@@ -148,7 +149,7 @@ mod tests {
         // failure happens at trial time.
         let run = |kernel: KernelChoice| {
             let protocol =
-                DeterministicAdviceProtocol::new(256, 2, ProtocolKind::CollisionDetection);
+                DeterministicAdviceProtocol::new(256, 2, ChannelMode::CollisionDetection);
             Simulation::builder()
                 .protocol_object(Box::new(protocol))
                 .participant_ids(vec![10, 300])

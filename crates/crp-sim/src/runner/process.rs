@@ -149,10 +149,6 @@ impl ShardSpec {
             Some(k) => out.push_str(&format!("participants {k}\n")),
             None => out.push_str("participants none\n"),
         }
-        match params.estimate {
-            Some(k) => out.push_str(&format!("estimate {k}\n")),
-            None => out.push_str("estimate none\n"),
-        }
         match &params.prediction {
             Some(prediction) => {
                 let head = prediction.max_size().to_string();
@@ -231,7 +227,6 @@ impl ShardSpec {
         let universe = reader.field("universe", Fields::int)?;
         let advice_bits = reader.field("advice-bits", Fields::int)?;
         let participants = reader.field("participants", none_or_count)?;
-        let estimate = reader.field("estimate", none_or_count)?;
         let mut fields = reader.fields("prediction")?;
         let prediction = match fields.token()? {
             "none" => None,
@@ -285,9 +280,6 @@ impl ShardSpec {
             .advice_bits(advice_bits);
         if let Some(k) = participants {
             protocol = protocol.participants(k);
-        }
-        if let Some(k) = estimate {
-            protocol = protocol.estimate(k);
         }
         if let Some(prediction) = prediction {
             protocol = protocol.prediction(prediction);

@@ -359,7 +359,7 @@ mod tests {
         let server = crp_serve::SweepServer::bind("127.0.0.1:0", Vec::new(), None).unwrap();
         for (label, tampered, needle) in [
             ("respelled", respelled, respelled_key.as_str()),
-            ("padded", padded, "line 9: \"016384\""),
+            ("padded", padded, "line 8: \"016384\""),
             ("dangling", dangling, missing.as_str()),
         ] {
             match server.run_submission(&tampered, sweep_hooks(), &|_, _, _| {}) {

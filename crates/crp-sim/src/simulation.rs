@@ -190,7 +190,7 @@ impl SimulationBuilder {
     ///   ids, a placement with a repeated or out-of-universe id, or a
     ///   truth distribution over sizes beyond the universe.
     /// * [`SimError::ModeMismatch`] — an explicitly pinned channel mode
-    ///   contradicts the protocol's [`crp_protocols::ProtocolKind`].
+    ///   contradicts the protocol's [`crp_protocols::Protocol::mode`].
     pub fn build(self) -> Result<Simulation, SimError> {
         let spec = self.spec.clone();
         let protocol = match (self.protocol, &self.spec) {
@@ -199,7 +199,7 @@ impl SimulationBuilder {
             (None, None) => return Err(SimError::MissingProtocol),
         };
 
-        let required_mode = protocol.kind().channel_mode();
+        let required_mode = protocol.mode();
         if let Some(requested) = self.channel_mode {
             if requested != required_mode {
                 return Err(SimError::ModeMismatch {
@@ -350,10 +350,10 @@ impl Simulation {
         self.protocol.as_ref()
     }
 
-    /// The channel mode every trial runs on (always consistent with the
-    /// protocol's kind — mismatches are rejected at build time).
+    /// The channel mode every trial runs on (always the protocol's own
+    /// mode — mismatches are rejected at build time).
     pub fn channel_mode(&self) -> ChannelMode {
-        self.protocol.kind().channel_mode()
+        self.protocol.mode()
     }
 
     /// The per-trial round budget.

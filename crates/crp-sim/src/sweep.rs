@@ -58,7 +58,7 @@ use std::sync::Mutex;
 
 use crp_info::SizeDistribution;
 use crp_predict::{Scenario, ScenarioLibrary};
-use crp_protocols::{ProtocolRegistry, ProtocolSpec};
+use crp_protocols::{ProtocolSpec, REGISTRY};
 
 use crate::report::{fmt_f64, Table};
 use crate::runner::backend::{backend_for, run_cells};
@@ -135,7 +135,7 @@ impl SweepProtocol {
     /// [`SimError::InvalidParameter`] when `name` is not in the protocol
     /// registry.
     pub fn registry(name: &str) -> Result<Self, SimError> {
-        if ProtocolRegistry::standard().entry(name).is_none() {
+        if !REGISTRY.iter().any(|entry| entry.name == name) {
             return Err(SimError::InvalidParameter {
                 what: format!(
                     "unknown protocol {name:?}; run `crp_experiments list` for the registry"

@@ -310,18 +310,27 @@ fn per_node_placements_survive_the_process_boundary() {
 #[test]
 fn custom_protocol_objects_are_rejected_by_the_process_backend() {
     let _gate = shared();
-    use crp_protocols::{NoCdSchedule, ScheduleProtocol};
+    use crp_channel::{ChannelMode, CollisionHistory};
+    use crp_protocols::{Behavior, Protocol, UniformPolicy};
     struct Constant;
-    impl NoCdSchedule for Constant {
-        fn probability(&self, _round: usize) -> Option<f64> {
-            Some(0.5)
+    impl Protocol for Constant {
+        fn mode(&self) -> ChannelMode {
+            ChannelMode::NoCollisionDetection
         }
         fn name(&self) -> &str {
             "constant"
         }
+        fn behavior(&self) -> Behavior<'_> {
+            Behavior::Uniform(self)
+        }
+    }
+    impl UniformPolicy for Constant {
+        fn probability(&self, _round: usize, _history: &CollisionHistory) -> Option<f64> {
+            Some(0.5)
+        }
     }
     let simulation = Simulation::builder()
-        .protocol_object(Box::new(ScheduleProtocol(Constant)))
+        .protocol_object(Box::new(Constant))
         .participants(4)
         .max_rounds(1000)
         .trials(10)

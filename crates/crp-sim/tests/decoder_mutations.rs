@@ -370,7 +370,6 @@ fn every_decoder_accepts_exactly_its_encoders_bytes_and_never_panics() {
             .universe(64)
             .advice_bits(2)
             .participants(5)
-            .estimate(7)
             .prediction(CondensedDistribution::from_sizes(&truth)),
         truth,
         4096,
@@ -456,7 +455,7 @@ fn respellings_are_typed_errors_naming_their_line() {
     let payload = spec.to_wire(plan, 3, 1, &mut BlobSet::new()).payload;
     let no_blobs = |_: &str| None;
     for (label, respelled, line) in [
-        ("junk after end", format!("{payload}junk\n"), 15),
+        ("junk after end", format!("{payload}junk\n"), 14),
         ("CRLF", payload.replace('\n', "\r\n"), 1),
         (
             "universe64",
@@ -466,17 +465,17 @@ fn respellings_are_typed_errors_naming_their_line() {
         (
             "max-rounds +100",
             payload.replacen("rounds 1", "rounds +1", 1),
-            9,
+            8,
         ),
         (
             "max-rounds 0100",
             payload.replacen("rounds 1", "rounds 01", 1),
-            9,
+            8,
         ),
         (
             "shard-size 0",
             payload.replacen("size 256", "size 0", 1),
-            11,
+            10,
         ),
     ] {
         assert_ne!(respelled, payload, "{label}");

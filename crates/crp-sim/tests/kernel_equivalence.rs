@@ -12,12 +12,13 @@
 //! placed population shapes.
 
 use crp_predict::ScenarioLibrary;
-use crp_protocols::{ProtocolRegistry, ProtocolSpec};
+use crp_protocols::{ProtocolSpec, REGISTRY};
 use crp_sim::{KernelChoice, Simulation, SimulationBuilder};
 
 /// A registry spec with every optional parameter supplied, so each
-/// constructor finds what it needs (predictions for the §4 protocols,
-/// advice bits for §3, an estimate for the baselines).
+/// constructor finds what it needs (a prediction for the §2 protocols and
+/// `blind-trust`, advice bits for §3, and a participant count for the
+/// randomized §3 protocols and as `fixed-probability`'s size estimate).
 fn full_spec(name: &str, universe: usize) -> ProtocolSpec {
     let library = ScenarioLibrary::new(universe).unwrap();
     ProtocolSpec::new(name)
@@ -50,7 +51,7 @@ fn every_registry_protocol_is_bit_identical_under_the_batched_kernel() {
     let universe = 256;
     let library = ScenarioLibrary::new(universe).unwrap();
     let scenario = library.bimodal();
-    for name in ProtocolRegistry::standard().names() {
+    for name in REGISTRY.iter().map(|entry| entry.name) {
         // 700 trials = 3 shards, sampled population: the kernel must
         // reproduce the scalar path's population draws and shard merge.
         assert_kernel_equivalence(name, || {
@@ -79,7 +80,7 @@ fn every_registry_protocol_selects_a_batched_fast_path() {
     // monomorphized for; a protocol silently falling back to the scalar
     // executor under `auto` would be a performance regression.
     let universe = 256;
-    for name in ProtocolRegistry::standard().names() {
+    for name in REGISTRY.iter().map(|entry| entry.name) {
         let simulation = Simulation::builder()
             .protocol(full_spec(name, universe))
             .participants(12)
@@ -112,9 +113,9 @@ fn placed_populations_are_bit_identical_under_the_deterministic_kernel() {
 #[test]
 fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
     use crp_channel::{
-        try_execute, Execution, ExecutionConfig, Feedback, NodeProtocol, ParticipantId,
+        try_execute, ChannelMode, Execution, ExecutionConfig, Feedback, NodeProtocol, ParticipantId,
     };
-    use crp_protocols::{NodeFactory, Protocol, ProtocolError, ProtocolKind};
+    use crp_protocols::{NodeFactory, Protocol, ProtocolError};
     use rand::{Rng, RngCore};
 
     // A randomized per-node protocol must not select a kernel: its nodes
@@ -142,8 +143,8 @@ fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
         fn name(&self) -> &str {
             "coin-flip"
         }
-        fn kind(&self) -> ProtocolKind {
-            ProtocolKind::NoCollisionDetection
+        fn mode(&self) -> ChannelMode {
+            ChannelMode::NoCollisionDetection
         }
         fn behavior(&self) -> crp_protocols::Behavior<'_> {
             crp_protocols::Behavior::PerNode(self)

@@ -21,8 +21,9 @@
 //! * [`protocols`] (`crp-protocols`) — decay, Willard, the §2.5 / §2.6
 //!   prediction-augmented algorithms, the §3 advice algorithms, the
 //!   range-finding lower-bound machinery, and the unified
-//!   [`protocols::Protocol`] API with its name-based
-//!   [`protocols::ProtocolRegistry`].
+//!   [`protocols::Protocol`] API: each uniform algorithm is one
+//!   [`protocols::UniformPolicy`], and the static
+//!   [`protocols::REGISTRY`] table names every protocol.
 //! * [`fleet`] (`crp-fleet`) — fleet dispatch: the framed worker wire
 //!   protocol (v3: capacity pipelining, scenario-by-hash blobs, ping
 //!   health checks, metrics pulls), long-lived stdio/TCP workers, and the
@@ -35,8 +36,8 @@
 //! * [`fuzz`] (`crp-fuzz`) — model-based scenario fuzzing: seeded
 //!   adversarial trace models, property oracles encoding the paper's
 //!   envelopes, a deterministic shrinker, declarative chaos plans, and
-//!   the content-addressed reproducer corpus, fronted by
-//!   `crp_experiments fuzz` / the `crp_fuzz` binary.
+//!   the content-addressed reproducer corpus, fronted by the `crp_fuzz`
+//!   binary.
 //!
 //! # Quickstart
 //!

@@ -132,7 +132,7 @@ fn known_size_is_the_floor_for_all_prediction_protocols() {
     let floor = run_measured(
         ProtocolSpec::new("fixed-probability")
             .universe(N)
-            .estimate(k),
+            .participants(k),
         &truth,
         Some(64 * N),
     );

@@ -1,32 +1,19 @@
 //! Round-trip coverage of the unified protocol API: every registered
-//! protocol name must construct through the registry, run to resolution
-//! through the `Simulation` builder, and report a channel mode consistent
-//! with its `ProtocolKind`; incompatible protocol/channel pairings must be
-//! rejected with a typed error.
+//! protocol name must construct through its spec, run to resolution
+//! through the `Simulation` builder, and report the channel mode of its
+//! registry entry; incompatible protocol/channel pairings and specs
+//! without a universe must be rejected with a typed error.
 
 use contention_predictions::channel::ChannelMode;
 use contention_predictions::info::{CondensedDistribution, SizeDistribution};
-use contention_predictions::protocols::{
-    ProtocolKind, ProtocolParams, ProtocolRegistry, ProtocolSpec,
-};
+use contention_predictions::protocols::{ProtocolError, ProtocolSpec, REGISTRY};
 use contention_predictions::sim::{SimError, Simulation};
 
 const UNIVERSE: usize = 1 << 10;
 
-/// Construction parameters rich enough for every registry entry: a
-/// universe, a mildly informative prediction, an expected participant
-/// count and a small advice budget.
-fn full_params() -> ProtocolParams {
-    let prediction = SizeDistribution::bimodal(UNIVERSE, 32, 512, 0.9).unwrap();
-    ProtocolParams {
-        universe: UNIVERSE,
-        prediction: Some(CondensedDistribution::from_sizes(&prediction)),
-        advice_bits: 2,
-        participants: Some(32),
-        estimate: Some(32),
-    }
-}
-
+/// A spec rich enough for every registry entry: a universe, a mildly
+/// informative prediction, an expected participant count and a small
+/// advice budget.
 fn spec_for(name: &str) -> ProtocolSpec {
     let prediction = SizeDistribution::bimodal(UNIVERSE, 32, 512, 0.9).unwrap();
     ProtocolSpec::new(name)
@@ -34,35 +21,34 @@ fn spec_for(name: &str) -> ProtocolSpec {
         .prediction(CondensedDistribution::from_sizes(&prediction))
         .participants(32)
         .advice_bits(2)
-        .estimate(32)
 }
 
 #[test]
 fn registry_enumerates_at_least_eight_protocols() {
-    let registry = ProtocolRegistry::standard();
     assert!(
-        registry.len() >= 8,
+        REGISTRY.len() >= 8,
         "registry lists only {} protocols",
-        registry.len()
+        REGISTRY.len()
     );
-    assert_eq!(registry.names().len(), registry.len());
+    // The table is sorted by name and lists each name once.
+    for pair in REGISTRY.windows(2) {
+        assert!(pair[0].name < pair[1].name, "{pair:?}");
+    }
 }
 
 #[test]
 fn every_registered_name_constructs_runs_and_reports_a_consistent_mode() {
-    let registry = ProtocolRegistry::standard();
-    let params = full_params();
-    for entry in registry.entries() {
+    for entry in REGISTRY {
         // Construction by name succeeds with the full parameter set…
-        let protocol = registry
-            .build(entry.name, &params)
+        let protocol = spec_for(entry.name)
+            .build()
             .unwrap_or_else(|err| panic!("{} failed to construct: {err}", entry.name));
         assert!(!protocol.name().is_empty());
-        // …and the built protocol's kind matches the catalogue entry.
+        // …and the built protocol's mode matches the catalogue entry.
         assert_eq!(
-            protocol.kind(),
-            entry.kind,
-            "{} reports a kind inconsistent with its registry entry",
+            protocol.mode(),
+            entry.mode,
+            "{} reports a mode inconsistent with its registry entry",
             entry.name
         );
 
@@ -78,11 +64,11 @@ fn every_registered_name_constructs_runs_and_reports_a_consistent_mode() {
             .seed(11)
             .build()
             .unwrap_or_else(|err| panic!("{} failed to build a simulation: {err}", entry.name));
-        // The simulation's channel mode is exactly the protocol kind's mode.
+        // The simulation's channel mode is exactly the protocol's mode.
         assert_eq!(
             simulation.channel_mode(),
-            entry.kind.channel_mode(),
-            "{}: simulation mode diverges from the protocol kind",
+            entry.mode,
+            "{}: simulation mode diverges from the protocol's mode",
             entry.name
         );
         let stats = simulation
@@ -99,9 +85,8 @@ fn every_registered_name_constructs_runs_and_reports_a_consistent_mode() {
 
 #[test]
 fn cd_only_protocols_are_rejected_on_a_no_cd_channel() {
-    let registry = ProtocolRegistry::standard();
-    for entry in registry.entries() {
-        if entry.kind != ProtocolKind::CollisionDetection {
+    for entry in REGISTRY {
+        if entry.mode != ChannelMode::CollisionDetection {
             continue;
         }
         let err = Simulation::builder()
@@ -151,4 +136,25 @@ fn matching_explicit_modes_are_accepted() {
         .build()
         .unwrap();
     assert_eq!(simulation.channel_mode(), ChannelMode::NoCollisionDetection);
+}
+
+#[test]
+fn every_registered_name_requires_a_universe() {
+    // Every other parameter is supplied, so only the missing universe can
+    // stop a constructor.
+    let prediction = SizeDistribution::bimodal(UNIVERSE, 32, 512, 0.9).unwrap();
+    for entry in REGISTRY {
+        let built = ProtocolSpec::new(entry.name)
+            .prediction(CondensedDistribution::from_sizes(&prediction))
+            .participants(32)
+            .advice_bits(2)
+            .build();
+        match built.map(|_| ()) {
+            Err(ProtocolError::MissingParameter { protocol, what }) => {
+                assert_eq!(protocol, entry.name);
+                assert!(what.contains("universe"), "{}: {what}", entry.name);
+            }
+            other => panic!("{}: expected a missing universe, got {other:?}", entry.name),
+        }
+    }
 }
