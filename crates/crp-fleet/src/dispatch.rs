@@ -29,7 +29,10 @@
 //!   like any transport failure.
 //! * **Failing jobs** — a worker that rejects a job, or whose handler
 //!   panics on it, answers `failed`; that is deterministic, so the batch
-//!   ends with [`FleetError::Job`] instead of retrying it.
+//!   ends with [`FleetError::Job`] instead of retrying it.  Once the
+//!   lowest-indexed failure and every job below it are settled, the
+//!   batch's result is fixed: no further job is dispatched, and the
+//!   batch returns as soon as the jobs already in flight are answered.
 //! * **Dedup by job id** — every completion is recorded at most once, so
 //!   duplicated answers from straggler re-dispatch (or a slow worker
 //!   racing its replacement) are dropped and the per-job completion
@@ -200,6 +203,17 @@ impl State {
 
     pub(crate) fn is_settled(&self, job: usize) -> bool {
         self.results[job].is_some() || self.failures[job].is_some()
+    }
+
+    /// True once the batch's result can no longer change: the lowest job
+    /// without an answer has failed, so its failure is what
+    /// [`Dispatcher::dispatch`] reports whatever the jobs above it do.
+    pub(crate) fn failure_is_final(&self) -> bool {
+        self.results
+            .iter()
+            .zip(&self.failures)
+            .find(|(result, _)| result.is_none())
+            .is_some_and(|(_, failure)| failure.is_some())
     }
 
     /// Marks a claim: one more attempt, one more copy in flight.
@@ -690,6 +704,38 @@ pub(crate) mod tests {
             }
             other => panic!("expected a worker-reported job failure, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_batch_stops_dispatching_once_its_lowest_failure_is_final() {
+        // Fifty jobs on one capacity-1 worker: job 0 fails at once and
+        // every other job sleeps 20 ms.  Once job 0 has failed, nothing
+        // the other jobs do can change the batch's result, so they must
+        // not run: the batch returns at once instead of after ~1 s.
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
+        let addr = worker.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let handler = move |payload: &str| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                scripted(payload)
+            };
+            worker.serve_forever(&handler, &ServeOptions::default(), &ScenarioStore::new())
+        });
+        let mut payloads = vec!["fail:the first job is bad".to_string()];
+        payloads.extend((1..50).map(|i| format!("sleep:20:s{i}")));
+        let start = Instant::now();
+        let err = dispatch_plain(&Dispatcher::new(vec![WorkerEndpoint::tcp(addr)]), &payloads)
+            .unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, FleetError::Job { id: 0, .. }), "got {err}");
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "the batch ran on after its result was fixed (took {elapsed:?})"
+        );
+        let runs = runs.load(Ordering::SeqCst);
+        assert!(runs <= 2, "the handler ran {runs} times for a failed batch");
     }
 
     #[test]

@@ -714,6 +714,15 @@ pub(crate) fn run(
             }
         }
 
+        // Fail fast: once the lowest failure is final the batch's result
+        // is fixed, so nothing more is claimed — not a queued job, not a
+        // straggler copy — and the loop only waits for the jobs already
+        // in flight, so their connections park warm.
+        let failed = state.failure_is_final();
+        if failed {
+            state.queue.clear();
+        }
+
         // Fill phase: queued jobs go to the least-loaded eligible
         // connection (load as a fraction of its capacity, compared by
         // cross-multiplication), skipping connections that already
@@ -779,7 +788,7 @@ pub(crate) fn run(
         // speculatively duplicate the least-duplicated job still in
         // flight elsewhere, after the grace period — whichever copy
         // answers first wins.
-        if state.queue.is_empty() {
+        if state.queue.is_empty() && !failed {
             let now = Instant::now();
             for slot in &mut slots {
                 let idle_conn = slot
@@ -837,6 +846,10 @@ pub(crate) fn run(
         }
 
         if (0..jobs.len()).all(|job| state.is_settled(job)) {
+            break;
+        }
+        let mut live = slots.iter().flat_map(|slot| &slot.conn);
+        if failed && live.all(|conn| conn.outstanding.is_empty()) {
             break;
         }
 

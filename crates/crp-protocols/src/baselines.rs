@@ -118,10 +118,6 @@ impl UniformPolicy for FixedProbability {
     fn probability(&self, _round: usize, _history: &CollisionHistory) -> Option<f64> {
         Some(1.0 / self.estimate as f64)
     }
-
-    fn constant_probability(&self) -> Option<f64> {
-        Some(1.0 / self.estimate as f64)
-    }
 }
 
 /// The deliberately naive prediction consumer: trust the advice past any
@@ -186,10 +182,6 @@ impl Protocol for BlindTrust {
 impl UniformPolicy for BlindTrust {
     fn probability(&self, round: usize, history: &CollisionHistory) -> Option<f64> {
         self.schedule.probability(round, history)
-    }
-
-    fn constant_probability(&self) -> Option<f64> {
-        self.schedule.constant_probability()
     }
 }
 

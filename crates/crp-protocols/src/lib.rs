@@ -83,7 +83,8 @@ pub use protocol::{
     try_run_protocol, try_run_protocol_with, Behavior, NodeFactory, Protocol, UniformPolicy,
 };
 pub use registry::{
-    DeterministicAdviceProtocol, ProtocolEntry, ProtocolParams, ProtocolSpec, REGISTRY,
+    check_participants, DeterministicAdviceProtocol, ProtocolEntry, ProtocolParams, ProtocolSpec,
+    REGISTRY,
 };
 pub use selective_family::{
     binary_representation_family, is_strongly_selective, singleton_family, SelectiveFamily,

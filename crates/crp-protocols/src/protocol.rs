@@ -71,20 +71,11 @@ pub trait UniformPolicy: Send + Sync {
     /// given up.
     ///
     /// Implementations must be pure functions of `(round, history)`: the
-    /// scalar executor queries once per trial per round, while batched
-    /// kernels may query once per *shard* per round (no-CD policies see
-    /// the same empty history in every trial) and rely on getting the
-    /// same answer.
+    /// scalar executor queries once per trial per round, while the
+    /// simulator's uniform loop queries once per *shard* per round
+    /// without collision detection (every trial hears the same empty
+    /// history) and relies on getting the same answer.
     fn probability(&self, round: usize, history: &CollisionHistory) -> Option<f64>;
-
-    /// The single probability the policy emits in every round, when it is
-    /// constant (e.g. the known-size baseline).  Must be bit-identical to
-    /// [`UniformPolicy::probability`]'s answer for every round; batched
-    /// kernels use it to skip per-round dynamic dispatch.  Defaults to
-    /// `None`.
-    fn constant_probability(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// Executes a per-node protocol for a concrete participant set.

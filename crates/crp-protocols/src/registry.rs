@@ -77,6 +77,20 @@ impl ProtocolParams {
     }
 }
 
+/// The model's rule for an expected participant count `k̂`: the size of
+/// a participant set drawn from the universe, so in `1..=universe`.
+///
+/// # Errors
+///
+/// [`ProtocolError::InvalidParameter`] naming the count and the universe.
+pub fn check_participants(universe: usize, participants: usize) -> Result<(), ProtocolError> {
+    if (1..=universe).contains(&participants) {
+        return Ok(());
+    }
+    let what = format!("participants {participants} is outside the universe's 1..={universe}");
+    Err(ProtocolError::InvalidParameter { what })
+}
+
 /// A named protocol plus the parameters to construct it — the value the
 /// `Simulation` builder accepts.
 ///

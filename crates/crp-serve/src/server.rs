@@ -761,8 +761,8 @@ mod tests {
             report.contains("counter serve.tenant.team-red-7.jobs 3"),
             "{report}"
         );
-        // The fleet-wide metrics pull: a rollup plus the (v3) worker's
-        // own shipped snapshot.
+        // The fleet-wide metrics pull: a rollup plus the worker's own
+        // shipped snapshot.
         assert!(
             report.contains("fleet metrics: 1 reporting, 0 unavailable"),
             "{report}"

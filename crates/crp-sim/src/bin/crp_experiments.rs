@@ -36,7 +36,7 @@
 //! ordered timeline on stdout; `stats --connect host:port` dumps the
 //! live report of a running `serve` daemon — cache summary, per-tenant
 //! submission counters, workspace metrics, per-worker fleet health,
-//! and the fleet-wide metrics rollup pulled from every (v3) worker —
+//! and the fleet-wide metrics rollup pulled from every worker —
 //! and `stats --watch SECS` keeps polling, printing per-second rates
 //! from counter deltas.  `submit --tenant NAME` accounts a submission
 //! to `serve.tenant.<name>.*` counters on the daemon.
@@ -84,8 +84,8 @@
 //!
 //! The `serve` subcommand runs the persistent sweep service: a daemon
 //! that keeps a warm worker fleet between CLI invocations and memoises
-//! every `(shard spec, seed)` job and every merged sweep cell in a
-//! content-addressed result cache (`--cache DIR`).  `submit` sends the
+//! every merged sweep cell in a content-addressed result cache
+//! (`--cache DIR`).  `submit` sends the
 //! same grid a `sweep` invocation would run to a daemon
 //! (`--connect host:port`) and prints the identical table or CSV;
 //! repeated or overlapping submissions settle from the cache,

@@ -8,12 +8,12 @@
 //!   cells and executed through the sharded runner, with markdown / CSV
 //!   export.  Every experiment module declares its grid this way.
 //! * [`Simulation`] — the builder-style front-end: pick a protocol by
-//!   registry spec (or hand in a custom object), choose a workload (fixed
-//!   `k`, an explicit placement, or a sampled ground truth), and run a
-//!   validated Monte-Carlo batch.  All misconfigurations — zero
-//!   participants, zero round budgets, protocol/channel-mode mismatches —
-//!   are typed [`SimError`]s raised at build time, never panics.  A
-//!   simulation is one *cell*; a sweep is many.
+//!   registry spec, choose a workload (fixed `k`, an explicit placement,
+//!   or a sampled ground truth), and run a validated Monte-Carlo batch.
+//!   All misconfigurations — zero participants, zero round budgets,
+//!   protocol/channel-mode mismatches — are typed [`SimError`]s raised at
+//!   build time, never panics.  A simulation is one *cell*, described by
+//!   one [`ShardSpec`]; a sweep is many.
 //! * The sharded runner — one path under both: each cell's trials
 //!   split into thread-count-independent shards ([`ShardPlan`]) with
 //!   per-trial `ChaCha8Rng` streams, run by the cell's trial kernel (a
@@ -100,7 +100,7 @@ pub enum SimError {
         /// Human-readable description of the offending parameter.
         what: String,
     },
-    /// A [`Simulation`] was built without selecting a protocol.
+    /// A [`Simulation`] was built without a protocol spec.
     MissingProtocol,
     /// The selected protocol cannot run on the requested channel mode
     /// (e.g. a collision-detection strategy on a no-CD channel).
@@ -115,9 +115,8 @@ pub enum SimError {
     /// A substrate construction (distribution, prediction, protocol)
     /// failed.
     Substrate(String),
-    /// A shard backend could not execute its jobs: an out-of-process
-    /// backend was handed work it cannot re-describe to a worker, a worker
-    /// could not be reached or failed, or a wire message was malformed.
+    /// A shard backend could not execute its jobs: a worker could not be
+    /// started, reached or failed, or a wire message was malformed.
     Backend {
         /// Human-readable description of the failure.
         what: String,
@@ -141,12 +140,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
-            SimError::MissingProtocol => {
-                write!(
-                    f,
-                    "no protocol selected: call protocol(spec) or protocol_object(..)"
-                )
-            }
+            SimError::MissingProtocol => write!(f, "no protocol selected: call protocol(spec)"),
             SimError::ModeMismatch {
                 protocol,
                 required,

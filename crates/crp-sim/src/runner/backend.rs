@@ -45,10 +45,9 @@ pub struct ShardJob<'a> {
     pub plan: ShardPlan,
     /// The cell's base seed.
     pub base_seed: u64,
-    /// The cell's serialisable description, for out-of-process backends
-    /// (absent when the cell was built around a custom protocol object).
-    pub spec: Option<&'a ShardSpec>,
-    /// The cell's trial executor: a batched kernel when the configured
+    /// The cell's one description, which out-of-process backends ship.
+    pub spec: &'a ShardSpec,
+    /// The cell's trial executor: a fast path when the configured
     /// [`crate::KernelChoice`] and the protocol admit one, the scalar
     /// trial-at-a-time path otherwise.  Either way the statistics are
     /// bit-identical (both consume the same per-trial RNG streams in the
@@ -94,26 +93,21 @@ impl ShardJob<'_> {
 }
 
 /// One cell's per-cell setup, built once and borrowed by every shard job
-/// of the cell: its shard plan, base seed, wire spec and trial kernel.
+/// of the cell: its shard plan, base seed, spec and trial kernel.
 pub(crate) struct CellWork<'a> {
     plan: ShardPlan,
     base_seed: u64,
-    spec: Option<ShardSpec>,
+    spec: &'a ShardSpec,
     kernel: CellKernel<'a>,
 }
 
 impl<'a> CellWork<'a> {
-    /// The work of `simulation` split by `plan`; `spec` is what an
-    /// out-of-process backend ships for it.
-    pub(crate) fn new(
-        simulation: &'a Simulation,
-        plan: ShardPlan,
-        spec: Option<ShardSpec>,
-    ) -> Self {
+    /// The work of `simulation` split by `plan`, borrowing its spec.
+    pub(crate) fn new(simulation: &'a Simulation, plan: ShardPlan) -> Self {
         Self {
             plan,
             base_seed: simulation.config().base_seed,
-            spec,
+            spec: simulation.spec(),
             kernel: simulation.cell_kernel(),
         }
     }
@@ -125,7 +119,7 @@ impl<'a> CellWork<'a> {
             shard,
             plan: self.plan,
             base_seed: self.base_seed,
-            spec: self.spec.as_ref(),
+            spec: self.spec,
             kernel: &self.kernel,
         }
     }
@@ -266,8 +260,7 @@ pub(crate) fn run_cells(
         .iter()
         .enumerate()
         .map(|(index, &(label, simulation))| {
-            let plan = ShardPlan::new(simulation.config().trials);
-            let work = CellWork::new(simulation, plan, simulation.shard_spec());
+            let work = CellWork::new(simulation, ShardPlan::new(simulation.config().trials));
             crp_obs::global().inc(if work.kernel.is_batched() {
                 "sim.kernel.batched"
             } else {

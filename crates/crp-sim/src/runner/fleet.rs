@@ -168,28 +168,22 @@ impl ShardBackend for FleetBackend {
         // Spans ride outside the payload and never reach the handler's
         // input, so statistics are bit-identical either way.
         let stamp_spans = crp_obs::trace_enabled();
-        let payloads = jobs
+        let payloads: Vec<JobPayload> = jobs
             .iter()
             .map(|job| {
-                let spec = job.spec.ok_or_else(|| SimError::Backend {
-                    what: format!(
-                        "the fleet backend requires a registry-described simulation, but cell {} \
-                         was built from a custom protocol object; use the serial or thread \
-                         backend for it",
-                        job.cell
-                    ),
-                })?;
-                let payload = spec.to_wire(job.plan, job.base_seed, job.shard, &mut blobs);
-                Ok(if stamp_spans {
+                let payload = job
+                    .spec
+                    .to_wire(job.plan, job.base_seed, job.shard, &mut blobs);
+                if stamp_spans {
                     let id = crp_obs::span_from_hash(&crp_fleet::content_hash(
                         payload.payload.as_bytes(),
                     ));
                     payload.with_span(crp_fleet::JobSpan { id, parent: None })
                 } else {
                     payload
-                })
+                }
             })
-            .collect::<Result<Vec<JobPayload>, SimError>>()?;
+            .collect();
         // Validate inside the dispatcher, before a job settles: a
         // well-framed answer whose accumulator body is corrupt is then
         // retried on another worker instead of failing the whole batch.

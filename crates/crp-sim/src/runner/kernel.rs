@@ -1,51 +1,49 @@
-//! The per-cell trial executor: batched struct-of-arrays kernels and the
-//! scalar fallback.
+//! The per-cell trial executor: one loop per execution style.
 //!
 //! The scalar path executes a shard trial-at-a-time: each trial walks its
 //! rounds through `dyn`-dispatched protocol calls with two `powf`s and a
-//! fresh RNG draw per round.  The batched kernels instead run *all*
-//! trials of a shard in lockstep over flat per-trial state (participant
-//! counts, round counters, outcome flags in `Vec`s), with monomorphized
-//! fast paths for the hot protocol families:
+//! fresh RNG draw per round.  The fast paths serve the two execution
+//! styles of the paper's protocols:
 //!
-//! * **Uniform policies** (the paper's §2 class) sample the round outcome
-//!   category with one uniform draw classified branchlessly against
-//!   cumulative probabilities that are memoized per `(p, k)` — the two
-//!   `powf`s are paid once per distinct pair instead of every round — and
-//!   the draw itself comes from a per-trial block-refilled buffer
-//!   ([`DrawBuffer`]).  No-CD policies are additionally queried once per
-//!   *shard* per round (their history is always empty), and constant-rate
-//!   policies ([`crp_protocols::UniformPolicy::constant_probability`])
-//!   skip per-round dispatch entirely.
-//! * **Deterministic per-node protocols** (the §3 advice schedules, gated
-//!   by [`crp_protocols::NodeFactory::deterministic`]) never read the RNG,
-//!   so the kernel executes once per distinct participant set and
-//!   replicates the outcome across trials.  Each of those executions is
-//!   the factory's own [`crp_protocols::NodeFactory::execute`]: the
-//!   advice and its candidate interval are decoded once, and the nodes
-//!   run unboxed in one `Vec` of their concrete type.  In the benchmark's
-//!   populations every execution resolves in round 1, so building the
-//!   nodes, not stepping rounds, is what an execution costs.
+//! * **Uniform policies** (the paper's §2 class) run *all* trials of a
+//!   shard in lockstep, round-major, over flat per-trial state
+//!   (participant counts, round counters, outcome flags in `Vec`s).  The
+//!   round outcome category comes from one uniform draw classified
+//!   branchlessly against cumulative probabilities that are memoized per
+//!   `(p, k)` — the two `powf`s are paid once per distinct pair instead
+//!   of every round — and the draw itself comes from a per-trial
+//!   block-refilled buffer ([`DrawBuffer`]).  Without collision detection
+//!   every trial hears the same empty history, so the policy is queried
+//!   once per *shard* per round; with it, once per active trial.
+//! * **Per-node protocols** run one trial after another, each through
+//!   the factory's own [`crp_protocols::NodeFactory::execute`].  When the
+//!   factory is deterministic ([`crp_protocols::NodeFactory::deterministic`],
+//!   the §3 advice schedules) its nodes never read the RNG, so the loop
+//!   executes once per distinct participant count and replicates the
+//!   outcome across trials.  Each execution decodes the advice and its
+//!   candidate interval once and runs the nodes unboxed in one `Vec` of
+//!   their concrete type; in the benchmark's populations every execution
+//!   resolves in round 1, so building the nodes, not stepping rounds, is
+//!   what an execution costs.
 //!
-//! Everything else — and every cell under [`KernelChoice::Scalar`] — runs
-//! on the scalar executor, so every registry protocol runs under every
-//! [`KernelChoice`].  A [`CellKernel`] is either one: the one way a shard
-//! of a cell executes.
+//! Without replication the per-trial loop is the scalar executor, which
+//! runs every cell under [`KernelChoice::Scalar`] and every randomized
+//! per-node protocol.  A [`CellKernel`] is the one way a shard executes.
 //!
-//! **Bit-identity is the non-negotiable contract.**  Both paths consume
+//! **Bit-identity is the non-negotiable contract.**  Both loops consume
 //! the same per-trial RNG streams ([`ShardPlan::trial_rng`]) in the same
 //! order: a uniform trial draws exactly one `f64` per round with
 //! `p ∈ (0, 1)` and none otherwise, and deterministic per-node trials
-//! never draw (beyond population sampling).  The kernels therefore produce
-//! the same [`TrialAccumulator`] the scalar path does, bit for bit —
-//! enforced by the `kernel_equivalence` and `backend_equivalence` tests.
+//! never draw (beyond population sampling).  The fast paths therefore
+//! produce the same [`TrialAccumulator`] the scalar path does, bit for
+//! bit — enforced by the `kernel_equivalence` and `backend_equivalence`
+//! tests.
 
 use std::collections::HashMap;
 use std::str::FromStr;
 
 use crp_channel::{
-    classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, ParticipantId,
-    RoundOutcome,
+    classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, RoundOutcome,
 };
 use crp_protocols::{try_run_protocol, try_run_protocol_with, Behavior, Protocol, UniformPolicy};
 use rand::Rng;
@@ -92,25 +90,22 @@ impl FromStr for KernelChoice {
     }
 }
 
-/// The path a cell dispatches to: the scalar executor or a monomorphized
-/// fast path.
+/// The loop a cell's shards run on.
 enum KernelKind<'a> {
-    /// The scalar trial-at-a-time executor: every protocol, one trial
-    /// after another.
-    Scalar { protocol: &'a dyn Protocol },
+    /// The per-trial loop: one trial after another through the
+    /// protocol's own executor.
+    Scalar(&'a dyn Protocol),
+    /// The per-trial loop replicating one execution per distinct
+    /// participant count: the protocol's nodes never read the RNG.
+    Deterministic(&'a dyn Protocol),
     /// A uniform policy, run round-major over all trials of the shard.
     Uniform {
         policy: &'a dyn UniformPolicy,
         /// Whether the channel feeds collision history back (per-trial
-        /// histories and per-trial policy queries; no-CD policies share
-        /// one query per round).
+        /// histories and per-trial policy queries; without it one query
+        /// per round serves the shard).
         collision_detection: bool,
-        /// The policy's constant per-round probability, when it has one.
-        constant: Option<f64>,
     },
-    /// A deterministic per-node protocol: executed once per distinct
-    /// participant set, outcome replicated.
-    Deterministic { protocol: &'a dyn Protocol },
 }
 
 /// The trial executor of one cell, built once per cell and shared by
@@ -122,9 +117,9 @@ pub struct CellKernel<'a> {
 }
 
 impl<'a> CellKernel<'a> {
-    /// Selects the path for a cell: the scalar executor when `choice` is
-    /// [`KernelChoice::Scalar`] or the protocol has no fast path
-    /// (randomized per-node protocols), a batched kernel otherwise.
+    /// Selects the loop for a cell: under [`KernelChoice::Auto`] the
+    /// uniform loop or, for a deterministic per-node factory, the
+    /// replicating per-trial loop; the scalar executor otherwise.
     pub(crate) fn select(
         choice: KernelChoice,
         protocol: &'a dyn Protocol,
@@ -136,12 +131,11 @@ impl<'a> CellKernel<'a> {
             Behavior::Uniform(policy) if batched => KernelKind::Uniform {
                 policy,
                 collision_detection: protocol.mode().has_collision_detection(),
-                constant: policy.constant_probability(),
             },
             Behavior::PerNode(factory) if batched && factory.deterministic() => {
-                KernelKind::Deterministic { protocol }
+                KernelKind::Deterministic(protocol)
             }
-            _ => KernelKind::Scalar { protocol },
+            _ => KernelKind::Scalar(protocol),
         };
         Self {
             kind,
@@ -150,41 +144,36 @@ impl<'a> CellKernel<'a> {
         }
     }
 
-    /// True when a batched fast path was selected (false on the scalar
+    /// True when a fast path was selected (false on the scalar
     /// executor).
     pub(crate) fn is_batched(&self) -> bool {
-        !matches!(self.kind, KernelKind::Scalar { .. })
+        !matches!(self.kind, KernelKind::Scalar(_))
     }
 
-    /// A short stable name of the selected path (`"scalar"` or the fast
-    /// path's), for diagnostics.
+    /// A short stable name of the selected path (`"scalar"`,
+    /// `"deterministic"`, `"uniform-no-cd"` or `"uniform-cd"`), for
+    /// diagnostics.
     pub fn name(&self) -> &'static str {
-        match &self.kind {
-            KernelKind::Scalar { .. } => "scalar",
-            KernelKind::Uniform {
-                collision_detection: false,
-                constant: Some(_),
-                ..
-            } => "uniform-constant",
+        match self.kind {
+            KernelKind::Scalar(_) => "scalar",
+            KernelKind::Deterministic(_) => "deterministic",
             KernelKind::Uniform {
                 collision_detection: false,
                 ..
             } => "uniform-no-cd",
             KernelKind::Uniform { .. } => "uniform-cd",
-            KernelKind::Deterministic { .. } => "deterministic",
         }
     }
 
-    /// Runs one shard: all of the shard's trials, one after another on the
-    /// scalar executor or in lockstep on a batched kernel, folded into a
-    /// fresh accumulator in trial order.
+    /// Runs one shard: all of the shard's trials, one after another or
+    /// in lockstep, folded into a fresh accumulator in trial order.
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] of the shard's first failing trial (e.g. a
     /// policy emitting a probability outside `[0, 1]`, or a factory
-    /// rejecting a sampled participant set); a batched kernel fails with
-    /// the error the scalar path would produce.
+    /// rejecting a sampled participant set); a fast path fails with the
+    /// error the scalar path would produce.
     pub(crate) fn run_shard(
         &self,
         plan: ShardPlan,
@@ -193,22 +182,16 @@ impl<'a> CellKernel<'a> {
     ) -> Result<TrialAccumulator, SimError> {
         let trials = plan.shard_trials(shard);
         let mut state = ShardState::new(self, plan, base_seed, shard, trials);
-        match &self.kind {
-            KernelKind::Scalar { protocol } => self.run_scalar(*protocol, &mut state)?,
+        match self.kind {
+            KernelKind::Scalar(protocol) => self.run_per_trial(protocol, false, &mut state)?,
+            KernelKind::Deterministic(protocol) => {
+                self.run_per_trial(protocol, true, &mut state)?
+            }
             KernelKind::Uniform {
                 policy,
-                collision_detection,
-                constant,
-            } => {
-                if *collision_detection {
-                    self.run_uniform_cd(*policy, &mut state)?;
-                } else {
-                    self.run_uniform_no_cd(*policy, *constant, &mut state)?;
-                }
-            }
-            KernelKind::Deterministic { protocol } => {
-                self.run_deterministic(*protocol, &mut state)?;
-            }
+                collision_detection: true,
+            } => self.run_uniform::<true>(policy, &mut state)?,
+            KernelKind::Uniform { policy, .. } => self.run_uniform::<false>(policy, &mut state)?,
         }
         let mut accumulator = TrialAccumulator::new();
         for t in 0..trials {
@@ -217,111 +200,86 @@ impl<'a> CellKernel<'a> {
         Ok(accumulator)
     }
 
-    /// The scalar executor: each trial runs the protocol on its own RNG
-    /// stream (after its population draw), stopping at the first failing
-    /// trial.
-    fn run_scalar(&self, protocol: &dyn Protocol, state: &mut ShardState) -> Result<(), SimError> {
+    /// The per-trial loop: each trial runs the protocol on its own RNG
+    /// stream (after its population draw), in trial order, stopping at
+    /// the first failing trial.  With `replicate` an execution is a pure
+    /// function of the participant set, so it runs once per distinct `k`
+    /// (once per shard for fixed and placed populations) and later
+    /// trials of that `k` take its outcome.
+    fn run_per_trial(
+        &self,
+        protocol: &dyn Protocol,
+        replicate: bool,
+        state: &mut ShardState,
+    ) -> Result<(), SimError> {
+        let mut memo: HashMap<usize, (bool, usize)> = HashMap::new();
         for t in 0..state.rounds.len() {
-            let rng = state.draws[t].rng_mut();
-            let execution = match self.population {
-                Population::Placed(ids) => {
-                    try_run_protocol_with(protocol, ids, self.max_rounds, rng)
+            let k = state.k[t];
+            let (resolved, rounds) = match memo.get(&k) {
+                Some(&outcome) => outcome,
+                None => {
+                    let rng = state.draws[t].rng_mut();
+                    let execution = match self.population {
+                        Population::Placed(ids) => {
+                            try_run_protocol_with(protocol, ids, self.max_rounds, rng)
+                        }
+                        _ => try_run_protocol(protocol, k, self.max_rounds, rng),
+                    }
+                    .map_err(SimError::from)?;
+                    let outcome = (execution.resolved, execution.rounds);
+                    if replicate {
+                        memo.insert(k, outcome);
+                    }
+                    outcome
                 }
-                _ => try_run_protocol(protocol, state.k[t], self.max_rounds, rng),
-            }
-            .map_err(SimError::from)?;
-            state.resolved[t] = execution.resolved;
-            state.rounds[t] = execution.rounds;
+            };
+            state.resolved[t] = resolved;
+            state.rounds[t] = rounds;
         }
         Ok(())
     }
 
-    /// The uniform no-CD fast path: the policy sees an empty history in
-    /// every trial, so each round costs one policy query for the whole
-    /// shard (none at all for constant-rate policies), one threshold
-    /// memo lookup per distinct `k`, and one buffered draw per active
-    /// trial.
-    fn run_uniform_no_cd(
+    /// The uniform loop: every active trial of the shard advances one
+    /// round at a time.  Without collision detection (`CD` false) the
+    /// policy sees an empty history in every trial, so one query per
+    /// round serves the shard; with it, histories diverge and each active
+    /// trial queries its own.  Either way a round costs one threshold
+    /// memo lookup and one buffered draw per active trial.  `CD` is a
+    /// const parameter so the no-CD instance carries no per-trial
+    /// history work.
+    fn run_uniform<const CD: bool>(
         &self,
         policy: &dyn UniformPolicy,
-        constant: Option<f64>,
         state: &mut ShardState,
     ) -> Result<(), SimError> {
         let empty = CollisionHistory::new();
         let mut thresholds = ThresholdMemo::new();
+        let mut histories = vec![CollisionHistory::new(); state.rounds.len()];
         let mut active: Vec<usize> = (0..state.rounds.len()).collect();
         for round in 1..=self.max_rounds {
             if active.is_empty() {
                 return Ok(());
             }
-            let p = match constant.or_else(|| policy.probability(round, &empty)) {
-                Some(p) => p,
-                None => {
-                    // Schedule exhausted: every still-active trial ends
-                    // unresolved after `round - 1` rounds.
-                    for &t in &active {
-                        state.rounds[t] = round - 1;
-                    }
-                    return Ok(());
-                }
+            let shared = match CD {
+                false => Some(checked(policy.probability(round, &empty), round)?),
+                true => None,
             };
-            validate_probability(p, round)?;
-            if p <= 0.0 {
-                // Guaranteed silence; the scalar path consumes no draw.
-                continue;
-            }
             let mut i = 0;
             while i < active.len() {
                 let t = active[i];
-                let outcome = if p >= 1.0 {
-                    RoundOutcome::from_transmitter_count(state.k[t])
-                } else {
-                    let (silence, success) = thresholds.get(state.k[t], p);
-                    classify_uniform_draw(state.draws[t].next_f64(), silence, success)
+                let p = match shared {
+                    Some(p) => p,
+                    None => checked(policy.probability(round, &histories[t]), round)?,
                 };
-                if outcome.is_success() {
-                    state.resolved[t] = true;
-                    state.rounds[t] = round;
-                    active.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for &t in &active {
-            state.rounds[t] = self.max_rounds;
-        }
-        Ok(())
-    }
-
-    /// The uniform CD fast path: histories diverge per trial, so the
-    /// policy is queried per active trial per round, but the threshold
-    /// memo still eliminates the per-round `powf`s and draws stay
-    /// buffered.
-    fn run_uniform_cd(
-        &self,
-        policy: &dyn UniformPolicy,
-        state: &mut ShardState,
-    ) -> Result<(), SimError> {
-        let mut thresholds = ThresholdMemo::new();
-        let mut histories: Vec<CollisionHistory> = (0..state.rounds.len())
-            .map(|_| CollisionHistory::new())
-            .collect();
-        let mut active: Vec<usize> = (0..state.rounds.len()).collect();
-        for round in 1..=self.max_rounds {
-            if active.is_empty() {
-                return Ok(());
-            }
-            let mut i = 0;
-            while i < active.len() {
-                let t = active[i];
-                let Some(p) = policy.probability(round, &histories[t]) else {
+                let Some(p) = p else {
+                    // The policy gave up: the trial ends unresolved after
+                    // `round - 1` rounds.
                     state.rounds[t] = round - 1;
                     active.swap_remove(i);
                     continue;
                 };
-                validate_probability(p, round)?;
                 let outcome = if p <= 0.0 {
+                    // Guaranteed silence; the scalar path consumes no draw.
                     RoundOutcome::Silence
                 } else if p >= 1.0 {
                     RoundOutcome::from_transmitter_count(state.k[t])
@@ -334,7 +292,9 @@ impl<'a> CellKernel<'a> {
                     state.rounds[t] = round;
                     active.swap_remove(i);
                 } else {
-                    histories[t].push(outcome == RoundOutcome::Collision);
+                    if CD {
+                        histories[t].push(outcome == RoundOutcome::Collision);
+                    }
                     i += 1;
                 }
             }
@@ -344,70 +304,25 @@ impl<'a> CellKernel<'a> {
         }
         Ok(())
     }
-
-    /// The deterministic per-node fast path: nodes never read the RNG, so
-    /// the execution is a pure function of the participant set — run it
-    /// once per distinct `k` (or once per shard for fixed populations)
-    /// and replicate.  Trials are visited in index order so a failing
-    /// participant set surfaces the same trial's error as the scalar
-    /// path.
-    fn run_deterministic(
-        &self,
-        protocol: &dyn Protocol,
-        state: &mut ShardState,
-    ) -> Result<(), SimError> {
-        let mut memo: HashMap<usize, (bool, usize)> = HashMap::new();
-        for t in 0..state.rounds.len() {
-            let k = state.k[t];
-            let (resolved, rounds) = match memo.get(&k) {
-                Some(&outcome) => outcome,
-                None => {
-                    let execution = match self.population {
-                        Population::Placed(ids) => try_run_protocol_with(
-                            protocol,
-                            ids,
-                            self.max_rounds,
-                            state.draws[t].rng_mut(),
-                        ),
-                        _ => {
-                            let ids: Vec<ParticipantId> = (0..k).map(ParticipantId).collect();
-                            try_run_protocol_with(
-                                protocol,
-                                &ids,
-                                self.max_rounds,
-                                state.draws[t].rng_mut(),
-                            )
-                        }
-                    }
-                    .map_err(SimError::from)?;
-                    let outcome = (execution.resolved, execution.rounds);
-                    memo.insert(k, outcome);
-                    outcome
-                }
-            };
-            state.resolved[t] = resolved;
-            state.rounds[t] = rounds;
-        }
-        Ok(())
-    }
 }
 
-/// Mirrors the scalar executor's probability validation bit for bit,
-/// including the error conversion chain (`ChannelError` →
-/// `ProtocolError` → `SimError`), so a misbehaving policy fails with the
-/// same typed error under either path.
-fn validate_probability(p: f64, round: usize) -> Result<(), SimError> {
-    if (0.0..=1.0).contains(&p) {
-        Ok(())
-    } else {
-        let channel = crp_channel::ChannelError::InvalidConfiguration {
-            what: format!("transmission probability {p} outside [0, 1] in round {round}"),
-        };
-        Err(SimError::from(
-            crp_protocols::ProtocolError::InvalidParameter {
-                what: channel.to_string(),
-            },
-        ))
+/// A policy's answer for `round`, checked the way the scalar executor
+/// checks it, bit for bit, including the error conversion chain
+/// (`ChannelError` → `ProtocolError` → `SimError`), so a misbehaving
+/// policy fails with the same typed error under either path.
+fn checked(p: Option<f64>, round: usize) -> Result<Option<f64>, SimError> {
+    match p {
+        Some(p) if !(0.0..=1.0).contains(&p) => {
+            let channel = crp_channel::ChannelError::InvalidConfiguration {
+                what: format!("transmission probability {p} outside [0, 1] in round {round}"),
+            };
+            Err(SimError::from(
+                crp_protocols::ProtocolError::InvalidParameter {
+                    what: channel.to_string(),
+                },
+            ))
+        }
+        p => Ok(p),
     }
 }
 
@@ -516,10 +431,9 @@ impl DrawBuffer {
         value
     }
 
-    /// Direct access to the underlying stream, for paths that must not
-    /// buffer (the scalar executor and deterministic executions hand the
-    /// RNG to the protocol).  Only valid before any buffered draw was
-    /// taken.
+    /// Direct access to the underlying stream, for the per-trial loop,
+    /// which hands the RNG to the protocol.  Only valid before any
+    /// buffered draw was taken.
     fn rng_mut(&mut self) -> &mut ChaCha8Rng {
         debug_assert_eq!(self.next, DRAW_BLOCK, "stream already buffered");
         &mut self.rng
@@ -548,7 +462,7 @@ mod tests {
     #[test]
     fn kernel_selection_matches_the_protocol_family() {
         let expectations = [
-            ("fixed-probability", "uniform-constant"),
+            ("fixed-probability", "uniform-no-cd"),
             ("decay", "uniform-no-cd"),
             ("willard", "uniform-cd"),
             ("det-advice-no-cd", "deterministic"),
@@ -570,6 +484,88 @@ mod tests {
             assert_eq!(scalar.name(), "scalar");
             assert!(!scalar.is_batched());
         }
+    }
+
+    #[test]
+    fn a_randomized_per_node_factory_runs_on_the_scalar_executor() {
+        use crp_channel::{
+            try_execute, ChannelMode, Execution, ExecutionConfig, Feedback, NodeProtocol,
+            ParticipantId,
+        };
+        use crp_protocols::{NodeFactory, ProtocolError};
+        use rand::RngCore;
+
+        // A randomized per-node protocol must not get the replicating
+        // loop: its nodes read the RNG, so execute-once-and-replicate
+        // would be wrong.
+        struct CoinFlip;
+        struct CoinNode;
+        impl NodeProtocol for CoinNode {
+            fn decide(&mut self, _round: usize, rng: &mut dyn RngCore) -> bool {
+                rng.gen::<f64>() < 0.5
+            }
+            fn observe(&mut self, _round: usize, _feedback: Feedback) {}
+        }
+        impl NodeFactory for CoinFlip {
+            fn execute(
+                &self,
+                participants: &[ParticipantId],
+                config: &ExecutionConfig,
+                rng: &mut dyn RngCore,
+            ) -> Result<Execution, ProtocolError> {
+                let mut nodes: Vec<CoinNode> = participants.iter().map(|_| CoinNode).collect();
+                Ok(try_execute(&mut nodes, config, rng)?)
+            }
+        }
+        impl Protocol for CoinFlip {
+            fn name(&self) -> &str {
+                "coin-flip"
+            }
+            fn mode(&self) -> ChannelMode {
+                ChannelMode::NoCollisionDetection
+            }
+            fn behavior(&self) -> Behavior<'_> {
+                Behavior::PerNode(self)
+            }
+        }
+
+        let population = Population::Fixed(4);
+        let kernel = CellKernel::select(KernelChoice::Auto, &CoinFlip, &population, 1000);
+        assert_eq!(kernel.name(), "scalar");
+        assert!(!kernel.is_batched());
+        // And it still runs — the scalar executor is the universal fallback.
+        let accumulator = kernel.run_shard(ShardPlan::new(50), 3, 0).unwrap();
+        assert_eq!(accumulator.finalize().trials, 50);
+    }
+
+    #[test]
+    fn a_failing_trial_surfaces_its_typed_error() {
+        // Participant 300 lies outside the 256-id universe: every trial's
+        // execution rejects it, on the scalar executor and on the
+        // replicating loop alike.  The kernel is built directly, so the
+        // builder's universe check does not apply and the failure
+        // happens at trial time.
+        let protocol = crp_protocols::DeterministicAdviceProtocol::new(
+            256,
+            2,
+            crp_channel::ChannelMode::CollisionDetection,
+        );
+        let population = Population::Placed(vec![
+            crp_channel::ParticipantId(10),
+            crp_channel::ParticipantId(300),
+        ]);
+        let run = |kernel: KernelChoice| {
+            let kernel = CellKernel::select(kernel, &protocol, &population, 100);
+            kernel.run_shard(ShardPlan::new(10), 0, 0).unwrap_err()
+        };
+        let scalar = run(KernelChoice::Scalar);
+        match &scalar {
+            SimError::Substrate(what) => assert!(what.contains("outside universe"), "{what}"),
+            other => panic!("expected a substrate error, got {other:?}"),
+        }
+        let auto = CellKernel::select(KernelChoice::Auto, &protocol, &population, 100);
+        assert_eq!(auto.name(), "deterministic");
+        assert_eq!(scalar, run(KernelChoice::Auto));
     }
 
     #[test]

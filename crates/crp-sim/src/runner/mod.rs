@@ -10,11 +10,12 @@
 //!   [`ShardJob`]s (one shard of one cell), the inline [`SerialBackend`],
 //!   and the one way a cell runs: each cell's setup is built once and its
 //!   shard jobs are executed and merged in shard order.
-//! * [`kernel`] — the per-cell trial executor ([`CellKernel`]): batched
-//!   struct-of-arrays kernels whose whole shards run in lockstep with
-//!   monomorphized uniform/deterministic fast paths, memoized outcome
-//!   thresholds and block-buffered RNG, or the scalar trial-at-a-time
-//!   fallback — bit-identical by shared per-trial streams.
+//! * [`kernel`] — the per-cell trial executor ([`CellKernel`]): one loop
+//!   per execution style — a uniform loop running whole shards in
+//!   lockstep with memoized outcome thresholds and block-buffered RNG,
+//!   and a per-trial loop that replicates deterministic per-node
+//!   outcomes and is otherwise the scalar executor — bit-identical by
+//!   shared per-trial streams.
 //! * [`thread`] — [`ThreadBackend`]: scoped worker threads stealing jobs
 //!   from a shared queue.
 //! * [`process`] — the [`ShardSpec`] wire codec that re-describes a cell
@@ -68,8 +69,7 @@ mod tests {
     use crate::runner::backend::CellWork;
     use crate::simulation::Population;
     use crate::{SimError, Simulation};
-    use crp_channel::ChannelMode;
-    use crp_protocols::{DeterministicAdviceProtocol, ProtocolSpec, Willard};
+    use crp_protocols::{ProtocolSpec, Willard};
     use rand::SeedableRng;
 
     #[test]
@@ -138,34 +138,6 @@ mod tests {
             .unwrap();
         assert!(stats.success_rate() > 0.3, "rate {}", stats.success_rate());
         assert!(stats.mean_rounds_when_resolved() <= horizon as f64);
-    }
-
-    #[test]
-    fn a_failing_trial_surfaces_its_typed_error() {
-        // Participant 300 lies outside the 256-id universe: every trial's
-        // execution rejects it, on the scalar executor and on the
-        // deterministic kernel alike.  The protocol object carries no
-        // spec, so the builder's universe check does not apply and the
-        // failure happens at trial time.
-        let run = |kernel: KernelChoice| {
-            let protocol =
-                DeterministicAdviceProtocol::new(256, 2, ChannelMode::CollisionDetection);
-            Simulation::builder()
-                .protocol_object(Box::new(protocol))
-                .participant_ids(vec![10, 300])
-                .max_rounds(100)
-                .trials(10)
-                .seed(0)
-                .kernel(kernel)
-                .run()
-                .unwrap_err()
-        };
-        let scalar = run(KernelChoice::Scalar);
-        match &scalar {
-            SimError::Substrate(what) => assert!(what.contains("outside universe"), "{what}"),
-            other => panic!("expected a substrate error, got {other:?}"),
-        }
-        assert_eq!(scalar, run(KernelChoice::Auto));
     }
 
     #[test]
@@ -298,7 +270,7 @@ mod tests {
         let simulation = spec
             .into_simulation(plan.trials(), 42, KernelChoice::Scalar)
             .unwrap();
-        let local = CellWork::new(&simulation, plan, None)
+        let local = CellWork::new(&simulation, plan)
             .job(0, 1)
             .run_inline()
             .unwrap();

@@ -26,11 +26,11 @@ use crp_channel::ParticipantId;
 use crp_fleet::{BlobSet, JobPayload};
 use crp_info::{CondensedDistribution, SizeDistribution};
 use crp_obs::{parse_hex64, parse_int, Fields, LineError, LineReader};
-use crp_protocols::ProtocolSpec;
+use crp_protocols::{check_participants, ProtocolSpec};
 
 use crate::runner::backend::CellWork;
 use crate::runner::kernel::KernelChoice;
-use crate::runner::plan::ShardPlan;
+use crate::runner::plan::{RunnerConfig, ShardPlan};
 use crate::simulation::{Population, Simulation};
 use crate::SimError;
 
@@ -38,9 +38,8 @@ use crate::SimError;
 /// fleet worker needs to reconstruct the cell's [`Simulation`] and
 /// execute any shard of it.
 ///
-/// Obtained from a [`Simulation`] that was built from a registry
-/// [`ProtocolSpec`] (cells built around custom protocol *objects* have no
-/// serialisable description and cannot run out of process).
+/// Every [`Simulation`] holds exactly one: its registry [`ProtocolSpec`],
+/// its population and its round budget.
 #[derive(Debug)]
 pub struct ShardSpec {
     pub(crate) protocol: ProtocolSpec,
@@ -189,9 +188,10 @@ impl ShardSpec {
     /// # Errors
     ///
     /// Returns [`SimError::Backend`] naming the first malformed line —
-    /// masses written inline, a `shard-size` of 0 and any spelling
-    /// `to_wire` would not write included — or naming a blob `resolve`
-    /// does not hold.
+    /// masses written inline, a `shard-size` of 0, a `participants`
+    /// estimate outside `1..=universe`, a `shard` past the plan and any
+    /// spelling `to_wire` would not write included — or naming a blob
+    /// `resolve` does not hold.
     pub fn from_wire(
         input: &str,
         resolve: &dyn Fn(&str) -> Option<String>,
@@ -226,7 +226,13 @@ impl ShardSpec {
         let name = reader.field("protocol", Fields::token)?;
         let universe = reader.field("universe", Fields::int)?;
         let advice_bits = reader.field("advice-bits", Fields::int)?;
-        let participants = reader.field("participants", none_or_count)?;
+        let participants = reader.field("participants", |fields| {
+            let participants = none_or_count(fields)?;
+            if let Some(k) = participants {
+                check_participants(universe, k).map_err(|e| fields.error(e.to_string()))?;
+            }
+            Ok(participants)
+        })?;
         let mut fields = reader.fields("prediction")?;
         let prediction = match fields.token()? {
             "none" => None,
@@ -272,7 +278,13 @@ impl ShardSpec {
             })
         })?;
         let base_seed = reader.field("base-seed", Fields::int)?;
-        let shard = reader.field("shard", Fields::int)?;
+        let plan = ShardPlan::with_shard_size(trials, shard_size);
+        let shards = plan.num_shards();
+        let shard = reader.field("shard", |fields| {
+            fields.parse(&format!("a shard of a {shards}-shard plan"), |token| {
+                parse_int(token).filter(|&shard| shard < shards)
+            })
+        })?;
         reader.end()?;
 
         let mut protocol = ProtocolSpec::new(name)
@@ -290,29 +302,35 @@ impl ShardSpec {
                 population,
                 max_rounds,
             },
-            ShardPlan::with_shard_size(trials, shard_size),
+            plan,
             base_seed,
             shard,
         ))
     }
 
     /// Reconstructs the cell's validated [`Simulation`] (single-threaded —
-    /// a worker only ever runs one shard inline) on the given kernel path.
+    /// a worker only ever runs one shard inline) on the given kernel path,
+    /// through the same validation the builder applies.
     pub(crate) fn into_simulation(
         self,
         trials: usize,
         base_seed: u64,
         kernel: KernelChoice,
     ) -> Result<Simulation, SimError> {
-        Simulation::builder()
-            .protocol(self.protocol)
-            .population(self.population)
-            .max_rounds(self.max_rounds)
-            .trials(trials)
-            .seed(base_seed)
-            .threads(1)
-            .kernel(kernel)
-            .build()
+        let config = RunnerConfig {
+            trials,
+            base_seed,
+            threads: 1,
+            kernel,
+            ..RunnerConfig::default()
+        };
+        Simulation::validated(
+            self.protocol,
+            self.population,
+            Some(self.max_rounds),
+            None,
+            config,
+        )
     }
 }
 
@@ -338,15 +356,11 @@ pub fn run_shard_worker_with(
     kernel: KernelChoice,
 ) -> Result<String, SimError> {
     let (spec, plan, base_seed, shard) = ShardSpec::from_wire(input, resolve)?;
-    if shard >= plan.num_shards() {
-        return Err(wire_error(format!(
-            "shard {shard} out of range for a plan of {} shards",
-            plan.num_shards()
-        )));
-    }
     let simulation = spec.into_simulation(plan.trials(), base_seed, kernel)?;
-    let work = CellWork::new(&simulation, plan, None);
-    Ok(work.job(0, shard).run_inline()?.to_wire())
+    Ok(CellWork::new(&simulation, plan)
+        .job(0, shard)
+        .run_inline()?
+        .to_wire())
 }
 
 /// Resolves the `crp_experiments` worker binary the persistent local

@@ -29,48 +29,21 @@ use crp_serve::{ServeClient, SubmissionHooks, SubmissionOutcome};
 
 use crate::runner::{ShardPlan, ShardSpec};
 use crate::stats::TrialAccumulator;
-use crate::sweep::{SweepCellResult, SweepMatrix, SweepResults};
+use crate::sweep::{SweepCell, SweepCellResult, SweepMatrix, SweepResults};
 use crate::SimError;
 
-/// Everything the client keeps per cell to reassemble [`SweepResults`]
-/// from a daemon outcome (the daemon only ever sees hashes and blobs).
-pub struct CellTicket {
-    /// Scenario-axis label.
-    pub scenario: String,
-    /// Protocol-axis label.
-    pub protocol: String,
-    /// Monte-Carlo trial budget of the cell.
-    pub trials: usize,
-    /// Condensed entropy `H(c(X))` of the scenario truth.
-    pub condensed_entropy: f64,
-    /// Divergence `D_KL(c(X) ‖ c(Y))` between truth and advice.
-    pub advice_divergence: f64,
-}
-
-/// Compiles a matrix into a `crp-serve` submission plus the per-cell
-/// tickets needed to interpret the result.
+/// Compiles a matrix into a `crp-serve` submission plus its compiled
+/// cells, which [`results_from_outcome`] turns into results.
 ///
 /// # Errors
 ///
-/// Compilation errors (unknown protocols, invalid cells), and
-/// [`SimError::Backend`] for cells built from custom protocol objects —
-/// those have no wire encoding and cannot be shipped to a service.
-pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellTicket>), SimError> {
+/// Compilation errors (unknown protocols, invalid cells).
+pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<SweepCell>), SimError> {
     let cells = matrix.compile()?;
     let mut blobs = BlobSet::new();
     let mut submission_cells = Vec::with_capacity(cells.len());
-    let mut tickets = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let spec = cell
-            .simulation
-            .shard_spec()
-            .ok_or_else(|| SimError::Backend {
-                what: format!(
-                    "cell {}/{} was built from a custom protocol object and has no wire \
-                 encoding; run it locally on the serial or thread backend",
-                    cell.scenario, cell.protocol
-                ),
-            })?;
+        let spec = cell.simulation.spec();
         let config = cell.simulation.config();
         let plan = ShardPlan::new(config.trials);
         let jobs = (0..plan.num_shards())
@@ -80,20 +53,13 @@ pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellT
             })
             .collect();
         submission_cells.push(SubmissionCell { jobs });
-        tickets.push(CellTicket {
-            scenario: cell.scenario.clone(),
-            protocol: cell.protocol.clone(),
-            trials: cell.trials,
-            condensed_entropy: cell.condensed_entropy,
-            advice_divergence: cell.advice_divergence,
-        });
     }
     Ok((
         Submission {
             blobs,
             cells: submission_cells,
         },
-        tickets,
+        cells,
     ))
 }
 
@@ -105,34 +71,27 @@ pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<CellT
 /// [`SimError::Backend`] when the outcome does not match the submission
 /// (cell count) or a blob fails the accumulator codec.
 pub fn results_from_outcome(
-    tickets: Vec<CellTicket>,
+    cells: Vec<SweepCell>,
     outcome: &SubmissionOutcome,
 ) -> Result<SweepResults, SimError> {
-    if outcome.cells.len() != tickets.len() {
+    if outcome.cells.len() != cells.len() {
         return Err(SimError::Backend {
             what: format!(
                 "the sweep server answered {} cells for a {}-cell submission",
                 outcome.cells.len(),
-                tickets.len()
+                cells.len()
             ),
         });
     }
-    let cells = tickets
+    let cells = cells
         .into_iter()
         .zip(&outcome.cells)
-        .map(|(ticket, cell)| {
+        .map(|(cell, answer)| {
             let accumulator =
-                TrialAccumulator::from_wire(&cell.blob).map_err(|e| SimError::Backend {
+                TrialAccumulator::from_wire(&answer.blob).map_err(|e| SimError::Backend {
                     what: format!("malformed cell blob from the sweep server: {e}"),
                 })?;
-            Ok(SweepCellResult {
-                scenario: ticket.scenario,
-                protocol: ticket.protocol,
-                trials: ticket.trials,
-                condensed_entropy: ticket.condensed_entropy,
-                advice_divergence: ticket.advice_divergence,
-                stats: accumulator.finalize(),
-            })
+            Ok(cell.into_result(accumulator.finalize()))
         })
         .collect::<Result<Vec<SweepCellResult>, SimError>>()?;
     Ok(SweepResults::from_cells(cells))
@@ -167,7 +126,7 @@ pub fn submit_matrix_as(
     matrix: &SweepMatrix,
     mut progress: impl FnMut(usize, usize, usize),
 ) -> Result<(SweepResults, SubmissionOutcome), SimError> {
-    let (submission, tickets) = compile_submission(matrix)?;
+    let (submission, cells) = compile_submission(matrix)?;
     let mut client = match tenant {
         Some(tenant) => ServeClient::connect_as(addr, tenant),
         None => ServeClient::connect(addr),
@@ -182,7 +141,7 @@ pub fn submit_matrix_as(
         .map_err(|e| SimError::Backend {
             what: e.to_string(),
         })?;
-    let results = results_from_outcome(tickets, &outcome)?;
+    let results = results_from_outcome(cells, &outcome)?;
     Ok((results, outcome))
 }
 
@@ -269,9 +228,9 @@ mod tests {
     fn submissions_share_scenario_blobs_across_jobs() {
         // 600 trials = 3 shards per cell; both cells of a scenario share
         // its masses blob, so the blob table stays small.
-        let (submission, tickets) = compile_submission(&demo_matrix(600)).unwrap();
+        let (submission, cells) = compile_submission(&demo_matrix(600)).unwrap();
         assert_eq!(submission.cells.len(), 2);
-        assert_eq!(tickets.len(), 2);
+        assert_eq!(cells.len(), 2);
         assert_eq!(submission.job_count(), 6);
         // Two scenarios → two truth blobs (no predictions in this grid);
         // every job references its scenario's blob and is already in
@@ -353,6 +312,14 @@ mod tests {
         let mut dangling = submission.clone();
         let missing = crp_fleet::content_hash(b"a blob nobody shipped");
         dangling.cells[0].jobs[0] = first.replacen(&hash, &missing, 1);
+        // The same job expecting 2^62 participants in a 256-id universe,
+        // which the spec decoder rejects, naming the `participants` line.
+        let mut crowded = submission.clone();
+        crowded.cells[0].jobs[0] =
+            first.replacen("participants none", "participants 4611686018427387904", 1);
+        // The same job naming shard 3 of a 3-shard plan.
+        let mut past_plan = submission.clone();
+        past_plan.cells[0].jobs[0] = first.replacen("\nshard 0\n", "\nshard 3\n", 1);
 
         // No cache and no workers: a job that got past the canonical
         // check would fail with a fleet error instead.
@@ -361,6 +328,12 @@ mod tests {
             ("respelled", respelled, respelled_key.as_str()),
             ("padded", padded, "line 8: \"016384\""),
             ("dangling", dangling, missing.as_str()),
+            (
+                "crowded",
+                crowded,
+                "line 5: invalid parameter: participants 4611686018427387904",
+            ),
+            ("past the plan", past_plan, "line 12: \"3\" is not a shard"),
         ] {
             match server.run_submission(&tampered, sweep_hooks(), &|_, _, _| {}) {
                 Err(crp_serve::ServeError::Malformed(what)) => {

@@ -59,7 +59,6 @@ pub(crate) enum Population {
 /// [`SimulationBuilder::build`] or [`SimulationBuilder::run`].
 pub struct SimulationBuilder {
     spec: Option<ProtocolSpec>,
-    protocol: Option<Box<dyn Protocol>>,
     population: Option<Population>,
     max_rounds: Option<usize>,
     channel_mode: Option<ChannelMode>,
@@ -70,7 +69,6 @@ impl SimulationBuilder {
     fn new() -> Self {
         Self {
             spec: None,
-            protocol: None,
             population: None,
             max_rounds: None,
             channel_mode: None,
@@ -81,15 +79,6 @@ impl SimulationBuilder {
     /// Selects the protocol by registry spec (name plus parameters).
     pub fn protocol(mut self, spec: ProtocolSpec) -> Self {
         self.spec = Some(spec);
-        self.protocol = None;
-        self
-    }
-
-    /// Supplies an already-constructed protocol object (for custom
-    /// protocols not in the registry).
-    pub fn protocol_object(mut self, protocol: Box<dyn Protocol>) -> Self {
-        self.protocol = Some(protocol);
-        self.spec = None;
         self
     }
 
@@ -111,13 +100,6 @@ impl SimulationBuilder {
     /// Samples the participant count from `truth` each trial.
     pub fn truth(mut self, truth: SizeDistribution) -> Self {
         self.population = Some(Population::Sampled(truth));
-        self
-    }
-
-    /// Sets the population directly (how a decoded [`ShardSpec`] rebuilds
-    /// its cell).
-    pub(crate) fn population(mut self, population: Population) -> Self {
-        self.population = Some(population);
         self
     }
 
@@ -179,93 +161,32 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// * [`SimError::MissingProtocol`] — neither a spec nor a protocol
-    ///   object was supplied.  (A spec the registry rejects — unknown
-    ///   name, missing construction parameter — surfaces as the
-    ///   converted [`crp_protocols::ProtocolError`] instead.)
-    /// * [`SimError::InvalidParameter`] — zero participants, zero trials,
-    ///   a zero round budget, or no budget at all for an unbounded
-    ///   protocol; and, for a protocol built from a spec, a population
-    ///   that does not fit the spec's universe: more participants than
-    ///   ids, a placement with a repeated or out-of-universe id, or a
-    ///   truth distribution over sizes beyond the universe.
+    /// * [`SimError::MissingProtocol`] — no protocol spec was supplied.
+    ///   (A spec the registry rejects — unknown name, missing
+    ///   construction parameter — surfaces as the converted
+    ///   [`crp_protocols::ProtocolError`] instead.)
+    /// * [`SimError::InvalidParameter`] — no population, zero
+    ///   participants, zero trials, a zero round budget, or no budget at
+    ///   all for an unbounded protocol; and a population that does not
+    ///   fit the spec's universe: more participants than ids, a
+    ///   placement with a repeated or out-of-universe id, or a truth
+    ///   distribution over sizes beyond the universe.
     /// * [`SimError::ModeMismatch`] — an explicitly pinned channel mode
     ///   contradicts the protocol's [`crp_protocols::Protocol::mode`].
     pub fn build(self) -> Result<Simulation, SimError> {
-        let spec = self.spec.clone();
-        let protocol = match (self.protocol, &self.spec) {
-            (Some(protocol), _) => protocol,
-            (None, Some(spec)) => spec.build()?,
-            (None, None) => return Err(SimError::MissingProtocol),
-        };
-
-        let required_mode = protocol.mode();
-        if let Some(requested) = self.channel_mode {
-            if requested != required_mode {
-                return Err(SimError::ModeMismatch {
-                    protocol: protocol.name().to_string(),
-                    required: required_mode,
-                    requested,
-                });
-            }
-        }
-
+        let protocol = self.spec.ok_or(SimError::MissingProtocol)?;
         let population = self.population.ok_or_else(|| SimError::InvalidParameter {
             what: "a population is required: call participants(k), participant_ids(ids) or \
                    truth(distribution)"
                 .to_string(),
         })?;
-        match &population {
-            Population::Fixed(0) => {
-                return Err(SimError::InvalidParameter {
-                    what: "participants(0): contention resolution needs at least one participant"
-                        .to_string(),
-                });
-            }
-            Population::Placed(ids) if ids.is_empty() => {
-                return Err(SimError::InvalidParameter {
-                    what: "participant_ids([]): the placement must be non-empty".to_string(),
-                });
-            }
-            _ => {}
-        }
-        if let Some(spec) = &spec {
-            check_fits_universe(&population, spec.params().universe)?;
-        }
-
-        let max_rounds = match self.max_rounds {
-            Some(0) => {
-                return Err(SimError::InvalidParameter {
-                    what: "max_rounds(0): every trial needs a positive round budget".to_string(),
-                });
-            }
-            Some(rounds) => rounds,
-            None => match (protocol.horizon(), &population) {
-                (Some(horizon), _) => horizon.max(1),
-                (None, Population::Placed(ids)) => {
-                    per_node_budget(protocol.as_ref(), ids).ok_or_else(budget_required)?
-                }
-                (None, Population::Fixed(k)) => {
-                    let ids: Vec<ParticipantId> = (0..*k).map(ParticipantId).collect();
-                    per_node_budget(protocol.as_ref(), &ids).ok_or_else(budget_required)?
-                }
-                (None, Population::Sampled(_)) => return Err(budget_required()),
-            },
-        };
-
-        if self.config.trials == 0 {
-            return Err(SimError::InvalidParameter {
-                what: "trials(0): at least one trial is required".to_string(),
-            });
-        }
-
-        Ok(Simulation {
-            spec,
+        Simulation::validated(
             protocol,
             population,
-            max_rounds,
-            config: self.config,
-        })
+            self.max_rounds,
+            self.channel_mode,
+            self.config,
+        )
     }
 
     /// Builds and immediately runs the simulation.
@@ -329,13 +250,11 @@ fn per_node_budget(protocol: &dyn Protocol, ids: &[ParticipantId]) -> Option<usi
 /// A fully validated Monte-Carlo simulation: one protocol, one workload,
 /// one runner configuration.
 pub struct Simulation {
-    /// The registry spec the protocol was built from, kept so the
-    /// simulation can be re-described to out-of-process backends (`None`
-    /// when a custom protocol object was supplied).
-    spec: Option<ProtocolSpec>,
+    /// The cell's one description — registry spec, population and round
+    /// budget — which every backend runs and out-of-process backends ship.
+    spec: ShardSpec,
+    /// The protocol `spec` names, built once and shared by every trial.
     protocol: Box<dyn Protocol>,
-    population: Population,
-    max_rounds: usize,
     config: RunnerConfig,
 }
 
@@ -343,6 +262,82 @@ impl Simulation {
     /// Starts a new builder.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder::new()
+    }
+
+    /// The one validating constructor, under both the builder and a
+    /// decoded [`ShardSpec`]: builds the protocol, checks the pinned
+    /// mode, the population against the universe, the round budget
+    /// (defaulting to the protocol's horizon) and the trial count.
+    pub(crate) fn validated(
+        protocol_spec: ProtocolSpec,
+        population: Population,
+        max_rounds: Option<usize>,
+        channel_mode: Option<ChannelMode>,
+        config: RunnerConfig,
+    ) -> Result<Self, SimError> {
+        let protocol = protocol_spec.build()?;
+        let required_mode = protocol.mode();
+        if let Some(requested) = channel_mode {
+            if requested != required_mode {
+                return Err(SimError::ModeMismatch {
+                    protocol: protocol.name().to_string(),
+                    required: required_mode,
+                    requested,
+                });
+            }
+        }
+
+        match &population {
+            Population::Fixed(0) => {
+                return Err(SimError::InvalidParameter {
+                    what: "participants(0): contention resolution needs at least one participant"
+                        .to_string(),
+                });
+            }
+            Population::Placed(ids) if ids.is_empty() => {
+                return Err(SimError::InvalidParameter {
+                    what: "participant_ids([]): the placement must be non-empty".to_string(),
+                });
+            }
+            _ => {}
+        }
+        check_fits_universe(&population, protocol_spec.params().universe)?;
+
+        let max_rounds = match max_rounds {
+            Some(0) => {
+                return Err(SimError::InvalidParameter {
+                    what: "max_rounds(0): every trial needs a positive round budget".to_string(),
+                });
+            }
+            Some(rounds) => rounds,
+            None => match (protocol.horizon(), &population) {
+                (Some(horizon), _) => horizon.max(1),
+                (None, Population::Placed(ids)) => {
+                    per_node_budget(protocol.as_ref(), ids).ok_or_else(budget_required)?
+                }
+                (None, Population::Fixed(k)) => {
+                    let ids: Vec<ParticipantId> = (0..*k).map(ParticipantId).collect();
+                    per_node_budget(protocol.as_ref(), &ids).ok_or_else(budget_required)?
+                }
+                (None, Population::Sampled(_)) => return Err(budget_required()),
+            },
+        };
+
+        if config.trials == 0 {
+            return Err(SimError::InvalidParameter {
+                what: "trials(0): at least one trial is required".to_string(),
+            });
+        }
+
+        Ok(Simulation {
+            spec: ShardSpec {
+                protocol: protocol_spec,
+                population,
+                max_rounds,
+            },
+            protocol,
+            config,
+        })
     }
 
     /// The protocol under simulation.
@@ -358,12 +353,18 @@ impl Simulation {
 
     /// The per-trial round budget.
     pub fn max_rounds(&self) -> usize {
-        self.max_rounds
+        self.spec.max_rounds
     }
 
     /// The runner configuration (trials, seed, threads).
     pub fn config(&self) -> &RunnerConfig {
         &self.config
+    }
+
+    /// The cell's serialisable description: what out-of-process backends
+    /// and the sweep service ship for it.
+    pub(crate) fn spec(&self) -> &ShardSpec {
+        &self.spec
     }
 
     /// Runs the configured number of trials on the backend the
@@ -378,8 +379,7 @@ impl Simulation {
     ///
     /// Returns a [`SimError`] if any trial fails (e.g. a per-node factory
     /// rejects a sampled participant set), or a [`SimError::Backend`] if
-    /// the fleet backend was selected but the simulation was built from
-    /// a custom protocol object it cannot re-describe.
+    /// the selected backend cannot be started or its workers fail.
     pub fn run(&self) -> Result<TrialStats, SimError> {
         self.run_on(backend_for(&self.config)?.as_ref())
     }
@@ -398,38 +398,26 @@ impl Simulation {
             .expect("run_cells returns one TrialStats per cell"))
     }
 
-    /// The trial executor of this cell: the batched kernel the configured
-    /// [`KernelChoice`] and the protocol's execution style admit, or the
-    /// scalar trial-at-a-time executor.  Built once per cell and shared,
-    /// immutably, by every shard job and worker thread.
+    /// The trial executor of this cell: the loop the configured
+    /// [`KernelChoice`] and the protocol's execution style select.  Built
+    /// once per cell and shared, immutably, by every shard job and
+    /// worker thread.
     pub(crate) fn cell_kernel(&self) -> CellKernel<'_> {
         CellKernel::select(
             self.config.kernel,
             self.protocol.as_ref(),
-            &self.population,
-            self.max_rounds,
+            &self.spec.population,
+            self.spec.max_rounds,
         )
     }
 
-    /// The name of the batched fast path this simulation selects
-    /// (`"uniform-constant"`, `"uniform-no-cd"`, `"uniform-cd"` or
-    /// `"deterministic"`), or `None` when shards run on the scalar
-    /// trial-at-a-time executor.  Diagnostics only — the choice never
-    /// affects the statistics.
+    /// The name of the fast path this simulation selects
+    /// (`"uniform-no-cd"`, `"uniform-cd"` or `"deterministic"`), or
+    /// `None` on the scalar executor.  Diagnostics only — the choice
+    /// never affects the statistics.
     pub fn kernel_name(&self) -> Option<&'static str> {
         let kernel = self.cell_kernel();
         kernel.is_batched().then(|| kernel.name())
-    }
-
-    /// The serialisable description out-of-process backends ship to their
-    /// workers, or `None` when the simulation was built around a custom
-    /// protocol object.
-    pub(crate) fn shard_spec(&self) -> Option<ShardSpec> {
-        Some(ShardSpec {
-            protocol: self.spec.clone()?,
-            population: self.population.clone(),
-            max_rounds: self.max_rounds,
-        })
     }
 }
 

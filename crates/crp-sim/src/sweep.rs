@@ -230,6 +230,21 @@ pub struct SweepCell {
     pub advice_divergence: f64,
 }
 
+impl SweepCell {
+    /// The cell's grid coordinates with the statistics its trials
+    /// produced — run locally or merged by a sweep daemon.
+    pub(crate) fn into_result(self, stats: TrialStats) -> SweepCellResult {
+        SweepCellResult {
+            scenario: self.scenario,
+            protocol: self.protocol,
+            trials: self.trials,
+            condensed_entropy: self.condensed_entropy,
+            advice_divergence: self.advice_divergence,
+            stats,
+        }
+    }
+}
+
 /// Executed results of one sweep cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCellResult {
@@ -537,14 +552,7 @@ impl SweepMatrix {
         let results = cells
             .into_iter()
             .zip(stats)
-            .map(|(cell, stats)| SweepCellResult {
-                scenario: cell.scenario,
-                protocol: cell.protocol,
-                trials: cell.trials,
-                condensed_entropy: cell.condensed_entropy,
-                advice_divergence: cell.advice_divergence,
-                stats,
-            })
+            .map(|(cell, stats)| cell.into_result(stats))
             .collect();
         Ok(SweepResults { cells: results })
     }

@@ -306,43 +306,3 @@ fn per_node_placements_survive_the_process_boundary() {
     assert_eq!(serial, fleet);
     assert!((serial.success_rate() - 1.0).abs() < 1e-12);
 }
-
-#[test]
-fn custom_protocol_objects_are_rejected_by_the_process_backend() {
-    let _gate = shared();
-    use crp_channel::{ChannelMode, CollisionHistory};
-    use crp_protocols::{Behavior, Protocol, UniformPolicy};
-    struct Constant;
-    impl Protocol for Constant {
-        fn mode(&self) -> ChannelMode {
-            ChannelMode::NoCollisionDetection
-        }
-        fn name(&self) -> &str {
-            "constant"
-        }
-        fn behavior(&self) -> Behavior<'_> {
-            Behavior::Uniform(self)
-        }
-    }
-    impl UniformPolicy for Constant {
-        fn probability(&self, _round: usize, _history: &CollisionHistory) -> Option<f64> {
-            Some(0.5)
-        }
-    }
-    let simulation = Simulation::builder()
-        .protocol_object(Box::new(Constant))
-        .participants(4)
-        .max_rounds(1000)
-        .trials(10)
-        .seed(0)
-        .build()
-        .unwrap();
-    // In-process backends run it fine...
-    assert_eq!(simulation.run_on(&SerialBackend).unwrap().trials, 10);
-    // ...but it has no serialisable description, so the out-of-process
-    // backends report a typed error instead of silently falling back.
-    let err = simulation
-        .run_on(&FleetBackend::local_with_command(2, WORKER_BIN))
-        .unwrap_err();
-    assert!(matches!(err, crp_sim::SimError::Backend { .. }));
-}

@@ -449,6 +449,47 @@ fn names_line(label: &str, error: impl std::fmt::Display, line: usize) {
 }
 
 #[test]
+fn out_of_model_participants_and_shards_are_typed_errors_naming_their_line() {
+    // A 64-id universe, and a 700-trial plan of 256-trial shards: shards
+    // 0, 1 and 2.
+    let spec = ShardSpec::fixed(
+        ProtocolSpec::new("fixed-probability")
+            .universe(64)
+            .participants(8),
+        8,
+        100,
+    );
+    let plan = ShardPlan::with_shard_size(700, 256);
+    let payload = spec.to_wire(plan, 3, 1, &mut BlobSet::new()).payload;
+    let no_blobs = |_: &str| None;
+    let with = |from: &str, to: &str| {
+        let mutated = payload.replacen(from, to, 1);
+        assert_ne!(mutated, payload, "{from} -> {to}");
+        ShardSpec::from_wire(&mutated, &no_blobs)
+    };
+    // A participant count is the size of a set drawn from the universe.
+    assert!(with("participants 8\n", "participants 64\n").is_ok());
+    for k in ["0", "65", "4611686018427387904"] {
+        let error = with("participants 8\n", &format!("participants {k}\n")).unwrap_err();
+        names_line(&format!("participants {k}"), &error, 5);
+        assert!(
+            error.to_string().contains(&format!("participants {k} ")),
+            "{error}"
+        );
+    }
+    // The last shard of the plan decodes; one past it does not.
+    assert!(with("\nshard 1\n", "\nshard 2\n").is_ok());
+    let error = with("\nshard 1\n", "\nshard 3\n").unwrap_err();
+    names_line("shard 3", &error, 12);
+    assert!(
+        error
+            .to_string()
+            .contains("\"3\" is not a shard of a 3-shard plan"),
+        "{error}"
+    );
+}
+
+#[test]
 fn respellings_are_typed_errors_naming_their_line() {
     let spec = ShardSpec::fixed(ProtocolSpec::new("decay").universe(64), 8, 100);
     let plan = ShardPlan::with_shard_size(700, 256);

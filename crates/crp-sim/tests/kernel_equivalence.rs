@@ -109,58 +109,3 @@ fn placed_populations_are_bit_identical_under_the_deterministic_kernel() {
         });
     }
 }
-
-#[test]
-fn a_custom_protocol_object_falls_back_to_the_scalar_executor() {
-    use crp_channel::{
-        try_execute, ChannelMode, Execution, ExecutionConfig, Feedback, NodeProtocol, ParticipantId,
-    };
-    use crp_protocols::{NodeFactory, Protocol, ProtocolError};
-    use rand::{Rng, RngCore};
-
-    // A randomized per-node protocol must not select a kernel: its nodes
-    // read the RNG, so execute-once-and-replicate would be wrong.
-    struct CoinFlip;
-    struct CoinNode;
-    impl NodeProtocol for CoinNode {
-        fn decide(&mut self, _round: usize, rng: &mut dyn RngCore) -> bool {
-            rng.gen::<f64>() < 0.5
-        }
-        fn observe(&mut self, _round: usize, _feedback: Feedback) {}
-    }
-    impl NodeFactory for CoinFlip {
-        fn execute(
-            &self,
-            participants: &[ParticipantId],
-            config: &ExecutionConfig,
-            rng: &mut dyn RngCore,
-        ) -> Result<Execution, ProtocolError> {
-            let mut nodes: Vec<CoinNode> = participants.iter().map(|_| CoinNode).collect();
-            Ok(try_execute(&mut nodes, config, rng)?)
-        }
-    }
-    impl Protocol for CoinFlip {
-        fn name(&self) -> &str {
-            "coin-flip"
-        }
-        fn mode(&self) -> ChannelMode {
-            ChannelMode::NoCollisionDetection
-        }
-        fn behavior(&self) -> crp_protocols::Behavior<'_> {
-            crp_protocols::Behavior::PerNode(self)
-        }
-    }
-
-    let simulation = Simulation::builder()
-        .protocol_object(Box::new(CoinFlip))
-        .participants(4)
-        .max_rounds(1000)
-        .kernel(KernelChoice::Auto)
-        .trials(50)
-        .seed(3)
-        .build()
-        .unwrap();
-    assert_eq!(simulation.kernel_name(), None);
-    // And it still runs — the scalar executor is the universal fallback.
-    assert_eq!(simulation.run().unwrap().trials, 50);
-}
