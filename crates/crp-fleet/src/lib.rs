@@ -20,6 +20,11 @@
 //! * [`hash`] — content addressing: a self-contained SHA-256 and the
 //!   canonical hex digest shared by the blob protocol, the dispatcher,
 //!   and the `crp-serve` result cache.
+//! * [`cell`] — the job line: job `i` of an `n`-job cell is the cell's
+//!   payload plus one `job <i> of <n>` line, written by
+//!   [`cell::job_payload`] and split off by [`cell::split_job`], so a
+//!   submission carries each cell once and each worker still gets a
+//!   self-contained job.
 //! * [`protocol`] — the messages inside frames: a versioned
 //!   [`protocol::Message::Hello`] handshake (exactly one version is
 //!   spoken; any other is a typed error), `job` / `done` / `failed`
@@ -59,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cell;
 pub mod chaos;
 pub mod dispatch;
 pub mod endpoint;
@@ -73,6 +79,7 @@ pub mod worker;
 use std::error::Error;
 use std::fmt;
 
+pub use cell::{job_payload, split_job, JobLine};
 pub use chaos::{ChaosEvent, ChaosPlan, FaultKind};
 pub use dispatch::{BlobSet, Dispatcher, JobPayload};
 pub use endpoint::{DispatchTuning, FleetEntry, FleetManifest, WorkerEndpoint};

@@ -4,8 +4,9 @@
 //! Every line ends in `\n`.  The reader holds the structural rules once:
 //! an exact header line, `label` then fields separated by single spaces
 //! (never empty), counted sections each with a maximum the caller names,
-//! byte-exact sections of a given length, and an `end` line with nothing
-//! after it.  Integers are canonical decimal ([`parse_int`]) and bit
+//! byte-exact sections of a given length, and an `end` line (or, in a
+//! body whose closing line the caller splits off, the last line) with
+//! nothing after it.  Integers are canonical decimal ([`parse_int`]) and bit
 //! patterns [`crate::hex64`], so a decoder that states only its labels and
 //! field types accepts exactly the bytes its encoder writes.  Every
 //! failure is one [`LineError`] naming its line, which each decoder maps
@@ -305,9 +306,15 @@ impl<'a> LineReader<'a> {
     /// The `end` line, with nothing after it.
     pub fn end(mut self) -> Result<(), LineError> {
         self.field("end", |_| Ok(()))?;
+        self.finish()
+    }
+
+    /// Nothing after the line read last: the close of a body that ends
+    /// without an `end` line.
+    pub fn finish(mut self) -> Result<(), LineError> {
         if !self.rest.is_empty() {
             self.line += 1;
-            return Err(self.error("content after the end line"));
+            return Err(self.error("content after the last line"));
         }
         Ok(())
     }

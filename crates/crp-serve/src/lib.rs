@@ -38,7 +38,7 @@
 //!   [`wire::ServeMessage`] frames (`submit` / `progress` / `result`)
 //!   and the [`wire::Submission`] / [`wire::SubmissionOutcome`] body
 //!   codecs.
-//! * [`server`] — [`SweepServer`]: the accept loop and the
+//! * [`server`] — [`SweepServer`]: the accept loops and the
 //!   cell-cache-then-dispatch submission executor.
 //! * [`client`] — [`ServeClient`]: connect, submit, stream progress,
 //!   collect the result.

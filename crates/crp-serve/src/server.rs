@@ -1,16 +1,23 @@
-//! The sweep daemon: an accept loop owning a warm [`Dispatcher`] fleet
-//! and a [`ResultCache`], executing submissions cache-first.
+//! The sweep daemon: accept loops sharing a warm [`Dispatcher`] fleet
+//! and a [`ResultCache`], executing submissions cache-first.  Up to four
+//! client connections are served at once; their submissions take turns,
+//! and `stats` requests are answered while a submission runs.
 //!
-//! For every submission the server computes each content address itself
-//! — a job's key is the content hash of its payload, a cell's key the
-//! [`cell_hash`] of its job keys — and settles each cell one of two ways:
+//! A submission carries each cell once: the payload its jobs share and
+//! its job count.  For every submission the server computes each content
+//! address itself — a job's key is the content hash of its expanded
+//! payload (the cell payload plus the job line the server writes), a
+//! cell's key the [`cell_hash`] of its job keys — and settles each cell
+//! one of two ways:
 //!
 //! 1. **Cell hit** — a cell whose key is cached returns its merged blob
 //!    without touching a single job.
 //! 2. **Dispatch** — every job of a missing cell goes to the warm fleet,
-//!    each after the host canonicalizer has reproduced its payload byte
+//!    after the host canonicalizer has reproduced the cell's job 0 byte
 //!    for byte, with the blobs that canonicalizer resolved; the cell's
-//!    fresh merge is written back to the cache.
+//!    fresh merge is written back to the cache.  One call vets the whole
+//!    cell: its other jobs differ from job 0 only in the index the server
+//!    wrote itself.
 //!
 //! The cache holds merged cells only: one probe and at most one write per
 //! cell, never one per job.  A corrupt or truncated cell entry is *never*
@@ -26,7 +33,8 @@
 //! plugs in the `TrialAccumulator` and `ShardSpec` codecs).
 
 use std::cell::RefCell;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crp_fleet::frame::{write_frame, FrameReader};
@@ -51,10 +59,13 @@ pub type CellMerger<'a> = &'a (dyn Fn(&[String]) -> Result<String, String> + Syn
 pub type AnswerCheck<'a> = &'a (dyn Fn(&str) -> Result<(), String> + Sync);
 
 /// Re-encodes a job payload in its one canonical spelling, resolving the
-/// blob references it makes through the supplied lookup.  A job is
-/// dispatched, and its answer cached, only when this reproduces its
-/// payload byte for byte — so each job has exactly one key — and it
-/// ships with exactly the blobs the lookup resolved.
+/// blob references it makes through the supplied lookup.  The server
+/// passes it job 0 of each cell it dispatches: the cell's jobs are
+/// dispatched, and its answer cached, only when this reproduces that
+/// payload byte for byte — so each job has exactly one key — and they
+/// ship with exactly the blobs the lookup resolved.  The other jobs
+/// differ from job 0 only in their index, so a canonicalizer must reject
+/// a job line whose count does not fit the cell payload.
 pub type Canonicalizer<'a> =
     &'a (dyn Fn(&str, &dyn Fn(&str) -> Option<String>) -> Result<String, String> + Sync);
 
@@ -72,6 +83,12 @@ pub struct SubmissionHooks<'a> {
     /// Re-encodes a job payload in its canonical spelling.
     pub canonicalize: Canonicalizer<'a>,
 }
+
+/// How many client connections the daemon serves at once.  Submissions
+/// still run one at a time; the other connections answer hellos and
+/// `stats` meanwhile, so a client that resubmits as soon as its answer
+/// arrives cannot starve an operator's `stats` request.
+const CONNECTIONS: usize = 4;
 
 /// A progress sink: `(settled_jobs, total_jobs, cache_hits)`.
 pub type ProgressSink<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
@@ -137,37 +154,84 @@ impl SweepServer {
             .map_err(ServeError::from)
     }
 
-    /// Accepts and serves client connections — one at a time, so
-    /// submissions are executed sequentially over the shared warm fleet
-    /// — until a client sends `serve-shutdown`.  Per-connection protocol
+    /// Accepts and serves client connections until a client sends
+    /// `serve-shutdown`, then stops the workers.  Up to four connections
+    /// are served at once, each by its own accept loop; submissions take
+    /// turns over the shared warm fleet, so a `stats` request is answered
+    /// while a submission runs instead of after it.  Connections still
+    /// being served finish before this returns.  Per-connection protocol
     /// errors are reported on stderr and do not stop the daemon.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the accept loop itself fails.
+    /// [`ServeError::Io`] when an accept loop itself fails.
     pub fn serve(&self, hooks: SubmissionHooks<'_>) -> Result<(), ServeError> {
-        loop {
-            let (stream, peer) = self
-                .listener
-                .accept()
-                .map_err(|e| ServeError::Io(format!("service accept failed: {e}")))?;
-            match self.serve_connection(stream, hooks) {
-                Ok(true) => {
-                    self.dispatcher.shutdown_workers();
-                    return Ok(());
-                }
+        // Where a stopping loop dials to wake the others.
+        let mut addr = self.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let stopping = AtomicBool::new(false);
+        let submissions = Mutex::new(());
+        let loops: Vec<Result<(), ServeError>> = std::thread::scope(|scope| {
+            let loops: Vec<_> = (0..CONNECTIONS)
+                .map(|_| scope.spawn(|| self.accept_loop(hooks, &submissions, &stopping, addr)))
+                .collect();
+            loops
+                .into_iter()
+                .map(|handle| handle.join().expect("an accept loop panicked"))
+                .collect()
+        });
+        self.dispatcher.shutdown_workers();
+        loops.into_iter().collect()
+    }
+
+    /// One accept loop of [`SweepServer::serve`]: serves one connection
+    /// at a time until any loop stops the daemon (a shutdown request or
+    /// a failed accept), and the first to stop wakes the others.
+    fn accept_loop(
+        &self,
+        hooks: SubmissionHooks<'_>,
+        submissions: &Mutex<()>,
+        stopping: &AtomicBool,
+        addr: SocketAddr,
+    ) -> Result<(), ServeError> {
+        let outcome = loop {
+            let accepted = self.listener.accept();
+            if stopping.load(Ordering::SeqCst) {
+                break Ok(());
+            }
+            let (stream, peer) = match accepted {
+                Ok(accepted) => accepted,
+                Err(e) => break Err(ServeError::Io(format!("service accept failed: {e}"))),
+            };
+            match self.serve_connection(stream, hooks, submissions) {
+                Ok(true) => break Ok(()),
                 Ok(false) => {}
                 Err(err) => eprintln!("crp-serve: connection {peer}: {err}"),
             }
+        };
+        if !stopping.swap(true, Ordering::SeqCst) {
+            // Each connection wakes one loop blocked in `accept`, which
+            // then sees `stopping`.
+            for _ in 1..CONNECTIONS {
+                let _ = TcpStream::connect(addr);
+            }
         }
+        outcome
     }
 
     /// Serves one client connection.  Returns `Ok(true)` when the client
-    /// asked the daemon to shut down.
+    /// asked the daemon to shut down.  Its submissions run while it holds
+    /// `submissions`, one at a time across connections.
     fn serve_connection(
         &self,
         stream: TcpStream,
         hooks: SubmissionHooks<'_>,
+        submissions: &Mutex<()>,
     ) -> Result<bool, ServeError> {
         stream.set_nodelay(true).ok();
         let mut reader = FrameReader::new(&stream);
@@ -200,8 +264,10 @@ impl SweepServer {
                             hits,
                         });
                     };
-                    let outcome = Submission::decode(&body)
-                        .and_then(|submission| self.run_submission(&submission, hooks, &progress));
+                    let outcome = Submission::decode(&body).and_then(|submission| {
+                        let _turn = submissions.lock().expect("no submission panics");
+                        self.run_submission(&submission, hooks, &progress)
+                    });
                     match outcome {
                         Ok(outcome) => {
                             crate::obs::record_tenant_submission(
@@ -302,15 +368,17 @@ impl SweepServer {
     /// Executes one submission: cell cache → warm fleet dispatch of every
     /// job of each missing cell → merge, writing each fresh merge back.
     /// Every key is computed here from the submitted bytes: a job's is the
-    /// content hash of its payload, a cell's the [`cell_hash`] of its job
-    /// keys.  `progress` fires as `(settled_jobs, total_jobs, cache_hits)`
-    /// — once after the cache scan, then per dispatched completion.
+    /// content hash of its expanded payload, a cell's the [`cell_hash`]
+    /// of its job keys.  Each missing cell is canonicalised once, through
+    /// its job 0.  `progress` fires as `(settled_jobs, total_jobs,
+    /// cache_hits)` — once after the cache scan, then per dispatched
+    /// completion.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Malformed`] for a job the canonicalizer rejects or
-    /// respells (raised before anything is dispatched), cache I/O
-    /// failures, fleet dispatch failures, and merge failures.
+    /// [`ServeError::Malformed`] for a cell whose job 0 the canonicalizer
+    /// rejects or respells (raised before anything is dispatched), cache
+    /// I/O failures, fleet dispatch failures, and merge failures.
     pub fn run_submission(
         &self,
         submission: &Submission,
@@ -339,10 +407,10 @@ impl SweepServer {
             crp_obs::emit(&event);
         }
 
-        // Phase 1: settle whole cells from the cache; every job of a
-        // missing cell is pending, in cell and job order.
+        // Phase 1: settle whole cells from the cache; the others are
+        // missing, in cell order.
         let mut cell_cached: Vec<Option<String>> = Vec::with_capacity(submission.cells.len());
-        let mut pending: Vec<(usize, usize)> = Vec::new();
+        let mut missing: Vec<usize> = Vec::new();
         let mut hits = 0usize;
         for (cell_index, cell_key) in cell_keys.iter().enumerate() {
             let keys = &job_keys[cell_index];
@@ -364,34 +432,41 @@ impl SweepServer {
             let cached = self.cache_probe(cell_key, check)?;
             match cached {
                 Some(_) => hits += keys.len(),
-                None => pending.extend((0..keys.len()).map(|job| (cell_index, job))),
+                None => missing.push(cell_index),
             }
             cell_cached.push(cached);
         }
         progress(hits, total, hits);
 
         // Phase 2: dispatch the missing cells' jobs to the warm fleet,
-        // every job down the one path `canonical_refs` vets.
-        let computed = pending.len();
+        // each cell down the one path `canonical_refs` vets.
+        let computed = total - hits;
         let mut fresh = Vec::new().into_iter();
-        if !pending.is_empty() {
-            let payloads: Vec<JobPayload> = pending
-                .iter()
-                .map(|&(cell, job)| {
-                    let payload = &submission.cells[cell].jobs[job];
-                    let key = &job_keys[cell][job];
-                    let refs = canonical_refs(payload, key, hooks.canonicalize, &submission.blobs)?;
-                    // Every dispatched job carries its deterministic
-                    // span (derived from its key), parented on its cell
-                    // — unconditionally, because stamping costs two
-                    // string slices and never influences execution.
+        if computed > 0 {
+            let mut payloads = Vec::with_capacity(computed);
+            for &cell_index in &missing {
+                let cell = &submission.cells[cell_index];
+                let keys = &job_keys[cell_index];
+                // Job 0 vets the whole cell (see `Canonicalizer`); a cell
+                // of no jobs has nothing to vet or dispatch.
+                let Some(first) = keys.first() else {
+                    continue;
+                };
+                let refs =
+                    canonical_refs(&cell.job(0), first, hooks.canonicalize, &submission.blobs)?;
+                // Every dispatched job carries its deterministic span
+                // (derived from its key), parented on its cell —
+                // unconditionally, because stamping costs two string
+                // slices and never influences execution.
+                let parent = crp_obs::span_from_hash(&cell_keys[cell_index]);
+                for (index, key) in keys.iter().enumerate() {
                     let span = crp_fleet::JobSpan {
                         id: crp_obs::span_from_hash(key),
-                        parent: Some(crp_obs::span_from_hash(&cell_keys[cell])),
+                        parent: Some(parent.clone()),
                     };
-                    Ok(JobPayload::new(payload.as_str(), refs).with_span(span))
-                })
-                .collect::<Result<Vec<JobPayload>, ServeError>>()?;
+                    payloads.push(JobPayload::new(cell.job(index), refs.clone()).with_span(span));
+                }
+            }
             let settled = Mutex::new(hits);
             fresh = self
                 .dispatcher
@@ -410,7 +485,7 @@ impl SweepServer {
         }
 
         // Phase 3: merge non-cached cells and persist the merges.  The
-        // answers come back in `pending` order, so each missing cell's
+        // answers come back in dispatch order, so each missing cell's
         // answers are the next ones, in job order.
         let mut outcomes = Vec::with_capacity(submission.cells.len());
         for ((cell_key, cached), keys) in cell_keys.into_iter().zip(cell_cached).zip(&job_keys) {
@@ -513,20 +588,27 @@ mod tests {
         (addr, executions)
     }
 
-    fn cell(jobs: &[&str]) -> SubmissionCell {
+    fn cell(name: &str, jobs: usize) -> SubmissionCell {
         SubmissionCell {
-            jobs: jobs.iter().map(|job| job.to_string()).collect(),
+            payload: format!("{name}\n"),
+            jobs,
         }
     }
 
     fn demo_submission() -> Submission {
         Submission {
             blobs: BlobSet::new(),
-            cells: vec![
-                cell(&["cell-a shard 0", "cell-a shard 1"]),
-                cell(&["cell-b shard 0"]),
-            ],
+            cells: vec![cell("cell-a", 2), cell("cell-b", 1)],
         }
+    }
+
+    /// The merged blob the echo worker gives for `cell`: every expanded
+    /// job, byte for byte, in merge order.
+    fn echoed(cell: &SubmissionCell) -> String {
+        (0..cell.jobs)
+            .map(|index| format!("echo:{}", cell.job(index)))
+            .collect::<Vec<_>>()
+            .join("+")
     }
 
     fn merge(answers: &[String]) -> Result<String, String> {
@@ -541,13 +623,12 @@ mod tests {
         }
     }
 
-    /// The canonical spelling of a test job has no surrounding
-    /// whitespace.
+    /// The canonical spelling of a test job has no leading whitespace.
     fn trim_canonicalizer(
         payload: &str,
         _resolve: &dyn Fn(&str) -> Option<String>,
     ) -> Result<String, String> {
-        Ok(payload.trim().to_string())
+        Ok(payload.trim_start().to_string())
     }
 
     fn hooks() -> SubmissionHooks<'static> {
@@ -611,10 +692,7 @@ mod tests {
         assert_eq!(first.job_hits, 0);
         assert_eq!(first.computed, 3);
         assert_eq!(executions.load(Ordering::SeqCst), 3);
-        assert_eq!(
-            first.cells[0].blob,
-            "echo:cell-a shard 0+echo:cell-a shard 1"
-        );
+        assert_eq!(first.cells[0].blob, echoed(&submission.cells[0]));
         assert!(!first.cells[0].cached);
 
         // Bit-identical answers, zero worker executions, 100% hits.
@@ -633,10 +711,7 @@ mod tests {
         // new cell's job is computed.
         let overlapping = Submission {
             blobs: BlobSet::new(),
-            cells: vec![
-                cell(&["cell-a shard 0", "cell-a shard 1"]),
-                cell(&["cell-c shard 0"]),
-            ],
+            cells: vec![cell("cell-a", 2), cell("cell-c", 1)],
         };
         let third = server
             .run_submission(&overlapping, hooks(), &|_, _, _| {})
@@ -644,6 +719,56 @@ mod tests {
         assert_eq!(third.job_hits, 2);
         assert_eq!(third.computed, 1);
         assert_eq!(executions.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn each_missing_cell_is_canonicalised_once_not_once_per_job() {
+        let (addr, executions) = spawn_counting_worker();
+        let server = SweepServer::bind(
+            "127.0.0.1:0",
+            vec![crp_fleet::WorkerEndpoint::tcp(addr)],
+            Some(scratch_cache("canonicalise-once")),
+        )
+        .unwrap();
+        let calls = AtomicUsize::new(0);
+        let counting = |payload: &str, resolve: &dyn Fn(&str) -> Option<String>| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            trim_canonicalizer(payload, resolve)
+        };
+        let hooks = SubmissionHooks {
+            merge: &merge,
+            check: &check,
+            canonicalize: &counting,
+        };
+        let grid = |names: &[&str]| Submission {
+            blobs: BlobSet::new(),
+            cells: names.iter().map(|name| cell(name, 12)).collect(),
+        };
+
+        // Cold: 2 cells of 12 jobs each, one canonicalisation per cell,
+        // and every expanded job reaches the worker byte for byte.
+        let cold = grid(&["cell-a", "cell-b"]);
+        let outcome = server.run_submission(&cold, hooks, &|_, _, _| {}).unwrap();
+        assert_eq!((outcome.jobs_total, outcome.computed), (24, 24));
+        assert_eq!(executions.load(Ordering::SeqCst), 24);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        for (cell, answer) in cold.cells.iter().zip(&outcome.cells) {
+            assert_eq!(answer.blob, echoed(cell));
+        }
+
+        // Warm: every cell hits, and nothing is canonicalised.
+        let warm = server.run_submission(&cold, hooks, &|_, _, _| {}).unwrap();
+        assert_eq!(warm.job_hits, 24);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+        // Overlapping: one cached cell and two new ones, one call each.
+        let overlapping = grid(&["cell-a", "cell-c", "cell-d"]);
+        let outcome = server
+            .run_submission(&overlapping, hooks, &|_, _, _| {})
+            .unwrap();
+        assert_eq!((outcome.job_hits, outcome.computed), (12, 24));
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        assert_eq!(executions.load(Ordering::SeqCst), 48);
     }
 
     #[test]
@@ -715,9 +840,7 @@ mod tests {
         assert_eq!(outcome.computed, 3);
         assert!(progress_calls.load(Ordering::SeqCst) >= 1);
 
-        // Second client, same submission: served from cache.  (The first
-        // client must actually disconnect — the daemon serves one
-        // connection at a time.)
+        // Second client, same submission: served from cache.
         drop(client);
         let mut client = ServeClient::connect(service_addr.as_str()).unwrap();
         let outcome = client.submit(&submission, |_, _, _| {}).unwrap();
@@ -734,6 +857,70 @@ mod tests {
         assert!(report.contains("counter fleet.dispatch"), "{report}");
         assert!(report.contains("worker "), "{report}");
         client.shutdown_server().unwrap();
+        daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn stats_are_answered_while_a_submission_runs() {
+        // A worker whose jobs announce themselves, then wait for the gate.
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let (started, job_started) = std::sync::mpsc::channel();
+        let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
+        let worker_addr = worker.local_addr().unwrap().to_string();
+        let held = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            let handler = move |payload: &str| -> Result<String, String> {
+                let _ = started.send(());
+                let (open, opened) = &*held;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+                Ok(format!("echo:{payload}"))
+            };
+            worker.serve_forever(&handler, &ServeOptions::default(), &ScenarioStore::new())
+        });
+        let release = || {
+            let (open, opened) = &*gate;
+            *open.lock().unwrap() = true;
+            opened.notify_all();
+        };
+        let server = SweepServer::bind(
+            "127.0.0.1:0",
+            vec![crp_fleet::WorkerEndpoint::tcp(worker_addr)],
+            None,
+        )
+        .unwrap();
+        let service_addr = server.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || server.serve(hooks()));
+
+        let submit_addr = service_addr.clone();
+        let submitter = std::thread::spawn(move || {
+            ServeClient::connect(submit_addr.as_str())
+                .and_then(|mut client| client.submit(&demo_submission(), |_, _, _| {}))
+        });
+        job_started
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the submission reaches the worker");
+        // The submission is now blocked on the gate; a stats request on
+        // another connection must not wait for it.
+        let stats_addr = service_addr.clone();
+        let (report_sent, report) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = report_sent.send(
+                ServeClient::connect(stats_addr.as_str()).and_then(|mut client| client.stats()),
+            );
+        });
+        let report = report.recv_timeout(std::time::Duration::from_secs(10));
+        release();
+        let report = report.expect("the stats request waited for the running submission");
+        assert!(report.unwrap().contains("submit: "));
+        assert_eq!(submitter.join().unwrap().unwrap().computed, 3);
+
+        ServeClient::connect(service_addr.as_str())
+            .unwrap()
+            .shutdown_server()
+            .unwrap();
         daemon.join().unwrap().unwrap();
     }
 
@@ -792,14 +979,12 @@ mod tests {
                 &ScenarioStore::new(),
             );
         });
+        let submission = demo_submission();
         let outcome = server
-            .run_submission(&demo_submission(), hooks(), &|_, _, _| {})
+            .run_submission(&submission, hooks(), &|_, _, _| {})
             .unwrap();
         assert_eq!(outcome.computed, 3);
-        assert_eq!(
-            outcome.cells[0].blob,
-            "echo:cell-a shard 0+echo:cell-a shard 1"
-        );
+        assert_eq!(outcome.cells[0].blob, echoed(&submission.cells[0]));
     }
 
     #[test]
@@ -810,12 +995,40 @@ mod tests {
 
         // A respelled job never reaches the (empty) fleet.
         let mut respelled = demo_submission();
-        respelled.cells[0].jobs[0].push(' ');
+        respelled.cells[0].payload.insert(0, ' ');
         let mut client = ServeClient::connect(service_addr.as_str()).unwrap();
         let err = client.submit(&respelled, |_, _, _| {}).unwrap_err();
         assert!(matches!(err, ServeError::Server(_)), "got {err}");
         assert!(err.to_string().contains("not in canonical form"), "{err}");
+
+        // Neither does a cell of no jobs, nor one whose expanded jobs
+        // would outgrow a frame: the body decoder refuses both.
+        for (jobs, needle) in [
+            (0, "line 4: \"0\" is not a job count of at least 1"),
+            (usize::MAX, "line 4: the cells so far expand to more than"),
+        ] {
+            let mut miscounted = demo_submission();
+            miscounted.cells[0].jobs = jobs;
+            let err = client.submit(&miscounted, |_, _, _| {}).unwrap_err();
+            assert!(matches!(err, ServeError::Server(_)), "got {err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
         client.shutdown_server().unwrap();
         daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_cell_of_no_jobs_merges_nothing_and_dispatches_nothing() {
+        // Only a library caller can build one; the body decoder refuses it.
+        let server = SweepServer::bind("127.0.0.1:0", Vec::new(), None).unwrap();
+        let submission = Submission {
+            blobs: BlobSet::new(),
+            cells: vec![cell("cell-a", 0)],
+        };
+        let outcome = server
+            .run_submission(&submission, hooks(), &|_, _, _| {})
+            .unwrap();
+        assert_eq!((outcome.jobs_total, outcome.computed), (0, 0));
+        assert_eq!(outcome.cells[0].blob, "");
     }
 }

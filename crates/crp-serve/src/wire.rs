@@ -11,16 +11,18 @@
 //! server -> client   result 1\n<result body>  (or: error 1\n<message>)
 //! ```
 //!
-//! Bodies are versioned text with byte-exact payload sections, so job
-//! payloads and result blobs may contain anything.  A submission body
-//! declares no hashes: the daemon computes every content address itself
-//! — blob hashes while decoding, job keys as the
-//! [`crp_fleet::content_hash`] of each payload, and cell keys with
-//! [`cell_hash`] — so nothing a client writes can disagree with the
-//! bytes it addresses.
+//! Bodies are versioned text with byte-exact payload sections, so cell
+//! payloads and result blobs may contain anything.  A submission carries
+//! each cell once, as the payload its jobs share plus its job count; job
+//! `i` is that payload plus the job line [`crp_fleet::job_payload`]
+//! writes.  A submission body declares no hashes: the daemon computes
+//! every content address itself — blob hashes while decoding, job keys as
+//! the [`crp_fleet::content_hash`] of each expanded job payload, and cell
+//! keys with [`cell_hash`] — so nothing a client writes can disagree with
+//! the bytes it addresses.
 
 use crp_fleet::hash::{content_hash, is_content_hash};
-use crp_fleet::BlobSet;
+use crp_fleet::{job_payload, BlobSet, MAX_FRAME_BYTES};
 use crp_obs::{parse_int, Head, LineReader};
 
 use crate::ServeError;
@@ -190,23 +192,37 @@ impl ServeMessage {
     }
 }
 
-/// One cell of a submission: the payloads its workers run, in merge
-/// order.  A job's key is the [`content_hash`] of its payload and the
+/// One cell of a submission: the payload its jobs share and how many
+/// jobs it has.  Job `i`, in merge order, is [`SubmissionCell::job`]; a
+/// job's key is the [`content_hash`] of that expanded payload and the
 /// cell's key is [`cell_hash`] of its job keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmissionCell {
-    /// The cell's job payloads, in merge order.
-    pub jobs: Vec<String>,
+    /// The payload every job of the cell shares, ending in a newline.
+    pub payload: String,
+    /// The number of jobs in the cell (a decoded cell has at least 1).
+    pub jobs: usize,
 }
 
 impl SubmissionCell {
+    /// The payload of job `index`: the cell payload plus its job line.
+    pub fn job(&self, index: usize) -> String {
+        job_payload(&self.payload, index, self.jobs)
+    }
+
     /// The cell's job keys, in merge order.
     pub fn job_keys(&self) -> Vec<String> {
-        self.jobs
-            .iter()
-            .map(|payload| content_hash(payload.as_bytes()))
+        (0..self.jobs)
+            .map(|index| content_hash(self.job(index).as_bytes()))
             .collect()
     }
+}
+
+/// An upper bound on the bytes of a cell's expanded jobs: each is the
+/// payload plus a job line no longer than the last job's.
+fn expanded_bytes(payload_len: usize, jobs: usize) -> usize {
+    let longest_line = job_payload("", jobs.saturating_sub(1), jobs).len();
+    jobs.saturating_mul(payload_len.saturating_add(longest_line))
 }
 
 /// A complete sweep submission: cells plus the blob table their payloads
@@ -233,7 +249,7 @@ pub fn cell_hash(job_keys: &[String]) -> String {
 }
 
 /// The header line of a submission body.
-const SUBMISSION_HEADER: &str = "crp-serve-submission v2";
+const SUBMISSION_HEADER: &str = "crp-serve-submission v3";
 
 impl Submission {
     /// Encodes the submission into a `submit` body.
@@ -249,12 +265,13 @@ impl Submission {
         }
         out.push_str(&format!("cells {}\n", self.cells.len()));
         for cell in &self.cells {
-            out.push_str(&format!("cell {}\n", cell.jobs.len()));
-            for payload in &cell.jobs {
-                out.push_str(&format!("job {}\n", payload.len()));
-                out.push_str(payload);
-                out.push('\n');
-            }
+            out.push_str(&format!(
+                "cell jobs {} bytes {}\n",
+                cell.jobs,
+                cell.payload.len()
+            ));
+            out.push_str(&cell.payload);
+            out.push('\n');
         }
         out.push_str("end\n");
         out
@@ -266,9 +283,13 @@ impl Submission {
     /// # Errors
     ///
     /// [`ServeError::Malformed`] naming the first offending line or
-    /// section, including blobs that repeat or do not ascend by hash.
+    /// section, including blobs that repeat or do not ascend by hash, a
+    /// cell of 0 jobs, and a `cell` line that takes the body's expanded
+    /// jobs past [`MAX_FRAME_BYTES`], the most one frame of jobs could
+    /// carry — each raised before anything is expanded.
     pub fn decode(body: &str) -> Result<Self, ServeError> {
-        // Every counted item takes at least one byte of the body.
+        // Every blob and cell takes at least one byte of the body; a
+        // cell's job count is bounded by the bytes its jobs expand to.
         let max = body.len();
         let mut reader = LineReader::new(body);
         reader.header(SUBMISSION_HEADER)?;
@@ -285,13 +306,27 @@ impl Submission {
             last = Some(hash);
         }
         let mut cells = Vec::new();
+        let mut expanded = 0usize;
         for _ in 0..reader.count("cells", max)? {
-            let mut jobs = Vec::new();
-            for _ in 0..reader.count("cell", max)? {
-                let len = reader.count("job", max)?;
-                jobs.push(reader.take(len)?.to_string());
-            }
-            cells.push(SubmissionCell { jobs });
+            let (jobs, len) = reader.field("cell", |fields| {
+                fields.keyword("jobs")?;
+                let jobs = fields.parse("a job count of at least 1", |token| {
+                    parse_int(token).filter(|&jobs| jobs >= 1)
+                })?;
+                fields.keyword("bytes")?;
+                let len = fields.count(max)?;
+                expanded = expanded.saturating_add(expanded_bytes(len, jobs));
+                if expanded > MAX_FRAME_BYTES {
+                    return Err(fields.error(format!(
+                        "the cells so far expand to more than {MAX_FRAME_BYTES} bytes of jobs"
+                    )));
+                }
+                Ok((jobs, len))
+            })?;
+            cells.push(SubmissionCell {
+                payload: reader.take(len)?.to_string(),
+                jobs,
+            });
         }
         reader.end()?;
         Ok(Self { blobs, cells })
@@ -299,7 +334,7 @@ impl Submission {
 
     /// Total number of jobs across all cells.
     pub fn job_count(&self) -> usize {
-        self.cells.iter().map(|cell| cell.jobs.len()).sum()
+        self.cells.iter().map(|cell| cell.jobs).sum()
     }
 }
 
@@ -404,17 +439,13 @@ mod tests {
     fn demo_submission() -> Submission {
         let mut blobs = BlobSet::new();
         let blob_hash = blobs.insert("sampled 3fe0000000000000 3fd0000000000000");
-        let job = |text: &str| format!("{text}\nref {blob_hash}\n");
+        let cell = |text: &str, jobs| SubmissionCell {
+            payload: format!("{text}\nref {blob_hash}\n"),
+            jobs,
+        };
         Submission {
             blobs,
-            cells: vec![
-                SubmissionCell {
-                    jobs: vec![job("spec a shard 0 …"), job("spec a shard 1")],
-                },
-                SubmissionCell {
-                    jobs: vec![job("spec b shard 0")],
-                },
-            ],
+            cells: vec![cell("spec a …", 2), cell("spec b", 1)],
         }
     }
 
@@ -462,7 +493,7 @@ mod tests {
     fn submissions_round_trip_byte_exactly() {
         let submission = demo_submission();
         let body = submission.encode();
-        assert!(body.starts_with("crp-serve-submission v2\n"));
+        assert!(body.starts_with("crp-serve-submission v3\n"));
         let decoded = Submission::decode(&body).unwrap();
         assert_eq!(decoded, submission);
         assert_eq!(decoded.encode(), body);
@@ -476,10 +507,60 @@ mod tests {
         assert_eq!(
             decoded.cells[0].job_keys(),
             vec![
-                content_hash(decoded.cells[0].jobs[0].as_bytes()),
-                content_hash(decoded.cells[0].jobs[1].as_bytes()),
+                content_hash(decoded.cells[0].job(0).as_bytes()),
+                content_hash(decoded.cells[0].job(1).as_bytes()),
             ]
         );
+        // A job is its cell's payload plus its job line.
+        let job = decoded.cells[0].job(1);
+        assert_eq!(
+            crp_fleet::split_job(&job),
+            (
+                decoded.cells[0].payload.as_str(),
+                Ok(crp_fleet::JobLine {
+                    index: 1,
+                    count: 2,
+                    line: 3
+                })
+            )
+        );
+    }
+
+    #[test]
+    fn cell_job_counts_are_bounded_before_anything_expands() {
+        let body = |cells: &[(usize, &str)]| {
+            let mut body = format!("{SUBMISSION_HEADER}\nblobs 0\ncells {}\n", cells.len());
+            for (jobs, payload) in cells {
+                body.push_str(&format!(
+                    "cell jobs {jobs} bytes {}\n{payload}\n",
+                    payload.len()
+                ));
+            }
+            body + "end\n"
+        };
+        let error =
+            |cells: &[(usize, &str)]| Submission::decode(&body(cells)).unwrap_err().to_string();
+
+        // A cell of no jobs, named by its line.
+        let zero = error(&[(0, "x\n")]);
+        assert!(
+            zero.contains("line 4: \"0\" is not a job count of at least 1"),
+            "{zero}"
+        );
+
+        // At this size every job line is 23 bytes, so a job of the 2-byte
+        // payload expands to 25: the cap fits exactly `MAX_FRAME_BYTES / 25`.
+        let fits = MAX_FRAME_BYTES / 25;
+        let decoded = Submission::decode(&body(&[(fits, "x\n")])).unwrap();
+        assert_eq!(decoded.job_count(), fits);
+        let over = error(&[(fits + 1, "x\n")]);
+        assert!(over.contains("line 4: the cells so far expand"), "{over}");
+        // The bound is over the whole body: the second cell tips it.
+        let over = error(&[(fits / 2 + 1, "x\n"), (fits / 2 + 1, "x\n")]);
+        assert!(over.contains("line 7: the cells so far expand"), "{over}");
+        // A count past `usize` is no count at all.
+        let huge = body(&[(1, "x\n")]).replace("jobs 1 ", "jobs 18446744073709551616 ");
+        assert!(Submission::decode(&huge).is_err());
     }
 
     #[test]
@@ -493,8 +574,8 @@ mod tests {
             );
         }
         assert!(Submission::decode(&format!("{body}trailing…")).is_err());
-        let v1 = body.replacen("crp-serve-submission v2", "crp-serve-submission v1", 1);
-        assert!(Submission::decode(&v1).is_err());
+        let v2 = body.replacen("crp-serve-submission v3", "crp-serve-submission v2", 1);
+        assert!(Submission::decode(&v2).is_err());
     }
 
     #[test]

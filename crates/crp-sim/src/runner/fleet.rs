@@ -5,7 +5,9 @@
 //! `crp_experiments worker --stdio` subprocesses, remote
 //! `crp_experiments worker --listen host:port` processes dialled over
 //! TCP, or a mix of both from a [`FleetManifest`] — and streams every
-//! job's [`ShardSpec`] wire message to whichever worker is free.  The
+//! job's [`ShardSpec`] wire message to whichever worker is free: each
+//! cell is encoded once, and each of its jobs is that cell payload plus
+//! its job line ([`crp_fleet::job_payload`]).  The
 //! dispatcher re-dispatches the jobs of dead or straggling workers and
 //! deduplicates completions by job id; because a shard's accumulator is a
 //! deterministic function of its spec, retries and duplicates cannot
@@ -157,7 +159,8 @@ impl ShardBackend for FleetBackend {
         jobs: &[ShardJob<'_>],
         done: JobDoneFn<'_>,
     ) -> Result<Vec<TrialAccumulator>, SimError> {
-        // Each job ships its one payload; the masses blobs it references
+        // Each cell is encoded once, and each of its jobs ships that
+        // payload plus its job line; the masses blobs a cell references
         // by hash travel once per worker (the dispatcher ships a blob to
         // a connection before the first job there that needs it).
         let mut blobs = BlobSet::new();
@@ -169,19 +172,25 @@ impl ShardBackend for FleetBackend {
         // input, so statistics are bit-identical either way.
         let stamp_spans = crp_obs::trace_enabled();
         let payloads: Vec<JobPayload> = jobs
-            .iter()
-            .map(|job| {
-                let payload = job
+            .chunk_by(|a, b| a.cell == b.cell)
+            .flat_map(|cell_jobs| {
+                let first = &cell_jobs[0];
+                let cell = first
                     .spec
-                    .to_wire(job.plan, job.base_seed, job.shard, &mut blobs);
-                if stamp_spans {
-                    let id = crp_obs::span_from_hash(&crp_fleet::content_hash(
-                        payload.payload.as_bytes(),
-                    ));
-                    payload.with_span(crp_fleet::JobSpan { id, parent: None })
-                } else {
-                    payload
-                }
+                    .cell_to_wire(first.plan, first.base_seed, &mut blobs);
+                cell_jobs.iter().map(move |job| {
+                    let payload =
+                        crp_fleet::job_payload(&cell.payload, job.shard, job.plan.num_shards());
+                    let span = stamp_spans.then(|| crp_fleet::JobSpan {
+                        id: crp_obs::span_from_hash(&crp_fleet::content_hash(payload.as_bytes())),
+                        parent: None,
+                    });
+                    JobPayload {
+                        payload,
+                        refs: cell.refs.clone(),
+                        span,
+                    }
+                })
             })
             .collect();
         // Validate inside the dispatcher, before a job settles: a

@@ -296,7 +296,7 @@ mod tests {
         let no_blobs = |_: &str| None;
         let run = |wire: &str| run_shard_worker_with(wire, &no_blobs, KernelChoice::Auto);
         assert!(run("").is_err());
-        assert!(run("crp-shard-spec v2\n").is_err());
+        assert!(run("crp-shard-spec v1\n").is_err());
         let spec = ShardSpec {
             protocol: crp_protocols::ProtocolSpec::new("decay").universe(64),
             population: Population::Fixed(4),

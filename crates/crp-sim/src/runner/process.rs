@@ -1,13 +1,17 @@
 //! The out-of-process shard wire codec and the worker entry point.
 //!
 //! A [`ShardSpec`] is a fully serialised description of one cell —
-//! protocol spec, population, round budget — and [`ShardSpec::to_wire`]
-//! adds one job's plan coordinates.  That message has one encoding: its
+//! protocol spec, population, round budget — and
+//! [`ShardSpec::cell_to_wire`] adds the shard plan and base seed every
+//! job of the cell shares.  That cell payload has one encoding: its
 //! masses sections are `ref <hash>` lines naming content-addressed blobs,
-//! and the hash of the message itself is the job's identity and cache
-//! key.  The fleet backend and the sweep daemon ship it, with the blobs it
-//! names, to a persistent `crp_experiments worker` process, whose handler
-//! ([`run_shard_worker_with`]) answers with a serialised
+//! so the client encodes and hashes it once per cell.  Job `i` is the
+//! cell payload plus one `job <i> of <n>` line, which
+//! [`crp_fleet::job_payload`] writes ([`ShardSpec::to_wire`] is the two
+//! together), and the hash of a job payload is the job's identity and
+//! cache key.  The fleet backend and the sweep daemon ship each job, with
+//! the blobs it names, to a persistent `crp_experiments worker` process,
+//! whose handler ([`run_shard_worker_with`]) answers with a serialised
 //! [`crate::TrialAccumulator`].  Because the shard plan, the per-trial
 //! RNG streams and the merge order are all decided by the dispatcher, a
 //! worker only ever *computes one shard accumulator*; the statistics are
@@ -114,23 +118,14 @@ impl ShardSpec {
         }
     }
 
-    /// Serialises this spec plus the coordinates of one shard job into
-    /// the one message a fleet worker executes.
+    /// Serialises this spec plus the shard plan and base seed its jobs
+    /// share into the cell payload, which every job of the cell repeats.
     ///
     /// Every masses section — the sampled population and the prediction
     /// — is written as a `ref <hash>` line whose blob goes into `blobs`,
     /// so a scenario's masses travel once per worker rather than once
-    /// per shard.  The payload's [`crp_fleet::content_hash`] is the
-    /// job's identity and cache key; because the payload names its
-    /// blobs by hash, that key covers the masses as well as the spec,
-    /// plan, seed and shard.
-    pub fn to_wire(
-        &self,
-        plan: ShardPlan,
-        base_seed: u64,
-        shard: usize,
-        blobs: &mut BlobSet,
-    ) -> JobPayload {
+    /// per shard.
+    pub fn cell_to_wire(&self, plan: ShardPlan, base_seed: u64, blobs: &mut BlobSet) -> JobPayload {
         let mut refs = Vec::new();
         let mut reference = |blob: String| {
             let hash = blobs.insert(blob);
@@ -139,7 +134,7 @@ impl ShardSpec {
             line
         };
         let mut out = String::with_capacity(512);
-        out.push_str("crp-shard-spec v1\n");
+        out.push_str("crp-shard-spec v2\n");
         out.push_str(&format!("protocol {}\n", self.protocol.name()));
         let params = self.protocol.params();
         out.push_str(&format!("universe {}\n", params.universe));
@@ -174,24 +169,43 @@ impl ShardSpec {
         out.push_str(&format!("trials {}\n", plan.trials()));
         out.push_str(&format!("shard-size {}\n", plan.shard_size()));
         out.push_str(&format!("base-seed {base_seed}\n"));
-        out.push_str(&format!("shard {shard}\n"));
-        out.push_str("end\n");
         JobPayload::new(out, refs)
+    }
+
+    /// Serialises job `shard` of this cell: the one message a fleet
+    /// worker executes, [`ShardSpec::cell_to_wire`] plus its job line.
+    ///
+    /// The payload's [`crp_fleet::content_hash`] is the job's identity
+    /// and cache key; because the payload names its blobs by hash, that
+    /// key covers the masses as well as the spec, plan, seed and shard.
+    pub fn to_wire(
+        &self,
+        plan: ShardPlan,
+        base_seed: u64,
+        shard: usize,
+        blobs: &mut BlobSet,
+    ) -> JobPayload {
+        let cell = self.cell_to_wire(plan, base_seed, blobs);
+        let payload = crp_fleet::job_payload(&cell.payload, shard, plan.num_shards());
+        JobPayload::new(payload, cell.refs)
     }
 
     /// Parses the message produced by [`ShardSpec::to_wire`], resolving
     /// each `ref <hash>` section through `resolve` (a fleet worker passes
     /// a lookup into its [`crp_fleet::ScenarioStore`]), and returns the
     /// spec plus the job coordinates `(plan, base_seed, shard)`.  It
-    /// accepts exactly the bytes `to_wire` writes, blobs included.
+    /// accepts exactly the bytes `to_wire` writes, blobs included: the
+    /// job line, split off by [`crp_fleet::split_job`], must name the
+    /// plan's shard count and a shard below it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Backend`] naming the first malformed line —
     /// masses written inline, a `shard-size` of 0, a `participants`
-    /// estimate outside `1..=universe`, a `shard` past the plan and any
-    /// spelling `to_wire` would not write included — or naming a blob
-    /// `resolve` does not hold.
+    /// estimate outside `1..=universe`, a job count other than the
+    /// plan's shard count, a shard past the plan and any spelling
+    /// `to_wire` would not write included — or naming a blob `resolve`
+    /// does not hold.
     pub fn from_wire(
         input: &str,
         resolve: &dyn Fn(&str) -> Option<String>,
@@ -221,8 +235,9 @@ impl ShardSpec {
         };
         let mass = |token: &str| parse_hex64(token).map(f64::from_bits);
 
-        let mut reader = LineReader::new(input);
-        reader.header("crp-shard-spec v1")?;
+        let (cell, job) = crp_fleet::split_job(input);
+        let mut reader = LineReader::new(cell);
+        reader.header("crp-shard-spec v2")?;
         let name = reader.field("protocol", Fields::token)?;
         let universe = reader.field("universe", Fields::int)?;
         let advice_bits = reader.field("advice-bits", Fields::int)?;
@@ -278,14 +293,23 @@ impl ShardSpec {
             })
         })?;
         let base_seed = reader.field("base-seed", Fields::int)?;
+        let job = job?;
+        reader.finish()?;
         let plan = ShardPlan::with_shard_size(trials, shard_size);
         let shards = plan.num_shards();
-        let shard = reader.field("shard", |fields| {
-            fields.parse(&format!("a shard of a {shards}-shard plan"), |token| {
-                parse_int(token).filter(|&shard| shard < shards)
-            })
-        })?;
-        reader.end()?;
+        if job.count != shards {
+            return Err(job.error(format!(
+                "a {}-job cell does not match its {shards}-shard plan",
+                job.count
+            )));
+        }
+        if job.index >= shards {
+            return Err(job.error(format!(
+                "\"{}\" is not a shard of a {shards}-shard plan",
+                job.index
+            )));
+        }
+        let shard = job.index;
 
         let mut protocol = ProtocolSpec::new(name)
             .universe(universe)

@@ -4,24 +4,25 @@
 //! The split of responsibilities:
 //!
 //! * **This module (client side)** compiles the matrix exactly like a
-//!   local run would, serialises every `(cell, shard)` job with
-//!   [`ShardSpec::to_wire`] — its masses going once into the
-//!   submission's blob table — and reassembles the daemon's bit-exact
-//!   accumulator blobs into the same [`SweepResults`] a local run
-//!   produces, so `crp_experiments submit --csv` is byte-for-byte
-//!   compatible with `sweep --csv`.
+//!   local run would, serialises each cell once with
+//!   [`ShardSpec::cell_to_wire`] — its masses going once into the
+//!   submission's blob table — next to the cell's job count, and
+//!   reassembles the daemon's bit-exact accumulator blobs into the same
+//!   [`SweepResults`] a local run produces, so `crp_experiments submit
+//!   --csv` is byte-for-byte compatible with `sweep --csv`.
 //! * **This module (server side)** supplies the three hooks a
 //!   payload-agnostic [`crp_serve::SweepServer`] needs:
 //!   [`merge_cell_answers`] (shard-order accumulator merge),
 //!   [`check_answer`] (accumulator-codec validation of worker answers
 //!   and cache reads) and [`canonicalize_shard_job`] (the one spelling
-//!   of a job the daemon dispatches).
+//!   of a job the daemon dispatches, which the daemon asks of job 0 of
+//!   each cell it computes).
 //!
-//! The daemon keys a job by the content hash of its payload, which names
-//! its masses blobs by hash, so *any* change to the protocol spec, the
-//! scenario masses, the shard plan, or the seed produces a different key
-//! — cache invalidation is structural, with no versioning bookkeeping to
-//! forget.
+//! The daemon keys a job by the content hash of its expanded payload —
+//! the cell payload plus its job line — which names its masses blobs by
+//! hash, so *any* change to the protocol spec, the scenario masses, the
+//! shard plan, or the seed produces a different key — cache invalidation
+//! is structural, with no versioning bookkeeping to forget.
 
 use crp_fleet::BlobSet;
 use crp_serve::wire::{Submission, SubmissionCell};
@@ -41,19 +42,21 @@ use crate::SimError;
 pub fn compile_submission(matrix: &SweepMatrix) -> Result<(Submission, Vec<SweepCell>), SimError> {
     let cells = matrix.compile()?;
     let mut blobs = BlobSet::new();
-    let mut submission_cells = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let spec = cell.simulation.spec();
-        let config = cell.simulation.config();
-        let plan = ShardPlan::new(config.trials);
-        let jobs = (0..plan.num_shards())
-            .map(|shard| {
-                spec.to_wire(plan, config.base_seed, shard, &mut blobs)
-                    .payload
-            })
-            .collect();
-        submission_cells.push(SubmissionCell { jobs });
-    }
+    let submission_cells = cells
+        .iter()
+        .map(|cell| {
+            let config = cell.simulation.config();
+            let plan = ShardPlan::new(config.trials);
+            SubmissionCell {
+                payload: cell
+                    .simulation
+                    .spec()
+                    .cell_to_wire(plan, config.base_seed, &mut blobs)
+                    .payload,
+                jobs: plan.num_shards(),
+            }
+        })
+        .collect();
     Ok((
         Submission {
             blobs,
@@ -148,7 +151,9 @@ pub fn submit_matrix_as(
 /// The server-side canonicalizer: parses a shard-job payload (resolving
 /// its `ref <hash>` lines through the submission's blob table) and
 /// re-encodes it with [`ShardSpec::to_wire`] — the one spelling the
-/// daemon dispatches and caches a job under.
+/// daemon dispatches and caches a job under.  The decoder pins the job
+/// line's count to the plan's shard count, so accepting a cell's job 0
+/// vets every job of the cell.
 ///
 /// # Errors
 ///
@@ -238,13 +243,14 @@ mod tests {
         assert_eq!(submission.blobs.len(), 2);
         let resolve = |hash: &str| submission.blobs.get(hash).map(str::to_string);
         for cell in &submission.cells {
-            for payload in &cell.jobs {
+            assert_eq!(cell.jobs, 3);
+            for payload in (0..cell.jobs).map(|index| cell.job(index)) {
                 assert_eq!(payload.matches(" ref ").count(), 1, "{payload}");
                 assert!(
                     !payload.contains("population sampled"),
                     "jobs must not carry their masses inline"
                 );
-                assert_eq!(&canonicalize_shard_job(payload, &resolve).unwrap(), payload);
+                assert_eq!(canonicalize_shard_job(&payload, &resolve).unwrap(), payload);
             }
         }
         // The decoded body recomputes the same blob table.
@@ -293,33 +299,36 @@ mod tests {
     #[test]
     fn respelled_and_dangling_jobs_are_rejected_before_dispatch() {
         let (submission, _) = compile_submission(&demo_matrix(600)).unwrap();
-        let first = &submission.cells[0].jobs[0];
+        let first = &submission.cells[0].payload;
         let hash = first
             .lines()
             .find_map(|line| line.strip_prefix("population ref "))
-            .expect("the first job references its population blob")
+            .expect("the first cell references its population blob")
             .to_string();
-        // The same job with its ref line spelled `ref  <hash>`, which is
+        // The same cell with its ref line spelled `ref  <hash>`, which is
         // not the one spelling `to_wire` produces.
         let mut respelled = submission.clone();
-        respelled.cells[0].jobs[0] = first.replacen("ref ", "ref  ", 1);
+        respelled.cells[0].payload = first.replacen("ref ", "ref  ", 1);
         let respelled_key = respelled.cells[0].job_keys()[0].clone();
-        // The same job with a zero-padded round budget, which the spec
+        // The same cell with a zero-padded round budget, which the spec
         // decoder rejects, naming the `max-rounds` line.
         let mut padded = submission.clone();
-        padded.cells[0].jobs[0] = first.replacen("max-rounds ", "max-rounds 0", 1);
-        // The same job referencing a blob the submission does not carry.
+        padded.cells[0].payload = first.replacen("max-rounds ", "max-rounds 0", 1);
+        // The same cell referencing a blob the submission does not carry.
         let mut dangling = submission.clone();
         let missing = crp_fleet::content_hash(b"a blob nobody shipped");
-        dangling.cells[0].jobs[0] = first.replacen(&hash, &missing, 1);
-        // The same job expecting 2^62 participants in a 256-id universe,
+        dangling.cells[0].payload = first.replacen(&hash, &missing, 1);
+        // The same cell expecting 2^62 participants in a 256-id universe,
         // which the spec decoder rejects, naming the `participants` line.
         let mut crowded = submission.clone();
-        crowded.cells[0].jobs[0] =
+        crowded.cells[0].payload =
             first.replacen("participants none", "participants 4611686018427387904", 1);
-        // The same job naming shard 3 of a 3-shard plan.
-        let mut past_plan = submission.clone();
-        past_plan.cells[0].jobs[0] = first.replacen("\nshard 0\n", "\nshard 3\n", 1);
+        // The same cell declaring one job more, and one fewer, than its
+        // 3-shard plan: the decoder rejects job 0's line either way.
+        let mut overcounted = submission.clone();
+        overcounted.cells[0].jobs = 4;
+        let mut undercounted = submission.clone();
+        undercounted.cells[0].jobs = 2;
 
         // No cache and no workers: a job that got past the canonical
         // check would fail with a fleet error instead.
@@ -333,7 +342,16 @@ mod tests {
                 crowded,
                 "line 5: invalid parameter: participants 4611686018427387904",
             ),
-            ("past the plan", past_plan, "line 12: \"3\" is not a shard"),
+            (
+                "overcounted",
+                overcounted,
+                "line 12: a 4-job cell does not match its 3-shard plan",
+            ),
+            (
+                "undercounted",
+                undercounted,
+                "line 12: a 2-job cell does not match its 3-shard plan",
+            ),
         ] {
             match server.run_submission(&tampered, sweep_hooks(), &|_, _, _| {}) {
                 Err(crp_serve::ServeError::Malformed(what)) => {

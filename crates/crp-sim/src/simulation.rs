@@ -27,7 +27,7 @@
 
 use crp_channel::{ChannelMode, ParticipantId};
 use crp_info::SizeDistribution;
-use crp_protocols::{Behavior, Protocol, ProtocolSpec};
+use crp_protocols::{check_participants, Behavior, Protocol, ProtocolError, ProtocolSpec};
 
 use crate::runner::backend::{backend_for, run_cells};
 use crate::runner::kernel::CellKernel;
@@ -266,8 +266,10 @@ impl Simulation {
 
     /// The one validating constructor, under both the builder and a
     /// decoded [`ShardSpec`]: builds the protocol, checks the pinned
-    /// mode, the population against the universe, the round budget
-    /// (defaulting to the protocol's horizon) and the trial count.
+    /// mode, the participants estimate and the population against the
+    /// universe, the round budget (defaulting to the protocol's horizon)
+    /// and the trial count — so a cell is valid on every backend or on
+    /// none.
     pub(crate) fn validated(
         protocol_spec: ProtocolSpec,
         population: Population,
@@ -301,7 +303,14 @@ impl Simulation {
             }
             _ => {}
         }
-        check_fits_universe(&population, protocol_spec.params().universe)?;
+        let universe = protocol_spec.params().universe;
+        if let Some(k) = protocol_spec.params().participants {
+            check_participants(universe, k).map_err(|e| match e {
+                ProtocolError::InvalidParameter { what } => SimError::InvalidParameter { what },
+                other => other.into(),
+            })?;
+        }
+        check_fits_universe(&population, universe)?;
 
         let max_rounds = match max_rounds {
             Some(0) => {

@@ -212,7 +212,8 @@ fn busy_snapshot() -> MetricsSnapshot {
     registry.snapshot()
 }
 
-fn submission() -> Submission {
+/// A two-cell submission; each cell has one job per 256 trials.
+fn submission(trials: usize) -> Submission {
     let library = ScenarioLibrary::new(16).unwrap();
     let matrix = SweepMatrix::new()
         .scenarios([library.bimodal(), library.adversarial_drift()])
@@ -222,7 +223,7 @@ fn submission() -> Submission {
             })
             .max_rounds_with(|s| Some(64 * s.distribution().max_size())),
         )
-        .trials(20)
+        .trials(trials)
         .seed(11);
     compile_submission(&matrix).unwrap().0
 }
@@ -320,7 +321,7 @@ fn message_cases() -> Vec<Case> {
         ServeMessage::Hello { version: 1 },
         ServeMessage::Submit {
             id: 7,
-            body: "crp-serve-submission v2\nend\n".to_string(),
+            body: "crp-serve-submission v3\nend\n".to_string(),
         },
         ServeMessage::Progress {
             id: 7,
@@ -400,12 +401,21 @@ fn every_decoder_accepts_exactly_its_encoders_bytes_and_never_panics() {
         busy_snapshot().encode(),
         |text| MetricsSnapshot::decode(text).ok().map(|s| s.encode()),
     ));
-    cases.push(text_case(
-        "submission",
-        true,
-        submission().encode(),
-        |text| Submission::decode(text).ok().map(|s| s.encode()),
-    ));
+    for trials in [20, 700] {
+        cases.push(text_case(
+            format!("submission of {trials}-trial cells"),
+            true,
+            submission(trials).encode(),
+            |text| Submission::decode(text).ok().map(|s| s.encode()),
+        ));
+    }
+    // The job line on its own: split off, then written back.
+    let job = crp_fleet::job_payload("cell\n", 4, 12);
+    cases.push(text_case("job line", true, job, |text| {
+        let (cell, job) = crp_fleet::split_job(text);
+        let job = job.ok()?;
+        Some(crp_fleet::job_payload(cell, job.index, job.count))
+    }));
     cases.push(text_case("outcome", true, outcome().encode(), |text| {
         SubmissionOutcome::decode(text).ok().map(|o| o.encode())
     }));
@@ -478,8 +488,8 @@ fn out_of_model_participants_and_shards_are_typed_errors_naming_their_line() {
         );
     }
     // The last shard of the plan decodes; one past it does not.
-    assert!(with("\nshard 1\n", "\nshard 2\n").is_ok());
-    let error = with("\nshard 1\n", "\nshard 3\n").unwrap_err();
+    assert!(with("\njob 1 of 3\n", "\njob 2 of 3\n").is_ok());
+    let error = with("\njob 1 of 3\n", "\njob 3 of 3\n").unwrap_err();
     names_line("shard 3", &error, 12);
     assert!(
         error
@@ -490,13 +500,104 @@ fn out_of_model_participants_and_shards_are_typed_errors_naming_their_line() {
 }
 
 #[test]
+fn job_lines_and_cell_job_counts_are_typed_errors_naming_their_line() {
+    // A 3-shard plan, whose job 1 closes with its job line on line 12.
+    let spec = ShardSpec::fixed(ProtocolSpec::new("decay").universe(64), 8, 100);
+    let plan = ShardPlan::with_shard_size(700, 256);
+    let payload = spec.to_wire(plan, 3, 1, &mut BlobSet::new()).payload;
+    assert!(
+        payload.ends_with("\nbase-seed 3\njob 1 of 3\n"),
+        "{payload}"
+    );
+    let no_blobs = |_: &str| None;
+    let cell = payload.strip_suffix("job 1 of 3\n").unwrap();
+    for (label, mutated, line, needle) in [
+        (
+            "a count under the plan",
+            format!("{cell}job 1 of 2\n"),
+            12,
+            "a 2-job cell does not match its 3-shard plan",
+        ),
+        (
+            "a count over the plan",
+            format!("{cell}job 1 of 4\n"),
+            12,
+            "a 4-job cell does not match its 3-shard plan",
+        ),
+        (
+            "an oversized count",
+            format!("{cell}job 1 of 18446744073709551615\n"),
+            12,
+            "does not match its 3-shard plan",
+        ),
+        (
+            "a count past usize",
+            format!("{cell}job 1 of 18446744073709551616\n"),
+            12,
+            "is not usize",
+        ),
+        ("no job line", cell.to_string(), 11, "truncated"),
+        (
+            "a padded index",
+            format!("{cell}job 01 of 3\n"),
+            12,
+            "\"01\" is not usize",
+        ),
+        (
+            "a duplicated job line",
+            format!("{payload}job 1 of 3\n"),
+            12,
+            "content after the last line",
+        ),
+        (
+            "the job line swapped with the seed",
+            payload.replacen("base-seed 3\njob 1 of 3\n", "job 1 of 3\nbase-seed 3\n", 1),
+            11,
+            "expected a \"base-seed\" line",
+        ),
+    ] {
+        let error = ShardSpec::from_wire(&mutated, &no_blobs).unwrap_err();
+        names_line(label, &error, line);
+        assert!(error.to_string().contains(needle), "{label}: {error}");
+    }
+
+    // A submission states each cell's job count once; the daemon writes
+    // the job lines, so the body decoder bounds the count before any
+    // job exists.
+    let body = submission(700).encode();
+    let cell_line = body
+        .lines()
+        .position(|line| line.starts_with("cell jobs 3 "))
+        .expect("a 700-trial cell has 3 jobs")
+        + 1;
+    for (label, from, to, needle) in [
+        (
+            "no jobs",
+            "cell jobs 3 ",
+            "cell jobs 0 ",
+            "is not a job count of at least 1",
+        ),
+        (
+            "a count past the frame cap",
+            "cell jobs 3 ",
+            "cell jobs 18446744073709551615 ",
+            "expand to more than",
+        ),
+    ] {
+        let error = Submission::decode(&body.replacen(from, to, 1)).unwrap_err();
+        names_line(label, &error, cell_line);
+        assert!(error.to_string().contains(needle), "{label}: {error}");
+    }
+}
+
+#[test]
 fn respellings_are_typed_errors_naming_their_line() {
     let spec = ShardSpec::fixed(ProtocolSpec::new("decay").universe(64), 8, 100);
     let plan = ShardPlan::with_shard_size(700, 256);
     let payload = spec.to_wire(plan, 3, 1, &mut BlobSet::new()).payload;
     let no_blobs = |_: &str| None;
     for (label, respelled, line) in [
-        ("junk after end", format!("{payload}junk\n"), 14),
+        ("junk after the job line", format!("{payload}junk\n"), 13),
         ("CRLF", payload.replace('\n', "\r\n"), 1),
         (
             "universe64",
@@ -546,7 +647,7 @@ fn respellings_are_typed_errors_naming_their_line() {
     let [(low, _), (high, _)] = blobs;
     let body = |first: &str, second: &str| {
         format!(
-            "crp-serve-submission v2\nblobs 2\nblob 1\n{first}\nblob 1\n{second}\ncells 0\nend\n"
+            "crp-serve-submission v3\nblobs 2\nblob 1\n{first}\nblob 1\n{second}\ncells 0\nend\n"
         )
     };
     assert!(Submission::decode(&body(low, high)).is_ok());
