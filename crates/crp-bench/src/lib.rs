@@ -1,55 +1,7 @@
 //! Benchmark-only crate.
 //!
-//! The actual benchmark definitions live in `benches/`; this library only
-//! exposes small shared helpers so every bench builds its workloads the
-//! same way.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use crp_info::SizeDistribution;
-use crp_predict::ScenarioLibrary;
-
-/// The default universe size used by the benches (`2^14`).
-pub const BENCH_UNIVERSE: usize = 1 << 14;
-
-/// The default number of Monte-Carlo trials per measured point.
-pub const BENCH_TRIALS: usize = 400;
-
-/// The scenario library at the default bench scale.
-///
-/// # Panics
-///
-/// Never panics in practice: the bench universe is far above the library's
-/// minimum size.
-pub fn bench_library() -> ScenarioLibrary {
-    ScenarioLibrary::new(BENCH_UNIVERSE).expect("bench universe is large enough")
-}
-
-/// A moderately informative ground truth used by several benches.
-///
-/// # Panics
-///
-/// Never panics in practice: the parameters are valid for the bench
-/// universe.
-pub fn bench_truth() -> SizeDistribution {
-    SizeDistribution::bimodal(
-        BENCH_UNIVERSE,
-        BENCH_UNIVERSE / 32,
-        BENCH_UNIVERSE / 2,
-        0.85,
-    )
-    .expect("bench distribution parameters are valid")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_produce_valid_workloads() {
-        assert_eq!(bench_library().max_size(), BENCH_UNIVERSE);
-        let total: f64 = bench_truth().masses().iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-}
+//! The benchmarks live in `benches/`, and each one checks a number: a
+//! bound on a speed ratio or an overhead, and bit-identical statistics
+//! across the paths it times.  The paper's tables come from the
+//! `crp_experiments` binary, not from here.  Cargo needs a library
+//! target in every package, so this one has no items.

@@ -65,11 +65,12 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crp_obs::SpanContext;
+
 use crate::endpoint::{DispatchTuning, WorkerEndpoint};
 use crate::event_loop::{self, WarmPool};
 use crate::hash::content_hash;
 use crate::obs::{FleetMetrics, FleetObs, FleetSnapshot, WorkerMetrics};
-use crate::protocol::JobSpan;
 use crate::FleetError;
 
 /// Validates a worker's answer *before* the job settles: return `Err`
@@ -92,7 +93,7 @@ pub struct JobPayload {
     /// The job's trace span, carried in the job frame so the worker's
     /// trace events correlate with the dispatcher's.  Never affects
     /// scheduling or answers.
-    pub span: Option<JobSpan>,
+    pub span: Option<SpanContext>,
 }
 
 impl JobPayload {
@@ -107,7 +108,7 @@ impl JobPayload {
     }
 
     /// Attaches a trace span (builder style).
-    pub fn with_span(mut self, span: JobSpan) -> Self {
+    pub fn with_span(mut self, span: SpanContext) -> Self {
         self.span = Some(span);
         self
     }
@@ -245,10 +246,9 @@ impl State {
 
 impl Dispatcher {
     /// A dispatcher over the given pool.  Each job is attempted at most
-    /// `max(3, 2 × pool size)` times before it is declared failed.
-    ///
-    /// Timing knobs start at [`DispatchTuning::default`]; use
-    /// [`Dispatcher::with_tuning`] for explicit control.
+    /// `max(3, 2 × pool size)` times before it is declared failed.  The
+    /// handshake, health-check and straggler timings are fixed
+    /// constants.
     pub fn new(endpoints: Vec<WorkerEndpoint>) -> Self {
         let max_attempts = (2 * endpoints.len()).max(3);
         let warm = Mutex::new(WarmPool::with_fixed(endpoints.len()));
@@ -261,14 +261,16 @@ impl Dispatcher {
         }
     }
 
-    /// Overrides the per-job attempt cap (tests).
-    pub fn with_max_attempts(mut self, max_attempts: usize) -> Self {
+    /// Overrides the per-job attempt cap.
+    #[cfg(test)]
+    pub(crate) fn with_max_attempts(mut self, max_attempts: usize) -> Self {
         self.max_attempts = max_attempts.max(1);
         self
     }
 
     /// Overrides the timing knobs (handshake, pings, straggler grace).
-    pub fn with_tuning(mut self, tuning: DispatchTuning) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_tuning(mut self, tuning: DispatchTuning) -> Self {
         self.tuning = tuning;
         self
     }

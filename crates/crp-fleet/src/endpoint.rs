@@ -33,21 +33,21 @@ const PING_TIMEOUT: Duration = Duration::from_millis(2000);
 /// speculatively re-dispatch it.
 const STRAGGLER_GRACE: Duration = Duration::from_millis(250);
 
-/// Every timing knob of a dispatcher and its connections, so tests can
-/// set them deterministically.  [`DispatchTuning::default`] is what
-/// every dispatcher starts with.
+/// Every timing knob of a dispatcher and its connections, so this
+/// crate's tests can set them deterministically.  Every dispatcher runs
+/// with [`DispatchTuning::default`]; nothing outside the crate sets them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchTuning {
+pub(crate) struct DispatchTuning {
     /// How long a fresh connection may take to deliver its hello.
-    pub handshake_timeout: Duration,
+    pub(crate) handshake_timeout: Duration,
     /// Silence with work in flight before a health-check ping goes out.
-    pub ping_after: Duration,
+    pub(crate) ping_after: Duration,
     /// How long a ping may go unanswered before the connection is
     /// declared unresponsive.
-    pub ping_timeout: Duration,
+    pub(crate) ping_timeout: Duration,
     /// How long a job must be in flight before an idle worker may
     /// speculatively re-dispatch it.
-    pub straggler_grace: Duration,
+    pub(crate) straggler_grace: Duration,
 }
 
 impl Default for DispatchTuning {

@@ -42,9 +42,9 @@
 //!   socket and [`tcp::join_fleet`] to a dialed-out one.
 //! * [`endpoint`] — [`endpoint::WorkerEndpoint`]: where a worker lives
 //!   (a local subprocess to spawn, or a `host:port` to dial), the
-//!   [`endpoint::DispatchTuning`] timing knobs, and the
-//!   [`endpoint::FleetManifest`] (`local:4,host:9000`) the `CRP_FLEET`
-//!   environment variable and `--fleet` flag carry.
+//!   dispatcher's fixed handshake, health-check and straggler timings,
+//!   and the [`endpoint::FleetManifest`] (`local:4,host:9000`) the
+//!   `CRP_FLEET` environment variable and `--fleet` flag carry.
 //! * [`chaos`] — [`chaos::ChaosPlan`]: typed, declarative schedules of
 //!   the fault injections above (`0:die@2,1:wedge@5`), compiled down
 //!   onto `--fault` arguments of a pool's local endpoints so fuzz
@@ -82,11 +82,11 @@ use std::fmt;
 pub use cell::{job_payload, split_job, JobLine};
 pub use chaos::{ChaosEvent, ChaosPlan, FaultKind};
 pub use dispatch::{BlobSet, Dispatcher, JobPayload};
-pub use endpoint::{DispatchTuning, FleetEntry, FleetManifest, WorkerEndpoint};
+pub use endpoint::{FleetEntry, FleetManifest, WorkerEndpoint};
 pub use frame::{write_frame, FrameReader, MAX_FRAME_BYTES};
 pub use hash::{content_hash, is_content_hash};
 pub use obs::{FleetMetrics, FleetSnapshot, WorkerHealth, WorkerMetrics};
-pub use protocol::{JobSpan, Message, PROTOCOL_VERSION};
+pub use protocol::{Message, PROTOCOL_VERSION};
 pub use tcp::{join_fleet, TcpWorker};
 pub use worker::{serve, serve_stdio, JobHandler, ScenarioStore, ServeOptions};
 

@@ -17,9 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crp_obs::{MetricsSnapshot, TraceEvent};
-
-use crate::protocol::JobSpan;
+use crp_obs::{MetricsSnapshot, SpanContext, TraceEvent};
 
 /// The health counters of one worker, as accumulated by the
 /// dispatcher since it was created.
@@ -160,19 +158,16 @@ impl FleetObs {
     /// A job was sent to `peer`.  A span stamped on the dispatch event
     /// is what lets `trace-join` tie the dispatcher's timeline to the
     /// worker's `shard.execute` events for the same job.
-    pub(crate) fn dispatched(&self, peer: &str, job: u64, span: Option<&JobSpan>) {
+    pub(crate) fn dispatched(&self, peer: &str, job: u64, span: Option<&SpanContext>) {
         crp_obs::global().inc("fleet.dispatch");
         if crp_obs::trace_enabled() {
-            let mut event = TraceEvent::new("fleet.dispatch")
+            let event = TraceEvent::new("fleet.dispatch")
                 .u64("job", job)
                 .str("endpoint", peer);
-            if let Some(span) = span {
-                event = event.str("span", &span.id);
-                if let Some(parent) = &span.parent {
-                    event = event.str("parent", parent);
-                }
-            }
-            crp_obs::emit(&event);
+            crp_obs::emit(&match span {
+                Some(span) => span.stamp(event),
+                None => event,
+            });
         }
         self.with(peer, |w| {
             w.dispatched += 1;

@@ -28,7 +28,7 @@
 //! version: a hello carrying any other version is a typed handshake
 //! error, never a negotiated-down conversation.
 
-use crp_obs::{parse_int, Fields, Head};
+use crp_obs::{parse_int, Fields, Head, SpanContext};
 
 use crate::hash::is_content_hash;
 use crate::FleetError;
@@ -37,20 +37,6 @@ use crate::FleetError;
 /// handshake.  The dispatcher accepts exactly this version and rejects
 /// any other with a typed error instead of misparsing frames.
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The trace context a `job` head line carries: the job's
-/// deterministic span id plus its parent span, both derived from
-/// content hashes on the dispatching side (see `crp_obs::span_from_hash`),
-/// never from randomness.  Workers stamp both onto the trace events
-/// they emit while executing the job, which is what lets `trace-join`
-/// correlate dispatcher and worker files causally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpan {
-    /// The job's span id (16 lowercase hex digits).
-    pub id: String,
-    /// The enclosing span (a cell, on the serve path), when known.
-    pub parent: Option<String>,
-}
 
 /// One fleet protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +56,13 @@ pub enum Message {
         id: u64,
         /// Opaque job description.
         payload: String,
-        /// The job's trace context (absent on unstamped jobs).
-        span: Option<JobSpan>,
+        /// The job's trace context (absent on unstamped jobs): its
+        /// deterministic span id and parent, derived from content hashes
+        /// on the dispatching side (see `crp_obs::span_from_hash`), never
+        /// from randomness.  Workers stamp both onto the trace events
+        /// they emit while executing the job, which is what lets
+        /// `trace-join` correlate dispatcher and worker files causally.
+        span: Option<SpanContext>,
     },
     /// Worker → dispatcher: the job's successful answer.
     Done {
@@ -193,7 +184,7 @@ impl Message {
                 let id = head.fields.int()?;
                 let span = match span_id(&mut head.fields, "span")? {
                     None => None,
-                    Some(span) => Some(JobSpan {
+                    Some(span) => Some(SpanContext {
                         id: span,
                         parent: span_id(&mut head.fields, "parent")?,
                     }),
@@ -255,7 +246,7 @@ mod tests {
             Message::Job {
                 id: 21,
                 payload: "crp-shard-spec v1\nprotocol decay\nend\n".to_string(),
-                span: Some(JobSpan {
+                span: Some(SpanContext {
                     id: "ab12cd34ef56ab78".to_string(),
                     parent: None,
                 }),
@@ -263,7 +254,7 @@ mod tests {
             Message::Job {
                 id: 22,
                 payload: "payload".to_string(),
-                span: Some(JobSpan {
+                span: Some(SpanContext {
                     id: "ab12cd34ef56ab78".to_string(),
                     parent: Some("0011223344556677".to_string()),
                 }),

@@ -247,10 +247,7 @@ pub fn serve(
                         // park it in the execution thread so the
                         // instrumentation deep in the handler (e.g. the
                         // simulator's `shard.execute` event) can stamp it.
-                        crp_obs::set_current_span(span.map(|span| crp_obs::SpanContext {
-                            id: span.id,
-                            parent: span.parent,
-                        }));
+                        crp_obs::set_current_span(span);
                         // A panic is caught so the job still gets an
                         // answer.  The closure borrows only the handler and
                         // this job's payload, so the unwind leaves none of
@@ -546,7 +543,7 @@ mod tests {
             &Message::Job {
                 id: 1,
                 payload: "x".into(),
-                span: Some(crate::protocol::JobSpan {
+                span: Some(crp_obs::SpanContext {
                     id: "ab12cd34ef56ab78".into(),
                     parent: Some("0011223344556677".into()),
                 }),

@@ -460,7 +460,7 @@ impl SweepServer {
                 // slices and never influences execution.
                 let parent = crp_obs::span_from_hash(&cell_keys[cell_index]);
                 for (index, key) in keys.iter().enumerate() {
-                    let span = crp_fleet::JobSpan {
+                    let span = crp_obs::SpanContext {
                         id: crp_obs::span_from_hash(key),
                         parent: Some(parent.clone()),
                     };

@@ -11,7 +11,12 @@
 //!
 //! This experiment builds both constructions from real protocols and
 //! checks the resulting inequalities for every scenario in the library.
+//! Its last two columns are the condense-before-code ablation: the
+//! expected Huffman code length of the condensed distribution against
+//! that of the raw size distribution.  Condensing is what keeps the §2.6
+//! schedule short.
 
+use crp_info::huffman_code;
 use crp_predict::ScenarioLibrary;
 use crp_protocols::rangefinding::{
     rf_construction, target_distance_expected_length, RangeFindingTree,
@@ -43,6 +48,10 @@ pub struct RangeFindingRow {
     /// explicit constant, which keeps the inequality checkable rather than
     /// hiding it behind asymptotic notation.
     pub tree_lower_bound: f64,
+    /// Expected Huffman code length of the condensed distribution (bits).
+    pub condensed_huffman_bits: f64,
+    /// Expected Huffman code length of the raw size distribution (bits).
+    pub raw_huffman_bits: f64,
 }
 
 /// Result of the verification experiment.
@@ -66,6 +75,8 @@ impl RangeFindingResult {
                 "E[code bits]",
                 "RF tree E[depth]",
                 "H - log(2 tol + 1) - 1",
+                "condensed Huffman E[bits]",
+                "raw Huffman E[bits]",
             ],
         );
         for row in &self.rows {
@@ -76,6 +87,8 @@ impl RangeFindingResult {
                 fmt_f64(row.sequence_expected_code_bits),
                 fmt_f64(row.tree_expected_depth),
                 fmt_f64(row.tree_lower_bound),
+                fmt_f64(row.condensed_huffman_bits),
+                fmt_f64(row.raw_huffman_bits),
             ]);
         }
         table
@@ -128,6 +141,11 @@ pub fn run(max_size: usize) -> Result<RangeFindingResult, SimError> {
         let tree_depth = tree.expected_depth(&condensed, cd_tolerance, 4 * tree.depth());
         let tolerance_bits = ((2 * cd_tolerance + 1) as f64).log2().ceil() + 1.0;
 
+        let condensed_huffman_bits =
+            huffman_code(condensed.probabilities())?.expected_length(condensed.probabilities());
+        let raw = scenario.distribution().masses();
+        let raw_huffman_bits = huffman_code(raw)?.expected_length(raw);
+
         rows.push(RangeFindingRow {
             scenario: scenario.name().to_string(),
             entropy: condensed.entropy(),
@@ -135,6 +153,8 @@ pub fn run(max_size: usize) -> Result<RangeFindingResult, SimError> {
             sequence_expected_code_bits: expected_code_bits,
             tree_expected_depth: tree_depth,
             tree_lower_bound: condensed.entropy() - tolerance_bits,
+            condensed_huffman_bits,
+            raw_huffman_bits,
         });
     }
     Ok(RangeFindingResult { max_size, rows })
@@ -170,6 +190,16 @@ mod tests {
             );
             // Expected range-finding steps are at least 1.
             assert!(row.sequence_expected_steps >= 1.0 - 1e-9);
+            // Condensing never lengthens the optimal code: the condensed
+            // variable is a function of the raw size, so its entropy (and
+            // with it the Huffman length, within one bit) is no larger.
+            assert!(
+                row.condensed_huffman_bits <= row.raw_huffman_bits + 1.0 + 1e-9,
+                "{}: condensed {} bits > raw {} bits",
+                row.scenario,
+                row.condensed_huffman_bits,
+                row.raw_huffman_bits
+            );
         }
         assert!(result.to_table().to_markdown().contains("Lower-bound"));
     }

@@ -25,7 +25,6 @@ use crp_protocols::ProtocolSpec;
 
 use crate::report::{fmt_f64, Table};
 use crate::runner::RunnerConfig;
-use crate::simulation::Simulation;
 use crate::sweep::{SweepMatrix, SweepPopulation, SweepProtocol};
 use crate::SimError;
 
@@ -120,40 +119,9 @@ fn adversarial_participants(universe: usize, k: usize, advice_bits: usize) -> Ve
     participants
 }
 
-/// Measures one deterministic advice protocol's rounds for one placement:
-/// a single-trial [`Simulation`] whose round budget defaults to the
-/// protocol's declared worst case.
-///
-/// `name` is a registry name (`det-advice-no-cd` / `det-advice-cd`).
-/// Public so the benches measure exactly what the experiment measures.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the protocol cannot be built or fails to
-/// resolve within its worst-case budget (a protocol bug by definition).
-pub fn det_rounds(
-    name: &str,
-    universe: usize,
-    participants: &[usize],
-    advice_bits: usize,
-) -> Result<f64, SimError> {
-    let stats = Simulation::builder()
-        .protocol(
-            ProtocolSpec::new(name)
-                .universe(universe)
-                .advice_bits(advice_bits),
-        )
-        .participant_ids(participants.to_vec())
-        .trials(1)
-        .seed(0)
-        .run()?;
-    det_rounds_from_stats(name, &stats)
-}
-
 /// The worst-case rounds of a deterministic protocol's measured stats;
 /// failing to resolve within the declared budget is a protocol bug by
-/// definition.  Shared by [`det_rounds`] and the sweep-grid assembly in
-/// [`run`] so the two paths cannot diverge.
+/// definition.
 fn det_rounds_from_stats(label: &str, stats: &crate::TrialStats) -> Result<f64, SimError> {
     if stats.success_rate() < 1.0 {
         return Err(SimError::InvalidParameter {
@@ -166,7 +134,7 @@ fn det_rounds_from_stats(label: &str, stats: &crate::TrialStats) -> Result<f64, 
 /// The ground truth used by the randomized rows: uniform over the
 /// geometric size range containing `participants`, so every sampled size
 /// is consistent with the range advice while the trials still vary.
-pub fn jitter_truth(participants: usize, universe: usize) -> Result<SizeDistribution, SimError> {
+fn jitter_truth(participants: usize, universe: usize) -> Result<SizeDistribution, SimError> {
     let range = crp_info::range_index_for_size(participants.max(2));
     let (lo, hi) = crp_info::range_interval(range);
     let hi = hi.min(universe).max(lo);

@@ -181,7 +181,7 @@ impl ShardBackend for FleetBackend {
                 cell_jobs.iter().map(move |job| {
                     let payload =
                         crp_fleet::job_payload(&cell.payload, job.shard, job.plan.num_shards());
-                    let span = stamp_spans.then(|| crp_fleet::JobSpan {
+                    let span = stamp_spans.then(|| crp_obs::SpanContext {
                         id: crp_obs::span_from_hash(&crp_fleet::content_hash(payload.as_bytes())),
                         parent: None,
                     });

@@ -174,6 +174,11 @@ impl StreamAccumulator {
 
     /// Finalises the stream into a [`SummaryStats`] view, or `None` if the
     /// stream is empty.
+    ///
+    /// A sketch quantile is a bucket's midpoint, which can lie outside
+    /// the samples (every sample 16384 reads 16447), so each quantile is
+    /// clamped to the exact `[min, max]`.  Clamping is monotone, so the
+    /// quantiles stay ordered.
     pub fn finalize(&self) -> Option<SummaryStats> {
         if self.count == 0 {
             return None;
@@ -187,6 +192,7 @@ impl StreamAccumulator {
             self.sketch
                 .quantile(q)
                 .expect("non-empty stream has quantiles")
+                .clamp(self.min as f64, self.max as f64)
         };
         Some(SummaryStats {
             count: self.count as usize,
@@ -729,6 +735,39 @@ mod tests {
         assert!(stats.p10 <= stats.median);
         assert!(stats.median <= stats.p90);
         assert!(stats.p90 <= stats.max);
+    }
+
+    #[test]
+    fn a_stream_of_one_repeated_value_reports_that_value() {
+        // 16384 is the 64 x 256 round budget a blind-trust trial exhausts;
+        // its bucket's midpoint is 16447.
+        let mut stream = StreamAccumulator::new();
+        for _ in 0..100 {
+            stream.record(16384);
+        }
+        let stats = stream.finalize().unwrap();
+        assert_eq!(stats.median, 16384.0);
+        assert_eq!(stats.p10, 16384.0);
+        assert_eq!(stats.p90, 16384.0);
+    }
+
+    #[test]
+    fn finalised_quantiles_are_ordered_and_inside_min_max_on_random_streams() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        for case in 0..200 {
+            let mut stream = StreamAccumulator::new();
+            let spread = 1u64 << rng.gen_range(0u32..24);
+            let base = rng.gen_range(0u64..1 << 20);
+            for _ in 0..1 + rng.gen_range(0usize..300) {
+                stream.record(base + rng.gen_range(0u64..spread));
+            }
+            let s = stream.finalize().unwrap();
+            assert!(
+                s.min <= s.p10 && s.p10 <= s.median && s.median <= s.p90 && s.p90 <= s.max,
+                "case {case}: {s:?}"
+            );
+        }
     }
 
     #[test]

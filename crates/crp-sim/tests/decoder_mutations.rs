@@ -18,9 +18,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crp_fleet::{content_hash, BlobSet, JobSpan, Message};
+use crp_fleet::{content_hash, BlobSet, Message};
 use crp_info::{CondensedDistribution, SizeDistribution};
-use crp_obs::{MetricsRegistry, MetricsSnapshot};
+use crp_obs::{MetricsRegistry, MetricsSnapshot, SpanContext};
 use crp_predict::{AdversaryKind, ScenarioLibrary, Trace, TraceModel};
 use crp_protocols::ProtocolSpec;
 use crp_serve::{CellOutcome, ResultCache, ServeMessage, Submission, SubmissionOutcome};
@@ -278,7 +278,7 @@ fn cache_case(root: &std::path::Path) -> Case {
 
 fn message_cases() -> Vec<Case> {
     let span = |parent: Option<&str>| {
-        Some(JobSpan {
+        Some(SpanContext {
             id: "ab12cd34ef56ab78".to_string(),
             parent: parent.map(str::to_string),
         })

@@ -9,6 +9,8 @@
 //! in its shortest round-tripping form, and compared with
 //! `statistics_golden.txt`.  A mismatch means the change altered the
 //! statistics; the reference is not to be regenerated to make it pass.
+//! Every summary the run produces must also satisfy
+//! `min ≤ p10 ≤ median ≤ p90 ≤ max`.
 
 use crp_predict::ScenarioLibrary;
 use crp_protocols::REGISTRY;
@@ -32,6 +34,23 @@ fn every_registry_protocol_reproduces_its_committed_trial_stats() {
         .trials(512)
         .seed(1);
     let results = matrix.run_on(&SerialBackend).unwrap();
+    for cell in results.cells() {
+        let stats = &cell.stats;
+        for summary in [&stats.rounds_when_resolved, &stats.rounds_overall]
+            .into_iter()
+            .flatten()
+        {
+            assert!(
+                summary.min <= summary.p10
+                    && summary.p10 <= summary.median
+                    && summary.median <= summary.p90
+                    && summary.p90 <= summary.max,
+                "{} {}: quantiles out of order: {summary:?}",
+                cell.scenario,
+                cell.protocol
+            );
+        }
+    }
     let lines: Vec<String> = results
         .cells()
         .iter()
