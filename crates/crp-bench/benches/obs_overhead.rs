@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use crp_protocols::ProtocolSpec;
-use crp_sim::{KernelChoice, Simulation, TrialStats};
+use crp_sim::{Simulation, TrialStats};
 
 /// The universe-size ladder; the last step is the headline size.
 const LADDER: [usize; 3] = [10_000, 50_000, 1 << 20];
@@ -41,7 +41,6 @@ fn simulation(universe: usize) -> Simulation {
         .max_rounds(64 * universe)
         .trials(TRIALS)
         .seed(0xBEEF)
-        .kernel(KernelChoice::Auto)
         .build()
         .expect("the bench simulation is valid")
 }

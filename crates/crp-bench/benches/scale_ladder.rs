@@ -9,22 +9,21 @@
 //!
 //! * `uniform-no-cd`: `decay`;
 //! * `uniform-cd`: `willard`;
-//! * `scalar`: `decay` under `KernelChoice::Scalar`;
 //! * `deterministic`: `det-advice-no-cd`, up to n = 2^14 (its serial
 //!   run at 2^20 takes seconds, not milliseconds).
 //!
 //! The backends are `serial`, `thread` (2 threads) and `fleet` (2 local
 //! worker processes, spawned once and kept warm across every point).
-//! The kernel choice is not carried on the fleet wire, so a `scalar`
-//! fleet point would time the workers' own kernel: `scalar` runs on the
-//! two in-process backends only.
+//! Each n also has one `reference` point: the `decay` grid run by
+//! `SweepMatrix::run_reference`, serially on the scalar trial-at-a-time
+//! loop.
 //!
 //! Each point is timed inside the measured closure and keeps its best
 //! run, so one loop feeds the printed table, `BENCH_ladder.json` (one
 //! JSON line per point at the workspace root) and the gates:
 //!
 //! * at every point, the CSV is byte-identical across backends, and the
-//!   `scalar` path's CSV equals `uniform-no-cd`'s;
+//!   `reference` point's CSV equals `uniform-no-cd`'s;
 //! * at n = 2^14, the fleet runs the `decay` grid in less than
 //!   [`FLEET_TO_THREAD_CEILING`] times the `thread` backend's time;
 //! * alias-table sampling stays at least 10× faster than rebuilding a
@@ -33,11 +32,13 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use crp_info::SizeDistribution;
 use crp_predict::ScenarioLibrary;
 use crp_sim::{
-    FleetBackend, KernelChoice, SerialBackend, ShardBackend, SweepMatrix, SweepProtocol,
+    FleetBackend, SerialBackend, ShardBackend, SweepMatrix, SweepProtocol, SweepResults,
     ThreadBackend,
 };
 use rand::distributions::Distribution as _;
@@ -67,34 +68,24 @@ const FLEET_TO_THREAD_CEILING: f64 = 16.0;
 struct KernelPath {
     name: &'static str,
     protocol: &'static str,
-    kernel: KernelChoice,
     /// The largest universe the path runs at.
     max_n: usize,
 }
 
-const PATHS: [KernelPath; 4] = [
+const PATHS: [KernelPath; 3] = [
     KernelPath {
         name: "uniform-no-cd",
         protocol: "decay",
-        kernel: KernelChoice::Auto,
         max_n: 1 << 20,
     },
     KernelPath {
         name: "uniform-cd",
         protocol: "willard",
-        kernel: KernelChoice::Auto,
-        max_n: 1 << 20,
-    },
-    KernelPath {
-        name: "scalar",
-        protocol: "decay",
-        kernel: KernelChoice::Scalar,
         max_n: 1 << 20,
     },
     KernelPath {
         name: "deterministic",
         protocol: "det-advice-no-cd",
-        kernel: KernelChoice::Auto,
         max_n: 1 << 14,
     },
 ];
@@ -167,14 +158,45 @@ fn sampling_hot_path() {
     );
 }
 
-/// The `cold-n16k` grid at universe `n`, for one kernel path.
-fn grid(library: &ScenarioLibrary, path: &KernelPath) -> SweepMatrix {
+/// The `cold-n16k` grid at universe `n`, for one registry protocol.
+fn grid(library: &ScenarioLibrary, protocol: &str) -> SweepMatrix {
     SweepMatrix::new()
         .scenarios(SCENARIOS.map(|name| library.by_name(name).expect("a library scenario")))
-        .protocol(SweepProtocol::registry(path.protocol).expect("a registry protocol"))
+        .protocol(SweepProtocol::registry(protocol).expect("a registry protocol"))
         .trials(TRIALS_PER_CELL)
         .seed(SEED)
-        .kernel(path.kernel)
+}
+
+/// Times `run` in criterion's loop under `id` and returns the point at
+/// `(n, path, backend)` with its best run and the CSV it produced.
+fn measure_point(
+    group: &mut BenchmarkGroup<'_>,
+    n: usize,
+    path: &'static str,
+    backend: &'static str,
+    run: impl Fn() -> SweepResults,
+) -> Point {
+    let mut best = Duration::MAX;
+    let mut csv = String::new();
+    group.bench_with_input(
+        BenchmarkId::new(format!("{path}/{backend}"), n),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let start = Instant::now();
+                let results = run();
+                best = best.min(start.elapsed());
+                csv = results.to_csv();
+            });
+        },
+    );
+    Point {
+        n,
+        path,
+        backend,
+        best,
+        csv,
+    }
 }
 
 /// Panics unless `actual` is byte-identical to `expected`, naming the
@@ -259,48 +281,33 @@ fn scale_ladder(c: &mut Criterion) {
         let mut group = c.benchmark_group("scale_ladder");
         group.sample_size(3);
         for path in PATHS.iter().filter(|path| n <= path.max_n) {
-            let matrix = grid(&library, path);
+            let matrix = grid(&library, path.protocol);
             for &(backend_name, backend) in &backends {
-                // Fleet workers run their own kernel whatever the matrix
-                // asks for, so only the default kernel has a fleet point.
-                if backend_name == "fleet" && path.kernel != KernelChoice::Auto {
-                    continue;
-                }
-                let mut best = Duration::MAX;
-                let mut csv = String::new();
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{}/{backend_name}", path.name), n),
-                    &matrix,
-                    |b, matrix| {
-                        b.iter(|| {
-                            let start = Instant::now();
-                            let results = matrix.run_on(backend).expect("the ladder grid runs");
-                            best = best.min(start.elapsed());
-                            csv = results.to_csv();
-                        });
-                    },
-                );
-                points.push(Point {
+                points.push(measure_point(
+                    &mut group,
                     n,
-                    path: path.name,
-                    backend: backend_name,
-                    best,
-                    csv,
-                });
+                    path.name,
+                    backend_name,
+                    || matrix.run_on(backend).expect("the ladder grid runs"),
+                ));
             }
         }
+        let decay = grid(&library, "decay");
+        points.push(measure_point(&mut group, n, "reference", "serial", || {
+            decay.run_reference().expect("the ladder grid runs")
+        }));
         group.finish();
 
-        for measured in points.iter().filter(|p| p.n == n) {
+        for measured in points.iter().filter(|p| p.n == n && p.path != "reference") {
             let serial = point(&points, n, measured.path, "serial");
             let what = format!("{} on {} vs serial", measured.path, measured.backend);
             assert_same_csv(n, &what, &serial.csv, &measured.csv);
         }
         assert_same_csv(
             n,
-            "scalar vs uniform-no-cd",
+            "reference vs uniform-no-cd",
             &point(&points, n, "uniform-no-cd", "serial").csv,
-            &point(&points, n, "scalar", "serial").csv,
+            &point(&points, n, "reference", "serial").csv,
         );
     }
 

@@ -1,7 +1,8 @@
-//! Bench F-KERNEL: scalar trial-at-a-time executor vs the batched
-//! struct-of-arrays trial kernels, recorded as `BENCH_kernels.json` at
-//! the workspace root so the numbers accumulate a perf history across
-//! revisions.
+//! Bench F-KERNEL: the scalar trial-at-a-time reference
+//! (`Simulation::run_reference`) vs the batched struct-of-arrays trial
+//! kernel the protocol selects (`run_on(&SerialBackend)`), both serial,
+//! recorded as `BENCH_kernels.json` at the workspace root so the numbers
+//! accumulate a perf history across revisions.
 //!
 //! The workload is the paper's hot loop — a uniform no-CD protocol
 //! (`decay`) swept over a universe-size ladder — measured as *per-round
@@ -21,7 +22,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use crp_protocols::ProtocolSpec;
-use crp_sim::{KernelChoice, Simulation, TrialStats};
+use crp_sim::{SerialBackend, Simulation, TrialStats};
 
 /// The universe-size ladder; the last step is the headline size.
 const LADDER: [usize; 3] = [10_000, 50_000, 1 << 20];
@@ -30,28 +31,38 @@ const LADDER: [usize; 3] = [10_000, 50_000, 1 << 20];
 /// enough that the scalar baseline stays in milliseconds.
 const TRIALS: usize = 4000;
 
-fn simulation(universe: usize, kernel: KernelChoice) -> Simulation {
+fn simulation(universe: usize) -> Simulation {
     Simulation::builder()
         .protocol(ProtocolSpec::new("decay").universe(universe))
         .participants((universe / 16).max(2))
         .max_rounds(64 * universe)
         .trials(TRIALS)
         .seed(0xBEEF)
-        .kernel(kernel)
         .build()
         .expect("the bench simulation is valid")
 }
 
-/// Runs one configuration, best of three, returning the stats and the
-/// fastest wall-clock seconds (best-of damps scheduler noise, which
-/// matters because the history asserts a speedup ratio).
-fn measure(universe: usize, kernel: KernelChoice) -> (TrialStats, f64) {
-    let simulation = simulation(universe, kernel);
+/// One path of the bench: the scalar reference or the batched kernel,
+/// both on the calling thread.
+fn run(simulation: &Simulation, scalar: bool) -> TrialStats {
+    if scalar {
+        simulation.run_reference()
+    } else {
+        simulation.run_on(&SerialBackend)
+    }
+    .expect("the bench simulation runs")
+}
+
+/// Runs one path, best of three, returning the stats and the fastest
+/// wall-clock seconds (best-of damps scheduler noise, which matters
+/// because the history asserts a speedup ratio).
+fn measure(universe: usize, scalar: bool) -> (TrialStats, f64) {
+    let simulation = simulation(universe);
     let mut best = f64::INFINITY;
     let mut stats = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let run = simulation.run().expect("the bench simulation runs");
+        let run = run(&simulation, scalar);
         best = best.min(start.elapsed().as_secs_f64());
         stats = Some(run);
     }
@@ -81,8 +92,8 @@ fn record_history() {
     ];
     let mut headline = 1.0;
     for universe in LADDER {
-        let (scalar_stats, scalar_sec) = measure(universe, KernelChoice::Scalar);
-        let (batched_stats, batched_sec) = measure(universe, KernelChoice::Auto);
+        let (scalar_stats, scalar_sec) = measure(universe, true);
+        let (batched_stats, batched_sec) = measure(universe, false);
         assert_eq!(
             scalar_stats, batched_stats,
             "kernel diverged from the scalar executor at n = {universe}"
@@ -121,15 +132,12 @@ fn trial_kernels(c: &mut Criterion) {
     for universe in LADDER {
         let mut group = c.benchmark_group(format!("trial_kernels/{universe}"));
         group.sample_size(10);
-        for (name, kernel) in [
-            ("scalar", KernelChoice::Scalar),
-            ("batched", KernelChoice::Auto),
-        ] {
-            let simulation = simulation(universe, kernel);
+        let simulation = simulation(universe);
+        for (name, scalar) in [("scalar", true), ("batched", false)] {
             group.bench_with_input(
                 BenchmarkId::new(name, universe),
                 &simulation,
-                |b, simulation| b.iter(|| black_box(simulation.run().unwrap())),
+                |b, simulation| b.iter(|| black_box(run(simulation, scalar))),
             );
         }
         group.finish();

@@ -252,12 +252,18 @@ impl Dispatcher {
     pub fn new(endpoints: Vec<WorkerEndpoint>) -> Self {
         let max_attempts = (2 * endpoints.len()).max(3);
         let warm = Mutex::new(WarmPool::with_fixed(endpoints.len()));
+        let obs = FleetObs::new(
+            endpoints
+                .iter()
+                .enumerate()
+                .map(|(index, endpoint)| endpoint.label(index)),
+        );
         Self {
             endpoints,
             max_attempts,
             tuning: DispatchTuning::default(),
             warm,
-            obs: FleetObs::default(),
+            obs,
         }
     }
 
@@ -283,7 +289,9 @@ impl Dispatcher {
     /// An on-demand view of per-worker health: jobs dispatched,
     /// completed, requeued, pings sent, and jobs currently in flight —
     /// accumulated since this dispatcher was created, spanning fixed
-    /// and elastically joined workers.
+    /// workers (each listed from the start under its pool label: a
+    /// local worker's pool index, a TCP worker's address) and
+    /// elastically joined workers.
     pub fn snapshot(&self) -> FleetSnapshot {
         self.obs.snapshot()
     }
@@ -307,7 +315,7 @@ impl Dispatcher {
         let mut workers: Vec<WorkerMetrics> = Vec::new();
         let mut warm = self.warm.lock().expect("no dispatcher panics");
         for (index, slot) in warm.fixed.iter_mut().enumerate() {
-            let endpoint = self.endpoints[index].describe();
+            let endpoint = self.endpoints[index].label(index);
             match slot.as_mut().map(|conn| conn.fetch_metrics(&self.tuning)) {
                 Some(Ok(body)) => workers.push(decode(endpoint, body)),
                 Some(Err(_)) => {

@@ -104,6 +104,17 @@ impl WorkerEndpoint {
         }
     }
 
+    /// The label the endpoint at `index` of a pool reports its health
+    /// and metrics under: its pool index for a local worker, since every
+    /// local worker of a pool runs the same program, and its address for
+    /// a TCP worker.
+    pub(crate) fn label(&self, index: usize) -> String {
+        match self {
+            WorkerEndpoint::Local { .. } => format!("local worker #{index}"),
+            WorkerEndpoint::Tcp { .. } => self.describe(),
+        }
+    }
+
     /// Spawns the subprocess of a [`WorkerEndpoint::Local`] with piped
     /// stdio (the event loop's pipe transport).
     ///
@@ -372,6 +383,12 @@ mod tests {
         assert!(WorkerEndpoint::local("/bin/w", vec![])
             .describe()
             .contains("/bin/w"));
+        // Labels tell the local workers of one pool apart; a TCP label
+        // is its description.
+        let local = WorkerEndpoint::local("/bin/w", vec![]);
+        assert_eq!(local.label(0), "local worker #0");
+        assert_ne!(local.label(0), local.label(1));
+        assert_eq!(WorkerEndpoint::tcp("h:1").label(3), "tcp worker h:1");
     }
 
     #[test]

@@ -129,11 +129,14 @@ impl LoopConn {
         }
     }
 
-    /// Connects a fixed endpoint as a non-blocking source: a local
-    /// endpoint is spawned with its stdout routed through the feeder
-    /// channel, a TCP endpoint is dialed and switched to non-blocking.
+    /// Connects the fixed endpoint at `index` of the pool as a
+    /// non-blocking source: a local endpoint is spawned with its stdout
+    /// routed through the feeder channel, a TCP endpoint is dialed and
+    /// switched to non-blocking.  The connection reports under the
+    /// endpoint's pool label.
     fn from_endpoint(
         endpoint: &WorkerEndpoint,
+        index: usize,
         tuning: &DispatchTuning,
     ) -> Result<Self, FleetError> {
         let connect_error = |reason: String| FleetError::Connect {
@@ -153,7 +156,7 @@ impl LoopConn {
                         stdin,
                     },
                     Some(child),
-                    endpoint.describe(),
+                    endpoint.label(index),
                     tuning,
                 ))
             }
@@ -167,7 +170,7 @@ impl LoopConn {
                 Ok(Self::with_transport(
                     Transport::Tcp(stream),
                     None,
-                    endpoint.describe(),
+                    endpoint.label(index),
                     tuning,
                 ))
             }
@@ -653,7 +656,7 @@ pub(crate) fn run(
             if slot.conn.is_some() || slot.failures >= RECONNECT_LIMIT || slot.retry_at > now {
                 continue;
             }
-            match LoopConn::from_endpoint(&dispatcher.endpoints[index], &tuning) {
+            match LoopConn::from_endpoint(&dispatcher.endpoints[index], index, &tuning) {
                 Ok(conn) => {
                     slot.conn = Some(conn);
                     progressed = true;

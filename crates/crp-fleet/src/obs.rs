@@ -3,7 +3,8 @@
 //! counters and trace events.
 //!
 //! The dispatcher reports through one per-pool health record it owns,
-//! keyed by the worker's human-readable peer description, so a snapshot
+//! keyed by the worker's peer label (a fixed endpoint's pool label, or a
+//! joined worker's address), so a snapshot
 //! spans fixed endpoints and elastically joined workers alike and
 //! accumulates across batches — the view a long-running serve daemon's
 //! `stats` request renders.
@@ -23,7 +24,8 @@ use crp_obs::{MetricsSnapshot, SpanContext, TraceEvent};
 /// dispatcher since it was created.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerHealth {
-    /// The worker's peer description (endpoint, or joined address).
+    /// The worker's peer label (a local worker's pool index, a TCP
+    /// worker's address, or a joined worker's address).
     pub endpoint: String,
     /// Jobs sent to this worker.
     pub dispatched: u64,
@@ -70,7 +72,7 @@ impl FleetSnapshot {
 /// [`crate::Dispatcher::worker_metrics`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerMetrics {
-    /// The worker's peer description (endpoint, or joined address).
+    /// The worker's peer label, as in [`WorkerHealth::endpoint`].
     pub endpoint: String,
     /// The worker's decoded metrics snapshot — `None` when the worker
     /// is not connected or failed to answer the pull (rendered as
@@ -138,12 +140,31 @@ impl FleetMetrics {
 
 /// The dispatcher's accumulator behind [`FleetSnapshot`]: a peer-keyed
 /// map the event loop reports into.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct FleetObs {
     workers: Mutex<BTreeMap<String, WorkerHealth>>,
 }
 
 impl FleetObs {
+    /// A record listing each of `peers` — the pool's fixed endpoints —
+    /// from the start, so a worker that has not been sent a job yet
+    /// still reports its (zero) health.
+    pub(crate) fn new(peers: impl IntoIterator<Item = String>) -> Self {
+        let workers = peers
+            .into_iter()
+            .map(|peer| {
+                let health = WorkerHealth {
+                    endpoint: peer.clone(),
+                    ..Default::default()
+                };
+                (peer, health)
+            })
+            .collect();
+        Self {
+            workers: Mutex::new(workers),
+        }
+    }
+
     fn with(&self, peer: &str, update: impl FnOnce(&mut WorkerHealth)) {
         let mut workers = self.workers.lock().expect("no dispatcher panics");
         let entry = workers

@@ -31,16 +31,16 @@
 //! implies the fleet backend and conflicts with any other `--backend`.
 //!
 //! The environment is read once at entry (`crp_sim::EnvConfig`):
-//! `CRP_THREADS`, `CRP_KERNEL` and `CRP_FLEET` stand in for `--threads`,
-//! the kernel path and `--fleet`, a flag wins over its variable, and an
-//! unusable value or unknown `CRP_*` name is an error naming it.
+//! `CRP_THREADS` and `CRP_FLEET` stand in for `--threads` and `--fleet`,
+//! a flag wins over its variable, and an unusable value or unknown
+//! `CRP_*` name is an error naming it.
 
 use std::process::ExitCode;
 use std::str::FromStr;
 
 use crp_fleet::{ChaosPlan, FleetManifest};
 use crp_fuzz::{property_by_name, run_campaign, Corpus, FuzzConfig, Trace};
-use crp_predict::AdversaryKind;
+use crp_predict::{read_trace_file, AdversaryKind};
 use crp_sim::{BackendChoice, EnvConfig, RunnerFlags};
 
 /// Parsed command line: the shared campaign configuration plus the
@@ -227,8 +227,7 @@ fn replay_mode(options: &Options) -> Result<ExitCode, String> {
         }
     }
     for file in &options.files {
-        let text = std::fs::read_to_string(file).map_err(|err| format!("{file}: {err}"))?;
-        let trace = Trace::from_wire(&text).map_err(|err| format!("{file}: {err}"))?;
+        let trace = read_trace_file(file).map_err(|err| err.to_string())?;
         entries.push((file.clone(), trace));
     }
     if entries.is_empty() {

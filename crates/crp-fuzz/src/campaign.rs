@@ -135,19 +135,19 @@ fn accurate_twin(scenario: &Scenario) -> Scenario {
     )
 }
 
-/// Compiles `trace` under `label` and evaluates it (plus its accurate
-/// twin) against `property` on the configured runner.
+/// The grid a trace is evaluated as: `trace` compiled under `label`,
+/// after its accurate twin, against every configured protocol, on the
+/// configured runner with the campaign's trials and seed.
 ///
 /// # Errors
 ///
-/// Trace compilation errors ([`FuzzError::Predict`]) and grid
-/// compilation/execution errors ([`FuzzError::Sim`]).
-pub fn evaluate_trace(
+/// Trace compilation errors ([`FuzzError::Predict`]) and unknown
+/// protocols ([`FuzzError::Sim`]).
+pub fn trace_matrix(
     config: &FuzzConfig,
     trace: &Trace,
     label: &str,
-    property: &dyn Property,
-) -> Result<TraceEvaluation, FuzzError> {
+) -> Result<SweepMatrix, FuzzError> {
     let scenario = trace.compile(label)?;
     let mut matrix = SweepMatrix::new()
         .runner(RunnerConfig {
@@ -161,12 +161,55 @@ pub fn evaluate_trace(
     for name in &config.protocols {
         matrix = matrix.protocol(SweepProtocol::registry(name)?);
     }
-    let results = matrix.run()?;
+    Ok(matrix)
+}
+
+/// Runs the grid of [`trace_matrix`] and checks it against `property`.
+///
+/// # Errors
+///
+/// As [`trace_matrix`], plus grid execution errors ([`FuzzError::Sim`]).
+pub fn evaluate_trace(
+    config: &FuzzConfig,
+    trace: &Trace,
+    label: &str,
+    property: &dyn Property,
+) -> Result<TraceEvaluation, FuzzError> {
+    let results = trace_matrix(config, trace, label)?.run()?;
     let violations = property.check(&results);
     Ok(TraceEvaluation {
         results,
         violations,
     })
+}
+
+/// Trace `index` of a campaign, with its adversary (the configured
+/// adversaries, round-robin) and the label it is evaluated under: the
+/// adversary's model generates it from a `ChaCha8Rng` seeded by
+/// `(config.seed, index)`.
+///
+/// # Errors
+///
+/// [`FuzzError::InvalidParameter`] when no adversary is configured, and
+/// [`FuzzError::Predict`] for a universe the trace model rejects.
+pub fn campaign_trace(
+    config: &FuzzConfig,
+    index: usize,
+) -> Result<(AdversaryKind, Trace, String), FuzzError> {
+    let adversary = *config
+        .adversaries
+        .get(index % config.adversaries.len().max(1))
+        .ok_or_else(|| FuzzError::InvalidParameter {
+            what: "at least one adversary model is required".into(),
+        })?;
+    let model = TraceModel::new(adversary, config.universe)?;
+    let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(config.seed, index as u64));
+    let trace = model.generate(&mut rng, config.steps);
+    Ok((
+        adversary,
+        trace,
+        format!("fuzz-{}-{index:03}", adversary.name()),
+    ))
 }
 
 /// Runs a whole campaign: `budget` traces round-robinned over the
@@ -183,11 +226,6 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<CampaignReport, FuzzError> {
             what: "budget must be at least 1".into(),
         });
     }
-    if config.adversaries.is_empty() {
-        return Err(FuzzError::InvalidParameter {
-            what: "at least one adversary model is required".into(),
-        });
-    }
     if config.protocols.is_empty() {
         return Err(FuzzError::InvalidParameter {
             what: "at least one protocol is required".into(),
@@ -197,11 +235,7 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<CampaignReport, FuzzError> {
 
     let mut report = CampaignReport::default();
     for index in 0..config.budget {
-        let adversary = config.adversaries[index % config.adversaries.len()];
-        let model = TraceModel::new(adversary, config.universe)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(config.seed, index as u64));
-        let trace = model.generate(&mut rng, config.steps);
-        let label = format!("fuzz-{}-{index:03}", adversary.name());
+        let (adversary, trace, label) = campaign_trace(config, index)?;
         let evaluation = evaluate_trace(config, &trace, &label, property.as_ref())?;
         report.traces_run += 1;
         if evaluation.violations.is_empty() {

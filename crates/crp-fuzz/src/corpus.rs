@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crp_fleet::content_hash;
-use crp_predict::Trace;
+use crp_predict::{read_trace_file, PredictError, Trace};
 
 use crate::error::FuzzError;
 
@@ -65,9 +65,10 @@ impl Corpus {
         Ok(path)
     }
 
-    /// Loads every `*.trace` file, sorted by filename for determinism.  A
-    /// missing directory is an empty corpus; an unparsable file is a
-    /// typed error naming it.
+    /// Loads every `*.trace` file with [`read_trace_file`], sorted by
+    /// filename for determinism.  A missing directory is an empty corpus;
+    /// an unreadable, oversized or unparsable file is a typed error
+    /// naming it.
     ///
     /// # Errors
     ///
@@ -92,13 +93,9 @@ impl Corpus {
         paths.sort();
         let mut traces = Vec::with_capacity(paths.len());
         for path in paths {
-            let text = fs::read_to_string(&path).map_err(|err| FuzzError::Corpus {
-                path: path.display().to_string(),
-                what: format!("cannot read: {err}"),
-            })?;
-            let trace = Trace::from_wire(&text).map_err(|err| FuzzError::Corpus {
-                path: path.display().to_string(),
-                what: err.to_string(),
+            let trace = read_trace_file(&path).map_err(|err| match err {
+                PredictError::TraceFile { path, what } => FuzzError::Corpus { path, what },
+                other => FuzzError::Predict(other),
             })?;
             traces.push((path, trace));
         }

@@ -45,7 +45,8 @@ pub mod property;
 pub mod shrink;
 
 pub use campaign::{
-    evaluate_trace, run_campaign, CampaignReport, FailingTrace, FuzzConfig, TraceEvaluation,
+    campaign_trace, evaluate_trace, run_campaign, trace_matrix, CampaignReport, FailingTrace,
+    FuzzConfig, TraceEvaluation,
 };
 pub use corpus::{Corpus, TRACE_EXTENSION};
 pub use error::FuzzError;

@@ -1,71 +1,62 @@
-//! The fuzz harness under the batched trial kernels: a short campaign
-//! on [`KernelChoice::Auto`] (batched kernels wherever a protocol
-//! admits one) must report exactly what the
-//! scalar executor reports — the same grids, the same (zero, for the
-//! shipped protocols) property violations — because the kernels are
-//! bit-identical to the scalar path by contract.  A kernel bug that
-//! slipped past the unit equivalence tests would surface here as a
-//! phantom violation or a diverging grid.
+//! The fuzz harness against the scalar reference: every grid a short
+//! campaign and a corpus replay evaluate on the production path (the
+//! batched kernels each protocol selects) must equal the same grid's
+//! [`crp_sim::SweepMatrix::run_reference`] bit for bit, and the campaign
+//! must report the shipped protocols clean.  A kernel bug that slipped
+//! past the unit equivalence tests would surface here as a phantom
+//! violation or a diverging grid.
 
 use std::path::PathBuf;
 
-use crp_fuzz::{evaluate_trace, property_by_name, run_campaign, Corpus, FuzzConfig};
-use crp_sim::{KernelChoice, RunnerConfig};
+use crp_fuzz::{
+    campaign_trace, evaluate_trace, property_by_name, run_campaign, trace_matrix, Corpus,
+    FuzzConfig,
+};
 
-fn config_with_kernel(kernel: KernelChoice) -> FuzzConfig {
-    FuzzConfig {
+#[test]
+fn a_campaign_is_clean_and_every_trace_grid_matches_the_reference() {
+    let config = FuzzConfig {
         budget: 4,
         trials: 80,
-        runner: RunnerConfig::default().with_kernel(kernel),
         ..FuzzConfig::default()
+    };
+    let report = run_campaign(&config).unwrap();
+    assert_eq!(report.traces_run, 4);
+    // The shipped protocols satisfy every property; the kernels must not
+    // invent a violation (nor hide one).
+    assert!(report.clean(), "campaign found unexpected failures");
+    for index in 0..config.budget {
+        let (_, trace, label) = campaign_trace(&config, index).unwrap();
+        let matrix = trace_matrix(&config, &trace, &label).unwrap();
+        assert_eq!(
+            matrix.run_reference().unwrap(),
+            matrix.run().unwrap(),
+            "{label} diverged from the scalar reference"
+        );
     }
 }
 
 #[test]
-fn a_batched_campaign_reports_exactly_what_the_scalar_campaign_reports() {
-    let scalar = run_campaign(&config_with_kernel(KernelChoice::Scalar)).unwrap();
-    let batched = run_campaign(&config_with_kernel(KernelChoice::Auto)).unwrap();
-    assert_eq!(scalar.traces_run, batched.traces_run);
-    // The shipped protocols satisfy every property; the kernels must not
-    // invent a violation (nor hide one).
-    assert!(scalar.clean(), "scalar campaign found unexpected failures");
-    assert!(
-        batched.clean(),
-        "batched campaign found unexpected failures"
-    );
-}
-
-#[test]
-fn corpus_replays_are_bit_identical_under_the_batched_kernel() {
+fn corpus_replays_are_bit_identical_to_the_reference() {
     let corpus = Corpus::open(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus"));
     let property = property_by_name("all").unwrap();
-    let config = |kernel| FuzzConfig {
+    let config = FuzzConfig {
         trials: 60,
         protocols: vec!["blind-trust".into()],
-        runner: RunnerConfig::default().with_kernel(kernel),
         ..FuzzConfig::default()
     };
     for (path, trace) in corpus.load_all().unwrap() {
-        let scalar = evaluate_trace(
-            &config(KernelChoice::Scalar),
-            &trace,
-            "replay",
-            property.as_ref(),
-        )
-        .unwrap();
-        let batched = evaluate_trace(
-            &config(KernelChoice::Auto),
-            &trace,
-            "replay",
-            property.as_ref(),
-        )
-        .unwrap();
+        let evaluation = evaluate_trace(&config, &trace, "replay", property.as_ref()).unwrap();
+        let reference = trace_matrix(&config, &trace, "replay")
+            .unwrap()
+            .run_reference()
+            .unwrap();
         assert_eq!(
-            scalar.results,
-            batched.results,
-            "{} diverged under the batched kernel",
+            reference,
+            evaluation.results,
+            "{} diverged from the scalar reference",
             path.display()
         );
-        assert_eq!(scalar.violations, batched.violations);
+        assert_eq!(property.check(&reference), evaluation.violations);
     }
 }

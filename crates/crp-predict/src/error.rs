@@ -21,6 +21,14 @@ pub enum PredictError {
         /// Human-readable description of the problem.
         what: String,
     },
+    /// A trace file could not be read: it is missing, larger than
+    /// [`crate::MAX_TRACE_FILE_BYTES`], not UTF-8, or not a trace.
+    TraceFile {
+        /// The offending file.
+        path: String,
+        /// What went wrong.
+        what: String,
+    },
 }
 
 impl fmt::Display for PredictError {
@@ -29,6 +37,7 @@ impl fmt::Display for PredictError {
             PredictError::Distribution(err) => write!(f, "distribution error: {err}"),
             PredictError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
             PredictError::AdviceUnavailable { what } => write!(f, "advice unavailable: {what}"),
+            PredictError::TraceFile { path, what } => write!(f, "trace file {path}: {what}"),
         }
     }
 }

@@ -42,4 +42,7 @@ pub use advice::{Advice, AdviceOracle, IdPrefixOracle, RangeOracle};
 pub use error::PredictError;
 pub use learned::LearnedPredictor;
 pub use scenario::{Scenario, ScenarioLibrary};
-pub use trace::{AdversaryKind, Trace, TraceEvent, TraceModel, MAX_FIDELITY};
+pub use trace::{
+    read_trace_file, AdversaryKind, Trace, TraceEvent, TraceModel, MAX_FIDELITY,
+    MAX_TRACE_FILE_BYTES, MAX_TRACE_STEPS,
+};

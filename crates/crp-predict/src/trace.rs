@@ -27,6 +27,11 @@
 //! (`crp-fuzz-trace v1`, floats as IEEE-754 bit patterns in hex) so they
 //! can be persisted in a regression corpus, diffed, content-addressed by
 //! hash, and shipped through the fleet machinery bit-exactly.
+//! [`read_trace_file`] is the one way a trace file is read, and it reads
+//! at most [`MAX_TRACE_FILE_BYTES`].
+
+use std::io::Read as _;
+use std::path::Path;
 
 use crp_info::SizeDistribution;
 use crp_obs::{Fields, LineError, LineReader};
@@ -39,6 +44,49 @@ use crate::scenario::Scenario;
 /// mass on the uniform-over-ranges smoothing component, so every range
 /// stays in the advice's support and the divergence is finite.
 pub const MAX_FIDELITY: f64 = 0.98;
+
+/// The most steps [`TraceModel::generate`] takes; a larger request is
+/// clamped to it.
+pub const MAX_TRACE_STEPS: usize = 1024;
+
+/// The largest trace file [`read_trace_file`] accepts, in bytes.
+///
+/// It is derived from the largest trace the fuzzer writes.  A generated
+/// trace holds at most [`MAX_TRACE_STEPS`] + 2 events, and the fuzzer
+/// only saves generated traces or shrunk copies of them.  Its longest
+/// event line is `truth <level> <16 hex digits>` with a level below 64:
+/// 26 bytes.  With the header (18 bytes), the `universe` line (at most
+/// 30) and `end` (4), the largest such file is 26 728 bytes.  The cap
+/// is 64 KiB, a margin of more than 2× over that.
+pub const MAX_TRACE_FILE_BYTES: u64 = 64 * 1024;
+
+/// Reads and parses the trace file at `path`: at most
+/// [`MAX_TRACE_FILE_BYTES`] plus one byte are read, so an oversized (or
+/// endless) file is refused without being read whole.
+///
+/// # Errors
+///
+/// [`PredictError::TraceFile`] naming the file when it cannot be read,
+/// exceeds the cap, is not UTF-8 or does not parse with
+/// [`Trace::from_wire`].
+pub fn read_trace_file(path: impl AsRef<Path>) -> Result<Trace, PredictError> {
+    let path = path.as_ref();
+    let error = |what: String| PredictError::TraceFile {
+        path: path.display().to_string(),
+        what,
+    };
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(MAX_TRACE_FILE_BYTES + 1).read_to_end(&mut bytes))
+        .map_err(|err| error(format!("cannot read: {err}")))?;
+    if bytes.len() as u64 > MAX_TRACE_FILE_BYTES {
+        return Err(error(format!(
+            "larger than the {MAX_TRACE_FILE_BYTES}-byte cap of a trace file"
+        )));
+    }
+    let text = String::from_utf8(bytes).map_err(|_| error("not valid UTF-8".to_string()))?;
+    Trace::from_wire(&text).map_err(|err| error(err.to_string()))
+}
 
 /// One step of an adversarial trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -398,11 +446,11 @@ impl TraceModel {
         usize::BITS - 1 - self.universe.leading_zeros()
     }
 
-    /// Generates one trace of roughly `steps` events.  Deterministic in
-    /// the RNG: the same seeded RNG state yields a byte-identical wire
-    /// form.
+    /// Generates one trace of roughly `steps` events, `steps` clamped to
+    /// `2..=`[`MAX_TRACE_STEPS`].  Deterministic in the RNG: the same
+    /// seeded RNG state yields a byte-identical wire form.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, steps: usize) -> Trace {
-        let steps = steps.max(2);
+        let steps = steps.clamp(2, MAX_TRACE_STEPS);
         let top = self.max_level().max(1);
         let mut events = Vec::with_capacity(steps + 2);
         match self.kind {
@@ -636,6 +684,75 @@ mod tests {
             assert!((total - 1.0).abs() < 1e-9, "{}", kind.name());
             assert_eq!(Trace::from_wire(&a.to_wire()).unwrap(), a);
         }
+    }
+
+    #[test]
+    fn the_largest_generated_trace_fits_twice_under_the_file_cap() {
+        // The widest universe gives the longest `universe` line and the
+        // highest levels; a request past the step cap is clamped.
+        for kind in AdversaryKind::ALL {
+            let model = TraceModel::new(kind, usize::MAX).unwrap();
+            let trace = model.generate(&mut ChaCha8Rng::seed_from_u64(3), MAX_TRACE_STEPS + 100);
+            assert!(trace.len() <= MAX_TRACE_STEPS + 2, "{}", kind.name());
+            let bytes = trace.to_wire().len() as u64;
+            assert!(
+                2 * bytes <= MAX_TRACE_FILE_BYTES,
+                "{}: {bytes}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn trace_files_are_read_up_to_the_cap_and_refused_past_it() {
+        let dir = std::env::temp_dir().join(format!("crp-trace-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = Trace::new(
+            64,
+            vec![TraceEvent::Truth {
+                level: 3,
+                weight: 1.0,
+            }],
+        )
+        .unwrap();
+        let good = dir.join("good.trace");
+        std::fs::write(&good, trace.to_wire()).unwrap();
+        assert_eq!(read_trace_file(&good).unwrap(), trace);
+
+        // One byte over the cap: refused, naming the file and the cap.
+        let big = dir.join("big.trace");
+        std::fs::write(&big, vec![b'x'; MAX_TRACE_FILE_BYTES as usize + 1]).unwrap();
+        match read_trace_file(&big) {
+            Err(PredictError::TraceFile { path, what }) => {
+                assert!(path.ends_with("big.trace"), "{path}");
+                assert!(what.contains(&MAX_TRACE_FILE_BYTES.to_string()), "{what}");
+            }
+            other => panic!("an oversized trace file read as {other:?}"),
+        }
+        for (name, bytes) in [
+            ("bad.trace", b"not a trace\n".to_vec()),
+            ("bin.trace", vec![0xff]),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            assert!(
+                matches!(read_trace_file(&path), Err(PredictError::TraceFile { .. })),
+                "{name}"
+            );
+        }
+        assert!(matches!(
+            read_trace_file(dir.join("missing.trace")),
+            Err(PredictError::TraceFile { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // An endless file is refused after the cap plus one byte: read
+        // whole, it would never end.
+        #[cfg(unix)]
+        assert!(matches!(
+            read_trace_file("/dev/zero"),
+            Err(PredictError::TraceFile { what, .. }) if what.contains("cap")
+        ));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! ```text
 //! crp_experiments [command] [--trials T] [--size N] [--seed S]
 //!                 [--backend serial|thread|fleet] [--threads T]
-//!                 [--workers N] [--kernel auto|scalar]
-//!                 [--fleet MANIFEST] [--chaos PLAN]
+//!                 [--workers N] [--fleet MANIFEST] [--chaos PLAN]
 //!                 [--protocols a,b,..] [--scenarios x,y,..] [--csv]
 //! ```
 //!
@@ -59,18 +58,16 @@
 //! comma-separated `local[:N]` and `host:port` entries — and `--fleet`
 //! by itself implies `--backend fleet`.
 //!
-//! `--kernel` selects the trial-kernel path (`auto`, the default, uses
-//! the batched struct-of-arrays kernels where the protocol admits one;
-//! `scalar` forces the trial-at-a-time executor).  Like the backend
-//! choice, the kernel choice only affects wall-clock time: statistics
-//! are bit-identical either way.
+//! Each cell's protocol selects the trial kernel it runs on, the same
+//! way in the dispatcher and on every worker; the `kernel.select` and
+//! `shard.execute` trace events name it.
 //!
 //! Every subcommand except `trace-check` and `trace-join` reads
 //! the environment once at entry (`crp_sim::EnvConfig`): `CRP_THREADS`,
-//! `CRP_KERNEL`, `CRP_FLEET` and `CRP_TRACE` stand in for `--threads`,
-//! `--kernel`, `--fleet` (the pool of a fleet run) and `--trace-out`,
-//! and a flag wins over its variable.  An unusable value or an unknown
-//! `CRP_*` name fails the run with one error naming the variable.
+//! `CRP_FLEET` and `CRP_TRACE` stand in for `--threads`, `--fleet` (the
+//! pool of a fleet run) and `--trace-out`, and a flag wins over its
+//! variable.  An unusable value or an unknown `CRP_*` name fails the run
+//! with one error naming the variable.
 //!
 //! The `worker` subcommand runs the long-lived fleet worker: it answers a
 //! framed stream of shard specs — many shards per process — over stdio
@@ -95,7 +92,7 @@ use std::process::ExitCode;
 
 use crp_channel::ChannelMode;
 use crp_fleet::{ChaosPlan, FleetManifest, ScenarioStore, ServeOptions, TcpWorker};
-use crp_predict::{ScenarioLibrary, Trace};
+use crp_predict::{read_trace_file, ScenarioLibrary};
 use crp_protocols::REGISTRY;
 use crp_serve::{ResultCache, ServeClient, SweepServer};
 use crp_sim::experiments::{
@@ -113,7 +110,7 @@ struct Options {
     trials: usize,
     size: usize,
     seed: u64,
-    /// `--backend`, `--threads`, `--kernel`, `--fleet`, `--chaos` and
+    /// `--backend`, `--threads`, `--fleet`, `--chaos` and
     /// `--accept-workers`, resolved against the environment in `run`.
     runner: RunnerFlags,
     protocols: Vec<String>,
@@ -143,8 +140,7 @@ const USAGE: &str = "usage: crp_experiments \
 [list|table1|table2|entropy|kl|baselines|range-finding|sweep|worker|serve|submit|stats|\
 trace-check FILE|trace-join FILE..|all] \
 [--trials T] [--size N] [--seed S] [--backend serial|thread|fleet] \
-[--threads T] [--workers N] [--kernel auto|scalar] \
-[--fleet local[:N],host:port,..] \
+[--threads T] [--workers N] [--fleet local[:N],host:port,..] \
 [--chaos W:FAULT@N,..] [--protocols a,b,..] [--scenarios x,y,..|file.trace,..] [--csv] \
 [--listen host:port] [--connect host:port] [--cache DIR] [--accept-workers host:port] \
 [--trace-out PATH] [--tenant NAME] [--watch SECS]";
@@ -220,14 +216,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err(format!("{flag} requires a positive value"));
                 }
                 options.runner.threads = Some(threads);
-            }
-            "--kernel" => {
-                index += 1;
-                options.runner.kernel = Some(
-                    args.get(index)
-                        .ok_or("--kernel requires one of: auto, scalar")?
-                        .parse()?,
-                );
             }
             "--fleet" => {
                 index += 1;
@@ -388,10 +376,7 @@ fn trace_stem(name: &str) -> Option<&str> {
 /// Loads a fuzz-trace wire file and compiles it into a scenario named
 /// after the file stem.
 fn load_trace_scenario(path: &str) -> Result<crp_predict::Scenario, SimError> {
-    let text = std::fs::read_to_string(path).map_err(|err| SimError::InvalidParameter {
-        what: format!("cannot read trace file {path}: {err}"),
-    })?;
-    let trace = Trace::from_wire(&text)?;
+    let trace = read_trace_file(path)?;
     let stem = trace_stem(path).expect("only .trace entries reach the loader");
     Ok(trace.compile(stem)?)
 }
@@ -449,20 +434,12 @@ fn backend_error(what: impl std::fmt::Display) -> SimError {
     }
 }
 
-/// The worker pool a `serve` daemon owns, resolved like any fleet run:
-/// `--fleet`, then `CRP_FLEET`, then `--threads` local workers.
-fn fleet_endpoints(config: &RunnerConfig) -> Result<Vec<crp_fleet::WorkerEndpoint>, SimError> {
-    let backend = match &config.fleet {
-        Some(manifest) => crp_sim::FleetBackend::from_manifest(manifest)?,
-        None => crp_sim::FleetBackend::local(config.threads)?,
-    };
-    Ok(backend.endpoints().to_vec())
-}
-
 /// The persistent sweep service: a warm fleet plus the content-addressed
-/// result cache, serving framed submissions until shut down.
+/// result cache, serving framed submissions until shut down.  Its pool
+/// is resolved like any fleet run's (`--fleet`, then `CRP_FLEET`, then
+/// `--threads` local workers, with `--chaos` applied).
 fn serve_mode(options: &Options, config: &RunnerConfig) -> Result<(), SimError> {
-    let endpoints = fleet_endpoints(config)?;
+    let endpoints = crp_sim::FleetBackend::pool(config)?;
     let cache = match &options.cache {
         Some(dir) => Some(ResultCache::open(dir).map_err(backend_error)?),
         None => None,
@@ -632,7 +609,7 @@ fn run(options: &Options, env: &EnvConfig) -> Result<(), SimError> {
 /// over stdio (default), a TCP listener (`--listen host:port`), or by
 /// dialling a dispatcher's registration listener (`--join host:port`,
 /// the elastic-membership direction), executing many shards per
-/// process on the `CRP_KERNEL` path and tracing to `CRP_TRACE`.
+/// process and tracing to `CRP_TRACE`.
 /// Repeatable `--fault FAULT@JOBS` arguments inject the faults the
 /// failure tests, chaos plans and smoke jobs need.
 fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
@@ -708,9 +685,8 @@ fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
     // it — a scenario's masses arrive once per worker, not once per
     // shard.
     let store = ScenarioStore::new();
-    let kernel = env.kernel.unwrap_or_default();
     let handler = |payload: &str| {
-        run_shard_worker_with(payload, &|hash| store.get(hash), kernel).map_err(|e| e.to_string())
+        run_shard_worker_with(payload, &|hash| store.get(hash)).map_err(|e| e.to_string())
     };
     if let Some(addr) = join {
         // Elastic membership: dial the dispatcher and serve over the

@@ -13,7 +13,7 @@ use std::ffi::OsString;
 
 use crp_fleet::{ChaosPlan, FleetManifest};
 
-use crate::runner::{BackendChoice, KernelChoice, RunnerConfig};
+use crate::runner::{BackendChoice, RunnerConfig};
 use crate::SimError;
 
 /// The `CRP_*` environment of one process, parsed strictly.
@@ -21,8 +21,6 @@ use crate::SimError;
 pub struct EnvConfig {
     /// `CRP_THREADS`: the worker count (a positive integer).
     pub threads: Option<usize>,
-    /// `CRP_KERNEL`: the trial-kernel path (`auto` or `scalar`).
-    pub kernel: Option<KernelChoice>,
     /// `CRP_FLEET`: the pool a fleet run dispatches to.
     pub fleet: Option<FleetManifest>,
     /// `CRP_TRACE`: the structured-trace JSONL path.  The values `""`,
@@ -34,9 +32,8 @@ impl EnvConfig {
     /// Every `CRP_*` name the workspace knows.  The last one only locates
     /// the worker binary, so it is read where that binary is resolved and
     /// never parsed here.
-    pub const NAMES: [&'static str; 5] = [
+    pub const NAMES: [&'static str; 4] = [
         "CRP_THREADS",
-        "CRP_KERNEL",
         "CRP_FLEET",
         "CRP_TRACE",
         "CRP_SHARD_WORKER_BIN",
@@ -79,7 +76,6 @@ impl EnvConfig {
                             })?,
                     );
                 }
-                "CRP_KERNEL" => env.kernel = Some(text()?.parse().map_err(reject)?),
                 "CRP_FLEET" => {
                     env.fleet =
                         Some(FleetManifest::parse(text()?).map_err(|err| reject(err.to_string()))?);
@@ -121,8 +117,6 @@ pub struct RunnerFlags {
     pub backend: Option<BackendChoice>,
     /// `--threads` / `--workers`.
     pub threads: Option<usize>,
-    /// `--kernel`.
-    pub kernel: Option<KernelChoice>,
     /// `--fleet`.
     pub fleet: Option<FleetManifest>,
     /// `--chaos`.
@@ -167,7 +161,6 @@ impl RunnerFlags {
         if let Some(threads) = self.threads.or(env.threads) {
             config = config.with_threads(threads);
         }
-        config.kernel = self.kernel.or(env.kernel).unwrap_or_default();
         config.fleet = self.fleet.or_else(|| env.fleet.clone());
         config.chaos = self.chaos;
         config.accept_workers = self.accept_workers;
@@ -201,13 +194,6 @@ mod tests {
                 },
             ),
             (
-                &[("CRP_KERNEL", "auto")],
-                EnvConfig {
-                    kernel: Some(KernelChoice::Auto),
-                    ..EnvConfig::default()
-                },
-            ),
-            (
                 &[("CRP_FLEET", "local:2,10.0.0.7:9311")],
                 EnvConfig {
                     fleet: Some(manifest),
@@ -236,8 +222,6 @@ mod tests {
             ("CRP_THREADS", "0", "positive integer"),
             ("CRP_THREADS", "zero", "positive integer"),
             ("CRP_THREADS", "", "positive integer"),
-            ("CRP_KERNEL", "simd", "auto, scalar"),
-            ("CRP_KERNEL", "batched", "auto, scalar"),
             ("CRP_FLEET", "local:2*3", "positive worker count"),
             ("CRP_FLEET", "local:0", "at least one"),
             ("CRP_THREAD", "2", "unknown CRP_* variable"),
@@ -288,32 +272,24 @@ mod tests {
 
     #[test]
     fn flags_win_over_the_environment_which_wins_over_the_default() {
-        let env = parse(&[
-            ("CRP_THREADS", "3"),
-            ("CRP_KERNEL", "scalar"),
-            ("CRP_FLEET", "local:2"),
-        ])
-        .unwrap();
+        let env = parse(&[("CRP_THREADS", "3"), ("CRP_FLEET", "local:2")]).unwrap();
         let config = RunnerFlags::default().resolve(&env).unwrap();
         assert_eq!(config.threads, 3);
-        assert_eq!(config.kernel, KernelChoice::Scalar);
         assert_eq!(config.fleet, env.fleet);
         // A CRP_FLEET manifest names the pool but does not pick the backend.
         assert_eq!(config.backend, BackendChoice::Thread);
 
         let flags = RunnerFlags {
             threads: Some(2),
-            kernel: Some(KernelChoice::Auto),
             ..RunnerFlags::default()
         };
         let config = flags.resolve(&env).unwrap();
         assert_eq!(config.threads, 2);
-        assert_eq!(config.kernel, KernelChoice::Auto);
 
         let config = RunnerFlags::default()
             .resolve(&EnvConfig::default())
             .unwrap();
-        assert_eq!(config.kernel, KernelChoice::Auto);
+        assert_eq!(config.fleet, None);
         assert!(config.threads >= 1);
     }
 

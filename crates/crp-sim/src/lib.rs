@@ -16,9 +16,10 @@
 //!   one [`ShardSpec`]; a sweep is many.
 //! * The sharded runner — one path under both: each cell's trials
 //!   split into thread-count-independent shards ([`ShardPlan`]) with
-//!   per-trial `ChaCha8Rng` streams, run by the cell's trial kernel (a
-//!   batched fast path or the scalar executor, see [`KernelChoice`]),
-//!   folded into mergeable accumulators and merged in shard order.
+//!   per-trial `ChaCha8Rng` streams, run by the trial kernel the cell's
+//!   protocol selects (a batched fast path, or the scalar executor that
+//!   [`Simulation::run_reference`] runs as the reference), folded into
+//!   mergeable accumulators and merged in shard order.
 //!   Execution is delegated to an object-safe [`ShardBackend`] —
 //!   [`SerialBackend`] inline, [`ThreadBackend`] (scoped worker threads
 //!   stealing shards from a shared queue), or [`FleetBackend`]
@@ -81,8 +82,7 @@ pub use env::{EnvConfig, RunnerFlags};
 pub use report::{fmt_f64, Table};
 pub use runner::{
     run_shard_worker_with, sample_contending_size, BackendChoice, FleetBackend, JobDoneFn,
-    KernelChoice, RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec,
-    ThreadBackend,
+    RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec, ThreadBackend,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};

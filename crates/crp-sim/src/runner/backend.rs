@@ -47,11 +47,11 @@ pub struct ShardJob<'a> {
     pub base_seed: u64,
     /// The cell's one description, which out-of-process backends ship.
     pub spec: &'a ShardSpec,
-    /// The cell's trial executor: a fast path when the configured
-    /// [`crate::KernelChoice`] and the protocol admit one, the scalar
-    /// trial-at-a-time path otherwise.  Either way the statistics are
-    /// bit-identical (both consume the same per-trial RNG streams in the
-    /// same order).
+    /// The cell's trial executor: the fast path its protocol selects, or
+    /// the scalar trial-at-a-time path for a randomized per-node
+    /// protocol.  Either way the statistics are bit-identical to the
+    /// scalar reference (both consume the same per-trial RNG streams in
+    /// the same order).
     pub(crate) kernel: &'a CellKernel<'a>,
 }
 
@@ -244,7 +244,7 @@ pub(crate) fn backend_for(config: &RunnerConfig) -> Result<Box<dyn ShardBackend>
 
 /// Runs cells — the one path under [`crate::Simulation::run_on`] and the
 /// [`crate::SweepMatrix`] scheduler: builds each labelled cell's
-/// [`CellWork`] (accounting its kernel choice), runs every cell's shard
+/// [`CellWork`] (accounting its kernel), runs every cell's shard
 /// jobs as one job list on `backend`, and merges each cell's accumulators
 /// in shard order — one [`TrialStats`] per cell, in cell order.  `done`
 /// receives the cell index of each finished job.

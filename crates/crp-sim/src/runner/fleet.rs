@@ -25,9 +25,30 @@ use crate::runner::process::worker_binary;
 use crate::stats::TrialAccumulator;
 use crate::SimError;
 
-/// The arguments that put the worker binary into stdio worker mode.
-fn stdio_worker_args() -> Vec<String> {
-    vec!["worker".to_string(), "--stdio".to_string()]
+/// `workers` (at least 1) local subprocess endpoints running `command`
+/// in stdio worker mode.
+fn local_endpoints(workers: usize, command: PathBuf) -> Vec<WorkerEndpoint> {
+    let args = vec!["worker".to_string(), "--stdio".to_string()];
+    (0..workers.max(1))
+        .map(|_| WorkerEndpoint::local(command.clone(), args.clone()))
+        .collect()
+}
+
+/// The endpoints a [`FleetManifest`] describes: `local:N` entries become
+/// N spawned subprocesses, `host:port` entries are dialled over TCP.
+/// The worker binary is resolved only when the manifest names local
+/// workers.
+fn manifest_endpoints(manifest: &FleetManifest) -> Result<Vec<WorkerEndpoint>, SimError> {
+    let needs_local = manifest
+        .entries()
+        .iter()
+        .any(|entry| matches!(entry, crp_fleet::FleetEntry::Local { .. }));
+    let program = if needs_local {
+        worker_binary()?
+    } else {
+        PathBuf::new()
+    };
+    Ok(manifest.endpoints(program, vec!["worker".to_string(), "--stdio".to_string()]))
 }
 
 /// Executes shard jobs on a pool of persistent fleet workers.
@@ -55,61 +76,40 @@ impl FleetBackend {
     /// Like [`FleetBackend::local`], with an explicit worker binary (how
     /// integration tests point the pool at `CARGO_BIN_EXE_crp_experiments`).
     pub fn local_with_command(workers: usize, command: impl Into<PathBuf>) -> Self {
-        let command = command.into();
-        Self::with_endpoints(
-            (0..workers.max(1))
-                .map(|_| WorkerEndpoint::local(command.clone(), stdio_worker_args()))
-                .collect(),
-        )
+        Self::with_endpoints(local_endpoints(workers, command.into()))
     }
 
-    /// A pool described by a [`FleetManifest`]: `local:N` entries become
-    /// N spawned subprocesses, `host:port` entries are dialled over TCP.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Backend`] when the manifest names local workers and
-    /// the worker binary cannot be located.
-    pub fn from_manifest(manifest: &FleetManifest) -> Result<Self, SimError> {
-        let needs_local = manifest
-            .entries()
-            .iter()
-            .any(|entry| matches!(entry, crp_fleet::FleetEntry::Local { .. }));
-        let program = if needs_local {
-            worker_binary()?
-        } else {
-            PathBuf::new()
-        };
-        Ok(Self::with_endpoints(
-            manifest.endpoints(program, stdio_worker_args()),
-        ))
-    }
-
-    /// The pool a [`RunnerConfig`] selects: its
-    /// [`RunnerConfig::fleet`] manifest when set, otherwise
-    /// `config.threads` local subprocess workers — with the config's
-    /// [`RunnerConfig::chaos`] plan (if any) compiled onto the pool's
-    /// local endpoints as `--fault` arguments, and a
-    /// [`RunnerConfig::accept_workers`] registration listener bound
-    /// when configured.
+    /// The worker pool a [`RunnerConfig`] selects, which every fleet run
+    /// and the sweep daemon dispatch to: its [`RunnerConfig::fleet`]
+    /// manifest when set, otherwise `config.threads` local subprocess
+    /// workers — with the config's [`RunnerConfig::chaos`] plan (if any)
+    /// compiled onto the pool's local endpoints as `--fault` arguments.
     ///
     /// # Errors
     ///
     /// [`SimError::Backend`] when a needed worker binary cannot be
-    /// located, the chaos plan targets an endpoint it cannot sabotage,
-    /// or the registration listener cannot be bound.
-    pub fn from_config(config: &RunnerConfig) -> Result<Self, SimError> {
-        let backend = match &config.fleet {
-            Some(manifest) => Self::from_manifest(manifest),
-            None => Self::local(config.threads),
-        }?;
-        let backend = match &config.chaos {
-            None => backend,
-            Some(plan) if plan.is_empty() => backend,
-            Some(plan) => {
-                Self::with_endpoints(plan.apply(backend.endpoints()).map_err(fleet_error)?)
-            }
+    /// located or the chaos plan targets an endpoint it cannot sabotage.
+    pub fn pool(config: &RunnerConfig) -> Result<Vec<WorkerEndpoint>, SimError> {
+        let endpoints = match &config.fleet {
+            Some(manifest) => manifest_endpoints(manifest)?,
+            None => local_endpoints(config.threads, worker_binary()?),
         };
+        match &config.chaos {
+            Some(plan) if !plan.is_empty() => plan.apply(&endpoints).map_err(fleet_error),
+            _ => Ok(endpoints),
+        }
+    }
+
+    /// A backend over [`FleetBackend::pool`], with a
+    /// [`RunnerConfig::accept_workers`] registration listener bound when
+    /// configured.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetBackend::pool`], and [`SimError::Backend`] when the
+    /// registration listener cannot be bound.
+    pub fn from_config(config: &RunnerConfig) -> Result<Self, SimError> {
+        let backend = Self::with_endpoints(Self::pool(config)?);
         if let Some(addr) = &config.accept_workers {
             backend.listen_for_workers(addr)?;
         }
@@ -220,19 +220,16 @@ mod tests {
     #[test]
     fn manifest_pools_expand_local_entries_to_subprocess_endpoints() {
         let manifest = FleetManifest::parse("local:3,127.0.0.1:9311").unwrap();
-        let backend = FleetBackend::from_manifest(&manifest);
         // Worker-binary resolution may fail in stripped environments; the
         // interesting property is the expansion, so only assert on
         // success.
-        if let Ok(backend) = backend {
-            assert_eq!(backend.endpoints().len(), 4);
-            assert_eq!(backend.name(), "fleet");
+        if let Ok(endpoints) = manifest_endpoints(&manifest) {
+            assert_eq!(endpoints.len(), 4);
         }
         let remote_only = FleetManifest::parse("127.0.0.1:9311,127.0.0.1:9312").unwrap();
-        let backend = FleetBackend::from_manifest(&remote_only).unwrap();
         assert_eq!(
-            backend.endpoints(),
-            &[
+            manifest_endpoints(&remote_only).unwrap(),
+            vec![
                 WorkerEndpoint::tcp("127.0.0.1:9311"),
                 WorkerEndpoint::tcp("127.0.0.1:9312"),
             ],

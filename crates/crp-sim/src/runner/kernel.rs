@@ -26,9 +26,11 @@
 //!   resolves in round 1, so building the nodes, not stepping rounds, is
 //!   what an execution costs.
 //!
-//! Without replication the per-trial loop is the scalar executor, which
-//! runs every cell under [`KernelChoice::Scalar`] and every randomized
-//! per-node protocol.  A [`CellKernel`] is the one way a shard executes.
+//! Without replication the per-trial loop is the scalar executor: the
+//! loop a randomized per-node protocol runs on, and the reference every
+//! fast path is compared against ([`CellKernel::reference`], behind
+//! `Simulation::run_reference` and `SweepMatrix::run_reference`).  A
+//! [`CellKernel`] is the one way a shard executes.
 //!
 //! **Bit-identity is the non-negotiable contract.**  Both loops consume
 //! the same per-trial RNG streams ([`ShardPlan::trial_rng`]) in the same
@@ -40,7 +42,6 @@
 //! tests.
 
 use std::collections::HashMap;
-use std::str::FromStr;
 
 use crp_channel::{
     classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, RoundOutcome,
@@ -54,41 +55,6 @@ use crate::runner::sample_contending_size;
 use crate::simulation::Population;
 use crate::stats::TrialAccumulator;
 use crate::SimError;
-
-/// Which trial-kernel path executes shards.
-///
-/// The choice affects wall-clock time only: kernels are bit-identical to
-/// the scalar executor, so [`KernelChoice::Auto`] is the safe default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Use a batched kernel where the protocol supports one, the scalar
-    /// executor otherwise (the default).
-    #[default]
-    Auto,
-    /// Always use the scalar trial-at-a-time executor (debugging and
-    /// equivalence baselines).
-    Scalar,
-}
-
-impl KernelChoice {
-    /// The stable CLI names, in declaration order.
-    pub const NAMES: [&'static str; 2] = ["auto", "scalar"];
-}
-
-impl FromStr for KernelChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(KernelChoice::Auto),
-            "scalar" => Ok(KernelChoice::Scalar),
-            other => Err(format!(
-                "unknown kernel {other:?}; expected one of: {}",
-                Self::NAMES.join(", ")
-            )),
-        }
-    }
-}
 
 /// The loop a cell's shards run on.
 enum KernelKind<'a> {
@@ -117,28 +83,43 @@ pub struct CellKernel<'a> {
 }
 
 impl<'a> CellKernel<'a> {
-    /// Selects the loop for a cell: under [`KernelChoice::Auto`] the
-    /// uniform loop or, for a deterministic per-node factory, the
-    /// replicating per-trial loop; the scalar executor otherwise.
+    /// Selects the loop for a cell from its protocol alone: the uniform
+    /// loop for a uniform policy, the replicating per-trial loop for a
+    /// deterministic per-node factory, and the scalar executor for a
+    /// randomized one.  The dispatcher and every worker select the same
+    /// way.
     pub(crate) fn select(
-        choice: KernelChoice,
         protocol: &'a dyn Protocol,
         population: &'a Population,
         max_rounds: usize,
     ) -> Self {
-        let batched = choice == KernelChoice::Auto;
         let kind = match protocol.behavior() {
-            Behavior::Uniform(policy) if batched => KernelKind::Uniform {
+            Behavior::Uniform(policy) => KernelKind::Uniform {
                 policy,
                 collision_detection: protocol.mode().has_collision_detection(),
             },
-            Behavior::PerNode(factory) if batched && factory.deterministic() => {
+            Behavior::PerNode(factory) if factory.deterministic() => {
                 KernelKind::Deterministic(protocol)
             }
-            _ => KernelKind::Scalar(protocol),
+            Behavior::PerNode(_) => KernelKind::Scalar(protocol),
         };
         Self {
             kind,
+            population,
+            max_rounds,
+        }
+    }
+
+    /// The scalar trial-at-a-time executor for a cell, whatever its
+    /// protocol: the reference the fast paths must reproduce bit for
+    /// bit.
+    pub(crate) fn reference(
+        protocol: &'a dyn Protocol,
+        population: &'a Population,
+        max_rounds: usize,
+    ) -> Self {
+        Self {
+            kind: KernelKind::Scalar(protocol),
             population,
             max_rounds,
         }
@@ -446,20 +427,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn kernel_choice_parses_its_cli_names() {
-        for name in KernelChoice::NAMES {
-            let parsed: KernelChoice = name.parse().unwrap();
-            let expected = match name {
-                "auto" => KernelChoice::Auto,
-                _ => KernelChoice::Scalar,
-            };
-            assert_eq!(parsed, expected);
-        }
-        let err = "vectorized".parse::<KernelChoice>().unwrap_err();
-        assert!(err.contains("auto, scalar"), "{err}");
-    }
-
-    #[test]
     fn kernel_selection_matches_the_protocol_family() {
         let expectations = [
             ("fixed-probability", "uniform-no-cd"),
@@ -475,14 +442,13 @@ mod tests {
                 .build()
                 .unwrap();
             let population = Population::Fixed(16);
-            let kernel = CellKernel::select(KernelChoice::Auto, protocol.as_ref(), &population, 64);
+            let kernel = CellKernel::select(protocol.as_ref(), &population, 64);
             assert_eq!(kernel.name(), expected, "{name}");
             assert!(kernel.is_batched());
-            // Scalar disables every kernel.
-            let scalar =
-                CellKernel::select(KernelChoice::Scalar, protocol.as_ref(), &population, 64);
-            assert_eq!(scalar.name(), "scalar");
-            assert!(!scalar.is_batched());
+            // The reference is the scalar executor for every protocol.
+            let reference = CellKernel::reference(protocol.as_ref(), &population, 64);
+            assert_eq!(reference.name(), "scalar");
+            assert!(!reference.is_batched());
         }
     }
 
@@ -530,7 +496,7 @@ mod tests {
         }
 
         let population = Population::Fixed(4);
-        let kernel = CellKernel::select(KernelChoice::Auto, &CoinFlip, &population, 1000);
+        let kernel = CellKernel::select(&CoinFlip, &population, 1000);
         assert_eq!(kernel.name(), "scalar");
         assert!(!kernel.is_batched());
         // And it still runs — the scalar executor is the universal fallback.
@@ -554,18 +520,15 @@ mod tests {
             crp_channel::ParticipantId(10),
             crp_channel::ParticipantId(300),
         ]);
-        let run = |kernel: KernelChoice| {
-            let kernel = CellKernel::select(kernel, &protocol, &population, 100);
-            kernel.run_shard(ShardPlan::new(10), 0, 0).unwrap_err()
-        };
-        let scalar = run(KernelChoice::Scalar);
+        let run = |kernel: CellKernel<'_>| kernel.run_shard(ShardPlan::new(10), 0, 0).unwrap_err();
+        let scalar = run(CellKernel::reference(&protocol, &population, 100));
         match &scalar {
             SimError::Substrate(what) => assert!(what.contains("outside universe"), "{what}"),
             other => panic!("expected a substrate error, got {other:?}"),
         }
-        let auto = CellKernel::select(KernelChoice::Auto, &protocol, &population, 100);
-        assert_eq!(auto.name(), "deterministic");
-        assert_eq!(scalar, run(KernelChoice::Auto));
+        let selected = CellKernel::select(&protocol, &population, 100);
+        assert_eq!(selected.name(), "deterministic");
+        assert_eq!(scalar, run(selected));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! layers:
 //!
 //! * [`plan`] — deterministic batch planning: [`RunnerConfig`] (trials,
-//!   seed, worker count, [`BackendChoice`], [`KernelChoice`]) and the
+//!   seed, worker count, [`BackendChoice`]) and the
 //!   [`ShardPlan`] that splits a batch into fixed-size shards of trials
 //!   with per-trial `ChaCha8Rng` streams derived from
 //!   `(base_seed, trial_index)`.
@@ -14,8 +14,9 @@
 //!   per execution style — a uniform loop running whole shards in
 //!   lockstep with memoized outcome thresholds and block-buffered RNG,
 //!   and a per-trial loop that replicates deterministic per-node
-//!   outcomes and is otherwise the scalar executor — bit-identical by
-//!   shared per-trial streams.
+//!   outcomes and is otherwise the scalar executor, the reference every
+//!   fast path is compared against — bit-identical by shared per-trial
+//!   streams.
 //! * [`thread`] — [`ThreadBackend`]: scoped worker threads stealing jobs
 //!   from a shared queue.
 //! * [`process`] — the [`ShardSpec`] wire codec that re-describes a cell
@@ -45,7 +46,6 @@ use rand_chacha::ChaCha8Rng;
 
 pub use backend::{JobDoneFn, SerialBackend, ShardBackend, ShardJob};
 pub use fleet::FleetBackend;
-pub use kernel::KernelChoice;
 pub use plan::{BackendChoice, RunnerConfig, ShardPlan};
 pub use process::{run_shard_worker_with, ShardSpec};
 pub use thread::ThreadBackend;
@@ -264,12 +264,10 @@ mod tests {
         let mut blobs = crp_fleet::BlobSet::new();
         let job = spec.to_wire(plan, 42, 1, &mut blobs);
         let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
-        let response = run_shard_worker_with(&job.payload, &resolve, KernelChoice::Auto).unwrap();
+        let response = run_shard_worker_with(&job.payload, &resolve).unwrap();
         let worker_acc = crate::stats::TrialAccumulator::from_wire(&response).unwrap();
 
-        let simulation = spec
-            .into_simulation(plan.trials(), 42, KernelChoice::Scalar)
-            .unwrap();
+        let simulation = spec.into_simulation(plan.trials(), 42).unwrap();
         let local = CellWork::new(&simulation, plan)
             .job(0, 1)
             .run_inline()
@@ -287,14 +285,14 @@ mod tests {
         let job = spec.to_wire(ShardPlan::new(10), 1, 0, &mut crp_fleet::BlobSet::new());
         assert!(job.payload.contains("population fixed 1048576\n"));
         let no_blobs = |_: &str| None;
-        let err = run_shard_worker_with(&job.payload, &no_blobs, KernelChoice::Auto).unwrap_err();
+        let err = run_shard_worker_with(&job.payload, &no_blobs).unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "{err}");
     }
 
     #[test]
     fn shard_worker_rejects_malformed_input() {
         let no_blobs = |_: &str| None;
-        let run = |wire: &str| run_shard_worker_with(wire, &no_blobs, KernelChoice::Auto);
+        let run = |wire: &str| run_shard_worker_with(wire, &no_blobs);
         assert!(run("").is_err());
         assert!(run("crp-shard-spec v1\n").is_err());
         let spec = ShardSpec {

@@ -11,8 +11,6 @@ use crp_fleet::{ChaosPlan, FleetManifest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::runner::kernel::KernelChoice;
-
 /// Which [`crate::ShardBackend`] executes the shards of a batch or sweep.
 ///
 /// The choice affects wall-clock time and process topology only, never the
@@ -91,13 +89,6 @@ pub struct RunnerConfig {
     /// (the default) accepts no elastic joiners.  The CLI's
     /// `--accept-workers` flag populates this field.
     pub accept_workers: Option<String>,
-    /// Which trial-kernel path executes shards: the batched
-    /// struct-of-arrays fast paths where a protocol supports them
-    /// ([`KernelChoice::Auto`], the default — the scalar executor remains
-    /// the universal fallback), or never ([`KernelChoice::Scalar`], for
-    /// debugging and equivalence baselines).  The choice affects
-    /// wall-clock time only, never the statistics.
-    pub kernel: KernelChoice,
 }
 
 impl Default for RunnerConfig {
@@ -110,7 +101,6 @@ impl Default for RunnerConfig {
             fleet: None,
             chaos: None,
             accept_workers: None,
-            kernel: KernelChoice::default(),
         }
     }
 }
@@ -155,12 +145,6 @@ impl RunnerConfig {
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self.backend = BackendChoice::Fleet;
-        self
-    }
-
-    /// Returns a copy selecting a trial-kernel path.
-    pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = kernel;
         self
     }
 }

@@ -33,7 +33,6 @@ use crp_obs::{parse_hex64, parse_int, Fields, LineError, LineReader};
 use crp_protocols::{check_participants, ProtocolSpec};
 
 use crate::runner::backend::CellWork;
-use crate::runner::kernel::KernelChoice;
 use crate::runner::plan::{RunnerConfig, ShardPlan};
 use crate::simulation::{Population, Simulation};
 use crate::SimError;
@@ -333,19 +332,17 @@ impl ShardSpec {
     }
 
     /// Reconstructs the cell's validated [`Simulation`] (single-threaded —
-    /// a worker only ever runs one shard inline) on the given kernel path,
-    /// through the same validation the builder applies.
+    /// a worker only ever runs one shard inline), through the same
+    /// validation the builder applies.
     pub(crate) fn into_simulation(
         self,
         trials: usize,
         base_seed: u64,
-        kernel: KernelChoice,
     ) -> Result<Simulation, SimError> {
         let config = RunnerConfig {
             trials,
             base_seed,
             threads: 1,
-            kernel,
             ..RunnerConfig::default()
         };
         Simulation::validated(
@@ -362,13 +359,11 @@ impl ShardSpec {
 /// resolving its `ref <hash>` sections through `resolve`, a lookup into
 /// the worker's per-process [`crp_fleet::ScenarioStore`], so a
 /// scenario's masses arrive once per worker instead of once per shard —
-/// executes the one shard it names on the worker's `kernel` path, and
-/// returns the serialised [`crate::TrialAccumulator`].  The shard runs
-/// through the same per-cell setup as every in-process shard job.
-///
-/// The kernel choice is not carried on the wire: kernels are
-/// bit-identical to the scalar path, so dispatcher and worker may choose
-/// differently without affecting the statistics.
+/// executes the one shard it names, and returns the serialised
+/// [`crate::TrialAccumulator`].  The shard runs through the same per-cell
+/// setup as every in-process shard job, so the worker selects the loop
+/// the dispatcher selected for the cell: both select from the protocol
+/// alone.
 ///
 /// # Errors
 ///
@@ -377,10 +372,9 @@ impl ShardSpec {
 pub fn run_shard_worker_with(
     input: &str,
     resolve: &dyn Fn(&str) -> Option<String>,
-    kernel: KernelChoice,
 ) -> Result<String, SimError> {
     let (spec, plan, base_seed, shard) = ShardSpec::from_wire(input, resolve)?;
-    let simulation = spec.into_simulation(plan.trials(), base_seed, kernel)?;
+    let simulation = spec.into_simulation(plan.trials(), base_seed)?;
     Ok(CellWork::new(&simulation, plan)
         .job(0, shard)
         .run_inline()?

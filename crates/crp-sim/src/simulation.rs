@@ -32,8 +32,8 @@ use crp_protocols::{check_participants, Behavior, Protocol, ProtocolError, Proto
 use crate::runner::backend::{backend_for, run_cells};
 use crate::runner::kernel::CellKernel;
 use crate::runner::process::ShardSpec;
-use crate::runner::{BackendChoice, KernelChoice, RunnerConfig, ShardBackend};
-use crate::stats::TrialStats;
+use crate::runner::{BackendChoice, RunnerConfig, ShardBackend, ShardPlan};
+use crate::stats::{TrialAccumulator, TrialStats};
 use crate::SimError;
 
 /// How the per-trial participant set is chosen: the one population type
@@ -140,14 +140,6 @@ impl SimulationBuilder {
     /// Selects the shard backend [`Simulation::run`] executes on.
     pub fn backend(mut self, backend: BackendChoice) -> Self {
         self.config.backend = backend;
-        self
-    }
-
-    /// Selects the trial-kernel path (batched struct-of-arrays fast paths
-    /// vs. the scalar executor).  The statistics are bit-identical either
-    /// way; see [`KernelChoice`].
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.config.kernel = kernel;
         self
     }
 
@@ -407,23 +399,44 @@ impl Simulation {
             .expect("run_cells returns one TrialStats per cell"))
     }
 
-    /// The trial executor of this cell: the loop the configured
-    /// [`KernelChoice`] and the protocol's execution style select.  Built
-    /// once per cell and shared, immutably, by every shard job and
-    /// worker thread.
+    /// The reference statistics: every shard run serially on the scalar
+    /// trial-at-a-time loop and merged in shard order — what
+    /// [`Simulation::run`] must reproduce bit for bit on any backend.
+    /// It ignores the configured backend and emits no counters or trace
+    /// events; the equivalence tests and benches compare against it.
+    ///
+    /// # Errors
+    ///
+    /// The [`SimError`] of the first failing trial, as [`Simulation::run`].
+    pub fn run_reference(&self) -> Result<TrialStats, SimError> {
+        let kernel = CellKernel::reference(
+            self.protocol.as_ref(),
+            &self.spec.population,
+            self.spec.max_rounds,
+        );
+        let plan = ShardPlan::new(self.config.trials);
+        let mut merged = TrialAccumulator::new();
+        for shard in 0..plan.num_shards() {
+            merged.merge(&kernel.run_shard(plan, self.config.base_seed, shard)?);
+        }
+        Ok(merged.finalize())
+    }
+
+    /// The trial executor of this cell: the loop its protocol's execution
+    /// style selects.  Built once per cell and shared, immutably, by every
+    /// shard job and worker thread.
     pub(crate) fn cell_kernel(&self) -> CellKernel<'_> {
         CellKernel::select(
-            self.config.kernel,
             self.protocol.as_ref(),
             &self.spec.population,
             self.spec.max_rounds,
         )
     }
 
-    /// The name of the fast path this simulation selects
+    /// The name of the fast path this simulation runs on
     /// (`"uniform-no-cd"`, `"uniform-cd"` or `"deterministic"`), or
-    /// `None` on the scalar executor.  Diagnostics only — the choice
-    /// never affects the statistics.
+    /// `None` when its protocol runs on the scalar executor.  Diagnostics
+    /// only — the loop never affects the statistics.
     pub fn kernel_name(&self) -> Option<&'static str> {
         let kernel = self.cell_kernel();
         kernel.is_batched().then(|| kernel.name())

@@ -62,7 +62,7 @@ use crp_protocols::{ProtocolSpec, REGISTRY};
 
 use crate::report::{fmt_f64, Table};
 use crate::runner::backend::{backend_for, run_cells};
-use crate::runner::{KernelChoice, RunnerConfig, ShardBackend, ShardPlan};
+use crate::runner::{RunnerConfig, ShardBackend, ShardPlan};
 use crate::simulation::Simulation;
 use crate::stats::TrialStats;
 use crate::SimError;
@@ -349,15 +349,6 @@ impl SweepMatrix {
         self
     }
 
-    /// Selects the trial-kernel path every cell executes with.  Like the
-    /// backend choice, this affects wall-clock time only — statistics
-    /// are bit-identical between the scalar executor and the batched
-    /// kernels.
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.config.kernel = kernel;
-        self
-    }
-
     /// Replaces the whole runner configuration (trials, seed, threads).
     pub fn runner(mut self, config: RunnerConfig) -> Self {
         self.config = config;
@@ -476,6 +467,26 @@ impl SweepMatrix {
         progress: impl Fn(SweepProgress) + Sync,
     ) -> Result<SweepResults, SimError> {
         self.run_on_with_progress(backend_for(&self.config)?.as_ref(), progress)
+    }
+
+    /// The reference results: every cell compiled as [`SweepMatrix::run`]
+    /// compiles it and run by [`Simulation::run_reference`] — serially,
+    /// on the scalar trial-at-a-time loop, with no counters or trace
+    /// events.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepMatrix::run`].
+    pub fn run_reference(&self) -> Result<SweepResults, SimError> {
+        let cells = self
+            .compile()?
+            .into_iter()
+            .map(|cell| {
+                let stats = cell.simulation.run_reference()?;
+                Ok(cell.into_result(stats))
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        Ok(SweepResults { cells })
     }
 
     /// Runs the grid on an explicit [`ShardBackend`] (ignoring the

@@ -2,9 +2,9 @@
 //! `SerialBackend`, `ThreadBackend` (1/2/8 workers) and `FleetBackend`
 //! (persistent worker pools — uneven capacity, elastic, pipelined, and
 //! one with an injected worker death) must produce **bit-identical**
-//! `TrialStats` for the same configuration — for a single `Simulation`
-//! and for a whole `SweepMatrix` executed through the work-stealing
-//! scheduler.
+//! `TrialStats` for the same configuration, equal to the scalar
+//! reference (`run_reference`) — for a single `Simulation` and for a
+//! whole `SweepMatrix` executed through the work-stealing scheduler.
 //!
 //! The fleet backends spawn the real `crp_experiments` binary (cargo
 //! exposes its path to integration tests via
@@ -18,8 +18,8 @@ use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
 use crp_protocols::ProtocolSpec;
 use crp_sim::{
-    FleetBackend, KernelChoice, SerialBackend, ShardBackend, Simulation, SweepMatrix,
-    SweepProtocol, ThreadBackend,
+    FleetBackend, SerialBackend, ShardBackend, Simulation, SweepMatrix, SweepProtocol,
+    ThreadBackend,
 };
 
 /// The worker binary cargo built alongside this test.
@@ -132,38 +132,31 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
 fn simulation_stats_are_bit_identical_across_all_backends() {
     let _gate = shared();
     // 700 trials = 3 shards, so the merge path is genuinely exercised;
-    // a sampled population exercises the distribution wire codec.  The
-    // equivalence quantifies over backends *and* trial kernels: the
-    // batched struct-of-arrays kernel must agree with the scalar
-    // executor on every backend.
+    // a sampled population exercises the distribution wire codec.  Every
+    // backend runs the production path (the batched struct-of-arrays
+    // kernel) and must agree with the scalar reference.
     let library = ScenarioLibrary::new(512).unwrap();
     let scenario = library.bimodal();
-    let build = |kernel: KernelChoice| {
-        Simulation::builder()
-            .protocol(
-                ProtocolSpec::new("sorted-guess-cycling")
-                    .universe(512)
-                    .prediction(scenario.advice_condensed()),
-            )
-            .truth(scenario.distribution().clone())
-            .max_rounds(64 * 512)
-            .trials(700)
-            .seed(0xFEED)
-            .kernel(kernel)
-            .build()
-            .unwrap()
-    };
+    let simulation = Simulation::builder()
+        .protocol(
+            ProtocolSpec::new("sorted-guess-cycling")
+                .universe(512)
+                .prediction(scenario.advice_condensed()),
+        )
+        .truth(scenario.distribution().clone())
+        .max_rounds(64 * 512)
+        .trials(700)
+        .seed(0xFEED)
+        .build()
+        .unwrap();
 
-    let reference = build(KernelChoice::Scalar).run_on(&SerialBackend).unwrap();
+    let reference = simulation.run_reference().unwrap();
     assert_eq!(reference.trials, 700);
-    for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
-        let simulation = build(kernel);
-        for (name, backend) in all_backends() {
-            let stats = simulation.run_on(backend.as_ref()).unwrap();
-            // PartialEq on TrialStats compares every field, including
-            // every f64 bit of the Welford moments and sketch quantiles.
-            assert_eq!(reference, stats, "backend {name} diverged ({kernel:?})");
-        }
+    for (name, backend) in all_backends() {
+        let stats = simulation.run_on(backend.as_ref()).unwrap();
+        // PartialEq on TrialStats compares every field, including
+        // every f64 bit of the Welford moments and sketch quantiles.
+        assert_eq!(reference, stats, "backend {name} diverged");
     }
 }
 
@@ -175,39 +168,30 @@ fn sweep_stats_are_bit_identical_across_all_backends_and_seeds() {
     // the work-stealing (cell, shard) queue on every backend.
     let library = ScenarioLibrary::new(256).unwrap();
     for seed in [1u64, 99, 0xC0FFEE] {
-        let build = |kernel: KernelChoice| {
-            SweepMatrix::new()
-                .scenarios([library.bimodal(), library.adversarial_drift()])
-                .protocol(
-                    SweepProtocol::from_scenario("decay", |s| {
-                        ProtocolSpec::new("decay").universe(s.distribution().max_size())
-                    })
-                    .max_rounds_with(|s| Some(64 * s.distribution().max_size())),
-                )
-                .protocol(
-                    SweepProtocol::from_scenario("sorted-guess", |s| {
-                        ProtocolSpec::new("sorted-guess-cycling")
-                            .universe(s.distribution().max_size())
-                            .prediction(s.advice_condensed())
-                    })
-                    .max_rounds_with(|s| Some(64 * s.distribution().max_size())),
-                )
-                .trials(300)
-                .seed(seed)
-                .kernel(kernel)
-        };
+        let matrix = SweepMatrix::new()
+            .scenarios([library.bimodal(), library.adversarial_drift()])
+            .protocol(
+                SweepProtocol::from_scenario("decay", |s| {
+                    ProtocolSpec::new("decay").universe(s.distribution().max_size())
+                })
+                .max_rounds_with(|s| Some(64 * s.distribution().max_size())),
+            )
+            .protocol(
+                SweepProtocol::from_scenario("sorted-guess", |s| {
+                    ProtocolSpec::new("sorted-guess-cycling")
+                        .universe(s.distribution().max_size())
+                        .prediction(s.advice_condensed())
+                })
+                .max_rounds_with(|s| Some(64 * s.distribution().max_size())),
+            )
+            .trials(300)
+            .seed(seed);
 
-        let reference = build(KernelChoice::Scalar).run_on(&SerialBackend).unwrap();
+        let reference = matrix.run_reference().unwrap();
         assert_eq!(reference.cells().len(), 4);
-        for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
-            let matrix = build(kernel);
-            for (name, backend) in all_backends() {
-                let results = matrix.run_on(backend.as_ref()).unwrap();
-                assert_eq!(
-                    reference, results,
-                    "backend {name} diverged at seed {seed} ({kernel:?})"
-                );
-            }
+        for (name, backend) in all_backends() {
+            let results = matrix.run_on(backend.as_ref()).unwrap();
+            assert_eq!(reference, results, "backend {name} diverged at seed {seed}");
         }
     }
 }
@@ -235,7 +219,7 @@ fn tracing_does_not_move_a_bit_of_the_statistics() {
         .seed(0xBEE5)
         .build()
         .unwrap();
-    let reference = simulation.run_on(&SerialBackend).unwrap();
+    let reference = simulation.run_reference().unwrap();
 
     let path = std::env::temp_dir().join(format!(
         "crp-backend-equivalence-trace-{}.jsonl",
@@ -299,10 +283,10 @@ fn per_node_placements_survive_the_process_boundary() {
         .seed(7)
         .build()
         .unwrap();
-    let serial = simulation.run_on(&SerialBackend).unwrap();
+    let reference = simulation.run_reference().unwrap();
     let fleet = simulation
         .run_on(&FleetBackend::local_with_command(2, WORKER_BIN))
         .unwrap();
-    assert_eq!(serial, fleet);
-    assert!((serial.success_rate() - 1.0).abs() < 1e-12);
+    assert_eq!(reference, fleet);
+    assert!((reference.success_rate() - 1.0).abs() < 1e-12);
 }
