@@ -40,7 +40,7 @@ use std::str::FromStr;
 
 use crp_fleet::{ChaosPlan, FleetManifest};
 use crp_fuzz::{property_by_name, run_campaign, Corpus, FuzzConfig, Trace};
-use crp_predict::{read_trace_file, AdversaryKind};
+use crp_predict::{read_trace_file, AdversaryKind, MAX_TRACE_STEPS};
 use crp_sim::{BackendChoice, EnvConfig, RunnerFlags};
 
 /// Parsed command line: the shared campaign configuration plus the
@@ -101,7 +101,13 @@ fn parse_args(args: &[String], env: &EnvConfig) -> Result<Options, String> {
                 options.config.universe = parse_usize("--size", &next(&mut index, "--size")?)?
             }
             "--steps" => {
-                options.config.steps = parse_usize("--steps", &next(&mut index, "--steps")?)?
+                let steps = parse_usize("--steps", &next(&mut index, "--steps")?)?;
+                if steps > MAX_TRACE_STEPS {
+                    return Err(format!(
+                        "--steps {steps} exceeds the cap of {MAX_TRACE_STEPS} per trace"
+                    ));
+                }
+                options.config.steps = steps;
             }
             "--trials" => {
                 options.config.trials = parse_usize("--trials", &next(&mut index, "--trials")?)?

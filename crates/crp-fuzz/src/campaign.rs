@@ -18,7 +18,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crp_predict::{AdversaryKind, Scenario, Trace, TraceModel};
+use crp_predict::{AdversaryKind, Scenario, Trace, TraceModel, MAX_TRACE_STEPS};
 use crp_sim::{RunnerConfig, SweepMatrix, SweepProtocol, SweepResults};
 
 use crate::error::FuzzError;
@@ -231,6 +231,14 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<CampaignReport, FuzzError> {
             what: "at least one protocol is required".into(),
         });
     }
+    if config.steps > MAX_TRACE_STEPS {
+        return Err(FuzzError::InvalidParameter {
+            what: format!(
+                "steps {} exceeds the cap of {MAX_TRACE_STEPS} per trace",
+                config.steps
+            ),
+        });
+    }
     let property = property_by_name(&config.property)?;
 
     let mut report = CampaignReport::default();
@@ -302,6 +310,17 @@ mod tests {
             run_campaign(&config),
             Err(FuzzError::UnknownProperty { .. })
         ));
+        // A trace the corpus could not read back is refused up front.
+        let config = FuzzConfig {
+            steps: MAX_TRACE_STEPS + 1,
+            ..FuzzConfig::default()
+        };
+        match run_campaign(&config) {
+            Err(FuzzError::InvalidParameter { what }) => {
+                assert!(what.contains(&MAX_TRACE_STEPS.to_string()), "{what}")
+            }
+            other => panic!("an oversized step count ran as {other:?}"),
+        }
     }
 
     #[test]

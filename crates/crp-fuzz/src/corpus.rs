@@ -95,7 +95,7 @@ impl Corpus {
         for path in paths {
             let trace = read_trace_file(&path).map_err(|err| match err {
                 PredictError::TraceFile { path, what } => FuzzError::Corpus { path, what },
-                other => FuzzError::Predict(other),
+                other => unreachable!("read_trace_file returned {other}"),
             })?;
             traces.push((path, trace));
         }

@@ -45,8 +45,8 @@ use crate::scenario::Scenario;
 /// stays in the advice's support and the divergence is finite.
 pub const MAX_FIDELITY: f64 = 0.98;
 
-/// The most steps [`TraceModel::generate`] takes; a larger request is
-/// clamped to it.
+/// The most steps a fuzz campaign asks [`TraceModel::generate`] for
+/// (`crp_fuzz --steps`); a larger request is refused where it comes in.
 pub const MAX_TRACE_STEPS: usize = 1024;
 
 /// The largest trace file [`read_trace_file`] accepts, in bytes.
@@ -446,11 +446,12 @@ impl TraceModel {
         usize::BITS - 1 - self.universe.leading_zeros()
     }
 
-    /// Generates one trace of roughly `steps` events, `steps` clamped to
-    /// `2..=`[`MAX_TRACE_STEPS`].  Deterministic in the RNG: the same
-    /// seeded RNG state yields a byte-identical wire form.
+    /// Generates one trace of roughly `steps` events.  Deterministic in
+    /// the RNG: the same seeded RNG state yields a byte-identical wire
+    /// form.  A trace of more than [`MAX_TRACE_STEPS`] steps may be too
+    /// large for [`read_trace_file`] to read back.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, steps: usize) -> Trace {
-        let steps = steps.clamp(2, MAX_TRACE_STEPS);
+        let steps = steps.max(2);
         let top = self.max_level().max(1);
         let mut events = Vec::with_capacity(steps + 2);
         match self.kind {
@@ -689,10 +690,10 @@ mod tests {
     #[test]
     fn the_largest_generated_trace_fits_twice_under_the_file_cap() {
         // The widest universe gives the longest `universe` line and the
-        // highest levels; a request past the step cap is clamped.
+        // highest levels.
         for kind in AdversaryKind::ALL {
             let model = TraceModel::new(kind, usize::MAX).unwrap();
-            let trace = model.generate(&mut ChaCha8Rng::seed_from_u64(3), MAX_TRACE_STEPS + 100);
+            let trace = model.generate(&mut ChaCha8Rng::seed_from_u64(3), MAX_TRACE_STEPS);
             assert!(trace.len() <= MAX_TRACE_STEPS + 2, "{}", kind.name());
             let bytes = trace.to_wire().len() as u64;
             assert!(

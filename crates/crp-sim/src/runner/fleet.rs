@@ -25,12 +25,16 @@ use crate::runner::process::worker_binary;
 use crate::stats::TrialAccumulator;
 use crate::SimError;
 
+/// The arguments that put the worker binary into stdio worker mode.
+fn stdio_worker_args() -> Vec<String> {
+    vec!["worker".to_string(), "--stdio".to_string()]
+}
+
 /// `workers` (at least 1) local subprocess endpoints running `command`
 /// in stdio worker mode.
 fn local_endpoints(workers: usize, command: PathBuf) -> Vec<WorkerEndpoint> {
-    let args = vec!["worker".to_string(), "--stdio".to_string()];
     (0..workers.max(1))
-        .map(|_| WorkerEndpoint::local(command.clone(), args.clone()))
+        .map(|_| WorkerEndpoint::local(command.clone(), stdio_worker_args()))
         .collect()
 }
 
@@ -48,7 +52,7 @@ fn manifest_endpoints(manifest: &FleetManifest) -> Result<Vec<WorkerEndpoint>, S
     } else {
         PathBuf::new()
     };
-    Ok(manifest.endpoints(program, vec!["worker".to_string(), "--stdio".to_string()]))
+    Ok(manifest.endpoints(program, stdio_worker_args()))
 }
 
 /// Executes shard jobs on a pool of persistent fleet workers.
@@ -225,6 +229,7 @@ mod tests {
         // success.
         if let Ok(endpoints) = manifest_endpoints(&manifest) {
             assert_eq!(endpoints.len(), 4);
+            assert_eq!(FleetBackend::with_endpoints(endpoints).name(), "fleet");
         }
         let remote_only = FleetManifest::parse("127.0.0.1:9311,127.0.0.1:9312").unwrap();
         assert_eq!(

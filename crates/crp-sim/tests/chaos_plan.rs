@@ -82,10 +82,15 @@ fn runner_config_carries_the_chaos_plan_into_the_fleet_pool() {
     assert_eq!(config.chaos.as_ref(), Some(&plan));
     // Worker-binary resolution may fail in stripped environments; the
     // property under test is the plan landing in the endpoints' spawn
-    // arguments, so only assert when the pool can be built.
-    if let Ok(backend) = FleetBackend::from_config(&config) {
-        let args: Vec<Vec<String>> = backend
-            .endpoints()
+    // arguments, so only assert when the pool can be built.  A fleet
+    // sweep's backend and the sweep daemon's pool (`FleetBackend::pool`)
+    // must both carry it.
+    let pools = [
+        FleetBackend::from_config(&config).map(|backend| backend.endpoints().to_vec()),
+        FleetBackend::pool(&config),
+    ];
+    for endpoints in pools.into_iter().flatten() {
+        let args: Vec<Vec<String>> = endpoints
             .iter()
             .map(|endpoint| match endpoint {
                 WorkerEndpoint::Local { args, .. } => args.clone(),

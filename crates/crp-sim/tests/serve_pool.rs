@@ -4,7 +4,7 @@
 //! `stats` report gives every local worker its own health and metrics
 //! lines.
 
-use crp_fleet::{ChaosPlan, FleetManifest, WorkerEndpoint};
+use crp_fleet::ChaosPlan;
 use crp_predict::ScenarioLibrary;
 use crp_serve::SweepServer;
 use crp_sim::service::{compile_submission, results_from_outcome, sweep_hooks};
@@ -66,31 +66,16 @@ fn health_lines(report: &str) -> Vec<Health> {
 }
 
 #[test]
-fn the_daemon_pool_carries_the_chaos_plan_and_its_worker_requeues() {
+fn a_daemon_with_a_chaos_plan_requeues_the_sabotaged_workers_jobs() {
     let config = RunnerConfig::with_trials(600)
         .with_threads(2)
         .with_chaos(ChaosPlan::parse("0:die@0").unwrap());
-    let endpoints = FleetBackend::pool(&config).unwrap();
-    let args: Vec<&[String]> = endpoints
-        .iter()
-        .map(|endpoint| match endpoint {
-            WorkerEndpoint::Local { args, .. } => args.as_slice(),
-            other => panic!("expected local endpoints, got {other:?}"),
-        })
-        .collect();
-    assert_eq!(
-        args,
-        [
-            &["worker", "--stdio", "--fault", "die@0"][..],
-            &["worker", "--stdio"][..]
-        ]
-    );
-
+    let server =
+        SweepServer::bind("127.0.0.1:0", FleetBackend::pool(&config).unwrap(), None).unwrap();
     // Worker 0 dies on every job it is sent, so every job it gets is
     // requeued onto worker 1 and the results stay bit-identical.  Which
     // worker says hello first is a race, so submit until worker 0 has
     // been sent a job.
-    let server = SweepServer::bind("127.0.0.1:0", endpoints, None).unwrap();
     for seed in 0..20 {
         let report = submit(&server, &decay_grid(seed));
         let health = health_lines(&report);
@@ -106,24 +91,6 @@ fn the_daemon_pool_carries_the_chaos_plan_and_its_worker_requeues() {
         return;
     }
     panic!("worker 0 was never sent a job in 20 submissions");
-}
-
-#[test]
-fn a_remote_only_pool_refuses_a_chaos_plan_as_a_sweep_does() {
-    let config = RunnerConfig {
-        fleet: Some(FleetManifest::parse("127.0.0.1:9").unwrap()),
-        ..RunnerConfig::with_trials(10).with_chaos(ChaosPlan::parse("0:die@0").unwrap())
-    };
-    let serve = FleetBackend::pool(&config).unwrap_err();
-    let sweep = match FleetBackend::from_config(&config) {
-        Err(err) => err,
-        Ok(_) => panic!("a chaos plan on a TCP worker must be refused"),
-    };
-    assert_eq!(serve, sweep);
-    assert!(
-        serve.to_string().contains("can only sabotage local"),
-        "{serve}"
-    );
 }
 
 #[test]
