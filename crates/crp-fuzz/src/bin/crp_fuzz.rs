@@ -18,6 +18,8 @@
 //! `--save DIR` the minimal reproducers are written into that corpus
 //! directory.  The process exits with status 1 when any trace violates
 //! the property — the fixed-seed CI smoke job relies on that.
+//! `--steps` is at most `crp_predict::MAX_TRACE_STEPS` (1024), so every
+//! saved reproducer fits the trace-file cap and can be replayed.
 //!
 //! `replay` re-evaluates checked-in reproducers: every `FILE` (and every
 //! `*.trace` entry of `--corpus DIR`) is parsed, compiled and run

@@ -1,7 +1,8 @@
 //! The `crp_fuzz` command line: a flag that implies the fleet backend
 //! (`--fleet`, `--chaos`) next to any other explicit `--backend` is a
 //! conflict, whichever order the two flags come in — never a silently
-//! dropped fleet.
+//! dropped fleet — and a `--steps` past the trace cap is refused, never
+//! silently shortened.
 
 use std::process::Command;
 
@@ -45,20 +46,13 @@ fn fleet_implying_flags_conflict_with_another_backend_in_either_order() {
 }
 
 #[test]
-fn steps_past_the_trace_cap_are_refused_before_the_campaign_starts() {
-    let steps = (crp_predict::MAX_TRACE_STEPS + 1).to_string();
-    let output = Command::new(CRP_FUZZ)
-        .args(["--budget", "1", "--steps", &steps])
-        .output()
-        .expect("spawn crp_fuzz");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+fn steps_past_the_trace_cap_are_refused() {
+    let cap = crp_predict::MAX_TRACE_STEPS;
+    let steps = (cap + 1).to_string();
+    let (status, stderr) = run(&["--steps", &steps]);
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
     assert!(
-        stderr.contains(&format!(
-            "--steps {steps} exceeds the cap of {}",
-            crp_predict::MAX_TRACE_STEPS
-        )),
+        stderr.contains(&format!("--steps {steps} exceeds the cap of {cap}")),
         "{stderr}"
     );
-    assert!(output.stdout.is_empty(), "the campaign banner printed");
 }
