@@ -64,6 +64,8 @@ fn grid() -> SweepMatrix {
 struct Service {
     addr: String,
     daemon: Option<std::thread::JoinHandle<Result<(), crp_serve::ServeError>>>,
+    /// The result cache's directory, removed once the daemon is down.
+    cache_dir: std::path::PathBuf,
 }
 
 impl Service {
@@ -86,6 +88,7 @@ impl Service {
         Ok(Self {
             addr,
             daemon: Some(daemon),
+            cache_dir,
         })
     }
 }
@@ -98,6 +101,7 @@ impl Drop for Service {
         if let Some(daemon) = self.daemon.take() {
             let _ = daemon.join();
         }
+        let _ = std::fs::remove_dir_all(&self.cache_dir);
     }
 }
 

@@ -23,6 +23,13 @@
 //!   blob (hash-verified) in the connection's [`ScenarioStore`].  Job
 //!   handlers resolve payload references out of the same store, so a
 //!   scenario's masses ship once per worker instead of once per shard.
+//!
+//! The loop knows nothing of what a payload means: the handler is the
+//! caller's, and so is any state it keeps between jobs.  The
+//! `crp_experiments worker` handler keeps a spec cache beside its store,
+//! so each cell spec is compiled once per worker process, not once per
+//! job; since one handler serves every connection and job thread, the
+//! cache is shared the way the store is.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};

@@ -30,7 +30,7 @@ mod metrics;
 mod span;
 mod trace;
 
-pub use hex::{hex64, parse_hex64};
+pub use hex::{hex64, parse_hex64, push_hex64};
 pub use lines::{parse_int, Fields, Head, LineError, LineReader};
 pub use metrics::{
     bucket_index, bucket_value, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,

@@ -292,6 +292,17 @@ impl<'a> LineReader<'a> {
         Ok(section)
     }
 
+    /// The next `count` lines as one section, each with its `\n`: a run
+    /// of lines the caller handles as a unit (say, keys by its bytes)
+    /// before reading on from the line after it.
+    pub fn lines(&mut self, count: usize) -> Result<&'a str, LineError> {
+        let start = self.rest;
+        for _ in 0..count {
+            self.line()?;
+        }
+        Ok(&start[..start.len() - self.rest.len()])
+    }
+
     /// `blob`, a section the line read last references, as fields whose
     /// errors name that line.
     pub fn fields_of<'b>(&self, blob: &'b str) -> Fields<'b> {

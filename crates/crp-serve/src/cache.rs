@@ -195,18 +195,41 @@ impl ResultCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn scratch_cache(tag: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!("crp-cache-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        ResultCache::open(dir).unwrap()
+    /// A fresh directory under the system temp dir, removed when the
+    /// guard drops, a panicking test included.
+    pub(crate) struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        pub(crate) fn new(name: String) -> Self {
+            let dir = std::env::temp_dir().join(name);
+            let _ = fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+
+        /// A result cache in the directory.
+        pub(crate) fn cache(&self) -> ResultCache {
+            ResultCache::open(&self.0).unwrap()
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch_cache(tag: &str) -> (ScratchDir, ResultCache) {
+        let dir = ScratchDir::new(format!("crp-cache-test-{tag}-{}", std::process::id()));
+        let cache = dir.cache();
+        (dir, cache)
     }
 
     #[test]
     fn round_trips_and_misses() {
-        let cache = scratch_cache("roundtrip");
+        let (_scratch, cache) = scratch_cache("roundtrip");
         let key = content_hash(b"question");
         assert_eq!(cache.get(&key).unwrap(), None, "clean miss");
         cache.put(&key, "the answer\nwith lines\n").unwrap();
@@ -226,7 +249,7 @@ mod tests {
 
     #[test]
     fn corrupt_and_truncated_entries_are_typed_errors() {
-        let cache = scratch_cache("corrupt");
+        let (_scratch, cache) = scratch_cache("corrupt");
         let key = content_hash(b"q");
         cache.put(&key, "precious bits").unwrap();
         let path = cache.dir().join(&key[..2]).join(format!("{key}.crp"));
@@ -263,7 +286,7 @@ mod tests {
 
     #[test]
     fn non_hash_keys_are_rejected() {
-        let cache = scratch_cache("badkey");
+        let (_scratch, cache) = scratch_cache("badkey");
         assert!(matches!(
             cache.put("not-a-hash", "x"),
             Err(ServeError::Malformed(_))

@@ -564,6 +564,7 @@ fn canonical_refs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::ScratchDir;
     use crate::client::ServeClient;
     use crate::wire::{cell_hash, SubmissionCell};
     use crp_fleet::worker::{ScenarioStore, ServeOptions};
@@ -639,10 +640,9 @@ mod tests {
         }
     }
 
-    fn scratch_cache(tag: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!("crp-serve-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ResultCache::open(dir).unwrap()
+    /// A scratch cache directory, removed when the guard drops.
+    fn scratch_dir(tag: &str) -> ScratchDir {
+        ScratchDir::new(format!("crp-serve-test-{tag}-{}", std::process::id()))
     }
 
     /// Resolves every `ref <hash>` line of a payload and changes nothing.
@@ -677,10 +677,11 @@ mod tests {
     #[test]
     fn submissions_settle_from_cache_on_resubmission() {
         let (addr, executions) = spawn_counting_worker();
+        let scratch = scratch_dir("resubmit");
         let server = SweepServer::bind(
             "127.0.0.1:0",
             vec![crp_fleet::WorkerEndpoint::tcp(addr)],
-            Some(scratch_cache("resubmit")),
+            Some(scratch.cache()),
         )
         .unwrap();
         let submission = demo_submission();
@@ -724,10 +725,11 @@ mod tests {
     #[test]
     fn each_missing_cell_is_canonicalised_once_not_once_per_job() {
         let (addr, executions) = spawn_counting_worker();
+        let scratch = scratch_dir("canonicalise-once");
         let server = SweepServer::bind(
             "127.0.0.1:0",
             vec![crp_fleet::WorkerEndpoint::tcp(addr)],
-            Some(scratch_cache("canonicalise-once")),
+            Some(scratch.cache()),
         )
         .unwrap();
         let calls = AtomicUsize::new(0);
@@ -774,7 +776,8 @@ mod tests {
     #[test]
     fn corrupt_cache_entries_are_recomputed_not_served() {
         let (addr, executions) = spawn_counting_worker();
-        let cache = scratch_cache("corrupt-recompute");
+        let scratch = scratch_dir("corrupt-recompute");
+        let cache = scratch.cache();
         let server = SweepServer::bind(
             "127.0.0.1:0",
             vec![crp_fleet::WorkerEndpoint::tcp(addr)],
@@ -819,10 +822,11 @@ mod tests {
     #[test]
     fn the_daemon_serves_clients_over_tcp_and_shuts_down() {
         let (addr, _) = spawn_counting_worker();
+        let scratch = scratch_dir("daemon");
         let server = SweepServer::bind(
             "127.0.0.1:0",
             vec![crp_fleet::WorkerEndpoint::tcp(addr)],
-            Some(scratch_cache("daemon")),
+            Some(scratch.cache()),
         )
         .unwrap();
         let service_addr = server.local_addr().unwrap().to_string();
@@ -927,10 +931,11 @@ mod tests {
     #[test]
     fn tenant_hellos_key_counters_and_stats_carry_fleet_metrics() {
         let (addr, _) = spawn_counting_worker();
+        let scratch = scratch_dir("tenant");
         let server = SweepServer::bind(
             "127.0.0.1:0",
             vec![crp_fleet::WorkerEndpoint::tcp(addr)],
-            Some(scratch_cache("tenant")),
+            Some(scratch.cache()),
         )
         .unwrap();
         let service_addr = server.local_addr().unwrap().to_string();

@@ -100,7 +100,7 @@ use crp_sim::experiments::{
 };
 use crp_sim::service::{submit_matrix_as, sweep_hooks};
 use crp_sim::{
-    run_shard_worker_with, EnvConfig, RunnerConfig, RunnerFlags, SimError, SweepMatrix,
+    run_shard_worker_with, EnvConfig, RunnerConfig, RunnerFlags, SimError, SpecCache, SweepMatrix,
     SweepProtocol, Table,
 };
 
@@ -683,10 +683,12 @@ fn worker_mode(args: &[String], env: &EnvConfig) -> ExitCode {
     // One process-wide scenario store: `scenario-put` frames fill it,
     // and the handler resolves the `ref <hash>` spec sections out of
     // it — a scenario's masses arrive once per worker, not once per
-    // shard.
+    // shard.  Beside it, one process-wide spec cache, shared by every
+    // connection and job thread: each spec compiles once per worker.
     let store = ScenarioStore::new();
+    let cache = SpecCache::new();
     let handler = |payload: &str| {
-        run_shard_worker_with(payload, &|hash| store.get(hash)).map_err(|e| e.to_string())
+        run_shard_worker_with(payload, &|hash| store.get(hash), &cache).map_err(|e| e.to_string())
     };
     if let Some(addr) = join {
         // Elastic membership: dial the dispatcher and serve over the

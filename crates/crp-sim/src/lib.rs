@@ -82,7 +82,8 @@ pub use env::{EnvConfig, RunnerFlags};
 pub use report::{fmt_f64, Table};
 pub use runner::{
     run_shard_worker_with, sample_contending_size, BackendChoice, FleetBackend, JobDoneFn,
-    RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec, ThreadBackend,
+    RunnerConfig, SerialBackend, ShardBackend, ShardJob, ShardPlan, ShardSpec, SpecCache,
+    ThreadBackend,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};

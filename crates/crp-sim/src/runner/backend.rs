@@ -14,13 +14,16 @@
 //! bit-identical across all of them.
 //!
 //! Every cell runs the same way.  [`CellWork`] is a cell's per-cell setup
-//! (plan, seed, wire spec and trial kernel, built once), and [`run_cells`]
-//! is the one function that turns cells into a job list, executes it on a
-//! backend and merges each cell in shard order.  A fleet worker runs the
-//! one shard of a job through the same [`CellWork`].
+//! (plan, seed, wire spec, trial kernel and the cell's deterministic
+//! outcome memo, built once), and [`run_cells`] is the one function that
+//! turns cells into a job list, executes it on a backend and merges each
+//! cell in shard order.  A fleet worker runs the one shard of a job
+//! through the same [`ShardJob::run_inline`], borrowing the compiled cell
+//! and its memo from its spec cache ([`crate::runner::process`]), so the
+//! memo outlives the job there.
 
 use crate::runner::fleet::FleetBackend;
-use crate::runner::kernel::CellKernel;
+use crate::runner::kernel::{CellKernel, OutcomeMemo};
 use crate::runner::plan::{BackendChoice, RunnerConfig, ShardPlan};
 use crate::runner::process::ShardSpec;
 use crate::runner::thread::ThreadBackend;
@@ -53,6 +56,8 @@ pub struct ShardJob<'a> {
     /// scalar reference (both consume the same per-trial RNG streams in
     /// the same order).
     pub(crate) kernel: &'a CellKernel<'a>,
+    /// The cell's deterministic outcomes, shared by every shard of it.
+    pub(crate) memo: &'a OutcomeMemo,
 }
 
 impl ShardJob<'_> {
@@ -61,9 +66,9 @@ impl ShardJob<'_> {
     /// stopping at the first failed trial.
     pub fn run_inline(&self) -> Result<TrialAccumulator, SimError> {
         let started = std::time::Instant::now();
-        let accumulator = self
-            .kernel
-            .run_shard(self.plan, self.base_seed, self.shard)?;
+        let accumulator =
+            self.kernel
+                .run_shard(self.plan, self.base_seed, self.shard, self.memo)?;
         // Counters and the guarded trace event only observe the shard
         // after its accumulator is final: nothing here can perturb RNG
         // streams or merge order, so statistics stay bit-identical with
@@ -93,12 +98,14 @@ impl ShardJob<'_> {
 }
 
 /// One cell's per-cell setup, built once and borrowed by every shard job
-/// of the cell: its shard plan, base seed, spec and trial kernel.
+/// of the cell: its shard plan, base seed, spec and trial kernel, and the
+/// memo of its deterministic outcomes.
 pub(crate) struct CellWork<'a> {
     plan: ShardPlan,
     base_seed: u64,
     spec: &'a ShardSpec,
     kernel: CellKernel<'a>,
+    memo: OutcomeMemo,
 }
 
 impl<'a> CellWork<'a> {
@@ -109,6 +116,7 @@ impl<'a> CellWork<'a> {
             base_seed: simulation.config().base_seed,
             spec: simulation.spec(),
             kernel: simulation.cell_kernel(),
+            memo: OutcomeMemo::default(),
         }
     }
 
@@ -121,6 +129,7 @@ impl<'a> CellWork<'a> {
             base_seed: self.base_seed,
             spec: self.spec,
             kernel: &self.kernel,
+            memo: &self.memo,
         }
     }
 }

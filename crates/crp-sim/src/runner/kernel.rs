@@ -18,13 +18,16 @@
 //! * **Per-node protocols** run one trial after another, each through
 //!   the factory's own [`crp_protocols::NodeFactory::execute`].  When the
 //!   factory is deterministic ([`crp_protocols::NodeFactory::deterministic`],
-//!   the §3 advice schedules) its nodes never read the RNG, so the loop
-//!   executes once per distinct participant count and replicates the
-//!   outcome across trials.  Each execution decodes the advice and its
-//!   candidate interval once and runs the nodes unboxed in one `Vec` of
-//!   their concrete type; in the benchmark's populations every execution
-//!   resolves in round 1, so building the nodes, not stepping rounds, is
-//!   what an execution costs.
+//!   the §3 advice schedules) its nodes never read the RNG, so an
+//!   execution is a pure function of the cell and the participant count:
+//!   the loop executes once per distinct count *per cell* and replicates
+//!   the outcome across trials, through the one [`OutcomeMemo`] the
+//!   cell's owner holds — a `CellWork` for an in-process run, a worker's
+//!   spec-cache entry across the jobs (and seeds and plans) it serves.
+//!   Each execution decodes the advice and its candidate interval once
+//!   and runs the nodes unboxed in one `Vec` of their concrete type; in
+//!   the benchmark's populations every execution resolves in round 1, so
+//!   building the nodes, not stepping rounds, is what an execution costs.
 //!
 //! Without replication the per-trial loop is the scalar executor: the
 //! loop a randomized per-node protocol runs on, and the reference every
@@ -42,6 +45,7 @@
 //! tests.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use crp_channel::{
     classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, RoundOutcome,
@@ -72,6 +76,32 @@ enum KernelKind<'a> {
         /// per round serves the shard).
         collision_detection: bool,
     },
+}
+
+/// One compiled cell's deterministic outcomes, `(resolved, rounds)` per
+/// participant count.
+///
+/// A deterministic per-node protocol never reads the RNG, so within a
+/// cell — one protocol, one population, one round budget — an execution
+/// depends on the participant count alone, never on the seed, the plan
+/// or the shard.  One memo therefore serves every shard of the cell, on
+/// any thread.  Only successful executions are stored: a count whose
+/// execution fails fails again each time a trial draws it, as on the
+/// scalar loop.
+#[derive(Default)]
+pub(crate) struct OutcomeMemo {
+    outcomes: Mutex<HashMap<usize, (bool, usize)>>,
+}
+
+impl OutcomeMemo {
+    fn outcomes(&self) -> std::sync::MutexGuard<'_, HashMap<usize, (bool, usize)>> {
+        self.outcomes.lock().expect("no memo user panics")
+    }
+
+    /// The number of participant counts stored.
+    pub(crate) fn len(&self) -> usize {
+        self.outcomes().len()
+    }
 }
 
 /// The trial executor of one cell, built once per cell and shared by
@@ -147,7 +177,9 @@ impl<'a> CellKernel<'a> {
     }
 
     /// Runs one shard: all of the shard's trials, one after another or
-    /// in lockstep, folded into a fresh accumulator in trial order.
+    /// in lockstep, folded into a fresh accumulator in trial order.  The
+    /// replicating loop reads and fills `memo`, the cell's; the other
+    /// loops never touch it.
     ///
     /// # Errors
     ///
@@ -160,13 +192,14 @@ impl<'a> CellKernel<'a> {
         plan: ShardPlan,
         base_seed: u64,
         shard: usize,
+        memo: &OutcomeMemo,
     ) -> Result<TrialAccumulator, SimError> {
         let trials = plan.shard_trials(shard);
         let mut state = ShardState::new(self, plan, base_seed, shard, trials);
         match self.kind {
-            KernelKind::Scalar(protocol) => self.run_per_trial(protocol, false, &mut state)?,
+            KernelKind::Scalar(protocol) => self.run_per_trial(protocol, None, &mut state)?,
             KernelKind::Deterministic(protocol) => {
-                self.run_per_trial(protocol, true, &mut state)?
+                self.run_per_trial(protocol, Some(memo), &mut state)?
             }
             KernelKind::Uniform {
                 policy,
@@ -183,21 +216,23 @@ impl<'a> CellKernel<'a> {
 
     /// The per-trial loop: each trial runs the protocol on its own RNG
     /// stream (after its population draw), in trial order, stopping at
-    /// the first failing trial.  With `replicate` an execution is a pure
-    /// function of the participant set, so it runs once per distinct `k`
-    /// (once per shard for fixed and placed populations) and later
-    /// trials of that `k` take its outcome.
+    /// the first failing trial.  With the cell's `memo` an execution is a
+    /// pure function of the participant set, so it runs once per distinct
+    /// `k` per cell (once per cell for fixed and placed populations) and
+    /// every later trial of that `k`, in any shard, takes its outcome.
+    /// The memo is not held while an execution runs, so two shards
+    /// drawing a new `k` at once may both execute it and store the same
+    /// outcome.
     fn run_per_trial(
         &self,
         protocol: &dyn Protocol,
-        replicate: bool,
+        memo: Option<&OutcomeMemo>,
         state: &mut ShardState,
     ) -> Result<(), SimError> {
-        let mut memo: HashMap<usize, (bool, usize)> = HashMap::new();
         for t in 0..state.rounds.len() {
             let k = state.k[t];
-            let (resolved, rounds) = match memo.get(&k) {
-                Some(&outcome) => outcome,
+            let (resolved, rounds) = match memo.and_then(|memo| memo.outcomes().get(&k).copied()) {
+                Some(outcome) => outcome,
                 None => {
                     let rng = state.draws[t].rng_mut();
                     let execution = match self.population {
@@ -208,8 +243,8 @@ impl<'a> CellKernel<'a> {
                     }
                     .map_err(SimError::from)?;
                     let outcome = (execution.resolved, execution.rounds);
-                    if replicate {
-                        memo.insert(k, outcome);
+                    if let Some(memo) = memo {
+                        memo.outcomes().insert(k, outcome);
                     }
                     outcome
                 }
@@ -422,9 +457,11 @@ impl DrawBuffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
 
     #[test]
     fn kernel_selection_matches_the_protocol_family() {
@@ -500,7 +537,9 @@ mod tests {
         assert_eq!(kernel.name(), "scalar");
         assert!(!kernel.is_batched());
         // And it still runs — the scalar executor is the universal fallback.
-        let accumulator = kernel.run_shard(ShardPlan::new(50), 3, 0).unwrap();
+        let accumulator = kernel
+            .run_shard(ShardPlan::new(50), 3, 0, &OutcomeMemo::default())
+            .unwrap();
         assert_eq!(accumulator.finalize().trials, 50);
     }
 
@@ -520,7 +559,12 @@ mod tests {
             crp_channel::ParticipantId(10),
             crp_channel::ParticipantId(300),
         ]);
-        let run = |kernel: CellKernel<'_>| kernel.run_shard(ShardPlan::new(10), 0, 0).unwrap_err();
+        let memo = OutcomeMemo::default();
+        let run = |kernel: CellKernel<'_>| {
+            kernel
+                .run_shard(ShardPlan::new(10), 0, 0, &memo)
+                .unwrap_err()
+        };
         let scalar = run(CellKernel::reference(&protocol, &population, 100));
         match &scalar {
             SimError::Substrate(what) => assert!(what.contains("outside universe"), "{what}"),
@@ -529,6 +573,111 @@ mod tests {
         let selected = CellKernel::select(&protocol, &population, 100);
         assert_eq!(selected.name(), "deterministic");
         assert_eq!(scalar, run(selected));
+        assert_eq!(memo.len(), 0, "a failed execution is not memoized");
+    }
+
+    /// A deterministic per-node factory that counts its executions: `k`
+    /// participants resolve in round `k`.
+    #[derive(Default)]
+    pub(crate) struct Counting {
+        pub(crate) executions: Arc<AtomicUsize>,
+    }
+
+    impl Counting {
+        pub(crate) fn executions(&self) -> usize {
+            self.executions.load(Relaxed)
+        }
+    }
+
+    /// The distinct participant counts the trials of `plan`'s `shards`
+    /// draw from `truth` under `seed`.
+    pub(crate) fn drawn_counts(
+        truth: &crp_info::SizeDistribution,
+        plan: ShardPlan,
+        seed: u64,
+        shards: std::ops::Range<usize>,
+    ) -> std::collections::HashSet<usize> {
+        shards
+            .flat_map(|shard| {
+                (0..plan.shard_trials(shard)).map(move |offset| {
+                    let mut rng = ShardPlan::trial_rng(seed, plan.trial_index(shard, offset));
+                    sample_contending_size(truth, &mut rng)
+                })
+            })
+            .collect()
+    }
+
+    impl crp_protocols::NodeFactory for Counting {
+        fn execute(
+            &self,
+            participants: &[crp_channel::ParticipantId],
+            config: &crp_channel::ExecutionConfig,
+            _rng: &mut dyn rand::RngCore,
+        ) -> Result<crp_channel::Execution, crp_protocols::ProtocolError> {
+            self.executions.fetch_add(1, Relaxed);
+            let k = participants.len();
+            Ok(crp_channel::Execution {
+                resolved: k <= config.max_rounds,
+                rounds: k.min(config.max_rounds),
+            })
+        }
+
+        fn deterministic(&self) -> bool {
+            true
+        }
+    }
+
+    impl Protocol for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn mode(&self) -> crp_channel::ChannelMode {
+            crp_channel::ChannelMode::NoCollisionDetection
+        }
+        fn behavior(&self) -> Behavior<'_> {
+            Behavior::PerNode(self)
+        }
+    }
+
+    #[test]
+    fn the_replicating_loop_executes_each_count_once_per_cell_across_shards() {
+        let protocol = Counting::default();
+        let truth = crp_info::SizeDistribution::uniform_sizes(40).unwrap();
+        let population = Population::Sampled(truth.clone());
+        let kernel = CellKernel::select(&protocol, &population, 30);
+        assert_eq!(kernel.name(), "deterministic");
+        let reference = CellKernel::reference(&protocol, &population, 30);
+        let memo = OutcomeMemo::default();
+        let (mut executions, mut per_shard) = (0, 0);
+        let mut distinct = std::collections::HashSet::new();
+        // Two seeds and two plans through one memo: it is the cell's,
+        // whatever seed or plan a shard runs under.
+        for (seed, plan) in [
+            (5, ShardPlan::new(1000)),
+            (6, ShardPlan::with_shard_size(700, 64)),
+        ] {
+            for shard in 0..plan.num_shards() {
+                let before = protocol.executions();
+                let fast = kernel.run_shard(plan, seed, shard, &memo).unwrap();
+                executions += protocol.executions() - before;
+                let scalar = reference.run_shard(plan, seed, shard, &OutcomeMemo::default());
+                assert_eq!(fast, scalar.unwrap(), "seed {seed}, shard {shard}");
+                let counts = drawn_counts(&truth, plan, seed, shard..shard + 1);
+                per_shard += counts.len();
+                distinct.extend(counts);
+            }
+        }
+        assert_eq!(
+            executions,
+            distinct.len(),
+            "one execution per count per cell"
+        );
+        assert_eq!(memo.len(), distinct.len());
+        assert!(
+            distinct.len() < per_shard,
+            "a per-shard memo would have executed {per_shard} times, not {}",
+            distinct.len()
+        );
     }
 
     #[test]

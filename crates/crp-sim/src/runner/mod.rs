@@ -47,7 +47,7 @@ use rand_chacha::ChaCha8Rng;
 pub use backend::{JobDoneFn, SerialBackend, ShardBackend, ShardJob};
 pub use fleet::FleetBackend;
 pub use plan::{BackendChoice, RunnerConfig, ShardPlan};
-pub use process::{run_shard_worker_with, ShardSpec};
+pub use process::{run_shard_worker_with, ShardSpec, SpecCache};
 pub use thread::ThreadBackend;
 
 /// Samples a network size from `truth`, re-drawing (or clamping) so the
@@ -264,10 +264,17 @@ mod tests {
         let mut blobs = crp_fleet::BlobSet::new();
         let job = spec.to_wire(plan, 42, 1, &mut blobs);
         let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
-        let response = run_shard_worker_with(&job.payload, &resolve).unwrap();
+        let response = run_shard_worker_with(&job.payload, &resolve, &SpecCache::new()).unwrap();
         let worker_acc = crate::stats::TrialAccumulator::from_wire(&response).unwrap();
 
-        let simulation = spec.into_simulation(plan.trials(), 42).unwrap();
+        let simulation = Simulation::builder()
+            .protocol(spec.protocol().clone())
+            .truth(truth)
+            .max_rounds(50_000)
+            .trials(plan.trials())
+            .seed(42)
+            .build()
+            .unwrap();
         let local = CellWork::new(&simulation, plan)
             .job(0, 1)
             .run_inline()
@@ -285,14 +292,15 @@ mod tests {
         let job = spec.to_wire(ShardPlan::new(10), 1, 0, &mut crp_fleet::BlobSet::new());
         assert!(job.payload.contains("population fixed 1048576\n"));
         let no_blobs = |_: &str| None;
-        let err = run_shard_worker_with(&job.payload, &no_blobs).unwrap_err();
+        let err = run_shard_worker_with(&job.payload, &no_blobs, &SpecCache::new()).unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "{err}");
     }
 
     #[test]
     fn shard_worker_rejects_malformed_input() {
         let no_blobs = |_: &str| None;
-        let run = |wire: &str| run_shard_worker_with(wire, &no_blobs);
+        let cache = SpecCache::new();
+        let run = |wire: &str| run_shard_worker_with(wire, &no_blobs, &cache);
         assert!(run("").is_err());
         assert!(run("crp-shard-spec v1\n").is_err());
         let spec = ShardSpec {

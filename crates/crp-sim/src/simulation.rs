@@ -30,7 +30,7 @@ use crp_info::SizeDistribution;
 use crp_protocols::{check_participants, Behavior, Protocol, ProtocolError, ProtocolSpec};
 
 use crate::runner::backend::{backend_for, run_cells};
-use crate::runner::kernel::CellKernel;
+use crate::runner::kernel::{CellKernel, OutcomeMemo};
 use crate::runner::process::ShardSpec;
 use crate::runner::{BackendChoice, RunnerConfig, ShardBackend, ShardPlan};
 use crate::stats::{TrialAccumulator, TrialStats};
@@ -368,6 +368,13 @@ impl Simulation {
         &self.spec
     }
 
+    /// The validated cell without its runner configuration: the spec and
+    /// the protocol it names, which a fleet worker keeps across the jobs
+    /// of one spec.
+    pub(crate) fn into_cell(self) -> (ShardSpec, Box<dyn Protocol>) {
+        (self.spec, self.protocol)
+    }
+
     /// Runs the configured number of trials on the backend the
     /// configuration selects and aggregates the outcomes.
     ///
@@ -415,9 +422,11 @@ impl Simulation {
             self.spec.max_rounds,
         );
         let plan = ShardPlan::new(self.config.trials);
+        // The scalar loop replicates nothing, so it never reads the memo.
+        let memo = OutcomeMemo::default();
         let mut merged = TrialAccumulator::new();
         for shard in 0..plan.num_shards() {
-            merged.merge(&kernel.run_shard(plan, self.config.base_seed, shard)?);
+            merged.merge(&kernel.run_shard(plan, self.config.base_seed, shard, &memo)?);
         }
         Ok(merged.finalize())
     }

@@ -32,16 +32,55 @@ const WORKER_BIN: &str = env!("CARGO_BIN_EXE_crp_experiments");
 /// tracing test takes the write side; every other test reads.
 static TRACE_GATE: RwLock<()> = RwLock::new(());
 
-fn shared() -> RwLockReadGuard<'static, ()> {
-    TRACE_GATE
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// A held side of [`TRACE_GATE`].  Once the tracing test installs the
+/// sink it stays installed, so every pool spawned afterwards writes
+/// `.worker-<n>` sibling traces; releasing the gate removes this
+/// process's trace files, a failing test's included.  Each test holds
+/// its gate longer than its pools, whose workers are reaped on drop, so
+/// no file appears after the last release.
+struct Gate<G> {
+    _lock: G,
 }
 
-fn exclusive() -> RwLockWriteGuard<'static, ()> {
-    TRACE_GATE
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+impl<G> Drop for Gate<G> {
+    fn drop(&mut self) {
+        if !crp_obs::trace_enabled() {
+            return;
+        }
+        let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            if entry
+                .file_name()
+                .to_string_lossy()
+                .starts_with(&trace_file_name())
+            {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
+}
+
+/// The tracing test's trace file, under the system temp dir.
+fn trace_file_name() -> String {
+    format!("crp-backend-equivalence-trace-{}.jsonl", std::process::id())
+}
+
+fn shared() -> Gate<RwLockReadGuard<'static, ()>> {
+    Gate {
+        _lock: TRACE_GATE
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()),
+    }
+}
+
+fn exclusive() -> Gate<RwLockWriteGuard<'static, ()>> {
+    Gate {
+        _lock: TRACE_GATE
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()),
+    }
 }
 
 /// A fleet pool of two persistent local workers, one of which is
@@ -221,10 +260,7 @@ fn tracing_does_not_move_a_bit_of_the_statistics() {
         .unwrap();
     let reference = simulation.run_reference().unwrap();
 
-    let path = std::env::temp_dir().join(format!(
-        "crp-backend-equivalence-trace-{}.jsonl",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(trace_file_name());
     crp_obs::init_trace(path.to_str().unwrap()).unwrap();
     assert!(crp_obs::trace_enabled());
     for (name, backend) in all_backends() {

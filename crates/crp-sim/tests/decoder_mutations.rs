@@ -25,7 +25,10 @@ use crp_predict::{AdversaryKind, ScenarioLibrary, Trace, TraceModel};
 use crp_protocols::ProtocolSpec;
 use crp_serve::{CellOutcome, ResultCache, ServeMessage, Submission, SubmissionOutcome};
 use crp_sim::service::compile_submission;
-use crp_sim::{ShardPlan, ShardSpec, SweepMatrix, SweepProtocol, TrialAccumulator};
+use crp_sim::{
+    run_shard_worker_with, ShardPlan, ShardSpec, SpecCache, SweepMatrix, SweepProtocol,
+    TrialAccumulator,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -434,6 +437,42 @@ fn every_decoder_accepts_exactly_its_encoders_bytes_and_never_panics() {
         found.len(),
         found[..found.len().min(12)].join("\n")
     );
+}
+
+#[test]
+fn a_spec_cache_hit_validates_every_mutation_exactly_like_a_miss() {
+    // A small plan, 40 trials in shards of 16, so every mutation that
+    // decodes runs a shard of at most 16 trials.
+    let truth = SizeDistribution::bimodal(64, 4, 40, 0.7).unwrap();
+    let spec = ShardSpec::sampled(
+        ProtocolSpec::new("sorted-guess-cycling")
+            .universe(64)
+            .advice_bits(2)
+            .participants(5)
+            .prediction(CondensedDistribution::from_sizes(&truth)),
+        truth,
+        4096,
+    );
+    let mut blobs = BlobSet::new();
+    let payload = spec
+        .to_wire(ShardPlan::with_shard_size(40, 16), 3, 1, &mut blobs)
+        .payload;
+    let resolve = |hash: &str| blobs.get(hash).map(str::to_string);
+    let warmed = SpecCache::new();
+    assert!(run_shard_worker_with(&payload, &resolve, &warmed).is_ok());
+    let run = |text: &str, cache: &SpecCache| {
+        run_shard_worker_with(text, &resolve, cache).map_err(|e| e.to_string())
+    };
+    let mut answered = 0;
+    for (label, mutated, _) in mutations(payload.as_bytes()) {
+        let Ok(text) = std::str::from_utf8(&mutated) else {
+            continue;
+        };
+        let miss = run(text, &SpecCache::new());
+        answered += usize::from(miss.is_ok());
+        assert_eq!(miss, run(text, &warmed), "{label}: {text:?}");
+    }
+    assert!(answered > 0, "some mutations decode and run");
 }
 
 #[test]

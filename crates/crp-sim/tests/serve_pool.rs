@@ -118,3 +118,62 @@ fn each_local_worker_reports_its_own_health_and_metrics() {
         );
     }
 }
+
+/// The rollup's value of counter `name` in a `stats` report (0 when no
+/// worker has counted it).
+fn rollup_counter(report: &str, name: &str) -> u64 {
+    let prefix = format!("rollup counter {name} ");
+    report
+        .lines()
+        .find_map(|line| line.strip_prefix(&prefix)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Each worker's own value of counter `name`, in report order.
+fn worker_counters(report: &str, name: &str) -> Vec<u64> {
+    let prefix = format!("  counter {name} ");
+    let mut counters = Vec::new();
+    for line in report.lines() {
+        if line.starts_with("worker ") && line.ends_with(" metrics:") {
+            counters.push(0);
+        } else if let (Some(value), Some(last)) = (line.strip_prefix(&prefix), counters.last_mut())
+        {
+            *last = value.parse().unwrap();
+        }
+    }
+    counters
+}
+
+#[test]
+fn a_warm_pool_compiles_each_spec_once_per_worker_across_seeds() {
+    let config = RunnerConfig::with_trials(600).with_threads(2);
+    let server =
+        SweepServer::bind("127.0.0.1:0", FleetBackend::pool(&config).unwrap(), None).unwrap();
+    // Which jobs a worker is sent is a race, so submit fresh seeds until
+    // each worker has compiled both cells' spec: one miss per worker and
+    // spec, whatever the seed.
+    let mut seed = 0;
+    let mut report = String::new();
+    while worker_counters(&report, "sim.spec_cache.miss") != [2, 2] {
+        assert!(
+            seed < 20,
+            "the workers never both ran both cells:\n{report}"
+        );
+        report = submit(&server, &decay_grid(seed));
+        seed += 1;
+    }
+    assert_eq!(
+        rollup_counter(&report, "sim.spec_cache.miss"),
+        4,
+        "{report}"
+    );
+    let hits = rollup_counter(&report, "sim.spec_cache.hit");
+    // A new seed compiles nothing: every one of its 6 jobs hits.
+    let next = submit(&server, &decay_grid(seed));
+    assert_eq!(rollup_counter(&next, "sim.spec_cache.miss"), 4, "{next}");
+    assert_eq!(
+        rollup_counter(&next, "sim.spec_cache.hit"),
+        hits + 6,
+        "{next}"
+    );
+}
